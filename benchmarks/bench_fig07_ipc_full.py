@@ -6,12 +6,13 @@ Paper: MASCOT beats NoSQ by 4.9%, PHAST by 1.9% and perfect MDP by 1.0%
 
 from repro.experiments import fig7_ipc_full
 
-from conftest import bench_suite, bench_uops, run_once, suite_kwargs
+from conftest import bench_execution, bench_suite, bench_uops, run_once
 
 
 def test_fig7_ipc_full(benchmark):
     result = run_once(
-        benchmark, lambda: fig7_ipc_full(bench_suite(), bench_uops(), **suite_kwargs())
+        benchmark, lambda: fig7_ipc_full(bench_suite(), bench_uops(),
+                                         execution=bench_execution())
     )
     print()
     print(result.render())

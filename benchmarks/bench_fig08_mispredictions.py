@@ -6,13 +6,13 @@ false dependencies drop 91% and speculative errors 39% vs PHAST.
 
 from repro.experiments import fig8_mispredictions
 
-from conftest import bench_suite, bench_uops, run_once, suite_kwargs
+from conftest import bench_execution, bench_suite, bench_uops, run_once
 
 
 def test_fig8_mispredictions(benchmark):
     result = run_once(
         benchmark, lambda: fig8_mispredictions(bench_suite(), bench_uops(),
-                                     **suite_kwargs())
+                                     execution=bench_execution())
     )
     print()
     print(result.render())

@@ -7,13 +7,13 @@ oracle.
 
 from repro.experiments import fig9_ipc_mdp_only
 
-from conftest import bench_suite, bench_uops, run_once, suite_kwargs
+from conftest import bench_execution, bench_suite, bench_uops, run_once
 
 
 def test_fig9_ipc_mdp_only(benchmark):
     result = run_once(
         benchmark, lambda: fig9_ipc_mdp_only(bench_suite(), bench_uops(),
-                                   **suite_kwargs())
+                                   execution=bench_execution())
     )
     print()
     print(result.render())

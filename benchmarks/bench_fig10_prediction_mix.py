@@ -7,13 +7,13 @@ small share except for mcf.
 from repro.common.statistics import arithmetic_mean
 from repro.experiments import fig10_prediction_mix
 
-from conftest import bench_suite, bench_uops, run_once, suite_kwargs
+from conftest import bench_execution, bench_suite, bench_uops, run_once
 
 
 def test_fig10_prediction_mix(benchmark):
     result = run_once(
         benchmark, lambda: fig10_prediction_mix(bench_suite(), bench_uops(),
-                                      **suite_kwargs())
+                                      execution=bench_execution())
     )
     print()
     print(result.render())

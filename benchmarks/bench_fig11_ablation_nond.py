@@ -7,12 +7,13 @@ loses most of the SMB gains (decayed entries lose bypass confidence).
 
 from repro.experiments import fig11_ablation
 
-from conftest import bench_suite, bench_uops, run_once, suite_kwargs
+from conftest import bench_execution, bench_suite, bench_uops, run_once
 
 
 def test_fig11_ablation(benchmark):
     result = run_once(
-        benchmark, lambda: fig11_ablation(bench_suite(), bench_uops(), **suite_kwargs())
+        benchmark, lambda: fig11_ablation(bench_suite(), bench_uops(),
+                                          execution=bench_execution())
     )
     print()
     print(result.render())

@@ -6,14 +6,14 @@ Paper: the SMB ceiling over perfect MDP rises from 2.1% (Golden Cove) to
 
 from repro.experiments import fig12_future_architectures
 
-from conftest import bench_suite, bench_uops, run_once, suite_kwargs
+from conftest import bench_execution, bench_suite, bench_uops, run_once
 
 
 def test_fig12_future_architectures(benchmark):
     result = run_once(
         benchmark,
         lambda: fig12_future_architectures(bench_suite(), bench_uops(),
-                                           **suite_kwargs()),
+                                           execution=bench_execution()),
     )
     print()
     print(result.render())

@@ -6,13 +6,13 @@ tables progressively less, and the base predictor covers the cold misses.
 
 from repro.experiments import fig13_table_usage
 
-from conftest import bench_suite, bench_uops, run_once, suite_kwargs
+from conftest import bench_execution, bench_suite, bench_uops, run_once
 
 
 def test_fig13_table_usage(benchmark):
     result = run_once(
         benchmark, lambda: fig13_table_usage(bench_suite(), bench_uops(),
-                                   **suite_kwargs())
+                                   execution=bench_execution())
     )
     print()
     print(result.render())

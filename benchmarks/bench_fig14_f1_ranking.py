@@ -9,14 +9,15 @@ from repro.analysis import suggest_table_sizes
 from repro.experiments import fig14_f1_ranking
 from repro.predictors.configs import MASCOT_DEFAULT
 
-from conftest import bench_suite, bench_uops, run_once, suite_kwargs
+from conftest import bench_execution, bench_suite, bench_uops, run_once
 
 
 def test_fig14_f1_ranking(benchmark):
     result = run_once(
         benchmark,
         lambda: fig14_f1_ranking(bench_suite(), bench_uops(),
-                                 period_loads=5_000, **suite_kwargs()),
+                                 period_loads=5_000,
+                                 execution=bench_execution()),
     )
     print()
     print(result.render())

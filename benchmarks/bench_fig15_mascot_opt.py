@@ -8,12 +8,13 @@ import pytest
 
 from repro.experiments import fig15_mascot_opt
 
-from conftest import bench_suite, bench_uops, run_once, suite_kwargs
+from conftest import bench_execution, bench_suite, bench_uops, run_once
 
 
 def test_fig15_mascot_opt(benchmark):
     result = run_once(
-        benchmark, lambda: fig15_mascot_opt(bench_suite(), bench_uops(), **suite_kwargs())
+        benchmark, lambda: fig15_mascot_opt(bench_suite(), bench_uops(),
+                                            execution=bench_execution())
     )
     print()
     print(result.render())

@@ -78,13 +78,11 @@ def bench_policy():
     )
 
 
-def suite_kwargs():
-    """``jobs=``/``cache=``/``policy=`` keywords for the figure calls."""
-    kwargs = {"jobs": bench_jobs(), "cache": bench_cache()}
-    policy = bench_policy()
-    if policy is not None:
-        kwargs["policy"] = policy
-    return kwargs
+def bench_execution():
+    """The Execution the figure calls run under (REPRO_BENCH_* knobs)."""
+    from repro.experiments import Execution
+    return Execution(jobs=bench_jobs(), cache=bench_cache(),
+                     policy=bench_policy())
 
 
 @pytest.fixture

@@ -1,13 +1,17 @@
 #!/usr/bin/env python3
-"""SimPoint workflow — evaluating on representative intervals.
+"""SimPoint workflow — evaluating on representative regions.
 
 The paper simulates 100M-instruction SimPoint intervals instead of whole
-benchmarks.  This example runs the same workflow on a synthetic trace:
+benchmarks.  This example runs the same workflow on a synthetic trace
+with :mod:`repro.sampling`:
 
 1. generate a long trace,
-2. cluster its intervals by basic-block vector and pick SimPoints,
-3. estimate full-trace IPC from the weighted SimPoints,
-4. compare the estimate (and its cost) against simulating everything.
+2. fingerprint its regions (basic-block plus memory-access vectors),
+   cluster them and pick one medoid region per cluster,
+3. replay only those regions, warmed, and reconstruct full-trace IPC
+   with a confidence interval,
+4. compare the estimate (and its cost) against simulating everything on
+   the same batched engine.
 
 Run:  python examples/simpoint_workflow.py [benchmark] [num_uops]
 """
@@ -15,46 +19,49 @@ Run:  python examples/simpoint_workflow.py [benchmark] [num_uops]
 import sys
 import time
 
-from repro import Mascot, Pipeline, generate_trace
-from repro.trace import select_simpoints, estimate_weighted
+from repro import Mascot, generate_trace
+from repro.experiments.runner import run_timing
+from repro.sampling import SamplingPolicy, run_sampled_timing, select_regions
 
 
 def main() -> None:
     benchmark = sys.argv[1] if len(sys.argv) > 1 else "gcc1"
     num_uops = int(sys.argv[2]) if len(sys.argv) > 2 else 120_000
-    interval = max(num_uops // 12, 2_000)
+    policy = SamplingPolicy(interval_length=max(num_uops // 12, 2_000),
+                            max_k=4)
 
     print(f"Generating {num_uops:,} micro-ops of {benchmark!r} ...")
     trace = generate_trace(benchmark, num_uops)
 
-    print("Selecting SimPoints "
-          f"({num_uops // interval} intervals of {interval:,}) ...")
-    simpoints = select_simpoints(trace, interval, max_k=4)
-    for s in simpoints:
-        print(f"  interval {s.interval.index:3d} "
-              f"[{s.interval.start:,}..{s.interval.end:,})  "
-              f"weight {s.weight:.2f}  (stands for {s.cluster_size} "
-              "intervals)")
+    print(f"Selecting regions ({num_uops // policy.interval_length} "
+          f"intervals of {policy.interval_length:,}) ...")
+    t0 = time.perf_counter()
+    selection = select_regions(trace, policy)
+    for region in selection.regions:
+        print(f"  region {region.index:3d} "
+              f"[{region.start:,}..{region.end:,})  "
+              f"weight {region.weight:.2f}  (stands for "
+              f"{region.cluster_size} intervals)")
 
-    def ipc(piece, measure_from):
-        return Pipeline(Mascot()).run(piece, measure_from=measure_from).ipc
+    sampled = run_sampled_timing(trace, Mascot, policy, engine="batched",
+                                 selection=selection)
+    sampled_time = time.perf_counter() - t0
 
-    t0 = time.time()
-    estimate = estimate_weighted(trace, simpoints, ipc)
-    estimate_time = time.time() - t0
+    t0 = time.perf_counter()
+    full = run_timing(trace, Mascot(), engine="batched").ipc
+    full_time = time.perf_counter() - t0
 
-    t0 = time.time()
-    full = Pipeline(Mascot()).run(trace).ipc
-    full_time = time.time() - t0
-
+    estimate = sampled.stats.ipc
+    lo, hi = sampled.ipc_ci
     error = 100.0 * (estimate / full - 1.0)
     print()
     print(f"full simulation      : IPC {full:.4f}  ({full_time:.1f}s)")
-    print(f"SimPoint estimate    : IPC {estimate:.4f}  "
-          f"({estimate_time:.1f}s, {error:+.1f}% error)")
+    print(f"sampled estimate     : IPC {estimate:.4f} in [{lo:.4f}, "
+          f"{hi:.4f}]  ({sampled_time:.1f}s, {error:+.1f}% error)")
+    print(f"full IPC inside CI   : {'yes' if lo <= full <= hi else 'no'}")
     print(f"simulated fraction   : "
-          f"{sum(s.interval.end - s.interval.start for s in simpoints) / len(trace):.0%}"
-          " of the trace")
+          f"{sampled.simulated_uops / len(trace):.0%} of the trace "
+          f"(warmup included)")
 
 
 if __name__ == "__main__":

@@ -70,7 +70,8 @@ from .experiments import figures
 from .lint import cli as lint_cli
 from .experiments.bench_baseline import BASELINE_PATH
 from .experiments.reporting import render_table
-from .experiments.resilience import CellFailure, ResiliencePolicy
+from .experiments.parallel import Execution
+from .experiments.resilience import CellFailure
 from .experiments.runner import TIMING_ENGINES, default_cache, run_timing
 from .experiments.suite import (
     PREDICTOR_FACTORIES,
@@ -85,98 +86,6 @@ from .trace.validate import validate_trace
 __all__ = ["main"]
 
 _CORES = {"golden-cove": GOLDEN_COVE, "lion-cove": LION_COVE}
-
-def _cache_arg(args):
-    """Map --no-cache / --cache-url / --cache-dir onto the cache parameter.
-
-    The CLI defaults to caching on (under $REPRO_CACHE_DIR or
-    ~/.cache/repro-mascot) so repeated figure regenerations only pay for
-    cells whose parameters or code actually changed.  --cache-url points
-    at a shared ``repro cache-serve`` instead (bare host:port is
-    normalised to tcp://); $REPRO_CACHE_URL does the same for the
-    default-on path.
-    """
-    if args.no_cache:
-        return False
-    url = getattr(args, "cache_url", None)
-    if url is not None:
-        return url if "://" in url else f"tcp://{url}"
-    if args.cache_dir is not None:
-        return args.cache_dir
-    return True
-
-
-def _journal_arg(args):
-    """Map --no-journal / --journal-dir onto the journal parameter.
-
-    Journaling defaults to on: a crashed or interrupted sweep can always
-    be resumed from its run id (printed on stderr at the end of the run).
-    """
-    if args.no_journal:
-        return None
-    if args.journal_dir is not None:
-        return args.journal_dir
-    return True
-
-
-def _resume_arg(args):
-    """Map --resume onto the resume parameter, honouring --journal-dir.
-
-    With journaling on, the run ids are passed through and loaded from the
-    journal directory the run resolves.  With --no-journal the journal
-    parameter carries no directory, so the state is loaded here — from
-    --journal-dir (or the default) — and passed pre-resolved.
-    """
-    if args.resume is None or not args.no_journal:
-        return args.resume
-    from .experiments.journal import RunJournal
-    return RunJournal(args.journal_dir).load_many(args.resume)
-
-
-def _policy_arg(args):
-    """Build the ResiliencePolicy from --cell-timeout/--retries/--keep-going.
-
-    Returns None (the historical fail-fast default) when no fault-tolerance
-    flag was given, so default CLI behaviour is unchanged.
-    """
-    if (args.cell_timeout is None and args.retries == 0
-            and not args.keep_going):
-        return None
-    return ResiliencePolicy(
-        cell_timeout=args.cell_timeout,
-        retries=args.retries,
-        fail_fast=not args.keep_going,
-    )
-
-
-def _backend_arg(args):
-    """Map --backend/--workers onto execute_cells' backend parameter.
-
-    ``--backend local`` (the default) returns None — the historical
-    in-process pool.  ``--backend workers`` requires ``--workers`` and
-    passes its ``host:port,...`` list through; giving ``--workers`` alone
-    implies ``--backend workers``.
-    """
-    if args.backend == "workers" or args.workers is not None:
-        if args.workers is None:
-            raise SystemExit(
-                "repro: error: --backend workers requires --workers "
-                "HOST:PORT[,HOST:PORT...]")
-        return args.workers
-    return None
-
-
-def _suite_kwargs(args):
-    return {
-        "jobs": args.jobs,
-        "cache": _cache_arg(args),
-        "policy": _policy_arg(args),
-        "journal": _journal_arg(args),
-        "resume": _resume_arg(args),
-        "metrics": args.metrics,
-        "backend": _backend_arg(args),
-    }
-
 
 def _add_sampling_args(parser: argparse.ArgumentParser) -> None:
     """Sampled-simulation flags shared by simulate/compare/figure/profile."""
@@ -227,32 +136,37 @@ def _render_sampling_summary(meta: dict) -> str:
     )
 
 
-_FIGURES = {
-    "fig2": lambda args: figures.fig2_smb_opportunities(args.benchmarks, args.uops),
-    "fig7": lambda args: figures.fig7_ipc_full(args.benchmarks, args.uops,
-                                               sampling=_sampling_arg(args),
-                                               **_suite_kwargs(args)),
-    "fig8": lambda args: figures.fig8_mispredictions(args.benchmarks, args.uops,
-                                                     sampling=_sampling_arg(args),
-                                                     **_suite_kwargs(args)),
-    "fig9": lambda args: figures.fig9_ipc_mdp_only(args.benchmarks, args.uops,
-                                                   sampling=_sampling_arg(args),
-                                                   **_suite_kwargs(args)),
-    "fig10": lambda args: figures.fig10_prediction_mix(args.benchmarks, args.uops,
-                                                       **_suite_kwargs(args)),
-    "fig11": lambda args: figures.fig11_ablation(args.benchmarks, args.uops,
-                                                 **_suite_kwargs(args)),
-    "fig12": lambda args: figures.fig12_future_architectures(
-        args.benchmarks, args.uops, **_suite_kwargs(args)),
-    "fig13": lambda args: figures.fig13_table_usage(args.benchmarks, args.uops,
-                                                    **_suite_kwargs(args)),
-    "fig14": lambda args: figures.fig14_f1_ranking(args.benchmarks, args.uops,
-                                                   **_suite_kwargs(args)),
-    "fig15": lambda args: figures.fig15_mascot_opt(args.benchmarks, args.uops,
-                                                   **_suite_kwargs(args)),
-    "table1": lambda args: figures.table1_configuration(),
-    "table2": lambda args: figures.table2_sizes(),
+#: Figures regenerated from a suite grid; each takes the CLI's execution.
+_SUITE_FIGURES = {
+    "fig7": figures.fig7_ipc_full,
+    "fig8": figures.fig8_mispredictions,
+    "fig9": figures.fig9_ipc_mdp_only,
+    "fig10": figures.fig10_prediction_mix,
+    "fig11": figures.fig11_ablation,
+    "fig12": figures.fig12_future_architectures,
+    "fig13": figures.fig13_table_usage,
+    "fig14": figures.fig14_f1_ranking,
+    "fig15": figures.fig15_mascot_opt,
 }
+
+_SAMPLED_FIGURES = frozenset({"fig7", "fig8", "fig9"})
+
+_FIGURES = sorted(["fig2", "table1", "table2", *_SUITE_FIGURES])
+
+
+def _figure(args):
+    """Regenerate the figure or table ``args.name`` names."""
+    if args.name == "fig2":
+        return figures.fig2_smb_opportunities(args.benchmarks, args.uops)
+    if args.name == "table1":
+        return figures.table1_configuration()
+    if args.name == "table2":
+        return figures.table2_sizes()
+    sampling = ({"sampling": _sampling_arg(args)}
+                if args.name in _SAMPLED_FIGURES else {})
+    return _SUITE_FIGURES[args.name](args.benchmarks, args.uops,
+                                     execution=Execution.from_args(args),
+                                     **sampling)
 
 
 def _positive_int(text: str) -> int:
@@ -404,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_sampling_args(accuracy)
 
     figure = sub.add_parser("figure", help="regenerate a paper table/figure")
-    figure.add_argument("name", choices=sorted(_FIGURES))
+    figure.add_argument("name", choices=_FIGURES)
     _add_common(figure)
     _add_sampling_args(figure)
 
@@ -645,7 +559,8 @@ def _cmd_compare(args) -> int:
     policy = _sampling_arg(args)
     suite = run_ipc_suite(args.predictors, args.benchmarks, args.uops,
                           config=_CORES[args.core], engine=args.engine,
-                          sampling=policy, **_suite_kwargs(args))
+                          sampling=policy,
+                          execution=Execution.from_args(args))
     benches = suite.benchmarks or list(next(iter(suite.ipc.values())))
     normalised = {p: suite.normalised(p) for p in args.predictors}
 
@@ -700,7 +615,7 @@ def _cmd_compare(args) -> int:
 def _cmd_accuracy(args) -> int:
     results = run_accuracy_suite(args.predictors, args.benchmarks, args.uops,
                                  sampling=_sampling_arg(args),
-                                 **_suite_kwargs(args))
+                                 execution=Execution.from_args(args))
     rows = []
     failures = []
     for name, per_bench in results.items():
@@ -726,16 +641,13 @@ def _cmd_accuracy(args) -> int:
     return 0
 
 
-_SAMPLED_FIGURES = frozenset({"fig7", "fig8", "fig9"})
-
-
 def _cmd_figure(args) -> int:
     if args.sampling and args.name not in _SAMPLED_FIGURES:
         print(f"repro figure: --sampling is only supported for "
               f"{', '.join(sorted(_SAMPLED_FIGURES))} (got {args.name})",
               file=sys.stderr)
         return 2
-    result = _FIGURES[args.name](args)
+    result = _figure(args)
     print(result.render())
     failures = list(getattr(result, "failures", None) or [])
     if failures:
@@ -929,8 +841,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
     if args.command == "serve":
         from .experiments.serve import serve_http
-        serve_http(host=args.host, port=args.port, workers=args.workers,
-                   jobs=args.jobs, cache=_cache_arg(args),
+        serve_http(host=args.host, port=args.port,
+                   execution=Execution.from_args(args),
                    ready_file=args.ready_file)
         return 0
     raise AssertionError(f"unhandled command {args.command}")

@@ -18,6 +18,7 @@ from .export import export_csv, to_csv_rows
 from .journal import JournalState, RunJournal, default_journal_dir
 from .parallel import (
     CellSpec,
+    Execution,
     compute_cell,
     execute_cells,
     resolve_cache,
@@ -66,6 +67,7 @@ __all__ = [
     "export_csv",
     "to_csv_rows",
     "CellSpec",
+    "Execution",
     "compute_cell",
     "execute_cells",
     "resolve_cache",

@@ -18,9 +18,11 @@ execution substrate.  That is an :class:`ExecutorBackend`:
 Wire protocol
 -------------
 Length-prefixed JSON frames: a 4-byte big-endian length followed by a
-UTF-8 JSON object.  The coordinator connects and sends ``hello`` (version
-check), then ``run`` frames carrying the wire-encoded
-:class:`~repro.experiments.parallel.CellSpec` and a lease id; the worker
+UTF-8 JSON object.  The coordinator connects and sends ``hello``; the
+server's reply carries its version and role, and :func:`connect` refuses
+a skewed peer or one that is not a worker.  Then come ``run`` frames
+carrying the wire-encoded :class:`~repro.experiments.parallel.CellSpec`
+and a lease id; the worker
 answers with ``heartbeat`` frames while computing and one terminal
 ``result`` (with a content digest the coordinator verifies — a mismatch
 is a ``result-corrupt`` failure, never a wrong number) or ``error``
@@ -29,21 +31,28 @@ Everything on the wire is JSON built from the same encoders as the result
 cache and journal, so a remotely computed cell is bit-identical to a
 local one.
 
-This module (with :mod:`repro.experiments.worker`) is the only sanctioned
-home for socket use — the ``conc-socket`` lint rule keeps network I/O
-from leaking into simulation code.
+Both services — ``repro worker`` (:mod:`repro.experiments.worker`) and
+``repro cache-serve`` (:mod:`repro.experiments.cache_service`) — listen
+through one :class:`FrameServer` and are dialled through one
+:func:`connect`, so this module is the only sanctioned home for socket
+use: the ``conc-socket`` lint rule keeps network I/O from leaking into
+simulation code.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import select
 import socket
 import struct
+import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from contextlib import nullcontext
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict
+from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.config import CoreConfig
@@ -55,6 +64,7 @@ __all__ = [
     "BackendBrokenError",
     "ExecutorBackend",
     "FrameError",
+    "FrameServer",
     "LeaseExpiredError",
     "LocalPoolBackend",
     "MAX_FRAME_BYTES",
@@ -64,14 +74,17 @@ __all__ = [
     "ResultCorruptError",
     "WorkerBackend",
     "WorkerLostError",
+    "connect",
     "lease_id",
     "parse_endpoint",
     "parse_endpoints",
     "probe_endpoint",
     "recv_frame",
     "send_frame",
+    "send_torn",
     "spec_from_wire",
     "spec_to_wire",
+    "stall",
 ]
 
 #: Bump when the frame grammar changes incompatibly.  Exchanged in the
@@ -135,12 +148,8 @@ def send_frame(sock: socket.socket, payload: Dict, lock=None) -> None:
     if len(data) > MAX_FRAME_BYTES:
         raise FrameError(f"frame of {len(data)} bytes exceeds the "
                          f"{MAX_FRAME_BYTES}-byte protocol ceiling")
-    message = _HEADER.pack(len(data)) + data
-    if lock is not None:
-        with lock:
-            sock.sendall(message)
-    else:
-        sock.sendall(message)
+    with lock if lock is not None else nullcontext():
+        sock.sendall(_HEADER.pack(len(data)) + data)
 
 
 def _recv_exact(sock: socket.socket, n: int) -> Optional[bytes]:
@@ -263,18 +272,39 @@ def parse_endpoints(text: str) -> Tuple[Tuple[str, int], ...]:
     return tuple(endpoints)
 
 
-def _handshake(sock: socket.socket) -> Dict:
-    """Exchange hello frames; raises ProtocolVersionError on skew."""
-    send_frame(sock, {"type": "hello", "version": PROTOCOL_VERSION,
-                      "role": "coordinator"})
-    reply = recv_frame(sock)
-    if reply is None or reply.get("type") != "hello":
-        raise FrameError(f"expected hello frame, got {reply!r}")
-    if reply.get("version") != PROTOCOL_VERSION:
-        raise ProtocolVersionError(
-            f"worker speaks protocol v{reply.get('version')}, "
-            f"coordinator v{PROTOCOL_VERSION}")
-    return reply
+def connect(host: str, port: int, role: str, peer: str,
+            timeout: float = CONNECT_TIMEOUT) -> Tuple[socket.socket, Dict]:
+    """Dial ``host:port`` and handshake as ``role`` with a ``peer`` server.
+
+    The one client handshake of the frame protocol (coordinator→worker,
+    cache client→cache server); returns the socket, which keeps
+    ``timeout`` as its I/O timeout, and the server's hello.  Raises
+    ``OSError`` when the endpoint is unreachable or closes mid-handshake
+    (transient), :class:`ProtocolVersionError` on version skew, and
+    :class:`FrameError` when the peer answers but is not a ``peer`` — a
+    cache server dialled as a worker, say (both permanent).
+    """
+    sock = socket.create_connection((host, port), timeout=timeout)
+    try:
+        sock.settimeout(timeout)
+        send_frame(sock, {"type": "hello", "version": PROTOCOL_VERSION,
+                          "role": role})
+        reply = recv_frame(sock)
+        if reply is None:
+            raise OSError(f"{host}:{port} closed during handshake")
+        if reply.get("type") != "hello":
+            raise FrameError(f"expected hello frame, got {reply!r}")
+        if reply.get("version") != PROTOCOL_VERSION:
+            raise ProtocolVersionError(
+                f"{peer} speaks protocol v{reply.get('version')}, "
+                f"{role} v{PROTOCOL_VERSION}")
+        if reply.get("role") != peer:
+            raise FrameError(f"peer is a {reply.get('role')!r}, not a "
+                             f"{peer.replace('-', ' ')}")
+    except BaseException:
+        sock.close()
+        raise
+    return sock, reply
 
 
 def probe_endpoint(host: str, port: int,
@@ -283,11 +313,158 @@ def probe_endpoint(host: str, port: int,
 
     Used by ``repro doctor --workers``.  Raises ``OSError`` when the
     endpoint is unreachable, :class:`ProtocolVersionError` on version
-    skew and :class:`FrameError` when the peer is not a repro worker.
+    skew and :class:`FrameError` when the peer is not a repro worker
+    (a ``repro cache-serve`` port included).
     """
-    with socket.create_connection((host, port), timeout=timeout) as sock:
-        sock.settimeout(timeout)
-        return _handshake(sock)
+    sock, hello = connect(host, port, "coordinator", "worker", timeout)
+    sock.close()
+    return hello
+
+
+# ---------------------------------------------------------- frame server
+
+#: How long ``accept`` blocks between stop-flag checks.
+_ACCEPT_TICK = 0.2
+
+#: Seconds an injected ``stall`` stays silent when the clause carries no
+#: explicit duration — far past any lease or RPC timeout, so the client
+#: always gives up first.
+STALL_SECONDS = 30.0
+
+
+def stall(fault) -> None:
+    """Injected ``stall`` fault: a wedged or partitioned server."""
+    seconds = STALL_SECONDS
+    if fault.arg is not None and not fault.once:
+        seconds = float(fault.arg)
+    time.sleep(seconds)
+
+
+def send_torn(conn: socket.socket, lock=None) -> None:
+    """Injected ``torn`` fault: promise more bytes than follow, then die.
+
+    The client's ``recv_frame`` raises ``FrameError`` ("torn frame"),
+    exactly as when a server is killed mid-``sendall``.
+    """
+    with lock if lock is not None else nullcontext():
+        conn.sendall(_HEADER.pack(1 << 16) + b'{"type":')
+        conn.shutdown(socket.SHUT_RDWR)
+
+
+class FrameServer:
+    """The listening half of the frame protocol (worker and cache server).
+
+    Binds on construction (``port=0`` picks an ephemeral port, read back
+    from :attr:`port`); :meth:`serve` then runs the accept loop.  Every
+    accepted connection gets the hello exchange — the server always
+    answers with its version and ``role`` so a skewed client can
+    diagnose the skew, then refuses to serve it — after which
+    ``session(conn)`` handles request frames until the client leaves.
+
+    ``threaded`` sessions run one thread per connection; otherwise each
+    session runs to completion in the accept loop, so clients are served
+    one at a time.  Finished sessions are forgotten as they end, so a
+    long-lived server tracks only the sessions still alive.
+    """
+
+    def __init__(self, role: str, session: Callable[[socket.socket], None],
+                 host: str = "127.0.0.1", port: int = 0,
+                 threaded: bool = True, backlog: int = 8):
+        self.role = role
+        self.host = host
+        self._session = session
+        self._threaded = threaded
+        self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        self._sock.bind((host, port))
+        self._sock.listen(backlog)
+        self.port: int = self._sock.getsockname()[1]
+        self._lock = threading.Lock()
+        self._live: Dict[threading.Thread, socket.socket] = {}
+        #: Connections accepted over the server's lifetime.
+        self.accepted = 0
+
+    @property
+    def live_sessions(self) -> int:
+        """Threaded sessions still being tracked (all of them alive)."""
+        with self._lock:
+            return len(self._live)
+
+    def serve(self, ready_file: Optional[str] = None,
+              max_sessions: Optional[int] = None,
+              stop: Optional[threading.Event] = None) -> int:
+        """Accept sessions until ``stop`` is set; returns the bound port.
+
+        ``ready_file`` receives ``host:port`` once listening (written
+        atomically, so a poller never reads it half-written).  With
+        ``max_sessions`` the server stops accepting after that many
+        connections and returns once they have all ended.
+        """
+        if ready_file is not None:
+            path = Path(ready_file)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            partial = path.with_name(path.name + ".partial")
+            partial.write_text(f"{self.host}:{self.port}\n")
+            os.replace(partial, path)
+        self._sock.settimeout(_ACCEPT_TICK)
+        try:
+            while stop is None or not stop.is_set():
+                try:
+                    conn, _addr = self._sock.accept()
+                except socket.timeout:
+                    continue
+                except OSError:
+                    break
+                self.accepted += 1
+                if self._threaded:
+                    thread = threading.Thread(target=self._run, args=(conn,),
+                                              daemon=True)
+                    with self._lock:
+                        self._live[thread] = conn
+                    thread.start()
+                else:
+                    self._run(conn)
+                if max_sessions is not None and self.accepted >= max_sessions:
+                    break
+            while self.live_sessions and (stop is None or not stop.is_set()):
+                time.sleep(_ACCEPT_TICK)  # max_sessions: let them finish
+        finally:
+            self._sock.close()
+            with self._lock:
+                live = dict(self._live)
+            # Unblock sessions parked in recv so shutdown is prompt (close
+            # alone does not interrupt a blocked recv); _run absorbs the
+            # resulting OSError.
+            for conn in live.values():
+                try:
+                    conn.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
+        for thread in live:
+            thread.join(timeout=STALL_SECONDS * 2)
+        return self.port
+
+    def _run(self, conn: socket.socket) -> None:
+        """One session: hello exchange, then the role's request loop."""
+        try:
+            conn.settimeout(None)
+            hello = recv_frame(conn)
+            if hello is None or hello.get("type") != "hello":
+                return
+            send_frame(conn, {"type": "hello", "version": PROTOCOL_VERSION,
+                              "role": self.role})
+            if hello.get("version") != PROTOCOL_VERSION:
+                return
+            self._session(conn)
+        except (OSError, FrameError):
+            pass  # client vanished mid-session
+        finally:
+            try:
+                conn.close()
+            except OSError:
+                pass
+            with self._lock:
+                self._live.pop(threading.current_thread(), None)
 
 
 # ----------------------------------------------------------- backend API
@@ -541,10 +718,8 @@ class WorkerBackend(ExecutorBackend):
         if self._retry_at.get(endpoint, 0.0) > time.monotonic():
             return None
         try:
-            sock = socket.create_connection(endpoint,
-                                            timeout=self.connect_timeout)
-            sock.settimeout(self.connect_timeout)
-            _handshake(sock)
+            sock, _ = connect(*endpoint, "coordinator", "worker",
+                              self.connect_timeout)
             sock.settimeout(None)
         except ProtocolVersionError as error:
             self._skewed[endpoint] = str(error)

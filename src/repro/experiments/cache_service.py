@@ -43,31 +43,35 @@ serve-once``, ``corrupt=cache/serve-once``) make the server stall before
 replying (the client times out → miss), tear a reply frame mid-send, or
 flip the digest on a served entry (the client rejects it → miss).
 
-With :mod:`repro.experiments.backends`, :mod:`repro.experiments.worker`
-and :mod:`repro.experiments.serve`, this is one of the only modules
-sanctioned to use sockets (``conc-socket`` lint rule).
+Listening, the hello exchange, session threads and shutdown are the
+shared :class:`~repro.experiments.backends.FrameServer`, and the client
+dials through :func:`~repro.experiments.backends.connect`, which checks
+that the peer really is a cache server; this module holds only the cache
+semantics.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import socket
-import struct
 import threading
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from ..common.hashing import stable_digest
 from .backends import (
     CONNECT_TIMEOUT,
     PROTOCOL_VERSION,
     FrameError,
+    FrameServer,
     ProtocolVersionError,
+    connect,
     parse_endpoint,
     recv_frame,
     send_frame,
+    send_torn,
+    stall,
 )
 from .resilience import take_protocol_fault
 from .result_cache import ResultCache, decode_result, encode_result
@@ -77,7 +81,6 @@ __all__ = [
     "NetworkCacheClient",
     "cache_url_from_env",
     "is_cache_url",
-    "main",
     "parse_cache_url",
     "probe_cache_server",
     "serve_cache",
@@ -87,9 +90,6 @@ __all__ = [
 #: (equivalent to passing ``--cache-url`` everywhere).
 CACHE_URL_ENV = "REPRO_CACHE_URL"
 
-#: How long ``accept`` blocks between stop-flag checks.
-_ACCEPT_TICK = 0.2
-
 #: Per-RPC socket timeout: a stalled server must cost one bounded miss,
 #: not a wedged sweep.
 RPC_TIMEOUT = 10.0
@@ -97,10 +97,6 @@ RPC_TIMEOUT = 10.0
 #: Seconds between reconnect attempts once the server is unreachable —
 #: a dead server costs one failed ``connect`` per cooldown, not per RPC.
 RECONNECT_COOLDOWN = 1.0
-
-#: Seconds an injected ``stall`` holds a reply when the clause carries no
-#: explicit duration — far past any client RPC timeout.
-_STALL_SECONDS = 30.0
 
 
 class _FaultPoint:
@@ -233,133 +229,45 @@ def serve_cache(host: str = "127.0.0.1", port: int = 0,
     serve`` tenants multiplex freely); all of them share one
     :class:`ResultCache` behind one lock.  ``port=0`` binds an ephemeral
     port, written as ``host:port`` to ``ready_file`` when given;
-    ``max_sessions`` stops accepting after that many connections (tests);
+    ``max_sessions`` exits after that many client sessions (tests);
     ``stop`` is polled between ``accept`` attempts (in-process use).
     """
-    server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    server.bind((host, port))
-    server.listen(8)
-    bound = server.getsockname()[1]
     state = _CacheServer(directory)
+    server = FrameServer("cache-server",
+                         lambda conn: _session(conn, state), host, port)
     if not quiet:
         print(f"[repro-cache] serving {state.cache.directory} on "
-              f"{host}:{bound} (protocol v{PROTOCOL_VERSION})", flush=True)
-    if ready_file is not None:
-        path = Path(ready_file)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(f"{host}:{bound}\n")
-    server.settimeout(_ACCEPT_TICK)
-    threads: List[threading.Thread] = []
-    conns: List[socket.socket] = []
-    try:
-        while stop is None or not stop.is_set():
-            try:
-                conn, _addr = server.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            state.sessions += 1
-            conns.append(conn)
-            thread = threading.Thread(
-                target=_session, args=(conn, state), daemon=True)
-            thread.start()
-            threads.append(thread)
-            if max_sessions is not None and state.sessions >= max_sessions:
-                break
-    finally:
-        server.close()
-        # Unblock sessions parked in recv so shutdown is prompt (close
-        # alone does not interrupt a blocked recv); their threads absorb
-        # the resulting OSError and exit.
-        for conn in conns:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-    for thread in threads:
-        thread.join(timeout=_STALL_SECONDS + RPC_TIMEOUT)
-    return bound
+              f"{host}:{server.port} (protocol v{PROTOCOL_VERSION})",
+              flush=True)
+    return server.serve(ready_file, max_sessions, stop)
 
 
-def _session(conn: socket.socket, state: _CacheServer) -> None:
-    """One client session: handshake, then serve request frames."""
-    try:
-        conn.settimeout(None)
-        hello = recv_frame(conn)
-        if hello is None or hello.get("type") != "hello":
+def _session(conn, state: _CacheServer) -> None:
+    """One client session after the hello exchange: serve requests."""
+    with state.lock:
+        state.sessions += 1
+    while True:
+        request = recv_frame(conn)
+        if request is None:
             return
-        # Always answer with our version so a skewed client can diagnose
-        # the skew; then refuse to serve it.
-        send_frame(conn, {"type": "hello", "version": PROTOCOL_VERSION,
-                          "role": "cache-server"})
-        if hello.get("version") != PROTOCOL_VERSION:
+        fault = None
+        if request.get("type") in ("load", "store"):
+            fault = take_protocol_fault(_FAULT_POINT)
+        if fault is not None and fault.kind == "stall":
+            # A wedged server: the client's RPC timeout expires and the
+            # operation degrades to a miss / skipped store.
+            stall(fault)
+        reply = state.handle(request)
+        if fault is not None and fault.kind == "torn":
+            send_torn(conn)
             return
-        while True:
-            request = recv_frame(conn)
-            if request is None:
-                return
-            fault = None
-            if request.get("type") in ("load", "store"):
-                fault = take_protocol_fault(_FAULT_POINT)
-            if fault is not None and fault.kind == "stall":
-                # A wedged server: the client's RPC timeout expires and
-                # the operation degrades to a miss / skipped store.
-                seconds = _STALL_SECONDS
-                if fault.arg is not None and not fault.once:
-                    seconds = float(fault.arg)
-                time.sleep(seconds)
-            reply = state.handle(request)
-            if fault is not None and fault.kind == "torn":
-                _send_torn(conn)
-                return
-            if (fault is not None and fault.kind == "corrupt"
-                    and reply.get("type") == "entry" and reply.get("hit")):
-                reply = dict(reply, digest="0" * len(reply["digest"]))
-            send_frame(conn, reply)
-    except (OSError, FrameError):
-        pass  # client vanished mid-session; the thread simply ends
-    finally:
-        try:
-            conn.close()
-        except OSError:
-            pass
-
-
-def _send_torn(conn: socket.socket) -> None:
-    """Send a length prefix promising more bytes than follow, then die."""
-    conn.sendall(struct.pack(">I", 1 << 16) + b"{\"type\":")
-    conn.shutdown(socket.SHUT_RDWR)
+        if (fault is not None and fault.kind == "corrupt"
+                and reply.get("type") == "entry" and reply.get("hit")):
+            reply = dict(reply, digest="0" * len(reply["digest"]))
+        send_frame(conn, reply)
 
 
 # ------------------------------------------------------------------ client
-
-def _handshake(sock: socket.socket) -> Dict:
-    """Exchange hello frames with a cache server.
-
-    Raises :class:`ProtocolVersionError` on version skew and
-    :class:`FrameError` when the peer answers but is not a cache server
-    (both are permanent — no amount of reconnecting fixes them); a peer
-    that closes mid-handshake raises ``OSError`` like any other
-    transient connection failure.
-    """
-    send_frame(sock, {"type": "hello", "version": PROTOCOL_VERSION,
-                      "role": "cache-client"})
-    reply = recv_frame(sock)
-    if reply is None:
-        raise OSError("cache server closed during handshake")
-    if reply.get("type") != "hello":
-        raise FrameError(f"expected hello frame, got {reply!r}")
-    if reply.get("version") != PROTOCOL_VERSION:
-        raise ProtocolVersionError(
-            f"cache server speaks protocol v{reply.get('version')}, "
-            f"client v{PROTOCOL_VERSION}")
-    if reply.get("role") != "cache-server":
-        raise FrameError(
-            f"peer is a {reply.get('role')!r}, not a cache server")
-    return reply
-
 
 def probe_cache_server(host: str, port: int,
                        timeout: float = CONNECT_TIMEOUT) -> Dict:
@@ -368,9 +276,8 @@ def probe_cache_server(host: str, port: int,
     Raises ``OSError`` when unreachable, :class:`ProtocolVersionError` on
     skew and :class:`FrameError` when the peer is not a cache server.
     """
-    with socket.create_connection((host, port), timeout=timeout) as sock:
-        sock.settimeout(timeout)
-        _handshake(sock)
+    sock, _ = connect(host, port, "cache-client", "cache-server", timeout)
+    with sock:
         send_frame(sock, {"type": "stats"})
         reply = recv_frame(sock)
         if reply is None or reply.get("type") != "stats":
@@ -439,21 +346,17 @@ class NetworkCacheClient:
         now = time.monotonic()
         if now < self._retry_at:
             return None, self._last_error or "in reconnect cooldown"
-        sock: Optional[socket.socket] = None
         try:
-            sock = socket.create_connection(
-                (self.host, self.port), timeout=self.connect_timeout)
+            sock, _ = connect(self.host, self.port, "cache-client",
+                              "cache-server", self.connect_timeout)
             sock.settimeout(self.rpc_timeout)
-            _handshake(sock)
         except (ProtocolVersionError, FrameError) as error:
             # Wrong protocol or wrong kind of peer: permanent.
             self._fatal = str(error)
-            self._close(sock)
             return None, self._fatal
         except OSError as error:
             self._retry_at = now + self.reconnect_cooldown
             self._last_error = f"{type(error).__name__}: {error}"
-            self._close(sock)
             return None, self._last_error
         if self._connected_once:
             self.reconnects += 1
@@ -461,16 +364,12 @@ class NetworkCacheClient:
         self._sock = sock
         return sock, None
 
-    @staticmethod
-    def _close(sock: Optional[socket.socket]) -> None:
-        if sock is not None:
+    def _drop_locked(self) -> None:
+        if self._sock is not None:
             try:
-                sock.close()
+                self._sock.close()
             except OSError:
                 pass
-
-    def _drop_locked(self) -> None:
-        self._close(self._sock)
         self._sock = None
 
     def close(self) -> None:
@@ -596,29 +495,3 @@ class NetworkCacheClient:
             "rejected_stores": self.rejected_stores,
             "fallback_hits": self.fallback_hits,
         }
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point for ``repro cache-serve``."""
-    parser = argparse.ArgumentParser(
-        prog="repro cache-serve",
-        description="serve a shared result cache to repro coordinators "
-                    "over TCP")
-    parser.add_argument("--host", default="127.0.0.1",
-                        help="address to bind (default: %(default)s)")
-    parser.add_argument("--port", type=int, default=0,
-                        help="TCP port (default: 0 = ephemeral, printed "
-                             "and written to --ready-file)")
-    parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="cache directory to serve (default: "
-                             "$REPRO_CACHE_DIR or ~/.cache/repro-mascot)")
-    parser.add_argument("--ready-file", default=None, metavar="FILE",
-                        help="write host:port to this file once listening")
-    parser.add_argument("--max-sessions", type=int, default=None,
-                        metavar="N",
-                        help="exit after N client sessions "
-                             "(default: serve forever)")
-    args = parser.parse_args(argv)
-    serve_cache(host=args.host, port=args.port, directory=args.cache_dir,
-                ready_file=args.ready_file, max_sessions=args.max_sessions)
-    return 0

@@ -23,17 +23,9 @@ from ..predictors.sizing import PredictorSizing, table2_rows
 from ..sampling.policy import SamplingPolicy
 from ..trace.profiles import suite_names
 from ..trace.uop import BypassClass
-from .parallel import (
-    BackendSpec,
-    CacheSpec,
-    CellSpec,
-    JournalSpec,
-    MetricsSpec,
-    ResumeSpec,
-    execute_cells,
-)
+from .parallel import CellSpec, Execution
 from .reporting import format_percent, render_table
-from .resilience import CellFailure, ResiliencePolicy
+from .resilience import CellFailure
 from .runner import DEFAULT_TRACE_LENGTH, default_cache
 from .suite import IpcSuiteResult, run_accuracy_suite, run_ipc_suite
 
@@ -277,13 +269,7 @@ class IpcFigureResult:
 def fig7_ipc_full(
     benchmarks: Optional[Sequence[str]] = None,
     num_uops: int = DEFAULT_TRACE_LENGTH,
-    jobs: int = 1,
-    cache: CacheSpec = None,
-    policy: Optional[ResiliencePolicy] = None,
-    journal: JournalSpec = None,
-    resume: ResumeSpec = None,
-    metrics: MetricsSpec = None,
-    backend: BackendSpec = None,
+    execution: Execution = Execution(),
     engine: str = "scalar",
     sampling: Optional[SamplingPolicy] = None,
 ) -> IpcFigureResult:
@@ -295,10 +281,8 @@ def fig7_ipc_full(
     """
     predictors = ["nosq", "phast", "mascot"]
     suite = run_ipc_suite(predictors, benchmarks, num_uops,
-                          jobs=jobs, cache=cache, policy=policy,
-                          journal=journal, resume=resume,
-                          metrics=metrics, backend=backend,
-                          engine=engine, sampling=sampling)
+                          execution=execution, engine=engine,
+                          sampling=sampling)
     return IpcFigureResult(
         title="Fig. 7 — IPC normalised to perfect MDP (no SMB)",
         suite=suite, predictors=predictors,
@@ -308,23 +292,15 @@ def fig7_ipc_full(
 def fig9_ipc_mdp_only(
     benchmarks: Optional[Sequence[str]] = None,
     num_uops: int = DEFAULT_TRACE_LENGTH,
-    jobs: int = 1,
-    cache: CacheSpec = None,
-    policy: Optional[ResiliencePolicy] = None,
-    journal: JournalSpec = None,
-    resume: ResumeSpec = None,
-    metrics: MetricsSpec = None,
-    backend: BackendSpec = None,
+    execution: Execution = Execution(),
     engine: str = "scalar",
     sampling: Optional[SamplingPolicy] = None,
 ) -> IpcFigureResult:
     """Store Sets vs PHAST vs MDP-only MASCOT, normalised to perfect MDP."""
     predictors = ["store-sets", "phast", "mascot-mdp"]
     suite = run_ipc_suite(predictors, benchmarks, num_uops,
-                          jobs=jobs, cache=cache, policy=policy,
-                          journal=journal, resume=resume,
-                          metrics=metrics, backend=backend,
-                          engine=engine, sampling=sampling)
+                          execution=execution, engine=engine,
+                          sampling=sampling)
     return IpcFigureResult(
         title="Fig. 9 — MDP-only IPC normalised to perfect MDP",
         suite=suite, predictors=predictors,
@@ -373,21 +349,12 @@ def fig8_mispredictions(
     benchmarks: Optional[Sequence[str]] = None,
     num_uops: int = DEFAULT_TRACE_LENGTH,
     predictors: Sequence[str] = ("nosq", "phast", "mascot"),
-    jobs: int = 1,
-    cache: CacheSpec = None,
-    policy: Optional[ResiliencePolicy] = None,
-    journal: JournalSpec = None,
-    resume: ResumeSpec = None,
-    metrics: MetricsSpec = None,
-    backend: BackendSpec = None,
+    execution: Execution = Execution(),
     sampling: Optional[SamplingPolicy] = None,
 ) -> Fig8Result:
     """Total mispredictions and the false-dep/speculative split (Fig. 8)."""
     results = run_accuracy_suite(list(predictors), benchmarks, num_uops,
-                                 jobs=jobs, cache=cache, policy=policy,
-                                 journal=journal, resume=resume,
-                                 metrics=metrics, backend=backend,
-                                 sampling=sampling)
+                                 execution=execution, sampling=sampling)
     totals: Dict[str, int] = {}
     false_deps: Dict[str, int] = {}
     spec_errors: Dict[str, int] = {}
@@ -443,19 +410,11 @@ class Fig10Result:
 def fig10_prediction_mix(
     benchmarks: Optional[Sequence[str]] = None,
     num_uops: int = DEFAULT_TRACE_LENGTH,
-    jobs: int = 1,
-    cache: CacheSpec = None,
-    policy: Optional[ResiliencePolicy] = None,
-    journal: JournalSpec = None,
-    resume: ResumeSpec = None,
-    metrics: MetricsSpec = None,
-    backend: BackendSpec = None,
+    execution: Execution = Execution(),
 ) -> Fig10Result:
     """MASCOT's prediction and misprediction type mixes (Fig. 10)."""
     results = run_accuracy_suite(["mascot"], benchmarks, num_uops,
-                                 jobs=jobs, cache=cache, policy=policy,
-                                 journal=journal, resume=resume,
-                                 metrics=metrics, backend=backend)["mascot"]
+                                 execution=execution)["mascot"]
     prediction_mix: Dict[str, Dict[str, float]] = {}
     misprediction_mix: Dict[str, Dict[str, float]] = {}
     for bench, run in results.items():
@@ -517,25 +476,14 @@ class Fig11Result:
 def fig11_ablation(
     benchmarks: Optional[Sequence[str]] = None,
     num_uops: int = DEFAULT_TRACE_LENGTH,
-    jobs: int = 1,
-    cache: CacheSpec = None,
-    policy: Optional[ResiliencePolicy] = None,
-    journal: JournalSpec = None,
-    resume: ResumeSpec = None,
-    metrics: MetricsSpec = None,
-    backend: BackendSpec = None,
+    execution: Execution = Execution(),
 ) -> Fig11Result:
     """MASCOT vs the no-non-dependence TAGE ablation (Fig. 11)."""
     predictors = ["mascot", "mascot-mdp", "tage-no-nd", "tage-no-nd-mdp"]
     ipc = run_ipc_suite(predictors, benchmarks, num_uops,
-                        jobs=jobs, cache=cache, policy=policy,
-                        journal=journal, resume=resume, metrics=metrics,
-                        backend=backend)
+                        execution=execution)
     accuracy = run_accuracy_suite(["mascot", "tage-no-nd"], benchmarks,
-                                  num_uops, jobs=jobs, cache=cache,
-                                  policy=policy, journal=journal,
-                                  resume=resume, metrics=metrics,
-                                  backend=backend)
+                                  num_uops, execution=execution)
     false_deps: Dict[str, int] = {}
     for name, per_bench in accuracy.items():
         false_deps[name] = sum(
@@ -575,13 +523,7 @@ def fig12_future_architectures(
     benchmarks: Optional[Sequence[str]] = None,
     num_uops: int = DEFAULT_TRACE_LENGTH,
     cores: Sequence[CoreConfig] = (GOLDEN_COVE, LION_COVE),
-    jobs: int = 1,
-    cache: CacheSpec = None,
-    policy: Optional[ResiliencePolicy] = None,
-    journal: JournalSpec = None,
-    resume: ResumeSpec = None,
-    metrics: MetricsSpec = None,
-    backend: BackendSpec = None,
+    execution: Execution = Execution(),
 ) -> Fig12Result:
     """MASCOT and the SMB ceiling on larger cores (Fig. 12)."""
     predictors = ["perfect-mdp-smb", "mascot"]
@@ -589,9 +531,7 @@ def fig12_future_architectures(
     failures: List[CellFailure] = []
     for core in cores:
         suite = run_ipc_suite(predictors, benchmarks, num_uops, config=core,
-                              jobs=jobs, cache=cache, policy=policy,
-                              journal=journal, resume=resume,
-                              metrics=metrics, backend=backend)
+                              execution=execution)
         geomeans[core.name] = {p: suite.geomean(p) for p in predictors}
         failures.extend(_suite_failures(suite))
     return Fig12Result(geomeans=geomeans, failures=failures)
@@ -623,13 +563,7 @@ class Fig13Result:
 def fig13_table_usage(
     benchmarks: Optional[Sequence[str]] = None,
     num_uops: int = DEFAULT_TRACE_LENGTH,
-    jobs: int = 1,
-    cache: CacheSpec = None,
-    policy: Optional[ResiliencePolicy] = None,
-    journal: JournalSpec = None,
-    resume: ResumeSpec = None,
-    metrics: MetricsSpec = None,
-    backend: BackendSpec = None,
+    execution: Execution = Execution(),
 ) -> Fig13Result:
     """Share of predictions served by each MASCOT table (Fig. 13)."""
     # warmup=0: every prediction of the run counts, as the figure's
@@ -638,10 +572,7 @@ def fig13_table_usage(
     # (which a consistency test pins to the predictor's own
     # predictions_per_table), not from ad-hoc figure bookkeeping.
     results = run_accuracy_suite(["mascot"], benchmarks, num_uops,
-                                 warmup=0, jobs=jobs, cache=cache,
-                                 policy=policy, journal=journal,
-                                 resume=resume, metrics=metrics,
-                                 backend=backend,
+                                 warmup=0, execution=execution,
                                  telemetry=True)["mascot"]
     totals: List[int] = []
     for run in results.values():
@@ -699,13 +630,7 @@ def fig14_f1_ranking(
     benchmarks: Optional[Sequence[str]] = None,
     num_uops: int = DEFAULT_TRACE_LENGTH,
     period_loads: int = 20_000,
-    jobs: int = 1,
-    cache: CacheSpec = None,
-    policy: Optional[ResiliencePolicy] = None,
-    journal: JournalSpec = None,
-    resume: ResumeSpec = None,
-    metrics: MetricsSpec = None,
-    backend: BackendSpec = None,
+    execution: Execution = Execution(),
 ) -> Fig14Result:
     """Rank-ordered per-entry F1 scores, averaged over benchmarks (Fig. 14)."""
     benchmarks = list(benchmarks) if benchmarks is not None else suite_names()
@@ -716,10 +641,7 @@ def fig14_f1_ranking(
     ]
     profiles: List[RankedF1Profile] = []
     failures: List[CellFailure] = []
-    for result in execute_cells(cells, jobs=jobs, cache=cache,
-                                policy=policy, journal=journal,
-                                resume=resume, metrics=metrics,
-                                backend=backend):
+    for result in execution.run(cells):
         if isinstance(result, CellFailure):
             failures.append(result)
             continue
@@ -753,21 +675,13 @@ class Fig15Result:
 def fig15_mascot_opt(
     benchmarks: Optional[Sequence[str]] = None,
     num_uops: int = DEFAULT_TRACE_LENGTH,
-    jobs: int = 1,
-    cache: CacheSpec = None,
-    policy: Optional[ResiliencePolicy] = None,
-    journal: JournalSpec = None,
-    resume: ResumeSpec = None,
-    metrics: MetricsSpec = None,
-    backend: BackendSpec = None,
+    execution: Execution = Execution(),
 ) -> Fig15Result:
     """Area-optimised MASCOT variants: IPC delta vs storage (Fig. 15)."""
     predictors = ["mascot", "mascot-opt", "mascot-opt-tag2",
                   "mascot-opt-tag4", "mascot-opt-tag6"]
     suite = run_ipc_suite(predictors, benchmarks, num_uops,
-                          baseline="mascot", jobs=jobs, cache=cache,
-                          policy=policy, journal=journal, resume=resume,
-                          metrics=metrics, backend=backend)
+                          baseline="mascot", execution=execution)
     sizes = {
         "mascot": MASCOT_DEFAULT.storage_kib,
         "mascot-opt": MASCOT_OPT.storage_kib,

@@ -43,19 +43,19 @@ journal use, so a streamed grid is bit-identical to a local run; the
 ``done`` summary (see :func:`submission_summary`) contains per-cell
 content digests — diffing two summaries proves two runs agree.
 
-With the other service modules this is sanctioned for socket use
+It listens through asyncio streams and creates no socket itself
 (``conc-socket``); it reads no clocks and writes no files beyond the
 ready file (``det-time`` / ``det-write``).
 """
 
 from __future__ import annotations
 
-import argparse
 import asyncio
+import dataclasses
 import json
 import threading
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence
 
 from ..common.hashing import stable_digest
 from ..core.config import GOLDEN_COVE
@@ -68,7 +68,6 @@ from .runner import DEFAULT_TRACE_LENGTH
 __all__ = [
     "SubmissionError",
     "SubmissionSpec",
-    "main",
     "serve_http",
     "submission_summary",
 ]
@@ -228,13 +227,15 @@ class _StreamMetrics(MetricsWriter):
 
 
 class _Coordinator:
-    """Shared config + counters behind one ``repro serve`` listener."""
+    """Shared config + counters behind one ``repro serve`` listener.
 
-    def __init__(self, backend: Optional[str], jobs: int,
-                 cache: Union[None, bool, str]):
-        self.backend = backend
-        self.jobs = jobs
-        self.cache = cache
+    ``execution`` carries the fleet-wide knobs (``jobs``, ``cache``,
+    ``backend``); each submission brings its own resilience policy and
+    streams its metrics records.
+    """
+
+    def __init__(self, execution):
+        self.execution = execution
         self.submissions = 0
         self.active = 0
         self.lock = threading.Lock()
@@ -247,8 +248,6 @@ class _Coordinator:
         (thread-safe).  Every exit path emits a terminal ``done`` or
         ``error`` record so the client never hangs on a silent stream.
         """
-        from .parallel import execute_cells
-
         def settle(position, spec, key, outcome, source):
             record = {
                 "event": "cell",
@@ -270,15 +269,10 @@ class _Coordinator:
             push(record)
 
         try:
-            results = execute_cells(
-                sub.cells,
-                jobs=self.jobs,
-                cache=self.cache,
-                policy=sub.policy,
-                metrics=_StreamMetrics(push),
-                backend=self.backend,
-                settle=settle,
-            )
+            execution = dataclasses.replace(
+                self.execution, policy=sub.policy,
+                metrics=_StreamMetrics(push))
+            results = execution.run(sub.cells, settle=settle)
         except Exception as error:  # fail_fast grid, dead fleet, ...
             push({"event": "error", "submission": submission_id,
                   "error": f"{type(error).__name__}: {error}"})
@@ -347,14 +341,15 @@ async def _handle_client(reader: asyncio.StreamReader,
             return
         method, path, body = request
         if method == "GET" and path == "/healthz":
+            execution = coordinator.execution
             payload = json.dumps({
                 "ok": True,
                 "active": coordinator.active,
                 "submissions": coordinator.submissions,
-                "backend": coordinator.backend or "local",
-                "cache": (coordinator.cache
-                          if isinstance(coordinator.cache, str)
-                          else bool(coordinator.cache)),
+                "backend": execution.backend or "local",
+                "cache": (execution.cache
+                          if isinstance(execution.cache, str)
+                          else bool(execution.cache)),
             }, sort_keys=True).encode()
             writer.write(_http_head("200 OK", "application/json",
                                     len(payload)) + payload)
@@ -418,7 +413,8 @@ async def _serve_async(host: str, port: int, coordinator: _Coordinator,
     bound = server.sockets[0].getsockname()[1]
     if not quiet:
         print(f"[repro-serve] listening on http://{host}:{bound} "
-              f"(backend={coordinator.backend or 'local'})", flush=True)
+              f"(backend={coordinator.execution.backend or 'local'})",
+              flush=True)
     if ready_file is not None:
         path = Path(ready_file)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -432,61 +428,23 @@ async def _serve_async(host: str, port: int, coordinator: _Coordinator,
 
 
 def serve_http(host: str = "127.0.0.1", port: int = 0,
-               workers: Optional[str] = None, jobs: int = 1,
-               cache: Union[None, bool, str] = True,
+               execution=None,
                ready_file: Optional[str] = None,
                quiet: bool = False,
                stop: Optional[threading.Event] = None) -> None:
     """Run the coordinator HTTP front-end until stopped.
 
-    ``workers`` is a ``host:port,...`` fleet (each submission connects to
-    every endpoint; run workers with ``--sessions`` sized for the tenant
-    count); None computes locally with ``jobs`` processes.  ``cache``
-    takes any :data:`~repro.experiments.parallel.CacheSpec` string form —
-    notably a ``tcp://`` URL for a shared ``repro cache-serve``.
+    ``execution`` (an :class:`~repro.experiments.parallel.Execution`;
+    default: local, serial, default cache) supplies the fleet every
+    submission shares: ``backend`` as a ``host:port,...`` worker list
+    (each submission connects to every endpoint; run workers with
+    ``--sessions`` sized for the tenant count) or local ``jobs``
+    processes, and ``cache`` in any string form — notably a ``tcp://``
+    URL for a shared ``repro cache-serve``.  Its ``policy`` and
+    ``metrics`` are replaced per submission.
     """
-    coordinator = _Coordinator(backend=workers, jobs=jobs, cache=cache)
-    asyncio.run(_serve_async(host, port, coordinator, ready_file, quiet,
-                             stop))
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point for ``repro serve``."""
-    parser = argparse.ArgumentParser(
-        prog="repro serve",
-        description="async HTTP coordinator: submit grids, stream NDJSON "
-                    "results")
-    parser.add_argument("--host", default="127.0.0.1",
-                        help="address to bind (default: %(default)s)")
-    parser.add_argument("--port", type=int, default=0,
-                        help="TCP port (default: 0 = ephemeral, printed "
-                             "and written to --ready-file)")
-    parser.add_argument("--ready-file", default=None, metavar="FILE",
-                        help="write host:port to this file once listening")
-    parser.add_argument("--workers", default=None, metavar="HOST:PORT,...",
-                        help="repro worker endpoints every submission "
-                             "dispatches to (default: compute locally)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="local process count when no --workers "
-                             "(default: %(default)s)")
-    cache = parser.add_mutually_exclusive_group()
-    cache.add_argument("--cache-url", default=None, metavar="URL",
-                       help="tcp://host:port of a repro cache-serve")
-    cache.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="local cache directory")
-    cache.add_argument("--no-cache", action="store_true",
-                       help="disable the result cache")
-    args = parser.parse_args(argv)
-    if args.no_cache:
-        cache_spec: Union[None, bool, str] = None
-    elif args.cache_url is not None:
-        url = args.cache_url
-        cache_spec = url if "://" in url else f"tcp://{url}"
-    elif args.cache_dir is not None:
-        cache_spec = args.cache_dir
-    else:
-        cache_spec = True
-    serve_http(host=args.host, port=args.port, workers=args.workers,
-               jobs=args.jobs, cache=cache_spec,
-               ready_file=args.ready_file)
-    return 0
+    if execution is None:
+        from .parallel import Execution  # deferred: parallel is heavy
+        execution = Execution(cache=True)
+    asyncio.run(_serve_async(host, port, _Coordinator(execution),
+                             ready_file, quiet, stop))

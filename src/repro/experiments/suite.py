@@ -28,16 +28,8 @@ from ..predictors.store_sets import StoreSets
 from ..predictors.tage_nond import TAGE_NO_ND_CONFIG
 from ..sampling.policy import SamplingPolicy
 from ..trace.profiles import suite_names
-from .parallel import (
-    BackendSpec,
-    CacheSpec,
-    CellSpec,
-    JournalSpec,
-    MetricsSpec,
-    ResumeSpec,
-    execute_cells,
-)
-from .resilience import CellFailure, ResiliencePolicy
+from .parallel import CellSpec, Execution
+from .resilience import CellFailure
 from .runner import DEFAULT_TRACE_LENGTH, PredictionRunResult
 
 __all__ = [
@@ -145,25 +137,16 @@ def run_ipc_suite(
     config: CoreConfig = GOLDEN_COVE,
     baseline: str = "perfect-mdp",
     verbose: bool = False,
-    jobs: int = 1,
-    cache: CacheSpec = None,
-    policy: Optional[ResiliencePolicy] = None,
-    journal: JournalSpec = None,
-    resume: ResumeSpec = None,
-    metrics: MetricsSpec = None,
-    backend: BackendSpec = None,
+    execution: Execution = Execution(),
     engine: str = "scalar",
     sampling: Optional[SamplingPolicy] = None,
 ) -> IpcSuiteResult:
     """Timing-mode sweep; the baseline is added automatically if missing.
 
-    ``jobs`` shards the (benchmark × predictor) cells across worker
-    processes; ``cache`` enables the on-disk result cache (see
-    :data:`~repro.experiments.parallel.CacheSpec`); ``policy``, ``journal``
-    and ``resume`` configure fault tolerance and crash recovery, and
-    ``backend`` selects the execution substrate — ``None``/``"local"``
-    for the in-process pool, ``"host:port,..."`` for ``repro worker``
-    endpoints (see :func:`~repro.experiments.parallel.execute_cells`).  The grid is
+    ``execution`` says how the (benchmark × predictor) cells run —
+    processes, result cache, fault tolerance, journal and resume,
+    metrics, worker backend (see
+    :class:`~repro.experiments.parallel.Execution`).  The grid is
     bit-identical for every ``jobs`` value and cache state — and, by the
     golden equivalence tier, for either ``engine`` (``"scalar"`` reference
     pipeline or the faster ``"batched"`` engine).
@@ -187,10 +170,7 @@ def run_ipc_suite(
                  engine=engine, sampling=sampling)
         for bench in benchmarks for name in names
     ]
-    cell_results = execute_cells(cells, jobs=jobs, cache=cache,
-                                 policy=policy, journal=journal,
-                                 resume=resume, metrics=metrics,
-                                 backend=backend)
+    cell_results = execution.run(cells)
 
     ipc: Dict[str, Dict[str, float]] = {n: {} for n in names}
     stats: Dict[str, Dict[str, PipelineStats]] = {n: {} for n in names}
@@ -219,13 +199,7 @@ def run_accuracy_suite(
     num_uops: int = DEFAULT_TRACE_LENGTH,
     verbose: bool = False,
     warmup: Optional[int] = None,
-    jobs: int = 1,
-    cache: CacheSpec = None,
-    policy: Optional[ResiliencePolicy] = None,
-    journal: JournalSpec = None,
-    resume: ResumeSpec = None,
-    metrics: MetricsSpec = None,
-    backend: BackendSpec = None,
+    execution: Execution = Execution(),
     telemetry: bool = False,
     sampling: Optional[SamplingPolicy] = None,
 ) -> Dict[str, Dict[str, PredictionRunResult]]:
@@ -233,15 +207,12 @@ def run_accuracy_suite(
 
     ``warmup`` defaults to a quarter of the trace: predictors train on it
     but it is excluded from the statistics (steady-state measurement, as
-    the paper's warmed SimPoints provide).  ``jobs``, ``cache``,
-    ``policy``, ``journal`` and ``resume`` behave as in
+    the paper's warmed SimPoints provide).  ``execution`` behaves as in
     :func:`run_ipc_suite`.  Under ``--keep-going`` a failed cell's value
     is its :class:`~repro.experiments.resilience.CellFailure` placeholder;
     aggregating callers skip those with an ``isinstance`` check.
     ``telemetry`` attaches per-table counting sinks (Fig. 13); the
-    counters come back in each result's ``telemetry`` dict.  ``metrics``
-    streams per-cell execution records as JSONL (see
-    :data:`~repro.experiments.parallel.MetricsSpec`).
+    counters come back in each result's ``telemetry`` dict.
 
     ``sampling`` replays only the policy's selected regions per cell and
     scales the accuracy counts back to the full trace (incompatible with
@@ -263,10 +234,7 @@ def run_accuracy_suite(
                  sampling=sampling)
         for bench in benchmarks for name in names
     ]
-    cell_results = execute_cells(cells, jobs=jobs, cache=cache,
-                                 policy=policy, journal=journal,
-                                 resume=resume, metrics=metrics,
-                                 backend=backend)
+    cell_results = execution.run(cells)
 
     results: Dict[str, Dict[str, PredictionRunResult]] = {
         n: {} for n in names

@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..core.config import GOLDEN_COVE, CoreConfig
-from .parallel import CacheSpec, JournalSpec, ResumeSpec
-from .resilience import ResiliencePolicy
+from .parallel import Execution
 from .suite import IpcSuiteResult, run_ipc_suite
 
 __all__ = ["CoreSweepPoint", "CoreSweepResult", "sweep_core_parameter"]
@@ -56,11 +55,7 @@ def sweep_core_parameter(
     benchmarks: Optional[Sequence[str]] = None,
     num_uops: int = 40_000,
     base: CoreConfig = GOLDEN_COVE,
-    jobs: int = 1,
-    cache: CacheSpec = None,
-    policy: Optional[ResiliencePolicy] = None,
-    journal: JournalSpec = None,
-    resume: ResumeSpec = None,
+    execution: Execution = Execution(),
 ) -> CoreSweepResult:
     """Run the predictor set on each varied core.
 
@@ -71,8 +66,8 @@ def sweep_core_parameter(
 
     Each point is normalised to a perfect-MDP run **on the same core**, so
     the series isolates how much the *predictor* is worth as the machine
-    grows, exactly as Fig. 12 does for its two cores.  ``jobs`` and
-    ``cache`` are forwarded to every point's
+    grows, exactly as Fig. 12 does for its two cores.  ``execution`` is
+    forwarded to every point's
     :func:`~repro.experiments.suite.run_ipc_suite`; the varied core config
     is part of each cell's cache key, so points never alias.
     """
@@ -83,9 +78,7 @@ def sweep_core_parameter(
         label = ",".join(f"{k}={v}" for k, v in overrides.items())
         config = base.with_(name=f"{base.name}[{label}]", **overrides)
         suite = run_ipc_suite(list(predictors), benchmarks, num_uops,
-                              config=config, jobs=jobs, cache=cache,
-                              policy=policy, journal=journal,
-                              resume=resume)
+                              config=config, execution=execution)
         result.points.append(CoreSweepPoint(label=label, config=config,
                                             suite=suite))
     return result

@@ -33,39 +33,29 @@ lease), ``torn`` truncates the result frame mid-send (worker-lost),
 ``corrupt`` flips the result digest (result-corrupt, exercising the
 coordinator's payload verification).
 
-With :mod:`repro.experiments.backends`, this is the only module
-sanctioned to use sockets (the ``conc-socket`` lint rule enforces it).
+Listening, the hello exchange, session threads and shutdown are the
+shared :class:`~repro.experiments.backends.FrameServer`; this module
+holds only what a worker does with a session.
 """
 
 from __future__ import annotations
 
-import argparse
-import socket
-import struct
 import threading
-import time
-from pathlib import Path
-from typing import List, Optional
+from typing import Optional
 
 from ..common.hashing import stable_digest
 from .backends import (
     PROTOCOL_VERSION,
-    FrameError,
+    FrameServer,
     recv_frame,
     send_frame,
+    send_torn,
     spec_from_wire,
+    stall,
 )
 from .resilience import take_protocol_fault
 
-__all__ = ["main", "serve"]
-
-#: How long ``accept`` blocks between stop-flag checks.
-_ACCEPT_TICK = 0.2
-
-#: Seconds an injected ``stall`` stays silent (no heartbeat, no result)
-#: when the clause carries no explicit duration — far past any realistic
-#: lease timeout, so the coordinator always expires the lease first.
-_STALL_SECONDS = 30.0
+__all__ = ["serve"]
 
 
 def serve(host: str = "127.0.0.1", port: int = 0,
@@ -92,88 +82,19 @@ def serve(host: str = "127.0.0.1", port: int = 0,
     another tenant's cell keeps its lease fresh while it waits.  (A
     SIGKILL still kills the whole process from any thread.)
     """
-    server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    server.bind((host, port))
-    server.listen(max(1, sessions))
-    bound = server.getsockname()[1]
+    compute_lock = threading.Lock() if sessions > 1 else None
+    server = FrameServer("worker", lambda conn: _session(conn, compute_lock),
+                         host, port, threaded=sessions > 1,
+                         backlog=max(1, sessions))
     if not quiet:
-        print(f"[repro-worker] listening on {host}:{bound} "
+        print(f"[repro-worker] listening on {host}:{server.port} "
               f"(protocol v{PROTOCOL_VERSION}, sessions={sessions})",
               flush=True)
-    if ready_file is not None:
-        path = Path(ready_file)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(f"{host}:{bound}\n")
-    server.settimeout(_ACCEPT_TICK)
-    compute_lock = threading.Lock() if sessions > 1 else None
-    threads: List[threading.Thread] = []
-    conns: List[socket.socket] = []
-    accepted = 0
-    try:
-        while stop is None or not stop.is_set():
-            try:
-                conn, _addr = server.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            accepted += 1
-            if sessions > 1:
-                threads = [t for t in threads if t.is_alive()]
-                conns.append(conn)
-                thread = threading.Thread(
-                    target=_session_guarded, args=(conn, compute_lock),
-                    daemon=True)
-                thread.start()
-                threads.append(thread)
-            else:
-                _session_guarded(conn, None)
-            if max_sessions is not None and accepted >= max_sessions:
-                break
-    finally:
-        server.close()
-        # Unblock session threads parked in recv so shutdown is prompt
-        # (close alone does not interrupt a blocked recv);
-        # _session_guarded absorbs the resulting OSError.
-        for conn in conns:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-    for thread in threads:
-        thread.join(timeout=_STALL_SECONDS * 2)
-    return bound
+    return server.serve(ready_file, max_sessions, stop)
 
 
-def _session_guarded(conn: socket.socket,
-                     compute_lock: Optional[threading.Lock]) -> None:
-    """Run one session, absorbing a vanished coordinator."""
-    try:
-        _session(conn, compute_lock)
-    except (OSError, FrameError):
-        pass  # coordinator vanished mid-session; await the next
-    finally:
-        try:
-            conn.close()
-        except OSError:
-            pass
-
-
-def _session(conn: socket.socket,
-             compute_lock: Optional[threading.Lock] = None) -> None:
-    """One coordinator session: handshake, then serve run frames."""
-    conn.settimeout(None)
-    hello = recv_frame(conn)
-    if hello is None or hello.get("type") != "hello":
-        return
-    # Always answer with our version: a skewed coordinator needs the
-    # reply to diagnose the skew (probe_endpoint / doctor), after which
-    # this side refuses to serve it.
-    send_frame(conn, {"type": "hello", "version": PROTOCOL_VERSION,
-                      "role": "worker"})
-    if hello.get("version") != PROTOCOL_VERSION:
-        return
+def _session(conn, compute_lock: Optional[threading.Lock]) -> None:
+    """One coordinator session after the hello exchange: serve run frames."""
     send_lock = threading.Lock()
     while True:
         frame = recv_frame(conn)
@@ -183,7 +104,7 @@ def _session(conn: socket.socket,
             _run_cell(conn, send_lock, frame, compute_lock)
 
 
-def _run_cell(conn: socket.socket, send_lock: threading.Lock,
+def _run_cell(conn, send_lock: threading.Lock,
               frame: dict,
               compute_lock: Optional[threading.Lock] = None) -> None:
     """Compute one leased cell and send its terminal frame."""
@@ -201,10 +122,7 @@ def _run_cell(conn: socket.socket, send_lock: threading.Lock,
         # A wedged/partitioned worker: silent past the lease window.  The
         # coordinator expires the lease and drops this connection; the
         # send below then fails and ends the session.
-        seconds = _STALL_SECONDS
-        if fault.arg is not None and not fault.once:
-            seconds = float(fault.arg)
-        time.sleep(seconds)
+        stall(fault)
     else:
         beat = threading.Thread(
             target=_heartbeat,
@@ -230,7 +148,7 @@ def _run_cell(conn: socket.socket, send_lock: threading.Lock,
         if fault is not None and fault.kind == "corrupt":
             digest = "0" * len(digest)
         if fault is not None and fault.kind == "torn":
-            _send_torn(conn, send_lock)
+            send_torn(conn, send_lock)
             raise OSError("injected torn result frame")
         send_frame(conn, {"type": "result", "lease": lease,
                           "result": encoded, "digest": digest}, send_lock)
@@ -240,7 +158,7 @@ def _run_cell(conn: socket.socket, send_lock: threading.Lock,
             beat.join(timeout=max(interval, 1.0) * 2)
 
 
-def _heartbeat(conn: socket.socket, send_lock: threading.Lock,
+def _heartbeat(conn, send_lock: threading.Lock,
                lease: Optional[str], interval: float,
                stop: threading.Event) -> None:
     """Beat every ``interval`` seconds until stopped or the socket dies."""
@@ -250,44 +168,3 @@ def _heartbeat(conn: socket.socket, send_lock: threading.Lock,
                        send_lock)
         except OSError:
             return
-
-
-def _send_torn(conn: socket.socket, send_lock: threading.Lock) -> None:
-    """Send a length prefix promising more bytes than follow, then die.
-
-    The coordinator's ``recv_frame`` raises ``FrameError`` ("torn
-    frame"), which it classifies as worker-lost — the same as a worker
-    killed mid-``sendall``.
-    """
-    with send_lock:
-        conn.sendall(struct.pack(">I", 1 << 16) + b"{\"type\":")
-        conn.shutdown(socket.SHUT_RDWR)
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point for ``repro worker``."""
-    parser = argparse.ArgumentParser(
-        prog="repro worker",
-        description="serve suite cells to a repro coordinator over TCP")
-    parser.add_argument("--host", default="127.0.0.1",
-                        help="address to bind (default: %(default)s)")
-    parser.add_argument("--port", type=int, default=0,
-                        help="TCP port (default: 0 = ephemeral, printed "
-                             "and written to --ready-file)")
-    parser.add_argument("--ready-file", default=None, metavar="FILE",
-                        help="write host:port to this file once listening")
-    parser.add_argument("--max-sessions", type=int, default=None,
-                        metavar="N",
-                        help="exit after N coordinator sessions "
-                             "(default: serve forever)")
-    parser.add_argument("--sessions", type=int, default=1, metavar="N",
-                        help="concurrent coordinator sessions; >1 computes "
-                             "cells under a shared lock so repro serve "
-                             "tenants can multiplex one fleet "
-                             "(default: %(default)s)")
-    args = parser.parse_args(argv)
-    if args.sessions < 1:
-        parser.error("--sessions must be >= 1")
-    serve(host=args.host, port=args.port, ready_file=args.ready_file,
-          max_sessions=args.max_sessions, sessions=args.sessions)
-    return 0

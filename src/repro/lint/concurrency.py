@@ -20,8 +20,8 @@ that surface:
   created at module scope in a worker-reachable module: handles do not
   survive the process boundary (fork shares fds, spawn re-imports), so
   they must be created per worker instead.
-* ``conc-socket``         — socket creation anywhere outside the two
-  modules that own the coordinator/worker wire protocol
+* ``conc-socket``         — socket creation anywhere outside the module
+  that owns the frame protocol's client and server halves
   (:data:`SOCKET_SANCTIONED_MODULES`).  The distributed backend's
   crash-safety argument rests on *all* network I/O flowing through one
   audited frame codec; a stray socket elsewhere bypasses the lease,
@@ -67,18 +67,12 @@ RULES: Dict[str, str] = {
 #: functions the process pool maps over cells.
 WORKER_ENTRY_POINTS = (("experiments.parallel", "compute_cell"),)
 
-#: The only modules allowed to create sockets: the coordinator-side frame
-#: codec/backend and the ``repro worker`` service.  All network I/O must
-#: flow through their audited length-prefixed protocol.
+#: The only module allowed to create sockets: the frame codec, its one
+#: client handshake (``connect``) and its one listener (``FrameServer``),
+#: which ``repro worker`` and ``repro cache-serve`` both run on.  All
+#: network I/O must flow through this audited length-prefixed protocol.
 SOCKET_SANCTIONED_MODULES = frozenset({
     "repro.experiments.backends",
-    "repro.experiments.worker",
-    # The shared result-cache service and its client (same frame
-    # protocol as the worker substrate).
-    "repro.experiments.cache_service",
-    # The async HTTP coordinator front-end (asyncio streams plus the
-    # frame protocol via the backends it drives).
-    "repro.experiments.serve",
 })
 
 #: The only module allowed to take cross-process file locks: the result
@@ -325,8 +319,8 @@ def _boundary_findings(index: PackageIndex) -> List[Finding]:
                     rule="conc-socket", module=name, path=str(mod.path),
                     line=node.lineno, col=node.col_offset,
                     message=f"{target}() outside the sanctioned protocol "
-                            "modules; all network I/O must go through "
-                            "repro.experiments.backends/.worker so leases, "
+                            "module; all network I/O must go through "
+                            "repro.experiments.backends so leases, "
                             "digests and fault injection cover it",
                     symbol=f"{name}:{target}",
                 ))

@@ -109,12 +109,11 @@ SANCTIONED_WRITE_MODULES = frozenset({
     # The perf-baseline writer: BENCH_throughput.json is a committed
     # artifact, produced on explicit request, never from a suite cell.
     "repro.experiments.bench_baseline",
-    # The worker service's ready-file (host:port for launch scripts);
-    # cell computation inside the worker stays write-free.
-    "repro.experiments.worker",
-    # The cache service and HTTP coordinator write the same ready-file
-    # breadcrumb; entry persistence itself goes through result_cache.
-    "repro.experiments.cache_service",
+    # The frame server's ready-file (host:port for launch scripts) behind
+    # repro worker and repro cache-serve; cell computation inside the
+    # worker stays write-free and cache entries go through result_cache.
+    "repro.experiments.backends",
+    # The HTTP coordinator writes the same ready-file breadcrumb.
     "repro.experiments.serve",
 })
 

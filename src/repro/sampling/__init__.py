@@ -36,11 +36,19 @@ from .features import (
 )
 from .policy import SamplingPolicy
 from .reconstruct import (
+    Interval,
     SampledTiming,
+    rebase_interval,
     run_sampled_prediction,
     run_sampled_timing,
 )
-from .select import Region, RegionSelection, pca_project, select_regions
+from .select import (
+    Region,
+    RegionSelection,
+    kmeans_labels,
+    pca_project,
+    select_regions,
+)
 
 __all__ = [
     "MAV_STRIDE_BUCKETS",
@@ -53,9 +61,12 @@ __all__ = [
     "SamplingPolicy",
     "Region",
     "RegionSelection",
+    "kmeans_labels",
     "pca_project",
     "select_regions",
+    "Interval",
     "SampledTiming",
+    "rebase_interval",
     "run_sampled_prediction",
     "run_sampled_timing",
 ]

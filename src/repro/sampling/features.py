@@ -93,8 +93,8 @@ def pc_frequency_vectors(cols: TraceColumns,
     """L1-normalised per-PC frequency vectors, one row per region.
 
     The PC axis is ordered by ascending PC (``np.unique``) — a fixed
-    permutation of :func:`repro.trace.simpoints.basic_block_vectors`'s
-    first-appearance order, which no distance computation can tell apart.
+    permutation of any first-appearance PC order, which no distance
+    computation can tell apart.
     """
     n_regions = num_intervals(cols.n, interval_length)
     if n_regions == 0:

@@ -2,7 +2,7 @@
 
 Each selected region is extracted together with the ``warmup_intervals``
 intervals immediately **preceding** it as one contiguous slice
-(:func:`repro.trace.simpoints.rebase_interval`), replayed with a *fresh*
+(:func:`rebase_interval`), replayed with a *fresh*
 predictor (sampled regions are independent — predictor state must not
 leak across them), and measured from the region's first micro-op.  The
 adjacent replay trains the branch predictor on exactly the code that
@@ -51,17 +51,27 @@ from ..analysis.accuracy import AccuracyStats
 from ..core.config import GOLDEN_COVE, CoreConfig
 from ..core.stats import PipelineStats
 from ..predictors.base import MDPredictor
-from ..trace.simpoints import Interval, rebase_interval
-from ..trace.uop import MicroOp
+from ..trace.uop import BypassClass, MicroOp
 from .policy import SamplingPolicy
 from .select import Region, RegionSelection, select_regions
 
 __all__ = [
+    "Interval",
     "SampledTiming",
+    "rebase_interval",
     "run_sampled_timing",
     "run_sampled_prediction",
     "warmed_interval",
 ]
+
+
+@dataclass(frozen=True)
+class Interval:
+    """One fixed-length slice of a trace."""
+
+    index: int
+    start: int  # first uop seq (inclusive)
+    end: int    # last uop seq (exclusive)
 
 
 @dataclass
@@ -116,6 +126,54 @@ def _ci_half_width(values: Sequence[float], selection: RegionSelection,
     )
     half = _z_score(policy.confidence) * variance ** 0.5
     return max(half, policy.min_ci_relative * abs(estimate))
+
+
+def rebase_interval(trace: Sequence[MicroOp],
+                    interval: Interval,
+                    offset: int = 0) -> List[MicroOp]:
+    """Extract an interval as a standalone trace.
+
+    Sequence numbers are renumbered from ``offset`` (0 by default) and all
+    dataflow / dependence references to micro-ops before the interval are
+    dropped — exactly the state a simulation warmed only within the slice
+    would observe (values from before the slice are architectural state,
+    not in-flight producers).  A non-zero ``offset`` places the slice
+    after ``offset`` other micro-ops, so rebased slices can be stitched
+    into one replay trace (e.g. a shared warmup prefix followed by a
+    sampled region); in-slice references stay in-slice — they never reach
+    into whatever precedes the offset.
+    """
+    if offset < 0:
+        raise ValueError("offset must be non-negative")
+    start = interval.start
+    delta = offset - start
+    out: List[MicroOp] = []
+    for seq in range(interval.start, interval.end):
+        uop = trace[seq]
+        srcs = tuple(s + delta for s in uop.srcs if s >= start)
+        addr_src = (
+            uop.addr_src + delta
+            if uop.addr_src is not None and uop.addr_src >= start else None
+        )
+        in_slice_dep = (
+            uop.dep_store_seq is not None and uop.dep_store_seq >= start
+        )
+        out.append(MicroOp(
+            seq=uop.seq + delta,
+            pc=uop.pc,
+            op=uop.op,
+            srcs=srcs,
+            addr_src=addr_src,
+            taken=uop.taken,
+            target=uop.target,
+            address=uop.address,
+            size=uop.size,
+            store_distance=uop.store_distance if in_slice_dep else 0,
+            dep_store_seq=(uop.dep_store_seq + delta) if in_slice_dep
+            else None,
+            bypass=uop.bypass if in_slice_dep else BypassClass.NONE,
+        ))
+    return out
 
 
 def warmed_interval(trace: Sequence[MicroOp], region: Region,

@@ -9,7 +9,7 @@ weighted by the cluster's share of the trace.
 
 Selection is bit-deterministic for a given (trace, policy): seeded
 k-means++, deterministic empty-cluster repair
-(:func:`repro.trace.simpoints.kmeans_labels`), deterministic SVD, and a
+(:func:`kmeans_labels`), deterministic SVD, and a
 content digest over the integer-valued outcome so two processes can
 *prove* they selected the same regions.
 """
@@ -23,12 +23,12 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from ..common.hashing import stable_digest
-from ..trace.simpoints import kmeans_labels
 from ..trace.uop import MicroOp
 from .features import num_intervals, region_signatures
 from .policy import SamplingPolicy
 
-__all__ = ["Region", "RegionSelection", "pca_project", "select_regions"]
+__all__ = ["Region", "RegionSelection", "kmeans_labels", "pca_project",
+           "select_regions"]
 
 
 @dataclass(frozen=True)
@@ -91,6 +91,72 @@ def pca_project(signatures: np.ndarray, dims: int) -> np.ndarray:
                                np.abs(components).argmax(axis=1)])
     signs[signs == 0.0] = 1.0
     return centred @ (components * signs[:, None]).T
+
+
+def _reseed_empty_clusters(vectors: np.ndarray, centers: np.ndarray,
+                           labels: np.ndarray, k: int) -> np.ndarray:
+    """Give every empty cluster a fresh centroid; returns updated labels.
+
+    A cluster that empties during Lloyd iterations would otherwise keep a
+    stale centroid — and, worse, :func:`select_regions` would silently
+    return fewer than k representatives.  Each empty cluster is re-seeded
+    on the point farthest from its current centroid (the classic
+    farthest-point repair), which is deterministic: ``argmax`` breaks
+    ties on the lowest index.  As long as the data has at least k
+    distinct rows, some assigned point sits strictly away from its
+    centroid, so the repair always finds a non-degenerate seed.
+    """
+    for j in range(k):
+        if np.any(labels == j):
+            continue
+        distances = ((vectors - centers[labels]) ** 2).sum(axis=1)
+        farthest = int(np.argmax(distances))
+        if distances[farthest] <= 0.0:
+            continue  # fewer than k distinct points: nothing to steal
+        centers[j] = vectors[farthest]
+        labels[farthest] = j
+    return labels
+
+
+def kmeans_labels(vectors: np.ndarray, k: int, seed: int,
+                  iterations: int = 50) -> np.ndarray:
+    """Lloyd's k-means with k-means++ seeding; returns labels.
+
+    Deterministic for a given ``(vectors, k, seed)``; empty clusters are
+    re-seeded from the farthest point (see
+    :func:`_reseed_empty_clusters`), so with at least k distinct rows
+    every one of the k labels survives to the result.
+    """
+    rng = np.random.default_rng(seed)
+    n = vectors.shape[0]
+    # k-means++ seeding.
+    centroids = [vectors[rng.integers(n)]]
+    for _ in range(1, k):
+        distances = np.min(
+            [np.sum((vectors - c) ** 2, axis=1) for c in centroids], axis=0
+        )
+        total = distances.sum()
+        if total <= 0:
+            centroids.append(vectors[rng.integers(n)])
+            continue
+        centroids.append(vectors[rng.choice(n, p=distances / total)])
+    centers = np.array(centroids)
+
+    labels = np.zeros(n, dtype=np.int64)
+    for _ in range(iterations):
+        distances = ((vectors[:, None, :] - centers[None, :, :]) ** 2).sum(
+            axis=2
+        )
+        new_labels = distances.argmin(axis=1)
+        new_labels = _reseed_empty_clusters(vectors, centers, new_labels, k)
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for j in range(k):
+            members = vectors[labels == j]
+            if len(members):
+                centers[j] = members.mean(axis=0)
+    return labels
 
 
 def _bic(vectors: np.ndarray, labels: np.ndarray, k: int) -> float:

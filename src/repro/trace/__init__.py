@@ -10,16 +10,6 @@ from .columns import (
 from .dependence import DependenceTracker, StoreRecord, classify_overlap
 from .generator import TraceGenerator, generate_trace
 from .profiles import SPEC_SUITE, WorkloadProfile, get_profile, suite_names
-from .simpoints import (
-    Interval,
-    SimPoint,
-    basic_block_vectors,
-    estimate_weighted,
-    kmeans_labels,
-    rebase_interval,
-    select_simpoints,
-    split_intervals,
-)
 from .stream import FORMAT_VERSION, TraceFormatError, read_trace, write_trace
 from .program import (
     CODE_BASE,
@@ -46,13 +36,6 @@ __all__ = [
     "OP_BY_CODE",
     "OP_CODES",
     "TraceColumns",
-    "Interval",
-    "SimPoint",
-    "basic_block_vectors",
-    "estimate_weighted",
-    "rebase_interval",
-    "select_simpoints",
-    "split_intervals",
     "FORMAT_VERSION",
     "TraceFormatError",
     "read_trace",

@@ -30,9 +30,11 @@ from repro.experiments.backends import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     FrameError,
+    FrameServer,
     LocalPoolBackend,
     ProtocolVersionError,
     WorkerBackend,
+    connect,
     lease_id,
     parse_endpoints,
     probe_endpoint,
@@ -357,6 +359,101 @@ class TestProbeEndpoint:
             stop.set()
             thread.join(timeout=5)
             server.close()
+
+
+class TestWrongPeerRole:
+    """A ``repro cache-serve`` port answers the hello too; its role must
+    keep it from passing as a worker."""
+
+    @pytest.fixture
+    def cache_server(self, tmp_path):
+        from repro.experiments.cache_service import serve_cache
+
+        stop = threading.Event()
+        ready = tmp_path / "cache.ready"
+        thread = threading.Thread(
+            target=serve_cache,
+            kwargs=dict(port=0, directory=tmp_path / "served",
+                        ready_file=str(ready), stop=stop, quiet=True),
+            daemon=True)
+        thread.start()
+        deadline = time.monotonic() + 10.0
+        while not ready.exists():
+            assert time.monotonic() < deadline, "cache server never ready"
+            time.sleep(0.01)
+        host, port = ready.read_text().strip().rsplit(":", 1)
+        yield host, int(port)
+        stop.set()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    def test_probe_endpoint_raises_frame_error(self, cache_server):
+        with pytest.raises(FrameError, match="not a worker"):
+            probe_endpoint(*cache_server)
+
+    def test_doctor_reports_not_a_worker(self, cache_server):
+        from repro.doctor import _check_worker_endpoints
+
+        passed, message = _check_worker_endpoints("%s:%d" % cache_server)
+        assert not passed
+        assert "is not a repro worker" in message
+
+    def test_worker_backend_refuses_before_dispatch(self, cache_server):
+        backend = WorkerBackend((cache_server,))
+        try:
+            assert backend.connect_all() == 0
+            assert backend.workers == 0
+        finally:
+            backend.close()
+
+    def test_coordinator_dispatches_no_cell(self, cache_server,
+                                            serial_grid):
+        # No reachable worker: the grid degrades to inline execution
+        # rather than failing every cell with "unknown request 'run'".
+        with pytest.warns(RuntimeWarning, match="degrading"):
+            results = execute_cells(GRID, backend="%s:%d" % cache_server,
+                                    policy=_policy())
+        assert _encoded(results) == _encoded(serial_grid)
+
+
+class TestFrameServer:
+    def test_finished_sessions_are_forgotten(self):
+        """A long-lived server tracks only the sessions still alive, not
+        every connection it ever accepted."""
+        def echo(conn):
+            while True:
+                frame = recv_frame(conn)
+                if frame is None:
+                    return
+                send_frame(conn, frame)
+
+        server = FrameServer("worker", echo)
+        stop = threading.Event()
+        thread = threading.Thread(target=server.serve,
+                                  kwargs=dict(stop=stop), daemon=True)
+        thread.start()
+        held = [connect("127.0.0.1", server.port, "coordinator",
+                        "worker")[0] for _ in range(3)]
+        try:
+            for i in range(100):
+                sock, _ = connect("127.0.0.1", server.port, "coordinator",
+                                  "worker")
+                with sock:
+                    send_frame(sock, {"type": "ping", "i": i})
+                    assert recv_frame(sock) == {"type": "ping", "i": i}
+            deadline = time.monotonic() + 10.0
+            while server.live_sessions > len(held):
+                assert time.monotonic() < deadline, server.live_sessions
+                time.sleep(0.01)
+            assert server.accepted == 103
+            assert server.live_sessions == len(held)
+        finally:
+            for sock in held:
+                sock.close()
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert server.live_sessions == 0
 
 
 # --------------------------------------------- local backend golden parity

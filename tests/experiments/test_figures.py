@@ -181,10 +181,12 @@ class TestPartialGridAnnotation:
     and render() carries an explicit warning footer."""
 
     def test_fig8_records_and_renders_excluded_cells(self, monkeypatch):
+        from repro.experiments.parallel import Execution
         from repro.experiments.resilience import ResiliencePolicy
         monkeypatch.setenv("REPRO_FAULT_INJECT", "error=lbm/phast")
         result = figures.fig8_mispredictions(
-            BENCHES, N, policy=ResiliencePolicy(fail_fast=False))
+            BENCHES, N,
+            execution=Execution(policy=ResiliencePolicy(fail_fast=False)))
         assert len(result.failures) == 1
         assert result.failures[0].spec.benchmark == "lbm"
         text = result.render()
@@ -197,9 +199,11 @@ class TestPartialGridAnnotation:
         assert "WARNING" not in result.render()
 
     def test_fig13_records_excluded_cells(self, monkeypatch):
+        from repro.experiments.parallel import Execution
         from repro.experiments.resilience import ResiliencePolicy
         monkeypatch.setenv("REPRO_FAULT_INJECT", "error=lbm/mascot")
         result = figures.fig13_table_usage(
-            BENCHES, N, policy=ResiliencePolicy(fail_fast=False))
+            BENCHES, N,
+            execution=Execution(policy=ResiliencePolicy(fail_fast=False)))
         assert len(result.failures) == 1
         assert "WARNING" in result.render()

@@ -9,7 +9,12 @@ import pytest
 
 from repro.core.config import LION_COVE
 from repro.experiments import parallel
-from repro.experiments.parallel import CellSpec, execute_cells, resolve_cache
+from repro.experiments.parallel import (
+    CellSpec,
+    Execution,
+    execute_cells,
+    resolve_cache,
+)
 from repro.experiments.result_cache import ResultCache
 from repro.experiments.suite import run_accuracy_suite, run_ipc_suite
 
@@ -35,16 +40,19 @@ def _grids_identical(a, b):
 class TestIpcDeterminism:
     @pytest.fixture(scope="class")
     def serial(self):
-        return run_ipc_suite(PREDICTORS, BENCHES, N, jobs=1)
+        return run_ipc_suite(PREDICTORS, BENCHES, N,
+                             execution=Execution(jobs=1))
 
     def test_parallel_matches_serial(self, serial):
-        _grids_identical(run_ipc_suite(PREDICTORS, BENCHES, N, jobs=4),
+        _grids_identical(run_ipc_suite(PREDICTORS, BENCHES, N,
+                                       execution=Execution(jobs=4)),
                          serial)
 
     def test_cached_run_identical_without_recompute(self, serial, tmp_path,
                                                     monkeypatch):
         cache = ResultCache(tmp_path / "cache")
-        warm = run_ipc_suite(PREDICTORS, BENCHES, N, jobs=1, cache=cache)
+        warm = run_ipc_suite(PREDICTORS, BENCHES, N,
+                             execution=Execution(jobs=1, cache=cache))
         _grids_identical(warm, serial)
         assert cache.stores == len(BENCHES) * (len(PREDICTORS) + 1)
 
@@ -53,7 +61,8 @@ class TestIpcDeterminism:
         real = parallel.compute_cell
         monkeypatch.setattr(parallel, "compute_cell",
                             lambda spec: calls.append(spec) or real(spec))
-        rerun = run_ipc_suite(PREDICTORS, BENCHES, N, jobs=1, cache=cache)
+        rerun = run_ipc_suite(PREDICTORS, BENCHES, N,
+                              execution=Execution(jobs=1, cache=cache))
         assert calls == []
         _grids_identical(rerun, serial)
 
@@ -61,10 +70,11 @@ class TestIpcDeterminism:
                                            monkeypatch):
         """Warm hits short-circuit before any pool is spawned."""
         cache_dir = tmp_path / "cache"
-        run_ipc_suite(PREDICTORS, BENCHES, N, jobs=2, cache=cache_dir)
+        run_ipc_suite(PREDICTORS, BENCHES, N,
+                      execution=Execution(jobs=2, cache=cache_dir))
         monkeypatch.setattr(parallel, "compute_cell", _refuse_to_compute)
-        rerun = run_ipc_suite(PREDICTORS, BENCHES, N, jobs=4,
-                              cache=cache_dir)
+        rerun = run_ipc_suite(PREDICTORS, BENCHES, N,
+                              execution=Execution(jobs=4, cache=cache_dir))
         _grids_identical(rerun, serial)
 
 
@@ -74,8 +84,10 @@ def _refuse_to_compute(spec):
 
 class TestAccuracyDeterminism:
     def test_parallel_matches_serial(self):
-        serial = run_accuracy_suite(PREDICTORS, BENCHES, N, jobs=1)
-        parallel_run = run_accuracy_suite(PREDICTORS, BENCHES, N, jobs=2)
+        serial = run_accuracy_suite(PREDICTORS, BENCHES, N,
+                                    execution=Execution(jobs=1))
+        parallel_run = run_accuracy_suite(PREDICTORS, BENCHES, N,
+                                          execution=Execution(jobs=2))
         for name in PREDICTORS:
             for bench in BENCHES:
                 assert (serial[name][bench].to_dict()
@@ -83,9 +95,11 @@ class TestAccuracyDeterminism:
 
     def test_cached_accuracy_run(self, tmp_path, monkeypatch):
         cache_dir = tmp_path / "cache"
-        first = run_accuracy_suite(["mascot"], BENCHES, N, cache=cache_dir)
+        first = run_accuracy_suite(["mascot"], BENCHES, N,
+                                   execution=Execution(cache=cache_dir))
         monkeypatch.setattr(parallel, "compute_cell", _refuse_to_compute)
-        second = run_accuracy_suite(["mascot"], BENCHES, N, cache=cache_dir)
+        second = run_accuracy_suite(["mascot"], BENCHES, N,
+                                    execution=Execution(cache=cache_dir))
         for bench in BENCHES:
             assert (first["mascot"][bench].to_dict()
                     == second["mascot"][bench].to_dict())
@@ -154,16 +168,18 @@ class TestFigureParallelism:
     def test_fig7_identical(self):
         from repro.experiments.figures import fig7_ipc_full
         serial = fig7_ipc_full(["exchange2", "lbm"], N)
-        sharded = fig7_ipc_full(["exchange2", "lbm"], N, jobs=2)
+        sharded = fig7_ipc_full(["exchange2", "lbm"], N,
+                                execution=Execution(jobs=2))
         assert serial.render() == sharded.render()
         assert serial.suite.ipc == sharded.suite.ipc
 
     def test_fig14_f1_profile_identical(self, tmp_path):
         from repro.experiments.figures import fig14_f1_ranking
         serial = fig14_f1_ranking(["perlbench1"], 8_000, period_loads=1_000)
-        cached = fig14_f1_ranking(["perlbench1"], 8_000, period_loads=1_000,
-                                  jobs=2, cache=tmp_path)
+        cached = fig14_f1_ranking(
+            ["perlbench1"], 8_000, period_loads=1_000,
+            execution=Execution(jobs=2, cache=tmp_path))
         warm = fig14_f1_ranking(["perlbench1"], 8_000, period_loads=1_000,
-                                cache=tmp_path)
+                                execution=Execution(cache=tmp_path))
         assert serial.profile.ranked == cached.profile.ranked
         assert serial.profile.ranked == warm.profile.ranked

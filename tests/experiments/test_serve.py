@@ -14,7 +14,7 @@ import time
 import pytest
 
 from repro.core.config import GOLDEN_COVE
-from repro.experiments.parallel import execute_cells
+from repro.experiments.parallel import Execution, execute_cells
 from repro.experiments.resilience import CellFailure, FailureKind
 from repro.experiments.serve import (
     SubmissionError,
@@ -121,11 +121,10 @@ class _HttpServer:
     def __init__(self, tmp_path, **kwargs):
         self.stop = threading.Event()
         ready = tmp_path / f"serve-{id(self)}.ready"
-        kwargs.setdefault("cache", None)
         self.thread = threading.Thread(
             target=serve_http,
             kwargs=dict(port=0, ready_file=str(ready), quiet=True,
-                        stop=self.stop, **kwargs),
+                        stop=self.stop, execution=Execution(**kwargs)),
             daemon=True)
         self.thread.start()
         deadline = time.monotonic() + 10.0

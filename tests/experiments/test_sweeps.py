@@ -1,8 +1,11 @@
 """Tests for core-parameter sweeps."""
 
+import json
+
 import pytest
 
 from repro.core.config import GOLDEN_COVE
+from repro.experiments.parallel import Execution
 from repro.experiments.sweeps import sweep_core_parameter
 
 
@@ -23,6 +26,26 @@ class TestSweep:
         assert set(series) == {"rob_size=128", "rob_size=512"}
         for value in series.values():
             assert 0.5 < value < 1.5
+
+    def test_metrics_record_every_point(self, tmp_path):
+        """A core sweep takes the whole execution value, metrics included:
+        each point's cells and its sweep summary land in one JSONL file."""
+        path = tmp_path / "sweep.jsonl"
+        sweep_core_parameter(
+            [{"rob_size": 128}, {"rob_size": 512}],
+            ["mascot"],
+            benchmarks=["exchange2"],
+            num_uops=5_000,
+            execution=Execution(metrics=path),
+        )
+        records = [json.loads(line)
+                   for line in path.read_text().splitlines()]
+        cells = [r for r in records if r["event"] == "cell"]
+        sweeps = [r for r in records if r["event"] == "sweep"]
+        # Two points, each mascot plus its own perfect-mdp baseline.
+        assert len(cells) == 4
+        assert len({r["core"] for r in cells}) == 2
+        assert [r["cells"] for r in sweeps] == [2, 2]
 
     def test_each_point_has_own_baseline(self):
         result = sweep_core_parameter(

@@ -126,7 +126,7 @@ class TestProtocolBoundary:
         assert any(f.rule == "conc-file-lock" for f in result.active)
 
     def test_sanctioned_modules_stay_clean(self, tree):
-        # backends/worker (sockets) and result_cache (CacheLock) are the
+        # backends (sockets) and result_cache (CacheLock) are the
         # sanctioned homes; the clean copy must not flag them.
         result = lint_paths([tree], select=INTERPROCEDURAL)
         assert not any(f.rule in ("conc-socket", "conc-file-lock")

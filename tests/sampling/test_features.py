@@ -21,6 +21,7 @@ from repro.sampling.features import (
     region_signatures,
 )
 from repro.trace.columns import BYPASS_CODES, TraceColumns
+from repro.trace.uop import MicroOp, OpClass
 
 from tests.conftest import small_trace
 
@@ -89,11 +90,45 @@ class TestMemoryAccessVectors:
         assert (mav >= 0.0).all() and (mav <= 1.0).all()
 
 
+class TestNumIntervals:
+    def test_exact_split(self):
+        assert num_intervals(2000, 500) == 4
+
+    def test_tail_dropped(self):
+        assert num_intervals(2000, 1500) == 1
+
+    def test_invalid_length(self):
+        with pytest.raises(ValueError):
+            num_intervals(0, 0)
+
+
 class TestPcFrequencyVectors:
+    def test_phases_have_distinct_fingerprints(self):
+        # Two code regions that share no PCs, one region each.
+        trace = [MicroOp(seq, base + 4 * (seq % 50), OpClass.ALU)
+                 for seq, base in enumerate([0x400000] * 1000
+                                            + [0x500000] * 1000)]
+        vectors = pc_frequency_vectors(TraceColumns.ensure(trace), 1000)
+        assert float((vectors[0] * vectors[1]).sum()) == 0.0
+
     def test_rows_are_distributions(self):
         cols = TraceColumns.ensure(small_trace("mcf", 12_000))
         bbv = pc_frequency_vectors(cols, 3000)
         np.testing.assert_allclose(bbv.sum(axis=1), 1.0)
+
+    def test_rows_normalised(self):
+        # Two code regions of 500 uops each, fingerprinted at 250.
+        trace = [MicroOp(seq, base + 4 * (seq % 50), OpClass.ALU)
+                 for seq, base in enumerate([0x400000] * 500
+                                            + [0x500000] * 500)]
+        vectors = pc_frequency_vectors(TraceColumns.ensure(trace), 250)
+        assert vectors.shape[0] == num_intervals(len(trace), 250) == 4
+        for row in vectors:
+            assert abs(row.sum() - 1.0) < 1e-9
+
+    def test_empty_trace_raises(self):
+        with pytest.raises(ValueError):
+            pc_frequency_vectors(TraceColumns.ensure([]), 250)
 
     def test_counts_match_scalar_oracle(self):
         trace = small_trace("perlbench1", 8_000)

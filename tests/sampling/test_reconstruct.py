@@ -1,15 +1,20 @@
 """Sampled timing reconstruction: fidelity, engine agreement, warmup."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.experiments.runner import run_timing
 from repro.experiments.suite import make_predictor
+from repro.predictors import PerfectMDP
 from repro.sampling import SamplingPolicy, select_regions
 from repro.sampling.reconstruct import (
+    Interval,
+    rebase_interval,
     run_sampled_prediction,
     run_sampled_timing,
     warmed_interval,
 )
+from repro.trace.uop import BypassClass
 
 from tests.conftest import small_trace
 
@@ -73,6 +78,29 @@ class TestReconstructionFidelity:
         assert cold.stats.instructions == len(trace)
         assert cold.stats.sampling["policy"]["functional_warmup"] is False
 
+    def test_ipc_estimate_close_to_full_run(self):
+        """The sampled estimate approximates the full-trace IPC."""
+        trace = small_trace("xz", 24_000)
+        full = run_timing(trace, PerfectMDP()).ipc
+        sampled = run_sampled_timing(
+            trace, PerfectMDP, policy(interval_length=4000, max_k=3))
+        assert sampled.stats.ipc == pytest.approx(full, rel=0.2)
+
+    def test_warmup_improves_ipc_estimate(self):
+        """Replaying the intervals before each region warms the predictor
+        and pipeline state the region starts from; a cold replay biases
+        the estimate."""
+        trace = small_trace("xz", 24_000)
+        full = run_timing(trace, PerfectMDP()).ipc
+
+        def estimate(warmup_intervals):
+            return run_sampled_timing(
+                trace, PerfectMDP,
+                policy(interval_length=4000, max_k=3,
+                       warmup_intervals=warmup_intervals)).stats.ipc
+
+        assert abs(estimate(1) - full) <= abs(estimate(0) - full)
+
 
 class TestAccountingReconstruction:
     def test_stack_sums_to_cycles_and_engines_agree(self):
@@ -119,6 +147,77 @@ class TestWarmedInterval:
         piece, warmup = warmed_interval(trace, first, pol)
         assert warmup == first.start  # clipped at the start of the trace
         assert len(piece) == first.end
+
+    def test_negative_warmup_rejected(self):
+        with pytest.raises(ValueError, match="warmup_intervals"):
+            policy(warmup_intervals=-1)
+
+
+class TestRebaseInterval:
+    def test_renumbers_from_zero(self):
+        trace = small_trace("perlbench1", 8_000)
+        piece = rebase_interval(trace, Interval(0, 2000, 4000))
+        assert [u.seq for u in piece] == list(range(2000))
+
+    def test_dataflow_stays_internal(self):
+        trace = small_trace("perlbench1", 8_000)
+        piece = rebase_interval(trace, Interval(0, 2000, 4000))
+        for uop in piece:
+            for src in uop.srcs:
+                assert 0 <= src < uop.seq
+            if uop.addr_src is not None:
+                assert 0 <= uop.addr_src < uop.seq
+
+    def test_out_of_slice_dependences_dropped(self):
+        trace = small_trace("perlbench1", 8_000)
+        piece = rebase_interval(trace, Interval(0, 2000, 4000))
+        for uop in piece:
+            if uop.is_load and uop.has_dependence:
+                assert 0 <= uop.dep_store_seq < uop.seq
+            if uop.is_load and not uop.has_dependence:
+                assert uop.bypass is BypassClass.NONE
+
+    def test_rebase_runs_through_pipeline(self):
+        from repro.core import Pipeline
+        from repro.predictors import Mascot
+
+        trace = small_trace("perlbench1", 8_000)
+        piece = rebase_interval(trace, Interval(0, 3000, 6000))
+        stats = Pipeline(Mascot()).run(piece)
+        assert stats.instructions == 3000
+
+    @given(offset=st.integers(min_value=0, max_value=5_000))
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    def test_offset_is_a_pure_shift(self, offset):
+        """A non-zero offset must shift every sequence reference by the
+        same amount and change nothing else — rebased slices are stitched
+        after ``offset`` other micro-ops (sampled warmup prefixes)."""
+        trace = small_trace("perlbench1", 8_000)
+        base = rebase_interval(trace, Interval(0, 2000, 4000))
+        shifted = rebase_interval(trace, Interval(0, 2000, 4000),
+                                  offset=offset)
+        assert len(shifted) == len(base)
+        for a, b in zip(base, shifted):
+            assert b.seq == a.seq + offset
+            assert b.srcs == tuple(s + offset for s in a.srcs)
+            assert b.addr_src == (None if a.addr_src is None
+                                  else a.addr_src + offset)
+            if a.dep_store_seq is None or a.dep_store_seq < 0:
+                assert b.dep_store_seq == a.dep_store_seq
+            else:
+                assert b.dep_store_seq == a.dep_store_seq + offset
+            assert (b.pc, b.op, b.address, b.bypass) \
+                == (a.pc, a.op, a.address, a.bypass)
+
+    def test_zero_offset_is_the_default(self):
+        trace = small_trace("perlbench1", 8_000)
+        assert rebase_interval(trace, Interval(0, 2000, 4000)) \
+            == rebase_interval(trace, Interval(0, 2000, 4000), offset=0)
+
+    def test_negative_offset_rejected(self):
+        trace = small_trace("perlbench1", 8_000)
+        with pytest.raises(ValueError):
+            rebase_interval(trace, Interval(0, 2000, 4000), offset=-1)
 
 
 class TestSampledPrediction:
