@@ -20,15 +20,27 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
-from ..predictors.base import ActualOutcome, Prediction, PredictionKind
-from ..trace.uop import SAME_ADDRESS_BYPASSABLE, BypassClass
+from ..predictors.base import (
+    KIND_CODES,
+    KIND_MDP,
+    KIND_NO_DEP,
+    KIND_SMB,
+    PRED_KIND_BY_CODE,
+    ActualOutcome,
+    Prediction,
+    PredictionKind,
+)
+from ..trace.uop import SAME_ADDRESS_BYPASSABLE
 
 __all__ = [
     "OutcomeKind",
     "Outcome",
+    "OUTCOME_BY_CODE",
+    "OUTCOME_CODES",
     "classify",
+    "classify_code",
     "AccuracyStats",
     "DEFAULT_BYPASSABLE",
 ]
@@ -92,41 +104,71 @@ class Outcome:
     store_match: bool
 
 
-def _store_matches(prediction: Prediction, actual: ActualOutcome,
-                   distance_cap: int = 127) -> bool:
-    """Whether the prediction named the actual conflicting store."""
-    if prediction.store_seq is not None and actual.store_seq is not None:
-        return prediction.store_seq == actual.store_seq
-    return prediction.distance == min(actual.distance, distance_cap)
+#: Integer outcome codes (indices into :class:`OutcomeKind` order): the
+#: fused predictor path returns codes, so hot loops count outcomes with
+#: list indexing instead of enum hashing.
+OUTCOME_BY_CODE = tuple(OutcomeKind)
+OUTCOME_CODES = {kind: code for code, kind in enumerate(OUTCOME_BY_CODE)}
+
+_OC_CORRECT_NODEP = OUTCOME_CODES[OutcomeKind.CORRECT_NODEP]
+_OC_CORRECT_MDP = OUTCOME_CODES[OutcomeKind.CORRECT_MDP]
+_OC_CORRECT_SMB = OUTCOME_CODES[OutcomeKind.CORRECT_SMB]
+_OC_FALSE_DEP_MDP = OUTCOME_CODES[OutcomeKind.FALSE_DEP_MDP]
+_OC_FALSE_DEP_SMB = OUTCOME_CODES[OutcomeKind.FALSE_DEP_SMB]
+_OC_MISSED_DEP = OUTCOME_CODES[OutcomeKind.MISSED_DEP]
+_OC_WRONG_STORE_MDP = OUTCOME_CODES[OutcomeKind.WRONG_STORE_MDP]
+_OC_WRONG_STORE_SMB = OUTCOME_CODES[OutcomeKind.WRONG_STORE_SMB]
+_OC_SMB_NOT_BYP = OUTCOME_CODES[OutcomeKind.SMB_NOT_BYPASSABLE]
+
+#: Outcomes in which the prediction named the actual store (or correctly
+#: named none).
+_STORE_MATCHED = frozenset({
+    OutcomeKind.CORRECT_NODEP, OutcomeKind.CORRECT_MDP,
+    OutcomeKind.CORRECT_SMB, OutcomeKind.SMB_NOT_BYPASSABLE,
+})
+
+#: Store distances are compared at the 7-bit field's saturation value.
+_DISTANCE_CAP = 127
+
+
+def classify_code(kind: int, p_dist: int, p_seq: Optional[int],
+                  a_dist: int, a_seq: Optional[int],
+                  a_bypassable: bool) -> int:
+    """The Fig. 5 decision tree over int-coded values.
+
+    ``kind`` is a :data:`~repro.predictors.base.PRED_KIND_BY_CODE` index,
+    ``p_dist``/``p_seq`` the predicted store, ``a_dist``/``a_seq`` the
+    actual one (``a_dist == 0``: no dependence) and ``a_bypassable``
+    whether the actual overlap class is one the predictor's bypass
+    datapath can deliver.  Stores match by sequence number when both
+    sides carry one, else by (capped) distance.  Returns an
+    :data:`OUTCOME_BY_CODE` index.
+    """
+    if kind == KIND_NO_DEP:
+        return _OC_MISSED_DEP if a_dist > 0 else _OC_CORRECT_NODEP
+    if a_dist <= 0:
+        return _OC_FALSE_DEP_SMB if kind == KIND_SMB else _OC_FALSE_DEP_MDP
+    if p_seq is not None and a_seq is not None:
+        match = p_seq == a_seq
+    else:
+        match = p_dist == (a_dist if a_dist < _DISTANCE_CAP
+                           else _DISTANCE_CAP)
+    if kind == KIND_MDP:
+        return _OC_CORRECT_MDP if match else _OC_WRONG_STORE_MDP
+    if not match:
+        return _OC_WRONG_STORE_SMB
+    return _OC_CORRECT_SMB if a_bypassable else _OC_SMB_NOT_BYP
 
 
 def classify(prediction: Prediction, actual: ActualOutcome,
              bypassable_classes: frozenset = DEFAULT_BYPASSABLE) -> Outcome:
     """Map a (prediction, ground truth) pair onto the Fig. 5 decision tree."""
-    pk = prediction.kind
-
-    if pk is PredictionKind.NO_DEP:
-        if actual.has_dependence:
-            return Outcome(OutcomeKind.MISSED_DEP, pk, False)
-        return Outcome(OutcomeKind.CORRECT_NODEP, pk, True)
-
-    if not actual.has_dependence:
-        kind = (OutcomeKind.FALSE_DEP_SMB if pk is PredictionKind.SMB
-                else OutcomeKind.FALSE_DEP_MDP)
-        return Outcome(kind, pk, False)
-
-    match = _store_matches(prediction, actual)
-    if pk is PredictionKind.MDP:
-        if match:
-            return Outcome(OutcomeKind.CORRECT_MDP, pk, True)
-        return Outcome(OutcomeKind.WRONG_STORE_MDP, pk, False)
-
-    # SMB prediction with an actual dependence.
-    if not match:
-        return Outcome(OutcomeKind.WRONG_STORE_SMB, pk, False)
-    if actual.bypass in bypassable_classes:
-        return Outcome(OutcomeKind.CORRECT_SMB, pk, True)
-    return Outcome(OutcomeKind.SMB_NOT_BYPASSABLE, pk, True)
+    kind = OUTCOME_BY_CODE[classify_code(
+        KIND_CODES[prediction.kind], prediction.distance,
+        prediction.store_seq, actual.distance, actual.store_seq,
+        actual.bypass in bypassable_classes,
+    )]
+    return Outcome(kind, prediction.kind, kind in _STORE_MATCHED)
 
 
 @dataclass
@@ -146,6 +188,19 @@ class AccuracyStats:
         self.loads += 1
         self.outcome_counts[outcome.kind] += 1
         self.prediction_counts[outcome.prediction] += 1
+
+    def record_codes(self, outcome_counts: Sequence[int],
+                     kind_counts: Sequence[int]) -> None:
+        """Add per-code tallies: ``outcome_counts`` indexed like
+        :data:`OUTCOME_BY_CODE`, ``kind_counts`` like
+        :data:`~repro.predictors.base.PRED_KIND_BY_CODE`."""
+        for code, count in enumerate(outcome_counts):
+            if count:
+                self.outcome_counts[OUTCOME_BY_CODE[code]] += count
+                self.loads += count
+        for code, count in enumerate(kind_counts):
+            if count:
+                self.prediction_counts[PRED_KIND_BY_CODE[code]] += count
 
     # -- aggregate views -------------------------------------------------------
 

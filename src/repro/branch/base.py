@@ -12,6 +12,10 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from ..common.foldplan import BranchStream
 
 __all__ = ["BranchPredictor", "BranchStats"]
 
@@ -43,7 +47,10 @@ class BranchPredictor(abc.ABC):
 
     The trace-driven pipeline processes branches in program order, so the
     usual fetch-time speculation / commit-time repair split collapses into a
-    single :meth:`predict_and_train` call per dynamic branch.
+    single :meth:`predict_and_train` call per dynamic branch.  Both timing
+    engines drive the same calls — :meth:`predict_and_train` and
+    :meth:`observe_indirect` — and the batched engine brackets its replay
+    with :meth:`prime` / :meth:`finish`.
     """
 
     def __init__(self) -> None:
@@ -70,10 +77,19 @@ class BranchPredictor(abc.ABC):
             self.stats.mispredictions += 1
         return correct
 
-    def batch_session(self):
-        """Fused replay session for the batched engine (type-exact)."""
-        from .batch import make_branch_session
-        return make_branch_session(self)
+    def prime(self, stream: "BranchStream") -> None:
+        """Precompute a whole run's history-dependent keys (optional).
+
+        The batched engine hands over the run's architectural branch
+        stream before replaying it; until :meth:`finish`, a priming
+        predictor reads each branch's keys from the precomputed rows and
+        leaves its history registers alone.  The default keeps the
+        reference path.
+        """
+
+    def finish(self) -> None:
+        """End a primed run: write the final history state back and drop
+        the primed rows."""
 
     def observe_indirect(self, pc: int, target: int) -> bool:
         """Record an indirect branch; returns True if the target was predicted.

@@ -12,13 +12,24 @@ the analogy is concretely inspectable in code: compare
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..common.bitops import mask
-from ..common.hashing import table_index, table_tag
-from ..common.history import GlobalHistory
+from ..common.foldplan import BranchStream, FoldPlan
+from ..common.hashing import (
+    table_index,
+    table_index_array,
+    table_tag,
+    table_tag_array,
+)
+from ..common.history import INDIRECT_TARGET_BITS, GlobalHistory
 
 __all__ = ["ITTAGE", "ITtageEntry"]
+
+#: (per-table indices, per-table tags, base-table index) of one branch.
+ITtageKeys = Tuple[Tuple[int, ...], Tuple[int, ...], int]
 
 
 @dataclass
@@ -67,54 +78,62 @@ class ITTAGE:
         # Prediction counters.
         self.lookups = 0
         self.mispredictions = 0
+        # Primed run state (see prime/finish); None on the reference path.
+        self._rows: Optional[Iterator[ITtageKeys]] = None
+        self._plan: Optional[FoldPlan] = None
 
     # -------------------------------------------------------------------- keys
 
     def _base_index(self, pc: int) -> int:
         return (pc >> 1) & mask(self.base_index_bits)
 
-    def _keys(self, pc: int) -> List[Tuple[int, int]]:
-        return [
-            (
-                table_index(pc, self.index_bits, self._index_folds[t].value,
-                            table_number=t + 1),
-                table_tag(pc, self.tag_bits, self._tag_folds[t].value,
-                          self._tag_folds2[t].value),
-            )
+    def _keys(self, pc: int) -> ITtageKeys:
+        """Reference keys under the current history: per-table indices and
+        tags, then the base-table index."""
+        indices = tuple(
+            table_index(pc, self.index_bits, self._index_folds[t].value,
+                        table_number=t + 1)
             for t in range(len(self.histories))
-        ]
+        )
+        tags = tuple(
+            table_tag(pc, self.tag_bits, self._tag_folds[t].value,
+                      self._tag_folds2[t].value)
+            for t in range(len(self.histories))
+        )
+        return indices, tags, self._base_index(pc)
 
     # ----------------------------------------------------------------- predict
 
     def predict(self, pc: int) -> Optional[int]:
         """Predicted target, or None when nothing is known."""
-        keys = self._keys(pc)
+        indices, tags, base_index = self._keys(pc)
         for t in range(len(self.histories) - 1, -1, -1):
-            index, tag = keys[t]
-            entry = self._tables[t][index]
-            if entry is not None and entry.tag == tag:
+            entry = self._tables[t][indices[t]]
+            if entry is not None and entry.tag == tags[t]:
                 return entry.target
-        return self._base[self._base_index(pc)]
+        return self._base[base_index]
 
     def predict_and_train(self, pc: int, target: int) -> bool:
         """Predict, then update with the resolved target.
 
         Returns True when the target was predicted correctly.  History must
         be advanced separately via :meth:`on_outcome` (the trace drives it
-        through the owning branch predictor in the pipeline).
+        through the owning branch predictor in the pipeline).  Keys come
+        from the primed rows after :meth:`prime`.
         """
-        keys = self._keys(pc)
+        rows = self._rows
+        indices, tags, base_index = (next(rows) if rows is not None
+                                     else self._keys(pc))
         provider: Optional[int] = None
         prediction: Optional[int] = None
         for t in range(len(self.histories) - 1, -1, -1):
-            index, tag = keys[t]
-            entry = self._tables[t][index]
-            if entry is not None and entry.tag == tag:
+            entry = self._tables[t][indices[t]]
+            if entry is not None and entry.tag == tags[t]:
                 provider = t
                 prediction = entry.target
                 break
         if prediction is None:
-            prediction = self._base[self._base_index(pc)]
+            prediction = self._base[base_index]
 
         correct = prediction == target
         self.lookups += 1
@@ -123,8 +142,7 @@ class ITTAGE:
 
         # Update provider / base.
         if provider is not None:
-            index, tag = keys[provider]
-            entry = self._tables[provider][index]
+            entry = self._tables[provider][indices[provider]]
             if entry.target == target:
                 entry.confidence = min(3, entry.confidence + 1)
                 entry.useful = min(3, entry.useful + 1)
@@ -133,24 +151,57 @@ class ITTAGE:
             else:
                 entry.target = target
                 entry.confidence = 1
-        self._base[self._base_index(pc)] = target
+        self._base[base_index] = target
 
         # Allocate on a mispredict, in a longer-history table.
         if not correct:
             start = 0 if provider is None else provider + 1
             for t in range(start, len(self.histories)):
-                index, tag = keys[t]
-                entry = self._tables[t][index]
+                table = self._tables[t]
+                entry = table[indices[t]]
                 if entry is None or entry.useful == 0:
-                    self._tables[t][index] = ITtageEntry(tag=tag,
-                                                         target=target)
+                    table[indices[t]] = ITtageEntry(tag=tags[t],
+                                                    target=target)
                     break
                 entry.useful -= 1
         return correct
 
     def on_outcome(self, target: int) -> None:
         """Push the resolved target into this predictor's own history."""
-        self._ghist.push_indirect(target)
+        if self._plan is None:
+            self._ghist.push_indirect(target)
+
+    # -------------------------------------------------------------- priming
+
+    def prime(self, stream: BranchStream) -> None:
+        """Precompute every indirect branch's table keys, vectorised.
+
+        The private history sees only the folded target bits of indirect
+        events (:meth:`on_outcome`), a pure function of the trace."""
+        plan = FoldPlan.for_history(self._ghist, stream.ind_only())
+        if plan is None:
+            return
+        pc = stream.pc[stream.kind != 0]
+        k_push = np.arange(int(pc.shape[0])) * INDIRECT_TARGET_BITS
+        icols = []
+        tcols = []
+        for t, h in enumerate(self.histories):
+            icols.append(table_index_array(
+                pc, self.index_bits, plan.column(h, self.index_bits)[k_push],
+                table_number=t + 1).tolist())
+            tcols.append(table_tag_array(
+                pc, self.tag_bits, plan.column(h, self.tag_bits)[k_push],
+                plan.column(h, max(self.tag_bits - 1, 1))[k_push]).tolist())
+        self._plan = plan
+        self._rows = zip(zip(*icols), zip(*tcols),
+                         ((pc >> 1) & mask(self.base_index_bits)).tolist())
+
+    def finish(self) -> None:
+        """Advance the history to the end of a primed run; drop the rows."""
+        if self._plan is not None:
+            self._plan.write_back()
+            self._plan = None
+            self._rows = None
 
     @property
     def misprediction_rate(self) -> float:

@@ -10,10 +10,18 @@ allocate-on-mispredict policy with MASCOT's non-dependence allocation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..common.bitops import mask
-from ..common.hashing import table_index, table_tag
+from ..common.foldplan import BranchStream, FoldPlan
+from ..common.hashing import (
+    table_index,
+    table_index_array,
+    table_tag,
+    table_tag_array,
+)
 from ..common.history import GlobalHistory
 from .base import BranchPredictor
 
@@ -25,18 +33,9 @@ class TageEntry:
     """One tagged TAGE entry: 3-bit signed-ish counter, tag, 2-bit useful."""
 
     tag: int = 0
-    counter: int = 4          # 3-bit counter, 4 = weakly taken
+    counter: int = 4          # 3-bit counter, >= 4 predicts taken
     useful: int = 0           # 2-bit usefulness
     valid: bool = False
-
-    def prediction(self) -> bool:
-        return self.counter >= 4
-
-    def update_counter(self, taken: bool) -> None:
-        if taken:
-            self.counter = min(7, self.counter + 1)
-        else:
-            self.counter = max(0, self.counter - 1)
 
 
 class TAGEBranchPredictor(BranchPredictor):
@@ -78,6 +77,7 @@ class TAGEBranchPredictor(BranchPredictor):
         self._tag_folds2 = [
             self._ghist.attach_fold(h, max(tag_bits - 1, 1)) for h in histories
         ]
+        self._match_order = tuple(range(len(histories) - 1, -1, -1))
         self._branch_count = 0
         # Indirect targets: ITTAGE when enabled (Table I's front end pairs
         # TAGE-SC-L with an indirect target predictor), else the base
@@ -88,8 +88,12 @@ class TAGEBranchPredictor(BranchPredictor):
             self._ittage = ITTAGE()
         # Per-prediction scratch, filled by _predict, consumed by _train.
         self._hit_table: Optional[int] = None
-        self._indices: List[int] = []
-        self._tags: List[int] = []
+        self._indices: Sequence[int] = ()
+        self._tags: Sequence[int] = ()
+        self._base_idx = 0
+        # Primed run state (see prime/finish); None on the reference path.
+        self._rows: Optional[Iterator[Tuple]] = None
+        self._plan: Optional[FoldPlan] = None
 
     # -- helpers -------------------------------------------------------------
 
@@ -97,6 +101,7 @@ class TAGEBranchPredictor(BranchPredictor):
         return (pc >> 1) & mask(self.base_index_bits)
 
     def _compute_keys(self, pc: int) -> None:
+        """Reference keys of ``pc`` under the current history."""
         self._indices = [
             table_index(pc, self.index_bits, fold.value, table_number=t + 1)
             for t, fold in enumerate(self._index_folds)
@@ -105,32 +110,48 @@ class TAGEBranchPredictor(BranchPredictor):
             table_tag(pc, self.tag_bits, f1.value, f2.value)
             for f1, f2 in zip(self._tag_folds, self._tag_folds2)
         ]
+        self._base_idx = self._base_index(pc)
 
     # -- BranchPredictor interface ---------------------------------------------
 
     def _predict(self, pc: int) -> bool:
-        self._compute_keys(pc)
-        self._hit_table = None
-        for t in range(len(self.histories) - 1, -1, -1):
-            entry = self._tables[t][self._indices[t]]
-            if entry.valid and entry.tag == self._tags[t]:
+        # Keys: the branch's primed row after prime(), else the reference.
+        rows = self._rows
+        if rows is not None:
+            self._indices, self._tags, self._base_idx = next(rows)
+        else:
+            self._compute_keys(pc)
+        indices = self._indices
+        tags = self._tags
+        tables = self._tables
+        for t in self._match_order:
+            entry = tables[t][indices[t]]
+            if entry.valid and entry.tag == tags[t]:
                 self._hit_table = t
-                return entry.prediction()
-        return self._base[self._base_index(pc)] >= 2
+                return entry.counter >= 4
+        self._hit_table = None
+        return self._base[self._base_idx] >= 2
 
     def _train(self, pc: int, taken: bool, prediction: bool) -> None:
         mispredicted = prediction != taken
         hit = self._hit_table
 
         if hit is None:
-            idx = self._base_index(pc)
+            idx = self._base_idx
             counter = self._base[idx]
-            self._base[idx] = min(3, counter + 1) if taken else max(0, counter - 1)
+            if taken:
+                self._base[idx] = counter + 1 if counter < 3 else 3
+            else:
+                self._base[idx] = counter - 1 if counter > 0 else 0
         else:
             entry = self._tables[hit][self._indices[hit]]
-            if not mispredicted:
-                entry.useful = min(3, entry.useful + 1)
-            entry.update_counter(taken)
+            if not mispredicted and entry.useful < 3:
+                entry.useful += 1
+            if taken:
+                if entry.counter < 7:
+                    entry.counter += 1
+            elif entry.counter > 0:
+                entry.counter -= 1
 
         if mispredicted:
             self._allocate(taken, hit)
@@ -138,7 +159,8 @@ class TAGEBranchPredictor(BranchPredictor):
         self._branch_count += 1
         if self._branch_count % self.useful_reset_period == 0:
             self._decay_useful()
-        self._ghist.push_conditional(taken)
+        if self._plan is None:
+            self._ghist.push_conditional(taken)
 
     def _allocate(self, taken: bool, hit: Optional[int]) -> None:
         """Allocate one entry in a longer-history table after a mispredict."""
@@ -167,11 +189,54 @@ class TAGEBranchPredictor(BranchPredictor):
             return super().observe_indirect(pc, target)
         correct = self._ittage.predict_and_train(pc, target)
         self._ittage.on_outcome(target)
-        self._ghist.push_indirect(target)
+        if self._plan is None:
+            self._ghist.push_indirect(target)
         self.stats.indirect_branches += 1
         if not correct:
             self.stats.indirect_mispredictions += 1
         return correct
+
+    # -- whole-run key precomputation ------------------------------------------
+
+    def prime(self, stream: BranchStream) -> None:
+        """Precompute every conditional branch's table keys, vectorised.
+
+        TAGE's history stream is the conditional outcome bits, plus the
+        folded indirect-target bits when an ITTAGE is attached (mirroring
+        :meth:`observe_indirect`'s ``push_indirect``)."""
+        cond = stream.kind == 0
+        if self._ittage is not None:
+            self._ittage.prime(stream)
+            bits, offsets = stream.mixed()
+            k_cond = offsets[cond]
+        else:
+            bits = stream.cond_only()
+            k_cond = np.arange(int(np.count_nonzero(cond)))
+        plan = FoldPlan.for_history(self._ghist, bits)
+        if plan is None:
+            return
+        pc = stream.pc[cond]
+        icols = []
+        tcols = []
+        for t, h in enumerate(self.histories):
+            icols.append(table_index_array(
+                pc, self.index_bits, plan.column(h, self.index_bits)[k_cond],
+                table_number=t + 1).tolist())
+            tcols.append(table_tag_array(
+                pc, self.tag_bits, plan.column(h, self.tag_bits)[k_cond],
+                plan.column(h, max(self.tag_bits - 1, 1))[k_cond]).tolist())
+        self._plan = plan
+        self._rows = zip(zip(*icols), zip(*tcols),
+                         ((pc >> 1) & mask(self.base_index_bits)).tolist())
+
+    def finish(self) -> None:
+        """Advance the history to the end of a primed run; drop the rows."""
+        if self._ittage is not None:
+            self._ittage.finish()
+        if self._plan is not None:
+            self._plan.write_back()
+            self._plan = None
+            self._rows = None
 
     @property
     def storage_bits(self) -> int:

@@ -31,7 +31,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .history import INDIRECT_TARGET_BITS
+from .history import INDIRECT_TARGET_BITS, GlobalHistory
 from .foldvec import FoldVector
 
 __all__ = ["BranchStream", "FoldPlan", "path_series"]
@@ -130,12 +130,13 @@ class FoldPlan:
     ``series[slot][k]`` is the register value after the first ``k`` bits of
     ``pushed`` (``k == 0`` is the pre-stream state).  Construction verifies
     the ``k == 0`` column against the live register values and raises
-    ``RuntimeError`` on mismatch; callers fall back to the incremental
-    :meth:`FoldVector.push_bit` path in that case.
+    ``RuntimeError`` on mismatch; :meth:`for_history` turns that into None,
+    and callers keep their incremental history path in that case.
 
     :meth:`finalize` advances the underlying :class:`FoldVector` to the
     post-stream state (values, ring bits, position) so the usual
-    ``sync_back`` hand-off applies unchanged.
+    ``sync_back`` hand-off applies unchanged (:meth:`write_back` does
+    both).
     """
 
     __slots__ = ("fv", "series", "_pushed")
@@ -193,6 +194,25 @@ class FoldPlan:
                     f"(slot {i}: {int(col[0])} != {fv.values[i]})"
                 )
         self.series = series
+
+    @classmethod
+    def for_history(cls, ghist: GlobalHistory,
+                    pushed: np.ndarray) -> Optional["FoldPlan"]:
+        """A plan over the registers of a live history, or None when they
+        fail the invariant check (the caller keeps its incremental path)."""
+        try:
+            return cls(FoldVector(ghist), pushed)
+        except RuntimeError:
+            return None
+
+    def column(self, length: int, width: int) -> np.ndarray:
+        """The value series of the ``(length, width)`` register."""
+        return self.series[self.fv.slot(length, width)]
+
+    def write_back(self) -> None:
+        """Bring the source history to its post-stream state."""
+        self.finalize()
+        self.fv.sync_back()
 
     def finalize(self) -> None:
         """Advance the FoldVector to the post-stream state."""

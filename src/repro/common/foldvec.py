@@ -7,12 +7,13 @@ which is an O(length) deque walk per register per pushed bit.  On the
 simulator hot path (every conditional branch updates up to ~20 registers
 with windows up to 128 bits) this is the dominant history cost.
 
-:class:`FoldVector` is the batched engine's drop-in mirror: the bits live
-in a power-of-two ring (O(1) evicted-bit reads) and the fold values in a
-flat list updated with the exact :class:`FoldedRegister` recurrence.  A
-session builds one from the live ``GlobalHistory`` at the start of a run
-and :meth:`sync_back`\\ s at the end, so the predictor object's state after
-a batched run is indistinguishable from a scalar run.  Equivalence against
+:class:`FoldVector` is the batched engine's mirror: the bits live in a
+power-of-two ring (O(1) evicted-bit reads) and the fold values in a flat
+list updated with the exact :class:`FoldedRegister` recurrence.  A
+:class:`~repro.common.foldplan.FoldPlan` builds one from the live
+``GlobalHistory`` when a predictor is primed and :meth:`sync_back`\\ s it
+at the end of the run, so the predictor object's state after a batched
+run is indistinguishable from a scalar run.  Equivalence against
 ``GlobalHistory.fold_snapshot`` is property-tested.
 """
 

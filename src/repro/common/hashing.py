@@ -22,10 +22,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+from typing import Union
+
+import numpy as np
 
 from .bitops import fold_bits, mask
 
-__all__ = ["table_index", "table_tag", "mix64", "stable_digest"]
+__all__ = ["table_index", "table_tag", "table_index_array",
+           "table_tag_array", "mix64", "stable_digest"]
+
+#: A per-PC array of folded-history values, or one value for all PCs.
+Folds = Union[int, np.ndarray]
 
 
 def stable_digest(payload: object) -> str:
@@ -94,4 +101,28 @@ def table_tag(
     pc >>= 1
     value = pc ^ (pc >> tag_bits)
     value ^= folded_tag ^ (folded_tag2 << 1)
+    return value & mask(tag_bits)
+
+
+def table_index_array(pc: np.ndarray, index_bits: int, folded_index: Folds,
+                      path_fold: Folds = 0,
+                      table_number: int = 0) -> np.ndarray:
+    """:func:`table_index` over an array of PCs (for whole-run key
+    precomputation); ``path_fold`` is the path history already folded to
+    ``index_bits``."""
+    if index_bits <= 0:
+        return np.zeros_like(pc)
+    pc = pc >> 1
+    value = pc ^ (pc >> index_bits) ^ (pc >> (2 * index_bits))
+    value = value ^ folded_index ^ path_fold ^ (table_number * 0x9E37)
+    return value & mask(index_bits)
+
+
+def table_tag_array(pc: np.ndarray, tag_bits: int, folded_tag: Folds,
+                    folded_tag2: Folds = 0) -> np.ndarray:
+    """:func:`table_tag` over an array of PCs."""
+    if tag_bits <= 0:
+        return np.zeros_like(pc)
+    pc = pc >> 1
+    value = pc ^ (pc >> tag_bits) ^ folded_tag ^ (folded_tag2 << 1)
     return value & mask(tag_bits)

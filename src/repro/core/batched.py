@@ -12,12 +12,21 @@ structural property of the scalar model:
 * The timing model consumes predictions but never mutates them.
 
 So the run splits into **Phase A** — replay the predictor-visible stream
-through fused per-predictor sessions (:mod:`repro.predictors.batch`,
-:mod:`repro.branch.batch`), collecting per-load decisions as plain ints —
-and **Phase B** — a monolithic timing loop over precomputed
+through the predictors' own hooks, collecting per-load decisions as plain
+ints — and **Phase B** — a monolithic timing loop over precomputed
 :class:`~repro.trace.columns.TraceColumns`, with the scalar code's
 dict/deque scoreboards replaced by :class:`~repro.core.scoreboard.RingWindow`
 and :class:`~repro.core.scoreboard.StoreScoreboard`.
+
+Phase A calls the same predictor code as the scalar engine: each load goes
+through :meth:`~repro.predictors.base.MDPredictor.predict_train`, which
+composes the predictor's ``lookup``/``update`` halves exactly as the scalar
+``predict``/``train`` do, and branches go through the branch predictor's
+``predict_and_train`` / ``observe_indirect``.  The only difference is where
+history-dependent keys come from: before the replay, ``prime`` hands every
+predictor the run's whole architectural branch stream so it can compute
+all keys at once with numpy (:mod:`repro.common.foldplan`), and ``finish``
+writes the final history registers back afterwards.
 
 Phase A mirrors the scalar :class:`~repro.core.lsu.StoreWindow` membership
 (same capacity, same eviction order) so store-distance/seq resolution and
@@ -36,17 +45,12 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..analysis.accuracy import OutcomeKind
+from ..analysis.accuracy import OUTCOME_BY_CODE, OUTCOME_CODES, OutcomeKind
 from ..branch.tage import TAGEBranchPredictor
 from ..common.foldplan import BranchStream
 from ..memory.hierarchy import MemoryHierarchy
 from ..obs.cycles import CycleStack
-from ..predictors.base import MDPredictor
-from ..predictors.batch import (
-    OUTCOME_BY_CODE,
-    OUTCOME_CODES,
-    PRED_KIND_BY_CODE,
-)
+from ..predictors.base import PRED_KIND_BY_CODE, MDPredictor
 from ..trace.columns import OP_BY_CODE, OP_CODES, TraceColumns
 from ..trace.uop import MicroOp, OpClass
 from .config import GOLDEN_COVE, CoreConfig
@@ -137,8 +141,6 @@ class BatchedPipeline:
         """
         cfg = self.config
         stats = self.stats
-        session = self.predictor.batch_session()
-        bsession = self.branch_predictor.batch_session()
         bstats = self.branch_predictor.stats
 
         lists = cols.lists()
@@ -153,8 +155,9 @@ class BatchedPipeline:
         ev_seqs = ev_idx.tolist()
 
         # Whole-run history/key precomputation: the architectural branch
-        # stream is a pure function of the trace, so sessions that support
-        # priming vectorise their fold registers and table keys up front.
+        # stream is a pure function of the trace, so predictors that
+        # support priming vectorise their fold registers and table keys up
+        # front.
         bseqs = cols.indices_of(OpClass.BRANCH_COND, OpClass.BRANCH_INDIRECT)
         bkind = (cols.op[bseqs] == _OP_BI).astype(np.int64)
         bval = np.where(
@@ -164,15 +167,12 @@ class BatchedPipeline:
         )
         stream = BranchStream(bkind, cols.pc[bseqs].astype(np.int64), bval)
         load_seqs = cols.indices_of(OpClass.LOAD)
-        prime = getattr(session, "prime", None)
-        if prime is not None:
-            cond_before = np.searchsorted(bseqs[bkind == 0], load_seqs)
-            ind_before = np.searchsorted(bseqs[bkind == 1], load_seqs)
-            prime(stream, cols.pc[load_seqs].astype(np.int64),
-                  cond_before, ind_before)
-        bprime = getattr(bsession, "prime", None)
-        if bprime is not None:
-            bprime(stream)
+        self.predictor.prime(
+            stream, cols.pc[load_seqs].astype(np.int64),
+            np.searchsorted(bseqs[bkind == 0], load_seqs),
+            np.searchsorted(bseqs[bkind == 1], load_seqs),
+        )
+        self.branch_predictor.prime(stream)
 
         # Scalar StoreWindow membership mirror (same capacity + eviction).
         cap = max(cfg.sb_size * 2, 256)
@@ -195,7 +195,6 @@ class BatchedPipeline:
         oc_counts = [0] * len(OUTCOME_BY_CODE)
         kc_counts = [0] * len(PRED_KIND_BY_CODE)
         oc_smb = _OC_CORRECT_SMB
-        acc_loads = 0
 
         # Branch stats accumulate from cycle 0; snapshot at the warmup
         # boundary exactly as the scalar run() does (they only move on
@@ -209,12 +208,12 @@ class BatchedPipeline:
         op_load = _OP_LOAD
         op_store = _OP_STORE
         op_bc = _OP_BC
-        s_on_branch = session.on_branch
-        s_on_indirect = session.on_indirect
-        s_on_store = session.on_store
-        s_predict_train = session.predict_train
-        b_on_branch = bsession.on_branch
-        b_on_indirect = bsession.on_indirect
+        p_on_branch = self.predictor.on_branch
+        p_on_indirect = self.predictor.on_indirect
+        p_on_store = self.predictor.on_store
+        p_predict_train = self.predictor.predict_train
+        b_predict_and_train = self.branch_predictor.predict_and_train
+        b_observe_indirect = self.branch_predictor.observe_indirect
 
         for seq in ev_seqs:
             if not warm_done and seq >= measure_from:
@@ -232,7 +231,7 @@ class BatchedPipeline:
                 else:
                     bb = 0
                     spc = None
-                kind, p_seq, p_dist, conservative, ok_code = s_predict_train(
+                kind, p_seq, p_dist, conservative, ok_code = p_predict_train(
                     uop, bb, spc, dist_l[seq], byp_l[seq]
                 )
                 tgt = -1
@@ -250,9 +249,8 @@ class BatchedPipeline:
                 if seq >= measure_from:
                     oc_counts[ok_code] += 1
                     kc_counts[kind] += 1
-                    acc_loads += 1
             elif code == op_store:
-                oseq = s_on_store(uop)
+                oseq = p_on_store(uop)
                 st_ordering.append(
                     oseq if (oseq is not None and oseq in member) else -1
                 )
@@ -262,29 +260,21 @@ class BatchedPipeline:
                 if len(recent) > cap:
                     member.discard(recent.popleft())
             elif code == op_bc:
-                br_correct.append(b_on_branch(uop.pc, uop.taken))
-                s_on_branch(uop.pc, uop.taken)
+                br_correct.append(b_predict_and_train(uop.pc, uop.taken))
+                p_on_branch(uop.pc, uop.taken)
                 branch_count += 1
             else:  # BRANCH_INDIRECT
-                br_correct.append(b_on_indirect(uop.pc, uop.target))
-                s_on_indirect(uop.pc, uop.target)
+                br_correct.append(b_observe_indirect(uop.pc, uop.target))
+                p_on_indirect(uop.pc, uop.target)
                 branch_count += 1
 
         if not warm_done:
             warm_mispredicts = bstats.mispredictions
             warm_indirect = bstats.indirect_mispredictions
-        session.finish()
-        bsession.finish()
+        self.predictor.finish()
+        self.branch_predictor.finish()
 
-        oc = stats.accuracy.outcome_counts
-        pcounts = stats.accuracy.prediction_counts
-        for code, count in enumerate(oc_counts):
-            if count:
-                oc[OUTCOME_BY_CODE[code]] += count
-        for code, count in enumerate(kc_counts):
-            if count:
-                pcounts[PRED_KIND_BY_CODE[code]] += count
-        stats.accuracy.loads = acc_loads
+        stats.accuracy.record_codes(oc_counts, kc_counts)
         stats.branch_mispredictions = bstats.mispredictions - warm_mispredicts
         stats.indirect_mispredictions = (
             bstats.indirect_mispredictions - warm_indirect

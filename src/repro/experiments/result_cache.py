@@ -46,11 +46,11 @@ hit is bit-identical to recomputation.
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import itertools
 import json
 import os
-import sys
 import time
 from dataclasses import asdict, is_dataclass
 from functools import lru_cache
@@ -71,6 +71,7 @@ __all__ = [
     "default_cache_dir",
     "encode_result",
     "predictor_fingerprint",
+    "predictor_sources",
     "shared_code_salt",
 ]
 
@@ -152,31 +153,56 @@ def shared_code_salt() -> str:
     return _source_digest(_SHARED_SOURCES)
 
 
+def _predictor_imports(rel: str) -> List[str]:
+    """Sibling ``predictors`` modules imported (``from .x import ...``) by
+    the predictor module at ``rel``, as paths relative to the package."""
+    tree = ast.parse((_PACKAGE_ROOT / rel).read_text(encoding="utf-8"))
+    return [f"predictors/{node.module}.py" for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            and node.module]
+
+
+def predictor_sources(name: str) -> Tuple[str, ...]:
+    """Source files (relative to the package root) salting the cells of
+    the registered predictor ``name``: the module defining the class the
+    registry constructs plus every ``repro.predictors`` module it imports,
+    transitively, plus :data:`_PREDICTOR_COMMON_SOURCES` — so an edit to
+    IDist's Store Sets half, or to any shared helper module, re-keys the
+    cells that run it."""
+    from .suite import make_predictor  # local import: suite imports us
+
+    package, *module = type(make_predictor(name)).__module__.split(".")
+    pending = list(_PREDICTOR_COMMON_SOURCES)
+    if package == _PACKAGE_ROOT.name and module[:1] == ["predictors"]:
+        pending.append("/".join(module) + ".py")
+    covered = set()
+    while pending:
+        rel = pending.pop()
+        if rel not in covered:
+            covered.add(rel)
+            pending.extend(_predictor_imports(rel))
+    return tuple(sorted(covered))
+
+
 @lru_cache(maxsize=None)
 def predictor_fingerprint(name: str) -> Dict[str, object]:
     """Identity of a registered predictor for cache keying.
 
     Builds the predictor once (cheap — table allocation only) to observe
     the class the registry actually constructs and the config it was
-    given, then hashes the class's defining module together with the
-    shared predictor machinery.
+    given, then hashes every source file that class's behaviour depends
+    on (:func:`predictor_sources`).
     """
     from .suite import make_predictor  # local import: suite imports us
 
     predictor = make_predictor(name)
     cls = type(predictor)
-    module = sys.modules[cls.__module__]
-    module_file = Path(getattr(module, "__file__", ""))
-    try:
-        sources = (str(module_file.resolve().relative_to(_PACKAGE_ROOT)),)
-    except ValueError:  # defined outside the package; name alone must do
-        sources = ()
     config = getattr(predictor, "config", None)
     return {
         "name": name,
         "class": f"{cls.__module__}.{cls.__qualname__}",
         "config": asdict(config) if is_dataclass(config) else None,
-        "code": _source_digest(sources + _PREDICTOR_COMMON_SOURCES),
+        "code": _source_digest(predictor_sources(name)),
     }
 
 

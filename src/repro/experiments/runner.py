@@ -18,14 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..analysis.accuracy import AccuracyStats, classify
+from ..analysis.accuracy import OUTCOME_BY_CODE, AccuracyStats
 from ..analysis.f1 import F1Recorder, RankedF1Profile
 from ..core.config import GOLDEN_COVE, CoreConfig
 from ..core.pipeline import Pipeline
 from ..core.stats import PipelineStats
-from ..predictors.base import ActualOutcome, MDPredictor
+from ..predictors.base import PRED_KIND_BY_CODE, MDPredictor
 from ..predictors.mascot import Mascot
 from ..sampling.policy import SamplingPolicy
+from ..trace.columns import BYPASS_CODES
 from ..trace.generator import generate_trace
 from ..trace.uop import MicroOp, OpClass
 
@@ -191,6 +192,10 @@ def run_prediction_only(
         sink = predictor.attach_telemetry(TableTelemetry())
 
     stats = AccuracyStats()
+    # Outcome / prediction-kind tallies by int code (see record_codes).
+    outcome_counts = [0] * len(OUTCOME_BY_CODE)
+    kind_counts = [0] * len(PRED_KIND_BY_CODE)
+    predict_train = predictor.predict_train
     branch_count = 0
     store_branch: Dict[int, int] = {}
     store_pc: Dict[int, int] = {}
@@ -211,7 +216,6 @@ def run_prediction_only(
                 _prune(store_branch, uop.seq)
                 _prune(store_pc, uop.seq)
         elif uop.is_load:
-            prediction = predictor.predict(uop)
             branches_between = 0
             pc_of_store = None
             if uop.has_dependence:
@@ -219,16 +223,17 @@ def run_prediction_only(
                     uop.dep_store_seq, branch_count
                 )
                 pc_of_store = store_pc.get(uop.dep_store_seq)
-            actual = ActualOutcome.from_uop(
-                uop, branches_between=branches_between, store_pc=pc_of_store
+            kind, _, _, _, outcome = predict_train(
+                uop, branches_between, pc_of_store, uop.store_distance,
+                BYPASS_CODES[uop.bypass],
             )
             if uop.seq >= warmup:
-                stats.record(classify(prediction, actual,
-                                      predictor.bypassable_classes))
-            predictor.train(uop, prediction, actual)
+                outcome_counts[outcome] += 1
+                kind_counts[kind] += 1
             if recorder is not None:
                 recorder.tick()
 
+    stats.record_codes(outcome_counts, kind_counts)
     # The measured-instruction denominator is exactly the post-warmup
     # region.  A warmup covering the whole trace measures nothing:
     # zero instructions, zero loads (not a phantom instruction that

@@ -10,8 +10,9 @@ other" — at lint time by comparing the engines' static surfaces (see
 * ``eq-config-read``     — a config field read by one engine only,
 * ``eq-stats-write``     — a stats field written by one engine only,
 * ``eq-predictor-call``  — a predictor / branch-predictor / hierarchy
-  hook invoked by one engine only (batch-session hooks are normalised to
-  their scalar counterparts first),
+  hook invoked by one engine only (the fused ``predict_train`` counts as
+  the scalar ``predict`` + ``train``; the batched engine's ``prime`` /
+  ``finish`` have no scalar counterpart and are ignored),
 * ``eq-config-literal``  — an integer literal combined with a config
   field in one engine with no counterpart in the other (e.g. a hoisted
   ``+ 64`` drain penalty).

@@ -1,16 +1,18 @@
-"""oracle-leak: ground-truth reads reachable from ``predict()``.
+"""oracle-leak: ground-truth reads reachable from predict time.
 
-The harness contract (:class:`repro.predictors.base.MDPredictor.predict`)
+The harness contract (:class:`repro.predictors.base.MDPredictor.lookup`)
 is that a predictor sees only ``uop.pc`` and ``uop.seq`` at predict time;
 the trace's ground-truth annotations — ``bypass``, ``store_distance``,
 ``dep_store_seq`` and the ``has_dependence`` property — are reserved for
 the oracle predictors (classes carrying ``is_oracle = True``).  A read of
-any of those fields anywhere on a non-oracle ``predict()`` path is exactly
+any of those fields anywhere on a non-oracle predict-time path is exactly
 the unintended information flow SPOILER-style attacks exploit in reverse:
 the predictor scores as if it had hardware it cannot build.
 
 The check taints the ``uop`` parameter of every non-oracle predictor's
-``predict()`` and follows it through local aliases and in-package helper
+predict-time half — its ``lookup()``, which the composed ``predict()``
+and the fused ``predict_train()`` both reach, plus any ``predict()``
+override — and follows it through local aliases and in-package helper
 calls (``self.helper(uop)``, ``module.helper(uop)``); reading a
 ground-truth attribute off any tainted name is a finding.  Table-entry
 attributes that happen to share a name (e.g. a MASCOT entry's ``bypass``
@@ -30,7 +32,7 @@ __all__ = ["RULES", "check"]
 RULE = "oracle-leak"
 
 RULES: Dict[str, str] = {
-    RULE: "non-oracle predictor predict() path reads a ground-truth "
+    RULE: "non-oracle predictor predict-time path reads a ground-truth "
           "MicroOp annotation (bypass / store_distance / dep_store_seq / "
           "has_dependence)",
 }
@@ -42,6 +44,9 @@ GROUND_TRUTH_FIELDS = frozenset(
 
 #: Base-class names that mark a class as a predictor.
 _PREDICTOR_BASES = ("predictors.base.MDPredictor", "MDPredictor")
+
+#: Predict-time entry points whose ``uop`` parameter is tainted.
+_PREDICT_TIME_METHODS = ("lookup", "predict")
 
 
 def _is_oracle(index: PackageIndex, cls: ClassInfo) -> bool:
@@ -112,7 +117,7 @@ def _walk(
                 line=node.lineno,
                 col=node.col_offset,
                 message=(
-                    f"predict() path of {origin} reads ground-truth field "
+                    f"predict-time path of {origin} reads ground-truth field "
                     f"'{node.value.id}.{node.attr}' in {func.qualname}; "
                     "only oracle predictors (is_oracle = True) may read "
                     "trace annotations"
@@ -154,15 +159,15 @@ def check(index: PackageIndex) -> List[Finding]:
             continue
         if _is_oracle(index, cls):
             continue
-        predict = index.find_method(cls, "predict")
-        if predict is None:
-            continue
-        # Skip the abstract declaration on the base protocol itself.
-        if predict.class_name == "MDPredictor":
-            continue
-        params = list(predict.params)
-        if len(params) < 2:
-            continue
-        _walk(index, predict, frozenset({params[1]}), cls, cls.qualname,
-              visited, findings)
+        for name in _PREDICT_TIME_METHODS:
+            method = index.find_method(cls, name)
+            # Skip the base protocol itself: its abstract lookup and the
+            # composed predict() only reach the subclass's lookup.
+            if method is None or method.class_name == "MDPredictor":
+                continue
+            params = list(method.params)
+            if len(params) < 2:
+                continue
+            _walk(index, method, frozenset({params[1]}), cls, cls.qualname,
+                  visited, findings)
     return findings

@@ -9,8 +9,9 @@ between the scalar and batched implementations:
   sub-stat objects collapse to their first component, and stats *method*
   calls recorded as ``name()``),
 * which collaborator hooks it invokes on the predictor, branch predictor
-  and memory hierarchy — through direct calls, batch-session objects and
-  bound-method aliases (``s_on_branch = session.on_branch``),
+  and memory hierarchy — through direct calls and bound-method aliases
+  (``p_on_branch = self.predictor.on_branch``), with the fused
+  ``predict_train`` standing for the scalar ``predict`` + ``train`` pair,
 * which integer literals appear in a statement together with a config
   field (catching "scalar adds ``cfg.sb_drain_latency + 64``, batched
   forgot the 64" drift).  Literals 0 and 1 are excluded: zero-filled
@@ -29,8 +30,8 @@ from typing import Dict, Optional, Tuple
 
 from .index import ClassInfo, PackageIndex
 
-__all__ = ["EngineSummary", "summarize_engine",
-           "PREDICTOR_SESSION_MAP", "BRANCH_SESSION_MAP", "IGNORED_HOOKS"]
+__all__ = ["EngineSummary", "summarize_engine", "FUSED_HOOKS",
+           "IGNORED_HOOKS"]
 
 #: ``self.<attr>`` collaborator roots and the kind each one denotes.
 _COLLABORATORS = {
@@ -41,22 +42,16 @@ _COLLABORATORS = {
     "hierarchy": "hierarchy",
 }
 
-#: Batch-session hook -> scalar-path hook(s) it stands for, on the memory
-#: dependence predictor.  ``predict_train`` fuses the scalar predict+train
-#: pair into one call.
-PREDICTOR_SESSION_MAP: Dict[str, Tuple[str, ...]] = {
+#: Fused hook -> the scalar-path hooks it stands for, on the memory
+#: dependence predictor: ``predict_train`` composes the same ``lookup`` /
+#: ``update`` halves as the scalar ``predict`` + ``train`` pair.
+FUSED_HOOKS: Dict[str, Tuple[str, ...]] = {
     "predict_train": ("predict", "train"),
 }
 
-#: Same for the branch predictor's batch session.
-BRANCH_SESSION_MAP: Dict[str, Tuple[str, ...]] = {
-    "on_branch": ("predict_and_train",),
-    "on_indirect": ("observe_indirect",),
-}
-
-#: Session-lifecycle hooks with no scalar counterpart by design: the
-#: scalar path has no session object to create, finish or prime.
-IGNORED_HOOKS = frozenset({"batch_session", "finish", "prime"})
+#: Priming hooks with no scalar counterpart by design: only the batched
+#: engine precomputes a run's keys up front and writes history back.
+IGNORED_HOOKS = frozenset({"finish", "prime"})
 
 #: Literals too generic to signal tuning-constant drift.
 _NOISE_LITERALS = frozenset({0, 1})
@@ -101,14 +96,10 @@ class _MethodScan(ast.NodeVisitor):
     def _call_hook(self, kind: str, hook: str, line: int) -> None:
         if hook in IGNORED_HOOKS:
             return
-        session_map = {"session:predictor": PREDICTOR_SESSION_MAP,
-                       "session:branch": BRANCH_SESSION_MAP}.get(kind)
-        if session_map is not None:
-            kind = kind.split(":", 1)[1]
-            for mapped in session_map.get(hook, (hook,)):
-                self._record(self.summary.hook_calls, (kind, mapped), line)
-        else:
-            self._record(self.summary.hook_calls, (kind, hook), line)
+        hooks = FUSED_HOOKS.get(hook, (hook,)) if kind == "predictor" \
+            else (hook,)
+        for mapped in hooks:
+            self._record(self.summary.hook_calls, (kind, mapped), line)
 
     # ------------------------------------------------------------ resolution
 
@@ -151,31 +142,12 @@ class _MethodScan(ast.NodeVisitor):
                 # ``lat = cfg.alu_latency``: a field-valued local.
                 self.field_locals[name] = chain[0]
                 self._read_config(chain[0], line)
-            elif kind in ("predictor", "branch", "hierarchy",
-                          "session:predictor", "session:branch"):
-                # ``timed_load = self.hierarchy.timed_load`` or
-                # ``s_on_branch = session.on_branch``.
+            elif kind in ("predictor", "branch", "hierarchy"):
+                # ``timed_load = self.hierarchy.timed_load``.
                 self.bound_methods[name] = (kind, chain[0])
             return
         if isinstance(value, ast.Attribute) and self._root_kind(value) is not None:
             self.aliases[name] = self._root_kind(value)
-            return
-        if (isinstance(value, ast.Call)
-                and isinstance(value.func, ast.Attribute)
-                and value.func.attr == "batch_session"):
-            kind = self._root_kind(value.func.value)
-            if kind in ("predictor", "branch"):
-                self.aliases[name] = f"session:{kind}"
-            return
-        if (isinstance(value, ast.Call)
-                and isinstance(value.func, ast.Name)
-                and value.func.id == "getattr" and len(value.args) >= 2):
-            # ``prime = getattr(session, "prime", None)``.
-            kind = self._root_kind(value.args[0])
-            hook = value.args[1]
-            if (kind is not None and isinstance(hook, ast.Constant)
-                    and isinstance(hook.value, str)):
-                self.bound_methods[name] = (kind, hook.value)
 
     def visit_Assign(self, node: ast.Assign) -> None:
         for target in node.targets:
@@ -220,8 +192,7 @@ class _MethodScan(ast.NodeVisitor):
             kind = self._root_kind(func.value)
             if kind == "stats":
                 self._write_stats(f"{func.attr}()", node.lineno)
-            elif kind in ("predictor", "branch", "hierarchy",
-                          "session:predictor", "session:branch"):
+            elif kind in ("predictor", "branch", "hierarchy"):
                 self._call_hook(kind, func.attr, node.lineno)
         elif isinstance(func, ast.Name) and func.id in self.bound_methods:
             kind, hook = self.bound_methods[func.id]

@@ -6,10 +6,18 @@ The harness drives predictors through a narrow protocol:
   order, at "decode time" — before the load's dependence is known.
 * :meth:`MDPredictor.train` is called for the same load at "commit time"
   with the ground-truth :class:`ActualOutcome`.
+* :meth:`MDPredictor.predict_train` fuses the two for harnesses that
+  classify and train each load immediately (the batched engine and the
+  prediction-only replay), with predictions and outcomes as plain ints.
 * :meth:`MDPredictor.on_branch` / :meth:`MDPredictor.on_indirect` feed the
   architectural branch stream (the predictors own their global history).
 * :meth:`MDPredictor.on_store` announces dispatched stores (Store Sets and
   NoSQ track last-fetched-store state; TAGE-likes ignore it).
+
+All three load entry points are composed from one pair of hooks each
+predictor implements — :meth:`MDPredictor.lookup` and
+:meth:`MDPredictor.update` — so every predictor's decision logic exists
+exactly once.
 
 Predictions name the conflicting store by *store distance* (1 = youngest
 older store, matching MASCOT's store-queue-offset encoding) and/or by the
@@ -22,12 +30,20 @@ from __future__ import annotations
 import abc
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from functools import cached_property
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
+from ..trace.columns import BYPASS_BY_CODE, BYPASS_CODES
 from ..trace.uop import SAME_ADDRESS_BYPASSABLE, BypassClass, MicroOp
 
+if TYPE_CHECKING:
+    import numpy as np
+
+    from ..common.foldplan import BranchStream
+
 __all__ = ["PredictionKind", "Prediction", "ActualOutcome", "MDPredictor",
-           "TelemetrySink"]
+           "TelemetrySink", "KIND_NO_DEP", "KIND_MDP", "KIND_SMB",
+           "PRED_KIND_BY_CODE", "KIND_CODES", "NO_PREDICTION"]
 
 
 class TelemetrySink:
@@ -70,6 +86,26 @@ class PredictionKind(enum.Enum):
     NO_DEP = "no_dep"  # load may issue as soon as its address is known
     MDP = "mdp"        # wait for the named prior store, then issue
     SMB = "smb"        # obtain the value from the named prior store directly
+
+
+#: Integer prediction-kind codes of the predictor hook wire format.
+KIND_NO_DEP = 0
+KIND_MDP = 1
+KIND_SMB = 2
+PRED_KIND_BY_CODE = (PredictionKind.NO_DEP, PredictionKind.MDP,
+                     PredictionKind.SMB)
+KIND_CODES = {kind: code for code, kind in enumerate(PRED_KIND_BY_CODE)}
+
+#: :meth:`MDPredictor.lookup` result: (kind, distance, store_seq, source,
+#: keys, entry).
+Lookup = Tuple[int, int, Optional[int], Optional[int], Any, Any]
+
+#: :meth:`MDPredictor.predict_train` result: (kind, store_seq, distance,
+#: conservative, outcome code).
+PredictTrain = Tuple[int, Optional[int], int, bool, int]
+
+#: The base prediction of a stateless lookup: no dependence, no keys.
+NO_PREDICTION: Lookup = (KIND_NO_DEP, 0, None, None, None, None)
 
 
 @dataclass
@@ -145,7 +181,37 @@ class ActualOutcome:
 
 
 class MDPredictor(abc.ABC):
-    """Abstract memory-dependence (and optionally SMB) predictor."""
+    """Abstract memory-dependence (and optionally SMB) predictor.
+
+    A predictor implements its decision logic exactly once, as two
+    int-coded halves:
+
+    * :meth:`lookup` — the predict-time half.  It sees only the load's PC
+      (and ``seq`` for bookkeeping), computes the table keys, finds the
+      matching state and returns ``(kind, distance, store_seq, source,
+      keys, entry)``: a kind code (:data:`KIND_NO_DEP` / :data:`KIND_MDP`
+      / :data:`KIND_SMB`), the named store, the serving table (None for
+      the base prediction) and two predictor-private values — the keys
+      that address the predictor's state and the matched entry.
+    * :meth:`update` — the commit-time half.  It receives those values
+      plus the ground truth as plain ints and applies every counter
+      change, allocation and replacement.
+
+    The base class composes the halves in three ways, and no predictor
+    overrides them: :meth:`predict_train` (the fused per-load step of the
+    batched engine and of :func:`repro.experiments.runner.run_prediction_only`),
+    and the object API :meth:`predict` / :meth:`train` used by the scalar
+    :class:`~repro.core.pipeline.Pipeline`, tests and examples.  ``train``
+    re-finds the entry from the keys carried in the prediction's ``meta``
+    (:meth:`_reacquire`), as hardware re-indexes at commit; the fused path
+    reuses the predict-time entry, which is the same object because nothing
+    predictor-visible happens between a load's predict and its train.
+
+    The batched engine additionally calls :meth:`prime` before a run (with
+    the whole architectural branch stream, so keyed predictors can
+    precompute every load's keys) and :meth:`finish` after it (to write the
+    history registers back and drop the primed rows).
+    """
 
     #: Human-readable name used in figures and reports.
     name: str = "predictor"
@@ -156,14 +222,19 @@ class MDPredictor(abc.ABC):
 
     #: Whether this predictor is an oracle that may read the trace's
     #: ground-truth annotations at predict time.  ``repro lint``'s
-    #: oracle-leak rule keys on this marker: any ``predict()`` path of a
+    #: oracle-leak rule keys on this marker: any :meth:`lookup` path of a
     #: class without it that reads ``uop.bypass`` / ``uop.store_distance``
     #: / ``uop.dep_store_seq`` / ``uop.has_dependence`` fails CI.
     is_oracle: bool = False
 
+    #: Marks every prediction as oracle-conservative for the timing model
+    #: (the load is released one cycle after its store resolves).
+    conservative: bool = False
+
     @abc.abstractmethod
-    def predict(self, uop: MicroOp) -> Prediction:
-        """Predict the given dynamic load.
+    def lookup(self, uop: MicroOp) -> Lookup:
+        """Predict-time half: ``(kind, distance, store_seq, source, keys,
+        entry)`` for the given dynamic load.
 
         Implementations must only read ``uop.pc`` (and ``uop.seq`` for
         bookkeeping); the ground-truth annotation fields are reserved for
@@ -172,9 +243,77 @@ class MDPredictor(abc.ABC):
         """
 
     @abc.abstractmethod
+    def update(self, keys: Any, source: Optional[int], entry: Any,
+               kind: int, distance: int, store_seq: Optional[int],
+               a_dist: int, a_seq: Optional[int], bypass_code: int,
+               branches_between: int, store_pc: Optional[int]) -> None:
+        """Commit-time half: train on the resolved dependence.
+
+        ``keys``/``source``/``entry`` and the prediction come from
+        :meth:`lookup`; ``a_dist``/``a_seq`` name the actual conflicting
+        store (0/None without a dependence), ``bypass_code`` indexes
+        :data:`~repro.trace.columns.BYPASS_BY_CODE`, and
+        ``branches_between``/``store_pc`` are the harness's training hints
+        (see :class:`ActualOutcome`).
+        """
+
+    def _reacquire(self, keys: Any, source: Optional[int]) -> Any:
+        """Re-find the predict-time ``entry`` from ``keys`` at commit.
+
+        Stateless or entry-free predictors keep the default (no entry).
+        """
+        return None
+
+    # -- composed protocol -------------------------------------------------
+
+    def predict_train(self, uop: MicroOp, branches_between: int,
+                      store_pc: Optional[int], a_dist: int,
+                      bypass_code: int) -> PredictTrain:
+        """Predict, classify and train one load; all values int-coded.
+
+        Returns ``(kind, store_seq, distance, conservative, outcome)``,
+        where ``outcome`` indexes
+        :data:`repro.analysis.accuracy.OUTCOME_BY_CODE`.
+        """
+        kind, distance, store_seq, source, keys, entry = self.lookup(uop)
+        a_seq = uop.dep_store_seq
+        self.update(keys, source, entry, kind, distance, store_seq,
+                    a_dist, a_seq, bypass_code, branches_between, store_pc)
+        classify_code, bypassable = self._classifier
+        return (kind, store_seq, distance, self.conservative,
+                classify_code(kind, distance, store_seq, a_dist, a_seq,
+                              bypassable[bypass_code]))
+
+    def predict(self, uop: MicroOp) -> Prediction:
+        """Predict the given dynamic load (object API over :meth:`lookup`)."""
+        kind, distance, store_seq, source, keys, _ = self.lookup(uop)
+        meta: Dict[str, Any] = {"keys": keys}
+        if self.conservative:
+            meta["conservative"] = True
+        return Prediction(PRED_KIND_BY_CODE[kind], distance=distance,
+                          store_seq=store_seq, source_table=source,
+                          meta=meta)
+
     def train(self, uop: MicroOp, prediction: Prediction,
               actual: ActualOutcome) -> None:
         """Commit-time update with the resolved dependence information."""
+        keys = prediction.meta["keys"]
+        source = prediction.source_table
+        self.update(keys, source, self._reacquire(keys, source),
+                    KIND_CODES[prediction.kind], prediction.distance,
+                    prediction.store_seq, actual.distance, actual.store_seq,
+                    BYPASS_CODES[actual.bypass], actual.branches_between,
+                    actual.store_pc)
+
+    @cached_property
+    def _classifier(self) -> Tuple[Callable[..., int], Tuple[bool, ...]]:
+        """The Fig. 5 classifier and this predictor's bypassable-class
+        membership per bypass code (imported late: the analysis package
+        imports this module)."""
+        from ..analysis.accuracy import classify_code
+
+        bypassable = self.bypassable_classes
+        return classify_code, tuple(bc in bypassable for bc in BYPASS_BY_CODE)
 
     # -- event hooks (default: ignore) ---------------------------------------
 
@@ -197,17 +336,22 @@ class MDPredictor(abc.ABC):
 
     # -- batched engine --------------------------------------------------------
 
-    def batch_session(self):
-        """Fused replay session for the batched engine.
+    def prime(self, stream: "BranchStream", load_pc: "np.ndarray",
+              cond_before: "np.ndarray", ind_before: "np.ndarray") -> None:
+        """Precompute a whole run's history-dependent keys (optional).
 
-        Dispatches through :func:`repro.predictors.batch.make_session`,
-        which is type-exact: only the stock zoo classes get their fast
-        transcribed sessions; subclasses (which may override ``predict``
-        or ``train``) fall back to the generic session that drives the
-        real protocol.
+        ``stream`` is the run's architectural branch stream, ``load_pc``
+        the PCs of its loads in order, ``cond_before`` / ``ind_before`` the
+        number of conditional / indirect branch events preceding each
+        load.  Until :meth:`finish`, :meth:`lookup` takes its keys from
+        the primed rows — one per load, in order — and the history hooks
+        leave the registers alone.  The default keeps the reference path.
         """
-        from .batch import make_session
-        return make_session(self)
+
+    def finish(self) -> None:
+        """End a primed run: write the final history state back and drop
+        the primed rows (a no-op when :meth:`prime` was not called or
+        declined)."""
 
     # -- observability ---------------------------------------------------------
 

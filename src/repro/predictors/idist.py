@@ -26,10 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from ..trace.uop import BypassClass, MicroOp
-from .base import ActualOutcome, MDPredictor, Prediction, PredictionKind
+from ..trace.columns import BYPASS_BY_CODE
+from ..trace.uop import SAME_ADDRESS_BYPASSABLE, MicroOp
+from .base import KIND_MDP, KIND_NO_DEP, KIND_SMB, Lookup
 from .store_sets import StoreSets
-from .tables import TableBank, TableKey
+from .tables import TableBank, TableBankPredictor
 
 __all__ = ["IDistStoreSets", "IDistEntry"]
 
@@ -47,7 +48,7 @@ class IDistEntry:
     bypassable: bool
 
 
-class IDistStoreSets(MDPredictor):
+class IDistStoreSets(TableBankPredictor):
     """IDist (SMB) layered over a small Store Sets predictor (MDP)."""
 
     name = "idist+store-sets"
@@ -84,23 +85,18 @@ class IDistStoreSets(MDPredictor):
         )
         self._confidence_max = (1 << self.CONFIDENCE_BITS) - 1
         self._distance_max = (1 << self.DISTANCE_BITS) - 1
+        # IDist tracks same-address (DIRECT / NO_OFFSET) geometry only.
+        self._same_address = tuple(bc in SAME_ADDRESS_BYPASSABLE
+                                   for bc in BYPASS_BY_CODE)
 
-    # ------------------------------------------------------------------ predict
+    # ------------------------------------------------------------------- lookup
 
-    def _lookup(self, keys: Tuple[TableKey, ...]
-                ) -> Tuple[Optional[int], Optional[IDistEntry]]:
-        for t in range(len(self.bank) - 1, -1, -1):
-            key = keys[t]
-            for entry in self.bank[t].ways_at(key.index):
-                if entry is not None and entry.tag == key.tag:
-                    return t, entry
-        return None, None
-
-    def predict(self, uop: MicroOp) -> Prediction:
-        keys = self.bank.keys(uop.pc)
-        table, entry = self._lookup(keys)
-        ss_prediction = self.store_sets.predict(uop)
-        meta = {"keys": keys, "ss": ss_prediction}
+    def lookup(self, uop: MicroOp) -> Lookup:
+        """Keys are the bank's plus Store Sets' own lookup result; the
+        entry is the longest-history match as ``(table, entry)``."""
+        (indices, tags), table, entry = self.bank.lookup(uop.pc)
+        ss = self.store_sets.lookup(uop)
+        keys = (indices, tags, ss)
 
         # IDist speaks only at full confidence and only for bypassable
         # geometry; everything else defers to Store Sets.
@@ -109,30 +105,33 @@ class IDistStoreSets(MDPredictor):
             and entry.bypassable
             and entry.confidence >= self._confidence_max
         ):
-            return Prediction(PredictionKind.SMB, distance=entry.distance,
-                              source_table=table, meta=meta)
-        if ss_prediction.predicts_dependence:
-            return Prediction(
-                PredictionKind.MDP,
-                store_seq=ss_prediction.store_seq,
-                meta=meta,
-            )
-        return Prediction(PredictionKind.NO_DEP, meta=meta)
+            return KIND_SMB, entry.distance, None, table, keys, (table, entry)
+        if ss[0] != KIND_NO_DEP:
+            return KIND_MDP, 0, ss[2], None, keys, (table, entry)
+        return KIND_NO_DEP, 0, None, None, keys, (table, entry)
 
-    # -------------------------------------------------------------------- train
+    def _reacquire(self, keys, source: Optional[int]):
+        """Commit-time re-lookup of the longest matching IDist entry."""
+        return self.bank.lookup(None, (keys[0], keys[1]))[1:]
 
-    def train(self, uop: MicroOp, prediction: Prediction,
-              actual: ActualOutcome) -> None:
+    # ------------------------------------------------------------------- update
+
+    def update(self, keys, source: Optional[int], entry, kind: int,
+               distance: int, store_seq: Optional[int], a_dist: int,
+               a_seq: Optional[int], bypass_code: int, branches_between: int,
+               store_pc: Optional[int]) -> None:
+        indices, tags, ss = keys
         # Train the Store Sets side with its own prediction (it must see
         # violations it would itself have caused).
-        self.store_sets.train(uop, prediction.meta["ss"], actual)
+        ss_kind, ss_dist, ss_seq, ss_source, ss_keys, ss_entry = ss
+        self.store_sets.update(ss_keys, ss_source, ss_entry, ss_kind,
+                               ss_dist, ss_seq, a_dist, a_seq, bypass_code,
+                               branches_between, store_pc)
 
-        keys: Tuple[TableKey, ...] = prediction.meta["keys"]
-        table, entry = self._lookup(keys)
-        if actual.has_dependence:
-            distance = min(actual.distance, self._distance_max)
-            bypassable = actual.bypass in (BypassClass.DIRECT,
-                                           BypassClass.NO_OFFSET)
+        table, entry = entry
+        if a_dist > 0:
+            distance = min(a_dist, self._distance_max)
+            bypassable = self._same_address[bypass_code]
             if entry is not None and entry.distance == distance:
                 if bypassable == entry.bypassable:
                     entry.confidence = min(self._confidence_max,
@@ -143,38 +142,26 @@ class IDistStoreSets(MDPredictor):
             else:
                 if entry is not None:
                     entry.confidence = 0
-                self._allocate(keys, table, distance, bypassable)
+                self._allocate(indices, tags, table, distance, bypassable)
         elif entry is not None:
             # Dependence did not recur: restart confidence building.
             entry.confidence = 0
 
-    def _allocate(self, keys: Tuple[TableKey, ...], source: Optional[int],
+    def _allocate(self, indices, tags, source: Optional[int],
                   distance: int, bypassable: bool) -> None:
-        start = 0 if source is None else min(source + 1, len(self.bank) - 1)
-        for t in range(start, len(self.bank)):
-            key = keys[t]
-            ways = self.bank[t].ways_at(key.index)
-            for w, entry in enumerate(ways):
-                if entry is None or entry.confidence == 0:
-                    self.bank[t].write(key.index, w, IDistEntry(
-                        tag=key.tag, distance=distance, confidence=1,
-                        bypassable=bypassable,
-                    ))
-                    return
-            for entry in ways:
-                if entry is not None:
-                    entry.confidence = max(0, entry.confidence - 1)
-            break  # age the first candidate set only, then give up
-
-    # ------------------------------------------------------------------- events
-
-    def on_branch(self, pc: int, taken: bool) -> None:
-        self.bank.on_branch(pc, taken)
-        self.store_sets.on_branch(pc, taken)
-
-    def on_indirect(self, pc: int, target: int) -> None:
-        self.bank.on_indirect(pc, target)
-        self.store_sets.on_indirect(pc, target)
+        tables = self.bank.tables
+        start = 0 if source is None else min(source + 1, len(tables) - 1)
+        # Only the first candidate set is tried; without a free way it is
+        # aged instead.
+        ways = tables[start].ways_at(indices[start])
+        for w, entry in enumerate(ways):
+            if entry is None or entry.confidence == 0:
+                ways[w] = IDistEntry(tag=tags[start], distance=distance,
+                                     confidence=1, bypassable=bypassable)
+                return
+        for entry in ways:
+            if entry is not None:
+                entry.confidence = max(0, entry.confidence - 1)
 
     def on_store(self, uop: MicroOp) -> Optional[int]:
         return self.store_sets.on_store(uop)

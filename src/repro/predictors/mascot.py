@@ -29,12 +29,13 @@ evicted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Optional
 
+from ..trace.columns import BYPASS_BY_CODE
 from ..trace.uop import OFFSET_BYPASSABLE, SAME_ADDRESS_BYPASSABLE, BypassClass, MicroOp
-from .base import ActualOutcome, MDPredictor, Prediction, PredictionKind
+from .base import KIND_MDP, KIND_NO_DEP, KIND_SMB, Lookup
 from .configs import MASCOT_DEFAULT, MascotConfig
-from .tables import TableBank, TableKey
+from .tables import BankKeys, TableBank, TableBankPredictor
 
 __all__ = ["Mascot", "MascotEntry"]
 
@@ -65,7 +66,7 @@ class MascotEntry:
         return self.distance == 0
 
 
-class Mascot(MDPredictor):
+class Mascot(TableBankPredictor):
     """The MASCOT predictor (default configuration: Sec. IV-B, 14 KiB)."""
 
     def __init__(self, config: MascotConfig = MASCOT_DEFAULT,
@@ -83,6 +84,16 @@ class Mascot(MDPredictor):
         self._useful_max = (1 << config.usefulness_bits) - 1
         self._bypass_max = (1 << config.bypass_bits) - 1
         self._distance_max = (1 << config.distance_bits) - 1
+        # Whether the microarchitecture could bypass each overlap class
+        # (indexed by bypass code).  MASCOT's default hardware assumption
+        # (Sec. IV-E) is same-address bypassing: DIRECT and NO_OFFSET; the
+        # ``offset_bypass`` extension adds a shift field enabling OFFSET-
+        # class bypassing too.
+        supported = {BypassClass.DIRECT, BypassClass.NO_OFFSET}
+        if config.offset_bypass:
+            supported.add(BypassClass.OFFSET)
+        self._supported_bypass = tuple(bc in supported
+                                       for bc in BYPASS_BY_CODE)
         self._loads_seen = 0
         # Fig. 13 statistics: predictions served per table (index == table
         # number; the extra last slot counts base-predictor defaults).
@@ -92,180 +103,113 @@ class Mascot(MDPredictor):
         self.allocations_nondep = 0
         self.allocation_failures = 0
 
-    # ------------------------------------------------------------------ utils
+    # ---------------------------------------------------------------- lookup
 
-    def _bump(self, value: int, up: bool, maximum: int) -> int:
-        if up:
-            return min(maximum, value + 1)
-        return max(0, value - 1)
-
-    def _supported_bypass(self, bypass: BypassClass) -> bool:
-        """Whether the microarchitecture could bypass this dependence.
-
-        MASCOT's default hardware assumption (Sec. IV-E) is same-address
-        bypassing: DIRECT and NO_OFFSET.  The ``offset_bypass`` extension
-        adds a shift field enabling OFFSET-class bypassing too.
-        """
-        if bypass in (BypassClass.DIRECT, BypassClass.NO_OFFSET):
-            return True
-        return self.config.offset_bypass and bypass is BypassClass.OFFSET
-
-    def _lookup(self, keys: Tuple[TableKey, ...]
-                ) -> Tuple[Optional[int], Optional[int], Optional[MascotEntry]]:
-        """Longest-history tag match: (table, way, entry) or Nones."""
-        for t in range(len(self.bank) - 1, -1, -1):
-            key = keys[t]
-            ways = self.bank[t].ways_at(key.index)
-            for w, entry in enumerate(ways):
-                if entry is not None and entry.tag == key.tag:
-                    return t, w, entry
-        return None, None, None
-
-    # ---------------------------------------------------------------- predict
-
-    def predict(self, uop: MicroOp) -> Prediction:
-        keys = self.bank.keys(uop.pc)
-        table, way, entry = self._lookup(keys)
-        meta = {"keys": keys, "way": way}
+    def lookup(self, uop: MicroOp) -> Lookup:
+        keys, table, entry = self.bank.lookup(uop.pc)
         sink = self.telemetry
 
         if entry is None:
             # Base prediction: no dependence (Sec. IV-B).
-            self.predictions_per_table[len(self.bank)] += 1
+            base = self.bank.num_tables
+            self.predictions_per_table[base] += 1
             if sink is not None:
-                sink.lookup(len(self.bank))
-            return Prediction(PredictionKind.NO_DEP, meta=meta)
+                sink.lookup(base)
+            return KIND_NO_DEP, 0, None, None, keys, None
 
         self.predictions_per_table[table] += 1
         if sink is not None:
             sink.lookup(table)
-        if entry.is_nondependence:
-            return Prediction(
-                PredictionKind.NO_DEP, source_table=table, meta=meta
-            )
+        if entry.distance == 0:
+            return KIND_NO_DEP, 0, None, table, keys, entry
 
         # "Whenever the distance field is not zero, a memory dependence
         # prediction is made regardless of the value of the usefulness
         # field, whereas SMB is only predicted if both the usefulness and
         # bypassing counters are saturated."
-        kind = PredictionKind.MDP
-        if (
-            self.config.smb_enabled
-            and entry.usefulness == self._useful_max
-            and entry.bypass == self._bypass_max
-        ):
-            kind = PredictionKind.SMB
-        return Prediction(
-            kind, distance=entry.distance, source_table=table, meta=meta
-        )
+        if (self.config.smb_enabled
+                and entry.usefulness == self._useful_max
+                and entry.bypass == self._bypass_max):
+            return KIND_SMB, entry.distance, None, table, keys, entry
+        return KIND_MDP, entry.distance, None, table, keys, entry
 
-    # ------------------------------------------------------------------ train
+    # ---------------------------------------------------------------- update
 
-    def train(self, uop: MicroOp, prediction: Prediction,
-              actual: ActualOutcome) -> None:
-        keys: Tuple[TableKey, ...] = prediction.meta["keys"]
-        source = prediction.source_table
-        entry = self._reacquire(keys, source)
+    def update(self, keys: BankKeys, source: Optional[int],
+               entry: Optional[MascotEntry], kind: int, distance: int,
+               store_seq: Optional[int], a_dist: int, a_seq: Optional[int],
+               bypass_code: int, branches_between: int,
+               store_pc: Optional[int]) -> None:
         sink = self.telemetry
+        umax = self._useful_max
+        start = 0 if source is None else source + 1
+        dmax = self._distance_max
+        actual_distance = a_dist if a_dist < dmax else dmax
 
-        predicted_dep = prediction.predicts_dependence
-        actual_dep = actual.has_dependence
-        actual_distance = min(actual.distance, self._distance_max)
-
-        if not predicted_dep and not actual_dep:
+        if kind == KIND_NO_DEP and a_dist <= 0:
             # Correct non-dependence.  Strengthen an explicit non-dependence
             # entry; the base predictor has no state to reinforce.
-            if entry is not None and entry.is_nondependence:
-                entry.usefulness = self._bump(entry.usefulness, True,
-                                              self._useful_max)
+            if entry is not None and entry.distance == 0:
+                if entry.usefulness < umax:
+                    entry.usefulness += 1
                 if sink is not None:
                     sink.confidence(source, "up")
                 if self.track_f1:
                     entry.tp += 1  # for ND entries, "positive" = non-dep
-        elif not predicted_dep and actual_dep:
+        elif kind == KIND_NO_DEP:
             # Missed dependence (false negative; MDP squash).  Allocate the
             # correct dependence with more context (base mispredict → N0).
             if entry is not None:
-                entry.usefulness = self._bump(entry.usefulness, False,
-                                              self._useful_max)
+                if entry.usefulness > 0:
+                    entry.usefulness -= 1
                 if sink is not None:
                     sink.confidence(source, "down")
                 if self.track_f1:
                     entry.fn += 1
-            self._allocate(
-                keys,
-                start=0 if source is None else source + 1,
-                distance=actual_distance,
-                bypassable=self._supported_bypass(actual.bypass),
-            )
-        elif predicted_dep and not actual_dep:
+            self._allocate(keys, start, actual_distance,
+                           self._supported_bypass[bypass_code])
+        elif a_dist <= 0:
             # False dependence (false positive).  For MDP this only cost
             # issue delay; for SMB the pipeline squashed.  Either way, the
             # context was inadequate: decay and allocate a NON-DEPENDENCE
             # entry in the next table — the core MASCOT mechanism.
             if entry is not None:
-                entry.usefulness = self._bump(entry.usefulness, False,
-                                              self._useful_max)
-                if prediction.kind is PredictionKind.SMB:
-                    entry.bypass = 0
-                if sink is not None:
-                    sink.confidence(source, "down")
-                    if prediction.kind is PredictionKind.SMB:
-                        sink.confidence(source, "bypass_reset")
+                self._weaken(entry, source, kind)
                 if self.track_f1:
                     entry.fp += 1
             if self.config.allocate_nondependencies:
-                self._allocate(
-                    keys,
-                    start=0 if source is None else source + 1,
-                    distance=0,
-                    bypassable=False,
-                )
+                self._allocate(keys, start, 0, False)
+        elif distance == actual_distance:
+            # Both predicted and actual dependence, on the same store.
+            if entry is not None:
+                if entry.usefulness < umax:
+                    entry.usefulness += 1
+                if sink is not None:
+                    sink.confidence(source, "up")
+                if self._supported_bypass[bypass_code]:
+                    if entry.bypass < self._bypass_max:
+                        entry.bypass += 1
+                    if sink is not None:
+                        sink.confidence(source, "bypass_up")
+                else:
+                    # An SMB prediction here was wrong (partial overlap
+                    # or unsupported geometry): reset; and even without
+                    # an SMB prediction, a non-bypassable instance
+                    # restarts confidence building.
+                    entry.bypass = 0
+                    if sink is not None:
+                        sink.confidence(source, "bypass_reset")
+                if self.track_f1:
+                    entry.tp += 1
         else:
-            # Both predicted and actual dependence.
-            if prediction.distance == actual_distance:
-                if entry is not None:
-                    entry.usefulness = self._bump(entry.usefulness, True,
-                                                  self._useful_max)
-                    if sink is not None:
-                        sink.confidence(source, "up")
-                    if actual.bypass.is_bypassable and self._supported_bypass(
-                        actual.bypass
-                    ):
-                        entry.bypass = self._bump(entry.bypass, True,
-                                                  self._bypass_max)
-                        if sink is not None:
-                            sink.confidence(source, "bypass_up")
-                    else:
-                        # An SMB prediction here was wrong (partial overlap
-                        # or unsupported geometry): reset; and even without
-                        # an SMB prediction, a non-bypassable instance
-                        # restarts confidence building.
-                        entry.bypass = 0
-                        if sink is not None:
-                            sink.confidence(source, "bypass_reset")
-                    if self.track_f1:
-                        entry.tp += 1
-            else:
-                # Conflict with a *different* store: squash; learn the
-                # correct distance with more context.
-                if entry is not None:
-                    entry.usefulness = self._bump(entry.usefulness, False,
-                                                  self._useful_max)
-                    if prediction.kind is PredictionKind.SMB:
-                        entry.bypass = 0
-                    if sink is not None:
-                        sink.confidence(source, "down")
-                        if prediction.kind is PredictionKind.SMB:
-                            sink.confidence(source, "bypass_reset")
-                    if self.track_f1:
-                        entry.fp += 1
-                self._allocate(
-                    keys,
-                    start=0 if source is None else source + 1,
-                    distance=actual_distance,
-                    bypassable=self._supported_bypass(actual.bypass),
-                )
+            # Conflict with a *different* store: squash; learn the correct
+            # distance with more context.
+            if entry is not None:
+                self._weaken(entry, source, kind)
+                if self.track_f1:
+                    entry.fp += 1
+            self._allocate(keys, start, actual_distance,
+                           self._supported_bypass[bypass_code])
 
         self._loads_seen += 1
         if (
@@ -274,26 +218,23 @@ class Mascot(MDPredictor):
         ):
             self._decay_all()
 
+    def _weaken(self, entry: MascotEntry, source: int, kind: int) -> None:
+        """A wrong dependence prediction: usefulness--, and a wrong SMB
+        prediction also resets the bypass counter."""
+        sink = self.telemetry
+        if entry.usefulness > 0:
+            entry.usefulness -= 1
+        if kind == KIND_SMB:
+            entry.bypass = 0
+        if sink is not None:
+            sink.confidence(source, "down")
+            if kind == KIND_SMB:
+                sink.confidence(source, "bypass_reset")
+
     # ------------------------------------------------------------- allocation
 
-    def _reacquire(self, keys: Tuple[TableKey, ...], source: Optional[int]
-                   ) -> Optional[MascotEntry]:
-        """Re-find the predicting entry at commit time.
-
-        Hardware re-indexes with the keys carried in the instruction; if the
-        entry was replaced between prediction and commit the tag no longer
-        matches and no update is applied to it.
-        """
-        if source is None:
-            return None
-        key = keys[source]
-        for entry in self.bank[source].ways_at(key.index):
-            if entry is not None and entry.tag == key.tag:
-                return entry
-        return None
-
-    def _allocate(self, keys: Tuple[TableKey, ...], start: int,
-                  distance: int, bypassable: bool) -> Optional[int]:
+    def _allocate(self, keys: BankKeys, start: int, distance: int,
+                  bypassable: bool) -> Optional[int]:
         """Try-again allocation (Sec. IV-C).
 
         Walks tables ``start, start+1, ...`` looking for a way with
@@ -302,68 +243,51 @@ class Mascot(MDPredictor):
         allocation was made to a bigger table or not" — keeping stale
         entries short-lived.  Returns the table allocated into, or None.
         """
-        start = min(start, len(self.bank) - 1)
-        is_nondep = distance == 0
-        allocated_table: Optional[int] = None
+        indices, tags = keys
+        tables = self.bank.tables
+        start = min(start, len(tables) - 1)
         sink = self.telemetry
 
-        for t in range(start, len(self.bank)):
-            key = keys[t]
-            ways = self.bank[t].ways_at(key.index)
-            victim = None
-            for w, entry in enumerate(ways):
-                if entry is None:
-                    victim = w
+        for t in range(start, len(tables)):
+            ways = tables[t].ways_at(indices[t])
+            for victim, old in enumerate(ways):
+                if old is None or old.usefulness == 0:
                     break
-                if entry.usefulness == 0:
-                    victim = w
-                    break
-            if victim is not None:
-                if sink is not None:
-                    if ways[victim] is not None:
-                        sink.eviction(t)
-                    sink.allocation(t, distance)
-                if is_nondep:
-                    usefulness = self.config.alloc_usefulness_nondep
-                    bypass = 0
-                    self.allocations_nondep += 1
-                else:
-                    usefulness = self.config.alloc_usefulness_dep
-                    # "The bypassing counter is initially set to 1 when a new
-                    # conflict is allocated, provided it is a potential
-                    # bypassing scenario; otherwise... 0." (Sec. IV-E)
-                    bypass = 1 if bypassable else 0
-                    self.allocations_dep += 1
-                self.bank[t].write(
-                    key.index, victim,
-                    MascotEntry(tag=key.tag, distance=distance,
-                                usefulness=usefulness, bypass=bypass),
-                )
-                allocated_table = t
-                break
-            if t == start:
-                # First-target failure: age the whole set.
-                self.allocation_failures += 1
-                if sink is not None:
-                    sink.event("allocation_failure")
-                for entry in ways:
-                    if entry is not None:
-                        entry.usefulness = max(0, entry.usefulness - 1)
-        return allocated_table
+            else:
+                if t == start:
+                    # First-target failure: age the whole set.
+                    self.allocation_failures += 1
+                    if sink is not None:
+                        sink.event("allocation_failure")
+                    for old in ways:
+                        if old is not None and old.usefulness > 0:
+                            old.usefulness -= 1
+                continue
+            if sink is not None:
+                if old is not None:
+                    sink.eviction(t)
+                sink.allocation(t, distance)
+            if distance == 0:
+                usefulness = self.config.alloc_usefulness_nondep
+                bypass = 0
+                self.allocations_nondep += 1
+            else:
+                usefulness = self.config.alloc_usefulness_dep
+                # "The bypassing counter is initially set to 1 when a new
+                # conflict is allocated, provided it is a potential
+                # bypassing scenario; otherwise... 0." (Sec. IV-E)
+                bypass = 1 if bypassable else 0
+                self.allocations_dep += 1
+            ways[victim] = MascotEntry(tag=tags[t], distance=distance,
+                                       usefulness=usefulness, bypass=bypass)
+            return t
+        return None
 
     def _decay_all(self) -> None:
         """Optional periodic usefulness decay (disabled by default)."""
         for table in self.bank.tables:
             for _, _, entry in table.entries():
                 entry.usefulness = max(0, entry.usefulness - 1)
-
-    # ----------------------------------------------------------------- events
-
-    def on_branch(self, pc: int, taken: bool) -> None:
-        self.bank.on_branch(pc, taken)
-
-    def on_indirect(self, pc: int, target: int) -> None:
-        self.bank.on_indirect(pc, target)
 
     # -------------------------------------------------------------------- misc
 

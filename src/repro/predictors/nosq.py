@@ -22,14 +22,21 @@ in Fig. 8 dwarfs MASCOT's.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from ..common.bitops import mask
+from ..common.foldplan import BranchStream, FoldPlan
 from ..common.history import GlobalHistory
-from ..trace.uop import OFFSET_BYPASSABLE, BypassClass, MicroOp
-from .base import ActualOutcome, MDPredictor, Prediction, PredictionKind
+from ..trace.columns import BYPASS_BY_CODE
+from ..trace.uop import OFFSET_BYPASSABLE, MicroOp
+from .base import KIND_MDP, KIND_NO_DEP, KIND_SMB, Lookup, MDPredictor
 
 __all__ = ["NoSQ", "NoSQEntry"]
+
+#: (path-dependent index, tag, path-independent index, tag) of one load.
+NoSQKeys = Tuple[int, int, int, int]
 
 
 @dataclass
@@ -81,106 +88,139 @@ class NoSQ(MDPredictor):
         self._tables: List[List[List[Optional[NoSQEntry]]]] = [
             [[None] * ways for _ in range(self.num_sets)] for _ in range(2)
         ]
+        self._offset_bypassable = tuple(bc in OFFSET_BYPASSABLE
+                                        for bc in BYPASS_BY_CODE)
+        # Primed run state (see prime/finish); None on the reference path.
+        self._rows: Optional[Iterator[NoSQKeys]] = None
+        self._plan: Optional[FoldPlan] = None
 
     # ------------------------------------------------------------------ indexing
 
-    def _keys(self, pc: int) -> Tuple[Tuple[int, int], Tuple[int, int]]:
-        """((index, tag) for path-dependent, (index, tag) path-independent)."""
+    def _keys(self, pc: int) -> NoSQKeys:
+        """Reference keys under the current history: (index, tag) of the
+        path-dependent table, then of the path-independent table."""
         pc_part = pc >> 1
         dep_index = (pc_part ^ self._hist_fold.value) & mask(self.index_bits)
         dep_tag = (pc_part ^ self._tag_fold.value) & mask(self.TAG_BITS)
         ind_index = pc_part & mask(self.index_bits)
         ind_tag = (pc_part >> self.index_bits) & mask(self.TAG_BITS)
-        return (dep_index, dep_tag), (ind_index, ind_tag)
+        return dep_index, dep_tag, ind_index, ind_tag
 
-    def _find(self, table: int, index: int, tag: int) -> Optional[NoSQEntry]:
-        for entry in self._tables[table][index]:
-            if entry is not None and entry.tag == tag:
-                return entry
-        return None
+    def prime(self, stream: BranchStream, load_pc: np.ndarray,
+              cond_before: np.ndarray, ind_before: np.ndarray) -> None:
+        """Precompute every load's keys of one run (see
+        :meth:`MDPredictor.prime`); declines if the fold check fails."""
+        plan = FoldPlan.for_history(self._ghist, stream.mixed()[0])
+        if plan is None:
+            return
+        k_push = cond_before + 5 * ind_before
+        pcv = load_pc >> 1
+        imask = mask(self.index_bits)
+        tmask = mask(self.TAG_BITS)
+        vi = plan.column(self.history_bits, self.index_bits)[k_push]
+        vt = plan.column(self.history_bits, self.TAG_BITS)[k_push]
+        self._plan = plan
+        self._rows = zip(
+            ((pcv ^ vi) & imask).tolist(),
+            ((pcv ^ vt) & tmask).tolist(),
+            (pcv & imask).tolist(),
+            ((pcv >> self.index_bits) & tmask).tolist(),
+        )
 
-    # ------------------------------------------------------------------- predict
+    def finish(self) -> None:
+        if self._plan is not None:
+            self._plan.write_back()
+            self._plan = None
+            self._rows = None
 
-    def predict(self, uop: MicroOp) -> Prediction:
-        dep_key, ind_key = self._keys(uop.pc)
-        meta = {"dep_key": dep_key, "ind_key": ind_key}
+    # -------------------------------------------------------------------- lookup
+
+    def lookup(self, uop: MicroOp) -> Lookup:
+        rows = self._rows
+        keys = next(rows) if rows is not None else self._keys(uop.pc)
+        dep_entry, ind_entry = entries = self._reacquire(keys, None)
         sink = self.telemetry
 
-        entry = self._find(0, *dep_key)
-        if entry is not None:
-            self._touch(0, dep_key[0], entry)
-            if sink is not None:
-                sink.lookup(0)
-            if entry.confidence >= self.smb_confidence:
-                return Prediction(PredictionKind.SMB, distance=entry.distance,
-                                  source_table=0, meta=meta)
-            return Prediction(PredictionKind.MDP, distance=entry.distance,
-                              source_table=0, meta=meta)
-
-        entry = self._find(1, *ind_key)
-        if entry is not None:
+        if dep_entry is not None:
+            table, used = 0, dep_entry
+            kind = (KIND_SMB if dep_entry.confidence >= self.smb_confidence
+                    else KIND_MDP)
+        elif ind_entry is not None:
             # Path-independent predictions never perform SMB (Sec. V).
-            self._touch(1, ind_key[0], entry)
+            table, used, kind = 1, ind_entry, KIND_MDP
+        else:
             if sink is not None:
-                sink.lookup(1)
-            return Prediction(PredictionKind.MDP, distance=entry.distance,
-                              source_table=1, meta=meta)
-
-        if sink is not None:
-            sink.lookup(2)
-        return Prediction(PredictionKind.NO_DEP, meta=meta)
-
-    def _touch(self, table: int, index: int, used: NoSQEntry) -> None:
-        for entry in self._tables[table][index]:
+                sink.lookup(2)
+            return KIND_NO_DEP, 0, None, None, keys, entries
+        # LRU touch: the used way becomes most recent, the others age.
+        for entry in self._tables[table][keys[2 * table]]:
             if entry is None:
                 continue
             if entry is used:
                 entry.lru = 0
             elif entry.lru < self._lru_max:
                 entry.lru += 1
+        if sink is not None:
+            sink.lookup(table)
+        return kind, used.distance, None, table, keys, entries
 
-    # --------------------------------------------------------------------- train
+    def _reacquire(self, keys: NoSQKeys, source: Optional[int]
+                   ) -> Tuple[Optional[NoSQEntry], Optional[NoSQEntry]]:
+        """The entries tagged by ``keys`` in the path-dependent and the
+        path-independent table (None where absent)."""
+        dep_index, dep_tag, ind_index, ind_tag = keys
+        dep_entry = ind_entry = None
+        for entry in self._tables[0][dep_index]:
+            if entry is not None and entry.tag == dep_tag:
+                dep_entry = entry
+                break
+        for entry in self._tables[1][ind_index]:
+            if entry is not None and entry.tag == ind_tag:
+                ind_entry = entry
+                break
+        return dep_entry, ind_entry
 
-    def train(self, uop: MicroOp, prediction: Prediction,
-              actual: ActualOutcome) -> None:
-        dep_key = prediction.meta["dep_key"]
-        ind_key = prediction.meta["ind_key"]
-        dep_entry = self._find(0, *dep_key)
-        ind_entry = self._find(1, *ind_key)
+    # -------------------------------------------------------------------- update
+
+    def update(self, keys: NoSQKeys, source: Optional[int],
+               entry: Tuple[Optional[NoSQEntry], Optional[NoSQEntry]],
+               kind: int, distance: int, store_seq: Optional[int],
+               a_dist: int, a_seq: Optional[int], bypass_code: int,
+               branches_between: int, store_pc: Optional[int]) -> None:
         sink = self.telemetry
-
-        if actual.has_dependence:
-            distance = min(actual.distance, self._distance_max)
+        if a_dist > 0:
+            dmax = self._distance_max
+            distance = a_dist if a_dist < dmax else dmax
             # NoSQ's datapath shifts/truncates, so OFFSET-class
             # dependencies are bypassable too (Sec. II-B.2: "even covering
             # cases such as partial-word bypassing").
-            bypassable = actual.bypass in OFFSET_BYPASSABLE
-            for table, key, entry in ((0, dep_key, dep_entry),
-                                      (1, ind_key, ind_entry)):
-                if entry is not None and entry.distance == distance:
+            bypassable = self._offset_bypassable[bypass_code]
+            for table, current in enumerate(entry):
+                if current is not None and current.distance == distance:
                     # Bypass confidence only accumulates on instances the
                     # hardware could actually have bypassed.
                     if bypassable or table == 1:
-                        entry.confidence = min(self._confidence_max,
-                                               entry.confidence + 1)
+                        if current.confidence < self._confidence_max:
+                            current.confidence += 1
                         if sink is not None:
                             sink.confidence(table, "up")
                     else:
-                        entry.confidence = 0
+                        current.confidence = 0
                         if sink is not None:
                             sink.confidence(table, "bypass_reset")
                 else:
-                    self._install(table, key, distance)
+                    self._install(table, keys[2 * table],
+                                  keys[2 * table + 1], distance)
         else:
             # False dependence: reset confidence (no non-dependence memory).
-            for table, entry in ((0, dep_entry), (1, ind_entry)):
-                if entry is not None:
-                    entry.confidence = 0
+            for table, current in enumerate(entry):
+                if current is not None:
+                    current.confidence = 0
                     if sink is not None:
                         sink.confidence(table, "reset")
 
-    def _install(self, table: int, key: Tuple[int, int], distance: int) -> None:
-        index, tag = key
+    def _install(self, table: int, index: int, tag: int,
+                 distance: int) -> None:
         ways = self._tables[table][index]
         sink = self.telemetry
         # Retrain in place when the tag is already resident (wrong-distance
@@ -210,10 +250,12 @@ class NoSQ(MDPredictor):
     # -------------------------------------------------------------------- events
 
     def on_branch(self, pc: int, taken: bool) -> None:
-        self._ghist.push_conditional(taken)
+        if self._plan is None:
+            self._ghist.push_conditional(taken)
 
     def on_indirect(self, pc: int, target: int) -> None:
-        self._ghist.push_indirect(target)
+        if self._plan is None:
+            self._ghist.push_indirect(target)
 
     # ---------------------------------------------------------------------- misc
 

@@ -16,7 +16,7 @@ occasionally beat the oracle (gcc4, gcc5, mcf, nab).
 from __future__ import annotations
 
 from ..trace.uop import OFFSET_BYPASSABLE, SAME_ADDRESS_BYPASSABLE, BypassClass, MicroOp
-from .base import ActualOutcome, MDPredictor, Prediction, PredictionKind
+from .base import KIND_MDP, KIND_SMB, NO_PREDICTION, Lookup, MDPredictor
 
 __all__ = ["PerfectMDP", "PerfectMDPSMB"]
 
@@ -33,19 +33,13 @@ class PerfectMDP(MDPredictor):
     #: Marks predictions as oracle-conservative for the timing model.
     conservative = True
 
-    def predict(self, uop: MicroOp) -> Prediction:
+    def lookup(self, uop: MicroOp) -> Lookup:
         if uop.has_dependence:
-            return Prediction(
-                PredictionKind.MDP,
-                distance=uop.store_distance,
-                store_seq=uop.dep_store_seq,
-                meta={"conservative": self.conservative},
-            )
-        return Prediction(PredictionKind.NO_DEP,
-                          meta={"conservative": self.conservative})
+            return (KIND_MDP, uop.store_distance, uop.dep_store_seq, None,
+                    None, None)
+        return NO_PREDICTION
 
-    def train(self, uop: MicroOp, prediction: Prediction,
-              actual: ActualOutcome) -> None:
+    def update(self, *args: object) -> None:
         """Oracles do not learn."""
 
 
@@ -66,15 +60,11 @@ class PerfectMDPSMB(PerfectMDP):
             return True
         return self.offset_bypass and bypass is BypassClass.OFFSET
 
-    def predict(self, uop: MicroOp) -> Prediction:
+    def lookup(self, uop: MicroOp) -> Lookup:
         if uop.has_dependence and self._bypassable(uop.bypass):
-            return Prediction(
-                PredictionKind.SMB,
-                distance=uop.store_distance,
-                store_seq=uop.dep_store_seq,
-                meta={"conservative": self.conservative},
-            )
-        return super().predict(uop)
+            return (KIND_SMB, uop.store_distance, uop.dep_store_seq, None,
+                    None, None)
+        return super().lookup(uop)
 
     @property
     def supports_smb(self) -> bool:

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from ..trace.uop import MicroOp
-from .base import ActualOutcome, MDPredictor, Prediction, PredictionKind
-from .tables import TableBank, TableKey
+from .base import KIND_MDP, KIND_NO_DEP, Lookup
+from .tables import BankKeys, TableBank, TableBankPredictor
 
 __all__ = ["Phast", "PhastEntry", "PHAST_HISTORY_LENGTHS"]
 
@@ -42,7 +42,7 @@ class PhastEntry:
     lru: int = 0  # 0 = most recently used within the set
 
 
-class Phast(MDPredictor):
+class Phast(TableBankPredictor):
     """The PHAST predictor with the Table II configuration (14.5 KB)."""
 
     name = "phast"
@@ -74,21 +74,10 @@ class Phast(MDPredictor):
         self.alloc_usefulness = min(alloc_usefulness, self._useful_max)
         self.predictions_per_table = [0] * (len(self.history_lengths) + 1)
 
-    # ------------------------------------------------------------------ predict
+    # ------------------------------------------------------------------- lookup
 
-    def _lookup(self, keys: Tuple[TableKey, ...]
-                ) -> Tuple[Optional[int], Optional[PhastEntry]]:
-        for t in range(len(self.bank) - 1, -1, -1):
-            key = keys[t]
-            for entry in self.bank[t].ways_at(key.index):
-                if entry is not None and entry.tag == key.tag:
-                    return t, entry
-        return None, None
-
-    def predict(self, uop: MicroOp) -> Prediction:
-        keys = self.bank.keys(uop.pc)
-        table, entry = self._lookup(keys)
-        meta = {"keys": keys}
+    def lookup(self, uop: MicroOp) -> Lookup:
+        keys, table, entry = self.bank.lookup(uop.pc)
         sink = self.telemetry
         # PHAST predicts a dependence on any tag hit; the usefulness counter
         # only protects entries from eviction.  This is what makes false
@@ -96,72 +85,61 @@ class Phast(MDPredictor):
         # non-dependence can only be unlearned by slowly draining the
         # counter, not by recording the non-dependence context.
         if entry is None:
-            self.predictions_per_table[len(self.bank)] += 1
+            base = self.bank.num_tables
+            self.predictions_per_table[base] += 1
             if sink is not None:
-                sink.lookup(len(self.bank))
-            return Prediction(PredictionKind.NO_DEP, meta=meta)
+                sink.lookup(base)
+            return KIND_NO_DEP, 0, None, None, keys, None
         self.predictions_per_table[table] += 1
         if sink is not None:
             sink.lookup(table)
-        self._touch_lru(table, keys[table], entry)
-        return Prediction(
-            PredictionKind.MDP, distance=entry.distance,
-            source_table=table, meta=meta,
-        )
-
-    def _touch_lru(self, table: int, key: TableKey, used: PhastEntry) -> None:
-        for entry in self.bank[table].ways_at(key.index):
-            if entry is None:
+        # Touch LRU: the used way becomes most recent, the others age.
+        lru_max = self._lru_max
+        for other in self.bank[table].ways_at(keys[0][table]):
+            if other is None:
                 continue
-            if entry is used:
-                entry.lru = 0
-            elif entry.lru < self._lru_max:
-                entry.lru += 1
+            if other is entry:
+                other.lru = 0
+            elif other.lru < lru_max:
+                other.lru += 1
+        return KIND_MDP, entry.distance, None, table, keys, entry
 
-    # -------------------------------------------------------------------- train
+    # ------------------------------------------------------------------- update
 
-    def train(self, uop: MicroOp, prediction: Prediction,
-              actual: ActualOutcome) -> None:
-        keys: Tuple[TableKey, ...] = prediction.meta["keys"]
-        source = prediction.source_table
-        entry = self._reacquire(keys, source)
+    def update(self, keys: BankKeys, source: Optional[int],
+               entry: Optional[PhastEntry], kind: int, distance: int,
+               store_seq: Optional[int], a_dist: int, a_seq: Optional[int],
+               bypass_code: int, branches_between: int,
+               store_pc: Optional[int]) -> None:
         sink = self.telemetry
-        actual_distance = min(actual.distance, self._distance_max)
+        dmax = self._distance_max
+        actual_distance = a_dist if a_dist < dmax else dmax
 
-        predicted_dep = prediction.predicts_dependence
-        if predicted_dep and actual.has_dependence:
-            if prediction.distance == actual_distance:
+        if kind != KIND_NO_DEP and a_dist > 0:
+            if distance == actual_distance:
                 if entry is not None:
-                    entry.usefulness = min(self._useful_max,
-                                           entry.usefulness + 1)
+                    if entry.usefulness < self._useful_max:
+                        entry.usefulness += 1
                     if sink is not None:
                         sink.confidence(source, "up")
             else:
                 if entry is not None:
-                    entry.usefulness = max(0, entry.usefulness - 1)
+                    if entry.usefulness > 0:
+                        entry.usefulness -= 1
                     if sink is not None:
                         sink.confidence(source, "down")
-                self._allocate(keys, actual)
-        elif predicted_dep and not actual.has_dependence:
+                self._allocate(keys, branches_between, actual_distance)
+        elif kind != KIND_NO_DEP:
             # False dependence: PHAST only decays (no non-dependence entry).
             if entry is not None:
-                entry.usefulness = max(0, entry.usefulness - 1)
+                if entry.usefulness > 0:
+                    entry.usefulness -= 1
                 if sink is not None:
                     sink.confidence(source, "down")
-        elif not predicted_dep and actual.has_dependence:
+        elif a_dist > 0:
             # Missed dependence: learn the pair in the branch-distance table.
-            self._allocate(keys, actual)
+            self._allocate(keys, branches_between, actual_distance)
         # Correct non-dependence: nothing to reinforce.
-
-    def _reacquire(self, keys: Tuple[TableKey, ...], source: Optional[int]
-                   ) -> Optional[PhastEntry]:
-        if source is None:
-            return None
-        key = keys[source]
-        for entry in self.bank[source].ways_at(key.index):
-            if entry is not None and entry.tag == key.tag:
-                return entry
-        return None
 
     def _allocation_table(self, branches_between: int) -> int:
         """PHAST's signature policy: pick the table whose context length
@@ -171,12 +149,11 @@ class Phast(MDPredictor):
                 return t
         return len(self.history_lengths) - 1
 
-    def _allocate(self, keys: Tuple[TableKey, ...],
-                  actual: ActualOutcome) -> None:
-        table = self._allocation_table(actual.branches_between)
-        key = keys[table]
-        ways = self.bank[table].ways_at(key.index)
-        distance = min(actual.distance, self._distance_max)
+    def _allocate(self, keys: BankKeys, branches_between: int,
+                  distance: int) -> None:
+        indices, tags = keys
+        table = self._allocation_table(branches_between)
+        ways = self.bank[table].ways_at(indices[table])
         sink = self.telemetry
 
         # Victim selection: empty way, else LRU among drained (usefulness 0)
@@ -190,16 +167,14 @@ class Phast(MDPredictor):
         if victim is None:
             drained = [
                 (entry.lru, w) for w, entry in enumerate(ways)
-                if entry is not None and entry.usefulness == 0
+                if entry.usefulness == 0
             ]
             if drained:
                 victim = max(drained)[1]
         if victim is None:
-            oldest = max(
-                (entry.lru, w) for w, entry in enumerate(ways)
-                if entry is not None
-            )[1]
-            ways[oldest].usefulness = max(0, ways[oldest].usefulness - 1)
+            oldest = ways[max((entry.lru, w)
+                              for w, entry in enumerate(ways))[1]]
+            oldest.usefulness = max(0, oldest.usefulness - 1)
             if sink is not None:
                 sink.event("allocation_deferred")
                 sink.confidence(table, "down")
@@ -208,19 +183,8 @@ class Phast(MDPredictor):
             if ways[victim] is not None:
                 sink.eviction(table)
             sink.allocation(table, distance)
-        self.bank[table].write(
-            key.index, victim,
-            PhastEntry(tag=key.tag, distance=distance,
-                       usefulness=self.alloc_usefulness),
-        )
-
-    # ------------------------------------------------------------------- events
-
-    def on_branch(self, pc: int, taken: bool) -> None:
-        self.bank.on_branch(pc, taken)
-
-    def on_indirect(self, pc: int, target: int) -> None:
-        self.bank.on_indirect(pc, target)
+        ways[victim] = PhastEntry(tag=tags[table], distance=distance,
+                                  usefulness=self.alloc_usefulness)
 
     # --------------------------------------------------------------------- misc
 

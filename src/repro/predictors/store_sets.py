@@ -20,12 +20,11 @@ branch history.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
-from ..common.bitops import mask
 from ..common.hashing import mix64
 from ..trace.uop import MicroOp
-from .base import ActualOutcome, MDPredictor, Prediction, PredictionKind
+from .base import KIND_MDP, KIND_NO_DEP, Lookup, MDPredictor
 
 __all__ = ["StoreSets"]
 
@@ -76,11 +75,17 @@ class StoreSets(MDPredictor):
         self._next_ssid = 0
         self._accesses = 0
         self.violations_trained = 0
+        # PC -> SSIT index memo (the hash is a pure function of the PC).
+        self._index_cache: Dict[int, int] = {}
 
     # ------------------------------------------------------------------ helpers
 
     def _ssit_index(self, pc: int) -> int:
-        return mix64(pc) % self._effective_ssit
+        index = self._index_cache.get(pc)
+        if index is None:
+            index = mix64(pc) % self._effective_ssit
+            self._index_cache[pc] = index
+        return index
 
     def _new_ssid(self) -> int:
         ssid = self._next_ssid
@@ -116,44 +121,44 @@ class StoreSets(MDPredictor):
             return previous
         return None
 
-    # ------------------------------------------------------------------ predict
+    # ------------------------------------------------------------------- lookup
 
-    def predict(self, uop: MicroOp) -> Prediction:
+    def lookup(self, uop: MicroOp) -> Lookup:
+        """Keys are the load's SSIT index; Store Sets has no entry objects."""
         self._maybe_clear()
         sink = self.telemetry
-        ssid = self._ssit[self._ssit_index(uop.pc)]
-        if ssid is None:
-            if sink is not None:
-                sink.lookup(1)
-            return Prediction(PredictionKind.NO_DEP)
-        store_seq = self._lfst[ssid]
-        if store_seq is None or uop.seq - store_seq > self.instr_window:
-            # The last fetched store has long since drained: no constraint.
-            if sink is not None:
-                sink.lookup(1)
-            return Prediction(PredictionKind.NO_DEP)
+        index = self._ssit_index(uop.pc)
+        ssid = self._ssit[index]
+        if ssid is not None:
+            store_seq = self._lfst[ssid]
+            # A last fetched store that has long since drained imposes no
+            # constraint.
+            if (store_seq is not None
+                    and uop.seq - store_seq <= self.instr_window):
+                if sink is not None:
+                    sink.lookup(0)
+                return KIND_MDP, 0, store_seq, None, index, None
         if sink is not None:
-            sink.lookup(0)
-        return Prediction(PredictionKind.MDP, store_seq=store_seq,
-                          meta={"ssid": ssid})
+            sink.lookup(1)
+        return KIND_NO_DEP, 0, None, None, index, None
 
-    # -------------------------------------------------------------------- train
+    # ------------------------------------------------------------------- update
 
-    def train(self, uop: MicroOp, prediction: Prediction,
-              actual: ActualOutcome) -> None:
+    def update(self, keys: int, source: Optional[int], entry: None,
+               kind: int, distance: int, store_seq: Optional[int],
+               a_dist: int, a_seq: Optional[int], bypass_code: int,
+               branches_between: int, store_pc: Optional[int]) -> None:
         """Train only on memory-order violations, as the hardware does.
 
         A violation occurs when the load was not correctly held behind its
         conflicting store: it was predicted independent, or predicted
-        dependent on the wrong (older-than-actual) store.
+        dependent on the wrong (older-than-actual) store.  False
+        dependencies decay only via cyclic clearing.
         """
-        if not actual.has_dependence:
-            return  # false dependencies decay only via cyclic clearing
-        if (
-            prediction.predicts_dependence
-            and prediction.store_seq is not None
-            and prediction.store_seq >= actual.store_seq
-        ):
+        if a_dist <= 0:
+            return
+        if (kind != KIND_NO_DEP and store_seq is not None
+                and store_seq >= a_seq):
             # The load waited for the true store (or a younger one that
             # orders it behind the true store): no violation, no training.
             return
@@ -161,13 +166,14 @@ class StoreSets(MDPredictor):
         sink = self.telemetry
         if sink is not None:
             sink.event("violation_trained")
-        self._assign(self._ssit_index(uop.pc), actual)
+        self._assign(keys, a_seq, a_dist, store_pc)
 
-    def _assign(self, load_index: int, actual: ActualOutcome) -> None:
+    def _assign(self, load_index: int, a_seq: int, a_dist: int,
+                store_pc: Optional[int]) -> None:
         # Fall back to a seq-derived pseudo-PC if the harness did not supply
         # the store PC (keeps the predictor usable on minimal traces).
-        store_pc = actual.store_pc if actual.store_pc is not None else actual.store_seq
-        store_index = self._ssit_index(store_pc)
+        store_index = self._ssit_index(store_pc if store_pc is not None
+                                       else a_seq)
         load_ssid = self._ssit[load_index]
         store_ssid = self._ssit[store_index]
         sink = self.telemetry
@@ -177,15 +183,15 @@ class StoreSets(MDPredictor):
             self._ssit[load_index] = ssid
             self._ssit[store_index] = ssid
             if sink is not None:
-                sink.allocation(0, actual.distance)
+                sink.allocation(0, a_dist)
         elif load_ssid is not None and store_ssid is None:
             self._ssit[store_index] = load_ssid
             if sink is not None:
-                sink.allocation(0, actual.distance)
+                sink.allocation(0, a_dist)
         elif load_ssid is None and store_ssid is not None:
             self._ssit[load_index] = store_ssid
             if sink is not None:
-                sink.allocation(0, actual.distance)
+                sink.allocation(0, a_dist)
         else:
             # Both assigned: converge on the smaller SSID (declawed merge).
             winner = min(load_ssid, store_ssid)

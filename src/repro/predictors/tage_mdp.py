@@ -22,11 +22,11 @@ an additional historical baseline.  Differences from MASCOT:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from ..trace.uop import MicroOp
-from .base import ActualOutcome, MDPredictor, Prediction, PredictionKind
-from .tables import TableBank, TableKey
+from .base import KIND_MDP, KIND_NO_DEP, Lookup
+from .tables import BankKeys, TableBank, TableBankPredictor
 
 __all__ = ["TageMdp", "TageMdpEntry"]
 
@@ -40,7 +40,7 @@ class TageMdpEntry:
     useful: bool
 
 
-class TageMdp(MDPredictor):
+class TageMdp(TableBankPredictor):
     """The Perais et al. TAGE-MDP baseline (Sec. II-A)."""
 
     name = "tage-mdp"
@@ -66,88 +66,55 @@ class TageMdp(MDPredictor):
 
     # ------------------------------------------------------------------ lookup
 
-    def _lookup(self, keys: Tuple[TableKey, ...]
-                ) -> Tuple[Optional[int], Optional[TageMdpEntry]]:
-        for t in range(len(self.bank) - 1, -1, -1):
-            key = keys[t]
-            for entry in self.bank[t].ways_at(key.index):
-                if entry is not None and entry.tag == key.tag:
-                    return t, entry
-        return None, None
-
-    def predict(self, uop: MicroOp) -> Prediction:
-        keys = self.bank.keys(uop.pc)
-        table, entry = self._lookup(keys)
-        meta = {"keys": keys}
+    def lookup(self, uop: MicroOp) -> Lookup:
+        keys, table, entry = self.bank.lookup(uop.pc)
         # "If u is not 0, the entry can be used for predicting a memory
         # dependence" — a cleared u bit silences the entry.
         if entry is None or not entry.useful:
-            return Prediction(PredictionKind.NO_DEP, meta=meta)
-        return Prediction(PredictionKind.MDP, distance=entry.distance,
-                          source_table=table, meta=meta)
+            return KIND_NO_DEP, 0, None, None, keys, None
+        return KIND_MDP, entry.distance, None, table, keys, entry
 
-    # ------------------------------------------------------------------- train
+    # ------------------------------------------------------------------ update
 
-    def train(self, uop: MicroOp, prediction: Prediction,
-              actual: ActualOutcome) -> None:
-        keys: Tuple[TableKey, ...] = prediction.meta["keys"]
-        source = prediction.source_table
-        entry = self._reacquire(keys, source)
-
+    def update(self, keys: BankKeys, source: Optional[int],
+               entry: Optional[TageMdpEntry], kind: int, distance: int,
+               store_seq: Optional[int], a_dist: int, a_seq: Optional[int],
+               bypass_code: int, branches_between: int,
+               store_pc: Optional[int]) -> None:
         # Distances beyond the 3-bit field cannot be represented; the
         # predictor simply cannot learn such pairs.
-        representable = 0 < actual.distance <= self._distance_max
+        representable = 0 < a_dist <= self._distance_max
 
-        if prediction.predicts_dependence:
-            if actual.distance == prediction.distance:
+        if kind != KIND_NO_DEP:
+            if a_dist == distance:
                 if entry is not None:
                     entry.useful = True
             else:
                 if entry is not None:
                     entry.useful = False  # single-bit: one strike silences
                 if representable:
-                    self._allocate(keys, source, actual.distance)
-        else:
-            if representable:
-                self._allocate(keys, source, actual.distance)
+                    self._allocate(keys, source, a_dist)
+        elif representable:
+            self._allocate(keys, source, a_dist)
 
-    def _reacquire(self, keys: Tuple[TableKey, ...], source: Optional[int]
-                   ) -> Optional[TageMdpEntry]:
-        if source is None:
-            return None
-        key = keys[source]
-        for entry in self.bank[source].ways_at(key.index):
-            if entry is not None and entry.tag == key.tag:
-                return entry
-        return None
-
-    def _allocate(self, keys: Tuple[TableKey, ...], source: Optional[int],
+    def _allocate(self, keys: BankKeys, source: Optional[int],
                   distance: int) -> None:
         """Classic TAGE allocation: next longer table, not-useful victims."""
-        start = 0 if source is None else min(source + 1, len(self.bank) - 1)
-        for t in range(start, len(self.bank)):
-            key = keys[t]
-            ways = self.bank[t].ways_at(key.index)
+        indices, tags = keys
+        tables = self.bank.tables
+        start = 0 if source is None else min(source + 1, len(tables) - 1)
+        for t in range(start, len(tables)):
+            ways = tables[t].ways_at(indices[t])
             for w, entry in enumerate(ways):
                 if entry is None or not entry.useful:
-                    self.bank[t].write(key.index, w, TageMdpEntry(
-                        tag=key.tag, distance=distance, useful=True,
-                    ))
+                    ways[w] = TageMdpEntry(tag=tags[t], distance=distance,
+                                           useful=True)
                     return
         # Everything useful: clear the u bits of the first candidate set so
         # a future allocation can proceed (TAGE's aging, single-bit form).
-        key = keys[start]
-        for entry in self.bank[start].ways_at(key.index):
+        for entry in tables[start].ways_at(indices[start]):
             if entry is not None:
                 entry.useful = False
-
-    # ------------------------------------------------------------------- events
-
-    def on_branch(self, pc: int, taken: bool) -> None:
-        self.bank.on_branch(pc, taken)
-
-    def on_indirect(self, pc: int, target: int) -> None:
-        self.bank.on_indirect(pc, target)
 
     # --------------------------------------------------------------------- misc
 

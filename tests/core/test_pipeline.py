@@ -161,15 +161,15 @@ class TestSquashCosts:
     def test_missed_dependencies_cost_cycles(self):
         """A predictor that always says no-dep must squash and lose time
         relative to perfect MDP on a dependence-heavy trace."""
-        from repro.predictors.base import MDPredictor, Prediction, PredictionKind
+        from repro.predictors.base import NO_PREDICTION, MDPredictor
 
         class AlwaysNoDep(MDPredictor):
             name = "always-no-dep"
 
-            def predict(self, uop):
-                return Prediction(PredictionKind.NO_DEP)
+            def lookup(self, uop):
+                return NO_PREDICTION
 
-            def train(self, uop, prediction, actual):
+            def update(self, *args):
                 pass
 
         trace = small_trace("perlbench1", 20_000)

@@ -319,6 +319,46 @@ class TestSourceDigest:
         assert predictor_fingerprint("mascot")["code"]
 
 
+class TestPredictorSalt:
+    """Per-predictor salts cover predictor code outside the defining
+    module: an edit to an imported predictor module must re-key."""
+
+    @pytest.fixture
+    def package_copy(self, tmp_path, monkeypatch):
+        import shutil
+
+        import repro.experiments.result_cache as rc
+
+        shutil.copytree(rc._PACKAGE_ROOT / "predictors",
+                        tmp_path / "repro" / "predictors")
+        monkeypatch.setattr(rc, "_PACKAGE_ROOT", tmp_path / "repro")
+        rc.predictor_fingerprint.cache_clear()
+        rc._source_digest.cache_clear()
+        yield tmp_path / "repro"
+        rc.predictor_fingerprint.cache_clear()
+        rc._source_digest.cache_clear()
+
+    def test_idist_sources_include_store_sets(self):
+        from repro.experiments.result_cache import predictor_sources
+
+        sources = predictor_sources("idist+store-sets")
+        assert "predictors/idist.py" in sources
+        assert "predictors/store_sets.py" in sources
+
+    def test_edit_to_imported_module_changes_fingerprint(self,
+                                                         package_copy):
+        import repro.experiments.result_cache as rc
+
+        before = rc.predictor_fingerprint("idist+store-sets")["code"]
+        unrelated = rc.predictor_fingerprint("phast")["code"]
+        with open(package_copy / "predictors" / "store_sets.py", "a") as f:
+            f.write("\n# edited\n")
+        rc.predictor_fingerprint.cache_clear()
+        rc._source_digest.cache_clear()
+        assert rc.predictor_fingerprint("idist+store-sets")["code"] != before
+        assert rc.predictor_fingerprint("phast")["code"] == unrelated
+
+
 class TestCacheLock:
     """Lock-file discipline for shared (multi-coordinator) caches."""
 

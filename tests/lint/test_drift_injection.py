@@ -2,7 +2,8 @@
 
 The acceptance criterion for the interprocedural pass: seed one
 asymmetry between ``core/pipeline.py`` and ``core/batched.py``, and
-remove one ``_SHARED_SOURCES`` entry, and the lint run must go non-zero.
+remove one ``_SHARED_SOURCES`` entry, and the lint run must go non-zero;
+likewise for a ground-truth read planted in a predictor's ``lookup``.
 The copy keeps the on-disk ``__init__.py`` chain, so module names (and
 therefore the suffix-based engine/entry detection) match the shipped
 package exactly.
@@ -86,6 +87,23 @@ class TestRemovedSaltEntry:
         missing = [f for f in result.active if f.rule == "salt-missing"]
         assert missing
         assert any("sampling" in f.message for f in missing)
+
+
+class TestOracleReadInLookupHalf:
+    def test_ground_truth_read_in_mascot_lookup_fails_lint(self, tree):
+        # lookup() is the predict-time half that both predict() and the
+        # batched engine's predict_train() reach: a ground-truth read
+        # there scores MASCOT as if it had hardware it cannot build.
+        mutate(tree, "predictors/mascot.py",
+               "        keys, table, entry = self.bank.lookup(uop.pc)\n",
+               "        keys, table, entry = self.bank.lookup(uop.pc)\n"
+               "        assert uop.store_distance >= 0\n")
+        result = lint_paths([tree], select=["oracle"])
+        assert result.exit_code != 0
+        leaks = [f for f in result.active if f.rule == "oracle-leak"]
+        assert len(leaks) == 1
+        assert "Mascot.lookup" in leaks[0].message
+        assert "uop.store_distance" in leaks[0].message
 
 
 class TestUnsanctionedWorkerState:

@@ -2,7 +2,7 @@
 
 A miniature engine pair shaped like the real tree (``pkg/core/pipeline.py``
 with ``Pipeline``, ``pkg/core/batched.py`` with ``BatchedPipeline``)
-exercises the alias tracking, session-hook normalisation and literal
+exercises the alias tracking, fused-hook normalisation and literal
 pairing; each drift test injects one asymmetry and asserts exactly the
 matching rule fires.
 """
@@ -12,9 +12,9 @@ from __future__ import annotations
 import pytest
 
 # A symmetric pair: the batched half hoists config fields into locals,
-# drives the predictor through a batch session with a fused
-# predict_train hook, and uses a bound-method alias -- all of which must
-# normalise to the scalar surface.
+# primes the predictor, drives it through the fused predict_train hook,
+# and uses a bound-method alias -- all of which must normalise to the
+# scalar surface.
 SCALAR = """
     class Pipeline:
         def __init__(self, predictor, config):
@@ -47,17 +47,17 @@ BATCHED = """
         def run(self, trace):
             cfg = self.config
             alu_lat = cfg.alu_latency
-            session = self.predictor.batch_session()
-            s_on_store = session.on_store
+            self.predictor.prime(trace)
+            p_on_store = self.predictor.on_store
             lat = 0
             for uop in trace:
-                session.predict_train(uop)
+                self.predictor.predict_train(uop)
                 lat = alu_lat + uop.extra
                 if uop.is_store:
-                    s_on_store(uop)
+                    p_on_store(uop)
                     lat = lat + cfg.sb_drain_latency + 64
                 self.stats.instructions += 1
-            session.finish()
+            self.predictor.finish()
             self.stats.cycles = lat
             self.stats.record(trace)
 """
@@ -118,16 +118,27 @@ class TestStatsWriteDrift:
 
 class TestHookDrift:
     def test_dropped_session_hook_fires(self, box):
+        # A hook dropped from its bound-method alias call site.
         write_pair(box, batched=BATCHED.replace(
-            "s_on_store(uop)", "pass"))
+            "p_on_store(uop)", "pass"))
         assert "eq-predictor-call" in eq_rules(box)
 
+    def test_dropped_fused_hook_fires_for_both_halves(self, box):
+        write_pair(box, batched=BATCHED.replace(
+            "self.predictor.predict_train(uop)", "pass"))
+        findings = [f for f in box.lint()
+                    if f.active and f.rule == "eq-predictor-call"]
+        hooks = sorted(f.message.split("hook ")[1].split()[0]
+                       for f in findings)
+        assert hooks == ["'predict'", "'train'"]
+
     def test_session_lifecycle_hooks_are_normalised_away(self, box):
-        # finish()/batch_session() have no scalar counterpart by design
-        # and must not fire -- covered by the clean-pair test, but spell
-        # out the one-sided direction too: dropping finish() changes
-        # nothing the comparison sees.
-        write_pair(box, batched=BATCHED.replace("session.finish()", "pass"))
+        # prime()/finish() have no scalar counterpart by design and must
+        # not fire -- covered by the clean-pair test, but spell out the
+        # one-sided direction too: dropping finish() changes nothing the
+        # comparison sees.
+        write_pair(box, batched=BATCHED.replace(
+            "self.predictor.finish()", "pass"))
         assert eq_rules(box) == []
 
 

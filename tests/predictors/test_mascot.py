@@ -288,14 +288,14 @@ class TestTryAgainAllocation:
         config = MASCOT_DEFAULT.with_(name="tiny",
                                       table_entries=(4,) * 8)  # 1 set/table
         m = Mascot(config)
-        keys = m.bank.keys(0x400100)
+        indices, _ = keys = m.bank.reference_keys(0x400100)
         # Fill table 0's only set with protected entries.
         for w in range(4):
-            m.bank[0].write(keys[0].index, w,
+            m.bank[0].write(indices[0], w,
                             MascotEntry(tag=w + 1, distance=2,
                                         usefulness=6, bypass=0))
         m._allocate(keys, start=0, distance=7, bypassable=True)
-        ways = m.bank[0].ways_at(keys[0].index)
+        ways = m.bank[0].ways_at(indices[0])
         assert all(e.usefulness == 5 for e in ways)
         # And the allocation went to a later table instead.
         assert any(
@@ -307,34 +307,34 @@ class TestTryAgainAllocation:
     def test_only_first_target_set_decremented(self):
         config = MASCOT_DEFAULT.with_(name="tiny", table_entries=(4,) * 8)
         m = Mascot(config)
-        keys = m.bank.keys(0x400100)
+        indices, _ = keys = m.bank.reference_keys(0x400100)
         for t in (0, 1):
             for w in range(4):
-                m.bank[t].write(keys[t].index, w,
+                m.bank[t].write(indices[t], w,
                                 MascotEntry(tag=w + 1, distance=2,
                                             usefulness=6, bypass=0))
         m._allocate(keys, start=0, distance=7, bypassable=False)
         assert all(e.usefulness == 5
-                   for e in m.bank[0].ways_at(keys[0].index))
+                   for e in m.bank[0].ways_at(indices[0]))
         assert all(e.usefulness == 6
-                   for e in m.bank[1].ways_at(keys[1].index))
+                   for e in m.bank[1].ways_at(indices[1]))
 
     def test_allocation_prefers_zero_usefulness_victim(self):
         m = Mascot()
-        keys = m.bank.keys(0x400100)
-        m.bank[0].write(keys[0].index, 0,
+        indices, _ = keys = m.bank.reference_keys(0x400100)
+        m.bank[0].write(indices[0], 0,
                         MascotEntry(tag=1, distance=2, usefulness=0,
                                     bypass=0))
-        m.bank[0].write(keys[0].index, 1,
+        m.bank[0].write(indices[0], 1,
                         MascotEntry(tag=2, distance=2, usefulness=6,
                                     bypass=0))
         table = m._allocate(keys, start=0, distance=9, bypassable=False)
         assert table == 0
-        assert m.bank[0].ways_at(keys[0].index)[0].distance == 9
+        assert m.bank[0].ways_at(indices[0])[0].distance == 9
 
     def test_start_clamped_to_last_table(self):
         m = Mascot()
-        keys = m.bank.keys(0x400100)
+        keys = m.bank.reference_keys(0x400100)
         table = m._allocate(keys, start=99, distance=4, bypassable=False)
         assert table == len(m.bank) - 1
 

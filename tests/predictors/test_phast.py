@@ -124,14 +124,14 @@ class TestReplacement:
         evicting."""
         p = Phast(entries_per_table=4)  # 1 set per table
         uop = load_uop()
-        keys = p.bank.keys(uop.pc)
+        indices, _ = keys = p.bank.reference_keys(uop.pc)
         from repro.predictors.phast import PhastEntry
         for w in range(4):
-            p.bank[0].write(keys[0].index, w,
+            p.bank[0].write(indices[0], w,
                             PhastEntry(tag=w + 100, distance=1,
                                        usefulness=5, lru=w))
-        p._allocate(keys, dep(branches_between=0))
-        ways = p.bank[0].ways_at(keys[0].index)
+        p._allocate(keys, branches_between=0, distance=3)
+        ways = p.bank[0].ways_at(indices[0])
         assert sorted(e.usefulness for e in ways) == [4, 5, 5, 5]
         assert all(e.tag >= 100 for e in ways)  # nothing evicted
 
