@@ -19,6 +19,7 @@ list object, which matches how traces are treated everywhere else
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -44,6 +45,11 @@ _MEMO_CAPACITY = 4
 _MEMO: List[Tuple[Sequence[MicroOp], "TraceColumns"]] = []
 
 
+def _seq_or_sentinel(seq):
+    """An optional sequence number as a column value (``None`` -> -1)."""
+    return -1 if seq is None else seq
+
+
 class TraceColumns:
     """Numpy columns for one trace, plus cached plain-list views.
 
@@ -62,48 +68,27 @@ class TraceColumns:
     def __init__(self, trace: Sequence[MicroOp]) -> None:
         n = len(trace)
         self.n = n
-        op = np.empty(n, dtype=np.int8)
-        pc = np.empty(n, dtype=np.int64)
-        address = np.empty(n, dtype=np.int64)
-        size = np.empty(n, dtype=np.int32)
-        taken = np.empty(n, dtype=np.bool_)
-        target = np.empty(n, dtype=np.int64)
-        addr_src = np.empty(n, dtype=np.int64)
-        dep_store_seq = np.empty(n, dtype=np.int64)
-        store_distance = np.empty(n, dtype=np.int32)
-        bypass = np.empty(n, dtype=np.int8)
-        src_count = np.empty(n, dtype=np.int16)
-        srcs: List[Tuple[int, ...]] = [()] * n
 
-        op_codes = OP_CODES
-        bypass_codes = BYPASS_CODES
-        for i, uop in enumerate(trace):
-            op[i] = op_codes[uop.op]
-            pc[i] = uop.pc
-            address[i] = uop.address
-            size[i] = uop.size
-            taken[i] = uop.taken
-            target[i] = uop.target
-            addr_src[i] = -1 if uop.addr_src is None else uop.addr_src
-            dep_store_seq[i] = (-1 if uop.dep_store_seq is None
-                                else uop.dep_store_seq)
-            store_distance[i] = uop.store_distance
-            bypass[i] = bypass_codes[uop.bypass]
-            src_count[i] = len(uop.srcs)
-            srcs[i] = uop.srcs
+        def column(name: str, dtype, code=None) -> np.ndarray:
+            values = map(attrgetter(name), trace)
+            if code is not None:
+                values = map(code, values)
+            return np.fromiter(values, dtype=dtype, count=n)
 
-        self.op = op
-        self.pc = pc
-        self.address = address
-        self.size = size
-        self.taken = taken
-        self.target = target
-        self.addr_src = addr_src
-        self.dep_store_seq = dep_store_seq
-        self.store_distance = store_distance
-        self.bypass = bypass
-        self.src_count = src_count
-        self.srcs = srcs
+        self.op = column("op", np.int8, OP_CODES.__getitem__)
+        self.pc = column("pc", np.int64)
+        self.address = column("address", np.int64)
+        self.size = column("size", np.int32)
+        self.taken = column("taken", np.bool_)
+        self.target = column("target", np.int64)
+        self.addr_src = column("addr_src", np.int64, _seq_or_sentinel)
+        self.dep_store_seq = column("dep_store_seq", np.int64,
+                                    _seq_or_sentinel)
+        self.store_distance = column("store_distance", np.int32)
+        self.bypass = column("bypass", np.int8, BYPASS_CODES.__getitem__)
+        self.srcs: List[Tuple[int, ...]] = [uop.srcs for uop in trace]
+        self.src_count = np.fromiter(map(len, self.srcs), dtype=np.int16,
+                                     count=n)
         self._lists = None
 
     # -- construction ----------------------------------------------------------

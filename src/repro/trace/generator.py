@@ -84,7 +84,7 @@ class TraceGenerator:
             self._rng.random() < self.profile.chain_bias
         ):
             return self._chain_head
-        return self._rng.choice(tuple(self._recent))
+        return self._rng.choice(self._recent)
 
     def _compute_sources(self, want_two: bool) -> Tuple[int, ...]:
         srcs: List[int] = []
@@ -92,7 +92,7 @@ class TraceGenerator:
         if first is not None:
             srcs.append(first)
         if want_two and self._recent and self._rng.random() < 0.5:
-            second = self._rng.choice(tuple(self._recent))
+            second = self._rng.choice(self._recent)
             if second not in srcs:
                 srcs.append(second)
         # Consumers of the most recent load model load-latency sensitivity.
@@ -125,7 +125,7 @@ class TraceGenerator:
             taken = inst.branch.outcome(self._iteration, self._rng)
             srcs = ()
             if self._recent and self._rng.random() < 0.5:
-                srcs = (self._rng.choice(tuple(self._recent)),)
+                srcs = (self._rng.choice(self._recent),)
             return MicroOp(seq, inst.pc, OpClass.BRANCH_COND, srcs=srcs,
                            taken=taken, target=inst.pc + 0x20)
 
@@ -201,7 +201,7 @@ class TraceGenerator:
                 # Sec. VI-A).
                 addr_src = self._pick_source()
             elif self._recent and self._rng.random() < 0.3:
-                addr_src = self._rng.choice(tuple(self._recent))
+                addr_src = self._rng.choice(self._recent)
             uop = MicroOp(
                 seq, inst.pc, OpClass.LOAD, addr_src=addr_src,
                 address=address, size=size,

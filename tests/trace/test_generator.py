@@ -1,13 +1,16 @@
 """Tests for the dynamic trace generator."""
 
+import dataclasses
+import enum
 from collections import Counter
 
 import pytest
 
+from repro.common.hashing import stable_digest
 from repro.trace import build_program, generate_trace, get_profile
 from repro.trace.dependence import classify_overlap
 from repro.trace.generator import TraceGenerator
-from repro.trace.uop import BypassClass, OpClass
+from repro.trace.uop import BypassClass, MicroOp, OpClass
 
 
 def _generate(benchmark="perlbench1", n=15_000, **kwargs):
@@ -186,3 +189,55 @@ class TestBenchmarkCharacter:
             if len(flags) > 20 and 0.2 < sum(flags) / len(flags) < 0.95
         ]
         assert alternating, "expected branch-conditional dependencies"
+
+
+def _trace_digest(trace):
+    """``stable_digest`` over every field of every micro-op, in order."""
+    names = [f.name for f in dataclasses.fields(MicroOp)]
+
+    def encode(value):
+        return value.value if isinstance(value, enum.Enum) else value
+
+    return stable_digest([[encode(getattr(uop, name)) for name in names]
+                          for uop in trace])
+
+
+#: (benchmark, trace seed, tracker windows, digest) at 20k micro-ops.
+_PINNED = [
+    ("perlbench1", 1, {},
+     "57be4928206eee70d4ce3b617fc75246a03222f926c7bb1002e0edfa6da68aee"),
+    ("perlbench1", 5, {},
+     "d316bbb0efbb76fd8ec96173166980ac82e943271acf9efd4f386d7f996c481e"),
+    ("lbm", 1, {},
+     "1e22782a09fa554c3e2ad295e8ed50b2f3a74150426eab2cea0e9a6e45c63f3e"),
+    ("lbm", 5, {},
+     "de5aab65fed8b45cab4e8204f616e7bc8bd33badabb751bba9cb4f8ca4685486"),
+    ("mcf", 1, {},
+     "ecd2e3a7a7828ea7e4f6745f8d21e80ff8be33aa6320676300b1c42d9638025d"),
+    ("mcf", 5, {},
+     "b25d0c4ec201818b7d17d3b4ccdf7c655ad8c5eee8c4930a6a05e89c39c3ba95"),
+    ("omnetpp", 1, {},
+     "260e3c590e4f59acd0efebf16b88247224c4a9b6570436e0371ad165734f42e1"),
+    ("omnetpp", 5, {},
+     "23b1363c5b6e74b00af907250c23466bb96372acfba62e6d9a15a3bd19dc2c74"),
+    ("perlbench1", 1, {"store_window": 8, "instr_window": 64},
+     "19dac4a91549cdd34988ccc0329c4da8aa4b6d2a6a0999ee69253161199bfb2f"),
+]
+
+
+class TestPinnedTraces:
+    """Generated streams are pinned field for field.
+
+    Every figure, golden result and cache entry derives from these
+    streams, so any drift in the generator or the dependence tracker --
+    one changed address, source or store distance -- fails here first.
+    """
+
+    @pytest.mark.parametrize(
+        "name, trace_seed, windows, digest", _PINNED,
+        ids=[f"{name}-seed{seed}" + ("-small-window" if windows else "")
+             for name, seed, windows, _ in _PINNED])
+    def test_trace_digest(self, name, trace_seed, windows, digest):
+        trace = generate_trace(name, 20_000, trace_seed=trace_seed,
+                               **windows)
+        assert _trace_digest(trace) == digest

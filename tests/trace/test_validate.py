@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.trace.generator import generate_trace
+from repro.trace.profiles import suite_names
 from repro.trace.uop import BypassClass, MicroOp, OpClass
 from repro.trace.validate import (
     TraceValidationError,
@@ -27,12 +29,24 @@ def dep_load(seq, dep, distance=1, addr=0x1000, size=8,
 
 class TestValidTraces:
     def test_generated_traces_validate(self):
-        for bench in ("perlbench1", "lbm", "exchange2"):
+        for bench in suite_names():
             trace = small_trace(bench, 10_000)
             report = validate_trace(trace)
             assert report.ok
             assert report.uops == 10_000
             assert report.loads > 0
+
+    def test_small_window_trace_validates(self):
+        # Four store-buffer entries and a 32-uop reorder window: some
+        # pair dependences fall out of the window, so the tracker's
+        # eviction and pruning decide annotations.
+        windows = {"store_window": 4, "instr_window": 32}
+        trace = generate_trace("perlbench1", 10_000, **windows)
+        report = validate_trace(trace, **windows)
+        assert report.ok
+        default = small_trace("perlbench1", 10_000)
+        assert 0 < report.dependent_loads < validate_trace(
+            default).dependent_loads
 
     def test_minimal_pair(self):
         trace = [store(0), dep_load(1, dep=0)]
