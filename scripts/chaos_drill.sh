@@ -9,10 +9,10 @@
 # run.  Exercises every recovery layer at once: worker-lost requeue,
 # lease expiry bookkeeping, torn journal tails and `--resume`.
 #
-# Act two repeats the discipline for the shared-service layer: a grid
-# submitted through `repro serve` (backed by `repro cache-serve`) must
-# stream digests bit-identical to a serial cache-off run even when the
-# cache server is SIGKILLed mid-grid and restarted.
+# Act two repeats the discipline for the shared-cache layer: the same
+# grid run over two plain workers against `repro cache-serve` must print
+# output bit-identical to the serial run even when the cache server is
+# SIGKILLed mid-grid and restarted, and when it tears or corrupts a reply.
 #
 # Requires PYTHONPATH to reach the repro package (CI exports it).
 set -euo pipefail
@@ -29,9 +29,11 @@ cleanup() {
 }
 trap cleanup EXIT
 
-start_worker() { # $1: ready file; prints the worker pid
+start_worker() { # $1: ready file; sets STARTED_PID
+    # A job of this shell (not of a command substitution), so cleanup's
+    # `jobs -p` stops it.
     python -m repro worker --ready-file "$1" >/dev/null 2>&1 &
-    echo $!
+    STARTED_PID=$!
 }
 
 wait_ready() { # $1: ready file
@@ -43,9 +45,9 @@ wait_ready() { # $1: ready file
     exit 1
 }
 
-wait_oks() { # $1: minimum journaled ok records
+wait_oks() { # $1: minimum journaled ok records; $2: journal directory
     for _ in $(seq 1 1200); do
-        n=$(cat "$JOURNALS"/*.jsonl 2>/dev/null \
+        n=$(cat "${2:-$JOURNALS}"/*.jsonl 2>/dev/null \
             | grep -c '"event": "ok"' || true)
         [ "${n:-0}" -ge "$1" ] && return 0
         sleep 0.1
@@ -54,8 +56,9 @@ wait_oks() { # $1: minimum journaled ok records
     exit 1
 }
 
-W1_PID=$(start_worker "$WORKDIR/w1.ready")
-W2_PID=$(start_worker "$WORKDIR/w2.ready")
+start_worker "$WORKDIR/w1.ready"
+W1_PID=$STARTED_PID
+start_worker "$WORKDIR/w2.ready"
 wait_ready "$WORKDIR/w1.ready"
 wait_ready "$WORKDIR/w2.ready"
 ENDPOINTS="$(cat "$WORKDIR/w1.ready"),$(cat "$WORKDIR/w2.ready")"
@@ -81,7 +84,7 @@ RUN_ID=$(basename "$RUN_FILE" .jsonl)
 echo "chaos drill: resuming $RUN_ID"
 
 # A replacement worker joins the survivor; a fresh coordinator resumes.
-W3_PID=$(start_worker "$WORKDIR/w3.ready")
+start_worker "$WORKDIR/w3.ready"
 wait_ready "$WORKDIR/w3.ready"
 ENDPOINTS2="$(cat "$WORKDIR/w2.ready"),$(cat "$WORKDIR/w3.ready")"
 python -m repro accuracy mascot phast "${GRID[@]}" --uops "$UOPS" \
@@ -96,24 +99,34 @@ echo "chaos drill: merged results bit-identical after worker kill" \
      "and coordinator restart"
 
 ########################################################################
-# Act two: shared cache service + async submit API.
+# Act two: shared cache service under faults.
 #
-# Starts a `repro cache-serve` result-cache server (with torn-once and
-# corrupt-once protocol faults injected into its replies) and a
-# `repro serve` HTTP coordinator backed by two `--sessions 2` workers,
-# streams a grid submission as NDJSON, SIGKILLs the cache server
-# mid-grid (the client degrades to its read-only local fallback),
-# restarts it on the same port (the client reconnects), and requires
-# the streamed digests to be bit-identical to a serial cache-off run
-# of the same submission.
+# A `repro cache-serve` result-cache server (tearing its first reply)
+# backs act one's grid run over two plain workers.  The cache server is
+# SIGKILLed mid-grid (stores fail and are skipped) and restarted on the
+# same port (the client reconnects).  A top-up pass then stores the
+# entries missed while the server was down, and a warm pass against a
+# server that corrupts its first reply (a hit) must recompute that one
+# cell.  Every pass must print exactly act one's serial output.
 
-echo "chaos drill: act two — cache service + async submit"
+echo "chaos drill: act two — shared cache service"
 
 CACHE_DIR="$WORKDIR/cache"
-REPRO_FAULT_INJECT="torn-once=cache/serve@$WORKDIR/torn.latch;corrupt-once=cache/serve@$WORKDIR/corrupt.latch" \
-python -m repro cache-serve --cache-dir "$CACHE_DIR" \
-    --ready-file "$WORKDIR/cs.ready" >/dev/null 2>&1 &
-CS_PID=$!
+JOURNALS2="$WORKDIR/journals2"
+# The client's read-only fallback directory: empty, so no entry from
+# outside the drill can turn a miss into a hit.
+export REPRO_CACHE_DIR="$WORKDIR/fallback"
+
+start_cache_server() { # $1: ready file; $2: port; $3: fault spec
+    REPRO_FAULT_INJECT="$3" python -m repro cache-serve \
+        --cache-dir "$CACHE_DIR" --port "$2" --ready-file "$1" \
+        >/dev/null 2>&1 &
+    STARTED_PID=$!
+}
+
+start_cache_server "$WORKDIR/cs.ready" 0 \
+    "torn-once=cache/serve@$WORKDIR/torn.latch"
+CS_PID=$STARTED_PID
 wait_ready "$WORKDIR/cs.ready"
 CS_ADDR=$(cat "$WORKDIR/cs.ready")
 CS_PORT="${CS_ADDR##*:}"
@@ -121,97 +134,68 @@ CS_PORT="${CS_ADDR##*:}"
 # Preflight: the cache server answers the protocol handshake too.
 python -m repro doctor --cache-url "tcp://$CS_ADDR"
 
-python -m repro worker --sessions 2 --ready-file "$WORKDIR/w4.ready" \
-    >/dev/null 2>&1 &
-python -m repro worker --sessions 2 --ready-file "$WORKDIR/w5.ready" \
-    >/dev/null 2>&1 &
+start_worker "$WORKDIR/w4.ready"
+start_worker "$WORKDIR/w5.ready"
 wait_ready "$WORKDIR/w4.ready"
 wait_ready "$WORKDIR/w5.ready"
+ENDPOINTS3="$(cat "$WORKDIR/w4.ready"),$(cat "$WORKDIR/w5.ready")"
 
-python -m repro serve \
-    --workers "$(cat "$WORKDIR/w4.ready"),$(cat "$WORKDIR/w5.ready")" \
-    --cache-url "tcp://$CS_ADDR" --ready-file "$WORKDIR/serve.ready" \
-    >/dev/null 2>&1 &
-wait_ready "$WORKDIR/serve.ready"
-SERVE_ADDR=$(cat "$WORKDIR/serve.ready")
+python -m repro accuracy mascot phast "${GRID[@]}" --uops "$UOPS" \
+    --cache-url "tcp://$CS_ADDR" --retries 3 --journal-dir "$JOURNALS2" \
+    --workers "$ENDPOINTS3" >"$WORKDIR/cold.out" 2>"$WORKDIR/cold.err" &
+COORD_PID=$!
 
-cat >"$WORKDIR/grid.json" <<EOF
-{"mode": "accuracy", "predictors": ["mascot", "phast"],
- "benchmarks": ["exchange2", "lbm", "perlbench1", "mcf"],
- "num_uops": $UOPS}
-EOF
-
-cat >"$WORKDIR/submit.py" <<'EOF'
-"""Stream one NDJSON grid submission to stdout as records settle."""
-import sys
-import urllib.request
-
-addr, grid = sys.argv[1], sys.argv[2]
-request = urllib.request.Request(
-    f"http://{addr}/submit", data=open(grid, "rb").read(),
-    headers={"Content-Type": "application/json"})
-with urllib.request.urlopen(request, timeout=900) as response:
-    for line in response:
-        text = line.decode().strip()
-        if text:
-            print(text, flush=True)
-EOF
-
-python "$WORKDIR/submit.py" "$SERVE_ADDR" "$WORKDIR/grid.json" \
-    >"$WORKDIR/stream.ndjson" &
-SUBMIT_PID=$!
-
-wait_cells() { # $1: minimum streamed cell records
-    for _ in $(seq 1 1200); do
-        n=$(grep -c '"event": "cell"' "$WORKDIR/stream.ndjson" \
-            2>/dev/null || true)
-        [ "${n:-0}" -ge "$1" ] && return 0
-        sleep 0.1
-    done
-    echo "chaos drill: timed out waiting for $1 streamed cells" >&2
-    exit 1
-}
-
-wait_cells 1
+wait_oks 1 "$JOURNALS2"
 kill -9 "$CS_PID"               # the cache server dies mid-grid ...
 echo "chaos drill: killed cache server (pid $CS_PID)"
-wait_cells 3                    # ... and the grid keeps settling without it
-python -m repro cache-serve --cache-dir "$CACHE_DIR" --port "$CS_PORT" \
-    --ready-file "$WORKDIR/cs2.ready" >/dev/null 2>&1 &
+wait_oks 3 "$JOURNALS2"         # ... and the grid keeps settling without it
+start_cache_server "$WORKDIR/cs2.ready" "$CS_PORT" ""
+CS_PID=$STARTED_PID
 wait_ready "$WORKDIR/cs2.ready"
 echo "chaos drill: restarted cache server on port $CS_PORT"
 
-wait "$SUBMIT_PID"
+wait "$COORD_PID"
+diff "$WORKDIR/cold.out" "$WORKDIR/clean.out"
 
-# The injected protocol fault really fired (its latch file exists);
-# the client absorbed it with a reconnect retry.
+# The injected torn reply really fired (its latch file exists); the
+# client absorbed it with a reconnect retry.
 if [ ! -f "$WORKDIR/torn.latch" ]; then
     echo "chaos drill: injected torn fault never fired" >&2
     exit 1
 fi
 
-# Bit-identical to a serial cache-off run of the same submission.
+# Top-up: store the cells that settled while the server was down, so
+# the warm pass below finds every entry.
+python -m repro accuracy mascot phast "${GRID[@]}" --uops "$UOPS" \
+    --cache-url "tcp://$CS_ADDR" --no-journal \
+    --workers "$ENDPOINTS3" >"$WORKDIR/topup.out"
+diff "$WORKDIR/topup.out" "$WORKDIR/clean.out"
+kill "$CS_PID"
+
+# Warm pass: a fresh server over the now-complete cache corrupts the
+# digest of its first reply, which is a hit.  The client must reject it
+# as a miss and recompute the cell.
+start_cache_server "$WORKDIR/cs3.ready" 0 \
+    "corrupt-once=cache/serve@$WORKDIR/corrupt.latch"
+wait_ready "$WORKDIR/cs3.ready"
+python -m repro accuracy mascot phast "${GRID[@]}" --uops "$UOPS" \
+    --cache-url "tcp://$(cat "$WORKDIR/cs3.ready")" --no-journal \
+    --metrics "$WORKDIR/warm.jsonl" \
+    --workers "$ENDPOINTS3" >"$WORKDIR/warm.out"
+diff "$WORKDIR/warm.out" "$WORKDIR/clean.out"
 python - "$WORKDIR" <<'EOF'
-import json
+import os
 import sys
 
-from repro.experiments.parallel import execute_cells
-from repro.experiments.serve import SubmissionSpec, submission_summary
+from repro.obs import summarize_metrics
 
 workdir = sys.argv[1]
-with open(f"{workdir}/grid.json") as handle:
-    spec = SubmissionSpec(json.load(handle))
-results = execute_cells(spec.cells, cache=None, journal=None)
-reference = submission_summary(spec.mode, spec.cells, results)["digests"]
-
-records = [json.loads(line)
-           for line in open(f"{workdir}/stream.ndjson") if line.strip()]
-done = records[-1]
-assert done["event"] == "done", done
-assert done["failed"] == 0, done
-streamed = done["summary"]["digests"]
-assert streamed == reference, (streamed, reference)
-print(f"chaos drill: {len(streamed)} streamed digests bit-identical "
-      "to the serial cache-off reference")
+assert os.path.exists(f"{workdir}/corrupt.latch"), \
+    "chaos drill: injected corrupt fault never fired"
+cache = summarize_metrics(f"{workdir}/warm.jsonl")["cache"]
+assert cache["corrupt_replies"] >= 1, cache
+print(f"chaos drill: warm pass rejected {cache['corrupt_replies']} "
+      f"corrupt reply and recomputed; cache counters {cache}")
 EOF
-echo "chaos drill: submission survived a cache-server kill + restart"
+echo "chaos drill: shared-cache grid bit-identical through a cache-server" \
+     "kill, restart, torn reply and corrupt reply"

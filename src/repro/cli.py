@@ -20,8 +20,8 @@ can be reproduced without writing Python:
   determinism/cache safety, hardware realizability; see
   :mod:`repro.lint`).
 * ``doctor``    — environment health checks (cache/journal writability,
-  cache-lock discipline, worker spawn, ``--workers`` endpoint preflight,
-  lint baseline; see :mod:`repro.doctor`).
+  worker spawn, ``--workers`` endpoint preflight, lint baseline; see
+  :mod:`repro.doctor`).
 * ``worker``    — serve suite cells to a coordinator over TCP (the
   ``--backend workers`` substrate; see
   :mod:`repro.experiments.worker`).
@@ -29,9 +29,6 @@ can be reproduced without writing Python:
   coordinators over TCP; sweeps attach with ``--cache-url
   tcp://host:port`` or ``$REPRO_CACHE_URL`` (see
   :mod:`repro.experiments.cache_service` and docs/cache-service.md).
-* ``serve``     — async HTTP coordinator: POST JSON grid submissions to
-  ``/submit`` and stream per-cell results back as NDJSON while multiple
-  tenants share one worker fleet (see :mod:`repro.experiments.serve`).
 * ``bench-baseline`` — measure scalar vs batched engine throughput and
   write (or, with ``--check``, compare against) the committed
   ``benchmarks/BENCH_throughput.json`` (see docs/performance.md).
@@ -473,11 +470,6 @@ def _build_parser() -> argparse.ArgumentParser:
     worker.add_argument("--max-sessions", type=int, default=None,
                         metavar="N",
                         help="exit after N coordinator sessions")
-    worker.add_argument("--sessions", type=_positive_int, default=1,
-                        metavar="N",
-                        help="concurrent coordinator sessions; >1 lets "
-                             "'repro serve' tenants multiplex this worker "
-                             "(default: %(default)s)")
 
     cache_serve = sub.add_parser(
         "cache-serve",
@@ -498,38 +490,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cache_serve.add_argument("--max-sessions", type=int, default=None,
                              metavar="N",
                              help="exit after N client sessions")
-
-    serve_http_p = sub.add_parser(
-        "serve",
-        help="async HTTP coordinator: POST grid submissions, stream "
-             "per-cell results as NDJSON",
-    )
-    serve_http_p.add_argument("--host", default="127.0.0.1",
-                              help="address to bind "
-                                   "(default: %(default)s)")
-    serve_http_p.add_argument("--port", type=int, default=0,
-                              help="TCP port (default: 0 = ephemeral)")
-    serve_http_p.add_argument("--ready-file", default=None, metavar="FILE",
-                              help="write host:port here once listening")
-    serve_http_p.add_argument("--workers", default=None,
-                              metavar="HOST:PORT[,HOST:PORT...]",
-                              help="repro worker endpoints every "
-                                   "submission dispatches to (default: "
-                                   "compute locally)")
-    serve_http_p.add_argument("--jobs", type=_positive_int, default=1,
-                              metavar="N",
-                              help="local process count when no "
-                                   "--workers (default: %(default)s)")
-    serve_cache_args = serve_http_p.add_mutually_exclusive_group()
-    serve_cache_args.add_argument("--cache-url", default=None,
-                                  metavar="URL",
-                                  help="tcp://host:port of a "
-                                       "'repro cache-serve'")
-    serve_cache_args.add_argument("--cache-dir", type=_cache_directory,
-                                  default=None, metavar="DIR",
-                                  help="local cache directory")
-    serve_cache_args.add_argument("--no-cache", action="store_true",
-                                  help="disable the result cache")
 
     return parser
 
@@ -831,19 +791,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "worker":
         from .experiments.worker import serve
         serve(host=args.host, port=args.port, ready_file=args.ready_file,
-              max_sessions=args.max_sessions, sessions=args.sessions)
+              max_sessions=args.max_sessions)
         return 0
     if args.command == "cache-serve":
         from .experiments.cache_service import serve_cache
         serve_cache(host=args.host, port=args.port,
                     directory=args.cache_dir, ready_file=args.ready_file,
                     max_sessions=args.max_sessions)
-        return 0
-    if args.command == "serve":
-        from .experiments.serve import serve_http
-        serve_http(host=args.host, port=args.port,
-                   execution=Execution.from_args(args),
-                   ready_file=args.ready_file)
         return 0
     raise AssertionError(f"unhandled command {args.command}")
 

@@ -10,8 +10,6 @@ check fails.
 Checks:
 
 * result-cache directory is creatable and writable,
-* cache-dir lock files can be taken exclusively (``O_EXCL`` honoured —
-  shared-filesystem caches sometimes fake it),
 * run-journal directory is creatable and writable,
 * a worker process can be spawned and returns a result (the parallel
   engine's substrate),
@@ -54,18 +52,6 @@ def _check_cache_dir(cache_dir: Optional[str]) -> Tuple[bool, str]:
         return False, (f"cache dir {cache.directory} not writable: {error} "
                        "— set $REPRO_CACHE_DIR or pass --cache-dir")
     return True, f"cache dir writable: {cache.directory}"
-
-
-def _check_cache_lock(cache_dir: Optional[str]) -> Tuple[bool, str]:
-    from .experiments.result_cache import ResultCache
-
-    cache = ResultCache(cache_dir)
-    error = cache.probe_lock()
-    if error is not None:
-        return False, (f"cache dir {cache.directory} lock probe failed: "
-                       f"{error} — concurrent writers on this filesystem "
-                       "cannot be serialised")
-    return True, f"cache lock discipline ok: {cache.directory}"
 
 
 def _check_worker_endpoints(workers: str) -> Tuple[bool, str]:
@@ -216,7 +202,6 @@ def run_doctor(cache_dir: Optional[str] = None,
     """
     checks: List[Tuple[str, Callable[[], Tuple[bool, str]]]] = [
         ("cache", lambda: _check_cache_dir(cache_dir)),
-        ("cache-lock", lambda: _check_cache_lock(cache_dir)),
         ("cache-tmp", lambda: _check_orphan_tmp(cache_dir)),
         ("journal", lambda: _check_journal_dir(journal_dir)),
         ("workers", _check_worker_spawn),
@@ -224,10 +209,10 @@ def run_doctor(cache_dir: Optional[str] = None,
         ("simulator", _check_simulator),
     ]
     if workers is not None:
-        checks.insert(5, ("endpoints",
+        checks.insert(4, ("endpoints",
                           lambda: _check_worker_endpoints(workers)))
     if cache_url is not None:
-        checks.insert(3, ("cache-server",
+        checks.insert(2, ("cache-server",
                           lambda: _check_cache_server(cache_url)))
     failures = 0
     for name, check in checks:

@@ -13,9 +13,8 @@ payloads preserves bit-identical results.  This module makes the cache a
   directory.  Stores are digest-checked server-side (a corrupt upload is
   rejected, never persisted); corrupt on-disk entries are quarantined on
   read exactly as in the local cache.  One process serialises all
-  writers, so the NFS lock-file discipline (the *filesystem-only legacy
-  path*, see :class:`~repro.experiments.result_cache.CacheLock`) is not
-  needed.
+  writers, so this is how hosts share one cache: a shared filesystem is
+  never needed.
 * :class:`NetworkCacheClient` — slots in wherever
   :class:`~repro.experiments.result_cache.ResultCache` is used (selected
   via ``--cache-url`` or ``$REPRO_CACHE_URL``; see
@@ -150,8 +149,7 @@ class _CacheServer:
 
     One lock serialises every cache operation: the on-disk cache below is
     plain :class:`ResultCache` and this single process is the only
-    writer, which is exactly what makes the lock-file discipline
-    unnecessary here.
+    writer.
     """
 
     def __init__(self, directory: Union[str, Path, None]):
@@ -225,8 +223,8 @@ def serve_cache(host: str = "127.0.0.1", port: int = 0,
                 quiet: bool = False) -> int:
     """Listen for cache clients; returns the bound port.
 
-    Each connection gets its own session thread (coordinators and ``repro
-    serve`` tenants multiplex freely); all of them share one
+    Each connection gets its own session thread (coordinators multiplex
+    freely); all of them share one
     :class:`ResultCache` behind one lock.  ``port=0`` binds an ephemeral
     port, written as ``host:port`` to ``ready_file`` when given;
     ``max_sessions`` exits after that many client sessions (tests);
@@ -321,7 +319,6 @@ class NetworkCacheClient:
         self.misses = 0
         self.stores = 0
         self.quarantined = 0  # quarantining happens server-side
-        self.lock_timeouts = 0  # no lock files on this path
         # …plus network-specific ones.
         self.rpc_errors = 0
         self.reconnects = 0
@@ -488,7 +485,6 @@ class NetworkCacheClient:
             "misses": self.misses,
             "stores": self.stores,
             "quarantined": self.quarantined,
-            "lock_timeouts": self.lock_timeouts,
             "rpc_errors": self.rpc_errors,
             "reconnects": self.reconnects,
             "corrupt_replies": self.corrupt_replies,

@@ -48,9 +48,9 @@ from __future__ import annotations
 
 import ast
 import hashlib
-import itertools
 import json
 import os
+import threading
 import time
 from dataclasses import asdict, is_dataclass
 from functools import lru_cache
@@ -64,7 +64,6 @@ from .runner import PredictionRunResult
 __all__ = [
     "CACHE_DIR_ENV",
     "CACHE_SCHEMA_VERSION",
-    "CacheLock",
     "ResultCache",
     "cell_key",
     "decode_result",
@@ -225,133 +224,6 @@ def decode_result(payload: Dict) -> Union[PipelineStats, PredictionRunResult]:
     raise ValueError(f"unknown cached result kind {kind!r}")
 
 
-class CacheLock:
-    """Advisory cross-process lock file for shared cache directories.
-
-    ``os.replace`` already makes each local store atomic, but a
-    multi-host sweep (``WorkerBackend`` coordinators on several machines
-    pointed at one NFS-mounted cache) can race two writers on the same
-    key: rename atomicity across NFS clients is weaker, and concurrent
-    quarantine moves can collide.  The lock is an ``O_CREAT | O_EXCL``
-    file next to the entry — the one creation primitive that is atomic on
-    NFS — holding a per-acquire ownership token (``pid:nonce``).
-
-    Ownership discipline: every unlink is conditional on the lock file
-    still holding the token the unlinker observed.  ``release`` only
-    removes the file when it still carries *this* acquire's token (a
-    stale-breaker may have removed our lock and a third party re-acquired
-    it — unconditional unlink would steal theirs), and a stale-break only
-    removes the file when it still carries the token whose age was judged
-    stale (the holder may have released and someone else re-acquired
-    between ``stat`` and ``unlink``).
-
-    Deliberately *best-effort*: if the lock cannot be acquired within
-    ``timeout`` seconds the caller proceeds unlocked (counted by the
-    owner, surfaced in doctor/metrics) rather than stalling a sweep —
-    losing the race costs at worst one redundant store of bit-identical
-    bytes.  A lock file older than ``stale_after`` seconds is broken: its
-    holder died between acquire and release, and no store ever takes
-    anywhere near that long.
-
-    This lock-file discipline is the *filesystem-only legacy path* for
-    sharing a cache directory across hosts; the network cache service
-    (:mod:`repro.experiments.cache_service`) serialises writers in one
-    process and needs none of it.
-    """
-
-    #: Per-process nonce source making each acquire's token unique even
-    #: when one process re-acquires the same lock path (deterministic —
-    #: no entropy reaches any result payload).
-    _NONCES = itertools.count()
-
-    def __init__(self, path: Union[str, Path], timeout: float = 2.0,
-                 stale_after: float = 30.0):
-        self.path = Path(path)
-        self.timeout = float(timeout)
-        self.stale_after = float(stale_after)
-        self.acquired = False
-        self.token: Optional[str] = None
-
-    def acquire(self) -> bool:
-        """Try to take the lock; False means *proceed unlocked*."""
-        deadline = time.monotonic() + self.timeout
-        token = f"{os.getpid()}:{next(self._NONCES)}"
-        while True:
-            try:
-                fd = os.open(self.path,
-                             os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                self._break_if_stale()
-                if time.monotonic() >= deadline:
-                    return False
-                time.sleep(0.05)
-                continue
-            except OSError:
-                return False  # unwritable directory: proceed unlocked
-            try:
-                os.write(fd, token.encode())
-            finally:
-                os.close(fd)
-            self.acquired = True
-            self.token = token
-            return True
-
-    def _read_state(self) -> Optional[Tuple[str, float]]:
-        """Current ``(token, age_seconds)`` of the lock file, or None."""
-        try:
-            token = self.path.read_text()
-            # Wall-clock age of the lock file vs its mtime: gates crash
-            # cleanup only, never results.
-            # repro-lint: allow(det-time) -- lock-file age for stale-break
-            age = time.time() - self.path.stat().st_mtime
-        except OSError:
-            return None  # raced another breaker, or the holder released
-        return token, age
-
-    def _unlink_if_token(self, token: str) -> bool:
-        """Remove the lock file iff it still holds ``token``.
-
-        The token check closes the ownership races: a lock that changed
-        hands between our last observation and now presents a different
-        token and is left alone.  (A raced re-acquire *between* the check
-        and the unlink remains theoretically possible with plain POSIX
-        primitives, but requires a full release+re-acquire cycle inside
-        that microsecond window — compared to the seconds-wide stat/unlink
-        window this replaces.)
-        """
-        try:
-            if self.path.read_text() != token:
-                return False
-            self.path.unlink()
-            return True
-        except OSError:
-            return False
-
-    def _break_if_stale(self) -> None:
-        """Remove a lock whose holder evidently died; best-effort."""
-        observed = self._read_state()
-        if observed is None:
-            return
-        token, age = observed
-        if age > self.stale_after:
-            self._unlink_if_token(token)
-
-    def release(self) -> None:
-        if not self.acquired:
-            return
-        self.acquired = False
-        token, self.token = self.token, None
-        if token is not None:
-            self._unlink_if_token(token)
-
-    def __enter__(self) -> "CacheLock":
-        self.acquire()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.release()
-
-
 class ResultCache:
     """One JSON file per cell key under a cache directory.
 
@@ -374,10 +246,6 @@ class ResultCache:
         self.misses = 0
         self.stores = 0
         self.quarantined = 0
-        #: Stores/quarantines that proceeded unlocked after losing the
-        #: lock race past its timeout (harmless locally; a signal that a
-        #: shared cache directory is congested or its FS is slow).
-        self.lock_timeouts = 0
 
     def path_for(self, key: str) -> Path:
         return self.directory / f"{key}.json"
@@ -402,31 +270,6 @@ class ResultCache:
         except OSError as error:
             return str(error)
         return None
-
-    def probe_lock(self) -> Optional[str]:
-        """None when a lock file can be taken and released, else the reason.
-
-        ``repro doctor`` preflight for shared cache directories: some
-        network filesystems advertise writability yet break ``O_EXCL``
-        creation semantics, which would silently disable the concurrent
-        -writer discipline below.
-        """
-        try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-        except OSError as error:
-            return str(error)
-        lock = CacheLock(self.directory / f".probe-{os.getpid()}.lock",
-                         timeout=0.5)
-        if not lock.acquire():
-            return "could not create an O_EXCL lock file"
-        if lock.acquire():  # a second grab must fail while held
-            lock.release()
-            return "lock file was not exclusive (O_EXCL not honoured)"
-        lock.release()
-        return None
-
-    def _lock_for(self, path: Path) -> CacheLock:
-        return CacheLock(path.with_name(path.name + ".lock"))
 
     def contains(self, key: str) -> bool:
         """Whether an entry file exists for ``key`` (no verification).
@@ -483,27 +326,25 @@ class ResultCache:
         return decode_result(encoded)
 
     def _quarantine(self, path: Path) -> None:
-        """Move a corrupt entry aside; best-effort, never raises."""
+        """Move a corrupt entry aside; best-effort, never raises.
+
+        Two processes quarantining the same entry race harmlessly: the
+        loser's ``os.replace`` finds the entry gone and it stays a miss.
+        """
         if self.read_only:
             return  # the entry simply stays a miss
         try:
-            lock = self._lock_for(path)
-            if not lock.acquire():
-                self.lock_timeouts += 1
-            try:
-                qdir = self.quarantine_dir
-                qdir.mkdir(parents=True, exist_ok=True)
-                target = qdir / path.name
-                counter = 0
-                while target.exists():
-                    counter += 1
-                    target = qdir / f"{path.name}.{counter}"
-                os.replace(path, target)
-                self.quarantined += 1
-            finally:
-                lock.release()
+            qdir = self.quarantine_dir
+            qdir.mkdir(parents=True, exist_ok=True)
+            target = qdir / path.name
+            counter = 0
+            while target.exists():
+                counter += 1
+                target = qdir / f"{path.name}.{counter}"
+            os.replace(path, target)
+            self.quarantined += 1
         except OSError:
-            pass  # read-only cache: the entry simply stays a miss
+            pass  # read-only cache or a lost race: the entry stays a miss
 
     def store_encoded(self, key: str, encoded: Dict) -> None:
         """Atomically persist an already-encoded payload under ``key``.
@@ -511,15 +352,16 @@ class ResultCache:
         The writing half of :meth:`store` — also the server side of the
         network cache service.  The temp-file + ``os.replace`` dance
         guarantees a reader (or a worker killed mid-write) can never
-        observe a torn entry, and a per-entry :class:`CacheLock`
-        serialises concurrent writers of the same key on shared
-        filesystems (several coordinators warming one NFS cache).  Losing
-        the lock race past its timeout downgrades to the unlocked store —
-        still atomic locally — and bumps ``lock_timeouts``.  A read-only
+        observe a torn entry.  The temp name is unique per writer
+        (``<key>.json.tmp<pid>-<thread id>``), so any number of processes
+        and threads on one host may store the same key at once: each
+        renames its own complete file over the entry and the last rename
+        wins with bit-identical bytes.  Hosts share a cache through
+        ``repro cache-serve``, never a shared filesystem.  A read-only
         cache skips the store silently (the warning was issued once, at
         resolve time).  A write that fails partway (disk full, killed
         writer) removes its temp file on the way out instead of stranding
-        ``<key>.json.tmp<pid>`` forever.
+        it forever.
         """
         if self.read_only:
             return
@@ -531,22 +373,17 @@ class ResultCache:
         }
         self.directory.mkdir(parents=True, exist_ok=True)
         path = self.path_for(key)
-        lock = self._lock_for(path)
-        if not lock.acquire():
-            self.lock_timeouts += 1
+        tmp = path.with_name(
+            f"{path.name}.tmp{os.getpid()}-{threading.get_ident()}")
         try:
-            tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
-            try:
-                tmp.write_text(json.dumps(payload))
-                os.replace(tmp, path)
-            finally:
-                try:
-                    tmp.unlink()  # no-op after a successful os.replace
-                except OSError:
-                    pass
-            self.stores += 1
+            tmp.write_text(json.dumps(payload))
+            os.replace(tmp, path)
         finally:
-            lock.release()
+            try:
+                tmp.unlink()  # no-op after a successful os.replace
+            except OSError:
+                pass
+        self.stores += 1
 
     def store(self, key: str, result: object) -> None:
         """Atomically persist ``result`` under ``key`` (see store_encoded)."""
@@ -562,11 +399,10 @@ class ResultCache:
             "misses": self.misses,
             "stores": self.stores,
             "quarantined": self.quarantined,
-            "lock_timeouts": self.lock_timeouts,
         }
 
     def orphan_tmp_files(self) -> List[Path]:
-        """Stranded ``<key>.json.tmp<pid>`` files in the cache directory.
+        """Stranded ``<key>.json.tmp*`` files in the cache directory.
 
         Pre-fix writers (and writers killed between ``write_text`` and
         ``os.replace``, which no ``finally`` can save) leave temp files

@@ -2,12 +2,7 @@
 
 One worker process listens on one port and serves one coordinator session
 at a time (the coordinator holds one connection per worker and keeps at
-most one cell in flight on it).  With ``--sessions N`` the worker instead
-accepts up to N concurrent coordinator sessions — the multiplexing mode
-``repro serve`` tenants need to share one fleet — computing one cell at
-a time under a global compute lock (the host has the same cores either
-way) while every queued session's heartbeats keep its lease fresh.
-For every ``run`` frame the worker:
+most one cell in flight on it).  For every ``run`` frame the worker:
 
 1. decodes the wire :class:`~repro.experiments.parallel.CellSpec`,
 2. starts a heartbeat thread beating every ``heartbeat`` seconds so the
@@ -33,9 +28,9 @@ lease), ``torn`` truncates the result frame mid-send (worker-lost),
 ``corrupt`` flips the result digest (result-corrupt, exercising the
 coordinator's payload verification).
 
-Listening, the hello exchange, session threads and shutdown are the
-shared :class:`~repro.experiments.backends.FrameServer`; this module
-holds only what a worker does with a session.
+Listening, the hello exchange and shutdown are the shared
+:class:`~repro.experiments.backends.FrameServer`; this module holds only
+what a worker does with a session.
 """
 
 from __future__ import annotations
@@ -62,8 +57,7 @@ def serve(host: str = "127.0.0.1", port: int = 0,
           ready_file: Optional[str] = None,
           max_sessions: Optional[int] = None,
           stop: Optional[threading.Event] = None,
-          quiet: bool = False,
-          sessions: int = 1) -> int:
+          quiet: bool = False) -> int:
     """Listen for coordinator sessions; returns the bound port.
 
     ``port=0`` binds an ephemeral port, printed on stdout and written
@@ -71,29 +65,19 @@ def serve(host: str = "127.0.0.1", port: int = 0,
     tests poll that file instead of parsing output.  ``max_sessions``
     exits after that many coordinator sessions (tests); ``stop`` is an
     optional event polled between ``accept`` attempts (in-process use).
-
-    ``sessions`` is the concurrent-session capacity.  The default 1 is
-    the historical single-coordinator loop: one session at a time, cells
-    computed in the main thread (so an injected SIGKILL crash fault
-    takes the whole process down, exactly like a real OOM kill).  With
-    ``sessions > 1`` each accepted connection gets a session thread and
-    cells are computed one at a time under a shared compute lock;
-    heartbeats start *before* the lock is taken, so a cell queued behind
-    another tenant's cell keeps its lease fresh while it waits.  (A
-    SIGKILL still kills the whole process from any thread.)
+    Sessions run one at a time with cells computed in the main thread,
+    so an injected SIGKILL crash fault takes the whole process down,
+    exactly like a real OOM kill.
     """
-    compute_lock = threading.Lock() if sessions > 1 else None
-    server = FrameServer("worker", lambda conn: _session(conn, compute_lock),
-                         host, port, threaded=sessions > 1,
-                         backlog=max(1, sessions))
+    server = FrameServer("worker", _session, host, port, threaded=False,
+                         backlog=1)
     if not quiet:
         print(f"[repro-worker] listening on {host}:{server.port} "
-              f"(protocol v{PROTOCOL_VERSION}, sessions={sessions})",
-              flush=True)
+              f"(protocol v{PROTOCOL_VERSION})", flush=True)
     return server.serve(ready_file, max_sessions, stop)
 
 
-def _session(conn, compute_lock: Optional[threading.Lock]) -> None:
+def _session(conn) -> None:
     """One coordinator session after the hello exchange: serve run frames."""
     send_lock = threading.Lock()
     while True:
@@ -101,12 +85,10 @@ def _session(conn, compute_lock: Optional[threading.Lock]) -> None:
         if frame is None:
             return
         if frame.get("type") == "run":
-            _run_cell(conn, send_lock, frame, compute_lock)
+            _run_cell(conn, send_lock, frame)
 
 
-def _run_cell(conn, send_lock: threading.Lock,
-              frame: dict,
-              compute_lock: Optional[threading.Lock] = None) -> None:
+def _run_cell(conn, send_lock: threading.Lock, frame: dict) -> None:
     """Compute one leased cell and send its terminal frame."""
     from .parallel import compute_cell  # deferred: parallel imports backends
     from .result_cache import encode_result
@@ -131,13 +113,7 @@ def _run_cell(conn, send_lock: threading.Lock,
         beat.start()
     try:
         try:
-            if compute_lock is not None:
-                # Multi-session mode: one cell computes at a time; the
-                # heartbeat thread above keeps the lease fresh meanwhile.
-                with compute_lock:
-                    result = compute_cell(spec)
-            else:
-                result = compute_cell(spec)
+            result = compute_cell(spec)
         except Exception as error:  # cell failed; report and stay alive
             send_frame(conn, {"type": "error", "lease": lease,
                               "error": f"{type(error).__name__}: {error}"},

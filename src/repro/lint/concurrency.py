@@ -27,10 +27,12 @@ that surface:
   audited frame codec; a stray socket elsewhere bypasses the lease,
   digest and fault-injection machinery.
 * ``conc-file-lock``      — file-locking primitives (``fcntl.flock`` /
-  ``lockf``, ``os.open`` with ``O_EXCL``) outside the result cache
-  (:data:`FILE_LOCK_SANCTIONED_MODULES`), whose ``CacheLock`` is the one
-  place allowed to hold cross-process locks — ad-hoc locks deadlock
-  against it on shared filesystems.
+  ``lockf``, ``os.open`` with ``O_EXCL``) anywhere
+  (:data:`FILE_LOCK_SANCTIONED_MODULES` is empty).  Processes on one
+  host share a cache directory through atomic renames of per-writer
+  temp files, and hosts share one through ``repro cache-serve``, whose
+  single process serialises every writer; a cross-process file lock
+  would be a second, unaudited writer discipline.
 
 Reachability is the conservative call-graph closure of
 :mod:`repro.lint.callgraph` seeded at ``compute_cell``; ``functools``
@@ -60,7 +62,7 @@ RULES: Dict[str, str] = {
     "conc-process-handle": "process-bound handle created at module scope in "
                            "a worker-reachable module",
     "conc-socket": "socket use outside the sanctioned protocol modules",
-    "conc-file-lock": "file-lock primitive outside the result cache",
+    "conc-file-lock": "cross-process file-lock primitive",
 }
 
 #: (module suffix, function name) seeds for worker reachability: the pure
@@ -75,11 +77,9 @@ SOCKET_SANCTIONED_MODULES = frozenset({
     "repro.experiments.backends",
 })
 
-#: The only module allowed to take cross-process file locks: the result
-#: cache's ``CacheLock`` (shared-filesystem writer discipline).
-FILE_LOCK_SANCTIONED_MODULES = frozenset({
-    "repro.experiments.result_cache",
-})
+#: Modules allowed to take cross-process file locks: none.  Cache
+#: writers never lock (see the ``conc-file-lock`` entry above).
+FILE_LOCK_SANCTIONED_MODULES = frozenset()
 
 #: Calls that create a network socket.
 _SOCKET_CALLS = frozenset({
@@ -330,10 +330,11 @@ def _boundary_findings(index: PackageIndex) -> List[Finding]:
                 findings.append(Finding(
                     rule="conc-file-lock", module=name, path=str(mod.path),
                     line=node.lineno, col=node.col_offset,
-                    message=f"{target}() takes a cross-process file lock "
-                            "outside repro.experiments.result_cache; use "
-                            "CacheLock so lock discipline stays in one "
-                            "audited place",
+                    message=f"{target}() takes a cross-process file lock; "
+                            "cache writers share a directory through "
+                            "atomic renames and hosts share a cache "
+                            "through repro cache-serve, so no module "
+                            "locks files",
                     symbol=f"{name}:{target}",
                 ))
     return findings

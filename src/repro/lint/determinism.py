@@ -86,9 +86,6 @@ MONOTONIC_CLOCK_MODULES = frozenset({
     # Distributed substrate: lease deadlines, heartbeat ages, reconnect
     # cooldowns — scheduling only, never part of a result.
     "repro.experiments.backends",
-    # CacheLock wait budget (its one wall-clock read, lock-file age for
-    # stale-break, carries a det-time pragma at the call site).
-    "repro.experiments.result_cache",
     # Cache-client reconnect cooldown — scheduling only.
     "repro.experiments.cache_service",
 })
@@ -113,8 +110,6 @@ SANCTIONED_WRITE_MODULES = frozenset({
     # repro worker and repro cache-serve; cell computation inside the
     # worker stays write-free and cache entries go through result_cache.
     "repro.experiments.backends",
-    # The HTTP coordinator writes the same ready-file breadcrumb.
-    "repro.experiments.serve",
 })
 
 _RANDOM_DRAWS = frozenset({

@@ -69,13 +69,12 @@ _BACKEND_COUNTERS = (
 
 #: Result-cache counter names folded into the nested ``cache`` summary
 #: from ``sweep`` records.  Local :class:`ResultCache` stores report the
-#: first five; a :class:`NetworkCacheClient` adds the transport counters
+#: first four; a :class:`NetworkCacheClient` adds the transport counters
 #: (kept nested because ``reconnects`` would collide with the backend
 #: counter of the same name).
 _CACHE_COUNTERS = (
-    "hits", "misses", "stores", "quarantined", "lock_timeouts",
-    "rpc_errors", "reconnects", "corrupt_replies", "rejected_stores",
-    "fallback_hits",
+    "hits", "misses", "stores", "quarantined", "rpc_errors", "reconnects",
+    "corrupt_replies", "rejected_stores", "fallback_hits",
 )
 
 

@@ -98,7 +98,7 @@ def workers(tmp_path):
     """
     procs = []
 
-    def launch(n=2, env_extra=None, args_extra=None):
+    def launch(n=2, env_extra=None):
         env = dict(os.environ)
         env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
         if env_extra:
@@ -109,7 +109,7 @@ def workers(tmp_path):
             ready = tmp_path / f"worker-{len(procs)}-{i}.ready"
             proc = subprocess.Popen(
                 [sys.executable, "-m", "repro", "worker",
-                 "--ready-file", str(ready), *(args_extra or [])],
+                 "--ready-file", str(ready)],
                 env=env, stdout=subprocess.DEVNULL,
                 stderr=subprocess.DEVNULL)
             procs.append(proc)
@@ -496,31 +496,6 @@ class TestDistributedExecution:
         grants = [json.loads(l) for l in lines.splitlines()
                   if '"lease"' in l and '"grant"' in l]
         assert len(grants) == len(GRID)
-
-    def test_multi_session_worker_serves_two_coordinators(self, workers,
-                                                          serial_grid):
-        """One ``--sessions 2`` worker multiplexes two concurrent
-        coordinators (the ``repro serve`` tenant shape): cells compute
-        one at a time under the shared lock, queued cells' heartbeats
-        keep their leases fresh, and every result stays bit-identical."""
-        endpoints, _ = workers(1, args_extra=["--sessions", "2"])
-        outcomes = {}
-
-        def coordinator(name, cells):
-            outcomes[name] = execute_cells(cells, backend=endpoints,
-                                           policy=_policy())
-
-        threads = [
-            threading.Thread(target=coordinator, args=("a", GRID[:2])),
-            threading.Thread(target=coordinator, args=("b", GRID[2:])),
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-        assert not any(thread.is_alive() for thread in threads)
-        merged = outcomes["a"] + outcomes["b"]
-        assert _encoded(merged) == _encoded(serial_grid)
 
     def test_worker_flags(self, workers):
         endpoints, _ = workers(1)

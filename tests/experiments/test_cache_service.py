@@ -488,17 +488,6 @@ class TestExecuteCellsIntegration:
         stats = probe_cache_server(server.host, server.port)
         assert stats["counters"]["server_stores"] == 1
 
-    def test_settle_callback_reports_sources(self, server, monkeypatch,
-                                             tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "local"))
-        execute_cells(SPECS, cache=server.url, journal=None)
-        settled = []
-        execute_cells(
-            SPECS, cache=server.url, journal=None,
-            settle=lambda position, spec, key, outcome, source:
-                settled.append((position, source)))
-        assert sorted(settled) == [(0, "cache"), (1, "cache")]
-
 
 class TestProbeCacheServerErrors:
     def test_unreachable_raises_oserror(self):

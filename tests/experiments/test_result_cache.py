@@ -6,7 +6,13 @@ worse than a cache miss.
 """
 
 import dataclasses
+import fnmatch
 import json
+import multiprocessing
+import os
+import stat
+import sys
+import threading
 
 import pytest
 
@@ -17,7 +23,6 @@ from repro.core.stats import PipelineStats
 from repro.experiments.parallel import CellSpec, execute_cells
 from repro.experiments.result_cache import (
     CACHE_DIR_ENV,
-    CacheLock,
     ResultCache,
     cell_key,
     default_cache_dir,
@@ -359,137 +364,30 @@ class TestPredictorSalt:
         assert rc.predictor_fingerprint("phast")["code"] == unrelated
 
 
-class TestCacheLock:
-    """Lock-file discipline for shared (multi-coordinator) caches."""
-
-    def test_exclusive_while_held(self, tmp_path):
-        lock = CacheLock(tmp_path / "entry.lock")
-        assert lock.acquire()
-        rival = CacheLock(tmp_path / "entry.lock", timeout=0.2)
-        assert not rival.acquire()
-        lock.release()
-        assert rival.acquire()
-        rival.release()
-
-    def test_lock_file_holds_token_and_is_removed_on_release(self, tmp_path):
-        import os
-
-        path = tmp_path / "entry.lock"
-        with CacheLock(path) as lock:
-            assert lock.acquired
-            assert path.read_text() == lock.token
-            pid, _, nonce = path.read_text().partition(":")
-            assert pid == str(os.getpid())
-            assert nonce.isdigit()
-        assert not path.exists()
-
-    def test_tokens_unique_per_acquire(self, tmp_path):
-        lock = CacheLock(tmp_path / "entry.lock")
-        assert lock.acquire()
-        first = lock.token
-        lock.release()
-        assert lock.acquire()
-        assert lock.token != first
-        lock.release()
-
-    def test_stale_lock_is_broken(self, tmp_path):
-        import os
-
-        path = tmp_path / "entry.lock"
-        path.write_text("99999")
-        old = path.stat().st_mtime - 120.0
-        os.utime(path, (old, old))  # holder died two minutes ago
-        lock = CacheLock(path, timeout=1.0, stale_after=30.0)
-        assert lock.acquire()
-        lock.release()
-
-    def test_timeout_proceeds_unlocked(self, tmp_path):
-        path = tmp_path / "entry.lock"
-        path.write_text("1")  # fresh: never stale-broken within the test
-        lock = CacheLock(path, timeout=0.2, stale_after=300.0)
-        assert not lock.acquire()
-        assert not lock.acquired
-        lock.release()  # no-op, must not unlink the rival's lock
-        assert path.exists()
-
-    def test_unwritable_directory_proceeds_unlocked(self, tmp_path):
-        blocker = tmp_path / "file"
-        blocker.write_text("not a directory")
-        lock = CacheLock(blocker / "entry.lock", timeout=0.2)
-        assert not lock.acquire()
-
-    def test_store_under_held_lock_counts_timeout_but_lands(self, tmp_path,
-                                                            monkeypatch):
-        result = _sample_accuracy_result()
-        cache = ResultCache(tmp_path)
-        key = cell_key(BASE)
-        monkeypatch.setattr(
-            ResultCache, "_lock_for",
-            lambda self, path: CacheLock(path.with_name(path.name + ".lock"),
-                                         timeout=0.2, stale_after=300.0))
-        rival = cache._lock_for(cache.path_for(key))
-        assert rival.acquire()
-        try:
-            cache.store(key, result)
-        finally:
-            rival.release()
-        # Best-effort: the write proceeded unlocked and was counted.
-        assert cache.lock_timeouts == 1
-        assert cache.load(key) is not None
-
-    def test_release_after_steal_leaves_new_owner_lock(self, tmp_path):
-        """Regression: release used to unlink unconditionally.  When a
-        stale-breaker removes A's lock and B re-acquires, A's release
-        must leave B's lock file alone."""
-        path = tmp_path / "entry.lock"
-        ours = CacheLock(path)
-        assert ours.acquire()
-        path.unlink()  # a stale-breaker judged us dead...
-        rival = CacheLock(path)
-        assert rival.acquire()  # ...and a rival took the lock over
-        ours.release()
-        assert path.exists()
-        assert path.read_text() == rival.token
-        rival.release()
-        assert not path.exists()
-
-    def test_stale_break_skips_reacquired_lock(self, tmp_path):
-        """Regression: the stale-break unlink is conditional on the lock
-        still holding the token whose age was judged stale.  If the
-        holder releases and a third party re-acquires between the stat
-        and the unlink, the fresh lock survives."""
-        import os
-
-        path = tmp_path / "entry.lock"
-        path.write_text("99999:0")
-        old = path.stat().st_mtime - 120.0
-        os.utime(path, (old, old))
-        breaker = CacheLock(path, timeout=0.2, stale_after=30.0)
-        observed = breaker._read_state()
-        assert observed == ("99999:0", observed[1]) and observed[1] > 30.0
-        # The race window: holder releases, someone else re-acquires.
-        path.unlink()
-        fresh = CacheLock(path)
-        assert fresh.acquire()
-        assert not breaker._unlink_if_token(observed[0])
-        assert path.read_text() == fresh.token
-        fresh.release()
-
-    def test_probe_lock_clean_directory(self, tmp_path):
-        assert ResultCache(tmp_path / "cache").probe_lock() is None
-
-    def test_probe_lock_detects_non_exclusive_create(self, tmp_path,
-                                                     monkeypatch):
-        # Simulate a filesystem that silently ignores O_EXCL: the second
-        # acquire "succeeds" while the probe still holds the lock.
-        cache = ResultCache(tmp_path / "cache")
-        monkeypatch.setattr(CacheLock, "acquire", lambda self: True)
-        error = cache.probe_lock()
-        assert error is not None and "O_EXCL" in error
-
-
 class TestTempFileHygiene:
-    """A failed store must not strand ``<key>.json.tmp<pid>`` forever."""
+    """A failed store must not strand ``<key>.json.tmp*`` forever."""
+
+    def test_temp_name_is_per_writer(self, tmp_path, monkeypatch):
+        """The temp file carries pid and thread id, matches the orphan
+        glob, and the entry keeps the mode a plain write gives it."""
+        cache = ResultCache(tmp_path)
+        key = "9" * 64
+        renamed = []
+        real_replace = os.replace
+
+        def spy(src, dst):
+            renamed.append(os.path.basename(src))
+            real_replace(src, dst)
+
+        monkeypatch.setattr("os.replace", spy)
+        cache.store(key, _sample_accuracy_result())
+        expected = f"{key}.json.tmp{os.getpid()}-{threading.get_ident()}"
+        assert renamed == [expected]
+        assert fnmatch.fnmatch(expected, "*.json.tmp*")
+        plain = tmp_path / "plain"
+        plain.write_text("{}")
+        assert (stat.S_IMODE(cache.path_for(key).stat().st_mode)
+                == stat.S_IMODE(plain.stat().st_mode))
 
     def test_failed_store_leaves_no_tmp(self, tmp_path, monkeypatch):
         cache = ResultCache(tmp_path)
@@ -505,8 +403,6 @@ class TestTempFileHygiene:
         assert cache.stores == 0
 
     def test_orphan_listing_and_age_gated_sweep(self, tmp_path):
-        import os
-
         cache = ResultCache(tmp_path)
         cache.directory.mkdir(parents=True, exist_ok=True)
         fresh = cache.directory / f"{'a' * 64}.json.tmp111"
@@ -526,69 +422,145 @@ class TestTempFileHygiene:
         assert cache.orphan_tmp_files() == []
 
 
-class TestConcurrentWriters:
-    """Two coordinators racing on one key: serialised, counted, intact."""
+#: Bounds on the concurrent-writer stress loops: enough overlapping
+#: stores to expose a shared temp name within a run, few enough to keep
+#: the tier-1 wall time flat.
+STRESS_STORES = 400
+STRESS_LOADS = 300
+QUARANTINE_ROUNDS = 20
 
-    @pytest.fixture
-    def short_lock(self, monkeypatch):
-        monkeypatch.setattr(
-            ResultCache, "_lock_for",
-            lambda self, path: CacheLock(path.with_name(path.name + ".lock"),
-                                         timeout=0.2, stale_after=300.0))
+
+def _store_loop(cache, gate, key):
+    """Writer process: store ``key`` STRESS_STORES times."""
+    result = _sample_accuracy_result()
+    gate.wait(timeout=30)
+    for _ in range(STRESS_STORES):
+        cache.store(key, result)
+
+
+def _load_loop(cache, gate, key):
+    """Reader process: every load must be a hit or a plain miss."""
+    expected = _sample_accuracy_result().to_dict()
+    gate.wait(timeout=30)
+    for _ in range(STRESS_LOADS):
+        loaded = cache.load(key)
+        assert loaded is None or loaded.to_dict() == expected
+
+
+def _quarantine_loop(cache, gate, key, index):
+    """Two of these quarantine the same corrupt entry, round by round."""
+    for round_number in range(QUARANTINE_ROUNDS):
+        gate.wait(timeout=30)
+        if index == 0:
+            cache.path_for(key).write_text(f"garbage {round_number}")
+        gate.wait(timeout=30)
+        assert cache.load(key) is None
+
+
+def _child(loop, directory, args, gate, outcomes):
+    """Process body: run ``loop`` on its own cache and report the cache's
+    counters and any error; an error breaks the barrier so that peers
+    fail fast instead of waiting out its timeout."""
+    cache = ResultCache(directory)
+    try:
+        loop(cache, gate, *args)
+    except Exception as error:  # reported to the parent, never swallowed
+        gate.abort()
+        outcomes.put((loop.__name__, cache.counters, repr(error)))
+    else:
+        outcomes.put((loop.__name__, cache.counters, None))
+
+
+def _run_processes(directory, targets):
+    """Run ``(loop, args)`` pairs as spawned processes behind one barrier;
+    returns each one's ``(loop name, counters, error)`` report."""
+    context = multiprocessing.get_context("spawn")
+    gate = context.Barrier(len(targets))
+    outcomes = context.Queue()
+    processes = [context.Process(target=_child,
+                                 args=(loop, directory, args, gate, outcomes))
+                 for loop, args in targets]
+    for process in processes:
+        process.start()
+    reports = [outcomes.get(timeout=60) for _ in processes]
+    for process in processes:
+        process.join(timeout=30)
+        assert process.exitcode == 0
+    return reports
+
+
+class TestConcurrentWriters:
+    """Writers racing on one key need no lock: per-writer temp names and
+    ``os.replace`` keep every entry whole and every store landed."""
 
     def test_two_writers_same_key_both_land(self, tmp_path):
-        import threading
-
         key = "a" * 64
         result = _sample_accuracy_result()
         writers = [ResultCache(tmp_path), ResultCache(tmp_path)]
         gate = threading.Barrier(2)
+        errors = []
 
         def hammer(cache):
-            gate.wait()
-            for _ in range(5):
-                cache.store(key, result)
+            gate.wait(timeout=30)
+            try:
+                for _ in range(STRESS_STORES):
+                    cache.store(key, result)
+            except Exception as error:  # surfaced by the assert below
+                errors.append(error)
 
         threads = [threading.Thread(target=hammer, args=(cache,))
                    for cache in writers]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert all(cache.stores == 5 for cache in writers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)  # interleave the writers finely
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert all(cache.stores == STRESS_STORES for cache in writers)
         loaded = writers[0].load(key)
         assert loaded.to_dict() == result.to_dict()
-        # No residue: temp files consumed, every lock released.
+        assert writers[0].quarantined == 0
+        # No residue: every temp file was renamed over the entry.
         assert writers[0].orphan_tmp_files() == []
-        assert not (tmp_path / f"{key}.json.lock").exists()
 
-    def test_quarantine_under_held_lock_counts_timeout(self, tmp_path,
-                                                       short_lock):
+    def test_two_writer_processes_and_a_reader(self, tmp_path):
+        key = "b" * 64
+        reports = _run_processes(tmp_path, [
+            (_store_loop, (key,)),
+            (_store_loop, (key,)),
+            (_load_loop, (key,)),
+        ])
+        assert [error for _, _, error in reports] == [None] * 3
+        for loop, counters, _ in reports:
+            if loop == "_store_loop":
+                assert counters["stores"] == STRESS_STORES
+            else:
+                assert counters["hits"] + counters["misses"] == STRESS_LOADS
+            assert counters["quarantined"] == 0
         cache = ResultCache(tmp_path)
+        assert cache.load(key).to_dict() == \
+            _sample_accuracy_result().to_dict()
+        assert cache.orphan_tmp_files() == []
+        assert not cache.quarantine_dir.exists()
+
+    def test_two_processes_quarantine_one_corrupt_entry(self, tmp_path):
         key = "c" * 64
-        cache.store(key, _sample_accuracy_result())
-        cache.path_for(key).write_text("garbage")
-        rival = cache._lock_for(cache.path_for(key))
-        assert rival.acquire()
-        try:
-            assert cache.load(key) is None  # proceeds unlocked
-        finally:
-            rival.release()
-        assert cache.lock_timeouts == 1
-        assert cache.quarantined == 1
-        assert (cache.quarantine_dir / f"{key}.json").exists()
-
-    def test_lock_timeouts_accumulate_across_store_and_quarantine(
-            self, tmp_path, short_lock):
+        reports = _run_processes(tmp_path, [
+            (_quarantine_loop, (key, 0)),
+            (_quarantine_loop, (key, 1)),
+        ])
+        assert [error for _, _, error in reports] == [None, None]
+        # Each round's garbage was moved aside exactly once: the loser of
+        # a race found the entry gone and saw a plain miss.
+        moved = sum(counters["quarantined"] for _, counters, _ in reports)
+        assert moved == QUARANTINE_ROUNDS
         cache = ResultCache(tmp_path)
-        key = "d" * 64
-        rival = cache._lock_for(cache.path_for(key))
-        assert rival.acquire()
-        try:
-            cache.store(key, _sample_accuracy_result())  # timeout 1
-            cache.path_for(key).write_text("garbage")
-            assert cache.load(key) is None  # quarantine: timeout 2
-        finally:
-            rival.release()
-        assert cache.lock_timeouts == 2
-        assert cache.counters["lock_timeouts"] == 2
+        assert len(list(cache.quarantine_dir.iterdir())) == QUARANTINE_ROUNDS
+        assert not cache.contains(key)
+        assert cache.load(key) is None
+        assert cache.quarantined == 0

@@ -132,8 +132,8 @@ class TestProtocolBoundary:
         assert any(f.rule == "conc-socket" for f in result.active)
 
     def test_ad_hoc_file_lock_outside_cache_fails_lint(self, tree):
-        # An ad-hoc O_EXCL lock in the journal would deadlock against
-        # CacheLock's discipline on shared filesystems.
+        # An ad-hoc O_EXCL lock in the journal: a second writer
+        # discipline nobody audits.
         mutate(tree, "experiments/journal.py",
                "def default_journal_dir(",
                "def _grab(path):\n"
@@ -143,9 +143,23 @@ class TestProtocolBoundary:
         assert result.exit_code != 0
         assert any(f.rule == "conc-file-lock" for f in result.active)
 
+    def test_file_lock_inside_result_cache_fails_lint(self, tree):
+        # The result cache lost its lock-file exemption: its writers
+        # share a directory through atomic renames of per-writer temp
+        # files, so a lock file creeping back in must fail lint.
+        mutate(tree, "experiments/result_cache.py",
+               "class ResultCache:",
+               "def _grab(path):\n"
+               "    return os.open(path, os.O_CREAT | os.O_EXCL)\n\n\n"
+               "class ResultCache:")
+        result = lint_paths([tree], select=INTERPROCEDURAL)
+        assert result.exit_code != 0
+        locks = [f for f in result.active if f.rule == "conc-file-lock"]
+        assert [f.module for f in locks] == ["repro.experiments.result_cache"]
+
     def test_sanctioned_modules_stay_clean(self, tree):
-        # backends (sockets) and result_cache (CacheLock) are the
-        # sanctioned homes; the clean copy must not flag them.
+        # backends (sockets) is the one sanctioned boundary home and no
+        # module locks files; the clean copy must flag neither.
         result = lint_paths([tree], select=INTERPROCEDURAL)
         assert not any(f.rule in ("conc-socket", "conc-file-lock")
                        for f in result.active)
