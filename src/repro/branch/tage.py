@@ -15,7 +15,12 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..common.bitops import mask
-from ..common.foldplan import BranchStream, FoldPlan
+from ..common.foldplan import (
+    BranchStream,
+    FoldPlan,
+    check_consumed,
+    primed_rows,
+)
 from ..common.hashing import (
     table_index,
     table_index_array,
@@ -94,6 +99,7 @@ class TAGEBranchPredictor(BranchPredictor):
         # Primed run state (see prime/finish); None on the reference path.
         self._rows: Optional[Iterator[Tuple]] = None
         self._plan: Optional[FoldPlan] = None
+        self._primed = 0
 
     # -- helpers -------------------------------------------------------------
 
@@ -221,22 +227,29 @@ class TAGEBranchPredictor(BranchPredictor):
         for t, h in enumerate(self.histories):
             icols.append(table_index_array(
                 pc, self.index_bits, plan.column(h, self.index_bits)[k_cond],
-                table_number=t + 1).tolist())
+                table_number=t + 1))
             tcols.append(table_tag_array(
                 pc, self.tag_bits, plan.column(h, self.tag_bits)[k_cond],
-                plan.column(h, max(self.tag_bits - 1, 1))[k_cond]).tolist())
+                plan.column(h, max(self.tag_bits - 1, 1))[k_cond]))
         self._plan = plan
-        self._rows = zip(zip(*icols), zip(*tcols),
-                         ((pc >> 1) & mask(self.base_index_bits)).tolist())
+        self._primed = int(pc.shape[0])
+        self._rows = primed_rows(
+            np.array(icols, dtype=np.int32), np.array(tcols, dtype=np.int32),
+            ((pc >> 1) & mask(self.base_index_bits)).astype(np.int32))
 
     def finish(self) -> None:
-        """Advance the history to the end of a primed run; drop the rows."""
-        if self._ittage is not None:
-            self._ittage.finish()
+        """Advance the history to the end of a primed run and drop the
+        rows; raises ``RuntimeError`` if any primed row went unused."""
+        rows, primed = self._rows, self._primed
         if self._plan is not None:
             self._plan.write_back()
             self._plan = None
             self._rows = None
+            self._primed = 0
+        if self._ittage is not None:
+            self._ittage.finish()
+        if rows is not None:
+            check_consumed(type(self).__name__, rows, primed)
 
     @property
     def storage_bits(self) -> int:

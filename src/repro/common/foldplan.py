@@ -21,22 +21,42 @@ so a violated invariant degrades to an error instead of silent skew.
 
 :class:`BranchStream` packages the per-event arrays (conditional outcome
 bits, indirect targets folded to :data:`INDIRECT_TARGET_BITS` bits) that
-feed the plans, and :func:`path_series` gives the matching closed form for
-:class:`~repro.common.history.PathHistory`.
+feed the plans, :func:`prime_inputs` derives a ``prime`` call's arguments
+from per-uop arrays, and :func:`path_series` gives the matching closed form
+for :class:`~repro.common.history.PathHistory`.
+
+Primed keys are handed out by :func:`primed_rows`, which turns compact
+int32 key arrays into Python rows one block of :data:`ROW_BLOCK` at a
+time, and :func:`check_consumed` makes a run that did not consume every
+primed row fail loudly at ``finish``.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from ..trace.columns import OP_CODES
+from ..trace.uop import OpClass
 from .history import INDIRECT_TARGET_BITS, GlobalHistory
 from .foldvec import FoldVector
 
-__all__ = ["BranchStream", "FoldPlan", "path_series"]
+__all__ = ["BranchStream", "FoldPlan", "MAX_FOLD_WIDTH", "ROW_BLOCK",
+           "check_consumed", "path_series", "prime_inputs", "primed_rows"]
 
 _IND_MASK = (1 << INDIRECT_TARGET_BITS) - 1
+
+_OP_LOAD = OP_CODES[OpClass.LOAD]
+_OP_BC = OP_CODES[OpClass.BRANCH_COND]
+_OP_BI = OP_CODES[OpClass.BRANCH_INDIRECT]
+
+#: Widest fold register a plan accepts.  Series and key arrays are int32;
+#: 30 bits leave room for the ``folded_tag2 << 1`` of the tag hash.
+MAX_FOLD_WIDTH = 30
+
+#: Loads (or branches) per block of primed rows materialised as Python ints.
+ROW_BLOCK = 1024
 
 
 class BranchStream:
@@ -124,6 +144,65 @@ class BranchStream:
         return self._ind
 
 
+def prime_inputs(op: np.ndarray, pc: np.ndarray, taken: np.ndarray,
+                 target: np.ndarray
+                 ) -> Tuple[BranchStream, np.ndarray, np.ndarray, np.ndarray]:
+    """The arguments of ``MDPredictor.prime`` for one trace.
+
+    ``op`` holds every micro-op's :data:`~repro.trace.columns.OP_CODES`
+    code; ``pc``, ``taken`` and ``target`` are aligned with it and read
+    only at branches (all three) and loads (``pc``).  Returns ``(stream,
+    load_pc, cond_before, ind_before)``: the architectural branch stream,
+    the load PCs in order, and the number of conditional / indirect
+    branches before each load.
+    """
+    is_ind = op == _OP_BI
+    bseqs = np.flatnonzero((op == _OP_BC) | is_ind)
+    bkind = is_ind[bseqs].astype(np.int64)
+    bval = np.where(bkind == 0, taken[bseqs].astype(np.int64),
+                    target[bseqs].astype(np.int64))
+    stream = BranchStream(bkind, pc[bseqs].astype(np.int64), bval)
+    load_seqs = np.flatnonzero(op == _OP_LOAD)
+    return (stream, pc[load_seqs].astype(np.int64),
+            np.searchsorted(bseqs[bkind == 0], load_seqs),
+            np.searchsorted(bseqs[bkind == 1], load_seqs))
+
+
+def primed_rows(*groups: np.ndarray, block: int = ROW_BLOCK) -> Iterator:
+    """One row per load (or branch) over a primed run's key arrays.
+
+    Each group is a 1-D array (one int per row) or a 2-D ``(tables,
+    rows)`` array (one tuple per row); a row is the tuple of its groups'
+    items.  Rows become Python ints ``block`` at a time, so a run holds
+    the compact arrays plus one block instead of every row.
+    """
+    n = int(groups[0].shape[-1])
+
+    def rows():
+        for lo in range(0, n, block):
+            parts = [group[..., lo:lo + block].tolist() for group in groups]
+            yield from zip(*[zip(*part) if group.ndim == 2 else part
+                             for group, part in zip(groups, parts)])
+
+    return rows()
+
+
+def check_consumed(owner: str, rows: Iterator, primed: int) -> None:
+    """Raise if a primed run left rows unconsumed.
+
+    A run that primes more rows than it looks up would hand every later
+    lookup of the next run the wrong keys; ``finish`` calls this after
+    dropping its primed state so the mismatch is an error, not a skew.
+    """
+    left = sum(1 for _ in rows)
+    if left:
+        raise RuntimeError(
+            f"{owner}: {primed - left} of {primed} primed "
+            f"rows consumed, {left} left over (the run and its prime "
+            "disagree on the event stream)"
+        )
+
+
 class FoldPlan:
     """All fold-register values of a :class:`FoldVector` over a bit stream.
 
@@ -131,7 +210,9 @@ class FoldPlan:
     ``pushed`` (``k == 0`` is the pre-stream state).  Construction verifies
     the ``k == 0`` column against the live register values and raises
     ``RuntimeError`` on mismatch; :meth:`for_history` turns that into None,
-    and callers keep their incremental history path in that case.
+    and callers keep their incremental history path in that case.  Values
+    are int32: a register wider than :data:`MAX_FOLD_WIDTH` raises
+    ``ValueError``.
 
     :meth:`finalize` advances the underlying :class:`FoldVector` to the
     post-stream state (values, ring bits, position) so the usual
@@ -155,6 +236,11 @@ class FoldPlan:
         lengths = fv._lengths
         widths = fv._widths
         wmax = max(widths, default=1)
+        if wmax > MAX_FOLD_WIDTH:
+            raise ValueError(
+                f"fold width {wmax} exceeds the {MAX_FOLD_WIDTH}-bit int32 "
+                "series of a FoldPlan"
+            )
         pad = wmax + 8
         ext = np.concatenate(
             [np.zeros(pad, dtype=np.int64), init, pushed])
@@ -168,17 +254,18 @@ class FoldPlan:
             length = lengths[i]
             width = widths[i]
             if length == 0:
-                series.append(np.full(out_len, fv.values[i], dtype=np.int64))
+                series.append(np.full(out_len, fv.values[i], dtype=np.int32))
                 continue
             pref = parity_by_width.get(width)
             if pref is None:
                 tail = (-ext.shape[0]) % width
                 padded = np.concatenate(
                     [ext, np.zeros(tail, dtype=np.int64)]) if tail else ext
-                pref = np.bitwise_and(
-                    np.cumsum(padded.reshape(-1, width), axis=0), 1).ravel()
+                pref = np.bitwise_and(np.cumsum(
+                    padded.reshape(-1, width), axis=0, dtype=np.int32),
+                    1).ravel()
                 parity_by_width[width] = pref
-            value = np.zeros(out_len, dtype=np.int64)
+            value = np.zeros(out_len, dtype=np.int32)
             for r in range(min(width, length)):
                 span = width * ((length - 1 - r) // width + 1)
                 hi = base0 - r

@@ -47,7 +47,7 @@ import numpy as np
 
 from ..analysis.accuracy import OUTCOME_BY_CODE, OUTCOME_CODES, OutcomeKind
 from ..branch.tage import TAGEBranchPredictor
-from ..common.foldplan import BranchStream
+from ..common.foldplan import prime_inputs
 from ..memory.hierarchy import MemoryHierarchy
 from ..obs.cycles import CycleStack
 from ..predictors.base import PRED_KIND_BY_CODE, MDPredictor
@@ -158,21 +158,9 @@ class BatchedPipeline:
         # stream is a pure function of the trace, so predictors that
         # support priming vectorise their fold registers and table keys up
         # front.
-        bseqs = cols.indices_of(OpClass.BRANCH_COND, OpClass.BRANCH_INDIRECT)
-        bkind = (cols.op[bseqs] == _OP_BI).astype(np.int64)
-        bval = np.where(
-            bkind == 0,
-            cols.taken[bseqs].astype(np.int64),
-            cols.target[bseqs],
-        )
-        stream = BranchStream(bkind, cols.pc[bseqs].astype(np.int64), bval)
-        load_seqs = cols.indices_of(OpClass.LOAD)
-        self.predictor.prime(
-            stream, cols.pc[load_seqs].astype(np.int64),
-            np.searchsorted(bseqs[bkind == 0], load_seqs),
-            np.searchsorted(bseqs[bkind == 1], load_seqs),
-        )
-        self.branch_predictor.prime(stream)
+        inputs = prime_inputs(cols.op, cols.pc, cols.taken, cols.target)
+        self.predictor.prime(*inputs)
+        self.branch_predictor.prime(inputs[0])
 
         # Scalar StoreWindow membership mirror (same capacity + eviction).
         cap = max(cfg.sb_size * 2, 256)

@@ -5,7 +5,11 @@ Two evaluation modes (DESIGN.md §5):
 * :func:`run_prediction_only` replays a trace through a predictor in
   program order — predict at decode, train at commit, history hooks on
   every branch — and classifies every load.  Fast; used for the accuracy
-  figures (2, 8, 10, 13, 14).
+  figures (2, 8, 10, 13, 14).  Like the batched engine's Phase A, it
+  first primes history-keyed predictors with the trace's whole branch
+  stream (``MDPredictor.prime``), so their table keys come from the
+  vectorised fold plans of :mod:`repro.common.foldplan` instead of
+  per-branch register updates.
 * :func:`run_timing` runs the full out-of-order pipeline for IPC
   (figures 7, 9, 11, 12, 15).
 
@@ -16,17 +20,21 @@ over many predictors generates each trace once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..analysis.accuracy import OUTCOME_BY_CODE, AccuracyStats
 from ..analysis.f1 import F1Recorder, RankedF1Profile
+from ..common.foldplan import prime_inputs
 from ..core.config import GOLDEN_COVE, CoreConfig
 from ..core.pipeline import Pipeline
 from ..core.stats import PipelineStats
 from ..predictors.base import PRED_KIND_BY_CODE, MDPredictor
 from ..predictors.mascot import Mascot
 from ..sampling.policy import SamplingPolicy
-from ..trace.columns import BYPASS_CODES
+from ..trace.columns import BYPASS_CODES, OP_CODES
 from ..trace.generator import generate_trace
 from ..trace.uop import MicroOp, OpClass
 
@@ -191,6 +199,7 @@ def run_prediction_only(
 
         sink = predictor.attach_telemetry(TableTelemetry())
 
+    _prime(predictor, trace)
     stats = AccuracyStats()
     # Outcome / prediction-kind tallies by int code (see record_codes).
     outcome_counts = [0] * len(OUTCOME_BY_CODE)
@@ -233,6 +242,7 @@ def run_prediction_only(
             if recorder is not None:
                 recorder.tick()
 
+    predictor.finish()
     stats.record_codes(outcome_counts, kind_counts)
     # The measured-instruction denominator is exactly the post-warmup
     # region.  A warmup covering the whole trace measures nothing:
@@ -247,6 +257,42 @@ def run_prediction_only(
         f1_profile=profile,
         telemetry=sink.to_dict() if sink is not None else None,
     )
+
+
+#: Op codes whose fields feed a prime: branches and loads.
+_PRIMED_OPS = np.array([OP_CODES[OpClass.LOAD], OP_CODES[OpClass.BRANCH_COND],
+                        OP_CODES[OpClass.BRANCH_INDIRECT]], dtype=np.int8)
+#: :data:`OP_CODES` keyed by member name: string hashes are cached, enum
+#: member hashes are computed in Python on every lookup.
+_OP_CODE_BY_NAME = {op.name: code for op, code in OP_CODES.items()}
+
+
+def _prime(predictor: MDPredictor, trace: Sequence[MicroOp]) -> None:
+    """Hand ``predictor`` the trace's branch stream and load PCs.
+
+    Skipped — nothing built — for predictors keeping the base no-op
+    ``prime`` (Store Sets, the oracles).  The arrays are read straight
+    from the micro-ops: op codes for all of them, PC / taken / target
+    only at branches and loads.
+    """
+    if type(predictor).prime is MDPredictor.prime:
+        return
+    n = len(trace)
+    op = np.fromiter(map(_OP_CODE_BY_NAME.__getitem__,
+                         map(attrgetter("op._name_"), trace)),
+                     dtype=np.int8, count=n)
+    seqs = np.flatnonzero(np.isin(op, _PRIMED_OPS))
+    events = [trace[i] for i in seqs.tolist()]
+    columns = []
+    for name, dtype in (("pc", np.int64), ("taken", np.bool_),
+                        ("target", np.int64)):
+        column = np.zeros(n, dtype=dtype)
+        column[seqs] = np.fromiter(map(attrgetter(name), events),
+                                   dtype=dtype, count=len(events))
+        columns.append(column)
+    inputs = prime_inputs(op, *columns)
+    del op, events, columns  # transient: keep them out of the prime's peak
+    predictor.prime(*inputs)
 
 
 def _prune(mapping: Dict[int, int], current_seq: int,

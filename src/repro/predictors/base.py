@@ -207,10 +207,12 @@ class MDPredictor(abc.ABC):
     reuses the predict-time entry, which is the same object because nothing
     predictor-visible happens between a load's predict and its train.
 
-    The batched engine additionally calls :meth:`prime` before a run (with
-    the whole architectural branch stream, so keyed predictors can
-    precompute every load's keys) and :meth:`finish` after it (to write the
-    history registers back and drop the primed rows).
+    Both replays — the batched engine's Phase A and
+    :func:`~repro.experiments.runner.run_prediction_only` — additionally
+    call :meth:`prime` before a run (with the whole architectural branch
+    stream, so keyed predictors can precompute every load's keys) and
+    :meth:`finish` after it (to write the history registers back and drop
+    the primed rows).  The scalar pipeline never primes.
     """
 
     #: Human-readable name used in figures and reports.
@@ -334,7 +336,7 @@ class MDPredictor(abc.ABC):
         """
         return None
 
-    # -- batched engine --------------------------------------------------------
+    # -- primed replays ---------------------------------------------------------
 
     def prime(self, stream: "BranchStream", load_pc: "np.ndarray",
               cond_before: "np.ndarray", ind_before: "np.ndarray") -> None:
@@ -351,7 +353,8 @@ class MDPredictor(abc.ABC):
     def finish(self) -> None:
         """End a primed run: write the final history state back and drop
         the primed rows (a no-op when :meth:`prime` was not called or
-        declined)."""
+        declined).  Keyed predictors raise ``RuntimeError`` when the run
+        left primed rows unconsumed: its loads were not the primed ones."""
 
     # -- observability ---------------------------------------------------------
 

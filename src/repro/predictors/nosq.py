@@ -27,7 +27,12 @@ from typing import Iterator, List, Optional, Tuple
 import numpy as np
 
 from ..common.bitops import mask
-from ..common.foldplan import BranchStream, FoldPlan
+from ..common.foldplan import (
+    BranchStream,
+    FoldPlan,
+    check_consumed,
+    primed_rows,
+)
 from ..common.history import GlobalHistory
 from ..trace.columns import BYPASS_BY_CODE
 from ..trace.uop import OFFSET_BYPASSABLE, MicroOp
@@ -93,6 +98,7 @@ class NoSQ(MDPredictor):
         # Primed run state (see prime/finish); None on the reference path.
         self._rows: Optional[Iterator[NoSQKeys]] = None
         self._plan: Optional[FoldPlan] = None
+        self._primed = 0
 
     # ------------------------------------------------------------------ indexing
 
@@ -120,18 +126,24 @@ class NoSQ(MDPredictor):
         vi = plan.column(self.history_bits, self.index_bits)[k_push]
         vt = plan.column(self.history_bits, self.TAG_BITS)[k_push]
         self._plan = plan
-        self._rows = zip(
-            ((pcv ^ vi) & imask).tolist(),
-            ((pcv ^ vt) & tmask).tolist(),
-            (pcv & imask).tolist(),
-            ((pcv >> self.index_bits) & tmask).tolist(),
+        self._primed = int(load_pc.shape[0])
+        self._rows = primed_rows(
+            ((pcv ^ vi) & imask).astype(np.int32),
+            ((pcv ^ vt) & tmask).astype(np.int32),
+            (pcv & imask).astype(np.int32),
+            ((pcv >> self.index_bits) & tmask).astype(np.int32),
         )
 
     def finish(self) -> None:
+        """End a primed run (see :meth:`MDPredictor.finish`); raises
+        ``RuntimeError`` if any primed row went unused."""
         if self._plan is not None:
             self._plan.write_back()
+            rows, primed = self._rows, self._primed
             self._plan = None
             self._rows = None
+            self._primed = 0
+            check_consumed(self.name, rows, primed)
 
     # -------------------------------------------------------------------- lookup
 

@@ -14,8 +14,8 @@ Keys have two sources with bit-identical values (property-tested):
 * the **primed path** — :meth:`TableBank.prime` computes every load's keys
   of a whole run at once with numpy, from the closed-form fold series of
   :class:`~repro.common.foldplan.FoldPlan`, and :meth:`TableBank.finish`
-  writes the final history state back.  The batched engine primes; the
-  scalar pipeline never does.
+  writes the final history state back.  The batched engine and the
+  prediction-only replay prime; the scalar pipeline never does.
 """
 
 from __future__ import annotations
@@ -28,7 +28,13 @@ from typing import (
 import numpy as np
 
 from ..common.bitops import mask
-from ..common.foldplan import BranchStream, FoldPlan, path_series
+from ..common.foldplan import (
+    BranchStream,
+    FoldPlan,
+    check_consumed,
+    path_series,
+    primed_rows,
+)
 from ..common.hashing import (
     table_index,
     table_index_array,
@@ -205,6 +211,7 @@ class TableBank:
         # plan plus final path value; None on the reference path.
         self._rows: Optional[Iterator[BankKeys]] = None
         self._plan: Optional[Tuple[FoldPlan, int]] = None
+        self._primed = 0
 
     def __len__(self) -> int:
         return self.num_tables
@@ -281,8 +288,9 @@ class TableBank:
         path_at_load = path[cond_before + ind_before]
         k_push = cond_before + 5 * ind_before
 
-        icols: List[List[int]] = []
-        tcols: List[List[int]] = []
+        # One int32 row of keys per table, filled table by table.
+        indices = np.empty((self.num_tables, load_pc.shape[0]), np.int32)
+        tags = np.empty_like(indices)
         for table in self.tables:
             ib = table.index_bits
             tb = table.tag_bits
@@ -307,19 +315,25 @@ class TableBank:
                 tag = table_tag_array(load_pc, tb,
                                       plan.column(hl, tb)[k_push],
                                       plan.column(hl, max(tb - 1, 1))[k_push])
-            icols.append(index.tolist())
-            tcols.append(tag.tolist())
+            indices[table.table_number] = index
+            tags[table.table_number] = tag
         self._plan = (plan, int(path[-1]))
-        self._rows = zip(zip(*icols), zip(*tcols))
+        self._primed = int(load_pc.shape[0])
+        self._rows = primed_rows(indices, tags)
 
-    def finish(self) -> None:
-        """Advance the history to the end of a primed run; drop the rows."""
+    def finish(self, owner: str) -> None:
+        """Advance the history to the end of a primed run and drop the
+        rows; raises ``RuntimeError`` naming ``owner`` if any primed row
+        went unused."""
         if self._plan is None:
             return
         plan, self.path.value = self._plan
         plan.write_back()
+        rows, primed = self._rows, self._primed
         self._plan = None
         self._rows = None
+        self._primed = 0
+        check_consumed(owner, rows, primed)
 
     # -- history updates -----------------------------------------------------
 
@@ -371,4 +385,4 @@ class TableBankPredictor(MDPredictor):
         self.bank.prime(stream, load_pc, cond_before, ind_before)
 
     def finish(self) -> None:
-        self.bank.finish()
+        self.bank.finish(self.name)

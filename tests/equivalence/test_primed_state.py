@@ -1,14 +1,16 @@
-"""No primed state leaks from a batched run into the next run.
+"""No primed state leaks from a primed run into the next run.
 
-The batched engine primes the predictors it drives (``prime`` stores a
-whole run's precomputed keys and fold plan on the predictor object) and
-ends the run with ``finish``.  A predictor reused after a batched run
-must behave exactly as if every earlier run had been scalar: here trace A
-runs through :class:`BatchedPipeline`, then trace B through the scalar
+The batched engine and the prediction-only replay prime the predictors
+they drive (``prime`` stores a whole run's precomputed keys and fold plan
+on the predictor object) and end the run with ``finish``.  A predictor
+reused after a primed run must behave exactly as if every earlier run had
+been unprimed: here trace A runs through :class:`BatchedPipeline` (or the
+primed prediction-only replay), then trace B through the scalar
 :class:`Pipeline` on the *same* predictor and branch-predictor objects,
 and the stats of both runs, the telemetry counters and the final
 predictor state (tables, counters, history registers) must equal those of
-running A and B both through :class:`Pipeline`.
+running A unprimed (scalar :class:`Pipeline`, or the replay with priming
+disabled) and B through :class:`Pipeline`.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import pytest
 
 from repro.branch.tage import TAGEBranchPredictor
 from repro.core import BatchedPipeline, Pipeline
+from repro.experiments import runner
 from repro.experiments.suite import make_predictor
 from repro.obs.telemetry import TableTelemetry
 from repro.trace.fixture_cache import cached_trace
@@ -66,6 +69,30 @@ def test_batched_then_scalar_equals_scalar_twice(predictor_name):
                                 "branch predictor"),
                                batched_first, scalar_only):
         assert got == want, f"{part} differs after a batched run"
+
+
+def _prediction_only_then_scalar(predictor_name):
+    predictor = make_predictor(predictor_name)
+    sink = predictor.attach_telemetry(TableTelemetry())
+    branch = TAGEBranchPredictor()
+    first = runner.run_prediction_only(cached_trace("perlbench1", 4_000),
+                                       predictor, warmup=500)
+    second = Pipeline(predictor, branch_predictor=branch).run(
+        cached_trace("mcf", 4_000), measure_from=500)
+    return ([first.to_dict(), second.to_dict()], sink.to_dict(),
+            _state(predictor), _state(branch))
+
+
+@pytest.mark.parametrize("predictor_name", ["mascot", "nosq", "store-sets"])
+def test_prediction_only_then_scalar_equals_scalar_twice(predictor_name,
+                                                         monkeypatch):
+    primed_first = _prediction_only_then_scalar(predictor_name)
+    monkeypatch.setattr(runner, "_prime", lambda predictor, trace: None)
+    scalar_only = _prediction_only_then_scalar(predictor_name)
+    for part, got, want in zip(("stats", "telemetry", "predictor",
+                                "branch predictor"),
+                               primed_first, scalar_only):
+        assert got == want, f"{part} differs after a primed replay"
 
 
 def test_finish_drops_primed_rows():
