@@ -28,9 +28,13 @@ predictor the run's whole architectural branch stream so it can compute
 all keys at once with numpy (:mod:`repro.common.foldplan`), and ``finish``
 writes the final history registers back afterwards.
 
-Phase A mirrors the scalar :class:`~repro.core.lsu.StoreWindow` membership
-(same capacity, same eviction order) so store-distance/seq resolution and
-the ``branches_between`` / ``store_pc`` ground-truth computation match the
+Phase A is :class:`PredictorReplay`, the one loop outside the scalar
+engine that drives the predictors; the prediction-only replay
+(:func:`~repro.experiments.runner.run_prediction_only`) runs it too,
+without a branch predictor and Phase B.  Phase A mirrors the scalar
+:class:`~repro.core.lsu.StoreWindow` membership (same capacity, same
+eviction order) so store-distance/seq resolution and the
+``branches_between`` / ``store_pc`` ground-truth computation match the
 scalar run exactly.  Phase B replicates the scalar constraint chain —
 fetch width, redirect barriers, window releases, port pools with the same
 strict-< scan, in-order commit — and calls the memory hierarchy with the
@@ -41,6 +45,8 @@ bit-identical too.
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
+from operator import attrgetter
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -51,14 +57,14 @@ from ..common.foldplan import prime_inputs
 from ..memory.hierarchy import MemoryHierarchy
 from ..obs.cycles import CycleStack
 from ..predictors.base import PRED_KIND_BY_CODE, MDPredictor
-from ..trace.columns import OP_BY_CODE, OP_CODES, TraceColumns
+from ..trace.columns import BYPASS_CODES, OP_BY_CODE, OP_CODES, TraceColumns
 from ..trace.uop import MicroOp, OpClass
 from .config import GOLDEN_COVE, CoreConfig
 from .pipeline import _CONSUMER_OPS, _WINDOW_CATEGORIES
 from .scoreboard import SeqScoreboard, StoreScoreboard
 from .stats import PipelineStats
 
-__all__ = ["BatchedPipeline"]
+__all__ = ["BatchedPipeline", "PredictorReplay", "uop_prime_inputs"]
 
 _OP_ALU = OP_CODES[OpClass.ALU]
 _OP_MUL = OP_CODES[OpClass.MUL]
@@ -74,8 +80,199 @@ _IS_CONSUMER = tuple(op in _CONSUMER_OPS for op in OP_BY_CODE)
 
 _OC_CORRECT_SMB = OUTCOME_CODES[OutcomeKind.CORRECT_SMB]
 
+#: Op codes whose micro-op fields feed a prime: branches and loads.
+_PRIMED_OPS = np.array([_OP_LOAD, _OP_BC, _OP_BI], dtype=np.int8)
+#: :data:`OP_CODES` keyed by member name: string hashes are cached, enum
+#: member hashes are computed in Python on every lookup.
+_OP_CODE_BY_NAME = {op.name: code for op, code in OP_CODES.items()}
+#: :data:`BYPASS_CODES` keyed by member name, for the same reason.
+_BYPASS_CODE_BY_NAME = {bc.name: code for bc, code in BYPASS_CODES.items()}
 
-class BatchedPipeline:
+
+def uop_prime_inputs(predictor: MDPredictor, trace: Sequence[MicroOp]):
+    """:func:`~repro.common.foldplan.prime_inputs` read from micro-ops.
+
+    For replays without :class:`TraceColumns`.  Returns None — nothing
+    built — for predictors keeping the base no-op ``prime`` (Store Sets,
+    the oracles).  The arrays are read straight from the micro-ops: op
+    codes for all of them, PC / taken / target only at branches and
+    loads.
+    """
+    if type(predictor).prime is MDPredictor.prime:
+        return None
+    n = len(trace)
+    op = np.fromiter(map(_OP_CODE_BY_NAME.__getitem__,
+                         map(attrgetter("op._name_"), trace)),
+                     dtype=np.int8, count=n)
+    seqs = np.flatnonzero(np.isin(op, _PRIMED_OPS))
+    events = [trace[i] for i in seqs.tolist()]
+    columns = []
+    for name, dtype in (("pc", np.int64), ("taken", np.bool_),
+                        ("target", np.int64)):
+        column = np.zeros(n, dtype=dtype)
+        column[seqs] = np.fromiter(map(attrgetter(name), events),
+                                   dtype=dtype, count=len(events))
+        columns.append(column)
+    return prime_inputs(op, *columns)
+
+
+class PredictorReplay:
+    """The predictor-visible event stream of one run, in trace order.
+
+    Outside the scalar reference :class:`~repro.core.pipeline.Pipeline`
+    this is the one loop that drives the predictors' hooks: branch
+    outcomes, store dispatches and each load's fused ``predict_train``
+    with its ``branches_between`` / ``store_pc`` training hints.  The
+    batched engine's Phase A runs it with a branch predictor and collects
+    Phase B's per-event decisions;
+    :func:`~repro.experiments.runner.run_prediction_only` runs it without
+    one and keeps only the outcome tallies.
+    """
+
+    def __init__(self, predictor: MDPredictor, branch_predictor=None):
+        self.predictor = predictor
+        self.branch_predictor = branch_predictor
+
+    def prime(self, inputs) -> None:
+        """Hand the predictors the run's whole branch stream up front.
+
+        ``inputs`` is :func:`~repro.common.foldplan.prime_inputs`'s
+        result: history-keyed predictors vectorise every fold register and
+        table key from it instead of updating them branch by branch.
+        """
+        self.predictor.prime(*inputs)
+        if self.branch_predictor is not None:
+            self.branch_predictor.prime(inputs[0])
+
+    def replay(self, trace: Sequence[MicroOp], measure_from: int,
+               window: int, inputs, recorder=None):
+        """Replay ``trace``; micro-ops from ``measure_from`` on are measured.
+
+        ``window`` is the store-window capacity: a load's training hints
+        name its store only while that store is among the last ``window``
+        stores.  ``inputs`` primes the predictors (None: no priming), and
+        an F1 ``recorder`` ticks after every load.
+
+        Returns ``(outcome_counts, kind_counts, warm, decisions)``: the
+        measured outcome / prediction-kind tallies by int code (see
+        :meth:`~repro.analysis.accuracy.AccuracyStats.record_codes`),
+        the branch predictor's ``(mispredictions,
+        indirect_mispredictions)`` at the warmup boundary, and Phase B's
+        decision lists.  Without a branch predictor the last two are None.
+        """
+        branch = self.branch_predictor
+        timing = branch is not None
+        if inputs is not None:
+            self.prime(inputs)
+
+        # Store window membership (the scalar StoreWindow's, at
+        # capacity ``window``) and the branch count at each store.
+        recent: deque = deque()
+        member = set()
+        store_branch = [0] * len(trace)
+        branch_count = 0
+
+        # Per-load decisions for Phase B.
+        ld_kind: List[int] = []
+        ld_target: List[int] = []          # resolved store seq, -1 = none
+        ld_conservative: List[bool] = []
+        ld_smb_ok: List[bool] = []         # outcome was CORRECT_SMB
+        ld_present: List[bool] = []        # actual dep store still in window
+        st_ordering: List[int] = []        # Store Sets LFST constraint seq
+        br_correct: List[bool] = []
+
+        # Outcome/kind counters by int code (enum-keyed dicts filled by
+        # record_codes -- list indexing beats enum hashing on the hot path).
+        oc_counts = [0] * len(OUTCOME_BY_CODE)
+        kc_counts = [0] * len(PRED_KIND_BY_CODE)
+        oc_smb = _OC_CORRECT_SMB
+        warm = None
+
+        op_load = OpClass.LOAD
+        op_store = OpClass.STORE
+        op_bc = OpClass.BRANCH_COND
+        op_bi = OpClass.BRANCH_INDIRECT
+        bypass_code = _BYPASS_CODE_BY_NAME.__getitem__
+        p_on_branch = self.predictor.on_branch
+        p_on_indirect = self.predictor.on_indirect
+        p_on_store = self.predictor.on_store
+        p_predict_train = self.predictor.predict_train
+        if timing:
+            bstats = branch.stats
+            b_predict_and_train = branch.predict_and_train
+            b_observe_indirect = branch.observe_indirect
+
+        for measured, part in ((False, islice(trace, measure_from)),
+                               (True, islice(trace, measure_from, None))):
+            # Branch stats accumulate from the first micro-op; snapshot
+            # them at the warmup boundary, as the scalar run() does.
+            if measured and timing:
+                warm = (bstats.mispredictions, bstats.indirect_mispredictions)
+            for uop in part:
+                op = uop.op
+                if op is op_load:
+                    dep = uop.dep_store_seq
+                    present = dep in member
+                    if present:
+                        bb = branch_count - store_branch[dep]
+                        spc = trace[dep].pc
+                    else:
+                        bb = 0
+                        spc = None
+                    kind, p_seq, p_dist, conservative, ok_code = (
+                        p_predict_train(uop, bb, spc, uop.store_distance,
+                                        bypass_code(uop.bypass._name_)))
+                    if measured:
+                        oc_counts[ok_code] += 1
+                        kc_counts[kind] += 1
+                    if timing:
+                        tgt = -1
+                        if kind:
+                            if p_seq is not None:
+                                if p_seq in member:
+                                    tgt = p_seq
+                            elif 0 < p_dist <= len(recent):
+                                tgt = recent[-p_dist]
+                        ld_kind.append(kind)
+                        ld_target.append(tgt)
+                        ld_conservative.append(conservative)
+                        ld_smb_ok.append(ok_code == oc_smb)
+                        ld_present.append(present)
+                    if recorder is not None:
+                        recorder.tick()
+                elif op is op_store:
+                    oseq = p_on_store(uop)
+                    if timing:
+                        st_ordering.append(oseq if oseq in member else -1)
+                    seq = uop.seq
+                    store_branch[seq] = branch_count
+                    recent.append(seq)
+                    member.add(seq)
+                    if len(recent) > window:
+                        member.discard(recent.popleft())
+                elif op is op_bc:
+                    if timing:
+                        br_correct.append(
+                            b_predict_and_train(uop.pc, uop.taken))
+                    p_on_branch(uop.pc, uop.taken)
+                    branch_count += 1
+                elif op is op_bi:
+                    if timing:
+                        br_correct.append(
+                            b_observe_indirect(uop.pc, uop.target))
+                    p_on_indirect(uop.pc, uop.target)
+                    branch_count += 1
+
+        self.predictor.finish()
+        if not timing:
+            return oc_counts, kc_counts, None, None
+        branch.finish()
+        return oc_counts, kc_counts, warm, (
+            ld_kind, ld_target, ld_conservative, ld_smb_ok, ld_present,
+            st_ordering, br_correct, store_branch)
+
+
+class BatchedPipeline(PredictorReplay):
     """One core, one trace, one predictor — batched engine.
 
     Drop-in for :class:`~repro.core.pipeline.Pipeline`: same constructor,
@@ -93,9 +290,9 @@ class BatchedPipeline:
         record_timeline: bool = False,
         accounting: bool = False,
     ):
+        super().__init__(predictor,
+                         branch_predictor or TAGEBranchPredictor())
         self.config = config
-        self.predictor = predictor
-        self.branch_predictor = branch_predictor or TAGEBranchPredictor()
         self.hierarchy = hierarchy or MemoryHierarchy(config.memory)
         self.stats = PipelineStats()
         self._acct: Optional[CycleStack] = CycleStack() if accounting else None
@@ -124,6 +321,10 @@ class BatchedPipeline:
                 f"measure_from {measure_from} outside trace of {len(trace)}"
             )
         cols = TraceColumns.ensure(trace)
+        # Phase B's list views are built before Phase A's transient prime
+        # arrays: built after them they land in a fragmented heap, about
+        # 4 MB more peak RSS on 300k-micro-op sampled runs.
+        cols.lists()
         phase_a = self._phase_a(trace, cols, measure_from)
         self._phase_b(cols, measure_from, phase_a)
         return self.stats
@@ -134,138 +335,23 @@ class BatchedPipeline:
                  measure_from: int):
         """Replay the predictor-visible event stream in trace order.
 
-        Returns the per-event decision lists Phase B consumes.  All
-        predictor and branch-predictor state (tables, history, telemetry,
-        ``predictions_per_table``, branch stats) is fully updated here,
-        exactly as a scalar run would leave it.
+        :meth:`~PredictorReplay.replay` with the scalar
+        :class:`~repro.core.lsu.StoreWindow`'s capacity, primed from the
+        columns.  Writes the measured accuracy, branch and op counts and
+        returns the per-event decision lists Phase B consumes.
         """
         cfg = self.config
         stats = self.stats
         bstats = self.branch_predictor.stats
-
-        lists = cols.lists()
-        pc_l = lists["pc"]
-        dep_l = lists["dep_store_seq"]
-        dist_l = lists["store_distance"]
-        byp_l = lists["bypass"]
-        ev_idx = cols.indices_of(
-            OpClass.LOAD, OpClass.STORE,
-            OpClass.BRANCH_COND, OpClass.BRANCH_INDIRECT,
-        )
-        ev_seqs = ev_idx.tolist()
-
-        # Whole-run history/key precomputation: the architectural branch
-        # stream is a pure function of the trace, so predictors that
-        # support priming vectorise their fold registers and table keys up
-        # front.
-        inputs = prime_inputs(cols.op, cols.pc, cols.taken, cols.target)
-        self.predictor.prime(*inputs)
-        self.branch_predictor.prime(inputs[0])
-
-        # Scalar StoreWindow membership mirror (same capacity + eviction).
         cap = max(cfg.sb_size * 2, 256)
-        recent: deque = deque()
-        member = set()
-        store_branch = [0] * cols.n
-        branch_count = 0
-
-        # Per-load decisions for Phase B.
-        ld_kind: List[int] = []
-        ld_target: List[int] = []          # resolved store seq, -1 = none
-        ld_conservative: List[bool] = []
-        ld_smb_ok: List[bool] = []         # outcome was CORRECT_SMB
-        ld_present: List[bool] = []        # actual dep store still in window
-        st_ordering: List[int] = []        # Store Sets LFST constraint seq
-        br_correct: List[bool] = []
-
-        # Outcome/kind counters by int code (enum-keyed dicts filled after
-        # the loop — list indexing beats enum hashing on the hot path).
-        oc_counts = [0] * len(OUTCOME_BY_CODE)
-        kc_counts = [0] * len(PRED_KIND_BY_CODE)
-        oc_smb = _OC_CORRECT_SMB
-
-        # Branch stats accumulate from cycle 0; snapshot at the warmup
-        # boundary exactly as the scalar run() does (they only move on
-        # branch events, so snapshotting at the first measured event is
-        # equivalent to snapshotting after the warmup prefix).
-        warm_done = measure_from == 0
-        warm_mispredicts = bstats.mispredictions
-        warm_indirect = bstats.indirect_mispredictions
-
-        op_l = lists["op"]
-        op_load = _OP_LOAD
-        op_store = _OP_STORE
-        op_bc = _OP_BC
-        p_on_branch = self.predictor.on_branch
-        p_on_indirect = self.predictor.on_indirect
-        p_on_store = self.predictor.on_store
-        p_predict_train = self.predictor.predict_train
-        b_predict_and_train = self.branch_predictor.predict_and_train
-        b_observe_indirect = self.branch_predictor.observe_indirect
-
-        for seq in ev_seqs:
-            if not warm_done and seq >= measure_from:
-                warm_mispredicts = bstats.mispredictions
-                warm_indirect = bstats.indirect_mispredictions
-                warm_done = True
-            code = op_l[seq]
-            uop = trace[seq]
-            if code == op_load:
-                dep = dep_l[seq]
-                present = dep >= 0 and dep in member
-                if present:
-                    bb = branch_count - store_branch[dep]
-                    spc = pc_l[dep]
-                else:
-                    bb = 0
-                    spc = None
-                kind, p_seq, p_dist, conservative, ok_code = p_predict_train(
-                    uop, bb, spc, dist_l[seq], byp_l[seq]
-                )
-                tgt = -1
-                if kind:
-                    if p_seq is not None:
-                        if p_seq in member:
-                            tgt = p_seq
-                    elif 0 < p_dist <= len(recent):
-                        tgt = recent[-p_dist]
-                ld_kind.append(kind)
-                ld_target.append(tgt)
-                ld_conservative.append(conservative)
-                ld_smb_ok.append(ok_code == oc_smb)
-                ld_present.append(present)
-                if seq >= measure_from:
-                    oc_counts[ok_code] += 1
-                    kc_counts[kind] += 1
-            elif code == op_store:
-                oseq = p_on_store(uop)
-                st_ordering.append(
-                    oseq if (oseq is not None and oseq in member) else -1
-                )
-                store_branch[seq] = branch_count
-                recent.append(seq)
-                member.add(seq)
-                if len(recent) > cap:
-                    member.discard(recent.popleft())
-            elif code == op_bc:
-                br_correct.append(b_predict_and_train(uop.pc, uop.taken))
-                p_on_branch(uop.pc, uop.taken)
-                branch_count += 1
-            else:  # BRANCH_INDIRECT
-                br_correct.append(b_observe_indirect(uop.pc, uop.target))
-                p_on_indirect(uop.pc, uop.target)
-                branch_count += 1
-
-        if not warm_done:
-            warm_mispredicts = bstats.mispredictions
-            warm_indirect = bstats.indirect_mispredictions
-        self.predictor.finish()
-        self.branch_predictor.finish()
+        oc_counts, kc_counts, warm, decisions = self.replay(
+            trace, measure_from, cap,
+            prime_inputs(cols.op, cols.pc, cols.taken, cols.target))
 
         stats.accuracy.record_codes(oc_counts, kc_counts)
-        stats.branch_mispredictions = bstats.mispredictions - warm_mispredicts
+        stats.branch_mispredictions = bstats.mispredictions - warm[0]
         stats.indirect_mispredictions = (
-            bstats.indirect_mispredictions - warm_indirect
+            bstats.indirect_mispredictions - warm[1]
         )
 
         # Measured-region op counts (the scalar per-step increments).
@@ -275,9 +361,7 @@ class BatchedPipeline:
         stats.branches = int(np.count_nonzero(mop == _OP_BC)) + int(
             np.count_nonzero(mop == _OP_BI)
         )
-
-        return (ld_kind, ld_target, ld_conservative, ld_smb_ok, ld_present,
-                st_ordering, br_correct, store_branch)
+        return decisions
 
     # ------------------------------------------------------ phase B: timing
 
@@ -678,7 +762,7 @@ class BatchedPipeline:
         stats.instructions = measured
         start_cycle = commit_times[measure_from - 1] if measure_from > 0 else 0
         stats.cycles = max(commit_cycle - start_cycle, 1)
-        stats.accuracy.instructions = max(measured, 1)
+        stats.accuracy.instructions = measured
         stats.memory_squashes = n_squash
         stats.loads_stalled_by_prediction = n_stall
         stats.loads_bypassed = n_byp

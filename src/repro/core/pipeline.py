@@ -227,7 +227,7 @@ class Pipeline:
             self._commit_times[measure_from - 1] if measure_from > 0 else 0
         )
         self.stats.cycles = max(self._commit_cycle - start_cycle, 1)
-        self.stats.accuracy.instructions = max(measured, 1)
+        self.stats.accuracy.instructions = measured
         self.stats.branch_mispredictions = (
             bstats.mispredictions - warm_mispredicts
         )

@@ -5,11 +5,10 @@ Two evaluation modes (DESIGN.md §5):
 * :func:`run_prediction_only` replays a trace through a predictor in
   program order — predict at decode, train at commit, history hooks on
   every branch — and classifies every load.  Fast; used for the accuracy
-  figures (2, 8, 10, 13, 14).  Like the batched engine's Phase A, it
-  first primes history-keyed predictors with the trace's whole branch
-  stream (``MDPredictor.prime``), so their table keys come from the
-  vectorised fold plans of :mod:`repro.common.foldplan` instead of
-  per-branch register updates.
+  figures (2, 8, 10, 13, 14).  It is the batched engine's Phase A
+  without Phase B: the same :class:`~repro.core.batched.PredictorReplay`
+  loop, primed from the micro-ops, with no branch predictor and a store
+  window spanning the trace.
 * :func:`run_timing` runs the full out-of-order pipeline for IPC
   (figures 7, 9, 11, 12, 15).
 
@@ -20,23 +19,19 @@ over many predictors generates each trace once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from ..analysis.accuracy import OUTCOME_BY_CODE, AccuracyStats
+from ..analysis.accuracy import AccuracyStats
 from ..analysis.f1 import F1Recorder, RankedF1Profile
-from ..common.foldplan import prime_inputs
+from ..core.batched import BatchedPipeline, PredictorReplay, uop_prime_inputs
 from ..core.config import GOLDEN_COVE, CoreConfig
 from ..core.pipeline import Pipeline
 from ..core.stats import PipelineStats
-from ..predictors.base import PRED_KIND_BY_CODE, MDPredictor
+from ..predictors.base import MDPredictor
 from ..predictors.mascot import Mascot
 from ..sampling.policy import SamplingPolicy
-from ..trace.columns import BYPASS_CODES, OP_CODES
 from ..trace.generator import generate_trace
-from ..trace.uop import MicroOp, OpClass
+from ..trace.uop import MicroOp
 
 __all__ = [
     "TraceCache",
@@ -199,50 +194,10 @@ def run_prediction_only(
 
         sink = predictor.attach_telemetry(TableTelemetry())
 
-    _prime(predictor, trace)
+    outcome_counts, kind_counts, _, _ = PredictorReplay(predictor).replay(
+        trace, warmup, len(trace), uop_prime_inputs(predictor, trace),
+        recorder)
     stats = AccuracyStats()
-    # Outcome / prediction-kind tallies by int code (see record_codes).
-    outcome_counts = [0] * len(OUTCOME_BY_CODE)
-    kind_counts = [0] * len(PRED_KIND_BY_CODE)
-    predict_train = predictor.predict_train
-    branch_count = 0
-    store_branch: Dict[int, int] = {}
-    store_pc: Dict[int, int] = {}
-
-    for uop in trace:
-        op = uop.op
-        if op is OpClass.BRANCH_COND:
-            predictor.on_branch(uop.pc, uop.taken)
-            branch_count += 1
-        elif op is OpClass.BRANCH_INDIRECT:
-            predictor.on_indirect(uop.pc, uop.target)
-            branch_count += 1
-        elif uop.is_store:
-            predictor.on_store(uop)
-            store_branch[uop.seq] = branch_count
-            store_pc[uop.seq] = uop.pc
-            if len(store_branch) > 4096:
-                _prune(store_branch, uop.seq)
-                _prune(store_pc, uop.seq)
-        elif uop.is_load:
-            branches_between = 0
-            pc_of_store = None
-            if uop.has_dependence:
-                branches_between = branch_count - store_branch.get(
-                    uop.dep_store_seq, branch_count
-                )
-                pc_of_store = store_pc.get(uop.dep_store_seq)
-            kind, _, _, _, outcome = predict_train(
-                uop, branches_between, pc_of_store, uop.store_distance,
-                BYPASS_CODES[uop.bypass],
-            )
-            if uop.seq >= warmup:
-                outcome_counts[outcome] += 1
-                kind_counts[kind] += 1
-            if recorder is not None:
-                recorder.tick()
-
-    predictor.finish()
     stats.record_codes(outcome_counts, kind_counts)
     # The measured-instruction denominator is exactly the post-warmup
     # region.  A warmup covering the whole trace measures nothing:
@@ -257,67 +212,6 @@ def run_prediction_only(
         f1_profile=profile,
         telemetry=sink.to_dict() if sink is not None else None,
     )
-
-
-#: Op codes whose fields feed a prime: branches and loads.
-_PRIMED_OPS = np.array([OP_CODES[OpClass.LOAD], OP_CODES[OpClass.BRANCH_COND],
-                        OP_CODES[OpClass.BRANCH_INDIRECT]], dtype=np.int8)
-#: :data:`OP_CODES` keyed by member name: string hashes are cached, enum
-#: member hashes are computed in Python on every lookup.
-_OP_CODE_BY_NAME = {op.name: code for op, code in OP_CODES.items()}
-
-
-def _prime(predictor: MDPredictor, trace: Sequence[MicroOp]) -> None:
-    """Hand ``predictor`` the trace's branch stream and load PCs.
-
-    Skipped — nothing built — for predictors keeping the base no-op
-    ``prime`` (Store Sets, the oracles).  The arrays are read straight
-    from the micro-ops: op codes for all of them, PC / taken / target
-    only at branches and loads.
-    """
-    if type(predictor).prime is MDPredictor.prime:
-        return
-    n = len(trace)
-    op = np.fromiter(map(_OP_CODE_BY_NAME.__getitem__,
-                         map(attrgetter("op._name_"), trace)),
-                     dtype=np.int8, count=n)
-    seqs = np.flatnonzero(np.isin(op, _PRIMED_OPS))
-    events = [trace[i] for i in seqs.tolist()]
-    columns = []
-    for name, dtype in (("pc", np.int64), ("taken", np.bool_),
-                        ("target", np.int64)):
-        column = np.zeros(n, dtype=dtype)
-        column[seqs] = np.fromiter(map(attrgetter(name), events),
-                                   dtype=dtype, count=len(events))
-        columns.append(column)
-    inputs = prime_inputs(op, *columns)
-    del op, events, columns  # transient: keep them out of the prime's peak
-    predictor.prime(*inputs)
-
-
-def _prune(mapping: Dict[int, int], current_seq: int,
-           horizon: int = 2048) -> None:
-    """Drop entries too old to matter for in-flight dependence queries.
-
-    Bounded-memory invariant: pruning fires once the map exceeds 4096
-    entries and keeps only stores within ``horizon`` (2048) sequence
-    numbers, so the map can never regrow past one store per retained
-    sequence number — its size is bounded by ``horizon`` right after a
-    prune and by 4097 at any instant.
-
-    This is lossless for classification: the trace generator only
-    annotates dependencies within ``instr_window`` (default 512 ≪ 2048)
-    micro-ops of the load, and :func:`classify` reads the ground truth
-    from the load's own annotations, never from these maps.  What a
-    pruned store *does* lose is its auxiliary context — the
-    ``branches_between`` and ``store_pc`` hints handed to
-    ``ActualOutcome`` — which only degrades training heuristics (e.g.
-    Store Sets' SSIT updates) for dependencies older than the horizon;
-    with default trace windows that case cannot occur.
-    """
-    dead = [seq for seq in mapping if current_seq - seq > horizon]
-    for seq in dead:
-        del mapping[seq]
 
 
 #: Timing-engine registry: ``scalar`` is the reference event-at-a-time
@@ -379,7 +273,6 @@ def run_timing(
     if predictor is None:
         raise ValueError("full-trace runs need a predictor instance")
     if engine == "batched":
-        from ..core.batched import BatchedPipeline
         return BatchedPipeline(predictor, config=config,
                                hierarchy=hierarchy).run(
             trace, measure_from=measure_from)

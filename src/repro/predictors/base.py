@@ -198,18 +198,18 @@ class MDPredictor(abc.ABC):
       change, allocation and replacement.
 
     The base class composes the halves in three ways, and no predictor
-    overrides them: :meth:`predict_train` (the fused per-load step of the
-    batched engine and of :func:`repro.experiments.runner.run_prediction_only`),
-    and the object API :meth:`predict` / :meth:`train` used by the scalar
+    overrides them: :meth:`predict_train` (the fused per-load step of
+    :meth:`repro.core.batched.PredictorReplay.replay`), and the object API
+    :meth:`predict` / :meth:`train` used by the scalar
     :class:`~repro.core.pipeline.Pipeline`, tests and examples.  ``train``
     re-finds the entry from the keys carried in the prediction's ``meta``
     (:meth:`_reacquire`), as hardware re-indexes at commit; the fused path
     reuses the predict-time entry, which is the same object because nothing
     predictor-visible happens between a load's predict and its train.
 
-    Both replays — the batched engine's Phase A and
+    That replay — the batched engine's Phase A, and without Phase B
     :func:`~repro.experiments.runner.run_prediction_only` — additionally
-    call :meth:`prime` before a run (with the whole architectural branch
+    calls :meth:`prime` before a run (with the whole architectural branch
     stream, so keyed predictors can precompute every load's keys) and
     :meth:`finish` after it (to write the history registers back and drop
     the primed rows).  The scalar pipeline never primes.

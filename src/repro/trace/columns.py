@@ -53,7 +53,7 @@ def _seq_or_sentinel(seq):
 class TraceColumns:
     """Numpy columns for one trace, plus cached plain-list views.
 
-    The numpy arrays serve vectorised work (event-index extraction,
+    The numpy arrays serve vectorised work (prime inputs,
     measured-count reductions); the ``.lists()`` views serve the
     per-uop timing loop, where native ``int`` elements avoid the cost of
     materialising ``np.int64`` scalars on every read.
@@ -146,13 +146,6 @@ class TraceColumns:
                 "src_count": self.src_count.tolist(),
             }
         return self._lists
-
-    def indices_of(self, *ops: OpClass) -> np.ndarray:
-        """Sorted sequence numbers of all uops with one of the given classes."""
-        codes = [OP_CODES[o] for o in ops]
-        mask = np.isin(self.op, codes) if len(codes) > 1 else (
-            self.op == codes[0])
-        return np.flatnonzero(mask)
 
     # -- reconstruction (testing aid) ------------------------------------------
 

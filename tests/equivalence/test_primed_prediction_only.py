@@ -4,7 +4,9 @@
 predictors with the trace's whole branch stream before its loop, so
 their table keys come from the closed-form fold plans instead of
 per-branch register updates.  :func:`_unprimed_replay` below is the loop
-as it was before priming, kept here as the oracle: for every registered
+as it was before priming (and before it became the batched engine's
+shared :class:`~repro.core.batched.PredictorReplay`), with its own
+store-map prune, kept here as the oracle: for every registered
 predictor the two must return equal :class:`PredictionRunResult`\\ s —
 accuracy counts, ``predictions_per_table``, telemetry and F1 profile —
 and leave the predictor in the same state.
@@ -18,11 +20,7 @@ import pytest
 
 from repro.analysis.accuracy import OUTCOME_BY_CODE, AccuracyStats
 from repro.analysis.f1 import F1Recorder
-from repro.experiments.runner import (
-    PredictionRunResult,
-    _prune,
-    run_prediction_only,
-)
+from repro.experiments.runner import PredictionRunResult, run_prediction_only
 from repro.experiments.suite import PREDICTOR_FACTORIES, make_predictor
 from repro.obs.telemetry import TableTelemetry
 from repro.predictors import MASCOT_DEFAULT, Mascot
@@ -38,6 +36,14 @@ from .test_primed_state import _state
 
 #: Long enough for more than one block of primed load rows.
 TRACE_LEN = 5_000
+
+
+def _prune(mapping: Dict[int, int], current_seq: int,
+           horizon: int = 2048) -> None:
+    """Drop store entries more than ``horizon`` sequence numbers old."""
+    dead = [seq for seq in mapping if current_seq - seq > horizon]
+    for seq in dead:
+        del mapping[seq]
 
 
 def _unprimed_replay(trace, predictor, f1_period: Optional[int] = None,

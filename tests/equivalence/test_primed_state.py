@@ -22,6 +22,7 @@ import pytest
 
 from repro.branch.tage import TAGEBranchPredictor
 from repro.core import BatchedPipeline, Pipeline
+from repro.core.batched import PredictorReplay
 from repro.experiments import runner
 from repro.experiments.suite import make_predictor
 from repro.obs.telemetry import TableTelemetry
@@ -87,7 +88,8 @@ def _prediction_only_then_scalar(predictor_name):
 def test_prediction_only_then_scalar_equals_scalar_twice(predictor_name,
                                                          monkeypatch):
     primed_first = _prediction_only_then_scalar(predictor_name)
-    monkeypatch.setattr(runner, "_prime", lambda predictor, trace: None)
+    monkeypatch.setattr(PredictorReplay, "prime",
+                        lambda replay, inputs: None)
     scalar_only = _prediction_only_then_scalar(predictor_name)
     for part, got, want in zip(("stats", "telemetry", "predictor",
                                 "branch predictor"),

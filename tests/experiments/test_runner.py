@@ -3,12 +3,13 @@
 import pytest
 
 from repro.experiments.runner import (
+    TIMING_ENGINES,
     TraceCache,
-    _prune,
     default_cache,
     run_prediction_only,
     run_timing,
 )
+from repro.experiments.suite import PREDICTOR_FACTORIES, make_predictor
 from repro.core.config import GOLDEN_COVE
 from repro.predictors.mascot import Mascot
 from repro.predictors.perfect import PerfectMDP
@@ -113,6 +114,18 @@ class TestWarmup:
         result = run_prediction_only(trace, Mascot(), warmup=0)
         assert result.accuracy.instructions == len(trace)
 
+    @pytest.mark.parametrize("engine", TIMING_ENGINES)
+    def test_timing_warmup_covering_whole_trace(self, engine):
+        """Regression: both timing engines reported a phantom measured
+        instruction (accuracy.instructions == 1) for an all-warmup run."""
+        trace = small_trace("perlbench1", 2_000)
+        stats = run_timing(trace, Mascot(), engine=engine,
+                           measure_from=len(trace))
+        assert stats.instructions == 0
+        assert stats.accuracy.instructions == 0
+        assert stats.accuracy.loads == 0
+        assert stats.accuracy.mpki() == 0.0
+
     def test_mpki_still_rejects_inconsistent_zero(self):
         """A zero denominator with recorded mispredictions is an
         accounting bug, not an empty run, and must keep raising."""
@@ -123,39 +136,41 @@ class TestWarmup:
             result.accuracy.mpki(0)
 
 
+class _HintSpy(PerfectMDP):
+    """The perfect predictor, recording each load's training hints."""
+
+    def __init__(self):
+        super().__init__()
+        self.hints = []
+
+    def update(self, *args):
+        self.hints.append(args[-2:])  # (branches_between, store_pc)
+
+
 class TestPruneHorizon:
-    def test_prune_bounds_map_size(self):
-        mapping = {seq: seq for seq in range(5_000)}
-        _prune(mapping, current_seq=5_000)
-        assert len(mapping) == 2_048
-        assert min(mapping) == 5_000 - 2_048
+    """Dependences far older than any generated trace produces: the
+    prediction-only replay once pruned its store maps past a 2048-seq
+    horizon; its store window now spans the whole trace."""
 
-    def test_prune_keeps_recent_entries(self):
-        mapping = {seq: seq * 10 for seq in range(100)}
-        _prune(mapping, current_seq=150)
-        assert mapping == {seq: seq * 10 for seq in range(100)}
+    def _long_distance_trace(self, filler_stores=4_300, branches=0):
+        """A load whose producing store is thousands of stores back.
 
-    def test_prune_custom_horizon(self):
-        mapping = {seq: 0 for seq in range(1_000)}
-        _prune(mapping, current_seq=1_000, horizon=10)
-        assert set(mapping) == set(range(990, 1_000))
-
-    def _long_distance_trace(self, filler_stores=4_300):
-        """A load whose producing store is far beyond the prune horizon.
-
-        Store seq 0 writes 0x1000; thousands of unrelated stores then
-        force the runner's auxiliary maps past their 4096-entry trigger,
-        pruning seq 0; finally a load reads 0x1000.  The dependence
-        annotation travels on the load itself, so pruning must not
-        affect classification.
+        Store seq 0 writes 0x1000; ``branches`` conditional branches and
+        then ``filler_stores`` unrelated stores follow; finally a load
+        reads 0x1000.  The dependence annotation travels on the load
+        itself.
         """
         uops = [MicroOp(seq=0, pc=0x400, op=OpClass.STORE,
                         address=0x1000, size=8)]
+        for _ in range(branches):
+            uops.append(MicroOp(seq=len(uops), pc=0x480,
+                                op=OpClass.BRANCH_COND, taken=True))
         for i in range(1, filler_stores + 1):
-            uops.append(MicroOp(seq=i, pc=0x500 + 4 * i, op=OpClass.STORE,
+            uops.append(MicroOp(seq=len(uops), pc=0x500 + 4 * i,
+                                op=OpClass.STORE,
                                 address=0x8000 + 16 * i, size=8))
         uops.append(MicroOp(
-            seq=filler_stores + 1, pc=0x9000, op=OpClass.LOAD,
+            seq=len(uops), pc=0x9000, op=OpClass.LOAD,
             address=0x1000, size=8,
             store_distance=filler_stores + 1, dep_store_seq=0,
             bypass=BypassClass.DIRECT,
@@ -164,16 +179,16 @@ class TestPruneHorizon:
 
     def test_pruned_store_does_not_break_classification(self):
         """Ground truth is read from the load's annotations, never the
-        pruned store_branch/store_pc maps: the oracle stays perfect even
-        when the conflicting store fell off the horizon."""
+        replay's store bookkeeping: the oracle stays perfect for a store
+        thousands of stores back."""
         trace = self._long_distance_trace()
         result = run_prediction_only(trace, PerfectMDP())
         assert result.accuracy.loads == 1
         assert result.accuracy.mispredictions == 0
 
     def test_below_trigger_identical_to_above(self):
-        """The 4096-entry trigger only affects auxiliary hints, so oracle
-        accuracy is identical either side of it."""
+        """Oracle accuracy is identical for a near and a far store
+        (either side of the old 4096-entry prune trigger)."""
         short = run_prediction_only(self._long_distance_trace(100),
                                     PerfectMDP())
         long = run_prediction_only(self._long_distance_trace(4_300),
@@ -181,6 +196,14 @@ class TestPruneHorizon:
         assert short.accuracy.mispredictions == 0
         assert long.accuracy.mispredictions == 0
         assert short.accuracy.outcome_counts == long.accuracy.outcome_counts
+
+    def test_far_store_gets_exact_hints(self):
+        """A store 4,300 stores back still yields the exact
+        ``branches_between`` / ``store_pc`` training hints."""
+        spy = _HintSpy()
+        run_prediction_only(self._long_distance_trace(4_300, branches=3),
+                            spy)
+        assert spy.hints == [(3, 0x400)]
 
 
 class TestTiming:
@@ -197,11 +220,19 @@ class TestTiming:
         assert s1.cycles == s2.cycles
 
     def test_accuracy_consistent_with_prediction_mode(self):
-        """The two modes must agree on ground truth: a perfect predictor
-        shows zero mispredictions in both."""
-        trace = small_trace("perlbench1", 10_000)
-        timing = run_timing(trace, PerfectMDP())
-        prediction = run_prediction_only(trace, PerfectMDP())
-        assert timing.accuracy.mispredictions == 0
-        assert prediction.accuracy.mispredictions == 0
-        assert timing.accuracy.loads == prediction.accuracy.loads
+        """The two modes replay one event stream: for every registered
+        predictor, both engines and a cold and a warmed measurement,
+        timing accuracy equals prediction-only accuracy field for field
+        (instructions included)."""
+        trace = small_trace("perlbench1", 3_000)
+        for name in sorted(PREDICTOR_FACTORIES):
+            for warmup in (0, len(trace) // 4):
+                want = run_prediction_only(trace, make_predictor(name),
+                                           warmup=warmup).accuracy
+                if name == "perfect-mdp":
+                    assert want.loads and not want.mispredictions
+                for engine in TIMING_ENGINES:
+                    got = run_timing(trace, make_predictor(name),
+                                     engine=engine,
+                                     measure_from=warmup).accuracy
+                    assert got == want, (name, warmup, engine)

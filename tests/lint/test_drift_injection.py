@@ -63,6 +63,18 @@ class TestSeededEngineAsymmetry:
         assert result.exit_code != 0
         assert any(f.rule == "eq-stats-write" for f in result.active)
 
+    def test_dropped_predictor_hook_fails_lint(self, tree):
+        # The shared predictor replay (Phase A and the prediction-only
+        # replay) stops telling the predictor about stores: Store Sets
+        # and NoSQ would silently train on a different stream than the
+        # scalar engine's.
+        mutate(tree, "core/batched.py",
+               "oseq = p_on_store(uop)", "oseq = None")
+        result = lint_paths([tree], select=INTERPROCEDURAL)
+        assert result.exit_code != 0
+        assert any(f.rule == "eq-predictor-call" and "on_store" in f.message
+                   for f in result.active)
+
 
 class TestRemovedSaltEntry:
     def test_dropped_shared_source_fails_lint(self, tree):
