@@ -4,16 +4,18 @@ The supervisor loop in :mod:`repro.experiments.parallel` schedules cells,
 enforces deadlines and classifies failures — but it no longer owns the
 execution substrate.  That is an :class:`ExecutorBackend`:
 
-* :class:`LocalPoolBackend` — today's ``ProcessPoolExecutor``, wrapped
-  behaviour-preservingly.  Worker loss is *ambiguous* (every in-flight
-  future observes the same ``BrokenProcessPool``), so the supervisor keeps
-  its suspect-probation machinery for this backend.
+* :class:`LocalPoolBackend` — ``workers`` slots, each a
+  ``ProcessPoolExecutor`` with one process.  A slot runs one cell at a
+  time and keeps its process's trace memo between cells, so the
+  supervisor can send it every cell of the traces it already holds.
 * :class:`WorkerBackend` — one TCP connection per ``repro worker``
   process, which may live on other hosts.  Dispatches are covered by
   *leases*: the worker heartbeats while computing, and a missed heartbeat
-  or dropped socket expires the lease and requeues the cell.  Worker loss
-  is *attributable* (one connection, one cell), so there is no probation;
-  a crashed worker costs exactly one requeue.
+  or dropped socket expires the lease and requeues the cell.
+
+Both run one cell per slot, so a lost or hung worker identifies its cell
+with certainty: a crash costs exactly one requeue of that cell and
+leaves the other slots' cells running.
 
 Wire protocol
 -------------
@@ -472,21 +474,23 @@ class FrameServer:
 class ExecutorBackend:
     """Where cells run; the supervisor drives this interface.
 
-    ``submit`` hands one cell to the substrate and returns an opaque
-    handle; ``wait`` blocks up to ``timeout`` for handles to finish;
-    ``result`` returns the cell's result or raises the failure
-    (:class:`WorkerLostError`, :class:`LeaseExpiredError`,
+    A backend is a set of *slots*, each able to run one cell at a time.
+    ``slots`` lists the live ones as opaque hashable tokens; a token is
+    replaced whenever its worker's memory is lost (a respawned process,
+    a reconnected endpoint), so the supervisor can tell which traces a
+    slot still holds.  ``submit`` hands one cell to an idle slot and
+    returns an opaque handle; ``wait`` blocks up to ``timeout`` for
+    handles to finish; ``result`` returns the cell's result or raises
+    the failure (:class:`WorkerLostError`, :class:`LeaseExpiredError`,
     :class:`ResultCorruptError`, :class:`RemoteCellError`, or the cell's
-    own exception).  ``attributable`` declares whether a worker loss
-    identifies its cell with certainty — when False the supervisor runs
-    its suspect-probation protocol; ``isolates_failures`` declares
-    whether a hung or lost worker leaves the other in-flight cells
-    untouched (True for one-connection-per-worker backends, False for a
-    shared process pool that must be replaced wholesale).
+    own exception).
     """
 
-    attributable = False
-    isolates_failures = False
+    #: A lost or hung worker identifies its cell with certainty (one
+    #: cell per slot), so the supervisor charges that cell alone...
+    attributable = True
+    #: ...and the other slots' in-flight cells are left untouched.
+    isolates_failures = True
     #: True when dispatches are covered by journaled leases.
     leased = False
 
@@ -498,9 +502,16 @@ class ExecutorBackend:
     @property
     def workers(self) -> int:
         """Current concurrent capacity (may shrink as workers die)."""
+        return len(self.slots())
+
+    def slots(self) -> List[object]:
+        """Tokens of the live slots, in a stable order."""
         raise NotImplementedError
 
-    def submit(self, fn, spec, lease: Optional[str] = None):
+    def submit(self, slot, fn, spec, lease: Optional[str] = None):
+        """Run ``fn(spec)`` on idle ``slot``; raises
+        :class:`BackendBrokenError` (and drops the slot) when the slot
+        cannot take it."""
         raise NotImplementedError
 
     def wait(self, timeout: float) -> Set[object]:
@@ -509,23 +520,21 @@ class ExecutorBackend:
     def result(self, handle):
         raise NotImplementedError
 
-    def done(self, handle) -> bool:
-        raise NotImplementedError
-
     def forget(self, handle) -> None:
-        """Drop one in-flight handle (timeout path); never raises."""
+        """Abandon one in-flight handle (timeout) and the worker running
+        it; never raises."""
         raise NotImplementedError
 
     def connect_all(self) -> int:
         """Establish the substrate's connections; returns capacity.
 
-        A no-op for process-pool backends (the pool exists from
+        A no-op for process-pool backends (the slots exist from
         construction); the worker backend dials every endpoint here.
         """
         return self.workers
 
     def rebuild(self) -> None:
-        """Replace a broken substrate; in-flight handles are abandoned."""
+        """Restore lost slots after total capacity loss; never raises."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -533,88 +542,121 @@ class ExecutorBackend:
 
     def describe(self, handle) -> str:
         """Short label of where a handle runs, for messages and leases."""
-        return "local"
+        raise NotImplementedError
 
     #: Lifetime counters for the metrics sweep record.
     counters: Dict[str, int]
 
 
-class LocalPoolBackend(ExecutorBackend):
-    """Today's ProcessPoolExecutor, wrapped behaviour-preservingly.
+class _Slot:
+    """One local slot: a single-process pool running one cell at a time."""
 
-    Handles are the pool's futures.  ``BrokenProcessPool`` is translated
-    to :class:`WorkerLostError` with the original exception attached, so
-    the supervisor's fail-fast path re-raises exactly what it always
-    raised.  Worker loss is ambiguous (``attributable = False``): the
-    supervisor keeps its suspect-probation machinery.
-    """
+    __slots__ = ("index", "pool", "future")
 
-    attributable = False
-    isolates_failures = False
-    leased = False
-
-    def __init__(self, workers: int):
-        self._workers = workers
-        self._pool: Optional[ProcessPoolExecutor] = ProcessPoolExecutor(
-            max_workers=workers)
-        self._inflight: Set[object] = set()
-        self.counters = {}
+    def __init__(self, index: int):
+        self.index = index
+        self.pool = ProcessPoolExecutor(max_workers=1)
+        self.future = None
 
     @property
-    def workers(self) -> int:
-        return self._workers
+    def label(self) -> str:
+        return f"local:{self.index}"
 
-    def submit(self, fn, spec, lease: Optional[str] = None):
-        try:
-            future = self._pool.submit(fn, spec)
-        except BrokenProcessPool as error:
-            raise BackendBrokenError(str(error)) from error
-        self._inflight.add(future)
-        return future
-
-    def wait(self, timeout: float) -> Set[object]:
-        if not self._inflight:
-            return set()
-        done, _ = wait(self._inflight, timeout=timeout,
-                       return_when=FIRST_COMPLETED)
-        self._inflight -= done
-        return done
-
-    def result(self, handle):
-        try:
-            return handle.result()
-        except BrokenProcessPool as error:
-            raise WorkerLostError(
-                "worker process died (BrokenProcessPool)",
-                original=error) from error
-
-    def done(self, handle) -> bool:
-        return handle.done()
-
-    def forget(self, handle) -> None:
-        self._inflight.discard(handle)
-
-    def rebuild(self) -> None:
-        self._terminate()
-        self._pool = ProcessPoolExecutor(max_workers=self._workers)
-
-    def close(self) -> None:
-        self._terminate()
-        self._pool = None
-
-    def _terminate(self) -> None:
-        """Tear the pool down without waiting on hung or dead workers."""
-        pool = self._pool
-        if pool is None:
-            return
-        processes = getattr(pool, "_processes", None) or {}
+    def kill(self) -> None:
+        """Tear the pool down without waiting on a hung or dead worker."""
+        processes = getattr(self.pool, "_processes", None) or {}
         for process in list(processes.values()):
             try:
                 process.kill()
             except Exception:  # noqa: BLE001 — already-dead worker
                 pass
-        pool.shutdown(wait=False, cancel_futures=True)
-        self._inflight.clear()
+        self.pool.shutdown(wait=False, cancel_futures=True)
+
+
+class LocalPoolBackend(ExecutorBackend):
+    """``workers`` local slots, each its own one-process pool.
+
+    Handles are the slots' futures.  ``BrokenProcessPool`` is translated
+    to :class:`WorkerLostError` with the original exception attached, so
+    the supervisor's fail-fast path re-raises exactly what the pool
+    raised.  A slot whose worker died or was abandoned (timeout) is
+    respawned at once as a fresh slot; one that cannot be respawned, or
+    that fails to take a cell, stays lost until :meth:`rebuild`.
+    """
+
+    def __init__(self, workers: int):
+        self._slots: List[Optional[_Slot]] = [None] * workers
+        self.counters = {}
+        self.rebuild()
+
+    def _spawn(self, index: int) -> _Slot:
+        try:
+            return _Slot(index)
+        except OSError as error:
+            raise BackendBrokenError(
+                f"cannot start local slot {index}: {error}") from error
+
+    def _replace(self, slot: _Slot) -> None:
+        """Kill ``slot``'s worker and put a fresh slot in its place."""
+        slot.kill()
+        try:
+            self._slots[slot.index] = self._spawn(slot.index)
+        except BackendBrokenError:
+            self._slots[slot.index] = None
+
+    def _owner(self, handle) -> Optional[_Slot]:
+        return next((s for s in self.slots() if s.future is handle), None)
+
+    def slots(self) -> List[_Slot]:
+        return [slot for slot in self._slots if slot is not None]
+
+    def submit(self, slot: _Slot, fn, spec, lease: Optional[str] = None):
+        try:
+            slot.future = slot.pool.submit(fn, spec)
+        except (BrokenProcessPool, OSError) as error:
+            slot.kill()
+            self._slots[slot.index] = None
+            raise BackendBrokenError(str(error)) from error
+        return slot.future
+
+    def wait(self, timeout: float) -> Set[object]:
+        busy = [slot.future for slot in self.slots()
+                if slot.future is not None]
+        if not busy:
+            return set()
+        return wait(busy, timeout=timeout, return_when=FIRST_COMPLETED)[0]
+
+    def result(self, handle):
+        slot = self._owner(handle)
+        slot.future = None
+        try:
+            return handle.result()
+        except BrokenProcessPool as error:
+            self._replace(slot)
+            raise WorkerLostError(
+                f"worker process of {slot.label} died (BrokenProcessPool)",
+                original=error) from error
+
+    def forget(self, handle) -> None:
+        slot = self._owner(handle)
+        if slot is not None:
+            self._replace(slot)
+
+    def rebuild(self) -> None:
+        for index, slot in enumerate(self._slots):
+            if slot is None:
+                try:
+                    self._slots[index] = self._spawn(index)
+                except BackendBrokenError:
+                    pass
+
+    def close(self) -> None:
+        for slot in self.slots():
+            slot.kill()
+        self._slots = [None] * len(self._slots)
+
+    def describe(self, handle) -> str:
+        return self._owner(handle).label
 
 
 # ------------------------------------------------------- worker backend
@@ -666,18 +708,17 @@ class WorkerBackend(ExecutorBackend):
 
     One connection per endpoint, one in-flight cell per connection.
     Capacity is the number of live connections and *shrinks* as workers
-    die; dead endpoints are retried on demand (``reconnects`` counter).
+    die; dead endpoints are redialled once every connection is lost
+    (``reconnects`` counter).
     A lease covers every dispatch: the worker heartbeats every
     ``heartbeat_interval`` seconds while computing, and a silent gap
     longer than ``lease_timeout`` expires the lease — the connection is
     declared wedged, dropped, and the cell requeued by the supervisor.
 
-    Worker loss is attributable (one connection runs one cell), so a
-    crash costs exactly one requeue and never triggers probation.
+    Each connection is one slot; a reconnect is a new slot, since the
+    worker process behind it may have been replaced.
     """
 
-    attributable = True
-    isolates_failures = True
     leased = True
 
     def __init__(self, endpoints: Sequence[Tuple[str, int]],
@@ -748,9 +789,8 @@ class WorkerBackend(ExecutorBackend):
             self._ever_connected = True
         return len(self._conns)
 
-    @property
-    def workers(self) -> int:
-        return len(self._conns)
+    def slots(self) -> List[_Connection]:
+        return list(self._conns.values())
 
     @property
     def skewed(self) -> Dict[Tuple[str, int], str]:
@@ -759,34 +799,26 @@ class WorkerBackend(ExecutorBackend):
 
     # --------------------------------------------------------- dispatch
 
-    def submit(self, fn, spec, lease: Optional[str] = None):
-        """Send one cell to an idle worker; ``fn`` is unused (remote)."""
-        idle = [c for c in self._conns.values() if c.handle is None]
-        if not idle:
-            self.connect_all()
-            idle = [c for c in self._conns.values() if c.handle is None]
-        last_error: Optional[Exception] = None
-        for conn in idle:
-            handle = RemoteHandle(lease or lease_id(stable_digest(
-                spec_to_wire(spec)), 1), conn.label)
-            try:
-                send_frame(conn.sock, {
-                    "type": "run",
-                    "lease": handle.lease,
-                    "heartbeat": self.heartbeat_interval,
-                    "spec": spec_to_wire(spec),
-                })
-            except OSError as error:
-                last_error = error
-                self._drop(conn)
-                continue
-            conn.handle = handle
-            conn.last_beat = time.monotonic()
-            self.counters["leases_granted"] += 1
-            return handle
-        raise BackendBrokenError(
-            "no live worker connection to dispatch to"
-            + (f" ({last_error})" if last_error else ""))
+    def submit(self, slot: _Connection, fn, spec,
+               lease: Optional[str] = None):
+        """Send one cell to idle connection ``slot``; ``fn`` is unused."""
+        handle = RemoteHandle(lease or lease_id(stable_digest(
+            spec_to_wire(spec)), 1), slot.label)
+        try:
+            send_frame(slot.sock, {
+                "type": "run",
+                "lease": handle.lease,
+                "heartbeat": self.heartbeat_interval,
+                "spec": spec_to_wire(spec),
+            })
+        except OSError as error:
+            self._drop(slot)
+            raise BackendBrokenError(
+                f"cannot dispatch to {slot.label}: {error}") from error
+        slot.handle = handle
+        slot.last_beat = time.monotonic()
+        self.counters["leases_granted"] += 1
+        return handle
 
     # ----------------------------------------------------------- events
 
@@ -892,9 +924,6 @@ class WorkerBackend(ExecutorBackend):
         if handle._error is not None:
             raise handle._error
         return handle._result
-
-    def done(self, handle: RemoteHandle) -> bool:
-        return handle.finished
 
     def forget(self, handle: RemoteHandle) -> None:
         """Abandon one in-flight cell (timeout): drop its connection."""

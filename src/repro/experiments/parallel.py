@@ -11,26 +11,34 @@ generators:
   an :class:`~repro.experiments.backends.ExecutorBackend` (``jobs > 1``)
   or computed inline (``jobs == 1``; the default, and always used for a
   single pending cell unless a timeout demands pool supervision).  The
-  default backend is the local process pool
+  default backend is ``jobs`` local slots, one worker process each
   (:class:`~repro.experiments.backends.LocalPoolBackend`);
   ``backend="host:port,..."`` instead dispatches cells to ``repro
   worker`` processes on other hosts over a leased, heartbeat-monitored
   TCP protocol (:class:`~repro.experiments.backends.WorkerBackend`).
+* **Trace-affine dispatch** — every cell of a benchmark replays the same
+  trace, and a worker keeps the traces it generated in the process-global
+  :class:`~repro.experiments.runner.TraceCache`.  So an idle slot gets a
+  cell of a trace it already holds, else claims a trace no slot holds,
+  and steals a cell of another slot's trace only rather than idle
+  (:func:`_pick`).  A run generates each trace about once instead of once
+  per worker, and a worker holds only the traces it claimed.
 * **Determinism** — results are merged positionally, keyed by the cell's
   position in the request, never by completion order.  Every cell builds a
-  fresh predictor and regenerates its trace from fixed seeds, so the
+  fresh predictor, and a trace is a pure function of its seeds, so the
   ``jobs=N`` grid is bit-identical to the serial one.
 * **Fault tolerance** — a :class:`~repro.experiments.resilience.ResiliencePolicy`
   adds per-cell wall-clock timeouts (enforced via future deadlines),
   bounded retries with key-derived backoff jitter, recovery from worker
-  death (``BrokenProcessPool`` → pool rebuild, with graceful degradation
-  to inline serial execution after repeated breakages), and — under
-  ``fail_fast=False`` — :class:`~repro.experiments.resilience.CellFailure`
-  placeholders merged positionally so callers render partial grids.
-* **Trace reuse** — workers share the process-global
-  :class:`~repro.experiments.runner.TraceCache`, so a worker that computes
-  several cells of the same benchmark generates the trace once (and a
-  forked worker inherits traces already generated by the parent).
+  death, and — under ``fail_fast=False`` —
+  :class:`~repro.experiments.resilience.CellFailure` placeholders merged
+  positionally so callers render partial grids.  A slot runs one cell at
+  a time, so a dead worker, a hung one or an expired lease identifies its
+  cell with certainty: that cell alone is charged an attempt and the
+  other slots' cells run on.  A dead or hung local worker is respawned as
+  a fresh slot.  Only total capacity loss (no live slot) counts toward
+  ``max_pool_rebuilds``; past that, the run degrades to inline serial
+  execution with a ``RuntimeWarning`` instead of aborting.
 * **Result caching** — an optional on-disk
   :class:`~repro.experiments.result_cache.ResultCache` is consulted before
   any work is dispatched and populated afterwards, so a warm sweep
@@ -40,26 +48,6 @@ generators:
   and outcome (results included) to an append-only JSONL file;
   ``resume=<run-id>`` restores previously completed cells bit-identically
   and re-dispatches only failed/pending ones.
-
-Worker-loss attribution
------------------------
-When a local pool worker dies, *every* in-flight future observes the same
-``BrokenProcessPool`` — the culprit cell cannot be identified from the
-wreckage.  The supervisor therefore charges no one: all in-flight cells
-become *suspects* and are re-run one at a time in a fresh pool.  A suspect
-whose solo run kills its worker is attributed with certainty and charged a
-``worker-lost`` attempt (retries permitting); suspects that complete are
-cleared.  Only ambiguous (multi-suspect) breakages count toward
-``max_pool_rebuilds``; past that, the run degrades to inline serial
-execution with a ``RuntimeWarning`` instead of aborting.
-
-The distributed backend needs none of this: one TCP connection runs one
-cell, so a dropped socket or expired lease identifies its cell with
-certainty (``backend.attributable``) and costs exactly one requeue,
-leaving the other workers' cells untouched
-(``backend.isolates_failures``).  Only total capacity loss (every worker
-endpoint unreachable) counts toward ``max_pool_rebuilds`` before the same
-graceful degradation to inline serial execution.
 """
 
 from __future__ import annotations
@@ -67,10 +55,11 @@ from __future__ import annotations
 import sys
 import time
 import warnings
-from concurrent.futures import CancelledError
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import (Callable, Dict, List, Optional, Sequence, Set, Tuple,
+                    Union)
 
 from ..core.config import CoreConfig
 from ..obs.metrics import MetricsWriter
@@ -101,7 +90,7 @@ from .resilience import (
     maybe_inject_fault,
 )
 from .result_cache import ResultCache, cell_key
-from .runner import default_cache, run_prediction_only, run_timing
+from .runner import default_cache, run_prediction_only, run_timing, trace_key
 
 __all__ = ["BackendSpec", "CellSpec", "CacheSpec", "Execution",
            "JournalSpec", "MetricsSpec", "ResumeSpec", "compute_cell",
@@ -133,7 +122,7 @@ ResumeSpec = Union[None, str, Sequence[str], JournalState]
 MetricsSpec = Union[None, str, Path, MetricsWriter]
 
 #: Accepted forms of the ``backend=`` parameter: ``None``/``"local"``
-#: keep the historical local process pool, a ``"host:port[,host:port]"``
+#: run ``jobs`` local worker slots, a ``"host:port[,host:port]"``
 #: string dispatches to ``repro worker`` endpoints, and an
 #: ExecutorBackend instance is driven as given (and left open for the
 #: caller to close).
@@ -215,6 +204,14 @@ class CellSpec:
                     "contain at least two full regions"
                 )
 
+    @property
+    def trace_key(self) -> Tuple:
+        """The :class:`~repro.experiments.runner.TraceCache` key of the
+        trace this cell replays."""
+        return trace_key(self.benchmark, self.num_uops, self.program_seed,
+                         self.trace_seed, self.store_window,
+                         self.instr_window)
+
 
 def _build_predictor(spec: CellSpec):
     if spec.track_f1:
@@ -235,21 +232,20 @@ def compute_cell(spec: CellSpec):
     make this call fail, crash or hang inside a real worker process.
     """
     maybe_inject_fault(spec)
-    trace = default_cache().get(
-        spec.benchmark, spec.num_uops,
-        program_seed=spec.program_seed, trace_seed=spec.trace_seed,
-        store_window=spec.store_window, instr_window=spec.instr_window,
-    )
+    cache = default_cache()
+    trace = cache.get(*spec.trace_key)
     if spec.sampling is not None:
         def factory():
             return _build_predictor(spec)
 
+        selection = cache.selection(spec.trace_key, spec.sampling)
         if spec.mode == "timing":
             return run_timing(trace, None, config=spec.config,
                               engine=spec.engine, sampling=spec.sampling,
-                              predictor_factory=factory)
+                              predictor_factory=factory, selection=selection)
         return run_prediction_only(trace, None, sampling=spec.sampling,
-                                   predictor_factory=factory)
+                                   predictor_factory=factory,
+                                   selection=selection)
     predictor = _build_predictor(spec)
     if spec.mode == "timing":
         return run_timing(trace, predictor, config=spec.config,
@@ -326,9 +322,10 @@ def resolve_journal(journal: JournalSpec) -> Optional[RunJournal]:
 
 def _cell_record(spec: CellSpec, key: Optional[str], source: str,
                  attempts: int, duration: float, status: str = "ok",
-                 kind: Optional[str] = None,
-                 message: Optional[str] = None) -> Dict[str, object]:
-    """One per-cell metrics record (JSONL row)."""
+                 kind: Optional[str] = None, message: Optional[str] = None,
+                 worker: Optional[str] = None) -> Dict[str, object]:
+    """One per-cell metrics record (JSONL row); ``worker`` names where a
+    computed cell ran (``inline`` or the backend's slot label)."""
     record: Dict[str, object] = {
         "event": "cell",
         "mode": spec.mode,
@@ -341,6 +338,7 @@ def _cell_record(spec: CellSpec, key: Optional[str], source: str,
         "attempts": attempts,
         "duration_s": round(duration, 6),
         "status": status,
+        "worker": worker,
     }
     if kind is not None:
         record["failure_kind"] = kind
@@ -497,6 +495,9 @@ class _Task:
     ready_at: float = 0.0
     started_at: float = 0.0
     deadline: Optional[float] = None
+    #: The backend slot running this task, and that slot's label.
+    slot: Optional[object] = None
+    worker: Optional[str] = None
     result: Optional[object] = None
     failure: Optional[CellFailure] = None
 
@@ -523,7 +524,7 @@ def execute_cells(
 
     Resume carries and cache hits are resolved up front; only misses are
     dispatched.  With ``jobs > 1`` (or a cell timeout, which requires pool
-    supervision) the misses are supervised over the local process pool —
+    supervision) the misses are supervised over ``jobs`` local slots —
     module-level :func:`compute_cell` plus frozen specs keep the tasks
     picklable under every start method.  With ``backend=`` naming worker
     endpoints, misses are always supervised and dispatched over TCP under
@@ -546,10 +547,10 @@ def execute_cells(
     emit = None
     if writer is not None:
         def emit(spec, key, source, attempts, duration, status="ok",
-                 kind=None, message=None):
+                 kind=None, message=None, worker=None):
             writer.emit(_cell_record(spec, key, source, attempts, duration,
                                      status=status, kind=kind,
-                                     message=message))
+                                     message=message, worker=worker))
 
     keyed = (store is not None or journal_store is not None
              or resume_state is not None or policy.retries > 0)
@@ -696,7 +697,8 @@ def _run_inline(task: _Task, policy: ResiliencePolicy,
             if emit is not None:
                 emit(task.spec, task.key, "computed", task.attempts,
                      time.monotonic() - start, status="failed",
-                     kind=FailureKind.ERROR.value, message=message)
+                     kind=FailureKind.ERROR.value, message=message,
+                     worker="inline")
             if policy.fail_fast:
                 raise
             task.failure = CellFailure(spec=task.spec,
@@ -713,7 +715,7 @@ def _run_inline(task: _Task, policy: ResiliencePolicy,
                               "computed", task.result)
             if emit is not None:
                 emit(task.spec, task.key, "computed", task.attempts,
-                     duration)
+                     duration, worker="inline")
             if notify is not None:
                 notify(task)
             return
@@ -721,26 +723,51 @@ def _run_inline(task: _Task, policy: ResiliencePolicy,
 
 # -------------------------------------------------------- supervised path
 
+def _pick(slot: object, ready: List[_Task], queue: List[_Task],
+          held: Dict[object, Set[Tuple]]) -> Optional[_Task]:
+    """The task idle ``slot`` runs next, under trace affinity.
+
+    In order: the first ready task of a trace the slot already holds;
+    the first ready task of a trace no slot holds (the slot claims it);
+    and only when the slot would otherwise idle, a ready task of the
+    trace with the most queued cells (a steal: the slot generates that
+    trace too).  ``held`` maps each live slot to the trace keys it has
+    been given.
+    """
+    mine = held[slot]
+    for task in ready:
+        if task.spec.trace_key in mine:
+            return task
+    claimed = set().union(*held.values())
+    for task in ready:
+        if task.spec.trace_key not in claimed:
+            return task
+    if not ready:
+        return None
+    queued = Counter(task.spec.trace_key for task in queue)
+    return max(ready, key=lambda task: queued[task.spec.trace_key])
+
+
 def _run_supervised(tasks: List[_Task], backend: ExecutorBackend,
                     policy: ResiliencePolicy,
                     run: Optional[JournalRun], emit=None,
                     events: Optional[Callable[[Dict], None]] = None,
                     notify: Optional[Callable[[_Task], None]] = None) -> None:
-    """Supervisor loop: deadlines, retries, substrate rebuilds, leases.
+    """Supervisor loop: trace-affine dispatch, deadlines, retries, leases.
 
-    Drives an :class:`~repro.experiments.backends.ExecutorBackend`; the
-    backend's ``attributable`` / ``isolates_failures`` flags select
-    between the local pool's suspect-probation protocol and the
-    distributed backend's direct per-cell attribution (see the module
-    docstring).  ``events``, when given, receives free-form metric
-    records (requeues, lease lifecycle) beyond the per-cell ``emit``.
+    Drives an :class:`~repro.experiments.backends.ExecutorBackend` one
+    cell per slot, giving each idle slot a task by :func:`_pick`.  A
+    slot's claims last as long as its token: a respawned or reconnected
+    slot starts with an empty trace memo and no claims.  ``events``,
+    when given, receives free-form metric records (requeues, lease
+    lifecycle) beyond the per-cell ``emit``.
     """
     backend.connect_all()
-    breakages = 0  # ambiguous pool losses / total capacity losses only
+    breakages = 0  # total capacity losses
     degraded = False
     queue: List[_Task] = list(tasks)
-    suspects: List[_Task] = []
     running: Dict[object, _Task] = {}
+    held: Dict[object, Set[Tuple]] = {}
 
     def observe_lease(action: str, handle: object) -> None:
         """Journal lease renewals/expiries the backend reports."""
@@ -748,18 +775,16 @@ def _run_supervised(tasks: List[_Task], backend: ExecutorBackend,
         if task is None or run is None:
             return
         run.record_lease(action, task.key, getattr(handle, "lease", None),
-                         backend.describe(handle))
+                         task.worker)
 
     if backend.leased:
         backend.lease_observer = observe_lease
 
-    def submit(task: _Task) -> bool:
-        """Dispatch one task; False when the substrate turned out broken.
+    def submit(task: _Task, slot: object) -> bool:
+        """Dispatch one task to idle ``slot``; False when the slot failed.
 
-        Callers keep at most ``backend.workers`` tasks in flight, so a
-        submitted task has an idle worker waiting and the deadline
-        stamped here approximates actual execution start — a
-        queued-but-not-running cell can never accrue timeout.
+        The slot is idle, so the deadline stamped here approximates
+        actual execution start — a queued cell never accrues timeout.
         """
         task.attempts += 1
         if run is not None:
@@ -770,14 +795,15 @@ def _run_supervised(tasks: List[_Task], backend: ExecutorBackend,
         lease = (lease_id(task.backoff_key, task.attempts)
                  if backend.leased else None)
         try:
-            handle = backend.submit(compute_cell, task.spec, lease=lease)
+            handle = backend.submit(slot, compute_cell, task.spec,
+                                    lease=lease)
         except BackendBrokenError:
             task.attempts -= 1
             return False
+        task.slot, task.worker = slot, backend.describe(handle)
         running[handle] = task
         if backend.leased and run is not None:
-            run.record_lease("grant", task.key, lease,
-                             backend.describe(handle))
+            run.record_lease("grant", task.key, lease, task.worker)
         return True
 
     def record_ok(task: _Task) -> None:
@@ -786,7 +812,8 @@ def _run_supervised(tasks: List[_Task], backend: ExecutorBackend,
             run.record_ok(task.key, task.attempts, duration, "computed",
                           task.result)
         if emit is not None:
-            emit(task.spec, task.key, "computed", task.attempts, duration)
+            emit(task.spec, task.key, "computed", task.attempts, duration,
+                 worker=task.worker)
         if notify is not None:
             notify(task)
 
@@ -796,9 +823,7 @@ def _run_supervised(tasks: List[_Task], backend: ExecutorBackend,
         if task.attempts <= policy.retries:
             task.ready_at = time.monotonic() + backoff_delay(
                 policy, task.backoff_key, task.attempts)
-            probation = (kind is FailureKind.WORKER_LOST
-                         and not backend.attributable)
-            (suspects if probation else queue).append(task)
+            queue.append(task)
             if events is not None:
                 events({"event": "requeue", "key": task.key,
                         "kind": kind.value, "attempt": task.attempts})
@@ -808,13 +833,13 @@ def _run_supervised(tasks: List[_Task], backend: ExecutorBackend,
         if emit is not None:
             emit(task.spec, task.key, "computed", task.attempts,
                  time.monotonic() - task.started_at, status="failed",
-                 kind=kind.value, message=message)
+                 kind=kind.value, message=message, worker=task.worker)
         if policy.fail_fast:
             if kind is FailureKind.TIMEOUT:
                 raise CellTimeoutError(f"{cell_label(task.spec)}: {message}")
             if isinstance(error, WorkerLostError) \
                     and error.original is not None:
-                raise error.original  # the historical BrokenProcessPool
+                raise error.original  # the pool's BrokenProcessPool
             if error is not None:
                 raise error
             raise CellTimeoutError(message)  # unreachable; defensive
@@ -823,153 +848,68 @@ def _run_supervised(tasks: List[_Task], backend: ExecutorBackend,
         if notify is not None:
             notify(task)
 
-    def requeue_unharvested(to_suspects: bool) -> None:
-        """Pull every in-flight task back uncharged; harvest completions.
-
-        Local backend only — used when the pool dies under the whole wave
-        (→ probation) or is deliberately replaced after a timeout (→
-        plain requeue): either way no failure was *attributed* to these
-        tasks, so the dispatch attempt the doomed submit consumed is
-        refunded.  A handle that completed with a genuine cell error
-        before the pool died *is* attributable, so it is settled
-        normally, never refunded.
-        """
-        for handle, task in list(running.items()):
-            del running[handle]
-            if backend.done(handle):
-                try:
-                    task.result = backend.result(handle)
-                except (WorkerLostError, CancelledError):
-                    pass  # collateral of the pool loss: refund below
-                except Exception as error:
-                    settle(task, FailureKind.ERROR,
-                           f"{type(error).__name__}: {error}", error)
-                    continue
-                except BaseException:  # noqa: BLE001 — exotic worker death
-                    pass  # not attributable to the cell: refund below
-                else:
-                    record_ok(task)
-                    continue
-            else:
-                backend.forget(handle)
-            task.attempts -= 1
-            task.ready_at = 0.0
-            (suspects if to_suspects else queue).append(task)
-
-    def rebuild_or_degrade(counted: bool) -> None:
-        """Replace the substrate; after repeated losses, go inline serial.
-
-        ``counted`` breakages are the ones charged against
-        ``max_pool_rebuilds``: ambiguous multi-suspect pool losses
-        locally, total capacity loss (no reachable worker) remotely.
-        Attributed solo-probe breakages and timeout replacements rebuild
-        for free.
-        """
-        nonlocal breakages, degraded
-        if counted:
-            breakages += 1
-        if counted and breakages > policy.max_pool_rebuilds:
-            warnings.warn(
-                f"worker pool failed {breakages} times; degrading to "
-                "inline serial execution (timeouts no longer enforced)",
-                RuntimeWarning, stacklevel=3)
-            degraded = True
-            backend.close()
-            return
-        backend.rebuild()
-
     try:
-        while queue or suspects or running:
+        while queue or running:
             if degraded:
                 # Degraded serial mode: drain everything inline, in
                 # positional order for determinism.
-                leftovers = sorted(suspects + queue,
-                                   key=lambda t: t.position)
-                queue, suspects = [], []
+                leftovers = sorted(queue, key=lambda t: t.position)
+                queue = []
                 for task in leftovers:
                     _run_inline(task, policy, run, emit, notify=notify)
                 continue
 
             if backend.workers == 0 and not running:
-                # Total capacity loss (every worker endpoint down):
-                # rebuild reconnects; repeated losses degrade to inline.
-                rebuild_or_degrade(counted=True)
+                # Total capacity loss: rebuild restores what it can;
+                # repeated losses degrade to inline serial execution.
+                breakages += 1
+                if breakages > policy.max_pool_rebuilds:
+                    warnings.warn(
+                        f"worker pool failed {breakages} times; degrading "
+                        "to inline serial execution (timeouts no longer "
+                        "enforced)", RuntimeWarning, stacklevel=2)
+                    degraded = True
+                    backend.close()
+                else:
+                    backend.rebuild()
                 continue
 
-            now = time.monotonic()
             # --- dispatch ---------------------------------------------
-            broken_on_submit = False
-            if suspects:
-                # Probation (local pool only): suspects run one at a
-                # time, alone, so a worker loss is attributable with
-                # certainty.
-                if not running:
-                    task = suspects[0]
-                    if task.ready_at <= now:
-                        suspects.pop(0)
-                        broken_on_submit = not submit(task)
-                        if broken_on_submit:
-                            suspects.insert(0, task)
-                    else:
-                        time.sleep(min(task.ready_at - now, _TICK))
-                        continue
-            else:
-                for task in [t for t in queue if t.ready_at <= now]:
-                    if len(running) >= backend.workers:
-                        break  # saturated: deadlines only start once a
-                    queue.remove(task)  # worker is free (submit)
-                    if not submit(task):
-                        broken_on_submit = True
-                        queue.insert(0, task)
-                        break
-            if broken_on_submit:
-                if backend.isolates_failures and running:
-                    # Dispatch capacity is gone but in-flight cells on
-                    # other connections are unharmed: let them finish,
-                    # retry dispatch next tick.
-                    broken_on_submit = False
-                else:
-                    requeue_unharvested(to_suspects=True)
-                    rebuild_or_degrade(counted=True)
+            now = time.monotonic()
+            live = backend.slots()
+            held = {slot: held.get(slot, set()) for slot in live}
+            busy = {task.slot for task in running.values()}
+            ready = [t for t in queue if t.ready_at <= now]
+            for slot in live:
+                if slot in busy:
                     continue
+                task = _pick(slot, ready, queue, held)
+                if task is None:
+                    break
+                ready.remove(task)
+                queue.remove(task)
+                if submit(task, slot):
+                    held[slot].add(task.spec.trace_key)
+                else:
+                    queue.insert(0, task)
 
             if not running:
-                waiting = queue + suspects
-                if waiting:
-                    soonest = min(t.ready_at for t in waiting)
+                if queue:
+                    soonest = min(t.ready_at for t in queue)
                     time.sleep(
                         min(max(soonest - time.monotonic(), 0.0), 1.0)
                         + 0.001)
                 continue
 
             # --- harvest ----------------------------------------------
-            done = backend.wait(_TICK)
-            broken = False
-            solo = len(running) == 1
-            for handle in done:
+            for handle in backend.wait(_TICK):
                 task = running.pop(handle, None)
                 if task is None:
                     continue  # forgotten (timed out) before settling
                 try:
                     task.result = backend.result(handle)
                 except WorkerLostError as error:
-                    if backend.attributable:
-                        # One connection ran one cell: charge it and
-                        # requeue; the other workers are untouched.
-                        settle(task, FailureKind.WORKER_LOST,
-                               str(error), error)
-                    elif solo:
-                        # Unambiguous attribution: the suspect ran alone.
-                        settle(task, FailureKind.WORKER_LOST,
-                               "worker process died while running this "
-                               "cell alone", error)
-                        rebuild_or_degrade(counted=False)
-                    else:
-                        # Ambiguous: refund the attempt, send to probation.
-                        broken = True
-                        task.attempts -= 1
-                        task.ready_at = 0.0
-                        suspects.append(task)
+                    settle(task, FailureKind.WORKER_LOST, str(error), error)
                 except LeaseExpiredError as error:
                     settle(task, FailureKind.LEASE_EXPIRED, str(error),
                            error)
@@ -981,32 +921,21 @@ def _run_supervised(tasks: List[_Task], backend: ExecutorBackend,
                            f"{type(error).__name__}: {error}", error)
                 else:
                     record_ok(task)
-            if broken:
-                requeue_unharvested(to_suspects=True)
-                suspects.sort(key=lambda t: t.position)
-                rebuild_or_degrade(counted=True)
-                continue
 
             # --- deadlines --------------------------------------------
-            if policy.cell_timeout is not None and running:
+            if policy.cell_timeout is not None:
                 now = time.monotonic()
                 expired = [(handle, task) for handle, task in running.items()
                            if task.deadline is not None
                            and now >= task.deadline]
-                if expired:
-                    for handle, task in expired:
-                        del running[handle]
-                        backend.forget(handle)
-                        settle(task, FailureKind.TIMEOUT,
-                               f"exceeded {policy.cell_timeout:.3g}s "
-                               "wall-clock timeout", None)
-                    if not backend.isolates_failures:
-                        # A hung pool worker cannot be cancelled: replace
-                        # the pool.  In-flight neighbours are innocent —
-                        # plain requeue.  (The worker backend instead
-                        # dropped just the hung connection in forget().)
-                        requeue_unharvested(to_suspects=False)
-                        rebuild_or_degrade(counted=False)
+                for handle, task in expired:
+                    # Abandoning the handle kills or drops its slot's
+                    # worker; the other slots' cells run on.
+                    del running[handle]
+                    backend.forget(handle)
+                    settle(task, FailureKind.TIMEOUT,
+                           f"exceeded {policy.cell_timeout:.3g}s "
+                           "wall-clock timeout", None)
     finally:
         if backend.leased:
             backend.lease_observer = None

@@ -26,16 +26,15 @@ Failures are classified into three kinds:
     The cell raised an exception.  Retried up to ``retries`` times with
     backoff; attributable to the cell with certainty.
 ``timeout``
-    The cell exceeded ``cell_timeout`` seconds of wall-clock time.  The
-    worker pool is replaced (a hung worker cannot be cancelled), innocent
-    in-flight cells are re-dispatched without being charged an attempt.
+    The cell exceeded ``cell_timeout`` seconds of wall-clock time.  Its
+    worker is killed (a hung worker cannot be cancelled) and its slot
+    respawned; cells on other slots run on.
 ``worker-lost``
-    A worker process died (``BrokenProcessPool``).  Attribution is
-    ambiguous — every in-flight future receives the same exception — so
-    nobody is charged; the in-flight cells become *suspects* and are
-    re-run one at a time.  A suspect that kills its solo worker is the
-    culprit and is charged; repeated ambiguous breakages degrade the run
-    to inline serial execution with a warning.
+    A worker process died (``BrokenProcessPool``).  A slot runs one cell
+    at a time, so the cell it was running is the culprit with certainty:
+    that cell alone is charged, and the slot is respawned.  Only losing
+    every slot counts toward ``max_pool_rebuilds``; past that, the run
+    degrades to inline serial execution with a warning.
 """
 
 from __future__ import annotations
@@ -83,6 +82,8 @@ class FailureKind(Enum):
 
     ERROR = "error"
     TIMEOUT = "timeout"
+    #: The worker process or connection running the cell died; charged
+    #: to that cell alone, since a slot runs one cell at a time.
     WORKER_LOST = "worker-lost"
     #: A remote worker stopped heartbeating past the lease deadline
     #: (wedged, partitioned, or silently killed); the cell is requeued.
@@ -149,8 +150,9 @@ class ResiliencePolicy:
     #: True: first exhausted cell raises.  False (--keep-going): failed
     #: cells become CellFailure placeholders and the run completes.
     fail_fast: bool = True
-    #: Ambiguous pool breakages tolerated before degrading to inline
-    #: serial execution (attributed solo-probe breakages do not count).
+    #: Total capacity losses (no live slot or worker connection)
+    #: tolerated before degrading to inline serial execution; a single
+    #: worker's death or timeout does not count.
     max_pool_rebuilds: int = 2
     #: Distributed backend only: seconds a worker may stay silent (no
     #: heartbeat, no result) before its lease expires and the cell is

@@ -36,6 +36,7 @@ from ..trace.uop import MicroOp
 __all__ = [
     "TraceCache",
     "PredictionRunResult",
+    "trace_key",
     "run_prediction_only",
     "run_timing",
     "DEFAULT_TRACE_LENGTH",
@@ -48,11 +49,30 @@ __all__ = [
 DEFAULT_TRACE_LENGTH = 80_000
 
 
+def trace_key(
+    benchmark: str,
+    num_uops: int,
+    program_seed: int = 0,
+    trace_seed: int = 1,
+    store_window: int = 114,
+    instr_window: int = 512,
+) -> Tuple:
+    """Identity of one trace: :func:`generate_trace`'s arguments, in order."""
+    return (benchmark, num_uops, program_seed, trace_seed, store_window,
+            instr_window)
+
+
 class TraceCache:
-    """Memoises generated traces keyed by all generation parameters."""
+    """Memoises generated traces, and their region selections, by key.
+
+    Traces are keyed by :func:`trace_key`; selections by
+    ``(trace_key, policy)``, never by trace identity, so :meth:`clear`
+    frees both.
+    """
 
     def __init__(self) -> None:
         self._traces: Dict[Tuple, List[MicroOp]] = {}
+        self._selections: Dict[Tuple, object] = {}
 
     def get(
         self,
@@ -63,20 +83,28 @@ class TraceCache:
         store_window: int = 114,
         instr_window: int = 512,
     ) -> List[MicroOp]:
-        key = (benchmark, num_uops, program_seed, trace_seed,
-               store_window, instr_window)
-        trace = self._traces.get(key)
-        if trace is None:
-            trace = generate_trace(
-                benchmark, num_uops,
-                program_seed=program_seed, trace_seed=trace_seed,
-                store_window=store_window, instr_window=instr_window,
-            )
-            self._traces[key] = trace
-        return trace
+        key = trace_key(benchmark, num_uops, program_seed, trace_seed,
+                        store_window, instr_window)
+        if key not in self._traces:
+            self._traces[key] = generate_trace(*key)
+        return self._traces[key]
+
+    def selection(self, key: Tuple, policy: SamplingPolicy):
+        """The regions ``policy`` selects from trace ``key``, computed once
+        per cache (every sampled cell of one trace shares them)."""
+        selection = self._selections.get((key, policy))
+        if selection is None:
+            # Looked up where the sampled runners call it, so a wrapped
+            # ``reconstruct.select_regions`` sees every selection.
+            from ..sampling.reconstruct import select_regions
+
+            selection = select_regions(self.get(*key), policy)
+            self._selections[(key, policy)] = selection
+        return selection
 
     def clear(self) -> None:
         self._traces.clear()
+        self._selections.clear()
 
 
 #: Process-wide default cache used by the figure generators.  Safe across
@@ -148,6 +176,7 @@ def run_prediction_only(
     telemetry: bool = False,
     sampling: Optional[SamplingPolicy] = None,
     predictor_factory: Optional[Callable[[], MDPredictor]] = None,
+    selection=None,
 ) -> PredictionRunResult:
     """Replay ``trace`` through ``predictor`` and classify every load.
 
@@ -166,6 +195,7 @@ def run_prediction_only(
     requires ``predictor_factory`` (fresh predictor per region, with
     ``predictor`` passed as None) and is incompatible with ``warmup`` /
     ``f1_period`` / ``telemetry``, which describe one contiguous run.
+    ``selection`` reuses regions already selected for (trace, policy).
     """
     if sampling is not None:
         if predictor_factory is None:
@@ -180,7 +210,8 @@ def run_prediction_only(
             )
         from ..sampling.reconstruct import run_sampled_prediction
 
-        return run_sampled_prediction(trace, predictor_factory, sampling)
+        return run_sampled_prediction(trace, predictor_factory, sampling,
+                                      selection=selection)
     if predictor is None:
         raise ValueError("full-trace runs need a predictor instance")
     recorder: Optional[F1Recorder] = None
@@ -229,6 +260,7 @@ def run_timing(
     sampling: Optional[SamplingPolicy] = None,
     predictor_factory: Optional[Callable[[], MDPredictor]] = None,
     hierarchy=None,
+    selection=None,
 ) -> PipelineStats:
     """Run the out-of-order timing model; returns its statistics.
 
@@ -245,7 +277,8 @@ def run_timing(
     full-run reconstruction carrying ``stats.sampling`` metadata (see
     :mod:`repro.sampling.reconstruct`).  Sampled runs need a fresh
     predictor per region, so ``predictor_factory`` is required (and
-    ``predictor`` ignored — pass None).
+    ``predictor`` ignored — pass None); ``selection`` reuses regions
+    already selected for (trace, policy).
     """
     if engine not in TIMING_ENGINES:
         raise ValueError(
@@ -268,7 +301,7 @@ def run_timing(
 
         return run_sampled_timing(
             trace, predictor_factory, sampling,
-            config=config, engine=engine,
+            config=config, engine=engine, selection=selection,
         ).stats
     if predictor is None:
         raise ValueError("full-trace runs need a predictor instance")

@@ -14,12 +14,13 @@ most one cell in flight on it).  For every ``run`` frame the worker:
 4. replies with one terminal ``result`` frame (encoded payload + content
    digest) or ``error`` frame, then waits for the next ``run``.
 
-A worker is stateless between cells: every cell regenerates its trace
-from seeds (sharing the in-process
-:class:`~repro.experiments.runner.TraceCache`) and builds a fresh
-predictor, so a cell computed here is bit-identical to one computed
-locally.  After the coordinator disconnects the worker loops back to
-``accept``, so a killed-and-restarted coordinator reuses running workers.
+A worker keeps nothing between cells but the traces in its in-process
+:class:`~repro.experiments.runner.TraceCache` (pure functions of their
+seeds, reused across the cells trace-affine dispatch sends it) and builds
+a fresh predictor per cell, so a cell computed here is bit-identical to
+one computed locally.  After the coordinator disconnects the worker
+loops back to ``accept``, so a killed-and-restarted coordinator reuses
+running workers.
 
 Protocol fault injection (``REPRO_FAULT_INJECT``, see
 :func:`~repro.experiments.resilience.take_protocol_fault`): ``stall``

@@ -470,8 +470,8 @@ class TestLocalPoolBackend:
     def test_flags(self):
         backend = LocalPoolBackend(1)
         try:
-            assert not backend.attributable
-            assert not backend.isolates_failures
+            assert backend.attributable
+            assert backend.isolates_failures
             assert not backend.leased
             assert backend.workers == 1
         finally:

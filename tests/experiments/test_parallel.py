@@ -2,19 +2,33 @@
 
 The contract under test: ``jobs=N`` produces a grid **bit-identical** to
 the serial path for any N, and a warm on-disk cache reproduces the same
-grid without running a single simulation.
+grid without running a single simulation.  The dispatch tests pin trace
+affinity: a worker generates a trace only for the traces it claims or
+steals, under the own → claim → steal rule.
 """
+
+import functools
+import json
+import os
+import socket
 
 import pytest
 
 from repro.core.config import LION_COVE
-from repro.experiments import parallel
+from repro.experiments import parallel, runner
+from repro.experiments.backends import (
+    ExecutorBackend,
+    WorkerBackend,
+    WorkerLostError,
+    _Connection,
+)
 from repro.experiments.parallel import (
     CellSpec,
     Execution,
     execute_cells,
     resolve_cache,
 )
+from repro.experiments.resilience import ResiliencePolicy
 from repro.experiments.result_cache import ResultCache
 from repro.experiments.suite import run_accuracy_suite, run_ipc_suite
 
@@ -141,6 +155,214 @@ class TestExecuteCells:
         spec = CellSpec(mode="timing", benchmark="lbm", num_uops=100,
                         predictor="mascot", config=LION_COVE)
         assert pickle.loads(pickle.dumps(spec)) == spec
+
+
+def _counting_generate_trace(log_path, real):
+    """``generate_trace`` that appends ``pid benchmark`` to ``log_path``."""
+    @functools.wraps(real)
+    def generate(benchmark, *args, **kwargs):
+        with open(log_path, "a") as log:
+            log.write(f"{os.getpid()} {benchmark}\n")
+        return real(benchmark, *args, **kwargs)
+    return generate
+
+
+class TestTraceAffinity:
+    def test_each_worker_generates_only_the_traces_it_runs(self, tmp_path,
+                                                           monkeypatch):
+        """3 benchmarks x 4 predictors on two slots: a slot generates a
+        trace once, and only for a benchmark it claimed or stole, so the
+        run makes 3 generations plus at most one tail steal (a shared
+        pool makes up to 6)."""
+        cells = [CellSpec(mode="timing", benchmark=bench, num_uops=N,
+                          predictor=name, config=LION_COVE)
+                 for bench in BENCHES for name in PREDICTORS + ["perfect-mdp"]]
+        serial = execute_cells(cells)
+        gen_log = tmp_path / "gen.log"
+        metrics = tmp_path / "m.jsonl"
+        monkeypatch.setattr(runner, "generate_trace", _counting_generate_trace(
+            gen_log, runner.generate_trace))
+        runner.default_cache().clear()  # forked slots inherit nothing
+        results = execute_cells(cells, jobs=2, metrics=metrics)
+        assert ([r.to_dict() for r in results]
+                == [r.to_dict() for r in serial])
+
+        generated = {}
+        for line in gen_log.read_text().splitlines():
+            pid, bench = line.split()
+            generated.setdefault(pid, []).append(bench)
+        ran = {}
+        for record in map(json.loads, metrics.read_text().splitlines()):
+            if record["event"] == "cell":
+                ran.setdefault(record["worker"], set()).add(
+                    record["benchmark"])
+        assert set(ran) == {"local:0", "local:1"}
+        for benches in generated.values():
+            assert len(benches) == len(set(benches))  # once per worker
+        assert (sorted(sorted(b) for b in generated.values())
+                == sorted(sorted(b) for b in ran.values()))
+        calls = sum(len(b) for b in generated.values())
+        assert len(BENCHES) <= calls <= len(BENCHES) + 1
+
+
+class _Handle:
+    def __init__(self, label, spec):
+        self.label, self.spec, self.error = label, spec, None
+
+
+class _Token:
+    def __init__(self, label):
+        self.label = label
+
+
+class _FakeSlots(ExecutorBackend):
+    """Local-style slots whose cells finish when the script says so.
+
+    ``script`` holds ``("finish" | "lose" | "respawn", label)`` steps;
+    each ``wait`` runs one (an empty script finishes the oldest cell).
+    ``log`` records ``(slot label, benchmark, predictor)`` per submit.
+    """
+
+    def __init__(self, labels, script):
+        self.live = [_Token(label) for label in labels]
+        self.script = list(script)
+        self.log = []
+        self.inflight = {}
+        self.counters = {}
+
+    def slots(self):
+        return list(self.live)
+
+    def submit(self, slot, fn, spec, lease=None):
+        self.log.append((slot.label, spec.benchmark, spec.predictor))
+        handle = _Handle(slot.label, spec)
+        self.inflight[handle] = slot
+        return handle
+
+    def wait(self, timeout):
+        action, label = (self.script.pop(0) if self.script
+                         else ("finish", next(iter(self.inflight)).label))
+        if action == "respawn":
+            self.live.append(_Token(label))
+            return set()
+        handle = next(h for h in self.inflight if h.label == label)
+        slot = self.inflight.pop(handle)
+        if action == "lose":
+            self.live.remove(slot)
+            handle.error = WorkerLostError(f"lost {label}")
+        return {handle}
+
+    def result(self, handle):
+        if handle.error is not None:
+            raise handle.error
+        return handle.spec
+
+    def forget(self, handle):
+        self.inflight.pop(handle, None)
+
+    def rebuild(self):
+        pass
+
+    def close(self):
+        pass
+
+    def describe(self, handle):
+        return handle.label
+
+
+class _FakeWorkers(WorkerBackend):
+    """:class:`WorkerBackend` whose connections are socketpairs, with
+    the same script as :class:`_FakeSlots`: its own ``slots``,
+    ``submit`` (a real ``run`` frame) and loss bookkeeping run; only the
+    peers' replies are simulated."""
+
+    def __init__(self, labels, script):
+        super().__init__([(label, 1) for label in labels])
+        self.script = list(script)
+        self.log = []
+        self.peers = []
+
+    def _connect(self, endpoint):
+        ours, theirs = socket.socketpair()
+        self.peers.append(theirs)
+        conn = _Connection(endpoint, ours)
+        self._conns[endpoint] = conn
+        return conn
+
+    def submit(self, slot, fn, spec, lease=None):
+        self.log.append((slot.endpoint[0], spec.benchmark, spec.predictor))
+        return super().submit(slot, fn, spec, lease=lease)
+
+    def wait(self, timeout):
+        busy = [c for c in self._conns.values() if c.handle is not None]
+        action, label = (self.script.pop(0) if self.script
+                         else ("finish", min(busy, key=lambda c: c.last_beat)
+                               .endpoint[0]))
+        if action == "respawn":
+            self._connect((label, 1))
+            return set()
+        conn = self._conns[(label, 1)]
+        if action == "lose":
+            self._lose(conn, f"lost {label}")
+        else:
+            conn.handle.settle_ok(conn.handle.lease)
+            self._done.add(conn.handle)
+            conn.handle = None
+        done, self._done = self._done, set()
+        return done
+
+    def close(self):
+        super().close()
+        for peer in self.peers:
+            peer.close()
+
+
+def _affine_run(backend_cls, labels, script, traces):
+    """Supervise ``traces`` (one cell per letter, benchmark per letter)
+    on a scripted backend; returns its dispatch log."""
+    names = {"a": "lbm", "b": "mcf", "c": "exchange2"}
+    tasks = [parallel._Task(position=i, key=None, spec=CellSpec(
+                 mode="accuracy", benchmark=names[letter], num_uops=N,
+                 predictor=f"p{i}"))
+             for i, letter in enumerate(traces)]
+    backend = backend_cls(labels, script)
+    try:
+        parallel._run_supervised(
+            tasks, backend, ResiliencePolicy(retries=1, backoff_base=0.0),
+            None)
+    finally:
+        backend.close()
+    assert all(task.result is not None for task in tasks)
+    return [(slot, f"{bench}/{pred}") for slot, bench, pred in backend.log]
+
+
+@pytest.mark.parametrize("backend_cls", [_FakeSlots, _FakeWorkers])
+class TestPickRule:
+    def test_own_then_claim_then_steal(self, backend_cls):
+        log = _affine_run(backend_cls, ["A", "B"],
+                          [("finish", "A")] * 4, "abcbaa")
+        assert log[:6] == [
+            ("A", "lbm/p0"), ("B", "mcf/p1"),        # two claims
+            ("A", "lbm/p4"), ("A", "lbm/p5"),        # own before unheld
+            ("A", "exchange2/p2"),                   # claim the unheld
+            ("A", "mcf/p3"),                         # steal, else idle
+        ]
+
+    def test_steal_takes_the_trace_with_most_queued_cells(self,
+                                                          backend_cls):
+        log = _affine_run(backend_cls, ["A", "B", "C"], [], "abbaa")
+        assert log[:3] == [("A", "lbm/p0"), ("B", "mcf/p1"),
+                           ("C", "lbm/p3")]  # not mcf/p2, queued first
+
+    def test_lost_slot_releases_its_claims(self, backend_cls):
+        """A's worker dies running lbm/p0; its respawn holds nothing, and
+        lbm is nobody's now, so the new slot claims lbm/p2 (the first
+        unheld cell) rather than exchange2/p3."""
+        log = _affine_run(backend_cls, ["A", "B"],
+                          [("lose", "A"), ("respawn", "A")], "abac")
+        assert log[:3] == [("A", "lbm/p0"), ("B", "mcf/p1"),
+                           ("A", "lbm/p2")]
+        assert ("A", "lbm/p0") in log[3:] or ("B", "lbm/p0") in log[3:]
 
 
 class TestResolveCache:

@@ -2,14 +2,17 @@
 
 Faults are injected through the ``REPRO_FAULT_INJECT`` environment
 variable (inherited by worker processes, where monkeypatching cannot
-reach): worker exceptions, SIGKILL crashes (→ ``BrokenProcessPool``
-recovery) and hangs (→ timeout enforcement).  The golden test at the end
-is the acceptance scenario from the issue: crash + timeout + corrupted
-cache entry in one run, then a resume that re-runs exactly the failed
-cells with bit-identical carried results.
+reach): worker exceptions, SIGKILL crashes (→ ``BrokenProcessPool``,
+charged to the crashing slot's cell) and hangs (→ timeout enforcement).
+The golden test at the end is the acceptance scenario: crash + timeout +
+corrupted cache entry in one run, then a resume that re-runs exactly the
+failed cells with bit-identical carried results.
 """
 
 import dataclasses
+import json
+import warnings
+from collections import Counter
 
 import pytest
 
@@ -151,34 +154,60 @@ class TestInjectedError:
         assert results[2].to_dict() == clean[0].to_dict()
 
 
+def _dispatches(journal):
+    """Dispatch records per cell key in the journal's last run."""
+    counts = Counter()
+    text = journal.path_for(journal.last_run_id).read_text()
+    for line in text.splitlines():
+        record = json.loads(line)
+        if record.get("event") == "dispatch":
+            counts[record["key"]] += 1
+    return counts
+
+
+def _records(path):
+    """Per-cell metrics records, by (benchmark, predictor)."""
+    return {(r["benchmark"], r["predictor"]): r
+            for r in map(json.loads, path.read_text().splitlines())
+            if r["event"] == "cell"}
+
+
 class TestWorkerCrash:
+    """A slot runs one cell, so a dead worker names its cell: that cell
+    is charged an attempt, its slot is respawned, and the other slots'
+    cells never notice."""
+
     def test_crash_once_recovers_without_losing_innocents(self,
                                                           monkeypatch,
                                                           tmp_path):
-        """A SIGKILLed worker breaks the pool mid-wave; the supervisor
-        rebuilds, re-runs the suspects, and every cell completes because
-        the crash does not recur."""
+        """The crash costs the culprit one attempt; the retry succeeds
+        and every other cell ran exactly once."""
         latch = tmp_path / "latch"
         monkeypatch.setenv("REPRO_FAULT_INJECT",
                            f"crash-once=lbm/phast@{latch}")
-        results = execute_cells(GRID, jobs=2,
-                                policy=ResiliencePolicy(fail_fast=False))
+        journal = RunJournal(tmp_path / "journals")
+        policy = ResiliencePolicy(retries=1, backoff_base=0.01,
+                                  fail_fast=False)
+        results = execute_cells(GRID, jobs=2, policy=policy,
+                                journal=journal)
         assert all(not isinstance(r, CellFailure) for r in results)
         assert latch.exists()
         clean = [execute_cells([cell])[0] for cell in GRID]
         for got, want in zip(results, clean):
             assert got.to_dict() == want.to_dict()
+        dispatches = _dispatches(journal)
+        assert [dispatches[cell_key(cell)] for cell in GRID] == [1, 1, 2, 1]
 
     def test_persistent_crash_is_attributed_to_the_culprit(self,
                                                            monkeypatch):
-        """crash-every-time: probation re-runs the suspects solo, so the
-        culprit is charged and the innocents all complete."""
+        """crash-every-time: the culprit is charged its one attempt and
+        the innocents all complete."""
         monkeypatch.setenv("REPRO_FAULT_INJECT", "crash=lbm/phast")
         results = execute_cells(GRID, jobs=2,
                                 policy=ResiliencePolicy(fail_fast=False))
         assert isinstance(results[2], CellFailure)
         assert results[2].kind is FailureKind.WORKER_LOST
-        assert results[2].attempts >= 1
+        assert results[2].attempts == 1
         for i in (0, 1, 3):
             assert not isinstance(results[i], CellFailure)
 
@@ -187,6 +216,27 @@ class TestWorkerCrash:
         monkeypatch.setenv("REPRO_FAULT_INJECT", "crash=lbm/phast")
         with pytest.raises(BrokenProcessPool):
             execute_cells(GRID, jobs=2)
+
+    def test_crash_leaves_the_other_slots_cell_running(self, monkeypatch,
+                                                       tmp_path):
+        """exchange2/mascot sleeps 1.5 s on one slot while lbm/mascot
+        kills the other slot's worker: the sleeper is neither charged
+        nor re-dispatched."""
+        clean = execute_cells([GRID[0]])[0]
+        monkeypatch.setenv("REPRO_FAULT_INJECT",
+                           "hang=exchange2/mascot@1.5;crash=lbm/mascot")
+        journal = RunJournal(tmp_path / "journals")
+        metrics = tmp_path / "m.jsonl"
+        results = execute_cells(GRID, jobs=2, journal=journal,
+                                metrics=metrics,
+                                policy=ResiliencePolicy(fail_fast=False))
+        assert results[1].kind is FailureKind.WORKER_LOST
+        assert results[0].to_dict() == clean.to_dict()
+        assert _dispatches(journal)[cell_key(GRID[0])] == 1
+        records = _records(metrics)
+        assert records[("exchange2", "mascot")]["attempts"] == 1
+        assert {r["worker"] for r in records.values()} <= {"local:0",
+                                                           "local:1"}
 
 
 class TestTimeout:
@@ -225,24 +275,85 @@ class TestTimeout:
         results = execute_cells(grid, jobs=1, policy=policy)
         assert all(not isinstance(r, CellFailure) for r in results)
 
+    def test_timeout_leaves_the_other_slots_cell_running(self, monkeypatch,
+                                                         tmp_path):
+        """lbm/mascot hangs on one slot and times out at 4 s, while the
+        other slot runs exchange2/mascot (1.5 s) and then exchange2/phast
+        (3 s, so in flight at the timeout): only the hung slot is
+        killed, and exchange2/phast is neither charged nor re-run."""
+        grid = [_cell("exchange2"), _cell("lbm"),
+                _cell("exchange2", "phast")]
+        clean = execute_cells([grid[2]])[0]
+        monkeypatch.setenv(
+            "REPRO_FAULT_INJECT",
+            "hang=exchange2/mascot@1.5;hang=lbm/mascot@30;"
+            "hang=exchange2/phast@3")
+        journal = RunJournal(tmp_path / "journals")
+        metrics = tmp_path / "m.jsonl"
+        policy = ResiliencePolicy(cell_timeout=4.0, fail_fast=False)
+        results = execute_cells(grid, jobs=2, policy=policy,
+                                journal=journal, metrics=metrics)
+        assert results[1].kind is FailureKind.TIMEOUT
+        assert results[2].to_dict() == clean.to_dict()
+        assert _dispatches(journal)[cell_key(grid[2])] == 1
+        records = _records(metrics)
+        assert records[("exchange2", "phast")]["attempts"] == 1
+        assert (records[("exchange2", "phast")]["worker"]
+                == records[("exchange2", "mascot")]["worker"])
+
 
 class TestDegradedSerial:
-    def test_repeated_pool_loss_degrades_with_warning(self, monkeypatch):
-        """With every worker crashing on two different cells and zero
-        tolerated rebuilds, the supervisor degrades to inline execution
-        (which downgrades injected crashes to errors) instead of aborting
-        the innocents."""
+    def test_slot_losses_are_charged_without_degrading(self, monkeypatch):
+        """Two persistent crashers, zero tolerated rebuilds: each crash
+        is charged to its own cell and its slot respawned, which is not a
+        capacity loss, so the run never degrades."""
         monkeypatch.setenv("REPRO_FAULT_INJECT",
                            "crash=lbm/phast;crash=lbm/mascot")
         policy = ResiliencePolicy(fail_fast=False, max_pool_rebuilds=0)
-        with pytest.warns(RuntimeWarning, match="degrading to"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             results = execute_cells(GRID, jobs=2, policy=policy)
-        assert not isinstance(results[0], CellFailure)
-        assert not isinstance(results[3], CellFailure)
+        assert not [w for w in caught if "degrading" in str(w.message)]
         for i in (1, 2):
-            assert isinstance(results[i], CellFailure)
-            assert results[i].kind is FailureKind.ERROR
-            assert "downgraded inline" in results[i].message
+            assert results[i].kind is FailureKind.WORKER_LOST
+            assert results[i].attempts == 1
+        for i in (0, 3):
+            assert (results[i].to_dict()
+                    == execute_cells([GRID[i]])[0].to_dict())
+
+    def test_repeated_pool_loss_degrades_with_warning(self, monkeypatch,
+                                                      tmp_path):
+        """Both slots' workers die and neither can be respawned: every
+        rebuild finds no capacity, so the run degrades to inline
+        execution and finishes the remaining cells there."""
+        from repro.experiments.backends import (
+            BackendBrokenError,
+            LocalPoolBackend,
+        )
+        real = LocalPoolBackend._spawn
+        spawned = []
+
+        def spawn_twice(self, index):
+            if len(spawned) == 2:
+                raise BackendBrokenError("injected: cannot respawn")
+            spawned.append(index)
+            return real(self, index)
+
+        monkeypatch.setattr(LocalPoolBackend, "_spawn", spawn_twice)
+        monkeypatch.setenv("REPRO_FAULT_INJECT",
+                           "crash=exchange2/mascot;crash=lbm/mascot")
+        metrics = tmp_path / "m.jsonl"
+        with pytest.warns(RuntimeWarning, match="degrading to"):
+            results = execute_cells(GRID, jobs=2, metrics=metrics,
+                                    policy=ResiliencePolicy(fail_fast=False))
+        for i in (0, 1):
+            assert results[i].kind is FailureKind.WORKER_LOST
+        for i in (2, 3):
+            assert (results[i].to_dict()
+                    == execute_cells([GRID[i]])[0].to_dict())
+        records = _records(metrics)
+        assert records[("lbm", "phast")]["worker"] == "inline"
+        assert records[("perlbench1", "mascot")]["worker"] == "inline"
 
 
 class TestInlineDowngrade:
