@@ -25,10 +25,6 @@ can be reproduced without writing Python:
 * ``worker``    — serve suite cells to a coordinator over TCP (the
   ``--backend workers`` substrate; see
   :mod:`repro.experiments.worker`).
-* ``cache-serve`` — serve one result-cache directory to many
-  coordinators over TCP; sweeps attach with ``--cache-url
-  tcp://host:port`` or ``$REPRO_CACHE_URL`` (see
-  :mod:`repro.experiments.cache_service` and docs/cache-service.md).
 * ``bench-baseline`` — measure scalar vs batched engine throughput and
   write (or, with ``--check``, compare against) the committed
   ``benchmarks/BENCH_throughput.json`` (see docs/performance.md).
@@ -216,12 +212,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--cache-dir", type=_cache_directory, default=None, metavar="DIR",
         help="result-cache directory (default: $REPRO_CACHE_DIR or "
              "~/.cache/repro-mascot)",
-    )
-    parser.add_argument(
-        "--cache-url", default=None, metavar="URL",
-        help="tcp://host:port of a shared 'repro cache-serve' result "
-             "cache (default: $REPRO_CACHE_URL when set; takes "
-             "precedence over --cache-dir)",
     )
     parser.add_argument(
         "--cell-timeout", type=_positive_float, default=None,
@@ -450,11 +440,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also preflight these 'repro worker' endpoints (handshake "
              "+ protocol version; unreachable workers fail the check)",
     )
-    doctor.add_argument(
-        "--cache-url", default=None, metavar="URL",
-        help="also preflight this 'repro cache-serve' endpoint "
-             "(handshake + stats; an unreachable server fails the check)",
-    )
 
     worker = sub.add_parser(
         "worker",
@@ -470,26 +455,6 @@ def _build_parser() -> argparse.ArgumentParser:
     worker.add_argument("--max-sessions", type=int, default=None,
                         metavar="N",
                         help="exit after N coordinator sessions")
-
-    cache_serve = sub.add_parser(
-        "cache-serve",
-        help="serve a shared result cache over TCP (point sweeps at it "
-             "with --cache-url)",
-    )
-    cache_serve.add_argument("--host", default="127.0.0.1",
-                             help="address to bind (default: %(default)s)")
-    cache_serve.add_argument("--port", type=int, default=0,
-                             help="TCP port (default: 0 = ephemeral)")
-    cache_serve.add_argument("--cache-dir", type=_cache_directory,
-                             default=None, metavar="DIR",
-                             help="cache directory to serve (default: "
-                                  "$REPRO_CACHE_DIR or "
-                                  "~/.cache/repro-mascot)")
-    cache_serve.add_argument("--ready-file", default=None, metavar="FILE",
-                             help="write host:port here once listening")
-    cache_serve.add_argument("--max-sessions", type=int, default=None,
-                             metavar="N",
-                             help="exit after N client sessions")
 
     return parser
 
@@ -786,18 +751,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         from .doctor import run_doctor
         return run_doctor(cache_dir=args.cache_dir,
                           journal_dir=args.journal_dir,
-                          workers=args.workers,
-                          cache_url=args.cache_url)
+                          workers=args.workers)
     if args.command == "worker":
         from .experiments.worker import serve
         serve(host=args.host, port=args.port, ready_file=args.ready_file,
               max_sessions=args.max_sessions)
-        return 0
-    if args.command == "cache-serve":
-        from .experiments.cache_service import serve_cache
-        serve_cache(host=args.host, port=args.port,
-                    directory=args.cache_dir, ready_file=args.ready_file,
-                    max_sessions=args.max_sessions)
         return 0
     raise AssertionError(f"unhandled command {args.command}")
 

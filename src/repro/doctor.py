@@ -16,10 +16,6 @@ Checks:
 * every ``--workers host:port`` endpoint answers the protocol handshake
   with a matching version (distributed-backend preflight; unreachable or
   version-skewed workers fail the check),
-* the ``--cache-url`` cache server answers the handshake and reports its
-  counters (shared-cache preflight; sweeps pointed at an unreachable
-  server silently degrade to read-only local fallback, so catch it
-  here),
 * no orphaned ``.tmp*`` files have accumulated in the cache directory
   (a crashed writer leaves at most a few; doctor sweeps ones older than
   an hour and reports what it removed),
@@ -86,35 +82,6 @@ def _check_worker_endpoints(workers: str) -> Tuple[bool, str]:
         return False, "; ".join(problems)
     return True, (f"{reachable}/{len(endpoints)} worker endpoint(s) "
                   f"reachable, protocol v{PROTOCOL_VERSION}")
-
-
-def _check_cache_server(cache_url: str) -> Tuple[bool, str]:
-    from .experiments.backends import FrameError, ProtocolVersionError
-    from .experiments.cache_service import (
-        parse_cache_url,
-        probe_cache_server,
-    )
-
-    try:
-        host, port = parse_cache_url(cache_url)
-    except ValueError as error:
-        return False, f"bad --cache-url value: {error}"
-    try:
-        stats = probe_cache_server(host, port)
-    except ProtocolVersionError as error:
-        return False, (f"{host}:{port} version skew: {error} — redeploy "
-                       "the older side")
-    except FrameError as error:
-        return False, f"{host}:{port} is not a repro cache server ({error})"
-    except OSError as error:
-        return False, (f"{host}:{port} unreachable ({error}) — sweeps "
-                       "would fall back to a read-only local cache")
-    counters = stats.get("counters", {})
-    rendered = ", ".join(f"{key}={counters.get(key, 0)}"
-                         for key in ("sessions", "loads", "server_stores",
-                                     "rejected_stores", "probes"))
-    return True, (f"cache server {host}:{port} ok "
-                  f"(dir {stats.get('directory', '?')}; {rendered})")
 
 
 def _check_orphan_tmp(cache_dir: Optional[str]) -> Tuple[bool, str]:
@@ -191,14 +158,12 @@ def _check_simulator() -> Tuple[bool, str]:
 
 def run_doctor(cache_dir: Optional[str] = None,
                journal_dir: Optional[str] = None,
-               workers: Optional[str] = None,
-               cache_url: Optional[str] = None) -> int:
+               workers: Optional[str] = None) -> int:
     """Run every check, print one line each; 0 iff all passed.
 
     ``workers`` is a ``host:port,...`` list of ``repro worker`` endpoints
     to preflight (the ``--workers`` value a sweep would use); omitted, the
-    distributed checks are skipped.  ``cache_url`` likewise preflights a
-    ``repro cache-serve`` endpoint (the ``--cache-url`` value).
+    distributed checks are skipped.
     """
     checks: List[Tuple[str, Callable[[], Tuple[bool, str]]]] = [
         ("cache", lambda: _check_cache_dir(cache_dir)),
@@ -211,9 +176,6 @@ def run_doctor(cache_dir: Optional[str] = None,
     if workers is not None:
         checks.insert(4, ("endpoints",
                           lambda: _check_worker_endpoints(workers)))
-    if cache_url is not None:
-        checks.insert(2, ("cache-server",
-                          lambda: _check_cache_server(cache_url)))
     failures = 0
     for name, check in checks:
         passed, message = check()

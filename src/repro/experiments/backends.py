@@ -33,9 +33,8 @@ Everything on the wire is JSON built from the same encoders as the result
 cache and journal, so a remotely computed cell is bit-identical to a
 local one.
 
-Both services — ``repro worker`` (:mod:`repro.experiments.worker`) and
-``repro cache-serve`` (:mod:`repro.experiments.cache_service`) — listen
-through one :class:`FrameServer` and are dialled through one
+``repro worker`` (:mod:`repro.experiments.worker`) listens through
+:class:`FrameServer` and the coordinator dials it through
 :func:`connect`, so this module is the only sanctioned home for socket
 use: the ``conc-socket`` lint rule keeps network I/O from leaking into
 simulation code.
@@ -274,23 +273,22 @@ def parse_endpoints(text: str) -> Tuple[Tuple[str, int], ...]:
     return tuple(endpoints)
 
 
-def connect(host: str, port: int, role: str, peer: str,
+def connect(host: str, port: int,
             timeout: float = CONNECT_TIMEOUT) -> Tuple[socket.socket, Dict]:
-    """Dial ``host:port`` and handshake as ``role`` with a ``peer`` server.
+    """Dial the worker at ``host:port`` and handshake as the coordinator.
 
-    The one client handshake of the frame protocol (coordinator→worker,
-    cache client→cache server); returns the socket, which keeps
-    ``timeout`` as its I/O timeout, and the server's hello.  Raises
-    ``OSError`` when the endpoint is unreachable or closes mid-handshake
-    (transient), :class:`ProtocolVersionError` on version skew, and
-    :class:`FrameError` when the peer answers but is not a ``peer`` — a
-    cache server dialled as a worker, say (both permanent).
+    The one client handshake of the frame protocol; returns the socket,
+    which keeps ``timeout`` as its I/O timeout, and the worker's hello.
+    Raises ``OSError`` when the endpoint is unreachable or closes
+    mid-handshake (transient), :class:`ProtocolVersionError` on version
+    skew, and :class:`FrameError` when the peer answers but its hello
+    names a role other than ``worker`` (both permanent).
     """
     sock = socket.create_connection((host, port), timeout=timeout)
     try:
         sock.settimeout(timeout)
         send_frame(sock, {"type": "hello", "version": PROTOCOL_VERSION,
-                          "role": role})
+                          "role": "coordinator"})
         reply = recv_frame(sock)
         if reply is None:
             raise OSError(f"{host}:{port} closed during handshake")
@@ -298,11 +296,11 @@ def connect(host: str, port: int, role: str, peer: str,
             raise FrameError(f"expected hello frame, got {reply!r}")
         if reply.get("version") != PROTOCOL_VERSION:
             raise ProtocolVersionError(
-                f"{peer} speaks protocol v{reply.get('version')}, "
-                f"{role} v{PROTOCOL_VERSION}")
-        if reply.get("role") != peer:
-            raise FrameError(f"peer is a {reply.get('role')!r}, not a "
-                             f"{peer.replace('-', ' ')}")
+                f"worker speaks protocol v{reply.get('version')}, "
+                f"coordinator v{PROTOCOL_VERSION}")
+        if reply.get("role") != "worker":
+            raise FrameError(
+                f"peer is a {reply.get('role')!r}, not a worker")
     except BaseException:
         sock.close()
         raise
@@ -316,9 +314,9 @@ def probe_endpoint(host: str, port: int,
     Used by ``repro doctor --workers``.  Raises ``OSError`` when the
     endpoint is unreachable, :class:`ProtocolVersionError` on version
     skew and :class:`FrameError` when the peer is not a repro worker
-    (a ``repro cache-serve`` port included).
+    (any other service that answers the hello with another role).
     """
-    sock, hello = connect(host, port, "coordinator", "worker", timeout)
+    sock, hello = connect(host, port, timeout)
     sock.close()
     return hello
 
@@ -329,68 +327,56 @@ def probe_endpoint(host: str, port: int,
 _ACCEPT_TICK = 0.2
 
 #: Seconds an injected ``stall`` stays silent when the clause carries no
-#: explicit duration — far past any lease or RPC timeout, so the client
+#: explicit duration — far past any lease timeout, so the coordinator
 #: always gives up first.
 STALL_SECONDS = 30.0
 
 
 def stall(fault) -> None:
-    """Injected ``stall`` fault: a wedged or partitioned server."""
+    """Injected ``stall`` fault: a wedged or partitioned worker."""
     seconds = STALL_SECONDS
     if fault.arg is not None and not fault.once:
         seconds = float(fault.arg)
     time.sleep(seconds)
 
 
-def send_torn(conn: socket.socket, lock=None) -> None:
+def send_torn(conn: socket.socket, lock) -> None:
     """Injected ``torn`` fault: promise more bytes than follow, then die.
 
     The client's ``recv_frame`` raises ``FrameError`` ("torn frame"),
-    exactly as when a server is killed mid-``sendall``.
+    exactly as when a worker is killed mid-``sendall``.  ``lock`` is the
+    session's send lock, so the torn bytes never interleave with a
+    heartbeat frame.
     """
-    with lock if lock is not None else nullcontext():
+    with lock:
         conn.sendall(_HEADER.pack(1 << 16) + b'{"type":')
         conn.shutdown(socket.SHUT_RDWR)
 
 
 class FrameServer:
-    """The listening half of the frame protocol (worker and cache server).
+    """The listening half of the frame protocol, behind ``repro worker``.
 
     Binds on construction (``port=0`` picks an ephemeral port, read back
     from :attr:`port`); :meth:`serve` then runs the accept loop.  Every
     accepted connection gets the hello exchange — the server always
-    answers with its version and ``role`` so a skewed client can
-    diagnose the skew, then refuses to serve it — after which
+    answers with its version and the ``worker`` role so a skewed client
+    can diagnose the skew, then refuses to serve it — after which
     ``session(conn)`` handles request frames until the client leaves.
-
-    ``threaded`` sessions run one thread per connection; otherwise each
-    session runs to completion in the accept loop, so clients are served
-    one at a time.  Finished sessions are forgotten as they end, so a
-    long-lived server tracks only the sessions still alive.
+    Each session runs to completion in the accept loop, so coordinators
+    are served one at a time; the listen backlog is one.
     """
 
-    def __init__(self, role: str, session: Callable[[socket.socket], None],
-                 host: str = "127.0.0.1", port: int = 0,
-                 threaded: bool = True, backlog: int = 8):
-        self.role = role
+    def __init__(self, session: Callable[[socket.socket], None],
+                 host: str = "127.0.0.1", port: int = 0):
         self.host = host
         self._session = session
-        self._threaded = threaded
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._sock.bind((host, port))
-        self._sock.listen(backlog)
+        self._sock.listen(1)
         self.port: int = self._sock.getsockname()[1]
-        self._lock = threading.Lock()
-        self._live: Dict[threading.Thread, socket.socket] = {}
         #: Connections accepted over the server's lifetime.
         self.accepted = 0
-
-    @property
-    def live_sessions(self) -> int:
-        """Threaded sessions still being tracked (all of them alive)."""
-        with self._lock:
-            return len(self._live)
 
     def serve(self, ready_file: Optional[str] = None,
               max_sessions: Optional[int] = None,
@@ -399,8 +385,7 @@ class FrameServer:
 
         ``ready_file`` receives ``host:port`` once listening (written
         atomically, so a poller never reads it half-written).  With
-        ``max_sessions`` the server stops accepting after that many
-        connections and returns once they have all ended.
+        ``max_sessions`` the server returns after that many sessions.
         """
         if ready_file is not None:
             path = Path(ready_file)
@@ -418,43 +403,22 @@ class FrameServer:
                 except OSError:
                     break
                 self.accepted += 1
-                if self._threaded:
-                    thread = threading.Thread(target=self._run, args=(conn,),
-                                              daemon=True)
-                    with self._lock:
-                        self._live[thread] = conn
-                    thread.start()
-                else:
-                    self._run(conn)
+                self._run(conn)
                 if max_sessions is not None and self.accepted >= max_sessions:
                     break
-            while self.live_sessions and (stop is None or not stop.is_set()):
-                time.sleep(_ACCEPT_TICK)  # max_sessions: let them finish
         finally:
             self._sock.close()
-            with self._lock:
-                live = dict(self._live)
-            # Unblock sessions parked in recv so shutdown is prompt (close
-            # alone does not interrupt a blocked recv); _run absorbs the
-            # resulting OSError.
-            for conn in live.values():
-                try:
-                    conn.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass
-        for thread in live:
-            thread.join(timeout=STALL_SECONDS * 2)
         return self.port
 
     def _run(self, conn: socket.socket) -> None:
-        """One session: hello exchange, then the role's request loop."""
+        """One session: hello exchange, then the worker's request loop."""
         try:
             conn.settimeout(None)
             hello = recv_frame(conn)
             if hello is None or hello.get("type") != "hello":
                 return
             send_frame(conn, {"type": "hello", "version": PROTOCOL_VERSION,
-                              "role": self.role})
+                              "role": "worker"})
             if hello.get("version") != PROTOCOL_VERSION:
                 return
             self._session(conn)
@@ -465,8 +429,6 @@ class FrameServer:
                 conn.close()
             except OSError:
                 pass
-            with self._lock:
-                self._live.pop(threading.current_thread(), None)
 
 
 # ----------------------------------------------------------- backend API
@@ -759,8 +721,7 @@ class WorkerBackend(ExecutorBackend):
         if self._retry_at.get(endpoint, 0.0) > time.monotonic():
             return None
         try:
-            sock, _ = connect(*endpoint, "coordinator", "worker",
-                              self.connect_timeout)
+            sock, _ = connect(*endpoint, self.connect_timeout)
             sock.settimeout(None)
         except ProtocolVersionError as error:
             self._skewed[endpoint] = str(error)

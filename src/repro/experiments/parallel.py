@@ -76,7 +76,6 @@ from .backends import (
     lease_id,
     parse_endpoints,
 )
-from .cache_service import NetworkCacheClient, cache_url_from_env, is_cache_url
 from .journal import JournalRun, JournalState, RunJournal
 from .resilience import (
     DEFAULT_POLICY,
@@ -98,13 +97,10 @@ __all__ = ["BackendSpec", "CellSpec", "CacheSpec", "Execution",
 
 #: Accepted forms of the ``cache=`` parameter threaded through the suite
 #: and figure APIs: ``None``/``False`` disable the disk cache, ``True``
-#: selects the default directory ($REPRO_CACHE_DIR or ~/.cache/repro-mascot)
-#: — or, when $REPRO_CACHE_URL is set, the cache server it names — a
-#: ``tcp://host:port`` URL selects a ``repro cache-serve`` server
-#: (:class:`~repro.experiments.cache_service.NetworkCacheClient`), a path
-#: selects a local directory, and a ResultCache / NetworkCacheClient
-#: instance is used as given.
-CacheSpec = Union[None, bool, str, Path, ResultCache, NetworkCacheClient]
+#: selects the default directory ($REPRO_CACHE_DIR or ~/.cache/repro-mascot),
+#: a path selects a local directory, and a ResultCache instance is used as
+#: given.
+CacheSpec = Union[None, bool, str, Path, ResultCache]
 
 #: Accepted forms of the ``journal=`` parameter: ``None``/``False`` disable
 #: journaling, ``True`` selects the default directory ($REPRO_JOURNAL_DIR
@@ -255,9 +251,7 @@ def compute_cell(spec: CellSpec):
                                telemetry=spec.telemetry)
 
 
-def resolve_cache(
-    cache: CacheSpec,
-) -> Optional[Union[ResultCache, NetworkCacheClient]]:
+def resolve_cache(cache: CacheSpec) -> Optional[ResultCache]:
     """Normalise a ``cache=`` argument to a cache store or None.
 
     A local cache whose directory is not writable is degraded here, at
@@ -265,39 +259,22 @@ def resolve_cache(
     never by failing the first ``put`` mid-sweep.  Read-only mode still
     serves hits (a fully warm shared or CI-mounted cache performs zero
     simulations); only stores are skipped.
-
-    A ``tcp://host:port`` URL (or ``cache=True`` with ``$REPRO_CACHE_URL``
-    set) selects a ``repro cache-serve`` server instead.  An unreachable
-    server gets the same treatment: one warning, and the client degrades
-    to serving hits from the read-only *local* cache directory while
-    skipping stores.  A server lost later, mid-sweep, is the client's
-    business (reconnect with cooldown; failed RPCs are misses).
     """
     if cache is None or cache is False:
         return None
     if cache is True:
-        url = cache_url_from_env()
-        store = NetworkCacheClient(url) if url else ResultCache()
-    elif isinstance(cache, (ResultCache, NetworkCacheClient)):
+        store = ResultCache()
+    elif isinstance(cache, ResultCache):
         store = cache
-    elif isinstance(cache, str) and is_cache_url(cache):
-        store = NetworkCacheClient(cache)
     else:
         store = ResultCache(cache)
     error = store.probe_writable()
     if error is not None:
         store.read_only = True
-        if isinstance(store, NetworkCacheClient):
-            warnings.warn(
-                f"cache server {store.url} unreachable ({error}); falling "
-                f"back to read-only local cache {store.directory} — "
-                "serving local hits, skipping stores",
-                RuntimeWarning, stacklevel=2)
-        else:
-            warnings.warn(
-                f"result cache read-only: {store.directory} is not "
-                f"writable ({error}); serving existing entries, skipping "
-                "stores", RuntimeWarning, stacklevel=2)
+        warnings.warn(
+            f"result cache read-only: {store.directory} is not writable "
+            f"({error}); serving existing entries, skipping stores",
+            RuntimeWarning, stacklevel=2)
     return store
 
 
@@ -377,20 +354,15 @@ class Execution:
         """The execution a CLI invocation's flags describe.
 
         The CLI caches and journals by default (``--no-cache`` /
-        ``--no-journal`` opt out; ``--cache-url`` names a ``repro
-        cache-serve``, bare ``host:port`` normalised to ``tcp://``).  The
-        resilience flags build a policy only when one is given, so the
-        default run stays fail-fast.  ``--resume`` with journaling off is
-        loaded here, from ``--journal-dir`` or the default directory,
-        since the run itself then carries no journal directory.  ``args``
-        must carry every flag the CLI's shared sweep options define.
+        ``--no-journal`` opt out).  The resilience flags build a policy
+        only when one is given, so the default run stays fail-fast.
+        ``--resume`` with journaling off is loaded here, from
+        ``--journal-dir`` or the default directory, since the run itself
+        then carries no journal directory.  ``args`` must carry every flag
+        the CLI's shared sweep options define.
         """
-        url = args.cache_url
-        if args.no_cache:
-            cache: CacheSpec = False
-        elif url is not None:
-            cache = url if is_cache_url(url) else f"tcp://{url}"
-        else:
+        cache: CacheSpec = False
+        if not args.no_cache:
             cache = args.cache_dir or True
         journal_dir = args.journal_dir
         journaling = not args.no_journal
@@ -426,9 +398,9 @@ class Execution:
         run it came from even when its journal is disabled or read-only.
         A ``metrics`` path opens a writer and an endpoint-string
         ``backend`` builds a :class:`~repro.experiments.backends
-        .WorkerBackend` configured from the policy's lease knobs; those,
-        and a cache client built from a URL, are owned by the resources
-        and closed with them.  Instances given in the specs stay open.
+        .WorkerBackend` configured from the policy's lease knobs; both
+        are owned by the resources and closed with them.  Instances
+        given in the specs stay open.
         """
         policy = self.policy if self.policy is not None else DEFAULT_POLICY
         owned: List[object] = []
@@ -442,8 +414,6 @@ class Execution:
                 heartbeat_interval=policy.heartbeat_interval)
             owned.append(remote)
         store = resolve_cache(self.cache)
-        if isinstance(store, NetworkCacheClient) and store is not self.cache:
-            owned.append(store)
         journal = resolve_journal(self.journal)
         resume = self.resume
         if resume is not None and not isinstance(resume, JournalState):
@@ -470,7 +440,7 @@ class _Resources:
     """One sweep's live view of an :class:`Execution`."""
 
     policy: ResiliencePolicy
-    store: Optional[Union[ResultCache, NetworkCacheClient]]
+    store: Optional[ResultCache]
     journal: Optional[RunJournal]
     resume: Optional[JournalState]
     writer: Optional[MetricsWriter]

@@ -42,6 +42,10 @@ error, and never rescanned; a *stale* file (older schema version) is a
 plain miss that the recomputed result overwrites.  All cached payloads
 are integers (or exact-round-trip floats for F1 profiles), so a cache
 hit is bit-identical to recomputation.
+
+Because every entry verifies itself, hosts share results by copying or
+merging cache directories (``cp -r``, ``rsync``): a copied entry that
+arrived damaged is quarantined on load and recomputed like any miss.
 """
 
 from __future__ import annotations
@@ -280,26 +284,26 @@ class ResultCache:
         """
         return self.path_for(key).exists()
 
-    def load_encoded(self, key: str) -> Optional[Dict]:
-        """Verified *encoded* payload for ``key``, or None.
+    def load(self, key: str) -> Optional[object]:
+        """Verified, decoded result for ``key``, or None.
 
-        The shared verification half of :meth:`load` — also the server
-        side of the network cache service, which ships encoded payloads
-        over the wire without decoding them.  A missing file or an entry
-        from an older schema version is a plain miss (the recomputed
-        result overwrites it).  A *corrupt* file — unparsable, wrong
-        embedded key, digest mismatch, undecodable result — is
-        quarantined to ``corrupt/`` so it is never rescanned and remains
-        available for post-mortems.  Counts the hit/miss either way.
+        A missing file or an entry from an older schema version is a plain
+        miss (the recomputed result overwrites it).  A *corrupt* file —
+        not UTF-8, unparsable, wrong embedded key, digest mismatch,
+        undecodable result — is quarantined to ``corrupt/`` so it is never
+        rescanned and remains available for post-mortems.  Every entry
+        carries its own key and digest, so one copied in from another
+        host's cache directory is verified here like any other.  Counts
+        the hit/miss either way.
         """
         path = self.path_for(key)
         try:
-            text = path.read_text()
+            data = path.read_bytes()
         except OSError:
             self.misses += 1
             return None
         try:
-            payload = json.loads(text)
+            payload = json.loads(data)  # bad UTF-8 is a ValueError here
             if not isinstance(payload, dict):
                 raise ValueError("cache entry is not a JSON object")
             if payload.get("v") != CACHE_SCHEMA_VERSION:
@@ -310,20 +314,13 @@ class ResultCache:
             encoded = payload["result"]
             if payload.get("digest") != stable_digest(encoded):
                 raise ValueError("result digest mismatch")
-            decode_result(encoded)  # undecodable results are corrupt too
+            result = decode_result(encoded)  # undecodable results are corrupt
         except (ValueError, KeyError, TypeError):
             self._quarantine(path)
             self.misses += 1
             return None
         self.hits += 1
-        return encoded
-
-    def load(self, key: str) -> Optional[object]:
-        """Decoded result for ``key``, or None on miss/staleness/corruption."""
-        encoded = self.load_encoded(key)
-        if encoded is None:
-            return None
-        return decode_result(encoded)
+        return result
 
     def _quarantine(self, path: Path) -> None:
         """Move a corrupt entry aside; best-effort, never raises.
@@ -346,25 +343,25 @@ class ResultCache:
         except OSError:
             pass  # read-only cache or a lost race: the entry stays a miss
 
-    def store_encoded(self, key: str, encoded: Dict) -> None:
-        """Atomically persist an already-encoded payload under ``key``.
+    def store(self, key: str, result: object) -> None:
+        """Atomically persist ``result`` under ``key``.
 
-        The writing half of :meth:`store` — also the server side of the
-        network cache service.  The temp-file + ``os.replace`` dance
-        guarantees a reader (or a worker killed mid-write) can never
-        observe a torn entry.  The temp name is unique per writer
-        (``<key>.json.tmp<pid>-<thread id>``), so any number of processes
-        and threads on one host may store the same key at once: each
-        renames its own complete file over the entry and the last rename
-        wins with bit-identical bytes.  Hosts share a cache through
-        ``repro cache-serve``, never a shared filesystem.  A read-only
-        cache skips the store silently (the warning was issued once, at
-        resolve time).  A write that fails partway (disk full, killed
-        writer) removes its temp file on the way out instead of stranding
-        it forever.
+        The temp-file + ``os.replace`` dance guarantees a reader (or a
+        writer killed mid-write) can never observe a torn entry.  The
+        temp name is unique per writer (``<key>.json.tmp<pid>-<thread
+        id>``), so any number of processes and threads on one host may
+        store the same key at once: each renames its own complete file
+        over the entry and the last rename wins with bit-identical bytes.
+        Hosts share a cache by copying the directory (``cp -r``,
+        ``rsync``), never through a shared filesystem; :meth:`load`
+        verifies every copied entry.  A read-only cache skips the store
+        silently (the warning was issued once, at resolve time).  A write
+        that fails partway (disk full, killed writer) removes its temp
+        file on the way out instead of stranding it forever.
         """
         if self.read_only:
             return
+        encoded = encode_result(result)
         payload = {
             "v": CACHE_SCHEMA_VERSION,
             "key": key,
@@ -384,12 +381,6 @@ class ResultCache:
             except OSError:
                 pass
         self.stores += 1
-
-    def store(self, key: str, result: object) -> None:
-        """Atomically persist ``result`` under ``key`` (see store_encoded)."""
-        if self.read_only:
-            return
-        self.store_encoded(key, encode_result(result))
 
     @property
     def counters(self) -> Dict[str, int]:

@@ -29,8 +29,8 @@ lease), ``torn`` truncates the result frame mid-send (worker-lost),
 ``corrupt`` flips the result digest (result-corrupt, exercising the
 coordinator's payload verification).
 
-Listening, the hello exchange and shutdown are the shared
-:class:`~repro.experiments.backends.FrameServer`; this module holds only
+Listening, the hello exchange and shutdown are
+:class:`~repro.experiments.backends.FrameServer`'s; this module holds only
 what a worker does with a session.
 """
 
@@ -70,8 +70,7 @@ def serve(host: str = "127.0.0.1", port: int = 0,
     so an injected SIGKILL crash fault takes the whole process down,
     exactly like a real OOM kill.
     """
-    server = FrameServer("worker", _session, host, port, threaded=False,
-                         backlog=1)
+    server = FrameServer(_session, host, port)
     if not quiet:
         print(f"[repro-worker] listening on {host}:{server.port} "
               f"(protocol v{PROTOCOL_VERSION})", flush=True)

@@ -30,9 +30,9 @@ that surface:
   ``lockf``, ``os.open`` with ``O_EXCL``) anywhere
   (:data:`FILE_LOCK_SANCTIONED_MODULES` is empty).  Processes on one
   host share a cache directory through atomic renames of per-writer
-  temp files, and hosts share one through ``repro cache-serve``, whose
-  single process serialises every writer; a cross-process file lock
-  would be a second, unaudited writer discipline.
+  temp files, and hosts share one by copying the directory, since every
+  entry verifies itself on load; a cross-process file lock would be a
+  second, unaudited writer discipline.
 
 Reachability is the conservative call-graph closure of
 :mod:`repro.lint.callgraph` seeded at ``compute_cell``; ``functools``
@@ -71,7 +71,8 @@ WORKER_ENTRY_POINTS = (("experiments.parallel", "compute_cell"),)
 
 #: The only module allowed to create sockets: the frame codec, its one
 #: client handshake (``connect``) and its one listener (``FrameServer``),
-#: which ``repro worker`` and ``repro cache-serve`` both run on.  All
+#: which ``repro worker`` runs on.  The result cache never crosses the
+#: network: hosts share it by copying its self-verifying directory.  All
 #: network I/O must flow through this audited length-prefixed protocol.
 SOCKET_SANCTIONED_MODULES = frozenset({
     "repro.experiments.backends",
@@ -332,9 +333,9 @@ def _boundary_findings(index: PackageIndex) -> List[Finding]:
                     line=node.lineno, col=node.col_offset,
                     message=f"{target}() takes a cross-process file lock; "
                             "cache writers share a directory through "
-                            "atomic renames and hosts share a cache "
-                            "through repro cache-serve, so no module "
-                            "locks files",
+                            "atomic renames and hosts share a cache by "
+                            "copying its self-verifying entries, so no "
+                            "module locks files",
                     symbol=f"{name}:{target}",
                 ))
     return findings

@@ -69,8 +69,6 @@ SANCTIONED_ENV_MODULES = frozenset({
     "repro.experiments.result_cache",
     "repro.experiments.journal",
     "repro.experiments.resilience",
-    # $REPRO_CACHE_URL: where results are cached, never what they are.
-    "repro.experiments.cache_service",
 })
 
 #: Modules allowed to read monotonic (never wall-clock) clocks: the
@@ -86,8 +84,6 @@ MONOTONIC_CLOCK_MODULES = frozenset({
     # Distributed substrate: lease deadlines, heartbeat ages, reconnect
     # cooldowns — scheduling only, never part of a result.
     "repro.experiments.backends",
-    # Cache-client reconnect cooldown — scheduling only.
-    "repro.experiments.cache_service",
 })
 
 #: Modules allowed to open files for writing.  Everything else — the
@@ -107,8 +103,9 @@ SANCTIONED_WRITE_MODULES = frozenset({
     # artifact, produced on explicit request, never from a suite cell.
     "repro.experiments.bench_baseline",
     # The frame server's ready-file (host:port for launch scripts) behind
-    # repro worker and repro cache-serve; cell computation inside the
-    # worker stays write-free and cache entries go through result_cache.
+    # repro worker; cell computation inside the worker stays write-free
+    # and cache entries go through result_cache, whose self-verifying
+    # entries let hosts share a cache by copying its directory.
     "repro.experiments.backends",
 })
 

@@ -67,15 +67,9 @@ _BACKEND_COUNTERS = (
     "worker_losses", "corrupt_results",
 )
 
-#: Result-cache counter names folded into the nested ``cache`` summary
-#: from ``sweep`` records.  Local :class:`ResultCache` stores report the
-#: first four; a :class:`NetworkCacheClient` adds the transport counters
-#: (kept nested because ``reconnects`` would collide with the backend
-#: counter of the same name).
-_CACHE_COUNTERS = (
-    "hits", "misses", "stores", "quarantined", "rpc_errors", "reconnects",
-    "corrupt_replies", "rejected_stores", "fallback_hits",
-)
+#: :class:`ResultCache` counter names folded into the nested ``cache``
+#: summary from ``sweep`` records.
+_CACHE_COUNTERS = ("hits", "misses", "stores", "quarantined")
 
 
 def summarize_metrics(path: Union[str, Path]) -> Dict[str, object]:

@@ -21,6 +21,7 @@ import subprocess
 import sys
 import threading
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -30,11 +31,9 @@ from repro.experiments.backends import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     FrameError,
-    FrameServer,
     LocalPoolBackend,
     ProtocolVersionError,
     WorkerBackend,
-    connect,
     lease_id,
     parse_endpoints,
     probe_endpoint,
@@ -277,6 +276,45 @@ class TestLeaseIds:
         assert lease_id("k", 1).startswith("lease-")
 
 
+@contextmanager
+def _impostor(version, role):
+    """A listener answering every hello with ``version`` and ``role``.
+
+    Stands in for any service that speaks the frame protocol's hello
+    without being a current worker; yields its ``(host, port)``.
+    """
+    def answer(server, stop):
+        server.settimeout(0.1)
+        while not stop.is_set():
+            try:
+                conn, _ = server.accept()
+            except socket.timeout:
+                continue
+            try:
+                recv_frame(conn)
+                send_frame(conn, {"type": "hello", "version": version,
+                                  "role": role})
+            except (OSError, FrameError):
+                pass
+            finally:
+                conn.close()
+
+    server = socket.socket()
+    server.bind(("127.0.0.1", 0))
+    server.listen(8)
+    stop = threading.Event()
+    thread = threading.Thread(target=answer, args=(server, stop),
+                              daemon=True)
+    thread.start()
+    try:
+        yield server.getsockname()
+    finally:
+        stop.set()
+        thread.join(timeout=5)
+        server.close()
+    assert not thread.is_alive()
+
+
 # ------------------------------------------------------- endpoint probing
 
 class TestProbeEndpoint:
@@ -295,44 +333,16 @@ class TestProbeEndpoint:
             probe_endpoint("127.0.0.1", port, timeout=1.0)
 
     def test_version_skew_raises(self):
-        def impostor(server, stop):
-            server.settimeout(0.1)
-            while not stop.is_set():
-                try:
-                    conn, _ = server.accept()
-                except socket.timeout:
-                    continue
-                try:
-                    recv_frame(conn)
-                    send_frame(conn, {"type": "hello", "version": 99,
-                                      "role": "worker"})
-                except (OSError, FrameError):
-                    pass
-                finally:
-                    conn.close()
-
-        server = socket.socket()
-        server.bind(("127.0.0.1", 0))
-        server.listen(1)
-        port = server.getsockname()[1]
-        stop = threading.Event()
-        thread = threading.Thread(target=impostor, args=(server, stop),
-                                  daemon=True)
-        thread.start()
-        try:
+        with _impostor(version=99, role="worker") as (host, port):
             with pytest.raises(ProtocolVersionError, match="protocol v99"):
-                probe_endpoint("127.0.0.1", port)
-            backend = WorkerBackend((("127.0.0.1", port),))
+                probe_endpoint(host, port)
+            backend = WorkerBackend(((host, port),))
             backend.connect_all()
             try:
                 assert backend.workers == 0
                 assert backend.skewed
             finally:
                 backend.close()
-        finally:
-            stop.set()
-            thread.join(timeout=5)
-            server.close()
 
     def test_non_worker_endpoint_raises(self):
         def slammer(server, stop):
@@ -362,98 +372,40 @@ class TestProbeEndpoint:
 
 
 class TestWrongPeerRole:
-    """A ``repro cache-serve`` port answers the hello too; its role must
-    keep it from passing as a worker."""
+    """A peer that answers the hello at the current protocol version but
+    under another role must never pass as a worker."""
 
     @pytest.fixture
-    def cache_server(self, tmp_path):
-        from repro.experiments.cache_service import serve_cache
+    def other_peer(self):
+        with _impostor(version=PROTOCOL_VERSION, role="coordinator") as peer:
+            yield peer
 
-        stop = threading.Event()
-        ready = tmp_path / "cache.ready"
-        thread = threading.Thread(
-            target=serve_cache,
-            kwargs=dict(port=0, directory=tmp_path / "served",
-                        ready_file=str(ready), stop=stop, quiet=True),
-            daemon=True)
-        thread.start()
-        deadline = time.monotonic() + 10.0
-        while not ready.exists():
-            assert time.monotonic() < deadline, "cache server never ready"
-            time.sleep(0.01)
-        host, port = ready.read_text().strip().rsplit(":", 1)
-        yield host, int(port)
-        stop.set()
-        thread.join(timeout=10)
-        assert not thread.is_alive()
-
-    def test_probe_endpoint_raises_frame_error(self, cache_server):
+    def test_probe_endpoint_raises_frame_error(self, other_peer):
         with pytest.raises(FrameError, match="not a worker"):
-            probe_endpoint(*cache_server)
+            probe_endpoint(*other_peer)
 
-    def test_doctor_reports_not_a_worker(self, cache_server):
+    def test_doctor_reports_not_a_worker(self, other_peer):
         from repro.doctor import _check_worker_endpoints
 
-        passed, message = _check_worker_endpoints("%s:%d" % cache_server)
+        passed, message = _check_worker_endpoints("%s:%d" % other_peer)
         assert not passed
         assert "is not a repro worker" in message
 
-    def test_worker_backend_refuses_before_dispatch(self, cache_server):
-        backend = WorkerBackend((cache_server,))
+    def test_worker_backend_refuses_before_dispatch(self, other_peer):
+        backend = WorkerBackend((other_peer,))
         try:
             assert backend.connect_all() == 0
             assert backend.workers == 0
         finally:
             backend.close()
 
-    def test_coordinator_dispatches_no_cell(self, cache_server,
-                                            serial_grid):
+    def test_coordinator_dispatches_no_cell(self, other_peer, serial_grid):
         # No reachable worker: the grid degrades to inline execution
-        # rather than failing every cell with "unknown request 'run'".
+        # rather than sending cells to a peer that cannot run them.
         with pytest.warns(RuntimeWarning, match="degrading"):
-            results = execute_cells(GRID, backend="%s:%d" % cache_server,
+            results = execute_cells(GRID, backend="%s:%d" % other_peer,
                                     policy=_policy())
         assert _encoded(results) == _encoded(serial_grid)
-
-
-class TestFrameServer:
-    def test_finished_sessions_are_forgotten(self):
-        """A long-lived server tracks only the sessions still alive, not
-        every connection it ever accepted."""
-        def echo(conn):
-            while True:
-                frame = recv_frame(conn)
-                if frame is None:
-                    return
-                send_frame(conn, frame)
-
-        server = FrameServer("worker", echo)
-        stop = threading.Event()
-        thread = threading.Thread(target=server.serve,
-                                  kwargs=dict(stop=stop), daemon=True)
-        thread.start()
-        held = [connect("127.0.0.1", server.port, "coordinator",
-                        "worker")[0] for _ in range(3)]
-        try:
-            for i in range(100):
-                sock, _ = connect("127.0.0.1", server.port, "coordinator",
-                                  "worker")
-                with sock:
-                    send_frame(sock, {"type": "ping", "i": i})
-                    assert recv_frame(sock) == {"type": "ping", "i": i}
-            deadline = time.monotonic() + 10.0
-            while server.live_sessions > len(held):
-                assert time.monotonic() < deadline, server.live_sessions
-                time.sleep(0.01)
-            assert server.accepted == 103
-            assert server.live_sessions == len(held)
-        finally:
-            for sock in held:
-                sock.close()
-            stop.set()
-            thread.join(timeout=10)
-        assert not thread.is_alive()
-        assert server.live_sessions == 0
 
 
 # --------------------------------------------- local backend golden parity

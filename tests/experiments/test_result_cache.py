@@ -10,6 +10,7 @@ import fnmatch
 import json
 import multiprocessing
 import os
+import shutil
 import stat
 import sys
 import threading
@@ -20,12 +21,14 @@ from repro.analysis.accuracy import AccuracyStats, Outcome, OutcomeKind
 from repro.predictors.base import PredictionKind
 from repro.core.config import GOLDEN_COVE, LION_COVE
 from repro.core.stats import PipelineStats
+from repro.experiments import parallel
 from repro.experiments.parallel import CellSpec, execute_cells
 from repro.experiments.result_cache import (
     CACHE_DIR_ENV,
     ResultCache,
     cell_key,
     default_cache_dir,
+    encode_result,
     predictor_fingerprint,
     shared_code_salt,
 )
@@ -262,6 +265,17 @@ class TestQuarantine:
         assert (warm.quarantine_dir / path.name).exists()
         assert (warm.quarantine_dir / f"{path.name}.1").exists()
 
+    def test_non_utf8_entry_is_quarantined(self, warm):
+        """A byte flipped to a non-UTF-8 value in transit (a damaged
+        copy from another host) is corruption, not a crash."""
+        path = warm.path_for(self.KEY)
+        data = bytearray(path.read_bytes())
+        data[data.index(b'"result"') + 12] ^= 0x80
+        path.write_bytes(bytes(data))
+        assert warm.load(self.KEY) is None
+        assert warm.quarantined == 1
+        assert not path.exists()
+
     def test_quarantined_entry_not_served_after_recompute(self, tmp_path):
         cache = ResultCache(tmp_path)
         spec = CellSpec(mode="accuracy", benchmark="lbm", num_uops=4_000,
@@ -275,6 +289,46 @@ class TestQuarantine:
         assert third.to_dict() == first.to_dict()
         assert cache.hits == 1
         assert cache.quarantined == 1
+
+
+class TestCopiedCacheDirectories:
+    """Hosts share results by copying cache directories; every copied
+    entry is verified on load, so a merged directory needs no import
+    step and a damaged copy costs one recompute, never a wrong number."""
+
+    GRID = [CellSpec(mode="accuracy", benchmark=benchmark, num_uops=4_000,
+                     predictor=predictor)
+            for benchmark in ("lbm", "exchange2")
+            for predictor in ("mascot", "phast")]
+
+    def test_merged_directories_serve_the_grid(self, tmp_path, monkeypatch):
+        serial = execute_cells(self.GRID)
+        half = len(self.GRID) // 2
+        execute_cells(self.GRID[:half], cache=tmp_path / "host-a")
+        execute_cells(self.GRID[half:], cache=tmp_path / "host-b")
+        merged = tmp_path / "merged"
+        for host in ("host-a", "host-b"):
+            shutil.copytree(tmp_path / host, merged, dirs_exist_ok=True)
+
+        # Flip one byte of one copied entry's payload: still valid JSON,
+        # but its digest no longer matches.
+        damaged = merged / f"{cell_key(self.GRID[-1])}.json"
+        text = damaged.read_text()
+        start = text.index('"result"')
+        digit = next(i for i in range(start, len(text)) if text[i].isdigit())
+        flipped = "1" if text[digit] == "0" else "0"
+        damaged.write_text(text[:digit] + flipped + text[digit + 1:])
+
+        calls = []
+        real = parallel.compute_cell
+        monkeypatch.setattr(parallel, "compute_cell",
+                            lambda spec: calls.append(spec) or real(spec))
+        cache = ResultCache(merged)
+        results = execute_cells(self.GRID, cache=cache)
+        assert calls == [self.GRID[-1]]
+        assert cache.quarantined == 1
+        assert ([encode_result(r) for r in results]
+                == [encode_result(r) for r in serial])
 
 
 class TestProbeWritable:
