@@ -1,14 +1,12 @@
 """Branch direction predictors: the front-end substrate of the timing model."""
 
 from .base import BranchPredictor, BranchStats
-from .gshare import GShare
 from .ittage import ITTAGE, ITtageEntry
 from .tage import TAGEBranchPredictor, TageEntry
 
 __all__ = [
     "BranchPredictor",
     "BranchStats",
-    "GShare",
     "ITTAGE",
     "ITtageEntry",
     "TAGEBranchPredictor",

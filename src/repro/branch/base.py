@@ -1,8 +1,8 @@
 """Common interface for branch direction predictors.
 
 The timing pipeline uses a direction predictor to decide which branches
-redirect the front end (Table I's machine uses TAGE-SC-L; we provide GShare
-and a simplified TAGE).  The memory-dependence predictors do *not* consume
+redirect the front end (Table I's machine uses TAGE-SC-L; we provide a
+simplified TAGE with an ITTAGE indirect-target predictor).  The memory-dependence predictors do *not* consume
 these predictions — they only consume the architectural outcome stream via
 their own :class:`~repro.common.history.GlobalHistory` — so branch-predictor
 fidelity only affects the timing model's redirect rate.

@@ -45,8 +45,6 @@ bit-identical too.
 from __future__ import annotations
 
 from collections import deque
-from itertools import islice
-from operator import attrgetter
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -57,14 +55,14 @@ from ..common.foldplan import prime_inputs
 from ..memory.hierarchy import MemoryHierarchy
 from ..obs.cycles import CycleStack
 from ..predictors.base import PRED_KIND_BY_CODE, MDPredictor
-from ..trace.columns import BYPASS_CODES, OP_BY_CODE, OP_CODES, TraceColumns
+from ..trace.columns import OP_BY_CODE, OP_CODES, TraceColumns
 from ..trace.uop import MicroOp, OpClass
 from .config import GOLDEN_COVE, CoreConfig
 from .pipeline import _CONSUMER_OPS, _WINDOW_CATEGORIES
 from .scoreboard import SeqScoreboard, StoreScoreboard
 from .stats import PipelineStats
 
-__all__ = ["BatchedPipeline", "PredictorReplay", "uop_prime_inputs"]
+__all__ = ["BatchedPipeline", "PredictorReplay"]
 
 _OP_ALU = OP_CODES[OpClass.ALU]
 _OP_MUL = OP_CODES[OpClass.MUL]
@@ -80,41 +78,6 @@ _IS_CONSUMER = tuple(op in _CONSUMER_OPS for op in OP_BY_CODE)
 
 _OC_CORRECT_SMB = OUTCOME_CODES[OutcomeKind.CORRECT_SMB]
 
-#: Op codes whose micro-op fields feed a prime: branches and loads.
-_PRIMED_OPS = np.array([_OP_LOAD, _OP_BC, _OP_BI], dtype=np.int8)
-#: :data:`OP_CODES` keyed by member name: string hashes are cached, enum
-#: member hashes are computed in Python on every lookup.
-_OP_CODE_BY_NAME = {op.name: code for op, code in OP_CODES.items()}
-#: :data:`BYPASS_CODES` keyed by member name, for the same reason.
-_BYPASS_CODE_BY_NAME = {bc.name: code for bc, code in BYPASS_CODES.items()}
-
-
-def uop_prime_inputs(predictor: MDPredictor, trace: Sequence[MicroOp]):
-    """:func:`~repro.common.foldplan.prime_inputs` read from micro-ops.
-
-    For replays without :class:`TraceColumns`.  Returns None — nothing
-    built — for predictors keeping the base no-op ``prime`` (Store Sets,
-    the oracles).  The arrays are read straight from the micro-ops: op
-    codes for all of them, PC / taken / target only at branches and
-    loads.
-    """
-    if type(predictor).prime is MDPredictor.prime:
-        return None
-    n = len(trace)
-    op = np.fromiter(map(_OP_CODE_BY_NAME.__getitem__,
-                         map(attrgetter("op._name_"), trace)),
-                     dtype=np.int8, count=n)
-    seqs = np.flatnonzero(np.isin(op, _PRIMED_OPS))
-    events = [trace[i] for i in seqs.tolist()]
-    columns = []
-    for name, dtype in (("pc", np.int64), ("taken", np.bool_),
-                        ("target", np.int64)):
-        column = np.zeros(n, dtype=dtype)
-        column[seqs] = np.fromiter(map(attrgetter(name), events),
-                                   dtype=dtype, count=len(events))
-        columns.append(column)
-    return prime_inputs(op, *columns)
-
 
 class PredictorReplay:
     """The predictor-visible event stream of one run, in trace order.
@@ -122,7 +85,8 @@ class PredictorReplay:
     Outside the scalar reference :class:`~repro.core.pipeline.Pipeline`
     this is the one loop that drives the predictors' hooks: branch
     outcomes, store dispatches and each load's fused ``predict_train``
-    with its ``branches_between`` / ``store_pc`` training hints.  The
+    with its ``branches_between`` / ``store_pc`` training hints, all read
+    from the trace's :class:`TraceColumns` as plain ints.  The
     batched engine's Phase A runs it with a branch predictor and collects
     Phase B's per-event decisions;
     :func:`~repro.experiments.runner.run_prediction_only` runs it without
@@ -144,9 +108,10 @@ class PredictorReplay:
         if self.branch_predictor is not None:
             self.branch_predictor.prime(inputs[0])
 
-    def replay(self, trace: Sequence[MicroOp], measure_from: int,
+    def replay(self, cols: TraceColumns, measure_from: int,
                window: int, inputs, recorder=None):
-        """Replay ``trace``; micro-ops from ``measure_from`` on are measured.
+        """Replay the trace ``cols``; micro-ops from ``measure_from`` on
+        are measured.
 
         ``window`` is the store-window capacity: a load's training hints
         name its store only while that store is among the last ``window``
@@ -160,16 +125,29 @@ class PredictorReplay:
         indirect_mispredictions)`` at the warmup boundary, and Phase B's
         decision lists.  Without a branch predictor the last two are None.
         """
+        if cols.first_seq:
+            raise ValueError(
+                f"trace starts at sequence number {cols.first_seq}: an "
+                "offset slice runs only once stitched into a whole trace")
         branch = self.branch_predictor
         timing = branch is not None
         if inputs is not None:
             self.prime(inputs)
+        lists = cols.lists(("op", "pc", "taken", "target", "dep_store_seq",
+                            "store_distance", "bypass"))
+        op_l = lists["op"]
+        pc_l = lists["pc"]
+        taken_l = lists["taken"]
+        target_l = lists["target"]
+        dep_l = lists["dep_store_seq"]
+        dist_l = lists["store_distance"]
+        bypass_l = lists["bypass"]
 
         # Store window membership (the scalar StoreWindow's, at
         # capacity ``window``) and the branch count at each store.
         recent: deque = deque()
         member = set()
-        store_branch = [0] * len(trace)
+        store_branch = [0] * cols.n
         branch_count = 0
 
         # Per-load decisions for Phase B.
@@ -188,11 +166,10 @@ class PredictorReplay:
         oc_smb = _OC_CORRECT_SMB
         warm = None
 
-        op_load = OpClass.LOAD
-        op_store = OpClass.STORE
-        op_bc = OpClass.BRANCH_COND
-        op_bi = OpClass.BRANCH_INDIRECT
-        bypass_code = _BYPASS_CODE_BY_NAME.__getitem__
+        op_load = _OP_LOAD
+        op_store = _OP_STORE
+        op_bc = _OP_BC
+        op_bi = _OP_BI
         p_on_branch = self.predictor.on_branch
         p_on_indirect = self.predictor.on_indirect
         p_on_store = self.predictor.on_store
@@ -202,26 +179,29 @@ class PredictorReplay:
             b_predict_and_train = branch.predict_and_train
             b_observe_indirect = branch.observe_indirect
 
-        for measured, part in ((False, islice(trace, measure_from)),
-                               (True, islice(trace, measure_from, None))):
+        boundary = min(measure_from, cols.n)
+        for measured, part in ((False, range(boundary)),
+                               (True, range(boundary, cols.n))):
             # Branch stats accumulate from the first micro-op; snapshot
             # them at the warmup boundary, as the scalar run() does.
             if measured and timing:
                 warm = (bstats.mispredictions, bstats.indirect_mispredictions)
-            for uop in part:
-                op = uop.op
-                if op is op_load:
-                    dep = uop.dep_store_seq
+            for seq in part:
+                op = op_l[seq]
+                if op == op_load:
+                    dep = dep_l[seq]
                     present = dep in member
                     if present:
                         bb = branch_count - store_branch[dep]
-                        spc = trace[dep].pc
+                        spc = pc_l[dep]
                     else:
                         bb = 0
                         spc = None
                     kind, p_seq, p_dist, conservative, ok_code = (
-                        p_predict_train(uop, bb, spc, uop.store_distance,
-                                        bypass_code(uop.bypass._name_)))
+                        p_predict_train(seq, pc_l[seq], bb, spc,
+                                        dist_l[seq],
+                                        None if dep < 0 else dep,
+                                        bypass_l[seq]))
                     if measured:
                         oc_counts[ok_code] += 1
                         kc_counts[kind] += 1
@@ -240,27 +220,26 @@ class PredictorReplay:
                         ld_present.append(present)
                     if recorder is not None:
                         recorder.tick()
-                elif op is op_store:
-                    oseq = p_on_store(uop)
+                elif op == op_store:
+                    oseq = p_on_store(seq, pc_l[seq])
                     if timing:
                         st_ordering.append(oseq if oseq in member else -1)
-                    seq = uop.seq
                     store_branch[seq] = branch_count
                     recent.append(seq)
                     member.add(seq)
                     if len(recent) > window:
                         member.discard(recent.popleft())
-                elif op is op_bc:
+                elif op == op_bc:
                     if timing:
                         br_correct.append(
-                            b_predict_and_train(uop.pc, uop.taken))
-                    p_on_branch(uop.pc, uop.taken)
+                            b_predict_and_train(pc_l[seq], taken_l[seq]))
+                    p_on_branch(pc_l[seq], taken_l[seq])
                     branch_count += 1
-                elif op is op_bi:
+                elif op == op_bi:
                     if timing:
                         br_correct.append(
-                            b_observe_indirect(uop.pc, uop.target))
-                    p_on_indirect(uop.pc, uop.target)
+                            b_observe_indirect(pc_l[seq], target_l[seq]))
+                    p_on_indirect(pc_l[seq], target_l[seq])
                     branch_count += 1
 
         self.predictor.finish()
@@ -321,18 +300,13 @@ class BatchedPipeline(PredictorReplay):
                 f"measure_from {measure_from} outside trace of {len(trace)}"
             )
         cols = TraceColumns.ensure(trace)
-        # Phase B's list views are built before Phase A's transient prime
-        # arrays: built after them they land in a fragmented heap, about
-        # 4 MB more peak RSS on 300k-micro-op sampled runs.
-        cols.lists()
-        phase_a = self._phase_a(trace, cols, measure_from)
+        phase_a = self._phase_a(cols, measure_from)
         self._phase_b(cols, measure_from, phase_a)
         return self.stats
 
     # -------------------------------------------------- phase A: predictors
 
-    def _phase_a(self, trace: Sequence[MicroOp], cols: TraceColumns,
-                 measure_from: int):
+    def _phase_a(self, cols: TraceColumns, measure_from: int):
         """Replay the predictor-visible event stream in trace order.
 
         :meth:`~PredictorReplay.replay` with the scalar
@@ -345,7 +319,7 @@ class BatchedPipeline(PredictorReplay):
         bstats = self.branch_predictor.stats
         cap = max(cfg.sb_size * 2, 256)
         oc_counts, kc_counts, warm, decisions = self.replay(
-            trace, measure_from, cap,
+            cols, measure_from, cap,
             prime_inputs(cols.op, cols.pc, cols.taken, cols.target))
 
         stats.accuracy.record_codes(oc_counts, kc_counts)
@@ -372,7 +346,8 @@ class BatchedPipeline(PredictorReplay):
          st_ordering, br_correct, store_branch) = phase_a
         cfg = self.config
         n = cols.n
-        lists = cols.lists()
+        lists = cols.lists(("op", "pc", "address", "addr_src",
+                            "dep_store_seq"))
         op_l = lists["op"]
         pc_l = lists["pc"]
         addr_l = lists["address"]

@@ -406,7 +406,7 @@ class Pipeline:
             self.stats.stores += 1
         # The predictor may serialise this store behind an older one in its
         # store set (Store Sets' LFST chaining).
-        ordering_constraint = self.predictor.on_store(uop)
+        ordering_constraint = self.predictor.on_store(uop.seq, uop.pc)
         addr_ready = self._address_ready(uop, dispatch)
         if self._acct is not None:
             self._acct_dep_from = addr_ready

@@ -100,10 +100,11 @@ def _check_orphan_tmp(cache_dir: Optional[str]) -> Tuple[bool, str]:
     return remaining == 0, note
 
 
-def _check_journal_dir(journal_dir: Optional[str]) -> Tuple[bool, str]:
-    from .experiments.journal import RunJournal
+def _check_journal_dir(journal_dir: Optional[str],
+                       cache_dir: Optional[str]) -> Tuple[bool, str]:
+    from .experiments.journal import RunJournal, default_journal_dir
 
-    journal = RunJournal(journal_dir)
+    journal = RunJournal(journal_dir or default_journal_dir(cache_dir))
     error = journal.probe_writable()
     if error is not None:
         return False, (f"journal dir {journal.directory} not writable: "
@@ -168,7 +169,7 @@ def run_doctor(cache_dir: Optional[str] = None,
     checks: List[Tuple[str, Callable[[], Tuple[bool, str]]]] = [
         ("cache", lambda: _check_cache_dir(cache_dir)),
         ("cache-tmp", lambda: _check_orphan_tmp(cache_dir)),
-        ("journal", lambda: _check_journal_dir(journal_dir)),
+        ("journal", lambda: _check_journal_dir(journal_dir, cache_dir)),
         ("workers", _check_worker_spawn),
         ("lint", _check_lint_baseline),
         ("simulator", _check_simulator),

@@ -164,15 +164,15 @@ def measure_cell(cell: BenchCell, repeats: int = 3) -> Dict[str, object]:
     """Best-of-``repeats`` wall time for both engines on one cell.
 
     The trace is generated once and shared (generation is not part of
-    either engine's cost); each repeat constructs a fresh predictor and
-    pipeline, exactly as a suite cell would.  Best-of-N suppresses
-    scheduler noise and, for the batched engine, excludes the one-time
-    trace columnisation (memoised per trace object, amortised across a
-    suite sweep in real use).
+    either engine's cost): the batched engine reads its columns, and
+    the micro-op objects the scalar engine reads are built before
+    timing.  Each repeat constructs a fresh predictor and pipeline,
+    exactly as a suite cell would; best-of-N suppresses scheduler noise.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     trace = generate_trace(cell.benchmark, cell.num_uops)
+    trace.uops  # the scalar engine reads objects: build them untimed
     scalar_s = min(_run_once(Pipeline, cell, trace)
                    for _ in range(repeats))
     batched_s = min(_run_once(BatchedPipeline, cell, trace)
@@ -198,22 +198,21 @@ def measure_sampled_cell(cell: SampledBenchCell) -> Dict[str, object]:
     Single-shot by design: the full scalar reference run takes minutes,
     and the committed speedup carries ~10× headroom over the check
     tolerance, so best-of-N buys nothing worth its cost.  The trace is
-    generated and columnised once before either side is timed — both
-    engines read the memoised columnar form, so columnisation is shared
-    trace ingestion, not a per-side cost.  The sampled side is charged
+    generated once, and the micro-op objects the scalar reference reads
+    are built, before either side is timed: trace ingestion is not a
+    per-side cost.  The sampled side is charged
     everything it runs end-to-end: region selection, functional-warmup
     index construction, and the warmed medoid replays.
     """
     from ..sampling.reconstruct import run_sampled_timing
     from ..sampling.select import select_regions
-    from ..trace.columns import TraceColumns
     from .runner import run_timing
     from .suite import make_predictor
 
     config = _CORES[cell.core]
     policy = cell.policy
     trace = generate_trace(cell.benchmark, cell.num_uops)
-    TraceColumns.ensure(trace)
+    trace.uops  # the scalar reference reads objects: build them untimed
 
     start = time.perf_counter()
     selection = select_regions(trace, policy)

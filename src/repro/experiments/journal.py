@@ -55,12 +55,16 @@ JOURNAL_DIR_ENV = "REPRO_JOURNAL_DIR"
 JOURNAL_SCHEMA_VERSION = 1
 
 
-def default_journal_dir() -> Path:
-    """``$REPRO_JOURNAL_DIR`` or ``<default result-cache dir>/journals``."""
+def default_journal_dir(cache_dir: Union[str, Path, None] = None) -> Path:
+    """``$REPRO_JOURNAL_DIR``, else ``<cache_dir>/journals``.
+
+    ``cache_dir`` is the run's result-cache directory (``--cache-dir``);
+    omitted, the default result-cache directory.
+    """
     override = os.environ.get(JOURNAL_DIR_ENV)
     if override:
         return Path(override)
-    return default_cache_dir() / "journals"
+    return Path(cache_dir or default_cache_dir()) / "journals"
 
 
 def derive_run_id(keys: Sequence[str]) -> str:

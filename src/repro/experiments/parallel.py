@@ -76,7 +76,12 @@ from .backends import (
     lease_id,
     parse_endpoints,
 )
-from .journal import JournalRun, JournalState, RunJournal
+from .journal import (
+    JournalRun,
+    JournalState,
+    RunJournal,
+    default_journal_dir,
+)
 from .resilience import (
     DEFAULT_POLICY,
     CellFailure,
@@ -356,15 +361,17 @@ class Execution:
         The CLI caches and journals by default (``--no-cache`` /
         ``--no-journal`` opt out).  The resilience flags build a policy
         only when one is given, so the default run stays fail-fast.
-        ``--resume`` with journaling off is loaded here, from
-        ``--journal-dir`` or the default directory, since the run itself
-        then carries no journal directory.  ``args`` must carry every flag
-        the CLI's shared sweep options define.
+        The journal directory is ``--journal-dir``, else
+        :func:`~repro.experiments.journal.default_journal_dir` under
+        ``--cache-dir``.  ``--resume`` with journaling off is loaded here,
+        from that directory, since the run itself then carries no journal
+        directory.  ``args`` must carry every flag the CLI's shared sweep
+        options define.
         """
         cache: CacheSpec = False
         if not args.no_cache:
             cache = args.cache_dir or True
-        journal_dir = args.journal_dir
+        journal_dir = args.journal_dir or default_journal_dir(args.cache_dir)
         journaling = not args.no_journal
         resume = args.resume
         if resume is not None and not journaling:
@@ -378,7 +385,7 @@ class Execution:
             raise SystemExit("repro: error: --backend workers requires "
                              "--workers HOST:PORT[,HOST:PORT...]")
         return cls(jobs=args.jobs, cache=cache, policy=policy,
-                   journal=(journal_dir or True) if journaling else None,
+                   journal=journal_dir if journaling else None,
                    resume=resume, metrics=args.metrics, backend=args.workers)
 
     def run(self, cells: Sequence[CellSpec]) -> List[object]:

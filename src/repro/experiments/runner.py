@@ -7,8 +7,8 @@ Two evaluation modes (DESIGN.md §5):
   every branch — and classifies every load.  Fast; used for the accuracy
   figures (2, 8, 10, 13, 14).  It is the batched engine's Phase A
   without Phase B: the same :class:`~repro.core.batched.PredictorReplay`
-  loop, primed from the micro-ops, with no branch predictor and a store
-  window spanning the trace.
+  loop over the trace's columns, primed from them as Phase A is, with no
+  branch predictor and a store window spanning the trace.
 * :func:`run_timing` runs the full out-of-order pipeline for IPC
   (figures 7, 9, 11, 12, 15).
 
@@ -23,13 +23,15 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.accuracy import AccuracyStats
 from ..analysis.f1 import F1Recorder, RankedF1Profile
-from ..core.batched import BatchedPipeline, PredictorReplay, uop_prime_inputs
+from ..common.foldplan import prime_inputs
+from ..core.batched import BatchedPipeline, PredictorReplay
 from ..core.config import GOLDEN_COVE, CoreConfig
 from ..core.pipeline import Pipeline
 from ..core.stats import PipelineStats
 from ..predictors.base import MDPredictor
 from ..predictors.mascot import Mascot
 from ..sampling.policy import SamplingPolicy
+from ..trace.columns import Trace, TraceColumns
 from ..trace.generator import generate_trace
 from ..trace.uop import MicroOp
 
@@ -71,7 +73,7 @@ class TraceCache:
     """
 
     def __init__(self) -> None:
-        self._traces: Dict[Tuple, List[MicroOp]] = {}
+        self._traces: Dict[Tuple, Trace] = {}
         self._selections: Dict[Tuple, object] = {}
 
     def get(
@@ -82,7 +84,7 @@ class TraceCache:
         trace_seed: int = 1,
         store_window: int = 114,
         instr_window: int = 512,
-    ) -> List[MicroOp]:
+    ) -> Trace:
         key = trace_key(benchmark, num_uops, program_seed, trace_seed,
                         store_window, instr_window)
         if key not in self._traces:
@@ -225,9 +227,13 @@ def run_prediction_only(
 
         sink = predictor.attach_telemetry(TableTelemetry())
 
+    cols = TraceColumns.ensure(trace)
+    # Predictors keeping the base no-op prime (Store Sets, the oracles)
+    # get no prime inputs: nothing is built for them.
+    inputs = (None if type(predictor).prime is MDPredictor.prime
+              else prime_inputs(cols.op, cols.pc, cols.taken, cols.target))
     outcome_counts, kind_counts, _, _ = PredictorReplay(predictor).replay(
-        trace, warmup, len(trace), uop_prime_inputs(predictor, trace),
-        recorder)
+        cols, warmup, cols.n, inputs, recorder)
     stats = AccuracyStats()
     stats.record_codes(outcome_counts, kind_counts)
     # The measured-instruction denominator is exactly the post-warmup

@@ -8,7 +8,8 @@ The harness drives predictors through a narrow protocol:
   with the ground-truth :class:`ActualOutcome`.
 * :meth:`MDPredictor.predict_train` fuses the two for harnesses that
   classify and train each load immediately (the batched engine and the
-  prediction-only replay), with predictions and outcomes as plain ints.
+  prediction-only replay, which read the trace's columns), with the load,
+  its ground truth, predictions and outcomes all as plain ints.
 * :meth:`MDPredictor.on_branch` / :meth:`MDPredictor.on_indirect` feed the
   architectural branch stream (the predictors own their global history).
 * :meth:`MDPredictor.on_store` announces dispatched stores (Store Sets and
@@ -43,7 +44,8 @@ if TYPE_CHECKING:
 
 __all__ = ["PredictionKind", "Prediction", "ActualOutcome", "MDPredictor",
            "TelemetrySink", "KIND_NO_DEP", "KIND_MDP", "KIND_SMB",
-           "PRED_KIND_BY_CODE", "KIND_CODES", "NO_PREDICTION"]
+           "PRED_KIND_BY_CODE", "KIND_CODES", "NO_PREDICTION",
+           "Truth"]
 
 
 class TelemetrySink:
@@ -99,6 +101,12 @@ KIND_CODES = {kind: code for code, kind in enumerate(PRED_KIND_BY_CODE)}
 #: :meth:`MDPredictor.lookup` result: (kind, distance, store_seq, source,
 #: keys, entry).
 Lookup = Tuple[int, int, Optional[int], Optional[int], Any, Any]
+
+#: A load's ground truth as :meth:`MDPredictor.lookup` receives it:
+#: ``(store_distance, dep_store_seq, bypass_code)``, with 0 / None /
+#: :data:`~repro.trace.columns.BYPASS_CODES` ``[NONE]`` without a
+#: dependence.  Only oracles (``is_oracle = True``) may read it.
+Truth = Tuple[int, Optional[int], int]
 
 #: :meth:`MDPredictor.predict_train` result: (kind, store_seq, distance,
 #: conservative, outcome code).
@@ -187,7 +195,8 @@ class MDPredictor(abc.ABC):
     int-coded halves:
 
     * :meth:`lookup` — the predict-time half.  It sees only the load's PC
-      (and ``seq`` for bookkeeping), computes the table keys, finds the
+      (and ``seq`` for bookkeeping; the ``truth`` argument is for oracles
+      only), computes the table keys, finds the
       matching state and returns ``(kind, distance, store_seq, source,
       keys, entry)``: a kind code (:data:`KIND_NO_DEP` / :data:`KIND_MDP`
       / :data:`KIND_SMB`), the named store, the serving table (None for
@@ -225,8 +234,7 @@ class MDPredictor(abc.ABC):
     #: Whether this predictor is an oracle that may read the trace's
     #: ground-truth annotations at predict time.  ``repro lint``'s
     #: oracle-leak rule keys on this marker: any :meth:`lookup` path of a
-    #: class without it that reads ``uop.bypass`` / ``uop.store_distance``
-    #: / ``uop.dep_store_seq`` / ``uop.has_dependence`` fails CI.
+    #: class without it that reads its ``truth`` argument fails CI.
     is_oracle: bool = False
 
     #: Marks every prediction as oracle-conservative for the timing model
@@ -234,14 +242,14 @@ class MDPredictor(abc.ABC):
     conservative: bool = False
 
     @abc.abstractmethod
-    def lookup(self, uop: MicroOp) -> Lookup:
+    def lookup(self, seq: int, pc: int, truth: Truth) -> Lookup:
         """Predict-time half: ``(kind, distance, store_seq, source, keys,
-        entry)`` for the given dynamic load.
+        entry)`` for the dynamic load ``seq`` at ``pc``.
 
-        Implementations must only read ``uop.pc`` (and ``uop.seq`` for
-        bookkeeping); the ground-truth annotation fields are reserved for
-        the oracle predictors (``is_oracle = True``), and the
-        ``repro lint`` static checker enforces this machine-checkably.
+        ``truth`` is the load's ground-truth annotation (:data:`Truth`),
+        reserved for the oracle predictors (``is_oracle = True``); the
+        ``repro lint`` static checker enforces machine-checkably that no
+        other predictor reads it.
         """
 
     @abc.abstractmethod
@@ -268,17 +276,19 @@ class MDPredictor(abc.ABC):
 
     # -- composed protocol -------------------------------------------------
 
-    def predict_train(self, uop: MicroOp, branches_between: int,
+    def predict_train(self, seq: int, pc: int, branches_between: int,
                       store_pc: Optional[int], a_dist: int,
-                      bypass_code: int) -> PredictTrain:
-        """Predict, classify and train one load; all values int-coded.
+                      a_seq: Optional[int], bypass_code: int) -> PredictTrain:
+        """Predict, classify and train load ``seq`` at ``pc``; all values
+        int-coded (``a_dist`` / ``a_seq`` / ``bypass_code`` are its ground
+        truth, ``branches_between`` / ``store_pc`` the training hints).
 
         Returns ``(kind, store_seq, distance, conservative, outcome)``,
         where ``outcome`` indexes
         :data:`repro.analysis.accuracy.OUTCOME_BY_CODE`.
         """
-        kind, distance, store_seq, source, keys, entry = self.lookup(uop)
-        a_seq = uop.dep_store_seq
+        kind, distance, store_seq, source, keys, entry = self.lookup(
+            seq, pc, (a_dist, a_seq, bypass_code))
         self.update(keys, source, entry, kind, distance, store_seq,
                     a_dist, a_seq, bypass_code, branches_between, store_pc)
         classify_code, bypassable = self._classifier
@@ -288,7 +298,9 @@ class MDPredictor(abc.ABC):
 
     def predict(self, uop: MicroOp) -> Prediction:
         """Predict the given dynamic load (object API over :meth:`lookup`)."""
-        kind, distance, store_seq, source, keys, _ = self.lookup(uop)
+        kind, distance, store_seq, source, keys, _ = self.lookup(
+            uop.seq, uop.pc, (uop.store_distance, uop.dep_store_seq,
+                              BYPASS_CODES[uop.bypass]))
         meta: Dict[str, Any] = {"keys": keys}
         if self.conservative:
             meta["conservative"] = True
@@ -325,8 +337,9 @@ class MDPredictor(abc.ABC):
     def on_indirect(self, pc: int, target: int) -> None:
         """Architectural indirect-branch target (history update)."""
 
-    def on_store(self, uop: MicroOp) -> Optional[int]:
-        """A store was dispatched (Store Sets / NoSQ bookkeeping).
+    def on_store(self, seq: int, pc: int) -> Optional[int]:
+        """Store ``seq`` at ``pc`` was dispatched (Store Sets / NoSQ
+        bookkeeping).
 
         May return the sequence number of an older store this one must
         issue behind: Store Sets serialises all stores within a store set

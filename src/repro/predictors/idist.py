@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from ..trace.columns import BYPASS_BY_CODE
-from ..trace.uop import SAME_ADDRESS_BYPASSABLE, MicroOp
-from .base import KIND_MDP, KIND_NO_DEP, KIND_SMB, Lookup
+from ..trace.uop import SAME_ADDRESS_BYPASSABLE
+from .base import KIND_MDP, KIND_NO_DEP, KIND_SMB, Lookup, Truth
 from .store_sets import StoreSets
 from .tables import TableBank, TableBankPredictor
 
@@ -91,11 +91,12 @@ class IDistStoreSets(TableBankPredictor):
 
     # ------------------------------------------------------------------- lookup
 
-    def lookup(self, uop: MicroOp) -> Lookup:
+    def lookup(self, seq: int, pc: int, truth: Truth) -> Lookup:
         """Keys are the bank's plus Store Sets' own lookup result; the
         entry is the longest-history match as ``(table, entry)``."""
-        (indices, tags), table, entry = self.bank.lookup(uop.pc)
-        ss = self.store_sets.lookup(uop)
+        (indices, tags), table, entry = self.bank.lookup(pc)
+        # Store Sets is no oracle: it gets no ground truth.
+        ss = self.store_sets.lookup(seq, pc, None)
         keys = (indices, tags, ss)
 
         # IDist speaks only at full confidence and only for bypassable
@@ -163,8 +164,8 @@ class IDistStoreSets(TableBankPredictor):
             if entry is not None:
                 entry.confidence = max(0, entry.confidence - 1)
 
-    def on_store(self, uop: MicroOp) -> Optional[int]:
-        return self.store_sets.on_store(uop)
+    def on_store(self, seq: int, pc: int) -> Optional[int]:
+        return self.store_sets.on_store(seq, pc)
 
     # --------------------------------------------------------------------- misc
 

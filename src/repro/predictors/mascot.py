@@ -32,8 +32,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..trace.columns import BYPASS_BY_CODE
-from ..trace.uop import OFFSET_BYPASSABLE, SAME_ADDRESS_BYPASSABLE, BypassClass, MicroOp
-from .base import KIND_MDP, KIND_NO_DEP, KIND_SMB, Lookup
+from ..trace.uop import OFFSET_BYPASSABLE, SAME_ADDRESS_BYPASSABLE, BypassClass
+from .base import KIND_MDP, KIND_NO_DEP, KIND_SMB, Lookup, Truth
 from .configs import MASCOT_DEFAULT, MascotConfig
 from .tables import BankKeys, TableBank, TableBankPredictor
 
@@ -105,8 +105,8 @@ class Mascot(TableBankPredictor):
 
     # ---------------------------------------------------------------- lookup
 
-    def lookup(self, uop: MicroOp) -> Lookup:
-        keys, table, entry = self.bank.lookup(uop.pc)
+    def lookup(self, seq: int, pc: int, truth: Truth) -> Lookup:
+        keys, table, entry = self.bank.lookup(pc)
         sink = self.telemetry
 
         if entry is None:

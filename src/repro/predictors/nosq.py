@@ -35,8 +35,8 @@ from ..common.foldplan import (
 )
 from ..common.history import GlobalHistory
 from ..trace.columns import BYPASS_BY_CODE
-from ..trace.uop import OFFSET_BYPASSABLE, MicroOp
-from .base import KIND_MDP, KIND_NO_DEP, KIND_SMB, Lookup, MDPredictor
+from ..trace.uop import OFFSET_BYPASSABLE
+from .base import KIND_MDP, KIND_NO_DEP, KIND_SMB, Lookup, MDPredictor, Truth
 
 __all__ = ["NoSQ", "NoSQEntry"]
 
@@ -147,9 +147,9 @@ class NoSQ(MDPredictor):
 
     # -------------------------------------------------------------------- lookup
 
-    def lookup(self, uop: MicroOp) -> Lookup:
+    def lookup(self, seq: int, pc: int, truth: Truth) -> Lookup:
         rows = self._rows
-        keys = next(rows) if rows is not None else self._keys(uop.pc)
+        keys = next(rows) if rows is not None else self._keys(pc)
         dep_entry, ind_entry = entries = self._reacquire(keys, None)
         sink = self.telemetry
 

@@ -15,8 +15,9 @@ occasionally beat the oracle (gcc4, gcc5, mcf, nab).
 
 from __future__ import annotations
 
-from ..trace.uop import OFFSET_BYPASSABLE, SAME_ADDRESS_BYPASSABLE, BypassClass, MicroOp
-from .base import KIND_MDP, KIND_SMB, NO_PREDICTION, Lookup, MDPredictor
+from ..trace.columns import BYPASS_BY_CODE
+from ..trace.uop import OFFSET_BYPASSABLE, SAME_ADDRESS_BYPASSABLE
+from .base import KIND_MDP, KIND_SMB, NO_PREDICTION, Lookup, MDPredictor, Truth
 
 __all__ = ["PerfectMDP", "PerfectMDPSMB"]
 
@@ -33,10 +34,10 @@ class PerfectMDP(MDPredictor):
     #: Marks predictions as oracle-conservative for the timing model.
     conservative = True
 
-    def lookup(self, uop: MicroOp) -> Lookup:
-        if uop.has_dependence:
-            return (KIND_MDP, uop.store_distance, uop.dep_store_seq, None,
-                    None, None)
+    def lookup(self, seq: int, pc: int, truth: Truth) -> Lookup:
+        distance, store_seq, _ = truth
+        if distance > 0:
+            return KIND_MDP, distance, store_seq, None, None, None
         return NO_PREDICTION
 
     def update(self, *args: object) -> None:
@@ -54,17 +55,15 @@ class PerfectMDPSMB(PerfectMDP):
 
     def __init__(self, offset_bypass: bool = False):
         self.offset_bypass = offset_bypass
+        # Bypassable flag per bypass code.
+        self._bypassable = tuple(bc in self.bypassable_classes
+                                 for bc in BYPASS_BY_CODE)
 
-    def _bypassable(self, bypass: BypassClass) -> bool:
-        if bypass in (BypassClass.DIRECT, BypassClass.NO_OFFSET):
-            return True
-        return self.offset_bypass and bypass is BypassClass.OFFSET
-
-    def lookup(self, uop: MicroOp) -> Lookup:
-        if uop.has_dependence and self._bypassable(uop.bypass):
-            return (KIND_SMB, uop.store_distance, uop.dep_store_seq, None,
-                    None, None)
-        return super().lookup(uop)
+    def lookup(self, seq: int, pc: int, truth: Truth) -> Lookup:
+        distance, store_seq, bypass_code = truth
+        if distance > 0 and self._bypassable[bypass_code]:
+            return KIND_SMB, distance, store_seq, None, None, None
+        return super().lookup(seq, pc, truth)
 
     @property
     def supports_smb(self) -> bool:

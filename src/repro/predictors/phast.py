@@ -20,8 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from ..trace.uop import MicroOp
-from .base import KIND_MDP, KIND_NO_DEP, Lookup
+from .base import KIND_MDP, KIND_NO_DEP, Lookup, Truth
 from .tables import BankKeys, TableBank, TableBankPredictor
 
 __all__ = ["Phast", "PhastEntry", "PHAST_HISTORY_LENGTHS"]
@@ -76,8 +75,8 @@ class Phast(TableBankPredictor):
 
     # ------------------------------------------------------------------- lookup
 
-    def lookup(self, uop: MicroOp) -> Lookup:
-        keys, table, entry = self.bank.lookup(uop.pc)
+    def lookup(self, seq: int, pc: int, truth: Truth) -> Lookup:
+        keys, table, entry = self.bank.lookup(pc)
         sink = self.telemetry
         # PHAST predicts a dependence on any tag hit; the usefulness counter
         # only protects entries from eviction.  This is what makes false

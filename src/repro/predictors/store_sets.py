@@ -23,8 +23,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..common.hashing import mix64
-from ..trace.uop import MicroOp
-from .base import KIND_MDP, KIND_NO_DEP, Lookup, MDPredictor
+from .base import KIND_MDP, KIND_NO_DEP, Lookup, MDPredictor, Truth
 
 __all__ = ["StoreSets"]
 
@@ -104,7 +103,7 @@ class StoreSets(MDPredictor):
 
     # ------------------------------------------------------------------- events
 
-    def on_store(self, uop: MicroOp) -> Optional[int]:
+    def on_store(self, seq: int, pc: int) -> Optional[int]:
         """A store is dispatched: it becomes its set's last fetched store.
 
         Returns the previous last-fetched store of the set (if still in
@@ -112,29 +111,29 @@ class StoreSets(MDPredictor):
         LFST, so this store must issue behind it.
         """
         self._maybe_clear()
-        ssid = self._ssit[self._ssit_index(uop.pc)]
+        ssid = self._ssit[self._ssit_index(pc)]
         if ssid is None:
             return None
         previous = self._lfst[ssid]
-        self._lfst[ssid] = uop.seq
-        if previous is not None and uop.seq - previous <= self.instr_window:
+        self._lfst[ssid] = seq
+        if previous is not None and seq - previous <= self.instr_window:
             return previous
         return None
 
     # ------------------------------------------------------------------- lookup
 
-    def lookup(self, uop: MicroOp) -> Lookup:
+    def lookup(self, seq: int, pc: int, truth: Truth) -> Lookup:
         """Keys are the load's SSIT index; Store Sets has no entry objects."""
         self._maybe_clear()
         sink = self.telemetry
-        index = self._ssit_index(uop.pc)
+        index = self._ssit_index(pc)
         ssid = self._ssit[index]
         if ssid is not None:
             store_seq = self._lfst[ssid]
             # A last fetched store that has long since drained imposes no
             # constraint.
             if (store_seq is not None
-                    and uop.seq - store_seq <= self.instr_window):
+                    and seq - store_seq <= self.instr_window):
                 if sink is not None:
                     sink.lookup(0)
                 return KIND_MDP, 0, store_seq, None, index, None

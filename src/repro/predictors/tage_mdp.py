@@ -24,8 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ..trace.uop import MicroOp
-from .base import KIND_MDP, KIND_NO_DEP, Lookup
+from .base import KIND_MDP, KIND_NO_DEP, Lookup, Truth
 from .tables import BankKeys, TableBank, TableBankPredictor
 
 __all__ = ["TageMdp", "TageMdpEntry"]
@@ -66,8 +65,8 @@ class TageMdp(TableBankPredictor):
 
     # ------------------------------------------------------------------ lookup
 
-    def lookup(self, uop: MicroOp) -> Lookup:
-        keys, table, entry = self.bank.lookup(uop.pc)
+    def lookup(self, seq: int, pc: int, truth: Truth) -> Lookup:
+        keys, table, entry = self.bank.lookup(pc)
         # "If u is not 0, the entry can be used for predicting a memory
         # dependence" — a cleared u bit silences the entry.
         if entry is None or not entry.useful:

@@ -47,10 +47,13 @@ from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..analysis.accuracy import AccuracyStats
 from ..core.config import GOLDEN_COVE, CoreConfig
 from ..core.stats import PipelineStats
 from ..predictors.base import MDPredictor
+from ..trace.columns import BYPASS_CODES, Trace, TraceColumns
 from ..trace.uop import BypassClass, MicroOp
 from .policy import SamplingPolicy
 from .select import Region, RegionSelection, select_regions
@@ -63,6 +66,8 @@ __all__ = [
     "run_sampled_prediction",
     "warmed_interval",
 ]
+
+_BYPASS_NONE = BYPASS_CODES[BypassClass.NONE]
 
 
 @dataclass(frozen=True)
@@ -130,7 +135,7 @@ def _ci_half_width(values: Sequence[float], selection: RegionSelection,
 
 def rebase_interval(trace: Sequence[MicroOp],
                     interval: Interval,
-                    offset: int = 0) -> List[MicroOp]:
+                    offset: int = 0) -> Trace:
     """Extract an interval as a standalone trace.
 
     Sequence numbers are renumbered from ``offset`` (0 by default) and all
@@ -142,42 +147,49 @@ def rebase_interval(trace: Sequence[MicroOp],
     into one replay trace (e.g. a shared warmup prefix followed by a
     sampled region); in-slice references stay in-slice — they never reach
     into whatever precedes the offset.
+
+    The slice is cut from the trace's columns with array operations and
+    returned as a :class:`~repro.trace.columns.Trace` carrying its own
+    columns; no micro-op object is built.
     """
     if offset < 0:
         raise ValueError("offset must be non-negative")
-    start = interval.start
+    cols = TraceColumns.ensure(trace)
+    start, end = interval.start, interval.end
     delta = offset - start
-    out: List[MicroOp] = []
-    for seq in range(interval.start, interval.end):
-        uop = trace[seq]
-        srcs = tuple(s + delta for s in uop.srcs if s >= start)
-        addr_src = (
-            uop.addr_src + delta
-            if uop.addr_src is not None and uop.addr_src >= start else None
-        )
-        in_slice_dep = (
-            uop.dep_store_seq is not None and uop.dep_store_seq >= start
-        )
-        out.append(MicroOp(
-            seq=uop.seq + delta,
-            pc=uop.pc,
-            op=uop.op,
-            srcs=srcs,
-            addr_src=addr_src,
-            taken=uop.taken,
-            target=uop.target,
-            address=uop.address,
-            size=uop.size,
-            store_distance=uop.store_distance if in_slice_dep else 0,
-            dep_store_seq=(uop.dep_store_seq + delta) if in_slice_dep
-            else None,
-            bypass=uop.bypass if in_slice_dep else BypassClass.NONE,
-        ))
-    return out
+
+    def remap(column: np.ndarray) -> np.ndarray:
+        """In-slice references shifted by ``delta``; others -1."""
+        refs = column[start:end]
+        return np.where(refs >= start, refs + delta, -1)
+
+    in_slice_dep = cols.dep_store_seq[start:end] >= start
+    return Trace(TraceColumns.from_arrays(
+        _rebase_srcs(cols.srcs[start:end], start, delta), offset,
+        op=cols.op[start:end],
+        pc=cols.pc[start:end],
+        taken=cols.taken[start:end],
+        target=cols.target[start:end],
+        address=cols.address[start:end],
+        size=cols.size[start:end],
+        addr_src=remap(cols.addr_src),
+        dep_store_seq=remap(cols.dep_store_seq),
+        store_distance=np.where(in_slice_dep,
+                                cols.store_distance[start:end], 0),
+        bypass=np.where(in_slice_dep, cols.bypass[start:end], _BYPASS_NONE),
+    ))
+
+
+def _rebase_srcs(srcs: List[Tuple[int, ...]], start: int,
+                 delta: int) -> List[Tuple[int, ...]]:
+    """``srcs`` with references before ``start`` dropped and the rest
+    shifted by ``delta``."""
+    return [tuple([x + delta for x in s if x >= start]) if s else s
+            for s in srcs]
 
 
 def warmed_interval(trace: Sequence[MicroOp], region: Region,
-                    policy: SamplingPolicy) -> Tuple[List[MicroOp], int]:
+                    policy: SamplingPolicy) -> Tuple[Trace, int]:
     """One contiguous slice: the region plus its preceding warmup.
 
     Returns ``(piece, warmup)`` where ``piece[warmup:]`` is the region

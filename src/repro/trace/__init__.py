@@ -5,6 +5,7 @@ from .columns import (
     BYPASS_CODES,
     OP_BY_CODE,
     OP_CODES,
+    Trace,
     TraceColumns,
 )
 from .dependence import DependenceTracker, StoreRecord, classify_overlap
@@ -35,6 +36,7 @@ __all__ = [
     "BYPASS_CODES",
     "OP_BY_CODE",
     "OP_CODES",
+    "Trace",
     "TraceColumns",
     "FORMAT_VERSION",
     "TraceFormatError",

@@ -1,33 +1,38 @@
-"""Columnar (struct-of-arrays) view of a micro-op trace.
+"""Columnar (struct-of-arrays) form of a micro-op trace.
 
-The batched engine (:mod:`repro.core.batched`) does not iterate
-:class:`~repro.trace.uop.MicroOp` objects on its hot path; it consumes
-per-field numpy columns precomputed once per trace.  :class:`TraceColumns`
-is that view: one array per scalar field, with ``-1`` sentinels standing in
-for ``None`` (``addr_src``, ``dep_store_seq``) and small integer codes for
-the two enums.
+The columns *are* the trace.  :class:`~repro.trace.generator.TraceGenerator`
+writes every field straight into typed column buffers and returns a
+:class:`Trace`: a ``Sequence[MicroOp]`` whose :attr:`Trace.columns` is the
+generated :class:`TraceColumns` and whose :class:`~repro.trace.uop.MicroOp`
+objects are a lazy view, built once on first object access.  Only the
+scalar reference engine, :func:`~repro.trace.validate.validate_trace`,
+trace files (:mod:`repro.trace.stream`) and tests ever touch that view;
+the batched engine, the prediction-only replay and sampling read the
+columns, and sampled regions are column slices
+(:func:`repro.sampling.reconstruct.rebase_interval`).
 
-The columns are derived data — they add no information beyond the trace —
-so they are memoised by *identity* in a small bounded cache
-(:func:`TraceColumns.ensure`).  Identity keying is safe because the
-experiment harness holds traces in :class:`repro.experiments.runner.TraceCache`
-for the life of the process; it also means a mutated trace list produces a
-fresh column set rather than a stale one only if the caller rebuilds the
-list object, which matches how traces are treated everywhere else
-(immutable once generated).
+:class:`TraceColumns` holds one array per scalar field, with ``-1``
+sentinels standing in for ``None`` (``addr_src``, ``dep_store_seq``) and
+small integer codes for the two enums.  :meth:`TraceColumns.ensure`
+returns a :class:`Trace`'s own columns without a copy.  A hand-built
+list of micro-ops is columnised on demand and memoised by *identity* in
+a small bounded cache; identity keying is safe because traces are
+treated as immutable once built, so a changed list must be a new list
+object.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence as SequenceABC
 from operator import attrgetter
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .uop import BypassClass, MicroOp, OpClass
 
 __all__ = ["OP_CODES", "OP_BY_CODE", "BYPASS_CODES", "BYPASS_BY_CODE",
-           "TraceColumns"]
+           "Trace", "TraceColumns"]
 
 #: Stable integer codes for :class:`OpClass`, ordered by enum definition.
 OP_CODES = {op: i for i, op in enumerate(OpClass)}
@@ -36,6 +41,25 @@ OP_BY_CODE = tuple(OpClass)
 #: Stable integer codes for :class:`BypassClass`.
 BYPASS_CODES = {bc: i for i, bc in enumerate(BypassClass)}
 BYPASS_BY_CODE = tuple(BypassClass)
+
+_OP_LOAD = OP_CODES[OpClass.LOAD]
+_OP_STORE = OP_CODES[OpClass.STORE]
+_BYPASS_NONE = BYPASS_CODES[BypassClass.NONE]
+
+#: Column name -> dtype, in :class:`~repro.trace.uop.MicroOp` field order
+#: (``srcs`` is a list of tuples, not an array).
+COLUMN_DTYPES = {
+    "pc": np.int64,
+    "op": np.int8,
+    "taken": np.bool_,
+    "target": np.int64,
+    "address": np.int64,
+    "size": np.int32,
+    "addr_src": np.int64,
+    "store_distance": np.int32,
+    "dep_store_seq": np.int64,
+    "bypass": np.int8,
+}
 
 #: Bounded identity-keyed memo: list of (trace, columns) pairs, newest last.
 #: Safe across pool workers: a columnisation is a pure function of the
@@ -51,60 +75,89 @@ def _seq_or_sentinel(seq):
 
 
 class TraceColumns:
-    """Numpy columns for one trace, plus cached plain-list views.
+    """Numpy columns for one trace, plus plain-list views on demand.
 
     The numpy arrays serve vectorised work (prime inputs,
-    measured-count reductions); the ``.lists()`` views serve the
-    per-uop timing loop, where native ``int`` elements avoid the cost of
-    materialising ``np.int64`` scalars on every read.
+    measured-count reductions, region slicing); the :meth:`lists` views
+    serve the per-uop loops, where native ``int`` elements avoid the
+    cost of materialising ``np.int64`` scalars on every read.
+
+    ``TraceColumns(trace)`` columnises a sequence of micro-op objects;
+    :meth:`from_arrays` wraps columns built directly (the generator,
+    region slices).  Micro-op ``i`` has sequence number ``first_seq + i``;
+    ``first_seq`` is non-zero only for slices rebased after an offset,
+    which are stitched into another trace rather than run on their own.
     """
 
     __slots__ = (
-        "n", "op", "pc", "address", "size", "taken", "target",
+        "n", "first_seq", "op", "pc", "address", "size", "taken", "target",
         "addr_src", "dep_store_seq", "store_distance", "bypass",
-        "src_count", "srcs", "_lists",
+        "src_count", "srcs",
     )
 
     def __init__(self, trace: Sequence[MicroOp]) -> None:
         n = len(trace)
-        self.n = n
 
-        def column(name: str, dtype, code=None) -> np.ndarray:
+        def column(name: str, code=None) -> np.ndarray:
             values = map(attrgetter(name), trace)
             if code is not None:
                 values = map(code, values)
-            return np.fromiter(values, dtype=dtype, count=n)
+            return np.fromiter(values, dtype=COLUMN_DTYPES[name], count=n)
 
-        self.op = column("op", np.int8, OP_CODES.__getitem__)
-        self.pc = column("pc", np.int64)
-        self.address = column("address", np.int64)
-        self.size = column("size", np.int32)
-        self.taken = column("taken", np.bool_)
-        self.target = column("target", np.int64)
-        self.addr_src = column("addr_src", np.int64, _seq_or_sentinel)
-        self.dep_store_seq = column("dep_store_seq", np.int64,
-                                    _seq_or_sentinel)
-        self.store_distance = column("store_distance", np.int32)
-        self.bypass = column("bypass", np.int8, BYPASS_CODES.__getitem__)
-        self.srcs: List[Tuple[int, ...]] = [uop.srcs for uop in trace]
-        self.src_count = np.fromiter(map(len, self.srcs), dtype=np.int16,
-                                     count=n)
-        self._lists = None
+        self._assign(
+            [uop.srcs for uop in trace],
+            op=column("op", OP_CODES.__getitem__),
+            pc=column("pc"),
+            address=column("address"),
+            size=column("size"),
+            taken=column("taken"),
+            target=column("target"),
+            addr_src=column("addr_src", _seq_or_sentinel),
+            dep_store_seq=column("dep_store_seq", _seq_or_sentinel),
+            store_distance=column("store_distance"),
+            bypass=column("bypass", BYPASS_CODES.__getitem__),
+        )
+
+    def _assign(self, srcs: List[Tuple[int, ...]], first_seq: int = 0,
+                **columns) -> None:
+        self.srcs = srcs
+        self.n = len(srcs)
+        self.first_seq = first_seq
+        for name, dtype in COLUMN_DTYPES.items():
+            values = np.asarray(columns[name], dtype=dtype)
+            if values.shape != (self.n,):
+                raise ValueError(f"column {name!r} has shape {values.shape}, "
+                                 f"expected ({self.n},)")
+            setattr(self, name, values)
+        self.src_count = np.fromiter(map(len, srcs), dtype=np.int16,
+                                     count=self.n)
 
     # -- construction ----------------------------------------------------------
 
     @classmethod
     def from_trace(cls, trace: Sequence[MicroOp]) -> "TraceColumns":
-        """Build columns without touching the memo."""
+        """Columnise micro-op objects without touching the memo."""
         return cls(trace)
 
     @classmethod
+    def from_arrays(cls, srcs: List[Tuple[int, ...]], first_seq: int = 0,
+                    **columns) -> "TraceColumns":
+        """Wrap columns built directly: one array (or list) per name in
+        :data:`COLUMN_DTYPES`, with the ``-1`` / code conventions."""
+        self = cls.__new__(cls)
+        self._assign(srcs, first_seq, **columns)
+        return self
+
+    @classmethod
     def ensure(cls, trace: Sequence[MicroOp]) -> "TraceColumns":
-        """Return (building if necessary) the memoised columns for ``trace``.
+        """The columns of ``trace``: a :class:`Trace`'s own, without a
+        copy; for any other sequence the memoised columnisation.
 
         The memo is identity-keyed and holds at most ``_MEMO_CAPACITY``
-        traces; the eldest entry is dropped on overflow.
+        hand-built traces; the eldest entry is dropped on overflow.
         """
+        if isinstance(trace, Trace):
+            return trace.columns
         for i, (cached_trace, cols) in enumerate(_MEMO):
             if cached_trace is trace:
                 if i != len(_MEMO) - 1:  # keep MRU at the tail
@@ -120,41 +173,100 @@ class TraceColumns:
     def clear_memo(cls) -> None:
         _MEMO.clear()
 
+    def equals(self, other: "TraceColumns") -> bool:
+        """Whether both column sets describe the same micro-ops."""
+        return (self.n == other.n and self.first_seq == other.first_seq
+                and self.srcs == other.srcs
+                and all(np.array_equal(getattr(self, name),
+                                       getattr(other, name))
+                        for name in COLUMN_DTYPES))
+
+    # -- invariants ------------------------------------------------------------
+
+    def check_invariants(self) -> None:
+        """Every :meth:`MicroOp.__post_init__ <repro.trace.uop.MicroOp>`
+        invariant, checked in one vectorised pass.
+
+        Raises ``ValueError`` naming the first offending micro-op, with the
+        message its object constructor would raise.
+        """
+        op = self.op
+        is_load = op == _OP_LOAD
+        has_dep = self.bypass != _BYPASS_NONE
+        dep_set = self.dep_store_seq >= 0
+        checks = (
+            ((is_load | (op == _OP_STORE)) & (self.size <= 0),
+             "memory op {seq} needs a positive size"),
+            (is_load & (has_dep != (self.store_distance > 0)),
+             "load {seq}: bypass class {bypass} inconsistent with "
+             "store_distance {distance}"),
+            (is_load & has_dep & ~dep_set,
+             "load {seq}: dependence without dep_store_seq"),
+            (is_load & ~has_dep & dep_set,
+             "load {seq}: dep_store_seq {dep} set but bypass class "
+             "{bypass_value} is a non-dependence"),
+            (~is_load & dep_set, "{op} {seq}: dep_store_seq on a non-load"),
+            (~is_load & (self.store_distance != 0),
+             "{op} {seq}: store_distance on a non-load"),
+            (~is_load & has_dep,
+             "{op} {seq}: bypass class {bypass_value} on a non-load"),
+        )
+        # The first offending micro-op, and its first failing check in
+        # the constructor's order.
+        bad = [(int(np.flatnonzero(mask)[0]), order, message)
+               for order, (mask, message) in enumerate(checks) if mask.any()]
+        if bad:
+            i, _, message = min(bad)
+            bypass = BYPASS_BY_CODE[int(self.bypass[i])]
+            raise ValueError(message.format(
+                seq=self.first_seq + i, op=OP_BY_CODE[int(op[i])].value,
+                bypass=bypass, bypass_value=bypass.value,
+                distance=int(self.store_distance[i]),
+                dep=int(self.dep_store_seq[i])))
+
     # -- views -----------------------------------------------------------------
 
-    def lists(self):
-        """Plain-list views of the scalar columns (cached).
+    def lists(self, names: Sequence[str] = tuple(COLUMN_DTYPES)):
+        """Plain-list views of the named scalar columns (default: all).
 
-        Returns a dict of column name -> list of native python ints/bools.
-        The timing loop indexes these instead of the numpy arrays: list
-        indexing yields interned small ints rather than ``np.int64``
-        scalars, which would otherwise contaminate downstream arithmetic
-        and slow every operation on the hot path.
+        Returns a fresh dict of column name -> list of native python
+        ints/bools (``src_count`` may be named too).  The per-uop loops
+        index these instead of the numpy arrays: list indexing yields
+        interned small ints rather than ``np.int64`` scalars, which would
+        otherwise contaminate downstream arithmetic and slow every
+        operation on the hot path.  Nothing is cached: a caller holds the
+        views for one run, so a trace kept for later cells does not also
+        keep a second, list-shaped copy of itself.
         """
-        if self._lists is None:
-            self._lists = {
-                "op": self.op.tolist(),
-                "pc": self.pc.tolist(),
-                "address": self.address.tolist(),
-                "size": self.size.tolist(),
-                "taken": self.taken.tolist(),
-                "target": self.target.tolist(),
-                "addr_src": self.addr_src.tolist(),
-                "dep_store_seq": self.dep_store_seq.tolist(),
-                "store_distance": self.store_distance.tolist(),
-                "bypass": self.bypass.tolist(),
-                "src_count": self.src_count.tolist(),
-            }
-        return self._lists
+        return {name: getattr(self, name).tolist() for name in names}
+
+    def uops(self) -> List[MicroOp]:
+        """The micro-op objects these columns describe, built fresh."""
+        lists = self.lists()
+        op_by_code = OP_BY_CODE
+        bypass_by_code = BYPASS_BY_CODE
+        return [
+            MicroOp(seq, pc, op_by_code[op], srcs, taken, target, address,
+                    size, None if addr_src < 0 else addr_src, distance,
+                    None if dep < 0 else dep, bypass_by_code[bypass])
+            for seq, (pc, op, srcs, taken, target, address, size, addr_src,
+                      distance, dep, bypass) in enumerate(zip(
+                          lists["pc"], lists["op"], self.srcs,
+                          lists["taken"], lists["target"], lists["address"],
+                          lists["size"], lists["addr_src"],
+                          lists["store_distance"], lists["dep_store_seq"],
+                          lists["bypass"]), self.first_seq)
+        ]
 
     # -- reconstruction (testing aid) ------------------------------------------
 
     def uop_fields(self, seq: int) -> dict:
-        """Scalar fields of uop ``seq`` decoded back to python values."""
+        """Scalar fields of the micro-op at position ``seq`` decoded back
+        to python values."""
         addr_src = int(self.addr_src[seq])
         dep = int(self.dep_store_seq[seq])
         return {
-            "seq": seq,
+            "seq": self.first_seq + seq,
             "pc": int(self.pc[seq]),
             "op": OP_BY_CODE[int(self.op[seq])],
             "srcs": self.srcs[seq],
@@ -167,3 +279,54 @@ class TraceColumns:
             "dep_store_seq": None if dep < 0 else dep,
             "bypass": BYPASS_BY_CODE[int(self.bypass[seq])],
         }
+
+
+class Trace(SequenceABC):
+    """A trace held as its columns; micro-op objects are a lazy view.
+
+    :attr:`columns` is the trace.  Indexing or iterating builds the
+    :class:`~repro.trace.uop.MicroOp` list once (validated object by
+    object, like any other micro-op) and keeps it; :attr:`materialized`
+    says whether that has happened.  Consumers that only need columns
+    call :meth:`TraceColumns.ensure` and never pay for objects.
+    """
+
+    __slots__ = ("columns", "_uops")
+
+    def __init__(self, columns: TraceColumns) -> None:
+        self.columns = columns
+        self._uops: Optional[List[MicroOp]] = None
+
+    @property
+    def materialized(self) -> bool:
+        """Whether the micro-op objects have been built."""
+        return self._uops is not None
+
+    @property
+    def uops(self) -> List[MicroOp]:
+        """The micro-op objects, built on first access."""
+        if self._uops is None:
+            self._uops = self.columns.uops()
+        return self._uops
+
+    def __len__(self) -> int:
+        return self.columns.n
+
+    def __getitem__(self, index):
+        return self.uops[index]
+
+    def __iter__(self):
+        return iter(self.uops)
+
+    def __eq__(self, other):
+        if isinstance(other, Trace):
+            return self.columns.equals(other.columns)
+        if isinstance(other, (list, tuple)):
+            return self.uops == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        state = "materialized" if self.materialized else "columns only"
+        return f"<Trace of {self.columns.n} micro-ops, {state}>"

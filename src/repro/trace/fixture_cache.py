@@ -17,10 +17,10 @@ path.  This one is a test fixture with an eviction policy.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Tuple
+from typing import Tuple
 
+from .columns import Trace
 from .generator import generate_trace
-from .uop import MicroOp
 
 __all__ = ["cached_trace", "cache_info", "clear"]
 
@@ -29,7 +29,7 @@ __all__ = ["cached_trace", "cache_info", "clear"]
 #: plus property-test variations); eviction is least-recently-used.
 MAX_ENTRIES = 16
 
-_CACHE: "OrderedDict[Tuple, List[MicroOp]]" = OrderedDict()
+_CACHE: "OrderedDict[Tuple, Trace]" = OrderedDict()
 _hits = 0
 _misses = 0
 
@@ -41,11 +41,11 @@ def cached_trace(
     trace_seed: int = 1,
     store_window: int = 114,
     instr_window: int = 512,
-) -> List[MicroOp]:
+) -> Trace:
     """Generate (and memoise, LRU-bounded) a trace for tests/benches.
 
-    Callers must not mutate the returned list or its micro-ops — it is
-    shared across every fixture user in the process.
+    Callers must not mutate the returned trace, its columns or its
+    micro-ops — it is shared across every fixture user in the process.
     """
     global _hits, _misses
     key = (benchmark, num_uops, program_seed, trace_seed,

@@ -1,13 +1,18 @@
 """Dynamic trace generation.
 
 :class:`TraceGenerator` unrolls a static :class:`~repro.trace.program.Program`
-into a stream of annotated :class:`~repro.trace.uop.MicroOp` records.  The
-generator is the single source of ground truth: it evaluates every branch,
-computes every effective address, tracks the dynamic store stream through a
-:class:`~repro.trace.dependence.DependenceTracker` and stamps each load with
-its true store distance and bypass class.  Both the prediction-only harness
-and the timing pipeline consume the same stream, so accuracy numbers and IPC
-numbers always agree about which loads were dependent.
+into the dynamic micro-op stream, written field by field into typed column
+buffers and returned as a :class:`~repro.trace.columns.Trace` (its
+:class:`~repro.trace.columns.TraceColumns`, with micro-op objects as a lazy
+view).  The generator is the single source of ground truth: it evaluates
+every branch, computes every effective address, tracks the dynamic store
+stream through a :class:`~repro.trace.dependence.DependenceTracker` and
+stamps each load with its true store distance and bypass class.  Both the
+prediction-only harness and the timing pipeline consume the same stream,
+so accuracy numbers and IPC numbers always agree about which loads were
+dependent.  Every :class:`~repro.trace.uop.MicroOp` invariant is checked
+once, vectorised, over the finished columns
+(:meth:`~repro.trace.columns.TraceColumns.check_invariants`).
 
 Dataflow is modelled with explicit producer links: every value-producing
 micro-op can be named as a source by later ops.  The profile's ``chain_bias``
@@ -20,22 +25,31 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Deque, Iterator, List, Optional, Tuple
+from typing import Deque, List, Optional, Tuple
 
+from .columns import BYPASS_CODES, OP_CODES, Trace, TraceColumns
 from .dependence import DependenceTracker
-from .profiles import WorkloadProfile, get_profile
-from .program import (
-    Program,
-    StaticInst,
-    StaticKind,
-    build_program,
-)
-from .uop import BypassClass, MicroOp, OpClass
+from .profiles import get_profile
+from .program import Program, StaticInst, StaticKind, build_program
+from .uop import BypassClass, OpClass
 
 __all__ = ["TraceGenerator", "generate_trace"]
 
 #: How many recent producers are eligible as random dataflow sources.
 _RECENT_WINDOW = 24
+
+_OP_LOAD = OP_CODES[OpClass.LOAD]
+_OP_STORE = OP_CODES[OpClass.STORE]
+_OP_BC = OP_CODES[OpClass.BRANCH_COND]
+_OP_BI = OP_CODES[OpClass.BRANCH_INDIRECT]
+_BYPASS_NONE = BYPASS_CODES[BypassClass.NONE]
+#: Codes keyed by member name: string hashes are cached, enum member
+#: hashes are computed in Python on every lookup.
+_OP_CODE_BY_NAME = {op.name: code for op, code in OP_CODES.items()}
+_BYPASS_CODE_BY_NAME = {bc.name: code for bc, code in BYPASS_CODES.items()}
+
+_COMPUTE_KINDS = (StaticKind.ALU, StaticKind.MUL, StaticKind.DIV,
+                  StaticKind.FP)
 
 
 class TraceGenerator:
@@ -110,29 +124,63 @@ class TraceGenerator:
 
     # -- per-kind emission ----------------------------------------------------
 
-    def _emit(self, inst: StaticInst) -> MicroOp:
+    def _open(self, n: int) -> None:
+        """Column buffers for ``n`` micro-ops, pre-filled with the field
+        defaults; :meth:`_emit` writes only the fields an op class uses."""
+        self._op = [0] * n
+        self._pc = [0] * n
+        self._srcs: List[Tuple[int, ...]] = [()] * n
+        self._taken = [False] * n
+        self._target = [0] * n
+        self._address = [0] * n
+        self._size = [0] * n
+        self._addr_src = [-1] * n
+        self._distance = [0] * n
+        self._dep = [-1] * n
+        self._bypass = [_BYPASS_NONE] * n
+
+    def _close(self) -> TraceColumns:
+        """The filled buffers as checked columns; the buffers are dropped."""
+        columns = TraceColumns.from_arrays(
+            self._srcs, op=self._op, pc=self._pc, taken=self._taken,
+            target=self._target, address=self._address, size=self._size,
+            addr_src=self._addr_src, store_distance=self._distance,
+            dep_store_seq=self._dep, bypass=self._bypass)
+        del (self._op, self._pc, self._srcs, self._taken, self._target,
+             self._address, self._size, self._addr_src, self._distance,
+             self._dep, self._bypass)
+        columns.check_invariants()
+        return columns
+
+    def _emit(self, inst: StaticInst) -> bool:
+        """Write the next micro-op of ``inst``; returns whether it was a
+        taken branch (what a segment guard decides on)."""
         seq = self._seq
         self._seq += 1
         kind = inst.kind
+        self._pc[seq] = inst.pc
 
-        if kind in (StaticKind.ALU, StaticKind.MUL, StaticKind.DIV, StaticKind.FP):
-            uop = MicroOp(seq, inst.pc, inst.op_class,
-                          srcs=self._compute_sources(want_two=True))
+        if kind in _COMPUTE_KINDS:
+            self._op[seq] = _OP_CODE_BY_NAME[inst.op_class._name_]
+            self._srcs[seq] = self._compute_sources(want_two=True)
             self._produce(seq)
-            return uop
+            return False
 
         if kind is StaticKind.BRANCH:
             taken = inst.branch.outcome(self._iteration, self._rng)
-            srcs = ()
+            self._op[seq] = _OP_BC
             if self._recent and self._rng.random() < 0.5:
-                srcs = (self._rng.choice(self._recent),)
-            return MicroOp(seq, inst.pc, OpClass.BRANCH_COND, srcs=srcs,
-                           taken=taken, target=inst.pc + 0x20)
+                self._srcs[seq] = (self._rng.choice(self._recent),)
+            self._taken[seq] = taken
+            self._target[seq] = inst.pc + 0x20
+            return taken
 
         if kind is StaticKind.BRANCH_INDIRECT:
-            target = inst.indirect.target(self._iteration, self._rng)
-            return MicroOp(seq, inst.pc, OpClass.BRANCH_INDIRECT,
-                           taken=True, target=target)
+            self._op[seq] = _OP_BI
+            self._target[seq] = inst.indirect.target(self._iteration,
+                                                     self._rng)
+            self._taken[seq] = True
+            return True
 
         if kind in (StaticKind.STORE_PAIR, StaticKind.STORE_FILLER):
             if kind is StaticKind.STORE_PAIR:
@@ -148,27 +196,28 @@ class TraceGenerator:
                 address = inst.filler_address
                 size = 8
                 data_src = self._pick_source()
-            srcs = (data_src,) if data_src is not None else ()
+            if data_src is not None:
+                self._srcs[seq] = (data_src,)
             # A fraction of stores compute their address from live dataflow
             # (pointer writes): their address resolves late, giving MDP
             # decisions real timing consequences.
-            addr_src = None
             if inst.force_addr_chain and self._chain_head is not None:
                 # A computed-address write: the address hangs off the live
                 # dataflow chain, so it resolves moderately late — waiting
                 # behind this store when it is not the actual producer
                 # (Store Sets' serialise-behind-last-fetched policy) costs
                 # real cycles.
-                addr_src = self._chain_head
+                self._addr_src[seq] = self._chain_head
             elif (
                 self._recent
                 and self._rng.random() < self.profile.store_addr_chain_fraction
             ):
-                addr_src = self._pick_source()
-            uop = MicroOp(seq, inst.pc, OpClass.STORE, srcs=srcs,
-                          address=address, size=size, addr_src=addr_src)
+                self._addr_src[seq] = self._pick_source()
+            self._op[seq] = _OP_STORE
+            self._address[seq] = address
+            self._size[seq] = size
             self._tracker.record_raw_store(seq, address, size)
-            return uop
+            return False
 
         if kind in (StaticKind.LOAD_PAIR, StaticKind.LOAD_STREAM):
             if kind is StaticKind.LOAD_PAIR:
@@ -191,7 +240,6 @@ class TraceGenerator:
             distance, store, bypass = self._tracker.find_dependence(
                 address, size, seq
             )
-            addr_src: Optional[int] = None
             if kind is StaticKind.LOAD_PAIR:
                 # Pair loads compute their address from live dataflow
                 # (pointer chases, index arithmetic): with probability
@@ -200,15 +248,17 @@ class TraceGenerator:
                 # early through SMB pays off (the perlbench2 effect of
                 # Sec. VI-A).
                 addr_src = self._pick_source()
+                if addr_src is not None:
+                    self._addr_src[seq] = addr_src
             elif self._recent and self._rng.random() < 0.3:
-                addr_src = self._rng.choice(self._recent)
-            uop = MicroOp(
-                seq, inst.pc, OpClass.LOAD, addr_src=addr_src,
-                address=address, size=size,
-                store_distance=distance,
-                dep_store_seq=store.seq if store is not None else None,
-                bypass=bypass,
-            )
+                self._addr_src[seq] = self._rng.choice(self._recent)
+            self._op[seq] = _OP_LOAD
+            self._address[seq] = address
+            self._size[seq] = size
+            if store is not None:
+                self._distance[seq] = distance
+                self._dep[seq] = store.seq
+                self._bypass[seq] = _BYPASS_CODE_BY_NAME[bypass._name_]
             # Whether the load's value feeds the critical dataflow chain is
             # the profile's sensitivity knob: lbm-style streaming kernels
             # rarely chain on loaded values (bypassing helps little) while
@@ -218,36 +268,41 @@ class TraceGenerator:
             else:
                 self._recent.append(seq)
             self._last_load = seq
-            return uop
+            return False
 
         raise AssertionError(f"unhandled static kind {kind}")
 
     # -- main loop ----------------------------------------------------------------
 
-    def __iter__(self) -> Iterator[MicroOp]:
-        """Yield micro-ops forever; callers bound the stream length."""
+    def _fill(self, end: int) -> None:
+        """Emit micro-ops until sequence number ``end``."""
+        emit = self._emit
+        program = self.program
         while True:
-            for segment in self.program.segments:
+            for segment in program.segments:
                 if segment.guard is not None:
-                    guard_uop = self._emit(segment.guard)
-                    yield guard_uop
-                    if not guard_uop.taken:
+                    if self._seq >= end:
+                        return
+                    if not emit(segment.guard):
                         continue  # segment skipped this iteration
                 for inst in segment.body:
-                    yield self._emit(inst)
-            yield self._emit(self.program.loop_branch)
+                    if self._seq >= end:
+                        return
+                    emit(inst)
+            if self._seq >= end:
+                return
+            emit(program.loop_branch)
             self._iteration += 1
 
-    def generate(self, num_uops: int) -> List[MicroOp]:
-        """Materialise the first ``num_uops`` micro-ops."""
+    def generate(self, num_uops: int) -> Trace:
+        """The first ``num_uops`` micro-ops, as a column-backed trace."""
         if num_uops <= 0:
             raise ValueError("num_uops must be positive")
-        out: List[MicroOp] = []
-        for uop in self:
-            out.append(uop)
-            if len(out) >= num_uops:
-                break
-        return out
+        if self._seq:
+            raise RuntimeError("a TraceGenerator generates one trace")
+        self._open(num_uops)
+        self._fill(num_uops)
+        return Trace(self._close())
 
 
 def generate_trace(
@@ -257,7 +312,7 @@ def generate_trace(
     trace_seed: int = 1,
     store_window: int = 114,
     instr_window: int = 512,
-) -> List[MicroOp]:
+) -> Trace:
     """Convenience one-call trace generation for a named suite benchmark.
 
     >>> trace = generate_trace("perlbench1", 10_000)

@@ -79,6 +79,51 @@ class TestLearning:
         )
         assert correct / 400 > 0.95
 
+    def test_always_not_taken(self):
+        pred = TAGEBranchPredictor()
+        for _ in range(10):
+            pred.predict_and_train(0x400000, False)
+        assert all(
+            pred.predict_and_train(0x400000, False) for _ in range(100)
+        )
+
+    def test_biased_random_branch(self):
+        rng = random.Random(0)
+        pred = TAGEBranchPredictor()
+        correct = 0
+        for _ in range(4000):
+            taken = rng.random() < 0.9
+            correct += pred.predict_and_train(0x400020, taken)
+        # Should be near the bias (90%), definitely above chance.
+        assert correct / 4000 > 0.75
+
+
+class TestStats:
+    def test_counters_update(self):
+        pred = TAGEBranchPredictor()
+        pred.predict_and_train(0x400000, True)
+        assert pred.stats.conditional_branches == 1
+
+    def test_mpki(self):
+        pred = TAGEBranchPredictor()
+        for _ in range(100):
+            pred.predict_and_train(0x400000, True)
+        assert pred.stats.mpki(10_000) == pytest.approx(
+            pred.stats.mispredictions / 10
+        )
+        with pytest.raises(ValueError):
+            pred.stats.mpki(0)
+
+    def test_indirect_last_target(self):
+        """Without ITTAGE, indirect targets use the base class's
+        last-target predictor."""
+        pred = TAGEBranchPredictor(use_ittage=False)
+        assert not pred.observe_indirect(0x400100, 0x500000)  # cold miss
+        assert pred.observe_indirect(0x400100, 0x500000)      # repeat hits
+        assert not pred.observe_indirect(0x400100, 0x600000)  # change misses
+        assert pred.stats.indirect_branches == 3
+        assert pred.stats.indirect_mispredictions == 2
+
 
 class TestUsefulDecay:
     def test_decay_halves_useful(self):

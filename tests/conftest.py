@@ -55,7 +55,7 @@ def drive_predictor(predictor, trace, collect=False):
             predictor.on_indirect(uop.pc, uop.target)
             branch_count += 1
         elif uop.is_store:
-            predictor.on_store(uop)
+            predictor.on_store(uop.seq, uop.pc)
             store_branch[uop.seq] = branch_count
             store_pc[uop.seq] = uop.pc
         elif uop.is_load:

@@ -166,7 +166,7 @@ class TestSquashCosts:
         class AlwaysNoDep(MDPredictor):
             name = "always-no-dep"
 
-            def lookup(self, uop):
+            def lookup(self, seq, pc, truth):
                 return NO_PREDICTION
 
             def update(self, *args):

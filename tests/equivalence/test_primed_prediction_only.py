@@ -68,7 +68,7 @@ def _unprimed_replay(trace, predictor, f1_period: Optional[int] = None,
             predictor.on_indirect(uop.pc, uop.target)
             branch_count += 1
         elif uop.is_store:
-            predictor.on_store(uop)
+            predictor.on_store(uop.seq, uop.pc)
             store_branch[uop.seq] = branch_count
             store_pc[uop.seq] = uop.pc
             if len(store_branch) > 4096:
@@ -82,7 +82,8 @@ def _unprimed_replay(trace, predictor, f1_period: Optional[int] = None,
                     uop.dep_store_seq, branch_count)
                 pc_of_store = store_pc.get(uop.dep_store_seq)
             kind, _, _, _, outcome = predictor.predict_train(
-                uop, branches_between, pc_of_store, uop.store_distance,
+                uop.seq, uop.pc, branches_between, pc_of_store,
+                uop.store_distance, uop.dep_store_seq,
                 BYPASS_CODES[uop.bypass])
             if uop.seq >= warmup:
                 outcome_counts[outcome] += 1

@@ -135,6 +135,12 @@ class TestDefaultDir:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         assert default_journal_dir() == tmp_path / "cache" / "journals"
 
+    def test_follows_given_cache_dir(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(JOURNAL_DIR_ENV, raising=False)
+        assert default_journal_dir(tmp_path / "d") == tmp_path / "d" / "journals"
+        monkeypatch.setenv(JOURNAL_DIR_ENV, str(tmp_path / "j"))
+        assert default_journal_dir(tmp_path / "d") == tmp_path / "j"
+
     def test_probe_writable(self, tmp_path):
         assert RunJournal(tmp_path / "new").probe_writable() is None
 
@@ -339,3 +345,53 @@ class TestCrashSafetyProperty:
         assert set(state.completed) == surviving_ok
         for key in surviving_ok:
             assert encode_result(state.completed[key]) == self._encoded()
+
+
+class TestJournalFollowsCacheDir:
+    """``--cache-dir D`` without ``--journal-dir`` journals under
+    ``D/journals``, not under the default cache directory."""
+
+    @pytest.fixture
+    def dirs(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(JOURNAL_DIR_ENV, raising=False)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "default"))
+        return tmp_path / "d", tmp_path / "default"
+
+    @staticmethod
+    def _args(*flags):
+        from repro.cli import _build_parser
+
+        return _build_parser().parse_args(
+            ["accuracy", "mascot", "--benchmarks", "exchange2",
+             "--uops", "1000", *flags])
+
+    def test_run_journals_under_cache_dir(self, dirs):
+        from repro.experiments.parallel import CellSpec, Execution
+
+        cache_dir, default = dirs
+        execution = Execution.from_args(self._args("--cache-dir",
+                                                   str(cache_dir)))
+        execution.run([CellSpec(mode="accuracy", benchmark="exchange2",
+                                num_uops=1000, predictor="mascot")])
+        assert list((cache_dir / "journals").glob("*.jsonl"))
+        assert not (default / "journals").exists()
+
+    def test_resume_without_journaling_reads_cache_dir(self, dirs):
+        from repro.experiments.parallel import Execution
+
+        cache_dir, _ = dirs
+        run = RunJournal(cache_dir / "journals").begin(KEYS[:1])
+        run.record_ok(KEYS[0], attempts=1, duration=0.5, source="computed",
+                      result=_result())
+        run.finish()
+        execution = Execution.from_args(self._args(
+            "--cache-dir", str(cache_dir), "--no-journal",
+            "--resume", run.run_id))
+        assert set(execution.resume.completed) == {KEYS[0]}
+
+    def test_doctor_checks_cache_dir_journal(self, dirs):
+        from repro.doctor import _check_journal_dir
+
+        cache_dir, _ = dirs
+        ok, note = _check_journal_dir(None, str(cache_dir))
+        assert ok and str(cache_dir / "journals") in note

@@ -69,7 +69,7 @@ class TestSeededEngineAsymmetry:
         # and NoSQ would silently train on a different stream than the
         # scalar engine's.
         mutate(tree, "core/batched.py",
-               "oseq = p_on_store(uop)", "oseq = None")
+               "oseq = p_on_store(seq, pc_l[seq])", "oseq = None")
         result = lint_paths([tree], select=INTERPROCEDURAL)
         assert result.exit_code != 0
         assert any(f.rule == "eq-predictor-call" and "on_store" in f.message
@@ -107,15 +107,15 @@ class TestOracleReadInLookupHalf:
         # batched engine's predict_train() reach: a ground-truth read
         # there scores MASCOT as if it had hardware it cannot build.
         mutate(tree, "predictors/mascot.py",
-               "        keys, table, entry = self.bank.lookup(uop.pc)\n",
-               "        keys, table, entry = self.bank.lookup(uop.pc)\n"
-               "        assert uop.store_distance >= 0\n")
+               "        keys, table, entry = self.bank.lookup(pc)\n",
+               "        keys, table, entry = self.bank.lookup(pc)\n"
+               "        assert truth[0] >= 0\n")
         result = lint_paths([tree], select=["oracle"])
         assert result.exit_code != 0
         leaks = [f for f in result.active if f.rule == "oracle-leak"]
         assert len(leaks) == 1
         assert "Mascot.lookup" in leaks[0].message
-        assert "uop.store_distance" in leaks[0].message
+        assert "'truth'" in leaks[0].message
 
 
 class TestUnsanctionedWorkerState:

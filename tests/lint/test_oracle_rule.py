@@ -141,3 +141,83 @@ class TestOracleLeak:
         assert findings[0].suppressed
         assert not findings[0].active
         assert findings[0].justification == "documentation example"
+
+
+def _lookup_predictor(body: str, helpers: str = "") -> str:
+    """A non-oracle predictor whose ``lookup(seq, pc, truth)`` runs
+    ``body`` (indented as a method body)."""
+    return f"""
+    from repro.predictors.base import NO_PREDICTION, MDPredictor
+{helpers}
+
+    class Keyed(MDPredictor):
+        def lookup(self, seq, pc, truth):
+{body}
+            return NO_PREDICTION
+
+        def update(self, *args):
+            pass
+    """
+
+
+class TestTruthArgument:
+    """lookup's ``truth`` argument is tainted as a whole value."""
+
+    def _leaks(self, box, source):
+        box.write("keyed.py", source)
+        return [f for f in box.lint() if f.rule == "oracle-leak"]
+
+    def test_indexing_truth_is_caught(self, box):
+        leaks = self._leaks(box, _lookup_predictor(
+            "            if truth[0] > 0:\n                pass"))
+        assert len(leaks) == 1
+        assert "'truth'" in leaks[0].message
+        assert leaks[0].symbol == "keyed:Keyed.lookup"
+
+    def test_unpacking_truth_is_caught(self, box):
+        leaks = self._leaks(box, _lookup_predictor(
+            "            distance, store_seq, bypass = truth"))
+        assert len(leaks) == 1
+
+    def test_renamed_parameter_is_still_tainted(self, box):
+        source = _lookup_predictor("            self.seen = answer")
+        source = source.replace("def lookup(self, seq, pc, truth)",
+                                "def lookup(self, seq, pc, answer)")
+        assert len(self._leaks(box, source)) == 1
+
+    def test_leak_through_alias_and_helper_call(self, box):
+        leaks = self._leaks(box, _lookup_predictor(
+            "            hint = truth\n"
+            "            self.last = self._relay(hint)",
+            helpers="""
+
+    def peek(value):
+        return value[1]
+""").replace("        def update(self, *args):", """        def _relay(self, passed):
+            return peek(passed)
+
+        def update(self, *args):"""))
+        assert len(leaks) == 1
+        assert leaks[0].symbol == "keyed:peek"
+
+    def test_passing_truth_to_unresolved_call_is_caught(self, box):
+        leaks = self._leaks(box, _lookup_predictor(
+            "            self.other.lookup(seq, pc, truth)"))
+        assert len(leaks) == 1
+
+    def test_ignoring_truth_is_clean(self, box):
+        box.write("keyed.py", _lookup_predictor(
+            "            self.other.lookup(seq, pc, None)\n"
+            "            self.key = self._index(pc, truth)",
+        ).replace("        def update(self, *args):", """        def _index(self, pc, unused):
+            return pc & 0xFF
+
+        def update(self, *args):"""))
+        assert box.active_rules() == []
+
+    def test_oracle_may_read_truth(self, box):
+        box.write("keyed.py", _lookup_predictor(
+            "            distance, store_seq, _ = truth",
+        ).replace("class Keyed(MDPredictor):",
+                  "class Keyed(MDPredictor):\n        is_oracle = True\n"))
+        assert box.active_rules() == []

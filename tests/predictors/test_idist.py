@@ -13,10 +13,6 @@ def load(seq=100, pc=0x400100):
     return MicroOp(seq, pc, OpClass.LOAD, address=0x1000, size=8)
 
 
-def store(seq, pc=0x400200):
-    return MicroOp(seq, pc, OpClass.STORE, address=0x1000, size=8)
-
-
 def dep(distance=3, bypass=BypassClass.DIRECT, store_seq=90, store_pc=0x400200):
     return ActualOutcome(distance=distance, store_seq=store_seq,
                          bypass=bypass, store_pc=store_pc)
@@ -85,7 +81,7 @@ class TestStoreSetsFallback:
         # One violation trains the store set.
         pred = p.predict(uop)
         p.train(uop, pred, dep(store_seq=5))
-        p.on_store(store(50))
+        p.on_store(50, 0x400200)
         pred = p.predict(load(51))
         assert pred.kind is PredictionKind.MDP
         assert pred.store_seq == 50

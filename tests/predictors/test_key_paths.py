@@ -28,7 +28,8 @@ from repro.branch.tage import TAGEBranchPredictor
 from repro.common.foldplan import BranchStream
 from repro.common.history import GlobalHistory
 from repro.experiments.suite import make_predictor
-from repro.trace.uop import MicroOp, OpClass
+from repro.trace.columns import BYPASS_CODES
+from repro.trace.uop import BypassClass
 
 COND, INDIRECT, LOAD = 0, 1, 2
 
@@ -41,6 +42,9 @@ branch_st = st.one_of(
 event_st = st.one_of(branch_st, st.tuples(st.just(LOAD), pc_st, st.just(0)))
 prefix_st = st.lists(branch_st, max_size=40)
 events_st = st.lists(event_st, max_size=160)
+
+#: ``lookup``'s ground truth for a load without a dependence.
+NO_DEP = (0, None, BYPASS_CODES[BypassClass.NONE])
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -81,10 +85,6 @@ def _history(ghist: GlobalHistory):
             {key: reg.value for key, reg in ghist._folds.items()})
 
 
-def _load(seq, pc):
-    return MicroOp(seq, pc, OpClass.LOAD, address=0x1000, size=8)
-
-
 @pytest.mark.parametrize("name", ["mascot", "mascot-opt", "mascot-opt-tag2",
                                   "phast", "nosq"])
 class TestMDPredictorKeys:
@@ -100,8 +100,8 @@ class TestMDPredictorKeys:
         primed.prime(*_stream(events))
         for seq, (kind, pc, val) in enumerate(events):
             if kind == LOAD:
-                uop = _load(seq, pc)
-                assert primed.lookup(uop)[4] == reference.lookup(uop)[4]
+                assert (primed.lookup(seq, pc, NO_DEP)[4]
+                        == reference.lookup(seq, pc, NO_DEP)[4])
             else:
                 _feed(reference, kind, pc, val)
                 _feed(primed, kind, pc, val)

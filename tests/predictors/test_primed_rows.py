@@ -23,10 +23,13 @@ from repro.common.foldplan import (
 )
 from repro.common.history import GlobalHistory
 from repro.experiments.suite import PREDICTOR_FACTORIES, make_predictor
-from repro.trace.columns import OP_CODES
-from repro.trace.uop import MicroOp, OpClass
+from repro.trace.columns import BYPASS_CODES, OP_CODES
+from repro.trace.uop import BypassClass, OpClass
 
 PCS = (0x400010, 0x400024, 0x400038, 0x40004C)
+
+#: ``lookup``'s ground truth for a load without a dependence.
+NO_DEP = (0, None, BYPASS_CODES[BypassClass.NONE])
 
 
 def _stream(kinds):
@@ -38,10 +41,6 @@ def _stream(kinds):
         np.array([(i * 0x1234567) if kind else i % 2
                   for i, kind in enumerate(kinds)], dtype=np.int64),
     )
-
-
-def _load(seq, pc):
-    return MicroOp(seq, pc, OpClass.LOAD, address=0x1000, size=8)
 
 
 class TestPrimedRows:
@@ -105,7 +104,7 @@ class TestUnconsumedRowsRaise:
         predictor.prime(stream, load_pc, np.array([0, 1, 2]),
                         np.array([0, 1, 1]))
         for seq, pc in enumerate(load_pc[:-1].tolist()):
-            predictor.lookup(_load(seq, pc))
+            predictor.lookup(seq, pc, NO_DEP)
         with pytest.raises(RuntimeError,
                            match=rf"{name}: 2 of 3 primed rows consumed, "
                                  "1 left over"):
@@ -118,7 +117,7 @@ class TestUnconsumedRowsRaise:
         predictor = make_predictor("mascot")
         predictor.prime(_stream([0]), np.array([PCS[0]], dtype=np.int64),
                         np.array([1]), np.array([0]))
-        predictor.lookup(_load(0, PCS[0]))
+        predictor.lookup(0, PCS[0], NO_DEP)
         predictor.finish()
 
     def test_tage_with_one_extra_branch(self):

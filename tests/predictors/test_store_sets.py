@@ -13,10 +13,6 @@ def load(seq, pc=0x400100):
     return MicroOp(seq, pc, OpClass.LOAD, address=0x1000, size=8)
 
 
-def store(seq, pc=0x400200):
-    return MicroOp(seq, pc, OpClass.STORE, address=0x1000, size=8)
-
-
 def violation(store_seq, store_pc=0x400200, distance=1):
     return ActualOutcome(distance=distance, store_seq=store_seq,
                          bypass=BypassClass.DIRECT, store_pc=store_pc)
@@ -42,7 +38,7 @@ class TestViolationTraining:
         ss.train(uop, pred, violation(store_seq=5))
         # Next occurrence: the store is fetched, then the load predicts a
         # dependence on it.
-        ss.on_store(store(20))
+        ss.on_store(20, 0x400200)
         pred = ss.predict(load(21))
         assert pred.kind is PredictionKind.MDP
         assert pred.store_seq == 20
@@ -52,7 +48,7 @@ class TestViolationTraining:
         ss = StoreSets(clear_interval=0)
         uop = load(10)
         ss.train(uop, ss.predict(uop), violation(store_seq=5))
-        ss.on_store(store(20))
+        ss.on_store(20, 0x400200)
         uop2 = load(21)
         pred = ss.predict(uop2)
         before = ss.violations_trained
@@ -74,7 +70,7 @@ class TestViolationTraining:
         la, lb = load(10, pc=0x400100), load(11, pc=0x400108)
         ss.train(la, ss.predict(la), violation(store_seq=5))
         ss.train(lb, ss.predict(lb), violation(store_seq=5))
-        ss.on_store(store(20))
+        ss.on_store(20, 0x400200)
         assert ss.predict(load(21, pc=0x400100)).store_seq == 20
         assert ss.predict(load(22, pc=0x400108)).store_seq == 20
 
@@ -85,7 +81,7 @@ class TestLFSTBehaviour:
         ss = StoreSets(clear_interval=0, instr_window=100)
         uop = load(10)
         ss.train(uop, ss.predict(uop), violation(store_seq=5))
-        ss.on_store(store(20))
+        ss.on_store(20, 0x400200)
         pred = ss.predict(load(500))
         assert pred.kind is PredictionKind.NO_DEP
 
@@ -93,8 +89,8 @@ class TestLFSTBehaviour:
         ss = StoreSets(clear_interval=0)
         uop = load(10)
         ss.train(uop, ss.predict(uop), violation(store_seq=5))
-        ss.on_store(store(20))
-        ss.on_store(store(30))
+        ss.on_store(20, 0x400200)
+        ss.on_store(30, 0x400200)
         assert ss.predict(load(31)).store_seq == 30
 
 
@@ -106,7 +102,7 @@ class TestCyclicClearing:
         # Enough accesses to trigger the clear.
         for i in range(30):
             ss.predict(load(100 + i))
-        ss.on_store(store(200))
+        ss.on_store(200, 0x400200)
         assert ss.predict(load(201)).kind is PredictionKind.NO_DEP
 
     def test_reset(self):
@@ -114,7 +110,7 @@ class TestCyclicClearing:
         uop = load(10)
         ss.train(uop, ss.predict(uop), violation(store_seq=5))
         ss.reset()
-        ss.on_store(store(20))
+        ss.on_store(20, 0x400200)
         assert ss.predict(load(21)).kind is PredictionKind.NO_DEP
 
 

@@ -11,10 +11,6 @@ def load(seq, pc=0x400100):
     return MicroOp(seq, pc, OpClass.LOAD, address=0x1000, size=8)
 
 
-def store(seq, pc=0x400200):
-    return MicroOp(seq, pc, OpClass.STORE, address=0x1000, size=8)
-
-
 def violation(store_seq, store_pc=0x400200):
     return ActualOutcome(distance=1, store_seq=store_seq,
                          bypass=BypassClass.DIRECT, store_pc=store_pc)
@@ -23,7 +19,7 @@ def violation(store_seq, store_pc=0x400200):
 class TestStoreSerialization:
     def test_unassigned_store_unconstrained(self):
         ss = StoreSets(clear_interval=0)
-        assert ss.on_store(store(5)) is None
+        assert ss.on_store(5, 0x400200) is None
 
     def test_second_store_in_set_serialises(self):
         """Two stores merged into one set order behind each other via the
@@ -33,16 +29,16 @@ class TestStoreSerialization:
         la = load(10, pc=0x400100)
         ss.train(la, ss.predict(la), violation(5, store_pc=0x400200))
         ss.train(la, ss.predict(la), violation(6, store_pc=0x400300))
-        first = ss.on_store(store(20, pc=0x400200))
-        second = ss.on_store(store(21, pc=0x400300))
+        first = ss.on_store(20, 0x400200)
+        second = ss.on_store(21, 0x400300)
         assert second == 20  # must issue behind the set's previous store
 
     def test_stale_constraint_dropped(self):
         ss = StoreSets(clear_interval=0, footprint_scale=1, instr_window=50)
         la = load(10)
         ss.train(la, ss.predict(la), violation(5))
-        ss.on_store(store(20))
-        assert ss.on_store(store(500)) is None  # previous store drained
+        ss.on_store(20, 0x400200)
+        assert ss.on_store(500, 0x400200) is None  # previous store drained
 
 
 class TestFootprintScale:

@@ -14,7 +14,7 @@ from repro.sampling.reconstruct import (
     run_sampled_timing,
     warmed_interval,
 )
-from repro.trace.uop import BypassClass
+from repro.trace.uop import BypassClass, MicroOp
 
 from tests.conftest import small_trace
 
@@ -218,6 +218,60 @@ class TestRebaseInterval:
         trace = small_trace("perlbench1", 8_000)
         with pytest.raises(ValueError):
             rebase_interval(trace, Interval(0, 2000, 4000), offset=-1)
+
+
+def _object_rebase(trace, interval, offset=0):
+    """The object-by-object rebase the column version replaced, kept as
+    the oracle: every micro-op rebuilt with its in-slice references
+    shifted and the rest dropped."""
+    start = interval.start
+    delta = offset - start
+    out = []
+    for seq in range(interval.start, interval.end):
+        uop = trace[seq]
+        in_slice_dep = (uop.dep_store_seq is not None
+                        and uop.dep_store_seq >= start)
+        out.append(MicroOp(
+            seq=uop.seq + delta, pc=uop.pc, op=uop.op,
+            srcs=tuple(s + delta for s in uop.srcs if s >= start),
+            addr_src=(uop.addr_src + delta
+                      if uop.addr_src is not None and uop.addr_src >= start
+                      else None),
+            taken=uop.taken, target=uop.target, address=uop.address,
+            size=uop.size,
+            store_distance=uop.store_distance if in_slice_dep else 0,
+            dep_store_seq=(uop.dep_store_seq + delta) if in_slice_dep
+            else None,
+            bypass=uop.bypass if in_slice_dep else BypassClass.NONE,
+        ))
+    return out
+
+
+class TestColumnRebase:
+    """The column slice equals the object rebase, field for field."""
+
+    @given(bounds=st.tuples(st.integers(0, 6_000), st.integers(1, 2_000)),
+           offset=st.one_of(st.just(0), st.integers(1, 10_000)))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_equals_object_rebase(self, bounds, offset):
+        trace = small_trace("mcf", 8_000)
+        start, length = bounds
+        interval = Interval(0, start, min(start + length, len(trace)))
+        piece = rebase_interval(trace, interval, offset=offset)
+        assert not piece.materialized
+        assert piece == _object_rebase(trace, interval, offset)
+
+    def test_hand_built_list_input(self):
+        objects = list(small_trace("perlbench1", 4_000))
+        interval = Interval(0, 1_500, 3_000)
+        assert rebase_interval(objects, interval) \
+            == _object_rebase(objects, interval)
+
+    def test_offset_slice_cannot_run_alone(self):
+        piece = rebase_interval(small_trace("perlbench1", 4_000),
+                                Interval(0, 1_000, 2_000), offset=5)
+        with pytest.raises(ValueError, match="offset slice"):
+            run_timing(piece, mascot(), engine="batched")
 
 
 class TestSampledPrediction:
