@@ -55,7 +55,7 @@ from ..common.foldplan import prime_inputs
 from ..memory.hierarchy import MemoryHierarchy
 from ..obs.cycles import CycleStack
 from ..predictors.base import PRED_KIND_BY_CODE, MDPredictor
-from ..trace.columns import OP_BY_CODE, OP_CODES, TraceColumns
+from ..trace.columns import OP_BY_CODE, OP_CODES, SRC_SLOTS, TraceColumns
 from ..trace.uop import MicroOp, OpClass
 from .config import GOLDEN_COVE, CoreConfig
 from .pipeline import _CONSUMER_OPS, _WINDOW_CATEGORIES
@@ -353,7 +353,11 @@ class BatchedPipeline(PredictorReplay):
         addr_l = lists["address"]
         asrc_l = lists["addr_src"]
         dep_l = lists["dep_store_seq"]
-        srcs_l = cols.srcs
+        # Source slots as column lists, read unrolled below; columns past
+        # the third exist only for hand-built traces with wider micro-ops.
+        src_cols = cols.srcs.T.tolist()
+        src0_l, src1_l, src2_l = src_cols[:SRC_SLOTS]
+        wide_l = src_cols[SRC_SLOTS:]
 
         fetch_width = cfg.fetch_width
         frontend = cfg.frontend_latency
@@ -395,7 +399,9 @@ class BatchedPipeline(PredictorReplay):
         value_ready = [0] * n
         issue_times = [0] * n
         commit_times = [0] * n
+        # One False past the end: an empty source slot (-1) reads it.
         produced = (cols.op == _OP_LOAD).tolist()
+        produced.append(False)
 
         recording = self._record_timeline
         if recording:
@@ -490,13 +496,28 @@ class BatchedPipeline(PredictorReplay):
             if sb_point > dispatch:
                 dispatch = sb_point
 
-            # -- source readiness --
+            # -- source readiness (left-aligned slots, -1 = empty) --
             ready = 0
-            srcs = srcs_l[seq]
-            for src in srcs:
-                t = value_ready[src]
-                if t > ready:
-                    ready = t
+            s0 = src0_l[seq]
+            if s0 >= 0:
+                ready = value_ready[s0]
+                src = src1_l[seq]
+                if src >= 0:
+                    t = value_ready[src]
+                    if t > ready:
+                        ready = t
+                    src = src2_l[seq]
+                    if src >= 0:
+                        t = value_ready[src]
+                        if t > ready:
+                            ready = t
+                        for col in wide_l:
+                            src = col[seq]
+                            if src < 0:
+                                break
+                            t = value_ready[src]
+                            if t > ready:
+                                ready = t
             d1 = dispatch + 1
             earliest = d1 if d1 > ready else ready
             if accounting:
@@ -506,14 +527,14 @@ class BatchedPipeline(PredictorReplay):
                 dep_from = earliest
 
             # Sec. VI-A consumer-wait metric.
-            if measuring and srcs and is_consumer[code]:
-                for src in srcs:
-                    if produced[src]:
-                        n_cons += 1
-                        wait = ready - d1
-                        if wait > 0:
-                            n_wait += wait
-                        break
+            if measuring and s0 >= 0 and is_consumer[code] and (
+                    produced[s0] or produced[src1_l[seq]]
+                    or produced[src2_l[seq]]
+                    or wide_l and any(produced[col[seq]] for col in wide_l)):
+                n_cons += 1
+                wait = ready - d1
+                if wait > 0:
+                    n_wait += wait
 
             if code == op_alu:
                 best = 0

@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from ..analysis.accuracy import AccuracyStats
 from ..analysis.f1 import RankedF1Profile, merge_profiles
 from ..common.statistics import Histogram, geometric_mean
@@ -22,7 +24,8 @@ from ..predictors.configs import MASCOT_DEFAULT, MASCOT_OPT, mascot_opt_reduced_
 from ..predictors.sizing import PredictorSizing, table2_rows
 from ..sampling.policy import SamplingPolicy
 from ..trace.profiles import suite_names
-from ..trace.uop import BypassClass
+from ..trace.columns import BYPASS_CODES, OP_CODES, TraceColumns
+from ..trace.uop import BypassClass, OpClass
 from .parallel import CellSpec, Execution
 from .reporting import format_percent, render_table
 from .resilience import CellFailure
@@ -124,21 +127,19 @@ def fig2_smb_opportunities(
     benchmarks: Optional[Sequence[str]] = None,
     num_uops: int = DEFAULT_TRACE_LENGTH,
 ) -> Fig2Result:
-    """Scan traces and histogram dependence classes (no predictor needed)."""
+    """Histogram the loads' dependence classes from the trace columns (no
+    predictor needed, no micro-op object built)."""
     benchmarks = list(benchmarks) if benchmarks is not None else suite_names()
     cache = default_cache()
     percentages: Dict[str, Dict[str, float]] = {}
     for bench in benchmarks:
-        trace = cache.get(bench, num_uops)
+        cols = TraceColumns.ensure(cache.get(bench, num_uops))
+        bypass = cols.bypass[cols.op == OP_CODES[OpClass.LOAD]]
+        counts = np.bincount(bypass, minlength=len(BYPASS_CODES))
         histogram = Histogram(_SMB_BUCKETS)
-        loads = 0
-        for uop in trace:
-            if not uop.is_load:
-                continue
-            loads += 1
-            if uop.has_dependence:
-                histogram.add(_CLASS_TO_BUCKET[uop.bypass])
-        percentages[bench] = histogram.percentages(denominator=loads)
+        for bypass_class, bucket in _CLASS_TO_BUCKET.items():
+            histogram.add(bucket, int(counts[BYPASS_CODES[bypass_class]]))
+        percentages[bench] = histogram.percentages(denominator=len(bypass))
     return Fig2Result(percentages=percentages)
 
 

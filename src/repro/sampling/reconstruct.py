@@ -53,7 +53,12 @@ from ..analysis.accuracy import AccuracyStats
 from ..core.config import GOLDEN_COVE, CoreConfig
 from ..core.stats import PipelineStats
 from ..predictors.base import MDPredictor
-from ..trace.columns import BYPASS_CODES, Trace, TraceColumns
+from ..trace.columns import (
+    BYPASS_CODES,
+    Trace,
+    TraceColumns,
+    left_align_srcs,
+)
 from ..trace.uop import BypassClass, MicroOp
 from .policy import SamplingPolicy
 from .select import Region, RegionSelection, select_regions
@@ -165,7 +170,7 @@ def rebase_interval(trace: Sequence[MicroOp],
 
     in_slice_dep = cols.dep_store_seq[start:end] >= start
     return Trace(TraceColumns.from_arrays(
-        _rebase_srcs(cols.srcs[start:end], start, delta), offset,
+        left_align_srcs(remap(cols.srcs)), offset,
         op=cols.op[start:end],
         pc=cols.pc[start:end],
         taken=cols.taken[start:end],
@@ -178,14 +183,6 @@ def rebase_interval(trace: Sequence[MicroOp],
                                 cols.store_distance[start:end], 0),
         bypass=np.where(in_slice_dep, cols.bypass[start:end], _BYPASS_NONE),
     ))
-
-
-def _rebase_srcs(srcs: List[Tuple[int, ...]], start: int,
-                 delta: int) -> List[Tuple[int, ...]]:
-    """``srcs`` with references before ``start`` dropped and the rest
-    shifted by ``delta``."""
-    return [tuple([x + delta for x in s if x >= start]) if s else s
-            for s in srcs]
 
 
 def warmed_interval(trace: Sequence[MicroOp], region: Region,

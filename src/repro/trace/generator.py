@@ -1,8 +1,9 @@
 """Dynamic trace generation.
 
 :class:`TraceGenerator` unrolls a static :class:`~repro.trace.program.Program`
-into the dynamic micro-op stream, written field by field into typed column
-buffers and returned as a :class:`~repro.trace.columns.Trace` (its
+into the dynamic micro-op stream, written field by field into preallocated
+machine-typed buffers (:class:`array.array`, wrapped without a copy as the
+numpy columns) and returned as a :class:`~repro.trace.columns.Trace` (its
 :class:`~repro.trace.columns.TraceColumns`, with micro-op objects as a lazy
 view).  The generator is the single source of ground truth: it evaluates
 every branch, computes every effective address, tracks the dynamic store
@@ -24,10 +25,21 @@ how much IPC is gained when SMB delivers load values early.
 from __future__ import annotations
 
 import random
+from array import array
 from collections import deque
-from typing import Deque, List, Optional, Tuple
+from typing import Deque, Optional
 
-from .columns import BYPASS_CODES, OP_CODES, Trace, TraceColumns
+import numpy as np
+
+from .columns import (
+    BYPASS_CODES,
+    COLUMN_DTYPES,
+    MAX_UOPS,
+    OP_CODES,
+    SRC_SLOTS,
+    Trace,
+    TraceColumns,
+)
 from .dependence import DependenceTracker
 from .profiles import get_profile
 from .program import Program, StaticInst, StaticKind, build_program
@@ -50,6 +62,14 @@ _BYPASS_CODE_BY_NAME = {bc.name: code for bc, code in BYPASS_CODES.items()}
 
 _COMPUTE_KINDS = (StaticKind.ALU, StaticKind.MUL, StaticKind.DIV,
                   StaticKind.FP)
+
+#: :mod:`array` typecode of each column's buffer, of the same item size as
+#: the column dtype, so the buffer *is* the column; ``srcs`` is ``"i"``.
+_TYPECODES = {"pc": "q", "op": "b", "taken": "B", "target": "q",
+              "address": "q", "size": "i", "addr_src": "i",
+              "store_distance": "i", "dep_store_seq": "i", "bypass": "b"}
+#: Field defaults the buffers start from (0 for the other columns).
+_FILLS = {"addr_src": -1, "dep_store_seq": -1, "bypass": _BYPASS_NONE}
 
 
 class TraceGenerator:
@@ -100,23 +120,30 @@ class TraceGenerator:
             return self._chain_head
         return self._rng.choice(self._recent)
 
-    def _compute_sources(self, want_two: bool) -> Tuple[int, ...]:
-        srcs: List[int] = []
+    def _compute_sources(self, seq: int) -> None:
+        """Write a compute op's (up to three, distinct) sources."""
+        srcs = self._srcs
+        slot = SRC_SLOTS * seq
         first = self._pick_source()
         if first is not None:
-            srcs.append(first)
-        if want_two and self._recent and self._rng.random() < 0.5:
+            srcs[slot] = first
+            slot += 1
+        second = None
+        if self._recent and self._rng.random() < 0.5:
             second = self._rng.choice(self._recent)
-            if second not in srcs:
-                srcs.append(second)
+            if second == first:
+                second = None
+            else:
+                srcs[slot] = second
+                slot += 1
         # Consumers of the most recent load model load-latency sensitivity.
+        last_load = self._last_load
         if (
-            self._last_load is not None
-            and self._last_load not in srcs
+            last_load is not None
+            and last_load != first and last_load != second
             and self._rng.random() < self.profile.load_consumer_fraction
         ):
-            srcs.append(self._last_load)
-        return tuple(srcs)
+            srcs[slot] = last_load
 
     def _produce(self, seq: int) -> None:
         self._recent.append(seq)
@@ -125,30 +152,23 @@ class TraceGenerator:
     # -- per-kind emission ----------------------------------------------------
 
     def _open(self, n: int) -> None:
-        """Column buffers for ``n`` micro-ops, pre-filled with the field
-        defaults; :meth:`_emit` writes only the fields an op class uses."""
-        self._op = [0] * n
-        self._pc = [0] * n
-        self._srcs: List[Tuple[int, ...]] = [()] * n
-        self._taken = [False] * n
-        self._target = [0] * n
-        self._address = [0] * n
-        self._size = [0] * n
-        self._addr_src = [-1] * n
-        self._distance = [0] * n
-        self._dep = [-1] * n
-        self._bypass = [_BYPASS_NONE] * n
+        """A typed buffer ``self._<column>`` per column for ``n`` micro-ops,
+        pre-filled with the field defaults; :meth:`_emit` writes only the
+        fields an op class uses.  ``_srcs`` holds :data:`SRC_SLOTS`
+        ``-1``-padded slots per op."""
+        for name, code in _TYPECODES.items():
+            setattr(self, "_" + name, array(code, [_FILLS.get(name, 0)]) * n)
+        self._srcs = array("i", [-1]) * (SRC_SLOTS * n)
 
     def _close(self) -> TraceColumns:
-        """The filled buffers as checked columns; the buffers are dropped."""
+        """The filled buffers as checked columns, wrapped without a copy;
+        the generator's own references are dropped."""
         columns = TraceColumns.from_arrays(
-            self._srcs, op=self._op, pc=self._pc, taken=self._taken,
-            target=self._target, address=self._address, size=self._size,
-            addr_src=self._addr_src, store_distance=self._distance,
-            dep_store_seq=self._dep, bypass=self._bypass)
-        del (self._op, self._pc, self._srcs, self._taken, self._target,
-             self._address, self._size, self._addr_src, self._distance,
-             self._dep, self._bypass)
+            np.frombuffer(self._srcs, dtype=np.int32).reshape(-1, SRC_SLOTS),
+            **{name: np.frombuffer(getattr(self, "_" + name), dtype=dtype)
+               for name, dtype in COLUMN_DTYPES.items()})
+        for name in ("srcs", *COLUMN_DTYPES):
+            delattr(self, "_" + name)
         columns.check_invariants()
         return columns
 
@@ -162,7 +182,7 @@ class TraceGenerator:
 
         if kind in _COMPUTE_KINDS:
             self._op[seq] = _OP_CODE_BY_NAME[inst.op_class._name_]
-            self._srcs[seq] = self._compute_sources(want_two=True)
+            self._compute_sources(seq)
             self._produce(seq)
             return False
 
@@ -170,7 +190,7 @@ class TraceGenerator:
             taken = inst.branch.outcome(self._iteration, self._rng)
             self._op[seq] = _OP_BC
             if self._recent and self._rng.random() < 0.5:
-                self._srcs[seq] = (self._rng.choice(self._recent),)
+                self._srcs[SRC_SLOTS * seq] = self._rng.choice(self._recent)
             self._taken[seq] = taken
             self._target[seq] = inst.pc + 0x20
             return taken
@@ -197,7 +217,7 @@ class TraceGenerator:
                 size = 8
                 data_src = self._pick_source()
             if data_src is not None:
-                self._srcs[seq] = (data_src,)
+                self._srcs[SRC_SLOTS * seq] = data_src
             # A fraction of stores compute their address from live dataflow
             # (pointer writes): their address resolves late, giving MDP
             # decisions real timing consequences.
@@ -256,8 +276,8 @@ class TraceGenerator:
             self._address[seq] = address
             self._size[seq] = size
             if store is not None:
-                self._distance[seq] = distance
-                self._dep[seq] = store.seq
+                self._store_distance[seq] = distance
+                self._dep_store_seq[seq] = store.seq
                 self._bypass[seq] = _BYPASS_CODE_BY_NAME[bypass._name_]
             # Whether the load's value feeds the critical dataflow chain is
             # the profile's sensitivity knob: lbm-style streaming kernels
@@ -296,8 +316,9 @@ class TraceGenerator:
 
     def generate(self, num_uops: int) -> Trace:
         """The first ``num_uops`` micro-ops, as a column-backed trace."""
-        if num_uops <= 0:
-            raise ValueError("num_uops must be positive")
+        if not 0 < num_uops <= MAX_UOPS:
+            raise ValueError(f"num_uops must be in 1..{MAX_UOPS} (the "
+                             "sequence columns are int32)")
         if self._seq:
             raise RuntimeError("a TraceGenerator generates one trace")
         self._open(num_uops)

@@ -54,14 +54,15 @@ class TestTraceColumns:
         cols = TraceColumns.from_trace(cached_trace("perlbench1", 64))
         dtypes = {name: getattr(cols, name).dtype.name for name in (
             "op", "pc", "address", "size", "taken", "target", "addr_src",
-            "dep_store_seq", "store_distance", "bypass", "src_count")}
+            "dep_store_seq", "store_distance", "bypass", "srcs")}
         assert dtypes == {
             "op": "int8", "pc": "int64", "address": "int64",
             "size": "int32", "taken": "bool", "target": "int64",
-            "addr_src": "int64", "dep_store_seq": "int64",
+            "addr_src": "int32", "dep_store_seq": "int32",
             "store_distance": "int32", "bypass": "int8",
-            "src_count": "int16",
+            "srcs": "int32",
         }
+        assert cols.srcs.shape == (64, 3)
 
     def test_ensure_memoises_by_identity(self):
         trace = cached_trace("perlbench1", 64)

@@ -1,5 +1,6 @@
 """Sampled timing reconstruction: fidelity, engine agreement, warmup."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,7 +15,8 @@ from repro.sampling.reconstruct import (
     run_sampled_timing,
     warmed_interval,
 )
-from repro.trace.uop import BypassClass, MicroOp
+from repro.trace.columns import TraceColumns
+from repro.trace.uop import BypassClass, MicroOp, OpClass
 
 from tests.conftest import small_trace
 
@@ -266,6 +268,25 @@ class TestColumnRebase:
         interval = Interval(0, 1_500, 3_000)
         assert rebase_interval(objects, interval) \
             == _object_rebase(objects, interval)
+
+    @given(rows=st.lists(st.lists(st.integers(0, 2**20), max_size=5),
+                         min_size=1, max_size=60),
+           bounds=st.tuples(st.integers(0, 59), st.integers(1, 60)),
+           offset=st.integers(0, 100))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_wide_hand_built_sources(self, rows, bounds, offset):
+        # 0-5 sources per micro-op: dropping the out-of-slice ones leaves
+        # holes the column rebase must close, in order, and a row that
+        # narrows below the matrix width must narrow the matrix too.
+        objects = [MicroOp(seq, 0x400000 + 4 * seq, OpClass.ALU,
+                           srcs=tuple(s % seq for s in row) if seq else ())
+                   for seq, row in enumerate(rows)]
+        start = min(bounds[0], len(objects) - 1)
+        interval = Interval(0, start, min(start + bounds[1], len(objects)))
+        piece = rebase_interval(objects, interval, offset=offset)
+        oracle = _object_rebase(objects, interval, offset)
+        assert np.array_equal(piece.columns.srcs, TraceColumns(oracle).srcs)
+        assert piece == oracle
 
     def test_offset_slice_cannot_run_alone(self):
         piece = rebase_interval(small_trace("perlbench1", 4_000),
