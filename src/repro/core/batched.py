@@ -31,11 +31,15 @@ writes the final history registers back afterwards.
 Phase A is :class:`PredictorReplay`, the one loop outside the scalar
 engine that drives the predictors; the prediction-only replay
 (:func:`~repro.experiments.runner.run_prediction_only`) runs it too,
-without a branch predictor and Phase B.  Phase A mirrors the scalar
-:class:`~repro.core.lsu.StoreWindow` membership (same capacity, same
-eviction order) so store-distance/seq resolution and the
-``branches_between`` / ``store_pc`` ground-truth computation match the
-scalar run exactly.  Phase B replicates the scalar constraint chain —
+without a branch predictor and Phase B.  The scalar
+:class:`~repro.core.lsu.StoreWindow` holds the last ``capacity`` stores,
+so Phase A answers its membership questions from store ranks computed
+with numpy over the columns: a store is in a load's window when at most
+``capacity`` stores separate them.  The ``branches_between`` /
+``store_pc`` training hints and the resolution of a predicted store
+distance or sequence number therefore match the scalar run exactly, and
+the replay loop visits only the micro-ops some hook consumes.  Phase B
+replicates the scalar constraint chain —
 fetch width, redirect barriers, window releases, port pools with the same
 strict-< scan, in-order commit — and calls the memory hierarchy with the
 exact argument stream of the scalar run, so cache/MSHR state stays
@@ -44,7 +48,7 @@ bit-identical too.
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_left
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -79,85 +83,144 @@ _IS_CONSUMER = tuple(op in _CONSUMER_OPS for op in OP_BY_CODE)
 _OC_CORRECT_SMB = OUTCOME_CODES[OutcomeKind.CORRECT_SMB]
 
 
+def _overrides(predictor: MDPredictor, hook: str) -> bool:
+    """Whether ``predictor``'s ``hook`` is anything but the base class's
+    no-op (a subclass method, or a callable set on the instance)."""
+    return (getattr(getattr(predictor, hook), "__func__", None)
+            is not getattr(MDPredictor, hook))
+
+
 class PredictorReplay:
     """The predictor-visible event stream of one run, in trace order.
 
     Outside the scalar reference :class:`~repro.core.pipeline.Pipeline`
     this is the one loop that drives the predictors' hooks: branch
     outcomes, store dispatches and each load's fused ``predict_train``
-    with its ``branches_between`` / ``store_pc`` training hints, all read
-    from the trace's :class:`TraceColumns` as plain ints.  The
+    with its ``branches_between`` / ``store_pc`` training hints.  The
     batched engine's Phase A runs it with a branch predictor and collects
     Phase B's per-event decisions;
     :func:`~repro.experiments.runner.run_prediction_only` runs it without
     one and keeps only the outcome tallies.
+
+    Everything that depends only on the trace is computed with numpy
+    before the loop, and the loop visits only the micro-ops some hook
+    consumes: every load; the stores when the predictor overrides
+    ``on_store``; the branches when a branch predictor runs, or when the
+    predictor's history hooks are live: it overrides one and
+    :meth:`prime` did not take its history over.  A hook is called
+    exactly when it is not a no-op.
     """
 
     def __init__(self, predictor: MDPredictor, branch_predictor=None):
         self.predictor = predictor
         self.branch_predictor = branch_predictor
 
-    def prime(self, inputs) -> None:
+    def prime(self, inputs) -> bool:
         """Hand the predictors the run's whole branch stream up front.
 
         ``inputs`` is :func:`~repro.common.foldplan.prime_inputs`'s
         result: history-keyed predictors vectorise every fold register and
         table key from it instead of updating them branch by branch.
+        Returns whether the MD predictor took its history over, making its
+        branch hooks no-ops until ``finish``.
         """
-        self.predictor.prime(*inputs)
+        took_over = self.predictor.prime(*inputs)
         if self.branch_predictor is not None:
             self.branch_predictor.prime(inputs[0])
+        return bool(took_over)
 
     def replay(self, cols: TraceColumns, measure_from: int,
                window: int, inputs, recorder=None):
         """Replay the trace ``cols``; micro-ops from ``measure_from`` on
         are measured.
 
-        ``window`` is the store-window capacity: a load's training hints
+        ``window`` is the store-window capacity (the scalar
+        :class:`~repro.core.lsu.StoreWindow`'s): a load's training hints
         name its store only while that store is among the last ``window``
-        stores.  ``inputs`` primes the predictors (None: no priming), and
-        an F1 ``recorder`` ticks after every load.
+        stores, and so do its predicted store and a store's ordering
+        constraint.  ``inputs`` primes the predictors (None: no priming),
+        and an F1 ``recorder`` ticks after every load.
 
         Returns ``(outcome_counts, kind_counts, warm, decisions)``: the
         measured outcome / prediction-kind tallies by int code (see
         :meth:`~repro.analysis.accuracy.AccuracyStats.record_codes`),
         the branch predictor's ``(mispredictions,
         indirect_mispredictions)`` at the warmup boundary, and Phase B's
-        decision lists.  Without a branch predictor the last two are None.
+        decisions.  Without a branch predictor the last two are None.
         """
         if cols.first_seq:
             raise ValueError(
                 f"trace starts at sequence number {cols.first_seq}: an "
                 "offset slice runs only once stitched into a whole trace")
+        predictor = self.predictor
         branch = self.branch_predictor
         timing = branch is not None
-        if inputs is not None:
-            self.prime(inputs)
-        lists = cols.lists(("op", "pc", "taken", "target", "dep_store_seq",
-                            "store_distance", "bypass"))
-        op_l = lists["op"]
-        pc_l = lists["pc"]
-        taken_l = lists["taken"]
-        target_l = lists["target"]
-        dep_l = lists["dep_store_seq"]
-        dist_l = lists["store_distance"]
-        bypass_l = lists["bypass"]
+        took_over = inputs is not None and self.prime(inputs)
+        visit_stores = _overrides(predictor, "on_store")
+        history = not took_over and (_overrides(predictor, "on_branch")
+                                     or _overrides(predictor, "on_indirect"))
+        visit_branches = timing or history
 
-        # Store window membership (the scalar StoreWindow's, at
-        # capacity ``window``) and the branch count at each store.
-        recent: deque = deque()
-        member = set()
-        store_branch = [0] * cols.n
-        branch_count = 0
+        # Trace-only facts.  Store ``r`` (0-based, in trace order) is the
+        # ``r + 1``-th; ``stores_upto[i]`` / ``branches_upto[i]`` count
+        # the stores / branches among micro-ops 0..i.
+        op = cols.op
+        is_store = op == _OP_STORE
+        is_branch = (op == _OP_BC) | (op == _OP_BI)
+        stores_upto = np.cumsum(is_store, dtype=np.int32)
+        branches_upto = np.cumsum(is_branch, dtype=np.int32)
+        visit = op == _OP_LOAD
+        loads = np.flatnonzero(visit)
+        stores = np.flatnonzero(is_store)
+        # A load's hints name its dependence while the store is among the
+        # last ``window`` stores before the load.
+        dep = cols.dep_store_seq[loads]
+        has_dep = dep >= 0
+        dep_at = np.where(has_dep, dep, loads)
+        ld_rank = stores_upto[loads]
+        present = has_dep & (ld_rank - stores_upto[dep_at] < window)
+        ld_bb = np.where(present, branches_upto[loads] - branches_upto[dep_at],
+                         0).tolist()
+        ld_spc = np.where(present, cols.pc[dep_at], None).tolist()
+        ld_dep = np.where(has_dep, dep, None).tolist()
+        ld_seq = loads.tolist()
+        ld_pc = cols.pc[loads].tolist()
+        ld_dist = cols.store_distance[loads].tolist()
+        ld_bypass = cols.bypass[loads].tolist()
+        st_seq = stores.tolist()
+        if visit_stores:
+            visit |= is_store
+            st_pc = cols.pc[stores].tolist()
+        if visit_branches:
+            visit |= is_branch
+            branches = np.flatnonzero(is_branch)
+            br_pc = cols.pc[branches].tolist()
+            br_taken = cols.taken[branches].tolist()
+            br_target = cols.target[branches].tolist()
+        visit = np.flatnonzero(visit)
+        split = int(np.searchsorted(visit, min(measure_from, cols.n)))
+        kinds = op[visit].tolist()
 
-        # Per-load decisions for Phase B.
+        def in_window(seq: Optional[int], rank: int) -> bool:
+            """Whether ``seq`` is one of the last ``window`` stores before
+            store rank ``rank``."""
+            if seq is None:
+                return False
+            lo = rank - window
+            r = bisect_left(st_seq, seq, lo if lo > 0 else 0, rank)
+            return r < rank and st_seq[r] == seq
+
+        # Phase B's decisions: per load, per store, per branch.
         ld_kind: List[int] = []
         ld_target: List[int] = []          # resolved store seq, -1 = none
         ld_conservative: List[bool] = []
         ld_smb_ok: List[bool] = []         # outcome was CORRECT_SMB
-        ld_present: List[bool] = []        # actual dep store still in window
         st_ordering: List[int] = []        # Store Sets LFST constraint seq
         br_correct: List[bool] = []
+        if timing:
+            ld_rank = ld_rank.tolist()
+            if not visit_stores:
+                st_ordering = [-1] * len(st_seq)
 
         # Outcome/kind counters by int code (enum-keyed dicts filled by
         # record_codes -- list indexing beats enum hashing on the hot path).
@@ -169,86 +232,74 @@ class PredictorReplay:
         op_load = _OP_LOAD
         op_store = _OP_STORE
         op_bc = _OP_BC
-        op_bi = _OP_BI
-        p_on_branch = self.predictor.on_branch
-        p_on_indirect = self.predictor.on_indirect
-        p_on_store = self.predictor.on_store
-        p_predict_train = self.predictor.predict_train
+        p_on_branch = predictor.on_branch
+        p_on_indirect = predictor.on_indirect
+        p_on_store = predictor.on_store
+        p_predict_train = predictor.predict_train
         if timing:
             bstats = branch.stats
             b_predict_and_train = branch.predict_and_train
             b_observe_indirect = branch.observe_indirect
 
-        boundary = min(measure_from, cols.n)
-        for measured, part in ((False, range(boundary)),
-                               (True, range(boundary, cols.n))):
+        li = si = bi = 0
+        for measured, part in ((False, kinds[:split]), (True, kinds[split:])):
             # Branch stats accumulate from the first micro-op; snapshot
             # them at the warmup boundary, as the scalar run() does.
             if measured and timing:
                 warm = (bstats.mispredictions, bstats.indirect_mispredictions)
-            for seq in part:
-                op = op_l[seq]
-                if op == op_load:
-                    dep = dep_l[seq]
-                    present = dep in member
-                    if present:
-                        bb = branch_count - store_branch[dep]
-                        spc = pc_l[dep]
-                    else:
-                        bb = 0
-                        spc = None
+            for code in part:
+                if code == op_load:
                     kind, p_seq, p_dist, conservative, ok_code = (
-                        p_predict_train(seq, pc_l[seq], bb, spc,
-                                        dist_l[seq],
-                                        None if dep < 0 else dep,
-                                        bypass_l[seq]))
+                        p_predict_train(ld_seq[li], ld_pc[li], ld_bb[li],
+                                        ld_spc[li], ld_dist[li], ld_dep[li],
+                                        ld_bypass[li]))
                     if measured:
                         oc_counts[ok_code] += 1
                         kc_counts[kind] += 1
                     if timing:
                         tgt = -1
                         if kind:
+                            rank = ld_rank[li]
                             if p_seq is not None:
-                                if p_seq in member:
+                                if in_window(p_seq, rank):
                                     tgt = p_seq
-                            elif 0 < p_dist <= len(recent):
-                                tgt = recent[-p_dist]
+                            elif 0 < p_dist <= rank and p_dist <= window:
+                                tgt = st_seq[rank - p_dist]
                         ld_kind.append(kind)
                         ld_target.append(tgt)
                         ld_conservative.append(conservative)
                         ld_smb_ok.append(ok_code == oc_smb)
-                        ld_present.append(present)
                     if recorder is not None:
                         recorder.tick()
-                elif op == op_store:
-                    oseq = p_on_store(seq, pc_l[seq])
+                    li += 1
+                elif code == op_store:
+                    oseq = p_on_store(st_seq[si], st_pc[si])
                     if timing:
-                        st_ordering.append(oseq if oseq in member else -1)
-                    store_branch[seq] = branch_count
-                    recent.append(seq)
-                    member.add(seq)
-                    if len(recent) > window:
-                        member.discard(recent.popleft())
-                elif op == op_bc:
+                        st_ordering.append(oseq if in_window(oseq, si)
+                                           else -1)
+                    si += 1
+                elif code == op_bc:
                     if timing:
                         br_correct.append(
-                            b_predict_and_train(pc_l[seq], taken_l[seq]))
-                    p_on_branch(pc_l[seq], taken_l[seq])
-                    branch_count += 1
-                elif op == op_bi:
+                            b_predict_and_train(br_pc[bi], br_taken[bi]))
+                    if history:
+                        p_on_branch(br_pc[bi], br_taken[bi])
+                    bi += 1
+                else:
                     if timing:
                         br_correct.append(
-                            b_observe_indirect(pc_l[seq], target_l[seq]))
-                    p_on_indirect(pc_l[seq], target_l[seq])
-                    branch_count += 1
+                            b_observe_indirect(br_pc[bi], br_target[bi]))
+                    if history:
+                        p_on_indirect(br_pc[bi], br_target[bi])
+                    bi += 1
 
-        self.predictor.finish()
+        predictor.finish()
         if not timing:
             return oc_counts, kc_counts, None, None
         branch.finish()
         return oc_counts, kc_counts, warm, (
-            ld_kind, ld_target, ld_conservative, ld_smb_ok, ld_present,
-            st_ordering, br_correct, store_branch)
+            ld_kind, ld_target, ld_conservative, ld_smb_ok, present.tolist(),
+            st_ordering, br_correct, branches_upto)
 
 
 class BatchedPipeline(PredictorReplay):
@@ -343,7 +394,7 @@ class BatchedPipeline(PredictorReplay):
                  phase_a) -> None:
         """Monolithic timing loop — the scalar constraint chain, inlined."""
         (ld_kind, ld_target, ld_conservative, ld_smb_ok, ld_present,
-         st_ordering, br_correct, store_branch) = phase_a
+         st_ordering, br_correct, branches_upto) = phase_a
         cfg = self.config
         n = cols.n
         lists = cols.lists(("op", "pc", "address", "addr_src",
@@ -420,7 +471,6 @@ class BatchedPipeline(PredictorReplay):
         st_addr = [-1] * n
         st_data = [-1] * n
         st_drain = [-1] * n
-        st_bc = [-1] * n
         ld_commits: List[int] = []
         st_drains: List[int] = []
 
@@ -656,7 +706,6 @@ class BatchedPipeline(PredictorReplay):
                 store_probe(addr_l[seq])
                 st_addr[seq] = addr_resolve
                 st_data[seq] = data_avail
-                st_bc[seq] = store_branch[seq]
                 value = complete
                 si += 1
             elif code == op_bc or code == op_bi:
@@ -774,7 +823,7 @@ class BatchedPipeline(PredictorReplay):
         sb.addr_resolve[:] = st_addr
         sb.data_ready[:] = st_data
         sb.drain[:] = st_drain
-        sb.branch_count[:] = st_bc
+        sb.branch_count[:] = np.where(cols.op == _OP_STORE, branches_upto, -1)
         self._issue_times = issue_times
         self._commit_times = commit_times
         self._stores = sb

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..analysis.accuracy import AccuracyStats
 from ..analysis.f1 import RankedF1Profile, merge_profiles
-from ..common.statistics import Histogram, geometric_mean
+from ..common.statistics import Histogram
 from ..core.config import GOLDEN_COVE, LION_COVE, CoreConfig
 from ..predictors.configs import MASCOT_DEFAULT, MASCOT_OPT, mascot_opt_reduced_tags
 from ..predictors.sizing import PredictorSizing, table2_rows

@@ -352,7 +352,7 @@ class MDPredictor(abc.ABC):
     # -- primed replays ---------------------------------------------------------
 
     def prime(self, stream: "BranchStream", load_pc: "np.ndarray",
-              cond_before: "np.ndarray", ind_before: "np.ndarray") -> None:
+              cond_before: "np.ndarray", ind_before: "np.ndarray") -> bool:
         """Precompute a whole run's history-dependent keys (optional).
 
         ``stream`` is the run's architectural branch stream, ``load_pc``
@@ -360,8 +360,15 @@ class MDPredictor(abc.ABC):
         number of conditional / indirect branch events preceding each
         load.  Until :meth:`finish`, :meth:`lookup` takes its keys from
         the primed rows — one per load, in order — and the history hooks
-        leave the registers alone.  The default keeps the reference path.
+        leave the registers alone.
+
+        Returns whether the predictor took its history over, so that
+        :meth:`on_branch` / :meth:`on_indirect` are no-ops until
+        :meth:`finish` and a replay need not call them.  The default, and
+        a predictor that declines, keeps the reference path and returns
+        False.
         """
+        return False
 
     def finish(self) -> None:
         """End a primed run: write the final history state back and drop

@@ -113,12 +113,12 @@ class NoSQ(MDPredictor):
         return dep_index, dep_tag, ind_index, ind_tag
 
     def prime(self, stream: BranchStream, load_pc: np.ndarray,
-              cond_before: np.ndarray, ind_before: np.ndarray) -> None:
+              cond_before: np.ndarray, ind_before: np.ndarray) -> bool:
         """Precompute every load's keys of one run (see
         :meth:`MDPredictor.prime`); declines if the fold check fails."""
         plan = FoldPlan.for_history(self._ghist, stream.mixed()[0])
         if plan is None:
-            return
+            return False
         k_push = cond_before + 5 * ind_before
         pcv = load_pc >> 1
         imask = mask(self.index_bits)
@@ -133,6 +133,7 @@ class NoSQ(MDPredictor):
             (pcv & imask).astype(np.int32),
             ((pcv >> self.index_bits) & tmask).astype(np.int32),
         )
+        return True
 
     def finish(self) -> None:
         """End a primed run (see :meth:`MDPredictor.finish`); raises

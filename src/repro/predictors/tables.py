@@ -264,19 +264,19 @@ class TableBank:
     # -- whole-run key precomputation ----------------------------------------
 
     def prime(self, stream: BranchStream, load_pc: np.ndarray,
-              cond_before: np.ndarray, ind_before: np.ndarray) -> None:
+              cond_before: np.ndarray, ind_before: np.ndarray) -> bool:
         """Precompute every load's keys for one run, vectorised.
 
         ``load_pc`` / ``cond_before`` / ``ind_before`` describe the run's
         loads in order (PC and the number of conditional / indirect branch
         events preceding each).  Afterwards :meth:`lookup` takes one
         primed row per load and the branch hooks leave the history alone
-        until :meth:`finish`.  Declines — keeping the reference path — if
-        the fold-register invariant check fails.
+        until :meth:`finish`.  Declines — keeping the reference path and
+        returning False — if the fold-register invariant check fails.
         """
         plan = FoldPlan.for_history(self.ghist, stream.mixed()[0])
         if plan is None:
-            return
+            return False
 
         # Path history: closed-form series over all branch events, read at
         # each load's position, folded per table exactly like fold_bits.
@@ -320,6 +320,7 @@ class TableBank:
         self._plan = (plan, int(path[-1]))
         self._primed = int(load_pc.shape[0])
         self._rows = primed_rows(indices, tags)
+        return True
 
     def finish(self, owner: str) -> None:
         """Advance the history to the end of a primed run and drop the
@@ -381,8 +382,8 @@ class TableBankPredictor(MDPredictor):
         self.bank.on_indirect(pc, target)
 
     def prime(self, stream: BranchStream, load_pc: np.ndarray,
-              cond_before: np.ndarray, ind_before: np.ndarray) -> None:
-        self.bank.prime(stream, load_pc, cond_before, ind_before)
+              cond_before: np.ndarray, ind_before: np.ndarray) -> bool:
+        return self.bank.prime(stream, load_pc, cond_before, ind_before)
 
     def finish(self) -> None:
         self.bank.finish(self.name)

@@ -8,7 +8,7 @@ from .columns import (
     Trace,
     TraceColumns,
 )
-from .dependence import DependenceTracker, StoreRecord, classify_overlap
+from .dependence import classify_overlap, fill_dependences
 from .generator import TraceGenerator, generate_trace
 from .profiles import SPEC_SUITE, WorkloadProfile, get_profile, suite_names
 from .stream import FORMAT_VERSION, TraceFormatError, read_trace, write_trace
@@ -42,9 +42,8 @@ __all__ = [
     "TraceFormatError",
     "read_trace",
     "write_trace",
-    "DependenceTracker",
-    "StoreRecord",
     "classify_overlap",
+    "fill_dependences",
     "TraceGenerator",
     "generate_trace",
     "SPEC_SUITE",

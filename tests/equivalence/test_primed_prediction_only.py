@@ -5,8 +5,11 @@ predictors with the trace's whole branch stream before its loop, so
 their table keys come from the closed-form fold plans instead of
 per-branch register updates.  :func:`_unprimed_replay` below is the loop
 as it was before priming (and before it became the batched engine's
-shared :class:`~repro.core.batched.PredictorReplay`), with its own
-store-map prune, kept here as the oracle: for every registered
+shared :class:`~repro.core.batched.PredictorReplay`), kept here as the
+oracle.  It walks every micro-op, calls every hook, and keeps each
+store's branch count and PC in plain maps instead of reading the
+replay's vectorised hints; the generator's instruction window bounds
+every dependence, so the maps need no pruning.  For every registered
 predictor the two must return equal :class:`PredictionRunResult`\\ s —
 accuracy counts, ``predictions_per_table``, telemetry and F1 profile —
 and leave the predictor in the same state.
@@ -38,14 +41,6 @@ from .test_primed_state import _state
 TRACE_LEN = 5_000
 
 
-def _prune(mapping: Dict[int, int], current_seq: int,
-           horizon: int = 2048) -> None:
-    """Drop store entries more than ``horizon`` sequence numbers old."""
-    dead = [seq for seq in mapping if current_seq - seq > horizon]
-    for seq in dead:
-        del mapping[seq]
-
-
 def _unprimed_replay(trace, predictor, f1_period: Optional[int] = None,
                      warmup: int = 0,
                      telemetry: bool = False) -> PredictionRunResult:
@@ -71,16 +66,13 @@ def _unprimed_replay(trace, predictor, f1_period: Optional[int] = None,
             predictor.on_store(uop.seq, uop.pc)
             store_branch[uop.seq] = branch_count
             store_pc[uop.seq] = uop.pc
-            if len(store_branch) > 4096:
-                _prune(store_branch, uop.seq)
-                _prune(store_pc, uop.seq)
         elif uop.is_load:
             branches_between = 0
             pc_of_store = None
             if uop.has_dependence:
-                branches_between = branch_count - store_branch.get(
-                    uop.dep_store_seq, branch_count)
-                pc_of_store = store_pc.get(uop.dep_store_seq)
+                branches_between = (branch_count
+                                    - store_branch[uop.dep_store_seq])
+                pc_of_store = store_pc[uop.dep_store_seq]
             kind, _, _, _, outcome = predictor.predict_train(
                 uop.seq, uop.pc, branches_between, pc_of_store,
                 uop.store_distance, uop.dep_store_seq,

@@ -12,6 +12,7 @@ function of the test source (no run-to-run variance, per the det-* rules).
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import GOLDEN_COVE, BatchedPipeline, Pipeline
@@ -20,8 +21,10 @@ from repro.trace.columns import TraceColumns
 from repro.trace.fixture_cache import cached_trace
 from repro.trace.generator import generate_trace
 from repro.trace.profiles import suite_names
+from repro.trace.uop import BypassClass, MicroOp, OpClass
 
 from .test_golden_equivalence import _stats_diffs
+from .test_primed_state import _state
 
 #: One predictor per family with distinct history/scoreboard usage —
 #: enough to exercise every Phase A replay path on random traces.
@@ -103,3 +106,48 @@ class TestRandomTraceEquivalence:
         assert scalar_pipe.cycle_stack.cycles == batched_pipe.cycle_stack.cycles
         scalar_pipe.cycle_stack.validate(scalar_stats.cycles)
         batched_pipe.cycle_stack.validate(batched_stats.cycles)
+
+
+class TestStoreWindowBoundary:
+    """Dependences just inside, at and just past the batched engine's
+    store window.  Generated traces never reach it (the generator's store
+    window is smaller), so the trace is built by hand."""
+
+    @staticmethod
+    def _trace(cap):
+        uops = []
+
+        def add(op, pc, **fields):
+            uops.append(MicroOp(len(uops), pc, op, **fields))
+
+        # An untrained predictor trains on the first load, past the edge.
+        for distance in (cap + 1, cap, cap - 1, cap + 1, cap):
+            base = 0x100_0000 * distance
+            producer = len(uops)
+            add(OpClass.STORE, 0x1000, address=base, size=8)
+            for k in range(1, distance):
+                if k % 16 == 0:
+                    add(OpClass.BRANCH_COND, 0x1010, taken=bool(k % 32),
+                        target=0x1030)
+                add(OpClass.STORE, 0x1004, address=base + 64 * k, size=8)
+            add(OpClass.LOAD, 0x1008, address=base, size=8,
+                store_distance=distance, dep_store_seq=producer,
+                bypass=BypassClass.DIRECT)
+            add(OpClass.ALU, 0x100C, srcs=(len(uops) - 1,))
+        return uops
+
+    @pytest.mark.parametrize("predictor",
+                             ("perfect-mdp-smb", "store-sets", "phast"))
+    def test_scalar_and_batched_agree_at_the_window_edge(self, predictor):
+        # The training hints name a store only inside the window: Store
+        # Sets' training reads its PC, PHAST's the branches since it.
+        trace = self._trace(max(2 * GOLDEN_COVE.sb_size, 256))
+        results = []
+        for engine_cls in (Pipeline, BatchedPipeline):
+            pipeline = engine_cls(make_predictor(predictor), GOLDEN_COVE,
+                                  accounting=True)
+            results.append((pipeline, pipeline.run(trace)))
+        (scalar_pipe, scalar_stats), (batched_pipe, batched_stats) = results
+        assert not _stats_diffs(scalar_stats, batched_stats)
+        assert scalar_pipe.cycle_stack.cycles == batched_pipe.cycle_stack.cycles
+        assert _state(scalar_pipe.predictor) == _state(batched_pipe.predictor)

@@ -69,10 +69,21 @@ class TestSeededEngineAsymmetry:
         # and NoSQ would silently train on a different stream than the
         # scalar engine's.
         mutate(tree, "core/batched.py",
-               "oseq = p_on_store(seq, pc_l[seq])", "oseq = None")
+               "oseq = p_on_store(st_seq[si], st_pc[si])", "oseq = None")
         result = lint_paths([tree], select=INTERPROCEDURAL)
         assert result.exit_code != 0
         assert any(f.rule == "eq-predictor-call" and "on_store" in f.message
+                   for f in result.active)
+
+    def test_dropped_branch_hook_fails_lint(self, tree):
+        # The shared replay stops telling the predictor about conditional
+        # branches: a history-keyed predictor whose prime declined would
+        # look its tables up under a stale history.
+        mutate(tree, "core/batched.py",
+               "p_on_branch(br_pc[bi], br_taken[bi])", "pass")
+        result = lint_paths([tree], select=INTERPROCEDURAL)
+        assert result.exit_code != 0
+        assert any(f.rule == "eq-predictor-call" and "on_branch" in f.message
                    for f in result.active)
 
 

@@ -1,17 +1,22 @@
-"""Tests for overlap classification and the dependence tracker."""
+"""Tests for overlap classification and the ground-truth dependence pass."""
 
+from unittest import mock
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.trace.dependence import DependenceTracker, classify_overlap
-from repro.trace.uop import BypassClass, MicroOp, OpClass
+from repro.trace import dependence
+from repro.trace.columns import BYPASS_BY_CODE, BYPASS_CODES, OP_CODES
+from repro.trace.dependence import classify_overlap, fill_dependences
+from repro.trace.uop import BypassClass, OpClass
 
 
 def _linear_scan(stores, window, instr_window, load_addr, load_size,
                  load_seq):
     """Reference lookup: walk the last ``window`` stores youngest-first.
 
-    ``stores`` is every recorded store as ``(seq, address, size)`` in
+    ``stores`` is every older store as ``(seq, address, size)`` in
     program order.  Returns ``(distance, store seq, class)``.
     """
     for idx in range(len(stores) - 1, max(len(stores) - window, 0) - 1, -1):
@@ -24,13 +29,64 @@ def _linear_scan(stores, window, instr_window, load_addr, load_size,
     return 0, None, BypassClass.NONE
 
 
-#: One stream event: (is_store, address, size, seq advance, via MicroOp).
-#: Addresses are offsets from a per-stream base and span a few granules,
-#: so stores collide, straddle granules and re-store granules whose
-#: earlier records were evicted.
+def _dependences(mem_ops, window=114, instr_window=512):
+    """Run :func:`fill_dependences` over a trace holding the memory ops
+    ``(seq, is_store, address, size)`` (ALU ops elsewhere); returns
+    ``{load seq: (distance, store seq, class)}``."""
+    n = max(seq for seq, *_ in mem_ops) + 1
+    op = np.full(n, OP_CODES[OpClass.ALU], np.int8)
+    address = np.zeros(n, np.int64)
+    size = np.zeros(n, np.int32)
+    for seq, is_store, addr, nbytes in mem_ops:
+        op[seq] = OP_CODES[OpClass.STORE if is_store else OpClass.LOAD]
+        address[seq] = addr
+        size[seq] = nbytes
+    distance = np.zeros(n, np.int32)
+    dep = np.full(n, -1, np.int32)
+    bypass = np.full(n, BYPASS_CODES[BypassClass.NONE], np.int8)
+    fill_dependences(op, address, size, distance, dep, bypass, window,
+                     instr_window)
+    loads = op == OP_CODES[OpClass.LOAD]
+    assert not distance[~loads].any() and (dep[~loads] == -1).all()
+    return {seq: (int(distance[seq]),
+                  None if dep[seq] < 0 else int(dep[seq]),
+                  BYPASS_BY_CODE[bypass[seq]])
+            for seq in np.flatnonzero(loads).tolist()}
+
+
+def _store(seq, addr, size=8):
+    return seq, True, addr, size
+
+
+def _load(seq, addr, size=8):
+    return seq, False, addr, size
+
+
+#: One stream event: (is_store, address, size, seq advance).  Addresses
+#: are offsets from a per-stream base and span a few granules, so stores
+#: collide, straddle granules and re-store granules that left the window.
 _EVENT = st.tuples(st.booleans(), st.integers(min_value=0, max_value=48),
                    st.integers(min_value=1, max_value=16),
-                   st.integers(min_value=1, max_value=12), st.booleans())
+                   st.integers(min_value=1, max_value=12))
+
+
+def _check_stream(window, instr_window, base, events):
+    """Every load of the stream ``events`` against the linear scan."""
+    mem_ops = []
+    stores = []
+    expected = {}
+    seq = 0
+    for is_store, offset, size, advance in events:
+        seq += advance
+        addr = base + offset
+        mem_ops.append((seq, is_store, addr, size))
+        if is_store:
+            stores.append((seq, addr, size))
+        else:
+            expected[seq] = _linear_scan(stores, window, instr_window, addr,
+                                         size, seq)
+    if mem_ops:
+        assert _dependences(mem_ops, window, instr_window) == expected
 
 
 class TestClassifyOverlap:
@@ -90,94 +146,70 @@ class TestClassifyOverlap:
 
 
 class TestDependenceTracker:
+    """:func:`fill_dependences` case by case."""
+
     def test_no_stores_no_dependence(self):
-        t = DependenceTracker()
-        distance, store, cls = t.find_dependence(0x100, 8, load_seq=5)
-        assert (distance, store, cls) == (0, None, BypassClass.NONE)
+        assert _dependences([_load(5, 0x100)]) == {
+            5: (0, None, BypassClass.NONE)}
 
     def test_immediate_dependence_distance_one(self):
-        t = DependenceTracker()
-        t.record_raw_store(seq=0, address=0x100, size=8)
-        distance, store, cls = t.find_dependence(0x100, 8, load_seq=1)
-        assert distance == 1
-        assert store.seq == 0
-        assert cls is BypassClass.DIRECT
+        got = _dependences([_store(0, 0x100), _load(1, 0x100)])
+        assert got[1] == (1, 0, BypassClass.DIRECT)
 
     def test_distance_counts_intervening_stores(self):
-        t = DependenceTracker()
-        t.record_raw_store(0, 0x100, 8)
-        t.record_raw_store(1, 0x200, 8)
-        t.record_raw_store(2, 0x300, 8)
-        distance, store, _ = t.find_dependence(0x100, 8, load_seq=3)
-        assert distance == 3
-        assert store.seq == 0
+        got = _dependences([_store(0, 0x100), _store(1, 0x200),
+                            _store(2, 0x300), _load(3, 0x100)])
+        assert got[3][:2] == (3, 0)
 
     def test_youngest_overlapping_store_wins(self):
-        t = DependenceTracker()
-        t.record_raw_store(0, 0x100, 8)
-        t.record_raw_store(1, 0x100, 8)
-        distance, store, _ = t.find_dependence(0x100, 8, load_seq=2)
-        assert store.seq == 1
-        assert distance == 1
+        got = _dependences([_store(0, 0x100), _store(1, 0x100),
+                            _load(2, 0x100)])
+        assert got[2][:2] == (1, 1)
 
     def test_store_window_eviction(self):
-        t = DependenceTracker(window=2)
-        t.record_raw_store(0, 0x100, 8)
-        t.record_raw_store(1, 0x200, 8)
-        t.record_raw_store(2, 0x300, 8)
         # The store to 0x100 fell out of the 2-entry window.
-        distance, store, cls = t.find_dependence(0x100, 8, load_seq=3)
-        assert (distance, store, cls) == (0, None, BypassClass.NONE)
+        got = _dependences([_store(0, 0x100), _store(1, 0x200),
+                            _store(2, 0x300), _load(3, 0x100)], window=2)
+        assert got[3] == (0, None, BypassClass.NONE)
 
     def test_instruction_window_bound(self):
-        t = DependenceTracker(window=100, instr_window=10)
-        t.record_raw_store(0, 0x100, 8)
+        got = _dependences([_store(0, 0x100), _load(5, 0x100),
+                            _load(50, 0x100)], window=100, instr_window=10)
         # Within the instruction window: found.
-        assert t.find_dependence(0x100, 8, load_seq=5)[0] == 1
+        assert got[5][0] == 1
         # Beyond it: the store has drained.
-        assert t.find_dependence(0x100, 8, load_seq=50)[0] == 0
+        assert got[50][0] == 0
 
     def test_partial_overlap_classified(self):
-        t = DependenceTracker()
-        t.record_raw_store(0, 0x100, 8)
-        _, _, cls = t.find_dependence(0x106, 4, load_seq=1)
-        assert cls is BypassClass.MDP_ONLY
-
-    def test_reset(self):
-        t = DependenceTracker()
-        t.record_raw_store(0, 0x100, 8)
-        t.reset()
-        assert t.store_count == 0
-        assert t.find_dependence(0x100, 8, load_seq=1)[0] == 0
+        got = _dependences([_store(0, 0x100), _load(1, 0x106, 4)])
+        assert got[1][2] is BypassClass.MDP_ONLY
 
     def test_invalid_windows(self):
-        with pytest.raises(ValueError):
-            DependenceTracker(window=0)
-        with pytest.raises(ValueError):
-            DependenceTracker(instr_window=0)
+        op = np.zeros(1, np.int8)
+        empty = np.zeros(1, np.int64)
+        for windows in ((0, 512), (114, 0)):
+            with pytest.raises(ValueError):
+                fill_dependences(op, empty, empty, empty, empty, empty,
+                                 *windows)
 
-    def test_store_count_monotonic(self):
-        t = DependenceTracker(window=4)
-        for i in range(10):
-            t.record_raw_store(i, 0x100 + 16 * i, 8)
-        assert t.store_count == 10
+    def test_non_positive_sizes_rejected(self):
+        with pytest.raises(ValueError, match="sizes must be positive"):
+            _dependences([_store(0, 0x100), _load(1, 0x100, 0)])
 
     @given(st.lists(st.tuples(st.integers(min_value=0, max_value=63),
                               st.sampled_from([4, 8])),
                     min_size=1, max_size=60))
     @settings(max_examples=50, deadline=None)
     def test_property_distance_matches_naive_scan(self, stores):
-        """Tracker agrees with a brute-force youngest-overlap scan."""
+        """The pass agrees with a brute-force youngest-overlap scan."""
         window = 16
-        t = DependenceTracker(window=window, instr_window=10_000)
-        log = []
-        for i, (slot, size) in enumerate(stores):
-            addr = 0x1000 + slot * 8
-            t.record_raw_store(i, addr, size)
-            log.append((i, addr, size))
+        log = [(i, 0x1000 + slot * 8, size)
+               for i, (slot, size) in enumerate(stores)]
         load_addr, load_size = 0x1000 + stores[-1][0] * 8, 8
-        distance, store, _ = t.find_dependence(load_addr, load_size,
-                                               load_seq=len(stores))
+        got = _dependences([(*entry[:1], True, *entry[1:]) for entry in log]
+                           + [_load(len(stores), load_addr, load_size)],
+                           window=window, instr_window=10_000)
+        distance, store, _ = got[len(stores)]
         # Brute force over the window.
         expected = None
         for rank, (seq, addr, size) in enumerate(reversed(log[-window:])):
@@ -187,11 +219,11 @@ class TestDependenceTracker:
         if expected is None:
             assert distance == 0
         else:
-            assert (distance, store.seq) == expected
+            assert (distance, store) == expected
 
 
 class TestGranuleIndex:
-    """The granule-indexed window against the reference linear scan."""
+    """The granule search against the reference linear scan."""
 
     @given(st.integers(min_value=1, max_value=8),
            st.integers(min_value=1, max_value=64),
@@ -200,67 +232,41 @@ class TestGranuleIndex:
     @settings(max_examples=200, deadline=None)
     def test_property_matches_linear_scan(self, window, instr_window, base,
                                           events):
-        t = DependenceTracker(window=window, instr_window=instr_window)
-        stores = []
-        seq = 0
-        for is_store, offset, size, advance, via_uop in events:
-            seq += advance
-            addr = base + offset
-            if is_store:
-                if via_uop:
-                    uop = MicroOp(seq, 0x400000, OpClass.STORE,
-                                  address=addr, size=size)
-                    record = t.record_store(uop)
-                else:
-                    record = t.record_raw_store(seq, addr, size)
-                assert (record.seq, record.store_number) == (seq, len(stores))
-                stores.append((seq, addr, size))
-            else:
-                distance, store, cls = t.find_dependence(addr, size, seq)
-                got = (distance, None if store is None else store.seq, cls)
-                assert got == _linear_scan(stores, window, instr_window,
-                                           addr, size, seq)
-        assert t.store_count == len(stores)
+        _check_stream(window, instr_window, base, events)
+
+    @given(st.integers(min_value=1, max_value=8),
+           st.integers(min_value=1, max_value=64),
+           st.integers(min_value=0, max_value=1 << 40),
+           st.lists(_EVENT, min_size=40, max_size=200))
+    @settings(max_examples=100, deadline=None)
+    def test_property_matches_linear_scan_across_blocks(
+            self, window, instr_window, base, events):
+        # Streams many blocks long: each block must see the stores of
+        # the instruction window before it.
+        with mock.patch.object(dependence, "_BLOCK", 16):
+            _check_stream(window, instr_window, base, events)
 
     def test_load_straddling_two_granules(self):
-        t = DependenceTracker()
-        t.record_raw_store(0, 0x108, 8)
-        t.record_raw_store(1, 0x100, 2)
         # Bytes 0x106..0x109: only the older store (granule 0x21) overlaps.
-        distance, store, cls = t.find_dependence(0x106, 4, load_seq=2)
-        assert (distance, store.seq, cls) == (2, 0, BypassClass.MDP_ONLY)
+        got = _dependences([_store(0, 0x108), _store(1, 0x100, 2),
+                            _load(2, 0x106, 4)])
+        assert got[2] == (2, 0, BypassClass.MDP_ONLY)
 
     @pytest.mark.parametrize("low, high", [(0, 1), (1, 0)])
     def test_youngest_across_granules_wins(self, low, high):
         # Store ``low`` writes the load's first granule, ``high`` its second.
-        t = DependenceTracker()
-        for seq in range(2):
-            t.record_raw_store(seq, 0x100 if seq == low else 0x108, 8)
-        distance, store, cls = t.find_dependence(0x104, 8, load_seq=2)
-        assert (distance, store.seq, cls) == (1, 1, BypassClass.MDP_ONLY)
+        got = _dependences([_store(seq, 0x100 if seq == low else 0x108)
+                            for seq in range(2)] + [_load(2, 0x104)])
+        assert got[2] == (1, 1, BypassClass.MDP_ONLY)
 
     def test_non_overlapping_store_in_same_granule(self):
-        t = DependenceTracker()
-        t.record_raw_store(0, 0x100, 4)
-        t.record_raw_store(1, 0x104, 2)
-        distance, store, cls = t.find_dependence(0x100, 4, load_seq=2)
-        assert (distance, store.seq, cls) == (2, 0, BypassClass.DIRECT)
+        got = _dependences([_store(0, 0x100, 4), _store(1, 0x104, 2),
+                            _load(2, 0x100, 4)])
+        assert got[2] == (2, 0, BypassClass.DIRECT)
 
     def test_restore_after_eviction(self):
-        t = DependenceTracker(window=1)
-        t.record_raw_store(0, 0x100, 8)
-        t.record_raw_store(1, 0x200, 8)
-        assert t.find_dependence(0x100, 8, load_seq=2)[0] == 0
-        t.record_raw_store(3, 0x100, 8)
-        distance, store, _ = t.find_dependence(0x100, 8, load_seq=4)
-        assert (distance, store.seq) == (1, 3)
-
-    def test_index_holds_only_the_window(self):
-        t = DependenceTracker(window=4)
-        for i in range(1_000):
-            t.record_raw_store(i, 0x1000 + 12 * i, 12)
-        assert len(t._in_window) == 4
-        buckets = [r for bucket in t._granules.values() for r in bucket]
-        assert sorted({r.seq for r in buckets}) == [996, 997, 998, 999]
-        # A 12-byte store covers two or three granules.
-        assert len(t._granules) <= 4 * 3
+        got = _dependences([_store(0, 0x100), _store(1, 0x200),
+                            _load(2, 0x100), _store(3, 0x100),
+                            _load(4, 0x100)], window=1)
+        assert got[2][0] == 0
+        assert got[4][:2] == (1, 3)
