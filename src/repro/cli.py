@@ -20,11 +20,7 @@ can be reproduced without writing Python:
   determinism/cache safety, hardware realizability; see
   :mod:`repro.lint`).
 * ``doctor``    — environment health checks (cache/journal writability,
-  worker spawn, ``--workers`` endpoint preflight, lint baseline; see
-  :mod:`repro.doctor`).
-* ``worker``    — serve suite cells to a coordinator over TCP (the
-  ``--backend workers`` substrate; see
-  :mod:`repro.experiments.worker`).
+  worker spawn, lint baseline; see :mod:`repro.doctor`).
 * ``bench-baseline`` — measure scalar vs batched engine throughput and
   write (or, with ``--check``, compare against) the committed
   ``benchmarks/BENCH_throughput.json`` (see docs/performance.md).
@@ -43,11 +39,12 @@ statistics are full-run reconstructions carrying confidence intervals
 Fault tolerance: the sweep commands accept ``--cell-timeout``,
 ``--retries``, ``--keep-going`` and ``--resume RUN_ID`` (see
 docs/resilience.md); runs are journaled by default for crash recovery
-(``--no-journal`` disables).  ``--backend workers --workers
-host:port,...`` shards cells across ``repro worker`` processes on this
-or other hosts, with per-cell leases and heartbeats surviving any single
-worker or coordinator crash (docs/resilience.md, "Distributed
-execution").
+(``--no-journal`` disables).  ``--jobs N`` runs cells on N local worker
+processes.  Several hosts split one grid by giving each its own
+``--benchmarks`` subset and ``--cache-dir``; copying the cache
+directories together and rerunning the full command then renders the
+grid from the cache with no simulation (docs/resilience.md, "Splitting
+a grid across hosts").
 """
 
 from __future__ import annotations
@@ -253,16 +250,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="append per-cell execution records (wall time, cache "
              "hit/miss, retries) to this JSONL file",
     )
-    parser.add_argument(
-        "--backend", choices=("local", "workers"), default="local",
-        help="execution substrate: 'local' = in-process pool (default), "
-             "'workers' = remote 'repro worker' processes (--workers)",
-    )
-    parser.add_argument(
-        "--workers", default=None, metavar="HOST:PORT[,HOST:PORT...]",
-        help="worker endpoints for --backend workers (implies it); "
-             "start each with 'repro worker --port PORT'",
-    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -333,8 +320,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          choices=sorted(PREDICTOR_FACTORIES))
     profile.add_argument(
         "--metrics-file", default=None, metavar="FILE",
-        help="also summarise a sweep's --metrics JSONL (cells, leases, "
-             "requeues); with no benchmark/predictor, print only that",
+        help="also summarise a sweep's --metrics JSONL (cells, requeues, "
+             "cache); with no benchmark/predictor, print only that",
     )
     profile.add_argument("--uops", type=_positive_int, default=40_000)
     profile.add_argument("--core", choices=sorted(_CORES),
@@ -435,26 +422,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         metavar="DIR")
     doctor.add_argument("--journal-dir", type=_cache_directory, default=None,
                         metavar="DIR")
-    doctor.add_argument(
-        "--workers", default=None, metavar="HOST:PORT[,HOST:PORT...]",
-        help="also preflight these 'repro worker' endpoints (handshake "
-             "+ protocol version; unreachable workers fail the check)",
-    )
-
-    worker = sub.add_parser(
-        "worker",
-        help="serve suite cells to a coordinator over TCP "
-             "(--backend workers)",
-    )
-    worker.add_argument("--host", default="127.0.0.1",
-                        help="address to bind (default: %(default)s)")
-    worker.add_argument("--port", type=int, default=0,
-                        help="TCP port (default: 0 = ephemeral)")
-    worker.add_argument("--ready-file", default=None, metavar="FILE",
-                        help="write host:port here once listening")
-    worker.add_argument("--max-sessions", type=int, default=None,
-                        metavar="N",
-                        help="exit after N coordinator sessions")
 
     return parser
 
@@ -750,13 +717,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "doctor":
         from .doctor import run_doctor
         return run_doctor(cache_dir=args.cache_dir,
-                          journal_dir=args.journal_dir,
-                          workers=args.workers)
-    if args.command == "worker":
-        from .experiments.worker import serve
-        serve(host=args.host, port=args.port, ready_file=args.ready_file,
-              max_sessions=args.max_sessions)
-        return 0
+                          journal_dir=args.journal_dir)
     raise AssertionError(f"unhandled command {args.command}")
 
 

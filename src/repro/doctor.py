@@ -13,9 +13,6 @@ Checks:
 * run-journal directory is creatable and writable,
 * a worker process can be spawned and returns a result (the parallel
   engine's substrate),
-* every ``--workers host:port`` endpoint answers the protocol handshake
-  with a matching version (distributed-backend preflight; unreachable or
-  version-skewed workers fail the check),
 * no orphaned ``.tmp*`` files have accumulated in the cache directory
   (a crashed writer leaves at most a few; doctor sweeps ones older than
   an hour and reports what it removed),
@@ -48,40 +45,6 @@ def _check_cache_dir(cache_dir: Optional[str]) -> Tuple[bool, str]:
         return False, (f"cache dir {cache.directory} not writable: {error} "
                        "— set $REPRO_CACHE_DIR or pass --cache-dir")
     return True, f"cache dir writable: {cache.directory}"
-
-
-def _check_worker_endpoints(workers: str) -> Tuple[bool, str]:
-    from .experiments.backends import (
-        PROTOCOL_VERSION,
-        FrameError,
-        ProtocolVersionError,
-        parse_endpoints,
-        probe_endpoint,
-    )
-
-    try:
-        endpoints = parse_endpoints(workers)
-    except ValueError as error:
-        return False, f"bad --workers value: {error}"
-    problems = []
-    reachable = 0
-    for host, port in endpoints:
-        try:
-            probe_endpoint(host, port)
-        except ProtocolVersionError as error:
-            problems.append(f"{host}:{port} version skew: {error} — "
-                            "redeploy the older side")
-        except FrameError as error:
-            problems.append(f"{host}:{port} is not a repro worker "
-                            f"({error})")
-        except OSError as error:
-            problems.append(f"{host}:{port} unreachable ({error})")
-        else:
-            reachable += 1
-    if problems:
-        return False, "; ".join(problems)
-    return True, (f"{reachable}/{len(endpoints)} worker endpoint(s) "
-                  f"reachable, protocol v{PROTOCOL_VERSION}")
 
 
 def _check_orphan_tmp(cache_dir: Optional[str]) -> Tuple[bool, str]:
@@ -158,14 +121,8 @@ def _check_simulator() -> Tuple[bool, str]:
 
 
 def run_doctor(cache_dir: Optional[str] = None,
-               journal_dir: Optional[str] = None,
-               workers: Optional[str] = None) -> int:
-    """Run every check, print one line each; 0 iff all passed.
-
-    ``workers`` is a ``host:port,...`` list of ``repro worker`` endpoints
-    to preflight (the ``--workers`` value a sweep would use); omitted, the
-    distributed checks are skipped.
-    """
+               journal_dir: Optional[str] = None) -> int:
+    """Run every check, print one line each; 0 iff all passed."""
     checks: List[Tuple[str, Callable[[], Tuple[bool, str]]]] = [
         ("cache", lambda: _check_cache_dir(cache_dir)),
         ("cache-tmp", lambda: _check_orphan_tmp(cache_dir)),
@@ -174,9 +131,6 @@ def run_doctor(cache_dir: Optional[str] = None,
         ("lint", _check_lint_baseline),
         ("simulator", _check_simulator),
     ]
-    if workers is not None:
-        checks.insert(4, ("endpoints",
-                          lambda: _check_worker_endpoints(workers)))
     failures = 0
     for name, check in checks:
         passed, message = check()

@@ -22,9 +22,11 @@ time, sampled simulation time, full simulation time and the IPC
 reconstruction error, so the perf trajectory and the fidelity cost are
 tracked together.
 
-Regression checking compares speedup *ratios*, not wall-clock seconds:
-the ratio divides out the host's absolute speed, so a baseline committed
-on one machine remains meaningful on another (see docs/performance.md).
+Regression checking compares speedup *ratios*, not seconds: the ratio
+divides out the host's absolute speed, so a baseline committed on one
+machine remains meaningful on another (see docs/performance.md).  Both
+sides are timed in process CPU time (``time.process_time``), so load
+from other processes on a shared host does not swing the ratio.
 Absolute times are recorded too, for humans reading the file.
 """
 
@@ -150,24 +152,27 @@ DEFAULT_SAMPLED_CELLS = (
 
 
 def _run_once(engine_cls, cell: BenchCell, trace) -> float:
-    """One cold construction + run; returns wall seconds."""
+    """One cold construction + run; returns CPU seconds."""
     from .suite import make_predictor
 
     pipeline = engine_cls(make_predictor(cell.predictor),
                           _CORES[cell.core])
-    start = time.perf_counter()
+    start = time.process_time()
     pipeline.run(trace, measure_from=cell.measure_from)
-    return time.perf_counter() - start
+    return time.process_time() - start
 
 
 def measure_cell(cell: BenchCell, repeats: int = 3) -> Dict[str, object]:
-    """Best-of-``repeats`` wall time for both engines on one cell.
+    """Best-of-``repeats`` CPU time for both engines on one cell.
 
     The trace is generated once and shared (generation is not part of
     either engine's cost): the batched engine reads its columns, and
     the micro-op objects the scalar engine reads are built before
     timing.  Each repeat constructs a fresh predictor and pipeline,
-    exactly as a suite cell would; best-of-N suppresses scheduler noise.
+    exactly as a suite cell would.  Time is the process's CPU time, not
+    wall time, so other load on a shared host (which only delays this
+    process) is not charged to either engine; best-of-N suppresses what
+    noise is left.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -214,20 +219,20 @@ def measure_sampled_cell(cell: SampledBenchCell) -> Dict[str, object]:
     trace = generate_trace(cell.benchmark, cell.num_uops)
     trace.uops  # the scalar reference reads objects: build them untimed
 
-    start = time.perf_counter()
+    start = time.process_time()
     selection = select_regions(trace, policy)
-    select_s = time.perf_counter() - start
+    select_s = time.process_time() - start
 
-    start = time.perf_counter()
+    start = time.process_time()
     sampled = run_sampled_timing(
         trace, lambda: make_predictor(cell.predictor), policy,
         config=config, engine=cell.engine, selection=selection)
-    sampled_s = time.perf_counter() - start
+    sampled_s = time.process_time() - start
 
-    start = time.perf_counter()
+    start = time.process_time()
     full = run_timing(trace, make_predictor(cell.predictor),
                       config=config, engine="scalar")
-    full_s = time.perf_counter() - start
+    full_s = time.process_time() - start
 
     lo, hi = sampled.ipc_ci
     return {

@@ -7,9 +7,6 @@ JSON object per line:
 
 * ``run-start``  — schema version, run id, cell count and every cell key.
 * ``dispatch``   — a cell attempt was handed to a worker (or run inline).
-* ``lease``      — distributed backends only: a per-cell lease was granted,
-  renewed (heartbeat) or expired; lets a restarted coordinator see which
-  cells were in flight on which worker when it died.
 * ``ok``         — a cell completed; carries the **encoded result payload**
   (the same encoding as the result cache), so a journal is a self-contained
   recovery store: ``--resume <run-id>`` restores completed cells
@@ -18,7 +15,9 @@ JSON object per line:
 * ``run-end``    — summary counts (absent if the supervisor was killed).
 
 The file is append-only and flushed per record, so a run killed at any
-instant leaves at worst one torn final line, which the loader skips.  A
+instant leaves at worst one torn final line, which the loader skips, as
+it skips records of events it does not know (such as the ``lease``
+records older runs wrote).  A
 resumed run writes a *new* journal (fresh run id) re-recording carried
 results, so resumes chain indefinitely.
 
@@ -33,7 +32,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Union
 
 from ..common.hashing import stable_digest
 from .result_cache import decode_result, default_cache_dir, encode_result
@@ -81,11 +80,6 @@ class JournalState:
     completed: Dict[str, object] = field(default_factory=dict)
     #: key -> final failure record for cells that never completed.
     failed: Dict[str, dict] = field(default_factory=dict)
-    #: key -> last lease record for cells in flight when the journal ends
-    #: (granted/renewed but never settled): the cells a crashed
-    #: coordinator had leased out.  Resume recomputes them like any other
-    #: incomplete cell — the map is for observability and tests.
-    leased: Dict[str, dict] = field(default_factory=dict)
 
 
 class JournalRun:
@@ -119,12 +113,6 @@ class JournalRun:
         self._write({"event": "ok", "key": key, "attempts": attempts,
                      "duration": round(duration, 6), "source": source,
                      "result": encode_result(result)})
-
-    def record_lease(self, action: str, key: str, lease: Optional[str],
-                     worker: str) -> None:
-        """``action`` is ``grant``, ``renew`` or ``expire``."""
-        self._write({"event": "lease", "action": action, "key": key,
-                     "lease": lease, "worker": worker})
 
     def record_fail(self, key: str, attempts: int, kind: str,
                     message: str) -> None:
@@ -207,17 +195,9 @@ class RunJournal:
                     state.completed[record["key"]] = decode_result(
                         record["result"])
                     state.failed.pop(record["key"], None)
-                    state.leased.pop(record["key"], None)
                 elif event == "fail":
                     if record["key"] not in state.completed:
                         state.failed[record["key"]] = record
-                    state.leased.pop(record["key"], None)
-                elif event == "lease":
-                    if record.get("action") in ("grant", "renew"):
-                        if record["key"] not in state.completed:
-                            state.leased[record["key"]] = record
-                    else:  # expire: the cell is back in the queue
-                        state.leased.pop(record["key"], None)
             except (KeyError, TypeError, ValueError):
                 continue  # malformed record: skip, never abort a resume
         return state
@@ -229,8 +209,6 @@ class RunJournal:
             state = self.load(run_id)
             merged.completed.update(state.completed)
             merged.failed.update(state.failed)
-            merged.leased.update(state.leased)
         for key in merged.completed:
             merged.failed.pop(key, None)
-            merged.leased.pop(key, None)
         return merged

@@ -8,14 +8,13 @@ simulation.  This module is the single execution engine behind
 generators:
 
 * **Sharding** — each cell becomes one :class:`CellSpec` task submitted to
-  an :class:`~repro.experiments.backends.ExecutorBackend` (``jobs > 1``)
-  or computed inline (``jobs == 1``; the default, and always used for a
-  single pending cell unless a timeout demands pool supervision).  The
-  default backend is ``jobs`` local slots, one worker process each
-  (:class:`~repro.experiments.backends.LocalPoolBackend`);
-  ``backend="host:port,..."`` instead dispatches cells to ``repro
-  worker`` processes on other hosts over a leased, heartbeat-monitored
-  TCP protocol (:class:`~repro.experiments.backends.WorkerBackend`).
+  ``jobs`` local slots, one worker process each
+  (:class:`~repro.experiments.backends.LocalPoolBackend`, with
+  ``jobs > 1``), or computed inline (``jobs == 1``; the default, and
+  always used for a single pending cell unless a timeout demands pool
+  supervision).  Cells run on this host; several hosts split a grid by
+  its ``--benchmarks`` and merge their cache directories
+  (docs/resilience.md, "Splitting a grid across hosts").
 * **Trace-affine dispatch** — every cell of a benchmark replays the same
   trace, and a worker keeps the traces it generated in the process-global
   :class:`~repro.experiments.runner.TraceCache`.  So an idle slot gets a
@@ -33,12 +32,12 @@ generators:
   death, and — under ``fail_fast=False`` —
   :class:`~repro.experiments.resilience.CellFailure` placeholders merged
   positionally so callers render partial grids.  A slot runs one cell at
-  a time, so a dead worker, a hung one or an expired lease identifies its
-  cell with certainty: that cell alone is charged an attempt and the
-  other slots' cells run on.  A dead or hung local worker is respawned as
-  a fresh slot.  Only total capacity loss (no live slot) counts toward
-  ``max_pool_rebuilds``; past that, the run degrades to inline serial
-  execution with a ``RuntimeWarning`` instead of aborting.
+  a time, so a dead or hung worker identifies its cell with certainty:
+  that cell alone is charged an attempt and the other slots' cells run
+  on.  A dead or hung worker is respawned as a fresh slot.  Only total
+  capacity loss (no live slot) counts toward ``max_pool_rebuilds``; past
+  that, the run degrades to inline serial execution with a
+  ``RuntimeWarning`` instead of aborting.
 * **Result caching** — an optional on-disk
   :class:`~repro.experiments.result_cache.ResultCache` is consulted before
   any work is dispatched and populated afterwards, so a warm sweep
@@ -56,7 +55,7 @@ import sys
 import time
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import (Callable, Dict, List, Optional, Sequence, Set, Tuple,
                     Union)
@@ -68,13 +67,8 @@ from ..sampling.policy import SamplingPolicy
 from .backends import (
     BackendBrokenError,
     ExecutorBackend,
-    LeaseExpiredError,
     LocalPoolBackend,
-    ResultCorruptError,
-    WorkerBackend,
     WorkerLostError,
-    lease_id,
-    parse_endpoints,
 )
 from .journal import (
     JournalRun,
@@ -96,7 +90,7 @@ from .resilience import (
 from .result_cache import ResultCache, cell_key
 from .runner import default_cache, run_prediction_only, run_timing, trace_key
 
-__all__ = ["BackendSpec", "CellSpec", "CacheSpec", "Execution",
+__all__ = ["CellSpec", "CacheSpec", "Execution",
            "JournalSpec", "MetricsSpec", "ResumeSpec", "compute_cell",
            "execute_cells", "resolve_cache", "resolve_journal"]
 
@@ -121,13 +115,6 @@ ResumeSpec = Union[None, str, Sequence[str], JournalState]
 #: emission, a path appends JSONL records to that file, and a
 #: MetricsWriter is used as given (and left open for the caller to close).
 MetricsSpec = Union[None, str, Path, MetricsWriter]
-
-#: Accepted forms of the ``backend=`` parameter: ``None``/``"local"``
-#: run ``jobs`` local worker slots, a ``"host:port[,host:port]"``
-#: string dispatches to ``repro worker`` endpoints, and an
-#: ExecutorBackend instance is driven as given (and left open for the
-#: caller to close).
-BackendSpec = Union[None, str, ExecutorBackend]
 
 #: Supervisor poll interval in seconds: the granularity of timeout
 #: enforcement and retry re-dispatch.
@@ -332,14 +319,14 @@ def _cell_record(spec: CellSpec, key: Optional[str], source: str,
 class Execution:
     """How a grid runs, as one value.
 
-    The seven run knobs every suite, figure and sweep entry point takes
-    — ``jobs``, ``cache``, ``policy``, ``journal``, ``resume``,
-    ``metrics`` and ``backend`` — in the forms :func:`execute_cells`
-    accepts for its keywords of the same names (:data:`CacheSpec`,
-    :data:`JournalSpec`, :data:`ResumeSpec`, :data:`MetricsSpec`,
-    :data:`BackendSpec`).  The default is the historical run: serial,
-    uncached, unjournaled, fail-fast, in-process.  :meth:`resolve` is
-    the one place the specs become live stores, writers and backends.
+    The six run knobs every suite, figure and sweep entry point takes
+    — ``jobs``, ``cache``, ``policy``, ``journal``, ``resume`` and
+    ``metrics`` — in the forms :func:`execute_cells` accepts for its
+    keywords of the same names (:data:`CacheSpec`, :data:`JournalSpec`,
+    :data:`ResumeSpec`, :data:`MetricsSpec`).  The default is the
+    historical run: serial, uncached, unjournaled, fail-fast,
+    in-process.  :meth:`resolve` is the one place the specs become live
+    stores and writers.
     """
 
     jobs: int = 1
@@ -348,7 +335,6 @@ class Execution:
     journal: JournalSpec = None
     resume: ResumeSpec = None
     metrics: MetricsSpec = None
-    backend: BackendSpec = None
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
@@ -381,18 +367,14 @@ class Execution:
             policy = ResiliencePolicy(cell_timeout=args.cell_timeout,
                                       retries=args.retries,
                                       fail_fast=not args.keep_going)
-        if args.backend == "workers" and args.workers is None:
-            raise SystemExit("repro: error: --backend workers requires "
-                             "--workers HOST:PORT[,HOST:PORT...]")
         return cls(jobs=args.jobs, cache=cache, policy=policy,
                    journal=journal_dir if journaling else None,
-                   resume=resume, metrics=args.metrics, backend=args.workers)
+                   resume=resume, metrics=args.metrics)
 
     def run(self, cells: Sequence[CellSpec]) -> List[object]:
         """:func:`execute_cells` under this execution."""
         return execute_cells(cells, self.jobs, self.cache, self.policy,
-                             self.journal, self.resume, self.metrics,
-                             self.backend)
+                             self.journal, self.resume, self.metrics)
 
     def resolve(self) -> "_Resources":
         """Turn the specs into live resources for one sweep.
@@ -403,23 +385,11 @@ class Execution:
         the live journal's when journaling resolved on, else the one the
         ``journal`` spec names, else the default — so a resume finds the
         run it came from even when its journal is disabled or read-only.
-        A ``metrics`` path opens a writer and an endpoint-string
-        ``backend`` builds a :class:`~repro.experiments.backends
-        .WorkerBackend` configured from the policy's lease knobs; both
-        are owned by the resources and closed with them.  Instances
-        given in the specs stay open.
+        A ``metrics`` path opens a writer, owned by the resources and
+        closed with them; a writer given in the spec stays open.
         """
         policy = self.policy if self.policy is not None else DEFAULT_POLICY
         owned: List[object] = []
-        remote = self.backend
-        if remote == "local":
-            remote = None
-        elif remote is not None and not isinstance(remote, ExecutorBackend):
-            remote = WorkerBackend(
-                parse_endpoints(str(remote)),
-                lease_timeout=policy.lease_timeout,
-                heartbeat_interval=policy.heartbeat_interval)
-            owned.append(remote)
         store = resolve_cache(self.cache)
         journal = resolve_journal(self.journal)
         resume = self.resume
@@ -438,8 +408,7 @@ class Execution:
         if writer is not None and not isinstance(writer, MetricsWriter):
             writer = MetricsWriter(writer)
             owned.append(writer)
-        return _Resources(policy, store, journal, resume, writer, remote,
-                          owned)
+        return _Resources(policy, store, journal, resume, writer, owned)
 
 
 @dataclass
@@ -451,7 +420,6 @@ class _Resources:
     journal: Optional[RunJournal]
     resume: Optional[JournalState]
     writer: Optional[MetricsWriter]
-    remote: Optional[ExecutorBackend]
     #: Resources built by :meth:`Execution.resolve`, closed by close().
     owned: List[object]
 
@@ -495,7 +463,6 @@ def execute_cells(
     journal: JournalSpec = None,
     resume: ResumeSpec = None,
     metrics: MetricsSpec = None,
-    backend: BackendSpec = None,
 ) -> List[object]:
     """Execute every cell; returns results in the order cells were given.
 
@@ -503,23 +470,19 @@ def execute_cells(
     dispatched.  With ``jobs > 1`` (or a cell timeout, which requires pool
     supervision) the misses are supervised over ``jobs`` local slots —
     module-level :func:`compute_cell` plus frozen specs keep the tasks
-    picklable under every start method.  With ``backend=`` naming worker
-    endpoints, misses are always supervised and dispatched over TCP under
-    per-cell leases instead (``jobs`` is ignored; capacity is the number
-    of reachable workers).  The merge is positional, so completion order
-    (and therefore ``jobs`` or the backend) can never reorder or alter a
-    grid.
+    picklable under every start method.  The merge is positional, so
+    completion order (and therefore ``jobs``) can never reorder or alter
+    a grid.
 
-    Under the default policy and backend, behaviour is identical to the
+    Under the default policy, behaviour is identical to the
     historical engine: no timeout, no retries, the first failure
     propagates.  With ``policy.fail_fast=False`` a failed cell becomes a
     :class:`~repro.experiments.resilience.CellFailure` placeholder at its
     position and the rest of the grid completes.
     """
-    env = Execution(jobs, cache, policy, journal, resume, metrics,
-                    backend).resolve()
+    env = Execution(jobs, cache, policy, journal, resume, metrics).resolve()
     policy, store, journal_store = env.policy, env.store, env.journal
-    resume_state, writer, remote = env.resume, env.writer, env.remote
+    resume_state, writer = env.resume, env.writer
 
     emit = None
     if writer is not None:
@@ -589,24 +552,18 @@ def execute_cells(
         if pending:
             tasks = [_Task(position=i, spec=cells[i], key=key_of(cells[i]))
                      for i in pending]
-            if remote is not None:
-                _run_supervised(tasks, remote, policy, run, emit, events,
-                                notify=finalize)
+            use_pool = (policy.cell_timeout is not None
+                        or (jobs > 1 and len(pending) > 1))
+            if use_pool:
+                local = LocalPoolBackend(max(1, min(jobs, len(pending))))
+                try:
+                    _run_supervised(tasks, local, policy, run, emit,
+                                    events, notify=finalize)
+                finally:
+                    local.close()
             else:
-                use_pool = (policy.cell_timeout is not None
-                            or (jobs > 1 and len(pending) > 1))
-                if use_pool:
-                    local = LocalPoolBackend(
-                        max(1, min(jobs, len(pending))))
-                    try:
-                        _run_supervised(tasks, local, policy, run, emit,
-                                        events, notify=finalize)
-                    finally:
-                        local.close()
-                else:
-                    for task in tasks:
-                        _run_inline(task, policy, run, emit,
-                                    notify=finalize)
+                for task in tasks:
+                    _run_inline(task, policy, run, emit, notify=finalize)
             for task in tasks:
                 if results[task.position] is None:  # defensive: a task
                     finalize(task)  # that somehow settled unnotified
@@ -630,9 +587,6 @@ def execute_cells(
             }
             if store is not None:
                 record["cache"] = dict(store.counters)
-            if remote is not None:
-                record["backend"] = dict(remote.counters)
-                record["backend_workers"] = remote.workers
             writer.emit(record)
         env.close()
     return results
@@ -730,32 +684,20 @@ def _run_supervised(tasks: List[_Task], backend: ExecutorBackend,
                     run: Optional[JournalRun], emit=None,
                     events: Optional[Callable[[Dict], None]] = None,
                     notify: Optional[Callable[[_Task], None]] = None) -> None:
-    """Supervisor loop: trace-affine dispatch, deadlines, retries, leases.
+    """Supervisor loop: trace-affine dispatch, deadlines and retries.
 
     Drives an :class:`~repro.experiments.backends.ExecutorBackend` one
     cell per slot, giving each idle slot a task by :func:`_pick`.  A
-    slot's claims last as long as its token: a respawned or reconnected
-    slot starts with an empty trace memo and no claims.  ``events``,
-    when given, receives free-form metric records (requeues, lease
-    lifecycle) beyond the per-cell ``emit``.
+    slot's claims last as long as its token: a respawned slot starts
+    with an empty trace memo and no claims.  ``events``, when given,
+    receives free-form metric records (requeues) beyond the per-cell
+    ``emit``.
     """
-    backend.connect_all()
     breakages = 0  # total capacity losses
     degraded = False
     queue: List[_Task] = list(tasks)
     running: Dict[object, _Task] = {}
     held: Dict[object, Set[Tuple]] = {}
-
-    def observe_lease(action: str, handle: object) -> None:
-        """Journal lease renewals/expiries the backend reports."""
-        task = running.get(handle)
-        if task is None or run is None:
-            return
-        run.record_lease(action, task.key, getattr(handle, "lease", None),
-                         task.worker)
-
-    if backend.leased:
-        backend.lease_observer = observe_lease
 
     def submit(task: _Task, slot: object) -> bool:
         """Dispatch one task to idle ``slot``; False when the slot failed.
@@ -769,18 +711,13 @@ def _run_supervised(tasks: List[_Task], backend: ExecutorBackend,
         task.started_at = time.monotonic()
         task.deadline = (task.started_at + policy.cell_timeout
                          if policy.cell_timeout is not None else None)
-        lease = (lease_id(task.backoff_key, task.attempts)
-                 if backend.leased else None)
         try:
-            handle = backend.submit(slot, compute_cell, task.spec,
-                                    lease=lease)
+            handle = backend.submit(slot, compute_cell, task.spec)
         except BackendBrokenError:
             task.attempts -= 1
             return False
         task.slot, task.worker = slot, backend.describe(handle)
         running[handle] = task
-        if backend.leased and run is not None:
-            run.record_lease("grant", task.key, lease, task.worker)
         return True
 
     def record_ok(task: _Task) -> None:
@@ -825,94 +762,84 @@ def _run_supervised(tasks: List[_Task], backend: ExecutorBackend,
         if notify is not None:
             notify(task)
 
-    try:
-        while queue or running:
-            if degraded:
-                # Degraded serial mode: drain everything inline, in
-                # positional order for determinism.
-                leftovers = sorted(queue, key=lambda t: t.position)
-                queue = []
-                for task in leftovers:
-                    _run_inline(task, policy, run, emit, notify=notify)
-                continue
+    while queue or running:
+        if degraded:
+            # Degraded serial mode: drain everything inline, in
+            # positional order for determinism.
+            leftovers = sorted(queue, key=lambda t: t.position)
+            queue = []
+            for task in leftovers:
+                _run_inline(task, policy, run, emit, notify=notify)
+            continue
 
-            if backend.workers == 0 and not running:
-                # Total capacity loss: rebuild restores what it can;
-                # repeated losses degrade to inline serial execution.
-                breakages += 1
-                if breakages > policy.max_pool_rebuilds:
-                    warnings.warn(
-                        f"worker pool failed {breakages} times; degrading "
-                        "to inline serial execution (timeouts no longer "
-                        "enforced)", RuntimeWarning, stacklevel=2)
-                    degraded = True
-                    backend.close()
-                else:
-                    backend.rebuild()
-                continue
+        if backend.workers == 0 and not running:
+            # Total capacity loss: rebuild restores what it can;
+            # repeated losses degrade to inline serial execution.
+            breakages += 1
+            if breakages > policy.max_pool_rebuilds:
+                warnings.warn(
+                    f"worker pool failed {breakages} times; degrading "
+                    "to inline serial execution (timeouts no longer "
+                    "enforced)", RuntimeWarning, stacklevel=2)
+                degraded = True
+                backend.close()
+            else:
+                backend.rebuild()
+            continue
 
-            # --- dispatch ---------------------------------------------
+        # --- dispatch ---------------------------------------------
+        now = time.monotonic()
+        live = backend.slots()
+        held = {slot: held.get(slot, set()) for slot in live}
+        busy = {task.slot for task in running.values()}
+        ready = [t for t in queue if t.ready_at <= now]
+        for slot in live:
+            if slot in busy:
+                continue
+            task = _pick(slot, ready, queue, held)
+            if task is None:
+                break
+            ready.remove(task)
+            queue.remove(task)
+            if submit(task, slot):
+                held[slot].add(task.spec.trace_key)
+            else:
+                queue.insert(0, task)
+
+        if not running:
+            if queue:
+                soonest = min(t.ready_at for t in queue)
+                time.sleep(
+                    min(max(soonest - time.monotonic(), 0.0), 1.0)
+                    + 0.001)
+            continue
+
+        # --- harvest ----------------------------------------------
+        for handle in backend.wait(_TICK):
+            task = running.pop(handle, None)
+            if task is None:
+                continue  # forgotten (timed out) before settling
+            try:
+                task.result = backend.result(handle)
+            except WorkerLostError as error:
+                settle(task, FailureKind.WORKER_LOST, str(error), error)
+            except Exception as error:
+                settle(task, FailureKind.ERROR,
+                       f"{type(error).__name__}: {error}", error)
+            else:
+                record_ok(task)
+
+        # --- deadlines --------------------------------------------
+        if policy.cell_timeout is not None:
             now = time.monotonic()
-            live = backend.slots()
-            held = {slot: held.get(slot, set()) for slot in live}
-            busy = {task.slot for task in running.values()}
-            ready = [t for t in queue if t.ready_at <= now]
-            for slot in live:
-                if slot in busy:
-                    continue
-                task = _pick(slot, ready, queue, held)
-                if task is None:
-                    break
-                ready.remove(task)
-                queue.remove(task)
-                if submit(task, slot):
-                    held[slot].add(task.spec.trace_key)
-                else:
-                    queue.insert(0, task)
-
-            if not running:
-                if queue:
-                    soonest = min(t.ready_at for t in queue)
-                    time.sleep(
-                        min(max(soonest - time.monotonic(), 0.0), 1.0)
-                        + 0.001)
-                continue
-
-            # --- harvest ----------------------------------------------
-            for handle in backend.wait(_TICK):
-                task = running.pop(handle, None)
-                if task is None:
-                    continue  # forgotten (timed out) before settling
-                try:
-                    task.result = backend.result(handle)
-                except WorkerLostError as error:
-                    settle(task, FailureKind.WORKER_LOST, str(error), error)
-                except LeaseExpiredError as error:
-                    settle(task, FailureKind.LEASE_EXPIRED, str(error),
-                           error)
-                except ResultCorruptError as error:
-                    settle(task, FailureKind.RESULT_CORRUPT, str(error),
-                           error)
-                except Exception as error:
-                    settle(task, FailureKind.ERROR,
-                           f"{type(error).__name__}: {error}", error)
-                else:
-                    record_ok(task)
-
-            # --- deadlines --------------------------------------------
-            if policy.cell_timeout is not None:
-                now = time.monotonic()
-                expired = [(handle, task) for handle, task in running.items()
-                           if task.deadline is not None
-                           and now >= task.deadline]
-                for handle, task in expired:
-                    # Abandoning the handle kills or drops its slot's
-                    # worker; the other slots' cells run on.
-                    del running[handle]
-                    backend.forget(handle)
-                    settle(task, FailureKind.TIMEOUT,
-                           f"exceeded {policy.cell_timeout:.3g}s "
-                           "wall-clock timeout", None)
-    finally:
-        if backend.leased:
-            backend.lease_observer = None
+            expired = [(handle, task) for handle, task in running.items()
+                       if task.deadline is not None
+                       and now >= task.deadline]
+            for handle, task in expired:
+                # Abandoning the handle kills its slot's worker; the
+                # other slots' cells run on.
+                del running[handle]
+                backend.forget(handle)
+                settle(task, FailureKind.TIMEOUT,
+                       f"exceeded {policy.cell_timeout:.3g}s "
+                       "wall-clock timeout", None)

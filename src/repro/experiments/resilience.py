@@ -64,7 +64,6 @@ __all__ = [
     "inline_execution",
     "maybe_inject_fault",
     "parse_fault_spec",
-    "take_protocol_fault",
 ]
 
 #: Environment variable carrying fault-injection clauses (see
@@ -82,15 +81,9 @@ class FailureKind(Enum):
 
     ERROR = "error"
     TIMEOUT = "timeout"
-    #: The worker process or connection running the cell died; charged
-    #: to that cell alone, since a slot runs one cell at a time.
+    #: The worker process running the cell died; charged to that cell
+    #: alone, since a slot runs one cell at a time.
     WORKER_LOST = "worker-lost"
-    #: A remote worker stopped heartbeating past the lease deadline
-    #: (wedged, partitioned, or silently killed); the cell is requeued.
-    LEASE_EXPIRED = "lease-expired"
-    #: A result payload failed its content-digest verification; the
-    #: payload is discarded (never merged) and the cell is requeued.
-    RESULT_CORRUPT = "result-corrupt"
 
 
 class CellExecutionError(RuntimeError):
@@ -150,18 +143,10 @@ class ResiliencePolicy:
     #: True: first exhausted cell raises.  False (--keep-going): failed
     #: cells become CellFailure placeholders and the run completes.
     fail_fast: bool = True
-    #: Total capacity losses (no live slot or worker connection)
-    #: tolerated before degrading to inline serial execution; a single
-    #: worker's death or timeout does not count.
+    #: Total capacity losses (no live slot) tolerated before degrading
+    #: to inline serial execution; a single worker's death or timeout
+    #: does not count.
     max_pool_rebuilds: int = 2
-    #: Distributed backend only: seconds a worker may stay silent (no
-    #: heartbeat, no result) before its lease expires and the cell is
-    #: requeued.  Measured on the coordinator's monotonic clock.
-    lease_timeout: float = 10.0
-    #: Distributed backend only: seconds between worker heartbeats while
-    #: a cell computes.  Must leave several beats per lease window so one
-    #: dropped datagram-sized delay cannot expire a healthy lease.
-    heartbeat_interval: float = 1.0
 
     def __post_init__(self) -> None:
         if self.retries < 0:
@@ -170,14 +155,6 @@ class ResiliencePolicy:
             raise ValueError("cell_timeout must be positive")
         if self.max_pool_rebuilds < 0:
             raise ValueError("max_pool_rebuilds must be >= 0")
-        if self.lease_timeout <= 0:
-            raise ValueError("lease_timeout must be positive")
-        if self.heartbeat_interval <= 0:
-            raise ValueError("heartbeat_interval must be positive")
-        if self.heartbeat_interval >= self.lease_timeout:
-            raise ValueError(
-                "heartbeat_interval must be shorter than lease_timeout "
-                "(a healthy worker must fit several beats per lease window)")
 
 
 #: The compatibility default: serial semantics identical to the pre-
@@ -246,27 +223,18 @@ class FaultClause:
     arg: Optional[str]  # latch path (once-variants) or seconds (hang)
 
 
-#: In-cell faults, fired by :func:`maybe_inject_fault` inside whichever
+#: Fault kinds, fired by :func:`maybe_inject_fault` inside whichever
 #: process runs the cell.
 _FAULT_KINDS = ("error", "crash", "hang")
-
-#: Protocol-level faults, fired by the ``repro worker`` service around
-#: the wire protocol rather than inside the cell: ``stall`` suppresses
-#: heartbeats and holds the result (→ lease expiry), ``torn`` truncates
-#: the result frame mid-send (→ worker-lost), ``corrupt`` flips the
-#: result digest (→ result-corrupt).  Ignored by
-#: :func:`maybe_inject_fault`; consumed by :func:`take_protocol_fault`.
-_PROTOCOL_KINDS = ("stall", "torn", "corrupt")
 
 
 def parse_fault_spec(text: str) -> List[FaultClause]:
     """Parse the fault-injection spec grammar.
 
     ``;``-separated clauses of the form ``kind=benchmark/predictor[@arg]``
-    where ``kind`` is ``error``, ``crash`` or ``hang`` (in-cell faults) or
-    ``stall``, ``torn`` or ``corrupt`` (worker protocol faults), optionally
+    where ``kind`` is ``error``, ``crash`` or ``hang``, optionally
     suffixed ``-once`` (fire once, latched via the file named by ``arg``).
-    For plain ``hang``/``stall``, ``arg`` is an optional sleep duration in
+    For plain ``hang``, ``arg`` is an optional sleep duration in
     seconds.  ``""``, ``"0"`` and ``"1"`` mean "no clauses" so the variable
     doubles as a plain on/off switch for CI jobs.
     """
@@ -283,7 +251,7 @@ def parse_fault_spec(text: str) -> List[FaultClause]:
         once = kind.endswith("-once")
         if once:
             kind = kind[: -len("-once")]
-        if kind not in _FAULT_KINDS and kind not in _PROTOCOL_KINDS:
+        if kind not in _FAULT_KINDS:
             raise ValueError(f"unknown fault kind {kind!r} in {chunk!r}")
         target, _, arg = target.partition("@")
         benchmark, _, predictor = target.partition("/")
@@ -312,8 +280,6 @@ def maybe_inject_fault(spec) -> None:
     if not text or text in ("0", "1"):
         return
     for clause in parse_fault_spec(text):
-        if clause.kind in _PROTOCOL_KINDS:
-            continue  # worker-service faults; their latches stay unconsumed
         if (clause.benchmark != spec.benchmark
                 or clause.predictor != spec.predictor):
             continue
@@ -324,34 +290,6 @@ def maybe_inject_fault(spec) -> None:
             latch.parent.mkdir(parents=True, exist_ok=True)
             latch.write_text("fired")
         _fire(clause)
-
-
-def take_protocol_fault(spec) -> Optional[FaultClause]:
-    """Consume the first protocol-level fault clause matching ``spec``.
-
-    Called by the ``repro worker`` service before computing a cell; the
-    returned clause tells it to stall heartbeats, tear the result frame
-    or corrupt the result digest.  In-cell kinds (error/crash/hang) are
-    ignored here — :func:`maybe_inject_fault` fires those inside
-    ``compute_cell``.  ``-once`` latches are honoured the same way.
-    """
-    text = os.environ.get(FAULT_INJECT_ENV, "")
-    if not text or text in ("0", "1"):
-        return None
-    for clause in parse_fault_spec(text):
-        if clause.kind not in _PROTOCOL_KINDS:
-            continue
-        if (clause.benchmark != spec.benchmark
-                or clause.predictor != spec.predictor):
-            continue
-        if clause.once:
-            latch = Path(clause.arg)
-            if latch.exists():
-                continue
-            latch.parent.mkdir(parents=True, exist_ok=True)
-            latch.write_text("fired")
-        return clause
-    return None
 
 
 def _fire(clause: FaultClause) -> None:

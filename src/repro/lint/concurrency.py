@@ -4,9 +4,8 @@
 the worker function (``compute_cell``) can reach runs in forked/spawned
 children.  Module-level mutable state there is a trap twice over: under
 ``fork`` it is silently *copied* (mutations diverge per worker, results
-depend on scheduling), and the upcoming distributed-suite work will move
-workers onto hosts where no sharing exists at all.  These rules fence
-that surface:
+depend on scheduling), and under ``spawn`` it is rebuilt from scratch
+in every worker.  These rules fence that surface:
 
 * ``conc-mutable-global`` — a module-scope mutable container that the
   module itself mutates, or a module-scope instance of an in-package
@@ -20,12 +19,12 @@ that surface:
   created at module scope in a worker-reachable module: handles do not
   survive the process boundary (fork shares fds, spawn re-imports), so
   they must be created per worker instead.
-* ``conc-socket``         — socket creation anywhere outside the module
-  that owns the frame protocol's client and server halves
-  (:data:`SOCKET_SANCTIONED_MODULES`).  The distributed backend's
-  crash-safety argument rests on *all* network I/O flowing through one
-  audited frame codec; a stray socket elsewhere bypasses the lease,
-  digest and fault-injection machinery.
+* ``conc-socket``         — socket creation anywhere
+  (:data:`SOCKET_SANCTIONED_MODULES` is empty).  Cells run on local
+  worker processes, and hosts share work by splitting a grid's
+  benchmarks and copying cache directories, so no module talks to the
+  network; a socket would be an unaudited channel into or out of a
+  cell.
 * ``conc-file-lock``      — file-locking primitives (``fcntl.flock`` /
   ``lockf``, ``os.open`` with ``O_EXCL``) anywhere
   (:data:`FILE_LOCK_SANCTIONED_MODULES` is empty).  Processes on one
@@ -61,7 +60,7 @@ RULES: Dict[str, str] = {
     "conc-global-rebind": "global-statement rebind in worker-reachable code",
     "conc-process-handle": "process-bound handle created at module scope in "
                            "a worker-reachable module",
-    "conc-socket": "socket use outside the sanctioned protocol modules",
+    "conc-socket": "network socket use",
     "conc-file-lock": "cross-process file-lock primitive",
 }
 
@@ -69,14 +68,9 @@ RULES: Dict[str, str] = {
 #: functions the process pool maps over cells.
 WORKER_ENTRY_POINTS = (("experiments.parallel", "compute_cell"),)
 
-#: The only module allowed to create sockets: the frame codec, its one
-#: client handshake (``connect``) and its one listener (``FrameServer``),
-#: which ``repro worker`` runs on.  The result cache never crosses the
-#: network: hosts share it by copying its self-verifying directory.  All
-#: network I/O must flow through this audited length-prefixed protocol.
-SOCKET_SANCTIONED_MODULES = frozenset({
-    "repro.experiments.backends",
-})
+#: Modules allowed to create sockets: none.  The package does no
+#: network I/O (see the ``conc-socket`` entry above).
+SOCKET_SANCTIONED_MODULES = frozenset()
 
 #: Modules allowed to take cross-process file locks: none.  Cache
 #: writers never lock (see the ``conc-file-lock`` entry above).
@@ -319,10 +313,10 @@ def _boundary_findings(index: PackageIndex) -> List[Finding]:
                 findings.append(Finding(
                     rule="conc-socket", module=name, path=str(mod.path),
                     line=node.lineno, col=node.col_offset,
-                    message=f"{target}() outside the sanctioned protocol "
-                            "module; all network I/O must go through "
-                            "repro.experiments.backends so leases, "
-                            "digests and fault injection cover it",
+                    message=f"{target}() opens a network socket; cells "
+                            "run on local workers and hosts share work "
+                            "by copying cache directories, so no module "
+                            "does network I/O",
                     symbol=f"{name}:{target}",
                 ))
             elif not lock_ok and (target in _FILE_LOCK_CALLS

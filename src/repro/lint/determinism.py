@@ -12,9 +12,11 @@ entropy sources:
   (``import numpy``, ``import numpy.random as npr``, ``from numpy import
   random``, ``from numpy.random import shuffle``).
 * ``det-time``          — wall/CPU clock reads (``time.time`` et al.,
-  ``datetime.now``/``utcnow``/``today``).  The parallel supervisor alone
-  (:data:`MONOTONIC_CLOCK_MODULES`) may read *monotonic* clocks: it needs
-  them for timeout deadlines and backoff scheduling, and they never flow
+  ``datetime.now``/``utcnow``/``today``).  The parallel supervisor, the
+  throughput bench and the lint CLI alone
+  (:data:`MONOTONIC_CLOCK_MODULES`) may read *monotonic* clocks and the
+  process's CPU time: the supervisor needs them for timeout deadlines
+  and backoff scheduling, the others for timing, and they never flow
   into results.  Backoff *jitter* must still derive from cell keys —
   ``random``/wall-clock jitter anywhere (including
   ``repro.experiments.resilience`` and ``.journal``) stays flagged.
@@ -71,19 +73,17 @@ SANCTIONED_ENV_MODULES = frozenset({
     "repro.experiments.resilience",
 })
 
-#: Modules allowed to read monotonic (never wall-clock) clocks: the
-#: supervisor loop (deadlines and backoff scheduling), the throughput
-#: bench harness (``perf_counter`` deltas are its entire product) and the
-#: lint CLI (its ``--metrics`` record carries the run's wall seconds).
+#: Modules allowed to read monotonic (never wall-clock) clocks and CPU
+#: time: the supervisor loop (deadlines and backoff scheduling), the
+#: throughput bench harness (``process_time`` deltas are its entire
+#: product) and the lint CLI (its ``--metrics`` record carries the run's
+#: wall seconds).
 #: Clock values there drive *when* a cell runs or *how long it took*,
 #: never *what* it computes.
 MONOTONIC_CLOCK_MODULES = frozenset({
     "repro.experiments.parallel",
     "repro.experiments.bench_baseline",
     "repro.lint.cli",
-    # Distributed substrate: lease deadlines, heartbeat ages, reconnect
-    # cooldowns — scheduling only, never part of a result.
-    "repro.experiments.backends",
 })
 
 #: Modules allowed to open files for writing.  Everything else — the
@@ -102,11 +102,6 @@ SANCTIONED_WRITE_MODULES = frozenset({
     # The perf-baseline writer: BENCH_throughput.json is a committed
     # artifact, produced on explicit request, never from a suite cell.
     "repro.experiments.bench_baseline",
-    # The frame server's ready-file (host:port for launch scripts) behind
-    # repro worker; cell computation inside the worker stays write-free
-    # and cache entries go through result_cache, whose self-verifying
-    # entries let hosts share a cache by copying its directory.
-    "repro.experiments.backends",
 })
 
 _RANDOM_DRAWS = frozenset({
@@ -126,10 +121,11 @@ _TIME_FUNCS = frozenset({
     "time", "time_ns", "monotonic", "monotonic_ns", "perf_counter",
     "perf_counter_ns", "process_time", "process_time_ns", "clock",
 })
-#: Clock reads with no wall-time meaning, tolerated in
-#: MONOTONIC_CLOCK_MODULES only.
+#: Clock reads with no wall-time meaning (monotonic intervals and the
+#: process's own CPU time), tolerated in MONOTONIC_CLOCK_MODULES only.
 _MONOTONIC_FUNCS = frozenset({
     "monotonic", "monotonic_ns", "perf_counter", "perf_counter_ns",
+    "process_time", "process_time_ns",
 })
 _DATETIME_FUNCS = frozenset({"now", "utcnow", "today"})
 _WRITE_MODE_CHARS = frozenset("wax+")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Union
 
 __all__ = ["MetricsWriter", "render_metrics_summary", "summarize_metrics"]
 
@@ -60,13 +60,6 @@ class MetricsWriter:
         return f"MetricsWriter({str(self.path)!r}, records={self.records})"
 
 
-#: WorkerBackend counter names folded into the summary from ``sweep``
-#: records (see ``repro.experiments.backends``).
-_BACKEND_COUNTERS = (
-    "leases_granted", "leases_expired", "heartbeats", "reconnects",
-    "worker_losses", "corrupt_results",
-)
-
 #: :class:`ResultCache` counter names folded into the nested ``cache``
 #: summary from ``sweep`` records.
 _CACHE_COUNTERS = ("hits", "misses", "stores", "quarantined")
@@ -78,14 +71,12 @@ def summarize_metrics(path: Union[str, Path]) -> Dict[str, object]:
     Tolerates a torn final line (a sweep killed mid-append) and unknown
     events, mirroring the journal loader's discipline.  Sums per-cell
     records (by source and status), ``requeue`` events by failure kind,
-    and the distributed-backend and result-cache counters carried by
-    ``sweep`` records.
+    and the result-cache counters carried by ``sweep`` records.
     """
     summary: Dict[str, object] = {
         "cells": 0, "computed": 0, "cache_hits": 0, "from_journal": 0,
         "failed": 0, "sweeps": 0,
         "requeues": {},
-        **{name: 0 for name in _BACKEND_COUNTERS},
         "cache": {name: 0 for name in _CACHE_COUNTERS},
     }
     try:
@@ -117,12 +108,6 @@ def summarize_metrics(path: Union[str, Path]) -> Dict[str, object]:
             requeues[kind] = requeues.get(kind, 0) + 1
         elif event == "sweep":
             summary["sweeps"] += 1
-            backend = record.get("backend")
-            if isinstance(backend, dict):
-                for name in _BACKEND_COUNTERS:
-                    value = backend.get(name)
-                    if isinstance(value, int):
-                        summary[name] += value
             cache = record.get("cache")
             if isinstance(cache, dict):
                 folded: Dict[str, int] = summary["cache"]
@@ -139,10 +124,6 @@ def render_metrics_summary(summary: Dict[str, object]) -> str:
         f"{summary['cells']} cells"
         f" ({summary['computed']} computed, {summary['cache_hits']} cached,"
         f" {summary['from_journal']} resumed, {summary['failed']} failed)",
-        f"leases {summary['leases_granted']} granted"
-        f"/{summary['leases_expired']} expired",
-        f"{summary['heartbeats']} heartbeats",
-        f"{summary['reconnects']} reconnects",
     ]
     requeues = summary.get("requeues") or {}
     if requeues:

@@ -3,18 +3,50 @@
 Measurement itself takes minutes of full-trace simulation, so these
 tests drive :func:`check_against_baseline` with synthetic documents;
 the real measurement runs in the CI perf job and via
-``repro bench-baseline``.
+``repro bench-baseline``.  One small cell checks what the measurement
+charges: CPU time, never time spent waiting.
 """
+
+import time
 
 import pytest
 
+from repro.experiments import bench_baseline
 from repro.experiments.bench_baseline import (
     BASELINE_SCHEMA,
     SAMPLED_MIN_SPEEDUP,
+    BenchCell,
     check_against_baseline,
     load_baseline,
+    measure_cell,
     write_baseline,
 )
+
+#: How long each patched engine run sleeps.
+SLEEP_S = 0.2
+
+
+class TestMeasuresCpuTime:
+    def test_sleep_inside_run_is_not_charged(self, monkeypatch):
+        """A run that waits (as one descheduled on a loaded host does)
+        costs no more than one that does not: both engines are timed in
+        process CPU time."""
+        def sleeping(engine_cls):
+            class Sleeping(engine_cls):
+                def run(self, *args, **kwargs):
+                    time.sleep(SLEEP_S)
+                    return super().run(*args, **kwargs)
+            return Sleeping
+
+        monkeypatch.setattr(bench_baseline, "Pipeline",
+                            sleeping(bench_baseline.Pipeline))
+        monkeypatch.setattr(bench_baseline, "BatchedPipeline",
+                            sleeping(bench_baseline.BatchedPipeline))
+        row = measure_cell(BenchCell("lbm", "mascot", "golden-cove",
+                                     num_uops=1_500, measure_from=500),
+                           repeats=1)
+        assert row["scalar_s"] < SLEEP_S
+        assert row["batched_s"] < SLEEP_S
 
 
 def engine_cell(speedup=6.0):

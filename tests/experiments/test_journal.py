@@ -160,92 +160,15 @@ class TestJournalState:
         assert encode_result(state.completed["k"]) == encode_result(result)
 
 
-class TestLeaseRecords:
-    """Lease grant/renew/expire records and their replay semantics."""
-
-    def test_open_lease_marks_cell_in_flight(self, tmp_path):
-        journal = RunJournal(tmp_path)
-        run = journal.begin(KEYS)
-        run.record_lease("grant", KEYS[0], "lease-1", "w0")
-        run.record_lease("renew", KEYS[0], "lease-1", "w0")
-        run.finish()
-        state = journal.load(run.run_id)
-        assert set(state.leased) == {KEYS[0]}
-        assert state.leased[KEYS[0]]["action"] == "renew"
-        assert state.leased[KEYS[0]]["worker"] == "w0"
-
-    def test_terminal_records_discharge_the_lease(self, tmp_path):
-        journal = RunJournal(tmp_path)
-        run = journal.begin(KEYS)
-        run.record_lease("grant", KEYS[0], "lease-1", "w0")
-        run.record_ok(KEYS[0], 1, 0.1, "computed", _result())
-        run.record_lease("grant", KEYS[1], "lease-2", "w1")
-        run.record_fail(KEYS[1], 1, "worker-lost", "socket dropped")
-        run.finish()
-        state = journal.load(run.run_id)
-        assert state.leased == {}
-        assert KEYS[0] in state.completed and KEYS[1] in state.failed
-
-    def test_expire_returns_the_cell_to_the_queue(self, tmp_path):
-        journal = RunJournal(tmp_path)
-        run = journal.begin(KEYS)
-        run.record_lease("grant", KEYS[0], "lease-1", "w0")
-        run.record_lease("expire", KEYS[0], "lease-1", "w0")
-        run.record_lease("grant", KEYS[1], "lease-2", "w1")
-        run.record_lease("expire", KEYS[1], "lease-2", "w1")
-        run.record_lease("grant", KEYS[1], "lease-3", "w0")  # retry
-        run.finish()
-        state = journal.load(run.run_id)
-        assert set(state.leased) == {KEYS[1]}
-        assert state.leased[KEYS[1]]["lease"] == "lease-3"
-
-    def test_stale_grant_after_ok_is_ignored(self, tmp_path):
-        # A duplicated delivery of a lease record after the cell already
-        # completed must never push a finished cell back to in-flight.
-        journal = RunJournal(tmp_path)
-        run = journal.begin(KEYS)
-        run.record_ok(KEYS[0], 1, 0.1, "computed", _result())
-        run.record_lease("grant", KEYS[0], "lease-9", "w0")
-        run.finish()
-        state = journal.load(run.run_id)
-        assert KEYS[0] in state.completed
-        assert state.leased == {}
-
-    def test_load_many_completion_wins_over_stale_lease(self, tmp_path):
-        journal = RunJournal(tmp_path)
-        first = journal.begin(KEYS)
-        first.record_lease("grant", KEYS[0], "lease-1", "w0")
-        first.finish()  # crashed run: lease never discharged
-        second = journal.begin(KEYS)
-        second.record_ok(KEYS[0], 1, 0.1, "computed", _result())
-        second.finish()
-        state = journal.load_many([first.run_id, second.run_id])
-        assert KEYS[0] in state.completed
-        assert state.leased == {}
-
-    def test_torn_tail_mid_lease_record(self, tmp_path):
-        # SIGKILL while appending a lease record: the torn line is
-        # skipped, everything before it replays.
-        journal = RunJournal(tmp_path)
-        run = journal.begin(KEYS)
-        run.record_ok(KEYS[0], 1, 0.1, "computed", _result())
-        run.record_lease("grant", KEYS[1], "lease-1", "w0")
-        run.record_lease("renew", KEYS[1], "lease-1", "w0")
-        path = journal.path_for(run.run_id)
-        lines = path.read_text().splitlines(keepends=True)
-        path.write_text("".join(lines[:3]) + lines[3][:25])
-        state = journal.load(run.run_id)
-        assert set(state.completed) == {KEYS[0]}
-        assert set(state.leased) == {KEYS[1]}
-        assert state.leased[KEYS[1]]["action"] == "grant"
-
-
 class TestResumeAfterCrash:
     def test_resume_recomputes_only_unleased_unfinished(self, tmp_path,
                                                         monkeypatch):
-        """A coordinator killed with one cell leased in flight and one
-        never dispatched: resume restores the two completed cells and
-        recomputes exactly the other two, bit-identically."""
+        """A coordinator killed with one cell in flight and one never
+        dispatched: resume restores the two completed cells and
+        recomputes exactly the other two, bit-identically.  The journal
+        also holds a ``lease`` line for the in-flight cell, as runs of
+        the retired worker backend wrote: the loader skips it, and the
+        cell is recomputed like any unfinished one."""
         from repro.experiments import parallel
         from repro.experiments.parallel import CellSpec, execute_cells
         from repro.experiments.result_cache import cell_key
@@ -258,7 +181,7 @@ class TestResumeAfterCrash:
         full = execute_cells(grid, journal=journal)
 
         # Forge the crashed run: completion of the last two cells never
-        # made it to disk, and the third was leased out at the kill.
+        # made it to disk, and an old-format lease line names the third.
         lines = journal.path_for(journal.last_run_id).read_text().splitlines()
         kept = [line for line in lines
                 if not (('"event": "ok"' in line
@@ -271,7 +194,7 @@ class TestResumeAfterCrash:
 
         state = journal.load("run-crashed")
         assert set(state.completed) == {keys[0], keys[1]}
-        assert set(state.leased) == {keys[2]}
+        assert keys[2] not in state.failed
 
         recomputed = []
         real = parallel.compute_cell
@@ -319,7 +242,7 @@ class TestCrashSafetyProperty:
             elif kind == "fail":
                 record = {"event": "fail", "key": key, "attempts": 1,
                           "kind": "worker-lost", "message": "boom"}
-            else:
+            else:  # lease lines of old journals: skipped on load
                 record = {"event": "lease", "action": kind, "key": key,
                           "lease": "lease-p", "worker": "w0"}
             lines.append(json.dumps(record, sort_keys=True))
@@ -329,8 +252,7 @@ class TestCrashSafetyProperty:
         journal.path_for("run-x").write_text(text[:cut])
 
         state = journal.load("run-x")  # must never raise
-        # A cell is never both finished and in flight.
-        assert not (set(state.completed) & set(state.leased))
+        # A cell is never both finished and failed.
         assert not (set(state.completed) & set(state.failed))
         # Completion is exactly the intact ok lines of the surviving
         # prefix, each restored bit-identically to what was written.

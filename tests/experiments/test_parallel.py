@@ -10,18 +10,12 @@ steals, under the own → claim → steal rule.
 import functools
 import json
 import os
-import socket
 
 import pytest
 
 from repro.core.config import LION_COVE
 from repro.experiments import parallel, runner
-from repro.experiments.backends import (
-    ExecutorBackend,
-    WorkerBackend,
-    WorkerLostError,
-    _Connection,
-)
+from repro.experiments.backends import ExecutorBackend, WorkerLostError
 from repro.experiments.parallel import (
     CellSpec,
     Execution,
@@ -228,12 +222,11 @@ class _FakeSlots(ExecutorBackend):
         self.script = list(script)
         self.log = []
         self.inflight = {}
-        self.counters = {}
 
     def slots(self):
         return list(self.live)
 
-    def submit(self, slot, fn, spec, lease=None):
+    def submit(self, slot, fn, spec):
         self.log.append((slot.label, spec.benchmark, spec.predictor))
         handle = _Handle(slot.label, spec)
         self.inflight[handle] = slot
@@ -270,53 +263,6 @@ class _FakeSlots(ExecutorBackend):
         return handle.label
 
 
-class _FakeWorkers(WorkerBackend):
-    """:class:`WorkerBackend` whose connections are socketpairs, with
-    the same script as :class:`_FakeSlots`: its own ``slots``,
-    ``submit`` (a real ``run`` frame) and loss bookkeeping run; only the
-    peers' replies are simulated."""
-
-    def __init__(self, labels, script):
-        super().__init__([(label, 1) for label in labels])
-        self.script = list(script)
-        self.log = []
-        self.peers = []
-
-    def _connect(self, endpoint):
-        ours, theirs = socket.socketpair()
-        self.peers.append(theirs)
-        conn = _Connection(endpoint, ours)
-        self._conns[endpoint] = conn
-        return conn
-
-    def submit(self, slot, fn, spec, lease=None):
-        self.log.append((slot.endpoint[0], spec.benchmark, spec.predictor))
-        return super().submit(slot, fn, spec, lease=lease)
-
-    def wait(self, timeout):
-        busy = [c for c in self._conns.values() if c.handle is not None]
-        action, label = (self.script.pop(0) if self.script
-                         else ("finish", min(busy, key=lambda c: c.last_beat)
-                               .endpoint[0]))
-        if action == "respawn":
-            self._connect((label, 1))
-            return set()
-        conn = self._conns[(label, 1)]
-        if action == "lose":
-            self._lose(conn, f"lost {label}")
-        else:
-            conn.handle.settle_ok(conn.handle.lease)
-            self._done.add(conn.handle)
-            conn.handle = None
-        done, self._done = self._done, set()
-        return done
-
-    def close(self):
-        super().close()
-        for peer in self.peers:
-            peer.close()
-
-
 def _affine_run(backend_cls, labels, script, traces):
     """Supervise ``traces`` (one cell per letter, benchmark per letter)
     on a scripted backend; returns its dispatch log."""
@@ -336,7 +282,7 @@ def _affine_run(backend_cls, labels, script, traces):
     return [(slot, f"{bench}/{pred}") for slot, bench, pred in backend.log]
 
 
-@pytest.mark.parametrize("backend_cls", [_FakeSlots, _FakeWorkers])
+@pytest.mark.parametrize("backend_cls", [_FakeSlots])
 class TestPickRule:
     def test_own_then_claim_then_steal(self, backend_cls):
         log = _affine_run(backend_cls, ["A", "B"],

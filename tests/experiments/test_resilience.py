@@ -106,6 +106,8 @@ class TestFaultSpecParsing:
 
     @pytest.mark.parametrize("bad", [
         "explode=lbm/phast", "error=lbm", "error", "error=/phast",
+        # The worker-protocol kinds went with the worker protocol.
+        "stall=lbm/phast", "torn=lbm/phast", "corrupt-once=lbm/phast@x",
     ])
     def test_rejects_bad_clauses(self, bad):
         with pytest.raises(ValueError):

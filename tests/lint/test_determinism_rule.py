@@ -347,6 +347,30 @@ class TestResilienceSurface:
         """)
         assert box.active_rules() == []
 
+    def test_process_time_sanctioned_in_bench_harness_only(self, box):
+        # CPU time has no wall-time meaning: the bench harness times
+        # engines with it, and it stays flagged everywhere else.
+        box.write("repro/__init__.py", "")
+        box.write("repro/experiments/__init__.py", "")
+        box.write("repro/experiments/bench_baseline.py", """
+        import time
+
+
+        def measure(fn):
+            start = time.process_time()
+            fn()
+            return time.process_time_ns() - start
+        """)
+        assert box.active_rules() == []
+        box.write("repro/experiments/resilience.py", """
+        import time
+
+
+        def jitter():
+            return time.process_time() % 1.0
+        """)
+        assert box.active_rules() == ["det-time"]
+
     def test_wall_clock_still_flagged_in_bench_harness(self, box):
         box.write("repro/__init__.py", "")
         box.write("repro/experiments/__init__.py", "")

@@ -143,8 +143,7 @@ class TestUnsanctionedWorkerState:
 class TestProtocolBoundary:
     def test_socket_in_worker_path_module_fails_lint(self, tree):
         # "Phoned home a progress ping from trace generation" -- network
-        # I/O outside the audited frame codec dodges leases, digests and
-        # fault injection.
+        # I/O from a cell is an unaudited channel into its result.
         mutate(tree, "trace/generator.py",
                "def generate_trace(",
                "import socket\n\n\ndef _ping(host):\n"
@@ -153,6 +152,20 @@ class TestProtocolBoundary:
         result = lint_paths([tree], select=INTERPROCEDURAL)
         assert result.exit_code != 0
         assert any(f.rule == "conc-socket" for f in result.active)
+
+    def test_socket_in_backends_fails_lint(self, tree):
+        # The executor backend lost its socket exemption with the worker
+        # protocol: cells run on local slots, so a connection creeping
+        # back into the backend must fail lint.
+        mutate(tree, "experiments/backends.py",
+               "class ExecutorBackend:",
+               "import socket\n\n\ndef _dial(host, port):\n"
+               "    return socket.create_connection((host, port))\n\n\n"
+               "class ExecutorBackend:")
+        result = lint_paths([tree], select=INTERPROCEDURAL)
+        assert result.exit_code != 0
+        sockets = [f for f in result.active if f.rule == "conc-socket"]
+        assert [f.module for f in sockets] == ["repro.experiments.backends"]
 
     def test_ad_hoc_file_lock_outside_cache_fails_lint(self, tree):
         # An ad-hoc O_EXCL lock in the journal: a second writer
@@ -181,8 +194,8 @@ class TestProtocolBoundary:
         assert [f.module for f in locks] == ["repro.experiments.result_cache"]
 
     def test_sanctioned_modules_stay_clean(self, tree):
-        # backends (sockets) is the one sanctioned boundary home and no
-        # module locks files; the clean copy must flag neither.
+        # No module opens sockets or locks files (both sanction lists
+        # are empty); the clean copy must flag neither.
         result = lint_paths([tree], select=INTERPROCEDURAL)
         assert not any(f.rule in ("conc-socket", "conc-file-lock")
                        for f in result.active)

@@ -202,7 +202,8 @@ def _trace_digest(trace):
                           for uop in trace])
 
 
-#: (benchmark, trace seed, tracker windows, digest) at 20k micro-ops.
+#: (benchmark, trace seed, the generator's store and instruction windows,
+#: digest) at 20k micro-ops.
 _PINNED = [
     ("perlbench1", 1, {},
      "57be4928206eee70d4ce3b617fc75246a03222f926c7bb1002e0edfa6da68aee"),
@@ -229,7 +230,7 @@ class TestPinnedTraces:
     """Generated streams are pinned field for field.
 
     Every figure, golden result and cache entry derives from these
-    streams, so any drift in the generator or the dependence tracker --
+    streams, so any drift in the generator or in ``fill_dependences`` --
     one changed address, source or store distance -- fails here first.
     """
 

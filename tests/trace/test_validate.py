@@ -38,8 +38,8 @@ class TestValidTraces:
 
     def test_small_window_trace_validates(self):
         # Four store-buffer entries and a 32-uop reorder window: some
-        # pair dependences fall out of the window, so the tracker's
-        # eviction and pruning decide annotations.
+        # pair dependences fall out of the window, so which stores
+        # fill_dependences still counts as in flight decides annotations.
         windows = {"store_window": 4, "instr_window": 32}
         trace = generate_trace("perlbench1", 10_000, **windows)
         report = validate_trace(trace, **windows)
