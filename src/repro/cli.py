@@ -19,8 +19,8 @@ can be reproduced without writing Python:
 * ``lint``      — static simulator-correctness checks (oracle isolation,
   determinism/cache safety, hardware realizability; see
   :mod:`repro.lint`).
-* ``doctor``    — environment health checks (cache/journal writability,
-  worker spawn, lint baseline; see :mod:`repro.doctor`).
+* ``doctor``    — environment health checks (cache writability, worker
+  spawn, lint baseline; see :mod:`repro.doctor`).
 * ``bench-baseline`` — measure scalar vs batched engine throughput and
   write (or, with ``--check``, compare against) the committed
   ``benchmarks/BENCH_throughput.json`` (see docs/performance.md).
@@ -37,9 +37,10 @@ statistics are full-run reconstructions carrying confidence intervals
 (see docs/sampling.md).
 
 Fault tolerance: the sweep commands accept ``--cell-timeout``,
-``--retries``, ``--keep-going`` and ``--resume RUN_ID`` (see
-docs/resilience.md); runs are journaled by default for crash recovery
-(``--no-journal`` disables).  ``--jobs N`` runs cells on N local worker
+``--retries`` and ``--keep-going`` (see docs/resilience.md).  Every
+settled cell is stored in the result cache as it settles, so rerunning a
+killed or partly failed command on the same ``--cache-dir`` computes only
+the cells that had not settled.  ``--jobs N`` runs cells on N local worker
 processes.  Several hosts split one grid by giving each its own
 ``--benchmarks`` subset and ``--cache-dir``; copying the cache
 directories together and rerunning the full command then renders the
@@ -232,20 +233,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.set_defaults(keep_going=False)
     parser.add_argument(
-        "--resume", action="append", default=None, metavar="RUN_ID",
-        help="restore completed cells from this journaled run and "
-             "re-dispatch only the rest (repeatable; later runs win)",
-    )
-    parser.add_argument(
-        "--no-journal", action="store_true",
-        help="disable the append-only run journal",
-    )
-    parser.add_argument(
-        "--journal-dir", type=_cache_directory, default=None, metavar="DIR",
-        help="run-journal directory (default: $REPRO_JOURNAL_DIR or "
-             "<cache-dir>/journals)",
-    )
-    parser.add_argument(
         "--metrics", default=None, metavar="FILE",
         help="append per-cell execution records (wall time, cache "
              "hit/miss, retries) to this JSONL file",
@@ -415,12 +402,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     doctor = sub.add_parser(
         "doctor",
-        help="check the environment (cache/journal writability, worker "
-             "spawn, lint baseline)",
+        help="check the environment (cache writability, worker spawn, "
+             "lint baseline)",
     )
     doctor.add_argument("--cache-dir", type=_cache_directory, default=None,
-                        metavar="DIR")
-    doctor.add_argument("--journal-dir", type=_cache_directory, default=None,
                         metavar="DIR")
 
     return parser
@@ -448,60 +433,13 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    policy = _sampling_arg(args)
     suite = run_ipc_suite(args.predictors, args.benchmarks, args.uops,
                           config=_CORES[args.core], engine=args.engine,
-                          sampling=policy,
+                          sampling=_sampling_arg(args),
                           execution=Execution.from_args(args))
-    benches = suite.benchmarks or list(next(iter(suite.ipc.values())))
-    normalised = {p: suite.normalised(p) for p in args.predictors}
-
-    def relative_ci(predictor, bench):
-        meta = getattr(suite.stats.get(predictor, {}).get(bench), "sampling",
-                       None)
-        if meta is None or float(meta.get("estimate") or 0.0) <= 0.0:
-            return None
-        lo, hi = meta["ci"]
-        return (float(hi) - float(lo)) / 2.0 / float(meta["estimate"])
-
-    def cell(predictor, bench):
-        if bench not in normalised[predictor]:
-            return "FAIL"
-        value = normalised[predictor][bench]
-        rel = relative_ci(predictor, bench)
-        rel_base = relative_ci(suite.baseline, bench)
-        if rel is None or rel_base is None:
-            return f"{value:.4f}"
-        # First-order CI of a ratio: relative half-widths add.
-        return f"{value:.4f}+-{value * (rel + rel_base):.4f}"
-
-    rows = []
-    for bench in benches:
-        rows.append([bench]
-                    + [cell(p, bench) for p in args.predictors])
-    rows.append(["geomean"] + [
-        f"{suite.geomean(p):.4f}" for p in args.predictors
-    ])
-    print(render_table(["benchmark", *args.predictors], rows,
-                       title="IPC normalised to perfect MDP"))
-    if policy is not None:
-        sampled = next(
-            (meta for p in args.predictors for bench in benches
-             if (meta := getattr(suite.stats.get(p, {}).get(bench),
-                                 "sampling", None)) is not None),
-            None)
-        if sampled is not None:
-            print(f"sampled cells: interval_length="
-                  f"{sampled['policy']['interval_length']}, "
-                  f"max_k={sampled['policy']['max_k']}, "
-                  f"{sampled['confidence']:.0%} CIs; values are "
-                  f"reconstructions (docs/sampling.md)")
-    if suite.failures:
-        for name, per_bench in sorted(suite.failures.items()):
-            for failure in per_bench.values():
-                print(f"FAILED {failure.describe()}", file=sys.stderr)
-        return 1
-    return 0
+    return _print_figure(figures.IpcFigureResult(
+        title="IPC normalised to perfect MDP", suite=suite,
+        predictors=args.predictors))
 
 
 def _cmd_accuracy(args) -> int:
@@ -539,7 +477,11 @@ def _cmd_figure(args) -> int:
               f"{', '.join(sorted(_SAMPLED_FIGURES))} (got {args.name})",
               file=sys.stderr)
         return 2
-    result = _figure(args)
+    return _print_figure(_figure(args))
+
+
+def _print_figure(result) -> int:
+    """Print a figure result; list its failed cells on stderr (exit 1)."""
     print(result.render())
     failures = list(getattr(result, "failures", None) or [])
     if failures:
@@ -716,8 +658,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return lint_cli.run(args)
     if args.command == "doctor":
         from .doctor import run_doctor
-        return run_doctor(cache_dir=args.cache_dir,
-                          journal_dir=args.journal_dir)
+        return run_doctor(cache_dir=args.cache_dir)
     raise AssertionError(f"unhandled command {args.command}")
 
 

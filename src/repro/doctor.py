@@ -10,7 +10,6 @@ check fails.
 Checks:
 
 * result-cache directory is creatable and writable,
-* run-journal directory is creatable and writable,
 * a worker process can be spawned and returns a result (the parallel
   engine's substrate),
 * no orphaned ``.tmp*`` files have accumulated in the cache directory
@@ -63,19 +62,6 @@ def _check_orphan_tmp(cache_dir: Optional[str]) -> Tuple[bool, str]:
     return remaining == 0, note
 
 
-def _check_journal_dir(journal_dir: Optional[str],
-                       cache_dir: Optional[str]) -> Tuple[bool, str]:
-    from .experiments.journal import RunJournal, default_journal_dir
-
-    journal = RunJournal(journal_dir or default_journal_dir(cache_dir))
-    error = journal.probe_writable()
-    if error is not None:
-        return False, (f"journal dir {journal.directory} not writable: "
-                       f"{error} — set $REPRO_JOURNAL_DIR or pass "
-                       "--journal-dir")
-    return True, f"journal dir writable: {journal.directory}"
-
-
 def _check_worker_spawn() -> Tuple[bool, str]:
     from concurrent.futures import ProcessPoolExecutor
 
@@ -120,13 +106,11 @@ def _check_simulator() -> Tuple[bool, str]:
     return True, f"simulator smoke ok: generated {len(trace)} micro-ops"
 
 
-def run_doctor(cache_dir: Optional[str] = None,
-               journal_dir: Optional[str] = None) -> int:
+def run_doctor(cache_dir: Optional[str] = None) -> int:
     """Run every check, print one line each; 0 iff all passed."""
     checks: List[Tuple[str, Callable[[], Tuple[bool, str]]]] = [
         ("cache", lambda: _check_cache_dir(cache_dir)),
         ("cache-tmp", lambda: _check_orphan_tmp(cache_dir)),
-        ("journal", lambda: _check_journal_dir(journal_dir, cache_dir)),
         ("workers", _check_worker_spawn),
         ("lint", _check_lint_baseline),
         ("simulator", _check_simulator),

@@ -15,14 +15,12 @@ from .figures import (
     table2_sizes,
 )
 from .export import export_csv, to_csv_rows
-from .journal import JournalState, RunJournal, default_journal_dir
 from .parallel import (
     CellSpec,
     Execution,
     compute_cell,
     execute_cells,
     resolve_cache,
-    resolve_journal,
 )
 from .reporting import csv_lines, format_percent, render_series, render_table
 from .resilience import (
@@ -71,15 +69,11 @@ __all__ = [
     "compute_cell",
     "execute_cells",
     "resolve_cache",
-    "resolve_journal",
     "CellExecutionError",
     "CellFailure",
     "CellTimeoutError",
     "FailureKind",
     "ResiliencePolicy",
-    "JournalState",
-    "RunJournal",
-    "default_journal_dir",
     "ResultCache",
     "cell_key",
     "default_cache_dir",

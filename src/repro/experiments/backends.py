@@ -9,6 +9,8 @@ time and keeps its process's trace memo between cells, so the supervisor
 can send it every cell of the traces it already holds, and a lost or
 hung worker identifies its cell with certainty: a crash costs exactly
 one requeue of that cell and leaves the other slots' cells running.
+A worker exits as soon as its coordinator dies, even by SIGKILL, so a
+lost coordinator never leaks idle workers.
 
 Cells run on this host only.  A grid is spread over several hosts by
 giving each its own ``--benchmarks`` subset and ``--cache-dir``, then
@@ -18,6 +20,9 @@ across hosts").
 
 from __future__ import annotations
 
+import multiprocessing.connection
+import os
+import threading
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import List, Optional, Set
@@ -101,6 +106,26 @@ class ExecutorBackend:
         raise NotImplementedError
 
 
+def _exit_with_parent() -> None:
+    """Slot-worker initializer: exit when the coordinator process dies.
+
+    A SIGKILLed coordinator cannot shut its pools down, and its workers,
+    reparented to init, would wait on their call queues forever.  A
+    daemon thread waits on the parent's sentinel instead and ends the
+    worker the moment the parent is gone.
+    """
+    parent = multiprocessing.parent_process()
+    if parent is None:
+        return
+
+    def watch() -> None:
+        multiprocessing.connection.wait([parent.sentinel])
+        os._exit(1)
+
+    threading.Thread(target=watch, name="exit-with-parent",
+                     daemon=True).start()
+
+
 class _Slot:
     """One local slot: a single-process pool running one cell at a time."""
 
@@ -108,7 +133,8 @@ class _Slot:
 
     def __init__(self, index: int):
         self.index = index
-        self.pool = ProcessPoolExecutor(max_workers=1)
+        self.pool = ProcessPoolExecutor(max_workers=1,
+                                        initializer=_exit_with_parent)
         self.future = None
 
     @property

@@ -231,14 +231,12 @@ class IpcFigureResult:
         return (float(hi) - float(lo)) / 2.0 / estimate
 
     def render(self) -> str:
-        # Prefer the requested benchmark order (present even when cells
-        # failed); fall back to the grid keys for pre-resilience results.
-        benches = self.suite.benchmarks or list(
-            next(iter(self.suite.ipc.values())).keys())
         normalised = {p: self.suite.normalised(p) for p in self.predictors}
         sampled_meta: Optional[Dict] = None
         rows = []
-        for bench in benches:
+        # The requested benchmark order: a bench whose cells all failed
+        # still gets its FAIL row.
+        for bench in self.suite.benchmarks:
             row = [bench]
             for predictor in self.predictors:
                 value = normalised[predictor].get(bench)
@@ -579,10 +577,7 @@ def fig13_table_usage(
     for run in results.values():
         if isinstance(run, CellFailure):
             continue
-        if run.telemetry is not None:
-            counts = [int(c) for c in run.telemetry["provider_hits"]]
-        else:  # pre-telemetry cached result
-            counts = list(run.predictions_per_table)
+        counts = [int(c) for c in run.telemetry["provider_hits"]]
         # Telemetry slots grow lazily, so per-benchmark lists may differ
         # in length; pad before summing (zip would silently truncate).
         if len(counts) > len(totals):

@@ -40,18 +40,14 @@ generators:
   ``RuntimeWarning`` instead of aborting.
 * **Result caching** — an optional on-disk
   :class:`~repro.experiments.result_cache.ResultCache` is consulted before
-  any work is dispatched and populated afterwards, so a warm sweep
-  performs zero simulations.
-* **Journaling / resume** — an optional
-  :class:`~repro.experiments.journal.RunJournal` records every dispatch
-  and outcome (results included) to an append-only JSONL file;
-  ``resume=<run-id>`` restores previously completed cells bit-identically
-  and re-dispatches only failed/pending ones.
+  any work is dispatched and stores each cell as it settles, so a warm
+  sweep performs zero simulations.  The cache is also the crash
+  recovery: rerunning a killed grid on the same cache directory serves
+  every settled cell as a verified hit and computes only the rest.
 """
 
 from __future__ import annotations
 
-import sys
 import time
 import warnings
 from collections import Counter
@@ -70,12 +66,6 @@ from .backends import (
     LocalPoolBackend,
     WorkerLostError,
 )
-from .journal import (
-    JournalRun,
-    JournalState,
-    RunJournal,
-    default_journal_dir,
-)
 from .resilience import (
     DEFAULT_POLICY,
     CellFailure,
@@ -90,9 +80,8 @@ from .resilience import (
 from .result_cache import ResultCache, cell_key
 from .runner import default_cache, run_prediction_only, run_timing, trace_key
 
-__all__ = ["CellSpec", "CacheSpec", "Execution",
-           "JournalSpec", "MetricsSpec", "ResumeSpec", "compute_cell",
-           "execute_cells", "resolve_cache", "resolve_journal"]
+__all__ = ["CellSpec", "CacheSpec", "Execution", "MetricsSpec",
+           "compute_cell", "execute_cells", "resolve_cache"]
 
 #: Accepted forms of the ``cache=`` parameter threaded through the suite
 #: and figure APIs: ``None``/``False`` disable the disk cache, ``True``
@@ -100,16 +89,6 @@ __all__ = ["CellSpec", "CacheSpec", "Execution",
 #: a path selects a local directory, and a ResultCache instance is used as
 #: given.
 CacheSpec = Union[None, bool, str, Path, ResultCache]
-
-#: Accepted forms of the ``journal=`` parameter: ``None``/``False`` disable
-#: journaling, ``True`` selects the default directory ($REPRO_JOURNAL_DIR
-#: or <cache-dir>/journals), a path selects that directory, and a
-#: RunJournal is used as given.
-JournalSpec = Union[None, bool, str, Path, RunJournal]
-
-#: Accepted forms of the ``resume=`` parameter: a run id, several run ids
-#: (later ones win on conflicts), or a pre-loaded JournalState.
-ResumeSpec = Union[None, str, Sequence[str], JournalState]
 
 #: Accepted forms of the ``metrics=`` parameter: ``None`` disables metric
 #: emission, a path appends JSONL records to that file, and a
@@ -270,25 +249,6 @@ def resolve_cache(cache: CacheSpec) -> Optional[ResultCache]:
     return store
 
 
-def resolve_journal(journal: JournalSpec) -> Optional[RunJournal]:
-    """Normalise a ``journal=`` argument to a RunJournal or None."""
-    if journal is None or journal is False:
-        return None
-    if journal is True:
-        store = RunJournal()
-    elif isinstance(journal, RunJournal):
-        store = journal
-    else:
-        store = RunJournal(journal)
-    error = store.probe_writable()
-    if error is not None:
-        warnings.warn(
-            f"run journal disabled: {store.directory} is not writable "
-            f"({error})", RuntimeWarning, stacklevel=2)
-        return None
-    return store
-
-
 def _cell_record(spec: CellSpec, key: Optional[str], source: str,
                  attempts: int, duration: float, status: str = "ok",
                  kind: Optional[str] = None, message: Optional[str] = None,
@@ -319,21 +279,18 @@ def _cell_record(spec: CellSpec, key: Optional[str], source: str,
 class Execution:
     """How a grid runs, as one value.
 
-    The six run knobs every suite, figure and sweep entry point takes
-    — ``jobs``, ``cache``, ``policy``, ``journal``, ``resume`` and
-    ``metrics`` — in the forms :func:`execute_cells` accepts for its
-    keywords of the same names (:data:`CacheSpec`, :data:`JournalSpec`,
-    :data:`ResumeSpec`, :data:`MetricsSpec`).  The default is the
-    historical run: serial, uncached, unjournaled, fail-fast,
-    in-process.  :meth:`resolve` is the one place the specs become live
-    stores and writers.
+    The four run knobs every suite, figure and sweep entry point takes
+    — ``jobs``, ``cache``, ``policy`` and ``metrics`` — in the forms
+    :func:`execute_cells` accepts for its keywords of the same names
+    (:data:`CacheSpec`, :data:`MetricsSpec`).  The default is the
+    historical run: serial, uncached, fail-fast, in-process.
+    :meth:`resolve` is the one place the specs become a live store and
+    writer.
     """
 
     jobs: int = 1
     cache: CacheSpec = None
     policy: Optional[ResiliencePolicy] = None
-    journal: JournalSpec = None
-    resume: ResumeSpec = None
     metrics: MetricsSpec = None
 
     def __post_init__(self) -> None:
@@ -344,71 +301,44 @@ class Execution:
     def from_args(cls, args) -> "Execution":
         """The execution a CLI invocation's flags describe.
 
-        The CLI caches and journals by default (``--no-cache`` /
-        ``--no-journal`` opt out).  The resilience flags build a policy
-        only when one is given, so the default run stays fail-fast.
-        The journal directory is ``--journal-dir``, else
-        :func:`~repro.experiments.journal.default_journal_dir` under
-        ``--cache-dir``.  ``--resume`` with journaling off is loaded here,
-        from that directory, since the run itself then carries no journal
-        directory.  ``args`` must carry every flag the CLI's shared sweep
-        options define.
+        The CLI caches by default (``--no-cache`` opts out), so rerunning
+        a killed command computes only the cells that had not settled.
+        The resilience flags build a policy only when one is given, so
+        the default run stays fail-fast.  ``args`` must carry every flag
+        the CLI's shared sweep options define.
         """
         cache: CacheSpec = False
         if not args.no_cache:
             cache = args.cache_dir or True
-        journal_dir = args.journal_dir or default_journal_dir(args.cache_dir)
-        journaling = not args.no_journal
-        resume = args.resume
-        if resume is not None and not journaling:
-            resume = RunJournal(journal_dir).load_many(resume)
         policy = None
         if args.cell_timeout is not None or args.retries or args.keep_going:
             policy = ResiliencePolicy(cell_timeout=args.cell_timeout,
                                       retries=args.retries,
                                       fail_fast=not args.keep_going)
         return cls(jobs=args.jobs, cache=cache, policy=policy,
-                   journal=journal_dir if journaling else None,
-                   resume=resume, metrics=args.metrics)
+                   metrics=args.metrics)
 
     def run(self, cells: Sequence[CellSpec]) -> List[object]:
         """:func:`execute_cells` under this execution."""
         return execute_cells(cells, self.jobs, self.cache, self.policy,
-                             self.journal, self.resume, self.metrics)
+                             self.metrics)
 
     def resolve(self) -> "_Resources":
         """Turn the specs into live resources for one sweep.
 
-        Cache and journal go through :func:`resolve_cache` and
-        :func:`resolve_journal` (degrading with one warning when not
-        writable).  ``resume`` run ids load from the journal directory:
-        the live journal's when journaling resolved on, else the one the
-        ``journal`` spec names, else the default — so a resume finds the
-        run it came from even when its journal is disabled or read-only.
-        A ``metrics`` path opens a writer, owned by the resources and
-        closed with them; a writer given in the spec stays open.
+        The cache goes through :func:`resolve_cache` (degrading to
+        read-only with one warning when not writable).  A ``metrics``
+        path opens a writer, owned by the resources and closed with them;
+        a writer given in the spec stays open.
         """
         policy = self.policy if self.policy is not None else DEFAULT_POLICY
         owned: List[object] = []
         store = resolve_cache(self.cache)
-        journal = resolve_journal(self.journal)
-        resume = self.resume
-        if resume is not None and not isinstance(resume, JournalState):
-            run_ids = [resume] if isinstance(resume, str) else list(resume)
-            if journal is not None:
-                loader = journal
-            elif isinstance(self.journal, RunJournal):
-                loader = self.journal
-            elif isinstance(self.journal, (str, Path)):
-                loader = RunJournal(self.journal)
-            else:
-                loader = RunJournal()
-            resume = loader.load_many(run_ids)
         writer = self.metrics or None
         if writer is not None and not isinstance(writer, MetricsWriter):
             writer = MetricsWriter(writer)
             owned.append(writer)
-        return _Resources(policy, store, journal, resume, writer, owned)
+        return _Resources(policy, store, writer, owned)
 
 
 @dataclass
@@ -417,8 +347,6 @@ class _Resources:
 
     policy: ResiliencePolicy
     store: Optional[ResultCache]
-    journal: Optional[RunJournal]
-    resume: Optional[JournalState]
     writer: Optional[MetricsWriter]
     #: Resources built by :meth:`Execution.resolve`, closed by close().
     owned: List[object]
@@ -460,15 +388,14 @@ def execute_cells(
     jobs: int = 1,
     cache: CacheSpec = None,
     policy: Optional[ResiliencePolicy] = None,
-    journal: JournalSpec = None,
-    resume: ResumeSpec = None,
     metrics: MetricsSpec = None,
 ) -> List[object]:
     """Execute every cell; returns results in the order cells were given.
 
-    Resume carries and cache hits are resolved up front; only misses are
-    dispatched.  With ``jobs > 1`` (or a cell timeout, which requires pool
-    supervision) the misses are supervised over ``jobs`` local slots —
+    Cache hits are resolved up front; only misses are dispatched, and
+    each computed cell is stored as it settles.  With ``jobs > 1`` (or a
+    cell timeout, which requires pool supervision) the misses are
+    supervised over ``jobs`` local slots —
     module-level :func:`compute_cell` plus frozen specs keep the tasks
     picklable under every start method.  The merge is positional, so
     completion order (and therefore ``jobs``) can never reorder or alter
@@ -480,9 +407,8 @@ def execute_cells(
     :class:`~repro.experiments.resilience.CellFailure` placeholder at its
     position and the rest of the grid completes.
     """
-    env = Execution(jobs, cache, policy, journal, resume, metrics).resolve()
-    policy, store, journal_store = env.policy, env.store, env.journal
-    resume_state, writer = env.resume, env.writer
+    env = Execution(jobs, cache, policy, metrics).resolve()
+    policy, store, writer = env.policy, env.store, env.writer
 
     emit = None
     if writer is not None:
@@ -492,8 +418,7 @@ def execute_cells(
                                      status=status, kind=kind,
                                      message=message, worker=worker))
 
-    keyed = (store is not None or journal_store is not None
-             or resume_state is not None or policy.retries > 0)
+    keyed = store is not None or policy.retries > 0
     keys: Dict[CellSpec, str] = {}
 
     def key_of(spec: CellSpec) -> Optional[str]:
@@ -502,36 +427,17 @@ def execute_cells(
         return keys.setdefault(spec, cell_key(spec))
 
     results: List[Optional[object]] = [None] * len(cells)
-    sources: List[Optional[str]] = [None] * len(cells)
     pending: List[int] = []
     for position, spec in enumerate(cells):
         key = key_of(spec)
-        if resume_state is not None and key in resume_state.completed:
-            results[position] = resume_state.completed[key]
-            sources[position] = "journal"
-            if store is not None and not store.contains(key):
-                store.store(key, results[position])
-            if emit is not None:
-                emit(spec, key, "journal", 0, 0.0)
-            continue
         if store is not None:
             hit = store.load(key)
             if hit is not None:
                 results[position] = hit
-                sources[position] = "cache"
                 if emit is not None:
                     emit(spec, key, "cache", 0, 0.0)
                 continue
         pending.append(position)
-
-    run: Optional[JournalRun] = None
-    if journal_store is not None:
-        run = journal_store.begin([key_of(spec) for spec in cells])
-        for position, result in enumerate(results):
-            if result is not None:
-                run.record_ok(keys[cells[position]], attempts=0,
-                              duration=0.0, source=sources[position],
-                              result=result)
 
     events = writer.emit if writer is not None else None
 
@@ -546,7 +452,6 @@ def execute_cells(
             results[task.position] = task.result
             if store is not None:
                 store.store(task.key, task.result)
-        sources[task.position] = "computed"
 
     try:
         if pending:
@@ -557,28 +462,23 @@ def execute_cells(
             if use_pool:
                 local = LocalPoolBackend(max(1, min(jobs, len(pending))))
                 try:
-                    _run_supervised(tasks, local, policy, run, emit,
-                                    events, notify=finalize)
+                    _run_supervised(tasks, local, policy, emit, events,
+                                    notify=finalize)
                 finally:
                     local.close()
             else:
                 for task in tasks:
-                    _run_inline(task, policy, run, emit, notify=finalize)
+                    _run_inline(task, policy, emit, notify=finalize)
             for task in tasks:
                 if results[task.position] is None:  # defensive: a task
                     finalize(task)  # that somehow settled unnotified
     finally:
-        if run is not None:
-            run.finish()
-            print(f"[repro] journal {run.run_id}: {run.ok} ok, "
-                  f"{run.failed} failed -> {run.path}", file=sys.stderr)
         if writer is not None:
             failed = sum(1 for r in results if isinstance(r, CellFailure))
             record = {
                 "event": "sweep",
                 "cells": len(cells),
-                "from_journal": sources.count("journal"),
-                "cache_hits": sources.count("cache"),
+                "cache_hits": len(cells) - len(pending),
                 "cache_misses": (store.misses
                                  if store is not None else None),
                 "computed": len(pending),
@@ -594,8 +494,7 @@ def execute_cells(
 
 # ------------------------------------------------------------ inline path
 
-def _run_inline(task: _Task, policy: ResiliencePolicy,
-                run: Optional[JournalRun], emit=None,
+def _run_inline(task: _Task, policy: ResiliencePolicy, emit=None,
                 notify: Optional[Callable[["_Task"], None]] = None) -> None:
     """Serial execution of one task with retries; no timeout enforcement.
 
@@ -610,8 +509,6 @@ def _run_inline(task: _Task, policy: ResiliencePolicy,
         if delay > 0:
             time.sleep(delay)
         task.attempts += 1
-        if run is not None:
-            run.record_dispatch(task.key, task.attempts)
         start = time.monotonic()
         try:
             with inline_execution():
@@ -622,9 +519,6 @@ def _run_inline(task: _Task, policy: ResiliencePolicy,
                     policy, task.backoff_key, task.attempts)
                 continue
             message = f"{type(error).__name__}: {error}"
-            if run is not None:
-                run.record_fail(task.key, task.attempts,
-                                FailureKind.ERROR.value, message)
             if emit is not None:
                 emit(task.spec, task.key, "computed", task.attempts,
                      time.monotonic() - start, status="failed",
@@ -641,9 +535,6 @@ def _run_inline(task: _Task, policy: ResiliencePolicy,
             return
         else:
             duration = time.monotonic() - start
-            if run is not None:
-                run.record_ok(task.key, task.attempts, duration,
-                              "computed", task.result)
             if emit is not None:
                 emit(task.spec, task.key, "computed", task.attempts,
                      duration, worker="inline")
@@ -680,8 +571,7 @@ def _pick(slot: object, ready: List[_Task], queue: List[_Task],
 
 
 def _run_supervised(tasks: List[_Task], backend: ExecutorBackend,
-                    policy: ResiliencePolicy,
-                    run: Optional[JournalRun], emit=None,
+                    policy: ResiliencePolicy, emit=None,
                     events: Optional[Callable[[Dict], None]] = None,
                     notify: Optional[Callable[[_Task], None]] = None) -> None:
     """Supervisor loop: trace-affine dispatch, deadlines and retries.
@@ -706,8 +596,6 @@ def _run_supervised(tasks: List[_Task], backend: ExecutorBackend,
         actual execution start — a queued cell never accrues timeout.
         """
         task.attempts += 1
-        if run is not None:
-            run.record_dispatch(task.key, task.attempts)
         task.started_at = time.monotonic()
         task.deadline = (task.started_at + policy.cell_timeout
                          if policy.cell_timeout is not None else None)
@@ -722,9 +610,6 @@ def _run_supervised(tasks: List[_Task], backend: ExecutorBackend,
 
     def record_ok(task: _Task) -> None:
         duration = time.monotonic() - task.started_at
-        if run is not None:
-            run.record_ok(task.key, task.attempts, duration, "computed",
-                          task.result)
         if emit is not None:
             emit(task.spec, task.key, "computed", task.attempts, duration,
                  worker=task.worker)
@@ -742,8 +627,6 @@ def _run_supervised(tasks: List[_Task], backend: ExecutorBackend,
                 events({"event": "requeue", "key": task.key,
                         "kind": kind.value, "attempt": task.attempts})
             return
-        if run is not None:
-            run.record_fail(task.key, task.attempts, kind.value, message)
         if emit is not None:
             emit(task.spec, task.key, "computed", task.attempts,
                  time.monotonic() - task.started_at, status="failed",
@@ -769,7 +652,7 @@ def _run_supervised(tasks: List[_Task], backend: ExecutorBackend,
             leftovers = sorted(queue, key=lambda t: t.position)
             queue = []
             for task in leftovers:
-                _run_inline(task, policy, run, emit, notify=notify)
+                _run_inline(task, policy, emit, notify=notify)
             continue
 
         if backend.workers == 0 and not running:

@@ -210,7 +210,7 @@ def predictor_fingerprint(name: str) -> Dict[str, object]:
 
 
 def encode_result(result: Union[PipelineStats, PredictionRunResult]) -> Dict:
-    """JSON-serialisable envelope for a cell result (cache and journal)."""
+    """JSON-serialisable envelope for a cell result."""
     if isinstance(result, PipelineStats):
         return {"kind": "timing", "data": result.to_dict()}
     if isinstance(result, PredictionRunResult):
@@ -274,15 +274,6 @@ class ResultCache:
         except OSError as error:
             return str(error)
         return None
-
-    def contains(self, key: str) -> bool:
-        """Whether an entry file exists for ``key`` (no verification).
-
-        Cheap presence probe used to skip redundant stores; a corrupt
-        entry that would fail :meth:`load` still counts as present (the
-        next load quarantines it).
-        """
-        return self.path_for(key).exists()
 
     def load(self, key: str) -> Optional[object]:
         """Verified, decoded result for ``key``, or None.

@@ -99,7 +99,7 @@ class IpcSuiteResult:
     #: failures[predictor][benchmark] for cells that never completed.
     failures: Dict[str, Dict[str, CellFailure]] = field(default_factory=dict)
     #: The benchmark order the suite was requested with (including benches
-    #: where every predictor failed); empty for pre-resilience pickles.
+    #: where every predictor failed).
     benchmarks: List[str] = field(default_factory=list)
 
     def normalised(self, predictor: str) -> Dict[str, float]:
@@ -144,8 +144,7 @@ def run_ipc_suite(
     """Timing-mode sweep; the baseline is added automatically if missing.
 
     ``execution`` says how the (benchmark × predictor) cells run —
-    processes, result cache, fault tolerance, journal and resume,
-    metrics, worker backend (see
+    processes, result cache, fault tolerance and metrics (see
     :class:`~repro.experiments.parallel.Execution`).  The grid is
     bit-identical for every ``jobs`` value and cache state — and, by the
     golden equivalence tier, for either ``engine`` (``"scalar"`` reference

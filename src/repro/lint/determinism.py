@@ -19,7 +19,7 @@ entropy sources:
   and backoff scheduling, the others for timing, and they never flow
   into results.  Backoff *jitter* must still derive from cell keys —
   ``random``/wall-clock jitter anywhere (including
-  ``repro.experiments.resilience`` and ``.journal``) stays flagged.
+  ``repro.experiments.resilience``) stays flagged.
 * ``det-entropy``       — OS entropy (``os.urandom``, ``secrets``,
   ``uuid.uuid1``/``uuid4``, ``random.SystemRandom``).
 * ``det-id``            — ``id()`` values, which vary per process.
@@ -29,14 +29,14 @@ entropy sources:
   ``list``/``tuple``/``sum``/``join``/...) without ``sorted``: set order
   depends on the per-process hash salt.
 * ``det-env``           — environment reads outside the sanctioned config
-  surface (:data:`SANCTIONED_ENV_MODULES`: the result-cache / journal
-  directory overrides and the fault-injection switch): hidden env inputs
+  surface (:data:`SANCTIONED_ENV_MODULES`: the result-cache directory
+  override and the fault-injection switch): hidden env inputs
   make identical-looking cells differ between hosts.
 * ``det-write``         — file writes (``open`` in a ``w``/``a``/``x``/``+``
   mode, ``Path.write_text``/``write_bytes``, ``Path.open("w")``) outside
   the sanctioned output surface (:data:`SANCTIONED_WRITE_MODULES`: trace
-  serialisation, metrics/telemetry emission, the cache, journal, export
-  and lint-baseline writers).  A stray write from simulation code can
+  serialisation, metrics/telemetry emission, the cache, export and
+  lint-baseline writers).  A stray write from simulation code can
   race across workers and silently change what a cached cell means.
 """
 
@@ -63,13 +63,12 @@ RULES: Dict[str, str] = {
     "det-write": "file write outside the sanctioned output surface",
 }
 
-#: Modules allowed to read the environment: the result-cache / run-journal
-#: directory overrides and the fault-injection switch are the package's
-#: sanctioned env-configured knobs.  Add new env inputs here (and to the
+#: Modules allowed to read the environment: the result-cache directory
+#: override and the fault-injection switch are the package's sanctioned
+#: env-configured knobs.  Add new env inputs here (and to the
 #: cache key, if they can change results!) rather than scattering reads.
 SANCTIONED_ENV_MODULES = frozenset({
     "repro.experiments.result_cache",
-    "repro.experiments.journal",
     "repro.experiments.resilience",
 })
 
@@ -98,7 +97,6 @@ SANCTIONED_WRITE_MODULES = frozenset({
     "repro.experiments.resilience",
     "repro.experiments.export",
     "repro.experiments.result_cache",
-    "repro.experiments.journal",
     # The perf-baseline writer: BENCH_throughput.json is a committed
     # artifact, produced on explicit request, never from a suite cell.
     "repro.experiments.bench_baseline",
@@ -428,7 +426,7 @@ class _DetVisitor(ast.NodeVisitor):
             f"{description} writes a file outside the sanctioned output "
             "surface (see repro.lint.determinism.SANCTIONED_WRITE_MODULES); "
             "simulation cells must be pure — emit artifacts through "
-            "repro.obs.metrics or the cache/journal/export writers",
+            "repro.obs.metrics or the cache/export writers",
         )
 
     def _check_env(self, node: ast.AST) -> None:

@@ -1,8 +1,7 @@
 """Append-only JSONL sink for suite execution metrics.
 
-The parallel supervisor already computes per-cell wall time, attempts and
-cache provenance for its journal — this writer gives those numbers a
-machine-readable home.  One JSON object per line, keys sorted, written
+The parallel supervisor computes per-cell wall time, attempts and cache
+provenance — this writer gives those numbers a machine-readable home.  One JSON object per line, keys sorted, written
 with line-granularity appends so a crashed sweep leaves a readable
 prefix.
 
@@ -68,13 +67,13 @@ _CACHE_COUNTERS = ("hits", "misses", "stores", "quarantined")
 def summarize_metrics(path: Union[str, Path]) -> Dict[str, object]:
     """Aggregate a metrics JSONL file into one dict of counts.
 
-    Tolerates a torn final line (a sweep killed mid-append) and unknown
-    events, mirroring the journal loader's discipline.  Sums per-cell
+    Tolerates a torn final line (a sweep killed mid-append) and skips
+    unknown events.  Sums per-cell
     records (by source and status), ``requeue`` events by failure kind,
     and the result-cache counters carried by ``sweep`` records.
     """
     summary: Dict[str, object] = {
-        "cells": 0, "computed": 0, "cache_hits": 0, "from_journal": 0,
+        "cells": 0, "computed": 0, "cache_hits": 0,
         "failed": 0, "sweeps": 0,
         "requeues": {},
         "cache": {name: 0 for name in _CACHE_COUNTERS},
@@ -97,8 +96,6 @@ def summarize_metrics(path: Union[str, Path]) -> Dict[str, object]:
             source = record.get("source")
             if source == "cache":
                 summary["cache_hits"] += 1
-            elif source == "journal":
-                summary["from_journal"] += 1
             else:
                 summary["computed"] += 1
             if record.get("status") == "failed":
@@ -123,7 +120,7 @@ def render_metrics_summary(summary: Dict[str, object]) -> str:
     parts = [
         f"{summary['cells']} cells"
         f" ({summary['computed']} computed, {summary['cache_hits']} cached,"
-        f" {summary['from_journal']} resumed, {summary['failed']} failed)",
+        f" {summary['failed']} failed)",
     ]
     requeues = summary.get("requeues") or {}
     if requeues:

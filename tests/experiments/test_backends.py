@@ -3,10 +3,12 @@
 ``LocalPoolBackend`` runs each cell on one of ``jobs`` single-process
 slots.  The golden tests kill a slot's worker process mid-grid, and
 separately SIGKILL the whole coordinator (its workers included) mid-grid
-and resume from its journal: both must produce results bit-identical to
-an uninterrupted serial run.
+and rerun the grid on the cache it left: both must produce results
+bit-identical to an uninterrupted serial run.  A coordinator killed
+alone must not leave its slot workers running.
 """
 
+import json
 import multiprocessing
 import os
 import signal
@@ -20,7 +22,6 @@ import pytest
 
 import repro
 from repro.experiments.backends import LocalPoolBackend
-from repro.experiments.journal import RunJournal
 from repro.experiments.parallel import CellSpec, execute_cells
 from repro.experiments.resilience import ResiliencePolicy
 from repro.experiments.result_cache import encode_result
@@ -56,6 +57,61 @@ class TestLocalPoolBackend:
         finally:
             backend.close()
         assert backend.workers == 0
+
+
+def _gone(pid):
+    """Whether ``pid`` has exited (a zombie awaiting its reaper counts)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+
+class TestOrphanedSlots:
+    def test_slot_workers_exit_when_coordinator_is_killed(self, tmp_path):
+        """SIGKILL reaches only the coordinator, never its slots; the
+        slot workers must notice and exit rather than wait forever."""
+        driver = tmp_path / "coordinator.py"
+        pids = tmp_path / "pids"
+        driver.write_text(f"""
+import os
+import signal
+import sys
+sys.path.insert(0, {str(SRC)!r})
+from repro.experiments.backends import LocalPoolBackend
+
+
+def pid(_):
+    return os.getpid()
+
+
+backend = LocalPoolBackend(2)
+handles = [backend.submit(slot, pid, None) for slot in backend.slots()]
+with open({str(pids)!r}, "w") as out:
+    print(*(backend.result(handle) for handle in handles), file=out)
+os.kill(os.getpid(), signal.SIGKILL)
+""")
+        # No pipes: a leaked worker would hold them open.
+        coordinator = subprocess.run(
+            [sys.executable, str(driver)], env=dict(os.environ),
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            timeout=60)
+        assert coordinator.returncode == -signal.SIGKILL
+        workers = [int(pid) for pid in pids.read_text().split()]
+        assert len(workers) == 2
+        try:
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline:
+                if all(_gone(pid) for pid in workers):
+                    break
+                time.sleep(0.1)
+            alive = [pid for pid in workers if not _gone(pid)]
+            assert not alive, f"slot workers outlived the coordinator: {alive}"
+        finally:
+            for pid in workers:
+                if not _gone(pid):
+                    os.kill(pid, signal.SIGKILL)
 
 
 # ------------------------------------------------------------ golden tests
@@ -105,22 +161,21 @@ class TestGoldenCrashRecovery:
         assert killed, "no slot worker was alive to kill"
         assert _encoded(results) == _encoded(serial_golden)
 
-    def test_coordinator_sigkill_then_resume_bit_identical(
+    def test_coordinator_sigkill_then_rerun_bit_identical(
             self, serial_golden, tmp_path):
-        journal_dir = tmp_path / "journals"
+        cache_dir = tmp_path / "cache"
         driver = tmp_path / "driver.py"
         driver.write_text(f"""
 import sys
 sys.path.insert(0, {str(SRC)!r})
 from repro.experiments.parallel import CellSpec, execute_cells
-from repro.experiments.journal import RunJournal
 from repro.experiments.resilience import ResiliencePolicy
 
 grid = [CellSpec(mode="accuracy", benchmark=b, num_uops={GOLDEN_N},
                  predictor=p) for b, p in [
     ("exchange2", "mascot"), ("lbm", "mascot"), ("lbm", "phast"),
     ("perlbench1", "mascot"), ("mcf", "mascot"), ("xalancbmk", "mascot")]]
-execute_cells(grid, jobs=2, journal=RunJournal({str(journal_dir)!r}),
+execute_cells(grid, jobs=2, cache={str(cache_dir)!r},
               policy=ResiliencePolicy(retries=2, backoff_base=0.01,
                                       jitter=0.0))
 """)
@@ -131,21 +186,15 @@ execute_cells(grid, jobs=2, journal=RunJournal({str(journal_dir)!r}),
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
             start_new_session=True)
         try:
-            # Wait until the journal shows real progress (>=1 cell ok) but
-            # the run is still incomplete, then SIGKILL mid-grid.
+            # Wait until the cache shows real progress (>=1 settled cell)
+            # but the run is still incomplete, then SIGKILL mid-grid.
             deadline = time.monotonic() + 120.0
-            run_file = None
             while time.monotonic() < deadline:
-                files = list(journal_dir.glob("*.jsonl"))
-                if files:
-                    run_file = files[0]
-                    text = run_file.read_text()
-                    if '"event": "ok"' in text:
-                        break
+                if list(cache_dir.glob("*.json")):
+                    break
                 if coordinator.poll() is not None:
                     break
                 time.sleep(0.05)
-            assert run_file is not None, "coordinator never journaled"
             killed_mid_grid = coordinator.poll() is None
             if killed_mid_grid:
                 os.killpg(coordinator.pid, signal.SIGKILL)
@@ -155,20 +204,21 @@ execute_cells(grid, jobs=2, journal=RunJournal({str(journal_dir)!r}),
                 os.killpg(coordinator.pid, signal.SIGKILL)
                 coordinator.wait(timeout=10)
         assert killed_mid_grid, "run finished before the kill landed"
+        settled = len(list(cache_dir.glob("*.json")))
+        assert 1 <= settled < len(GOLDEN_GRID)  # the kill landed mid-grid
 
-        # The journal tail may be torn: resume must recompute only what
-        # never completed and merge bit-identically.
-        run_id = run_file.name[:-len(".jsonl")]
-        journal = RunJournal(journal_dir)
-        carried = len(journal.load(run_id).completed)
-        assert carried < len(GOLDEN_GRID)  # the kill landed mid-grid
-        resumed = execute_cells(GOLDEN_GRID, jobs=2, journal=journal,
-                                resume=run_id, policy=_policy())
-        assert _encoded(resumed) == _encoded(serial_golden)
-        # The resumed run carried every completed cell from the journal.
-        state = journal.load(journal.last_run_id)
-        assert len(state.completed) == len(GOLDEN_GRID)
-
+        # Rerunning the same grid on the same cache is the resume: every
+        # settled cell is a verified hit, only the rest compute, and the
+        # merge is bit-identical.
+        metrics = tmp_path / "rerun.jsonl"
+        rerun = execute_cells(GOLDEN_GRID, jobs=2, cache=cache_dir,
+                              policy=_policy(), metrics=metrics)
+        assert _encoded(rerun) == _encoded(serial_golden)
+        sources = [record["source"] for record in
+                   map(json.loads, metrics.read_text().splitlines())
+                   if record["event"] == "cell"]
+        assert sources.count("cache") == settled
+        assert sources.count("computed") == len(GOLDEN_GRID) - settled
 
 if __name__ == "__main__":
     raise SystemExit(pytest.main([__file__, "-q"]))

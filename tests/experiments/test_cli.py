@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -93,8 +95,7 @@ class TestFaultTolerance:
                                                            capsys):
         monkeypatch.setenv("REPRO_FAULT_INJECT", "error=lbm/phast")
         assert main(["figure", "fig8", "--benchmarks", "exchange2", "lbm",
-                     "--uops", "3000", "--no-cache", "--keep-going",
-                     "--no-journal"]) == 1
+                     "--uops", "3000", "--no-cache", "--keep-going"]) == 1
         captured = capsys.readouterr()
         assert "WARNING" in captured.out
         assert "FAILED accuracy:lbm/phast" in captured.err
@@ -109,62 +110,50 @@ class TestFaultTolerance:
         with pytest.raises(SystemExit):
             main(["compare", "mascot", "--cell-timeout", "0"])
 
-    def test_resume_after_keep_going_failure(self, monkeypatch, tmp_path,
-                                             capsys):
-        journal_dir = tmp_path / "journals"
+    def test_rerun_after_keep_going_failure(self, monkeypatch, tmp_path,
+                                            capsys):
+        """A failed cell is never cached: rerunning the command on the
+        same cache computes only it and prints the clean grid."""
+        cache_dir = str(tmp_path / "cache")
         monkeypatch.setenv("REPRO_FAULT_INJECT", "error=lbm/phast")
         assert main(["accuracy", "phast", "--benchmarks", "exchange2",
-                     "lbm", "--uops", "3000", "--no-cache", "--keep-going",
-                     "--journal-dir", str(journal_dir)]) == 1
-        captured = capsys.readouterr()
-        run_id = captured.err.split("journal ")[1].split(":")[0]
+                     "lbm", "--uops", "3000", "--keep-going",
+                     "--cache-dir", cache_dir]) == 1
+        capsys.readouterr()
 
         monkeypatch.delenv("REPRO_FAULT_INJECT")
+        metrics = tmp_path / "rerun.jsonl"
         assert main(["accuracy", "phast", "--benchmarks", "exchange2",
-                     "lbm", "--uops", "3000", "--no-cache",
-                     "--journal-dir", str(journal_dir),
-                     "--resume", run_id]) == 0
-        resumed_out = capsys.readouterr().out
+                     "lbm", "--uops", "3000", "--cache-dir", cache_dir,
+                     "--metrics", str(metrics)]) == 0
+        rerun_out = capsys.readouterr().out
+        sources = {(r["benchmark"], r["source"]) for r in
+                   map(json.loads, metrics.read_text().splitlines())
+                   if r["event"] == "cell"}
+        assert sources == {("exchange2", "cache"), ("lbm", "computed")}
 
         assert main(["accuracy", "phast", "--benchmarks", "exchange2",
-                     "lbm", "--uops", "3000", "--no-cache",
-                     "--no-journal"]) == 0
-        assert capsys.readouterr().out == resumed_out
+                     "lbm", "--uops", "3000", "--no-cache"]) == 0
+        assert capsys.readouterr().out == rerun_out
 
-    def test_resume_with_no_journal_honours_journal_dir(self, monkeypatch,
-                                                        tmp_path, capsys):
-        """--resume must find the run under --journal-dir even when
-        --no-journal disables journaling for the resumed run itself."""
-        journal_dir = tmp_path / "journals"
-        monkeypatch.setenv("REPRO_FAULT_INJECT", "error=lbm/phast")
-        assert main(["accuracy", "phast", "--benchmarks", "exchange2",
-                     "lbm", "--uops", "3000", "--no-cache", "--keep-going",
-                     "--journal-dir", str(journal_dir)]) == 1
-        run_id = capsys.readouterr().err.split("journal ")[1].split(":")[0]
-
-        monkeypatch.delenv("REPRO_FAULT_INJECT")
-        # Point the default directory elsewhere to prove --journal-dir,
-        # not the default, is what the resume loader consults.
-        monkeypatch.setenv("REPRO_JOURNAL_DIR", str(tmp_path / "elsewhere"))
-        assert main(["accuracy", "phast", "--benchmarks", "exchange2",
-                     "lbm", "--uops", "3000", "--no-cache", "--no-journal",
-                     "--journal-dir", str(journal_dir),
-                     "--resume", run_id]) == 0
-        assert not (tmp_path / "elsewhere").exists()
-
-    def test_no_journal_writes_nothing(self, monkeypatch, tmp_path,
-                                       capsys):
-        journal_dir = tmp_path / "journals"
-        monkeypatch.setenv("REPRO_JOURNAL_DIR", str(journal_dir))
-        assert main(["accuracy", "mascot", "--benchmarks", "exchange2",
-                     "--uops", "3000", "--no-cache", "--no-journal"]) == 0
-        assert not journal_dir.exists()
+    @pytest.mark.parametrize("argv", [
+        ["compare", "mascot", "--resume", "run-0123456789ab"],
+        ["accuracy", "mascot", "--no-journal"],
+        ["figure", "fig7", "--journal-dir", "journals"],
+        ["doctor", "--journal-dir", "journals"],
+    ])
+    def test_retired_journal_flags_exit_with_usage_error(self, argv,
+                                                         capsys):
+        """The run journal is gone; the cache is the resume."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
 
 class TestDoctor:
     def test_healthy_environment_passes(self, tmp_path, capsys):
-        assert main(["doctor", "--cache-dir", str(tmp_path / "c"),
-                     "--journal-dir", str(tmp_path / "j")]) == 0
+        assert main(["doctor", "--cache-dir", str(tmp_path / "c")]) == 0
         out = capsys.readouterr().out
         assert "all checks passed" in out
         assert "worker spawn ok" in out
@@ -173,8 +162,7 @@ class TestDoctor:
                                                             capsys):
         blocker = tmp_path / "file"
         blocker.write_text("x")
-        assert main(["doctor", "--cache-dir", str(blocker / "sub"),
-                     "--journal-dir", str(tmp_path / "j")]) == 1
+        assert main(["doctor", "--cache-dir", str(blocker / "sub")]) == 1
         out = capsys.readouterr().out
         assert "FAIL [cache]" in out
         assert "--cache-dir" in out

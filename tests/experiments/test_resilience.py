@@ -5,19 +5,17 @@ variable (inherited by worker processes, where monkeypatching cannot
 reach): worker exceptions, SIGKILL crashes (→ ``BrokenProcessPool``,
 charged to the crashing slot's cell) and hangs (→ timeout enforcement).
 The golden test at the end is the acceptance scenario: crash + timeout +
-corrupted cache entry in one run, then a resume that re-runs exactly the
-failed cells with bit-identical carried results.
+corrupted cache entry in one run, then a rerun on the same cache that
+recomputes exactly the failed cells and serves the rest bit-identically.
 """
 
 import dataclasses
 import json
 import warnings
-from collections import Counter
 
 import pytest
 
 from repro.experiments import parallel
-from repro.experiments.journal import RunJournal
 from repro.experiments.parallel import CellSpec, execute_cells
 from repro.experiments.resilience import (
     CellFailure,
@@ -156,22 +154,14 @@ class TestInjectedError:
         assert results[2].to_dict() == clean[0].to_dict()
 
 
-def _dispatches(journal):
-    """Dispatch records per cell key in the journal's last run."""
-    counts = Counter()
-    text = journal.path_for(journal.last_run_id).read_text()
-    for line in text.splitlines():
-        record = json.loads(line)
-        if record.get("event") == "dispatch":
-            counts[record["key"]] += 1
-    return counts
-
-
 def _records(path):
-    """Per-cell metrics records, by (benchmark, predictor)."""
-    return {(r["benchmark"], r["predictor"]): r
-            for r in map(json.loads, path.read_text().splitlines())
-            if r["event"] == "cell"}
+    """Per-cell metrics records, by (benchmark, predictor); each cell
+    settles exactly once, so it has exactly one record."""
+    cells = [r for r in map(json.loads, path.read_text().splitlines())
+             if r["event"] == "cell"]
+    records = {(r["benchmark"], r["predictor"]): r for r in cells}
+    assert len(records) == len(cells)
+    return records
 
 
 class TestWorkerCrash:
@@ -187,18 +177,19 @@ class TestWorkerCrash:
         latch = tmp_path / "latch"
         monkeypatch.setenv("REPRO_FAULT_INJECT",
                            f"crash-once=lbm/phast@{latch}")
-        journal = RunJournal(tmp_path / "journals")
+        metrics = tmp_path / "m.jsonl"
         policy = ResiliencePolicy(retries=1, backoff_base=0.01,
                                   fail_fast=False)
         results = execute_cells(GRID, jobs=2, policy=policy,
-                                journal=journal)
+                                metrics=metrics)
         assert all(not isinstance(r, CellFailure) for r in results)
         assert latch.exists()
         clean = [execute_cells([cell])[0] for cell in GRID]
         for got, want in zip(results, clean):
             assert got.to_dict() == want.to_dict()
-        dispatches = _dispatches(journal)
-        assert [dispatches[cell_key(cell)] for cell in GRID] == [1, 1, 2, 1]
+        records = _records(metrics)
+        assert [records[(cell.benchmark, cell.predictor)]["attempts"]
+                for cell in GRID] == [1, 1, 2, 1]
 
     def test_persistent_crash_is_attributed_to_the_culprit(self,
                                                            monkeypatch):
@@ -227,14 +218,11 @@ class TestWorkerCrash:
         clean = execute_cells([GRID[0]])[0]
         monkeypatch.setenv("REPRO_FAULT_INJECT",
                            "hang=exchange2/mascot@1.5;crash=lbm/mascot")
-        journal = RunJournal(tmp_path / "journals")
         metrics = tmp_path / "m.jsonl"
-        results = execute_cells(GRID, jobs=2, journal=journal,
-                                metrics=metrics,
+        results = execute_cells(GRID, jobs=2, metrics=metrics,
                                 policy=ResiliencePolicy(fail_fast=False))
         assert results[1].kind is FailureKind.WORKER_LOST
         assert results[0].to_dict() == clean.to_dict()
-        assert _dispatches(journal)[cell_key(GRID[0])] == 1
         records = _records(metrics)
         assert records[("exchange2", "mascot")]["attempts"] == 1
         assert {r["worker"] for r in records.values()} <= {"local:0",
@@ -290,14 +278,12 @@ class TestTimeout:
             "REPRO_FAULT_INJECT",
             "hang=exchange2/mascot@1.5;hang=lbm/mascot@30;"
             "hang=exchange2/phast@3")
-        journal = RunJournal(tmp_path / "journals")
         metrics = tmp_path / "m.jsonl"
         policy = ResiliencePolicy(cell_timeout=4.0, fail_fast=False)
         results = execute_cells(grid, jobs=2, policy=policy,
-                                journal=journal, metrics=metrics)
+                                metrics=metrics)
         assert results[1].kind is FailureKind.TIMEOUT
         assert results[2].to_dict() == clean.to_dict()
-        assert _dispatches(journal)[cell_key(grid[2])] == 1
         records = _records(metrics)
         assert records[("exchange2", "phast")]["attempts"] == 1
         assert (records[("exchange2", "phast")]["worker"]
@@ -376,24 +362,6 @@ class TestInlineDowngrade:
         assert results[2].kind is FailureKind.ERROR
 
 
-class TestResolveJournal:
-    def test_disabled_forms(self):
-        assert parallel.resolve_journal(None) is None
-        assert parallel.resolve_journal(False) is None
-
-    def test_path_and_instance(self, tmp_path):
-        journal = parallel.resolve_journal(tmp_path / "j")
-        assert isinstance(journal, RunJournal)
-        assert journal.directory == tmp_path / "j"
-        assert parallel.resolve_journal(journal) is journal
-
-    def test_unwritable_journal_warns_and_disables(self, tmp_path):
-        blocker = tmp_path / "file"
-        blocker.write_text("x")
-        with pytest.warns(RuntimeWarning, match="journal disabled"):
-            assert parallel.resolve_journal(blocker / "sub") is None
-
-
 class TestResolveCacheWritability:
     def test_unwritable_cache_warns_and_degrades_to_read_only(self,
                                                               tmp_path):
@@ -430,60 +398,19 @@ class TestResolveCacheWritability:
         assert store.hits == 1 and store.stores == 0
 
 
-class TestJournalledExecution:
-    def test_journal_records_and_resume_skips(self, tmp_path, monkeypatch):
-        journal = RunJournal(tmp_path / "journals")
-        first = execute_cells(GRID, journal=journal)
-        run_id = journal.last_run_id
-        assert run_id is not None
-
-        # Resume must restore every completed cell without recomputing.
-        monkeypatch.setattr(
-            parallel, "compute_cell",
-            lambda spec: pytest.fail(f"recomputed {spec} despite resume"))
-        resumed = execute_cells(GRID, journal=journal, resume=run_id)
-        for got, want in zip(resumed, first):
-            assert got.to_dict() == want.to_dict()
-        # The resumed run journals its carried results under a new id.
-        assert journal.last_run_id != run_id
-        state = journal.load(journal.last_run_id)
-        assert len(state.completed) == len(GRID)
-
-    def test_resume_honours_journal_dir_when_journaling_off(self, tmp_path,
-                                                            monkeypatch):
-        """When journaling resolves off (here: unwritable directory), the
-        resume loader must still read from the directory the journal spec
-        names, not the default."""
-        journal = RunJournal(tmp_path / "journals")
-        first = execute_cells(GRID, journal=journal)
-        run_id = journal.last_run_id
-
-        monkeypatch.setattr(RunJournal, "probe_writable",
-                            lambda self: "read-only file system")
-        monkeypatch.setattr(
-            parallel, "compute_cell",
-            lambda spec: pytest.fail("recomputed despite resume"))
-        with pytest.warns(RuntimeWarning, match="journal disabled"):
-            resumed = execute_cells(GRID, journal=tmp_path / "journals",
-                                    resume=run_id)
-        for got, want in zip(resumed, first):
-            assert got.to_dict() == want.to_dict()
-
-
 class TestGoldenAcceptance:
     """The issue's acceptance scenario, end to end.
 
     One run with an injected worker crash, one timing-out cell and one
     pre-corrupted cache entry completes under --keep-going, marking
-    exactly the affected cells as CellFailure; a subsequent --resume
-    re-runs only those cells and every previously completed cell is
-    restored bit-identically.
+    exactly the affected cells as CellFailure; rerunning the grid on the
+    same cache recomputes only those cells and serves every previously
+    completed cell bit-identically.
     """
 
-    def test_crash_timeout_corruption_then_resume(self, tmp_path,
-                                                  monkeypatch):
+    def test_crash_timeout_corruption_then_rerun(self, tmp_path,
+                                                 monkeypatch):
         cache = ResultCache(tmp_path / "cache")
-        journal = RunJournal(tmp_path / "journals")
         grid = [
             _cell("exchange2", "mascot"), _cell("exchange2", "phast"),
             _cell("lbm", "mascot"), _cell("lbm", "phast"),
@@ -500,9 +427,7 @@ class TestGoldenAcceptance:
             "REPRO_FAULT_INJECT",
             "crash=lbm/phast;hang=perlbench1/mascot@30")
         policy = ResiliencePolicy(cell_timeout=2.5, fail_fast=False)
-        results = execute_cells(grid, jobs=2, cache=cache, policy=policy,
-                                journal=journal)
-        first_run = journal.last_run_id
+        results = execute_cells(grid, jobs=2, cache=cache, policy=policy)
 
         failed = {i for i, r in enumerate(results)
                   if isinstance(r, CellFailure)}
@@ -515,23 +440,22 @@ class TestGoldenAcceptance:
         assert (cache.quarantine_dir / corrupt_path.name).exists()
         assert results[0].to_dict() == pristine[0].to_dict()
 
-        # --resume: only the two failed cells are re-dispatched.  With the
-        # faults cleared they now succeed; carried cells are restored from
-        # the journal bit-identically without recomputation (cache off to
-        # prove the journal alone suffices).
+        # The rerun: only the two failed cells are re-dispatched.  With
+        # the faults cleared they now succeed; every settled cell is a
+        # verified cache hit, served without recomputation.
         monkeypatch.delenv("REPRO_FAULT_INJECT")
         recomputed = []
         real = parallel.compute_cell
         monkeypatch.setattr(parallel, "compute_cell",
                             lambda spec: recomputed.append(spec)
                             or real(spec))
-        resumed = execute_cells(grid, jobs=1, cache=None, journal=journal,
-                                resume=first_run)
+        rerun = execute_cells(grid, jobs=1,
+                              cache=ResultCache(tmp_path / "cache"))
         assert {grid.index(s) for s in recomputed} == {3, 4}
-        assert all(not isinstance(r, CellFailure) for r in resumed)
+        assert all(not isinstance(r, CellFailure) for r in rerun)
 
-        # Bit-identical to a pristine serial grid, carried and re-run
+        # Bit-identical to a pristine serial grid, cached and re-run
         # cells alike.
         clean = execute_cells(grid, jobs=1)
-        for got, want in zip(resumed, clean):
+        for got, want in zip(rerun, clean):
             assert got.to_dict() == want.to_dict()

@@ -453,7 +453,7 @@ class TestTempFileHygiene:
         with pytest.raises(OSError, match="disk full"):
             cache.store("f" * 64, _sample_accuracy_result())
         assert cache.orphan_tmp_files() == []
-        assert not cache.contains("f" * 64)
+        assert not cache.path_for("f" * 64).exists()
         assert cache.stores == 0
 
     def test_orphan_listing_and_age_gated_sweep(self, tmp_path):
@@ -615,6 +615,6 @@ class TestConcurrentWriters:
         assert moved == QUARANTINE_ROUNDS
         cache = ResultCache(tmp_path)
         assert len(list(cache.quarantine_dir.iterdir())) == QUARANTINE_ROUNDS
-        assert not cache.contains(key)
+        assert not cache.path_for(key).exists()
         assert cache.load(key) is None
         assert cache.quarantined == 0

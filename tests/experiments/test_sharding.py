@@ -61,7 +61,7 @@ class TestMergedCacheDirectories:
                                                      capsys):
         common = ["--uops", "3000"]
         assert main(["figure", "fig7", "--benchmarks", "exchange2", "lbm",
-                     *common, "--no-cache", "--no-journal"]) == 0
+                     *common, "--no-cache"]) == 0
         serial = capsys.readouterr().out
 
         for index, half in enumerate((["exchange2"], ["lbm"])):

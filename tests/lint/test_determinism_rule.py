@@ -272,10 +272,10 @@ class TestResilienceSurface:
     """det-* coverage of the fault-tolerance modules.
 
     The supervisor (repro.experiments.parallel) alone may read monotonic
-    clocks — they schedule work, never enter results.  The journal and
-    resilience modules are sanctioned env surfaces (journal dir override,
-    fault-injection switch) but get no clock or RNG exemption: backoff
-    jitter must derive from cell keys.
+    clocks — they schedule work, never enter results.  The result-cache
+    and resilience modules are the only sanctioned env surfaces (cache
+    dir override, fault-injection switch), and resilience gets no clock
+    or RNG exemption: backoff jitter must derive from cell keys.
     """
 
     def test_monotonic_allowed_in_supervisor(self, box):
@@ -383,15 +383,15 @@ class TestResilienceSurface:
         """)
         assert box.active_rules() == ["det-time"]
 
-    def test_env_sanctioned_in_journal_and_resilience(self, box):
+    def test_env_sanctioned_in_cache_and_resilience_only(self, box):
         box.write("repro/__init__.py", "")
         box.write("repro/experiments/__init__.py", "")
-        box.write("repro/experiments/journal.py", """
+        box.write("repro/experiments/result_cache.py", """
         import os
 
 
-        def journal_dir():
-            return os.environ.get("REPRO_JOURNAL_DIR", "journals")
+        def cache_dir():
+            return os.environ.get("REPRO_CACHE_DIR", "cache")
         """)
         box.write("repro/experiments/resilience.py", """
         import os
@@ -401,6 +401,16 @@ class TestResilienceSurface:
             return os.environ.get("REPRO_FAULT_INJECT", "")
         """)
         assert box.active_rules() == []
+        # The retired run journal's directory override is no longer a
+        # sanctioned knob.
+        box.write("repro/experiments/journal.py", """
+        import os
+
+
+        def journal_dir():
+            return os.environ.get("REPRO_JOURNAL_DIR", "journals")
+        """)
+        assert box.active_rules() == ["det-env"]
 
 
 class TestFileWrites:

@@ -168,13 +168,13 @@ class TestProtocolBoundary:
         assert [f.module for f in sockets] == ["repro.experiments.backends"]
 
     def test_ad_hoc_file_lock_outside_cache_fails_lint(self, tree):
-        # An ad-hoc O_EXCL lock in the journal: a second writer
+        # An ad-hoc O_EXCL lock in the CSV exporter: a second writer
         # discipline nobody audits.
-        mutate(tree, "experiments/journal.py",
-               "def default_journal_dir(",
-               "def _grab(path):\n"
+        mutate(tree, "experiments/export.py",
+               "def export_csv(",
+               "import os\n\n\ndef _grab(path):\n"
                "    return os.open(path, os.O_CREAT | os.O_EXCL)\n\n\n"
-               "def default_journal_dir(")
+               "def export_csv(")
         result = lint_paths([tree], select=INTERPROCEDURAL)
         assert result.exit_code != 0
         assert any(f.rule == "conc-file-lock" for f in result.active)

@@ -35,14 +35,14 @@ class TestCompareSampled:
                      "--uops", "30000", "--no-cache", *SAMPLED]) == 0
         out = capsys.readouterr().out
         assert "+-" in out
-        assert "sampled cells" in out
-        assert "docs/sampling.md" in out
+        assert "sampled simulation" in out
+        assert "values are reconstructions" in out
 
     def test_unsampled_compare_has_no_footer(self, capsys):
         assert main(["compare", "mascot", "--benchmarks", "mcf",
                      "--uops", "30000", "--no-cache"]) == 0
         out = capsys.readouterr().out
-        assert "sampled cells" not in out
+        assert "sampled simulation" not in out
         assert "+-" not in out
 
 
