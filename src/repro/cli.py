@@ -328,7 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "lint",
         help="static simulator-correctness checks (oracle isolation, "
              "determinism, hardware realizability, engine equivalence, "
-             "salt coverage, worker safety)",
+             "worker safety)",
     )
     lint_cli.add_arguments(lint)
 

@@ -4,7 +4,7 @@ The batched engine replays the *architectural* branch-outcome stream, which
 is a pure function of the trace — so every folded-history register value a
 predictor will ever observe during a run can be computed up front with
 numpy, instead of updating ~20 registers per conditional branch in Python
-(:meth:`FoldVector.push_bit`, the dominant Phase A cost).
+(``GlobalHistory.push_conditional``, the dominant Phase A cost).
 
 The closed form exploits the :class:`~repro.common.history.FoldedRegister`
 invariant (see ``GlobalHistory.fold_snapshot``): at all times
@@ -33,14 +33,13 @@ primed row fail loudly at ``finish``.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
 from ..trace.columns import OP_CODES
 from ..trace.uop import OpClass
 from .history import INDIRECT_TARGET_BITS, GlobalHistory
-from .foldvec import FoldVector
 
 __all__ = ["BranchStream", "FoldPlan", "MAX_FOLD_WIDTH", "ROW_BLOCK",
            "check_consumed", "path_series", "prime_inputs", "primed_rows"]
@@ -204,38 +203,35 @@ def check_consumed(owner: str, rows: Iterator, primed: int) -> None:
 
 
 class FoldPlan:
-    """All fold-register values of a :class:`FoldVector` over a bit stream.
+    """All fold-register values of a :class:`GlobalHistory` over a bit stream.
 
-    ``series[slot][k]`` is the register value after the first ``k`` bits of
-    ``pushed`` (``k == 0`` is the pre-stream state).  Construction verifies
-    the ``k == 0`` column against the live register values and raises
-    ``RuntimeError`` on mismatch; :meth:`for_history` turns that into None,
-    and callers keep their incremental history path in that case.  Values
-    are int32: a register wider than :data:`MAX_FOLD_WIDTH` raises
+    ``series[(length, width)][k]`` is that register's value after the first
+    ``k`` bits of ``pushed`` (``k == 0`` is the pre-stream state).
+    Construction reads the history bits and register values straight from
+    ``ghist``, verifies the ``k == 0`` column against the live registers and
+    raises ``RuntimeError`` on mismatch; :meth:`for_history` turns that into
+    None, and callers keep their incremental history path in that case.
+    Values are int32: a register wider than :data:`MAX_FOLD_WIDTH` raises
     ``ValueError``.
 
-    :meth:`finalize` advances the underlying :class:`FoldVector` to the
-    post-stream state (values, ring bits, position) so the usual
-    ``sync_back`` hand-off applies unchanged (:meth:`write_back` does
-    both).
+    :meth:`write_back` brings ``ghist`` to the post-stream state (register
+    values and history bits), exactly as pushing ``pushed`` bit by bit
+    would, so the predictor object's state after a primed run is
+    indistinguishable from an incremental one.
     """
 
-    __slots__ = ("fv", "series", "_pushed")
+    __slots__ = ("ghist", "series", "_pushed")
 
-    def __init__(self, fv: FoldVector, pushed: np.ndarray) -> None:
-        self.fv = fv
+    def __init__(self, ghist: GlobalHistory, pushed: np.ndarray) -> None:
+        self.ghist = ghist
         self._pushed = pushed
         n = int(pushed.shape[0])
-        ring = np.asarray(fv._ring, dtype=np.int64)
-        rmask = fv._ring_mask
-        pos = fv._pos
-        tracked = fv._ghist.max_bits
-        ages = np.arange(tracked)
-        init = ring[(pos - 1 - ages) & rmask][::-1]  # oldest first
+        tracked = ghist.max_bits
+        # ghist.bits() is newest first; the closed form wants oldest first.
+        init = np.asarray(ghist.bits(tracked)[::-1], dtype=np.int64)
 
-        lengths = fv._lengths
-        widths = fv._widths
-        wmax = max(widths, default=1)
+        folds = ghist._folds
+        wmax = max((width for _, width in folds), default=1)
         if wmax > MAX_FOLD_WIDTH:
             raise ValueError(
                 f"fold width {wmax} exceeds the {MAX_FOLD_WIDTH}-bit int32 "
@@ -249,12 +245,11 @@ class FoldPlan:
 
         # Per-residue prefix parities, one table per distinct fold width.
         parity_by_width = {}
-        series: List[np.ndarray] = []
-        for i in range(len(lengths)):
-            length = lengths[i]
-            width = widths[i]
+        series: Dict[Tuple[int, int], np.ndarray] = {}
+        for (length, width), reg in folds.items():
             if length == 0:
-                series.append(np.full(out_len, fv.values[i], dtype=np.int32))
+                series[(length, width)] = np.full(out_len, reg.value,
+                                                  dtype=np.int32)
                 continue
             pref = parity_by_width.get(width)
             if pref is None:
@@ -272,13 +267,13 @@ class FoldPlan:
                 lo = hi - span
                 par = pref[hi:hi + out_len] ^ pref[lo:lo + out_len]
                 value ^= par << r if r else par
-            series.append(value)
+            series[(length, width)] = value
 
-        for i, col in enumerate(series):
-            if int(col[0]) != fv.values[i]:
+        for key, col in series.items():
+            if int(col[0]) != folds[key].value:
                 raise RuntimeError(
                     "fold register out of sync with history bits "
-                    f"(slot {i}: {int(col[0])} != {fv.values[i]})"
+                    f"({key}: {int(col[0])} != {folds[key].value})"
                 )
         self.series = series
 
@@ -288,34 +283,23 @@ class FoldPlan:
         """A plan over the registers of a live history, or None when they
         fail the invariant check (the caller keeps its incremental path)."""
         try:
-            return cls(FoldVector(ghist), pushed)
+            return cls(ghist, pushed)
         except RuntimeError:
             return None
 
     def column(self, length: int, width: int) -> np.ndarray:
         """The value series of the ``(length, width)`` register."""
-        return self.series[self.fv.slot(length, width)]
+        return self.series[(length, width)]
 
     def write_back(self) -> None:
         """Bring the source history to its post-stream state."""
-        self.finalize()
-        self.fv.sync_back()
-
-    def finalize(self) -> None:
-        """Advance the FoldVector to the post-stream state."""
-        fv = self.fv
-        for i, col in enumerate(self.series):
-            fv.values[i] = int(col[-1])
-        pushed = self._pushed
-        n = int(pushed.shape[0])
-        ring = fv._ring
-        rmask = fv._ring_mask
-        pos = fv._pos
-        start = max(0, n - (rmask + 1))
-        base = pos + start
-        for off, bit in enumerate(pushed[start:].tolist()):
-            ring[(base + off) & rmask] = bit
-        fv._pos = pos + n
+        ghist = self.ghist
+        folds = ghist._folds
+        for key, col in self.series.items():
+            folds[key].value = int(col[-1])
+        # extendleft pushes in stream order (the last bit ends up newest)
+        # and the deque's maxlen drops the evicted oldest bits.
+        ghist._bits.extendleft(self._pushed[-ghist.max_bits:].tolist())
 
 
 def path_series(initial: int, width: int, bits_per_branch: int,

@@ -5,7 +5,7 @@ from .config import GOLDEN_COVE, LION_COVE, CoreConfig
 from .lsu import StoreTiming, StoreWindow
 from .pipeline import Pipeline
 from .ports import PortPool, PortSet
-from .scoreboard import RingWindow, SeqScoreboard, StoreScoreboard
+from .scoreboard import RingWindow, StoreScoreboard
 from .stats import PipelineStats
 from .timeline import Timeline, UopTiming
 
@@ -20,7 +20,6 @@ __all__ = [
     "PortPool",
     "PortSet",
     "RingWindow",
-    "SeqScoreboard",
     "StoreScoreboard",
     "PipelineStats",
     "Timeline",

@@ -63,7 +63,7 @@ from ..trace.columns import OP_BY_CODE, OP_CODES, SRC_SLOTS, TraceColumns
 from ..trace.uop import MicroOp, OpClass
 from .config import GOLDEN_COVE, CoreConfig
 from .pipeline import _CONSUMER_OPS, _WINDOW_CATEGORIES
-from .scoreboard import SeqScoreboard, StoreScoreboard
+from .scoreboard import StoreScoreboard
 from .stats import PipelineStats
 
 __all__ = ["BatchedPipeline", "PredictorReplay"]
@@ -863,14 +863,3 @@ class BatchedPipeline(PredictorReplay):
             for i in range(len(self._commit_times))
         ]
         return Timeline(timings, trace)
-
-    def seq_scoreboard(self) -> SeqScoreboard:
-        """Columnar per-uop timing (``record_timeline=True`` only)."""
-        if not self._record_timeline:
-            raise RuntimeError(
-                "pipeline was not constructed with record_timeline=True"
-            )
-        return SeqScoreboard(
-            self._fetch_times, self._dispatch_times, self._issue_times,
-            self._complete_times, self._commit_times,
-        )

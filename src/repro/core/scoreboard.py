@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["RingWindow", "StoreScoreboard", "SeqScoreboard"]
+__all__ = ["RingWindow", "StoreScoreboard"]
 
 
 class RingWindow:
@@ -97,25 +97,3 @@ class StoreScoreboard:
 
     def forward_ready(self, seq: int) -> int:
         return int(max(self.addr_resolve[seq], self.data_ready[seq]))
-
-
-class SeqScoreboard:
-    """Per-uop timing columns (fetch/dispatch/issue/complete/commit).
-
-    The batched engine accumulates timing in plain python lists for speed
-    and exports them here at end-of-run; downstream consumers (timeline
-    rendering, equivalence tests) then get cheap columnar access without
-    the engine paying numpy scalar costs mid-loop.
-    """
-
-    __slots__ = ("fetch", "dispatch", "issue", "complete", "commit")
-
-    def __init__(self, fetch, dispatch, issue, complete, commit) -> None:
-        self.fetch = np.asarray(fetch, dtype=np.int64)
-        self.dispatch = np.asarray(dispatch, dtype=np.int64)
-        self.issue = np.asarray(issue, dtype=np.int64)
-        self.complete = np.asarray(complete, dtype=np.int64)
-        self.commit = np.asarray(commit, dtype=np.int64)
-
-    def __len__(self) -> int:
-        return len(self.fetch)

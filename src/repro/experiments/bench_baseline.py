@@ -172,16 +172,17 @@ def measure_cell(cell: BenchCell, repeats: int = 3) -> Dict[str, object]:
     exactly as a suite cell would.  Time is the process's CPU time, not
     wall time, so other load on a shared host (which only delays this
     process) is not charged to either engine; best-of-N suppresses what
-    noise is left.
+    noise is left.  The engines alternate (scalar, batched, scalar, ...)
+    so a burst of host load slows both sides of the ratio, not one.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     trace = generate_trace(cell.benchmark, cell.num_uops)
     trace.uops  # the scalar engine reads objects: build them untimed
-    scalar_s = min(_run_once(Pipeline, cell, trace)
-                   for _ in range(repeats))
-    batched_s = min(_run_once(BatchedPipeline, cell, trace)
-                    for _ in range(repeats))
+    scalar_s = batched_s = float("inf")
+    for _ in range(repeats):
+        scalar_s = min(scalar_s, _run_once(Pipeline, cell, trace))
+        batched_s = min(batched_s, _run_once(BatchedPipeline, cell, trace))
     kuops = (cell.num_uops - cell.measure_from) / 1000.0
     return {
         "benchmark": cell.benchmark,

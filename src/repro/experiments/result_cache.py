@@ -3,30 +3,31 @@
 A *cell* is the atomic unit of suite work — one ``(benchmark, predictor,
 core config)`` simulation (see :mod:`repro.experiments.parallel`).  Cells
 are pure functions of their parameters plus the simulator's code, so their
-results can be memoised on disk: a full-suite sweep re-run after editing
-one predictor only recomputes that predictor's cells.
+results can be memoised on disk: re-running a sweep on an unchanged source
+tree recomputes nothing.
 
 Keying
 ------
 Each cell's key is :func:`repro.common.hashing.stable_digest` over:
 
 * every trace-generation parameter (benchmark, length, seeds, windows),
-* the run parameters (mode, warmup, F1 period),
-* a **predictor fingerprint** — the registry name, the defining class, a
-  dump of its config dataclass when it has one, and a hash of the source
-  of its defining module plus the shared predictor machinery
-  (``predictors/base|configs|tables.py``),
+* the run parameters (mode, warmup, F1 period, engine, sampling policy),
+* a **predictor fingerprint** — the registry name, the class the registry
+  constructs and a dump of its config dataclass when it has one (a factory
+  swapped into the registry at runtime can change the class or config
+  without changing any source file),
 * the core configuration (timing mode), and
-* a **code-version salt** — a hash of every source file of the shared
-  simulation substrate (``trace``, ``core``, ``memory``, ``branch``,
-  ``analysis``, ``common`` and the runner itself).
+* a **code-version salt** — one SHA-256 over every ``*.py`` file under the
+  package root, by sorted relative path plus file bytes
+  (:func:`shared_code_salt`, computed once per process).
 
-Editing shared machinery therefore invalidates everything; editing one
-predictor module invalidates only cells naming a predictor defined there.
-Changes that the fingerprint cannot see (e.g. constructor arguments passed
-by a factory registered in ``suite.py`` for a predictor without a config
-dataclass) are not detected — bump :data:`CACHE_SCHEMA_VERSION` or use
-``--no-cache`` when in doubt.
+The salt covers the whole package, so no module that shapes a result —
+the predictor registry in ``suite.py``, the cell runner in
+``parallel.py``, a predictor, the trace generator — can be left out of
+it.  The price is paid on purpose: an edit to *any* package source file,
+including ones no cell reads (``figures.py``, ``cli.py``, ``lint/``),
+re-keys every cell, and the next sweep recomputes the whole grid.  Old
+entries are never read again; they are plain misses.
 
 Storage
 -------
@@ -50,7 +51,6 @@ arrived damaged is quarantined on load and recomputed like any miss.
 
 from __future__ import annotations
 
-import ast
 import hashlib
 import json
 import os
@@ -59,7 +59,7 @@ import time
 from dataclasses import asdict, is_dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 from ..common.hashing import stable_digest
 from ..core.stats import PipelineStats
@@ -74,7 +74,6 @@ __all__ = [
     "default_cache_dir",
     "encode_result",
     "predictor_fingerprint",
-    "predictor_sources",
     "shared_code_salt",
 ]
 
@@ -89,25 +88,6 @@ CACHE_SCHEMA_VERSION = 2
 #: Root of the installed ``repro`` package (``.../src/repro``).
 _PACKAGE_ROOT = Path(__file__).resolve().parent.parent
 
-#: Source trees/files every cell result depends on, relative to the
-#: package root.  ``predictors/`` is deliberately absent: predictor code is
-#: salted per predictor by :func:`predictor_fingerprint` so editing one
-#: predictor module leaves other predictors' cells valid.
-_SHARED_SOURCES = (
-    "trace", "core", "memory", "branch", "analysis", "common", "sampling",
-    "experiments/runner.py",
-    # Telemetry counters flow into cached PredictionRunResults, so their
-    # semantics are part of the result; the rest of repro.obs (cycle
-    # accounting, profile rendering, metrics emission) never touches
-    # cacheable payloads and deliberately stays out of the salt.
-    "obs/telemetry.py",
-)
-
-#: Predictor machinery shared by every predictor implementation.
-_PREDICTOR_COMMON_SOURCES = (
-    "predictors/base.py", "predictors/configs.py", "predictors/tables.py",
-)
-
 
 def default_cache_dir() -> Path:
     """``$REPRO_CACHE_DIR`` or ``~/.cache/repro-mascot``."""
@@ -118,73 +98,17 @@ def default_cache_dir() -> Path:
 
 
 @lru_cache(maxsize=None)
-def _source_digest(relative_parts: tuple) -> str:
-    """Hash the named source files/trees under the package root.
-
-    A missing or typo'd entry is a hard error: ``rglob`` on a nonexistent
-    directory yields nothing, so before this check a bad entry silently
-    contributed *zero bytes* to the salt — exactly the failure mode
-    (stale cache hits after edits) the salt exists to prevent.
-    """
-    digest = hashlib.sha256()
-    for rel in relative_parts:
-        path = _PACKAGE_ROOT / rel
-        if path.is_file():
-            files = [path]
-        elif path.is_dir():
-            files = sorted(path.rglob("*.py"))
-        else:
-            raise ValueError(
-                f"cache-salt source entry {rel!r} does not exist under "
-                f"{_PACKAGE_ROOT}; fix the entry (it would otherwise "
-                "contribute nothing to the code-version salt)"
-            )
-        if not files:
-            raise ValueError(
-                f"cache-salt source entry {rel!r} matches no Python files "
-                f"under {_PACKAGE_ROOT}; it contributes nothing to the "
-                "code-version salt"
-            )
-        for source in files:
-            digest.update(str(source.relative_to(_PACKAGE_ROOT)).encode())
-            digest.update(source.read_bytes())
-    return digest.hexdigest()
-
-
 def shared_code_salt() -> str:
-    """Code-version salt over the shared simulation substrate."""
-    return _source_digest(_SHARED_SOURCES)
-
-
-def _predictor_imports(rel: str) -> List[str]:
-    """Sibling ``predictors`` modules imported (``from .x import ...``) by
-    the predictor module at ``rel``, as paths relative to the package."""
-    tree = ast.parse((_PACKAGE_ROOT / rel).read_text(encoding="utf-8"))
-    return [f"predictors/{node.module}.py" for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom) and node.level == 1
-            and node.module]
-
-
-def predictor_sources(name: str) -> Tuple[str, ...]:
-    """Source files (relative to the package root) salting the cells of
-    the registered predictor ``name``: the module defining the class the
-    registry constructs plus every ``repro.predictors`` module it imports,
-    transitively, plus :data:`_PREDICTOR_COMMON_SOURCES` — so an edit to
-    IDist's Store Sets half, or to any shared helper module, re-keys the
-    cells that run it."""
-    from .suite import make_predictor  # local import: suite imports us
-
-    package, *module = type(make_predictor(name)).__module__.split(".")
-    pending = list(_PREDICTOR_COMMON_SOURCES)
-    if package == _PACKAGE_ROOT.name and module[:1] == ["predictors"]:
-        pending.append("/".join(module) + ".py")
-    covered = set()
-    while pending:
-        rel = pending.pop()
-        if rel not in covered:
-            covered.add(rel)
-            pending.extend(_predictor_imports(rel))
-    return tuple(sorted(covered))
+    """Code-version salt every cell key shares: a SHA-256 over every
+    ``*.py`` file under the package root, each as its relative path, its
+    length and its bytes, in sorted path order."""
+    digest = hashlib.sha256()
+    for path in sorted(_PACKAGE_ROOT.rglob("*.py")):
+        data = path.read_bytes()
+        rel = path.relative_to(_PACKAGE_ROOT).as_posix()
+        digest.update(f"{rel}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
 
 
 @lru_cache(maxsize=None)
@@ -193,8 +117,7 @@ def predictor_fingerprint(name: str) -> Dict[str, object]:
 
     Builds the predictor once (cheap — table allocation only) to observe
     the class the registry actually constructs and the config it was
-    given, then hashes every source file that class's behaviour depends
-    on (:func:`predictor_sources`).
+    given.  Its code is covered by :func:`shared_code_salt`.
     """
     from .suite import make_predictor  # local import: suite imports us
 
@@ -205,7 +128,6 @@ def predictor_fingerprint(name: str) -> Dict[str, object]:
         "name": name,
         "class": f"{cls.__module__}.{cls.__qualname__}",
         "config": asdict(config) if is_dataclass(config) else None,
-        "code": _source_digest(predictor_sources(name)),
     }
 
 
@@ -421,7 +343,8 @@ def cell_key(spec) -> str:
     """Content-address of one :class:`~repro.experiments.parallel.CellSpec`.
 
     Any single-field change — trace seed, window, warmup, predictor
-    config, core config, simulator source — yields a different key.
+    config, core config, any package source file — yields a different
+    key.
     """
     core = spec.config
     return stable_digest({

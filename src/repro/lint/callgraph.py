@@ -1,25 +1,15 @@
 """Whole-package call graph and reachability over the :class:`PackageIndex`.
 
 The index resolves one call at a time; the interprocedural rules (eq-*,
-salt-*, conc-*) need two whole-package views built on top of it:
-
-* a **module import graph** — which in-package modules each module imports
-  (directly, at any nesting depth), giving :meth:`CallGraph.import_closure`
-  for the cache-salt audit.  Ancestor-package ``__init__`` files are *not*
-  pulled in implicitly: importing ``pkg.core.pipeline`` executes
-  ``pkg/core/__init__.py`` at runtime, but package initialisers only bind
-  names — treating them as result-influencing would drag every re-export
-  (figures, CLI, docs helpers) into the salt audit.
-
-* a **function call graph** — edges from each function/method to every
-  in-package callee the index can resolve, plus "references class C"
-  edges.  Reachability is deliberately conservative: touching a class
-  (instantiating it, passing it around, calling a classmethod) reaches
-  *all* of its methods and its in-package ancestors, because instance
-  method calls through arbitrary variables cannot be resolved statically.
-  When a module is first reached, its top-level non-import statements are
-  scanned too, so registry tables (``PREDICTOR_FACTORIES = {"x": Xpred}``)
-  reach the classes they name.
+conc-*) need a whole-package **function call graph** built on top of it:
+edges from each function/method to every in-package callee the index can
+resolve, plus "references class C" edges.  Reachability is deliberately
+conservative: touching a class (instantiating it, passing it around,
+calling a classmethod) reaches *all* of its methods and its in-package
+ancestors, because instance method calls through arbitrary variables
+cannot be resolved statically.  When a module is first reached, its
+top-level non-import statements are scanned too, so registry tables
+(``PREDICTOR_FACTORIES = {"x": Xpred}``) reach the classes they name.
 """
 
 from __future__ import annotations
@@ -43,7 +33,7 @@ class Reachable:
 
 
 class CallGraph:
-    """Call and import edges derived once per lint run."""
+    """Call edges derived once per lint run."""
 
     def __init__(self, index: PackageIndex):
         self.index = index
@@ -53,8 +43,6 @@ class CallGraph:
         self.calls: Dict[str, Tuple[str, ...]] = {}
         #: function qualname -> in-package class qualnames it references.
         self.class_refs: Dict[str, Tuple[str, ...]] = {}
-        #: module -> in-package modules it imports directly.
-        self.module_imports: Dict[str, Tuple[str, ...]] = {}
         #: module -> (functions, classes) referenced from top-level
         #: non-import statements (registry dicts, module constants).
         self._toplevel_refs: Dict[str, Tuple[Tuple[str, ...],
@@ -81,25 +69,7 @@ class CallGraph:
             self.class_refs[qualname] = classes
 
         for name in sorted(index.modules):
-            self.module_imports[name] = self._imports_of(name)
             self._toplevel_refs[name] = self._scan_toplevel(name)
-
-    def _module_of(self, dotted: str) -> Optional[str]:
-        """Longest prefix of ``dotted`` that names an in-package module."""
-        parts = dotted.split(".")
-        for end in range(len(parts), 0, -1):
-            candidate = ".".join(parts[:end])
-            if candidate in self.index.modules:
-                return candidate
-        return None
-
-    def _imports_of(self, module: str) -> Tuple[str, ...]:
-        targets: Set[str] = set()
-        for dotted in self.index.imports.get(module, {}).values():
-            resolved = self._module_of(dotted)
-            if resolved is not None and resolved != module:
-                targets.add(resolved)
-        return tuple(sorted(targets))
 
     def _scan(self, module: str, cls: Optional[ClassInfo],
               node: ast.AST) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
@@ -152,18 +122,6 @@ class CallGraph:
         return tuple(sorted(callees)), tuple(sorted(classes))
 
     # ---------------------------------------------------------- reachability
-
-    def import_closure(self, roots: Iterable[str]) -> Set[str]:
-        """Modules transitively imported from ``roots`` (roots included)."""
-        seen: Set[str] = set()
-        queue = [r for r in roots if r in self.index.modules]
-        while queue:
-            current = queue.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            queue.extend(self.module_imports.get(current, ()))
-        return seen
 
     def reachable(self, seeds: Iterable[str]) -> Reachable:
         """BFS from seed function qualnames; see the module docstring."""

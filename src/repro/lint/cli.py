@@ -9,7 +9,7 @@ directory; CI pins the tree explicitly with ``repro lint src/repro``.
 
 ``--select`` / ``--ignore`` take comma-separated rule *families* (the
 prefix before the first dash: ``oracle``, ``det``, ``hw``, ``eq``,
-``salt``, ``conc``), letting CI run the cheap per-file rules and the
+``conc``), letting CI run the cheap per-file rules and the
 interprocedural pass as separate jobs.  ``--metrics FILE`` appends one
 JSONL record (files, rules run, findings per family, wall seconds) via
 :class:`repro.obs.MetricsWriter`, so lint cost lands in the same
@@ -58,7 +58,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--select", metavar="FAMILIES", default=None,
-        help="comma-separated rule families to run (e.g. eq,salt,conc); "
+        help="comma-separated rule families to run (e.g. eq,conc); "
              "default: all",
     )
     parser.add_argument(
@@ -158,8 +158,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         prog="repro lint",
         description="AST-based simulator-correctness linter "
                     "(oracle isolation, determinism, hardware "
-                    "realizability, engine equivalence, cache-salt "
-                    "audit, worker safety)",
+                    "realizability, engine equivalence, worker "
+                    "safety)",
     )
     add_arguments(parser)
     try:

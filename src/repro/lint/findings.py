@@ -43,7 +43,7 @@ class Finding:
 
     @property
     def family(self) -> str:
-        """Rule-name prefix grouping related rules (``eq``, ``salt``...)."""
+        """Rule-name prefix grouping related rules (``eq``, ``conc``...)."""
         return self.rule.split("-", 1)[0]
 
     @property

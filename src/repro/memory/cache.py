@@ -76,14 +76,6 @@ class Cache:
         # set index -> list of tags, LRU first.
         self._sets: Dict[int, List[int]] = {}
 
-    def _line(self, address: int) -> int:
-        return address >> self._offset_bits
-
-    def _set_index(self, line: int) -> int:
-        if self._set_mask is not None:
-            return line & self._set_mask
-        return line % self.num_sets
-
     def lookup(self, address: int, *, fill: bool = True,
                is_prefetch: bool = False) -> bool:
         """Probe the cache; returns True on hit.

@@ -1,8 +1,9 @@
 """Differential property tests for the precomputed fold-value plans.
 
-:class:`repro.common.foldplan.FoldPlan` claims that ``series[slot][k]``
-equals the live :class:`~repro.common.foldvec.FoldVector` register value
-after ``k`` incremental ``push_bit`` calls; :func:`path_series` makes the
+:class:`repro.common.foldplan.FoldPlan` claims that
+``series[(length, width)][k]`` equals the live
+:class:`~repro.common.history.GlobalHistory` register value after ``k``
+incremental ``push_conditional`` calls; :func:`path_series` makes the
 same claim against :class:`~repro.common.history.PathHistory.push`, and
 :class:`BranchStream` against the ``GlobalHistory`` push stream itself.
 Each test here replays the slow incremental oracle bit-for-bit against the
@@ -20,7 +21,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.bitops import fold_bits, mask
 from repro.common.foldplan import BranchStream, FoldPlan, path_series
-from repro.common.foldvec import FoldVector
 from repro.common.history import (
     INDIRECT_TARGET_BITS,
     GlobalHistory,
@@ -57,18 +57,17 @@ class TestFoldPlan:
            pushed=st.lists(bit_st, max_size=96))
     @settings(max_examples=80, deadline=None, derandomize=True)
     def test_series_matches_incremental_push_bit(self, specs, prior, pushed):
-        ghist = _seeded_history(prior, specs)
-        fv = FoldVector(ghist)
-        oracle = FoldVector(ghist)
-        plan = FoldPlan(fv, np.asarray(pushed, dtype=np.int64))
+        plan = FoldPlan(_seeded_history(prior, specs),
+                        np.asarray(pushed, dtype=np.int64))
+        oracle = _seeded_history(prior, specs)
 
         for k in range(len(pushed) + 1):
-            for slot in range(len(oracle.values)):
-                assert int(plan.series[slot][k]) == oracle.values[slot], (
-                    f"slot {slot} diverges after {k} bits"
+            for key, reg in oracle._folds.items():
+                assert int(plan.column(*key)[k]) == reg.value, (
+                    f"register {key} diverges after {k} bits"
                 )
             if k < len(pushed):
-                oracle.push_bit(pushed[k])
+                oracle.push_conditional(bool(pushed[k]))
 
     @given(specs=fold_specs_st,
            prior=st.lists(bit_st, max_size=MAX_BITS + 8),
@@ -76,29 +75,28 @@ class TestFoldPlan:
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_finalize_reaches_incremental_end_state(self, specs, prior,
                                                     pushed):
+        # write_back leaves the planned history exactly where pushing the
+        # stream bit by bit leaves the oracle: bits and register values.
         ghist = _seeded_history(prior, specs)
-        fv = FoldVector(ghist)
-        oracle = FoldVector(ghist)
-        plan = FoldPlan(fv, np.asarray(pushed, dtype=np.int64))
+        oracle = _seeded_history(prior, specs)
+        FoldPlan(ghist, np.asarray(pushed, dtype=np.int64)).write_back()
         for bit in pushed:
-            oracle.push_bit(bit)
+            oracle.push_conditional(bool(bit))
 
-        plan.finalize()
-        assert fv.values == oracle.values
-        assert fv.bits(MAX_BITS) == oracle.bits(MAX_BITS)
+        assert ghist.bits(MAX_BITS) == oracle.bits(MAX_BITS)
+        assert ({key: reg.value for key, reg in ghist._folds.items()}
+                == {key: reg.value for key, reg in oracle._folds.items()})
 
     @given(specs=fold_specs_st,
            prior=st.lists(bit_st, max_size=MAX_BITS + 8),
            pushed=st.lists(bit_st, min_size=1, max_size=64))
     @settings(max_examples=40, deadline=None, derandomize=True)
     def test_sync_back_agrees_with_fold_snapshot(self, specs, prior, pushed):
-        # End-to-end: plan a stream, finalize, sync back into the
+        # End-to-end: plan a stream and write it back into the
         # GlobalHistory — every register must equal the from-scratch
         # fold_snapshot of the final bit history.
         ghist = _seeded_history(prior, specs)
-        fv = FoldVector(ghist)
-        FoldPlan(fv, np.asarray(pushed, dtype=np.int64)).finalize()
-        fv.sync_back()
+        FoldPlan(ghist, np.asarray(pushed, dtype=np.int64)).write_back()
         for length, width in specs:
             assert ghist._folds[(length, width)].value == \
                 ghist.fold_snapshot(length, width)
@@ -108,10 +106,11 @@ class TestFoldPlan:
         # corrupted register must fail loudly (callers then fall back to
         # the incremental path) rather than produce a silently wrong plan.
         ghist = _seeded_history([1, 0, 1, 1], [(12, 5)])
-        fv = FoldVector(ghist)
-        fv.values[0] ^= 1
+        ghist._folds[(12, 5)].value ^= 1
         with pytest.raises(RuntimeError):
-            FoldPlan(fv, np.asarray([1, 0], dtype=np.int64))
+            FoldPlan(ghist, np.asarray([1, 0], dtype=np.int64))
+        assert FoldPlan.for_history(
+            ghist, np.asarray([1, 0], dtype=np.int64)) is None
 
 
 class TestPathSeries:

@@ -5,8 +5,7 @@ and dict-of-dataclasses with fixed rings and per-seq columns; these tests
 pin each replacement to the obvious python oracle it stands in for:
 
 * :class:`RingWindow` of capacity ``k``  ==  ``history[-k]`` on a list,
-* :class:`StoreScoreboard`               ==  a dict of per-store records,
-* :class:`SeqScoreboard`                 ==  the lists it was built from.
+* :class:`StoreScoreboard`               ==  a dict of per-store records.
 
 All hypothesis tests run ``derandomize=True`` so the explored example
 sequence is a pure function of the test source (det-unseeded-rng applies
@@ -15,11 +14,10 @@ in spirit to the test tier too: no run-to-run variance).
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.scoreboard import RingWindow, SeqScoreboard, StoreScoreboard
+from repro.core.scoreboard import RingWindow, StoreScoreboard
 
 #: Values pushed through the windows: cycle counts are small non-negative
 #: ints, but nothing in the structures requires that — use a wider band.
@@ -105,20 +103,3 @@ class TestStoreScoreboard:
             # later of address resolution and data readiness.
             assert board.forward_ready(seq) == max(expected[0], expected[1])
 
-
-class TestSeqScoreboard:
-    @given(n=st.integers(min_value=0, max_value=40), data=st.data())
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    def test_round_trips_source_lists(self, n, data):
-        columns = [
-            data.draw(st.lists(values_st, min_size=n, max_size=n))
-            for _ in range(5)
-        ]
-        board = SeqScoreboard(*columns)
-        assert len(board) == n
-        for name, source in zip(
-                ("fetch", "dispatch", "issue", "complete", "commit"),
-                columns):
-            exported = getattr(board, name)
-            assert exported.dtype == np.int64
-            assert exported.tolist() == source

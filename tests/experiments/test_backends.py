@@ -29,7 +29,9 @@ from repro.experiments.runner import default_cache
 
 SRC = Path(repro.__file__).resolve().parents[1]
 
-GOLDEN_N = 60_000  # about a second per cell: the kills land mid-grid
+#: About 0.1 s per cell: a two-slot run of the grid lasts about half a
+#: second, so each kill must land well inside that.
+GOLDEN_N = 60_000
 
 
 def _cell(benchmark, predictor="mascot"):
@@ -141,7 +143,7 @@ class TestGoldenCrashRecovery:
             while not done.wait(0.02):
                 children = multiprocessing.active_children()
                 if children:
-                    time.sleep(0.5)
+                    time.sleep(0.1)
                     if children[0].is_alive():
                         children[0].kill()
                         killed.append(children[0].pid)

@@ -4,7 +4,8 @@ Measurement itself takes minutes of full-trace simulation, so these
 tests drive :func:`check_against_baseline` with synthetic documents;
 the real measurement runs in the CI perf job and via
 ``repro bench-baseline``.  One small cell checks what the measurement
-charges: CPU time, never time spent waiting.
+charges: CPU time, never time spent waiting; another that the engines'
+repeats alternate.
 """
 
 import time
@@ -47,6 +48,27 @@ class TestMeasuresCpuTime:
                            repeats=1)
         assert row["scalar_s"] < SLEEP_S
         assert row["batched_s"] < SLEEP_S
+
+
+class TestInterleavedRepeats:
+    def test_engines_alternate_and_best_of_each_is_kept(self, monkeypatch):
+        """A burst of host load must land on both sides of the ratio:
+        repeats run scalar, batched, scalar, batched, ..."""
+        order = []
+        times = iter([3.0, 2.0, 1.0, 4.0, 5.0, 0.5])
+
+        def fake_run_once(engine_cls, cell, trace):
+            order.append(engine_cls)
+            return next(times)
+
+        monkeypatch.setattr(bench_baseline, "_run_once", fake_run_once)
+        row = measure_cell(BenchCell("lbm", "mascot", "golden-cove",
+                                     num_uops=1_500, measure_from=500),
+                           repeats=3)
+        assert order == [bench_baseline.Pipeline,
+                         bench_baseline.BatchedPipeline] * 3
+        assert row["scalar_s"] == 1.0
+        assert row["batched_s"] == 0.5
 
 
 def engine_cell(speedup=6.0):

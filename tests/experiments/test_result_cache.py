@@ -12,6 +12,7 @@ import multiprocessing
 import os
 import shutil
 import stat
+import subprocess
 import sys
 import threading
 
@@ -24,6 +25,7 @@ from repro.core.stats import PipelineStats
 from repro.experiments import parallel
 from repro.experiments.parallel import CellSpec, execute_cells
 from repro.experiments.result_cache import (
+    _PACKAGE_ROOT as REAL_PACKAGE_ROOT,
     CACHE_DIR_ENV,
     ResultCache,
     cell_key,
@@ -357,65 +359,96 @@ class TestDefaultDir:
         assert path.parent.name == ".cache"
 
 
-class TestSourceDigest:
-    def test_nonexistent_entry_is_a_hard_error(self):
-        from repro.experiments.result_cache import _source_digest
-
-        with pytest.raises(ValueError, match="no_such_subpackage"):
-            _source_digest(("no_such_subpackage",))
-
-    def test_empty_directory_entry_is_a_hard_error(self, tmp_path, monkeypatch):
-        import repro.experiments.result_cache as rc
-
-        (tmp_path / "hollow").mkdir()
-        monkeypatch.setattr(rc, "_PACKAGE_ROOT", tmp_path)
-        with pytest.raises(ValueError, match="matches no Python files"):
-            rc._source_digest(("hollow",))
-
-    def test_shared_salt_entries_all_resolve(self):
-        # The committed tuples must never trip the hard error.
-        assert shared_code_salt()
-        assert predictor_fingerprint("mascot")["code"]
-
-
 class TestPredictorSalt:
-    """Per-predictor salts cover predictor code outside the defining
+    """The code-version salt covers predictor code outside the defining
     module: an edit to an imported predictor module must re-key."""
 
     @pytest.fixture
     def package_copy(self, tmp_path, monkeypatch):
-        import shutil
-
         import repro.experiments.result_cache as rc
 
-        shutil.copytree(rc._PACKAGE_ROOT / "predictors",
-                        tmp_path / "repro" / "predictors")
+        shutil.copytree(rc._PACKAGE_ROOT, tmp_path / "repro",
+                        ignore=shutil.ignore_patterns("__pycache__"))
         monkeypatch.setattr(rc, "_PACKAGE_ROOT", tmp_path / "repro")
-        rc.predictor_fingerprint.cache_clear()
-        rc._source_digest.cache_clear()
+        rc.shared_code_salt.cache_clear()
         yield tmp_path / "repro"
-        rc.predictor_fingerprint.cache_clear()
-        rc._source_digest.cache_clear()
-
-    def test_idist_sources_include_store_sets(self):
-        from repro.experiments.result_cache import predictor_sources
-
-        sources = predictor_sources("idist+store-sets")
-        assert "predictors/idist.py" in sources
-        assert "predictors/store_sets.py" in sources
+        rc.shared_code_salt.cache_clear()
 
     def test_edit_to_imported_module_changes_fingerprint(self,
                                                          package_copy):
         import repro.experiments.result_cache as rc
 
-        before = rc.predictor_fingerprint("idist+store-sets")["code"]
-        unrelated = rc.predictor_fingerprint("phast")["code"]
+        spec = _variant(predictor="idist+store-sets")
+        before = rc.cell_key(spec)
         with open(package_copy / "predictors" / "store_sets.py", "a") as f:
             f.write("\n# edited\n")
-        rc.predictor_fingerprint.cache_clear()
-        rc._source_digest.cache_clear()
-        assert rc.predictor_fingerprint("idist+store-sets")["code"] != before
-        assert rc.predictor_fingerprint("phast")["code"] == unrelated
+        rc.shared_code_salt.cache_clear()
+        assert rc.cell_key(spec) != before
+
+    @pytest.mark.parametrize("relative", [
+        "experiments/parallel.py", "obs/cycles.py",
+    ])
+    def test_edit_outside_the_simulator_changes_salt(self, package_copy,
+                                                     relative):
+        # Modules outside the simulation packages shape results too: the
+        # cell runner builds the predictor (compute_cell,
+        # _build_predictor), and cycle accounting feeds the stats.
+        import repro.experiments.result_cache as rc
+
+        before = rc.shared_code_salt()
+        with open(package_copy / relative, "a") as f:
+            f.write("\n# edited\n")
+        rc.shared_code_salt.cache_clear()
+        assert rc.shared_code_salt() != before
+
+    def test_salt_ignores_where_the_package_lives(self, package_copy,
+                                                  monkeypatch):
+        # Hosts merging cache directories run the same tree from different
+        # checkouts: only relative paths and bytes may enter the salt.
+        import repro.experiments.result_cache as rc
+
+        moved = rc.shared_code_salt()
+        rc.shared_code_salt.cache_clear()
+        monkeypatch.setattr(rc, "_PACKAGE_ROOT", REAL_PACKAGE_ROOT)
+        assert rc.shared_code_salt() == moved
+
+
+#: A timing cell of the predictor whose registry entry the registry test
+#: below rewrites.
+_KEY_STORE_SETS_CELL = """
+from repro.core.config import GOLDEN_COVE
+from repro.experiments.parallel import CellSpec, cell_key
+print(cell_key(CellSpec(mode="timing", benchmark="lbm", num_uops=5000,
+                        predictor="store-sets", config=GOLDEN_COVE)))
+"""
+
+
+def _key_in_subprocess(package_parent):
+    env = dict(os.environ, PYTHONPATH=str(package_parent))
+    done = subprocess.run([sys.executable, "-c", _KEY_STORE_SETS_CELL],
+                          env=env, capture_output=True, text=True,
+                          check=True, timeout=120)
+    return done.stdout.strip()
+
+
+class TestRegistryEdit:
+    def test_store_sets_factory_edit_rekeys_cell(self, tmp_path):
+        # Store Sets has no config dataclass, so a constructor argument
+        # passed by its registry factory is invisible to the predictor
+        # fingerprint; only the salt over suite.py can see it.
+        copy = tmp_path / "repro"
+        shutil.copytree(REAL_PACKAGE_ROOT, copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        before = _key_in_subprocess(tmp_path)
+        suite = copy / "experiments" / "suite.py"
+        text = suite.read_text()
+        assert '"store-sets": StoreSets,' in text
+        suite.write_text(text.replace(
+            '"store-sets": StoreSets,',
+            '"store-sets": lambda: StoreSets(footprint_scale=1),'))
+        after = _key_in_subprocess(tmp_path)
+        assert len(before) == len(after) == 64
+        assert after != before
 
 
 class TestTempFileHygiene:

@@ -1,9 +1,9 @@
 """Drift injection against a copy of the *real* tree.
 
 The acceptance criterion for the interprocedural pass: seed one
-asymmetry between ``core/pipeline.py`` and ``core/batched.py``, and
-remove one ``_SHARED_SOURCES`` entry, and the lint run must go non-zero;
-likewise for a ground-truth read planted in a predictor's ``lookup``.
+asymmetry between ``core/pipeline.py`` and ``core/batched.py`` and the
+lint run must go non-zero; likewise for a ground-truth read planted in a
+predictor's ``lookup``.
 The copy keeps the on-disk ``__init__.py`` chain, so module names (and
 therefore the suffix-based engine/entry detection) match the shipped
 package exactly.
@@ -21,7 +21,7 @@ from repro.lint import lint_paths
 
 REPRO_PACKAGE = Path(repro.__file__).parent
 
-INTERPROCEDURAL = ["eq", "salt", "conc"]
+INTERPROCEDURAL = ["eq", "conc"]
 
 
 @pytest.fixture
@@ -85,31 +85,6 @@ class TestSeededEngineAsymmetry:
         assert result.exit_code != 0
         assert any(f.rule == "eq-predictor-call" and "on_branch" in f.message
                    for f in result.active)
-
-
-class TestRemovedSaltEntry:
-    def test_dropped_shared_source_fails_lint(self, tree):
-        mutate(tree, "experiments/result_cache.py",
-               '"trace", "core", "memory", "branch", "analysis", "common",',
-               '"trace", "core", "memory", "analysis", "common",')
-        result = lint_paths([tree], select=INTERPROCEDURAL)
-        assert result.exit_code != 0
-        missing = [f for f in result.active if f.rule == "salt-missing"]
-        assert missing
-        assert any("branch" in f.message for f in missing)
-
-    def test_dropped_sampling_source_fails_lint(self, tree):
-        # Sampled cells are cached under the same shared salt; losing the
-        # "sampling" entry would serve stale reconstructions after any
-        # edit to selection or reconstruction code.
-        mutate(tree, "experiments/result_cache.py",
-               '"analysis", "common", "sampling",',
-               '"analysis", "common",')
-        result = lint_paths([tree], select=INTERPROCEDURAL)
-        assert result.exit_code != 0
-        missing = [f for f in result.active if f.rule == "salt-missing"]
-        assert missing
-        assert any("sampling" in f.message for f in missing)
 
 
 class TestOracleReadInLookupHalf:

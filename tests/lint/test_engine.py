@@ -18,7 +18,7 @@ class TestRuleRegistry:
     def test_all_families_plus_parse_error_registered(self):
         assert "parse-error" in ALL_RULES
         assert "oracle-leak" in ALL_RULES
-        for prefix in ("det-", "hw-", "eq-", "salt-", "conc-"):
+        for prefix in ("det-", "hw-", "eq-", "conc-"):
             assert any(rule.startswith(prefix) for rule in ALL_RULES), prefix
 
     def test_family_registry_matches_rules(self):
@@ -229,7 +229,7 @@ class TestFamilyFilters:
         box.write("mod.py", self.DIRTY)
         result = lint_paths([box.root], select=["det"])
         assert [f.rule for f in result.active] == ["det-id"]
-        result = lint_paths([box.root], select=["eq", "salt", "conc"])
+        result = lint_paths([box.root], select=["eq", "conc"])
         assert result.active == []
 
     def test_ignore_drops_named_families(self, box):
@@ -255,7 +255,7 @@ class TestCliFamilyFiltersAndMetrics:
         from repro.lint.cli import main
 
         box.write("mod.py", TestFamilyFilters.DIRTY)
-        assert main([str(box.root), "--select", "eq,salt,conc"]) == 0
+        assert main([str(box.root), "--select", "eq,conc"]) == 0
         assert main([str(box.root), "--select", "det"]) == 1
         capsys.readouterr()
 
