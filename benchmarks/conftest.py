@@ -19,9 +19,10 @@ Fault tolerance (see docs/resilience.md; all unset by default, which
 keeps the historical fail-fast behaviour):
 
 * ``REPRO_BENCH_TIMEOUT``    — per-cell wall-clock timeout in seconds.
-* ``REPRO_BENCH_RETRIES``    — extra attempts per failed cell.
-* ``REPRO_BENCH_KEEP_GOING`` — set to 1 to mark exhausted cells as failed
-  and complete the rest of the grid instead of aborting the bench.
+* ``REPRO_BENCH_KEEP_GOING`` — set to 1 to mark failed cells as failed
+  and complete the rest of the grid instead of aborting the bench.  Each
+  cell runs once; rerunning on the same ``REPRO_BENCH_CACHE`` computes
+  only the failed cells.
 
 Run:  pytest benchmarks/ --benchmark-only -s
 """
@@ -66,14 +67,12 @@ def bench_cache():
 def bench_policy():
     """ResiliencePolicy from REPRO_BENCH_*, or None when all are unset."""
     timeout = os.environ.get("REPRO_BENCH_TIMEOUT")
-    retries = os.environ.get("REPRO_BENCH_RETRIES")
     keep_going = os.environ.get("REPRO_BENCH_KEEP_GOING") == "1"
-    if timeout is None and retries is None and not keep_going:
+    if timeout is None and not keep_going:
         return None
     from repro.experiments import ResiliencePolicy
     return ResiliencePolicy(
         cell_timeout=float(timeout) if timeout else None,
-        retries=int(retries) if retries else 0,
         fail_fast=not keep_going,
     )
 

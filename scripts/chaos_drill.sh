@@ -3,7 +3,10 @@
 #
 # Half A and half B of a six-benchmark accuracy grid run side by side,
 # each on two local slots with its own cache directory.  One of half A's
-# slot workers is SIGKILLed mid-grid and respawned.  Half B's coordinator
+# slot workers is SIGKILLed mid-grid and respawned; half A runs with
+# --keep-going, so the cell that worker ran (if any) fails once, and
+# rerunning half A on its cache must compute exactly the cells it named
+# FAILED and serve every other cell from the cache.  Half B's coordinator
 # alone is SIGKILLed once at least one of its cells has settled into the
 # cache; its slot workers must then exit by themselves within 10 s, and
 # rerunning half B on the same cache directory must serve every settled
@@ -20,7 +23,7 @@ UOPS=${CHAOS_UOPS:-60000}
 HALF_A=(exchange2 lbm perlbench1)
 HALF_B=(mcf xalancbmk gcc1)
 RUN=(python -m repro accuracy mascot phast --uops "$UOPS")
-HALF_FLAGS=(--jobs 2 --retries 3)
+HALF_FLAGS=(--jobs 2)
 B_SLOTS=()
 
 cleanup() {
@@ -54,7 +57,7 @@ running() { # $1: pid; true while it runs (a zombie awaiting reaping is gone)
     [ -n "$state" ] && [ "${state:0:1}" != Z ]
 }
 
-"${RUN[@]}" --benchmarks "${HALF_A[@]}" "${HALF_FLAGS[@]}" \
+"${RUN[@]}" --benchmarks "${HALF_A[@]}" "${HALF_FLAGS[@]}" --keep-going \
     --cache-dir "$WORKDIR/a" >"$WORKDIR/a.out" 2>"$WORKDIR/a.err" &
 A_PID=$!
 "${RUN[@]}" --benchmarks "${HALF_B[@]}" "${HALF_FLAGS[@]}" \
@@ -98,8 +101,37 @@ fi
 echo "chaos drill: half B's ${#B_SLOTS[@]} slot workers exited"
 B_SLOTS=()  # exited: never signal their pids again
 
-wait "$A_PID"
-echo "chaos drill: half A finished"
+A_STATUS=0
+wait "$A_PID" || A_STATUS=$?
+A_FAILED=$(grep -c '^FAILED ' "$WORKDIR/a.err" || true)
+echo "chaos drill: half A exited $A_STATUS with $A_FAILED failed cells"
+if ! { [ "$A_STATUS" -eq 0 ] && [ "$A_FAILED" -eq 0 ]; } \
+        && ! { [ "$A_STATUS" -eq 1 ] && [ "$A_FAILED" -ge 1 ]; }; then
+    echo "chaos drill: half A's exit status disagrees with its FAILED" \
+         "lines" >&2
+    cat "$WORKDIR/a.err" >&2
+    exit 1
+fi
+
+echo "chaos drill: rerunning half A on its cache"
+"${RUN[@]}" --benchmarks "${HALF_A[@]}" "${HALF_FLAGS[@]}" \
+    --cache-dir "$WORKDIR/a" --metrics "$WORKDIR/a.jsonl" >/dev/null
+python - "$WORKDIR/a.jsonl" "$WORKDIR/a.err" <<'PY'
+import json
+import sys
+
+cells = [r for r in map(json.loads, open(sys.argv[1]))
+         if r["event"] == "cell"]
+failed = {line.split()[1].rstrip(":") for line in open(sys.argv[2])
+          if line.startswith("FAILED ")}
+computed = {f"{r['mode']}:{r['benchmark']}/{r['predictor']}"
+            for r in cells if r["source"] == "computed"}
+# Rerun is retry: exactly the cells named FAILED compute again, and
+# every other cell is a cache hit.
+assert len(cells) == 6, cells
+assert computed == failed, (computed, failed)
+assert sum(r["source"] == "cache" for r in cells) == 6 - len(failed), cells
+PY
 
 echo "chaos drill: rerunning half B on its cache"
 "${RUN[@]}" --benchmarks "${HALF_B[@]}" "${HALF_FLAGS[@]}" \

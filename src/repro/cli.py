@@ -36,11 +36,12 @@ SimPoint-style representative regions are simulated and the printed
 statistics are full-run reconstructions carrying confidence intervals
 (see docs/sampling.md).
 
-Fault tolerance: the sweep commands accept ``--cell-timeout``,
-``--retries`` and ``--keep-going`` (see docs/resilience.md).  Every
+Fault tolerance: the sweep commands accept ``--cell-timeout`` and
+``--keep-going`` (see docs/resilience.md).  Each cell runs once; a cell
+that fails is charged to itself and never retried within the run.  Every
 settled cell is stored in the result cache as it settles, so rerunning a
 killed or partly failed command on the same ``--cache-dir`` computes only
-the cells that had not settled.  ``--jobs N`` runs cells on N local worker
+the cells that had not settled, failed ones included.  ``--jobs N`` runs cells on N local worker
 processes.  Several hosts split one grid by giving each its own
 ``--benchmarks`` subset and ``--cache-dir``; copying the cache
 directories together and rerunning the full command then renders the
@@ -216,26 +217,21 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         metavar="SECONDS",
         help="per-cell wall-clock timeout (default: none)",
     )
-    parser.add_argument(
-        "--retries", type=_non_negative_int, default=0, metavar="N",
-        help="extra attempts per failed cell, with exponential backoff "
-             "(default: 0)",
-    )
     fail_mode = parser.add_mutually_exclusive_group()
     fail_mode.add_argument(
         "--fail-fast", dest="keep_going", action="store_false",
-        help="abort the sweep on the first exhausted cell (default)",
+        help="abort the sweep on the first failed cell (default)",
     )
     fail_mode.add_argument(
         "--keep-going", dest="keep_going", action="store_true",
-        help="mark exhausted cells as failed and complete the rest of "
-             "the grid",
+        help="mark failed cells as failed and complete the rest of "
+             "the grid; a rerun on the same cache computes only them",
     )
     parser.set_defaults(keep_going=False)
     parser.add_argument(
         "--metrics", default=None, metavar="FILE",
         help="append per-cell execution records (wall time, cache "
-             "hit/miss, retries) to this JSONL file",
+             "hit/miss, failures) to this JSONL file",
     )
 
 
@@ -307,8 +303,9 @@ def _build_parser() -> argparse.ArgumentParser:
                          choices=sorted(PREDICTOR_FACTORIES))
     profile.add_argument(
         "--metrics-file", default=None, metavar="FILE",
-        help="also summarise a sweep's --metrics JSONL (cells, requeues, "
-             "cache); with no benchmark/predictor, print only that",
+        help="also summarise a sweep's --metrics JSONL (cells, "
+             "failures, cache); with no benchmark/predictor, print only "
+             "that",
     )
     profile.add_argument("--uops", type=_positive_int, default=40_000)
     profile.add_argument("--core", choices=sorted(_CORES),

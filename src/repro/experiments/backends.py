@@ -2,13 +2,12 @@
 
 The supervisor loop in :mod:`repro.experiments.parallel` schedules cells,
 enforces deadlines and classifies failures, but it does not own the
-processes that run them.  That is an :class:`ExecutorBackend`, and the
-one implementation is :class:`LocalPoolBackend`: ``workers`` slots, each
-a ``ProcessPoolExecutor`` with one process.  A slot runs one cell at a
-time and keeps its process's trace memo between cells, so the supervisor
-can send it every cell of the traces it already holds, and a lost or
-hung worker identifies its cell with certainty: a crash costs exactly
-one requeue of that cell and leaves the other slots' cells running.
+processes that run them.  That is :class:`LocalPoolBackend`: ``workers``
+slots, each a ``ProcessPoolExecutor`` with one process.  A slot runs one
+cell at a time and keeps its process's trace memo between cells, so the
+supervisor can send it every cell of the traces it already holds, and a
+lost or hung worker identifies its cell with certainty: a crash fails
+exactly that cell and leaves the other slots' cells running.
 A worker exits as soon as its coordinator dies, even by SIGKILL, so a
 lost coordinator never leaks idle workers.
 
@@ -29,16 +28,7 @@ from typing import List, Optional, Set
 
 from .resilience import CellExecutionError
 
-__all__ = [
-    "BackendBrokenError",
-    "ExecutorBackend",
-    "LocalPoolBackend",
-    "WorkerLostError",
-]
-
-
-class BackendBrokenError(RuntimeError):
-    """The execution substrate is unusable; the supervisor must rebuild."""
+__all__ = ["LocalPoolBackend", "WorkerLostError"]
 
 
 class WorkerLostError(CellExecutionError):
@@ -53,57 +43,6 @@ class WorkerLostError(CellExecutionError):
                  original: Optional[BaseException] = None):
         super().__init__(message)
         self.original = original
-
-
-class ExecutorBackend:
-    """Where cells run; the supervisor drives this interface.
-
-    A backend is a set of *slots*, each able to run one cell at a time.
-    ``slots`` lists the live ones as opaque hashable tokens; a token is
-    replaced whenever its worker's memory is lost (a respawned process),
-    so the supervisor can tell which traces a slot still holds.
-    ``submit`` hands one cell to an idle slot and returns an opaque
-    handle; ``wait`` blocks up to ``timeout`` for handles to finish;
-    ``result`` returns the cell's result or raises the failure
-    (:class:`WorkerLostError` or the cell's own exception).
-    """
-
-    @property
-    def workers(self) -> int:
-        """Current concurrent capacity (may shrink as workers die)."""
-        return len(self.slots())
-
-    def slots(self) -> List[object]:
-        """Tokens of the live slots, in a stable order."""
-        raise NotImplementedError
-
-    def submit(self, slot, fn, spec):
-        """Run ``fn(spec)`` on idle ``slot``; raises
-        :class:`BackendBrokenError` (and drops the slot) when the slot
-        cannot take it."""
-        raise NotImplementedError
-
-    def wait(self, timeout: float) -> Set[object]:
-        raise NotImplementedError
-
-    def result(self, handle):
-        raise NotImplementedError
-
-    def forget(self, handle) -> None:
-        """Abandon one in-flight handle (timeout) and the worker running
-        it; never raises."""
-        raise NotImplementedError
-
-    def rebuild(self) -> None:
-        """Restore lost slots after total capacity loss; never raises."""
-        raise NotImplementedError
-
-    def close(self) -> None:
-        raise NotImplementedError
-
-    def describe(self, handle) -> str:
-        """Short label of where a handle runs, for messages and metrics."""
-        raise NotImplementedError
 
 
 def _exit_with_parent() -> None:
@@ -152,49 +91,56 @@ class _Slot:
         self.pool.shutdown(wait=False, cancel_futures=True)
 
 
-class LocalPoolBackend(ExecutorBackend):
-    """``workers`` local slots, each its own one-process pool.
+class LocalPoolBackend:
+    """Where cells run: ``workers`` local slots, each its own one-process
+    pool.  The supervisor drives this interface.
 
-    Handles are the slots' futures.  ``BrokenProcessPool`` is translated
-    to :class:`WorkerLostError` with the original exception attached, so
+    ``slots`` lists the live slots as opaque hashable tokens; a token is
+    replaced whenever its worker's memory is lost (a respawned process),
+    so the supervisor can tell which traces a slot still holds.
+    ``submit`` hands one cell to an idle slot and returns an opaque
+    handle (the slot's future); ``wait`` blocks up to ``timeout`` for
+    handles to finish; ``result`` returns the cell's result or raises
+    the failure.  ``BrokenProcessPool`` is translated to
+    :class:`WorkerLostError` with the original exception attached, so
     the supervisor's fail-fast path re-raises exactly what the pool
     raised.  A slot whose worker died or was abandoned (timeout) is
     respawned at once as a fresh slot; one that cannot be respawned, or
-    that fails to take a cell, stays lost until :meth:`rebuild`.
+    that fails to take a cell, is dropped for the rest of the run.
     """
 
     def __init__(self, workers: int):
-        self._slots: List[Optional[_Slot]] = [None] * workers
-        self.rebuild()
+        self._slots: List[Optional[_Slot]] = [
+            self._spawn(index) for index in range(workers)]
 
-    def _spawn(self, index: int) -> _Slot:
+    def _spawn(self, index: int) -> Optional[_Slot]:
+        """A fresh slot at ``index``, or None when it cannot start."""
         try:
             return _Slot(index)
-        except OSError as error:
-            raise BackendBrokenError(
-                f"cannot start local slot {index}: {error}") from error
+        except OSError:
+            return None
 
     def _replace(self, slot: _Slot) -> None:
         """Kill ``slot``'s worker and put a fresh slot in its place."""
         slot.kill()
-        try:
-            self._slots[slot.index] = self._spawn(slot.index)
-        except BackendBrokenError:
-            self._slots[slot.index] = None
+        self._slots[slot.index] = self._spawn(slot.index)
 
     def _owner(self, handle) -> Optional[_Slot]:
         return next((s for s in self.slots() if s.future is handle), None)
 
     def slots(self) -> List[_Slot]:
+        """Tokens of the live slots, in a stable order."""
         return [slot for slot in self._slots if slot is not None]
 
     def submit(self, slot: _Slot, fn, spec):
+        """Run ``fn(spec)`` on idle ``slot``; returns None, and drops the
+        slot, when the slot cannot take it."""
         try:
             slot.future = slot.pool.submit(fn, spec)
-        except (BrokenProcessPool, OSError) as error:
+        except (BrokenProcessPool, OSError):
             slot.kill()
             self._slots[slot.index] = None
-            raise BackendBrokenError(str(error)) from error
+            return None
         return slot.future
 
     def wait(self, timeout: float) -> Set[object]:
@@ -216,17 +162,11 @@ class LocalPoolBackend(ExecutorBackend):
                 original=error) from error
 
     def forget(self, handle) -> None:
+        """Abandon one in-flight handle (timeout) and the worker running
+        it; never raises."""
         slot = self._owner(handle)
         if slot is not None:
             self._replace(slot)
-
-    def rebuild(self) -> None:
-        for index, slot in enumerate(self._slots):
-            if slot is None:
-                try:
-                    self._slots[index] = self._spawn(index)
-                except BackendBrokenError:
-                    pass
 
     def close(self) -> None:
         for slot in self.slots():
@@ -234,4 +174,5 @@ class LocalPoolBackend(ExecutorBackend):
         self._slots = [None] * len(self._slots)
 
     def describe(self, handle) -> str:
+        """Short label of where a handle runs, for messages and metrics."""
         return self._owner(handle).label

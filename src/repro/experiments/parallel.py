@@ -27,23 +27,22 @@ generators:
   fresh predictor, and a trace is a pure function of its seeds, so the
   ``jobs=N`` grid is bit-identical to the serial one.
 * **Fault tolerance** — a :class:`~repro.experiments.resilience.ResiliencePolicy`
-  adds per-cell wall-clock timeouts (enforced via future deadlines),
-  bounded retries with key-derived backoff jitter, recovery from worker
-  death, and — under ``fail_fast=False`` —
+  adds per-cell wall-clock timeouts (enforced via future deadlines) and,
+  under ``fail_fast=False``,
   :class:`~repro.experiments.resilience.CellFailure` placeholders merged
-  positionally so callers render partial grids.  A slot runs one cell at
-  a time, so a dead or hung worker identifies its cell with certainty:
-  that cell alone is charged an attempt and the other slots' cells run
-  on.  A dead or hung worker is respawned as a fresh slot.  Only total
-  capacity loss (no live slot) counts toward ``max_pool_rebuilds``; past
-  that, the run degrades to inline serial execution with a
-  ``RuntimeWarning`` instead of aborting.
+  positionally so callers render partial grids.  Each cell is dispatched
+  once.  A slot runs one cell at a time, so a dead or hung worker
+  identifies its cell with certainty: that cell alone fails, the slot is
+  respawned as a fresh one, and the other slots' cells run on.  A slot
+  that cannot be respawned is dropped; once none is left, every queued
+  cell fails ``worker-lost``.
 * **Result caching** — an optional on-disk
   :class:`~repro.experiments.result_cache.ResultCache` is consulted before
   any work is dispatched and stores each cell as it settles, so a warm
-  sweep performs zero simulations.  The cache is also the crash
-  recovery: rerunning a killed grid on the same cache directory serves
-  every settled cell as a verified hit and computes only the rest.
+  sweep performs zero simulations.  The cache is also the recovery:
+  rerunning a killed or partly failed grid on the same cache directory
+  serves every settled cell as a verified hit and computes only the
+  rest (a failed cell is never stored).
 """
 
 from __future__ import annotations
@@ -60,19 +59,13 @@ from ..core.config import CoreConfig
 from ..obs.metrics import MetricsWriter
 from ..predictors.configs import MASCOT_DEFAULT
 from ..sampling.policy import SamplingPolicy
-from .backends import (
-    BackendBrokenError,
-    ExecutorBackend,
-    LocalPoolBackend,
-    WorkerLostError,
-)
+from .backends import LocalPoolBackend, WorkerLostError
 from .resilience import (
     DEFAULT_POLICY,
     CellFailure,
     CellTimeoutError,
     FailureKind,
     ResiliencePolicy,
-    backoff_delay,
     cell_label,
     inline_execution,
     maybe_inject_fault,
@@ -96,7 +89,7 @@ CacheSpec = Union[None, bool, str, Path, ResultCache]
 MetricsSpec = Union[None, str, Path, MetricsWriter]
 
 #: Supervisor poll interval in seconds: the granularity of timeout
-#: enforcement and retry re-dispatch.
+#: enforcement.
 _TICK = 0.05
 
 
@@ -250,7 +243,7 @@ def resolve_cache(cache: CacheSpec) -> Optional[ResultCache]:
 
 
 def _cell_record(spec: CellSpec, key: Optional[str], source: str,
-                 attempts: int, duration: float, status: str = "ok",
+                 duration: float, status: str = "ok",
                  kind: Optional[str] = None, message: Optional[str] = None,
                  worker: Optional[str] = None) -> Dict[str, object]:
     """One per-cell metrics record (JSONL row); ``worker`` names where a
@@ -264,7 +257,6 @@ def _cell_record(spec: CellSpec, key: Optional[str], source: str,
         "core": spec.config.name if spec.config is not None else None,
         "key": key,
         "source": source,
-        "attempts": attempts,
         "duration_s": round(duration, 6),
         "status": status,
         "worker": worker,
@@ -311,9 +303,8 @@ class Execution:
         if not args.no_cache:
             cache = args.cache_dir or True
         policy = None
-        if args.cell_timeout is not None or args.retries or args.keep_going:
+        if args.cell_timeout is not None or args.keep_going:
             policy = ResiliencePolicy(cell_timeout=args.cell_timeout,
-                                      retries=args.retries,
                                       fail_fast=not args.keep_going)
         return cls(jobs=args.jobs, cache=cache, policy=policy,
                    metrics=args.metrics)
@@ -363,24 +354,12 @@ class _Task:
     position: int
     spec: CellSpec
     key: Optional[str]
-    attempts: int = 0
-    #: Earliest monotonic time this task may be (re)dispatched (backoff).
-    ready_at: float = 0.0
     started_at: float = 0.0
-    deadline: Optional[float] = None
     #: The backend slot running this task, and that slot's label.
     slot: Optional[object] = None
     worker: Optional[str] = None
     result: Optional[object] = None
     failure: Optional[CellFailure] = None
-
-    @property
-    def backoff_key(self) -> str:
-        return self.key if self.key is not None else cell_label(self.spec)
-
-    @property
-    def done(self) -> bool:
-        return self.result is not None or self.failure is not None
 
 
 def execute_cells(
@@ -402,23 +381,27 @@ def execute_cells(
     a grid.
 
     Under the default policy, behaviour is identical to the
-    historical engine: no timeout, no retries, the first failure
-    propagates.  With ``policy.fail_fast=False`` a failed cell becomes a
+    historical engine: no timeout, the first failure propagates.  With
+    ``policy.fail_fast=False`` a failed cell becomes a
     :class:`~repro.experiments.resilience.CellFailure` placeholder at its
-    position and the rest of the grid completes.
+    position and the rest of the grid completes.  Each cell is
+    dispatched once; rerunning on the same cache computes the failed
+    cells again.
     """
     env = Execution(jobs, cache, policy, metrics).resolve()
     policy, store, writer = env.policy, env.store, env.writer
 
     emit = None
     if writer is not None:
-        def emit(spec, key, source, attempts, duration, status="ok",
-                 kind=None, message=None, worker=None):
-            writer.emit(_cell_record(spec, key, source, attempts, duration,
+        def emit(spec, key, source, duration, status="ok", kind=None,
+                 message=None, worker=None):
+            writer.emit(_cell_record(spec, key, source, duration,
                                      status=status, kind=kind,
                                      message=message, worker=worker))
 
-    keyed = store is not None or policy.retries > 0
+    # Metrics records carry the key even without a cache, so records
+    # of any run can be joined on it.
+    keyed = store is not None or writer is not None
     keys: Dict[CellSpec, str] = {}
 
     def key_of(spec: CellSpec) -> Optional[str]:
@@ -435,11 +418,9 @@ def execute_cells(
             if hit is not None:
                 results[position] = hit
                 if emit is not None:
-                    emit(spec, key, "cache", 0, 0.0)
+                    emit(spec, key, "cache", 0.0)
                 continue
         pending.append(position)
-
-    events = writer.emit if writer is not None else None
 
     def finalize(task: "_Task") -> None:
         """Merge one computed task as it settles: result slot and cache
@@ -462,16 +443,13 @@ def execute_cells(
             if use_pool:
                 local = LocalPoolBackend(max(1, min(jobs, len(pending))))
                 try:
-                    _run_supervised(tasks, local, policy, emit, events,
+                    _run_supervised(tasks, local, policy, emit,
                                     notify=finalize)
                 finally:
                     local.close()
             else:
                 for task in tasks:
                     _run_inline(task, policy, emit, notify=finalize)
-            for task in tasks:
-                if results[task.position] is None:  # defensive: a task
-                    finalize(task)  # that somehow settled unnotified
     finally:
         if writer is not None:
             failed = sum(1 for r in results if isinstance(r, CellFailure))
@@ -496,139 +474,85 @@ def execute_cells(
 
 def _run_inline(task: _Task, policy: ResiliencePolicy, emit=None,
                 notify: Optional[Callable[["_Task"], None]] = None) -> None:
-    """Serial execution of one task with retries; no timeout enforcement.
+    """Serial execution of one task; no timeout enforcement.
 
-    Used for ``jobs == 1`` and for degraded mode after repeated pool
-    failures.  Injected crash/hang faults are downgraded to errors inside
+    Used for ``jobs == 1``.  Injected crash/hang faults are downgraded to
+    errors inside
     :func:`~repro.experiments.resilience.inline_execution` so they cannot
     kill or stall the supervising process; a *real* crash in inline mode
     necessarily takes the process down — that is the nature of inline.
     """
-    while True:
-        delay = task.ready_at - time.monotonic()
-        if delay > 0:
-            time.sleep(delay)
-        task.attempts += 1
-        start = time.monotonic()
-        try:
-            with inline_execution():
-                task.result = compute_cell(task.spec)
-        except Exception as error:
-            if task.attempts <= policy.retries:
-                task.ready_at = time.monotonic() + backoff_delay(
-                    policy, task.backoff_key, task.attempts)
-                continue
-            message = f"{type(error).__name__}: {error}"
-            if emit is not None:
-                emit(task.spec, task.key, "computed", task.attempts,
-                     time.monotonic() - start, status="failed",
-                     kind=FailureKind.ERROR.value, message=message,
-                     worker="inline")
-            if policy.fail_fast:
-                raise
-            task.failure = CellFailure(spec=task.spec,
-                                       kind=FailureKind.ERROR,
-                                       attempts=task.attempts,
-                                       message=message)
-            if notify is not None:
-                notify(task)
-            return
-        else:
-            duration = time.monotonic() - start
-            if emit is not None:
-                emit(task.spec, task.key, "computed", task.attempts,
-                     duration, worker="inline")
-            if notify is not None:
-                notify(task)
-            return
+    start = time.monotonic()
+    try:
+        with inline_execution():
+            task.result = compute_cell(task.spec)
+    except Exception as error:
+        message = f"{type(error).__name__}: {error}"
+        if emit is not None:
+            emit(task.spec, task.key, "computed", time.monotonic() - start,
+                 status="failed", kind=FailureKind.ERROR.value,
+                 message=message, worker="inline")
+        if policy.fail_fast:
+            raise
+        task.failure = CellFailure(spec=task.spec, kind=FailureKind.ERROR,
+                                   message=message)
+    else:
+        if emit is not None:
+            emit(task.spec, task.key, "computed", time.monotonic() - start,
+                 worker="inline")
+    if notify is not None:
+        notify(task)
 
 
 # -------------------------------------------------------- supervised path
 
-def _pick(slot: object, ready: List[_Task], queue: List[_Task],
+def _pick(slot: object, queue: List[_Task],
           held: Dict[object, Set[Tuple]]) -> Optional[_Task]:
     """The task idle ``slot`` runs next, under trace affinity.
 
-    In order: the first ready task of a trace the slot already holds;
-    the first ready task of a trace no slot holds (the slot claims it);
-    and only when the slot would otherwise idle, a ready task of the
-    trace with the most queued cells (a steal: the slot generates that
-    trace too).  ``held`` maps each live slot to the trace keys it has
-    been given.
+    In order: the first queued task of a trace the slot already holds;
+    the first queued task of a trace no slot holds (the slot claims it);
+    and only when the slot would otherwise idle, a task of the trace
+    with the most queued cells (a steal: the slot generates that trace
+    too).  ``held`` maps each live slot to the trace keys it has been
+    given.
     """
     mine = held[slot]
-    for task in ready:
+    for task in queue:
         if task.spec.trace_key in mine:
             return task
     claimed = set().union(*held.values())
-    for task in ready:
+    for task in queue:
         if task.spec.trace_key not in claimed:
             return task
-    if not ready:
+    if not queue:
         return None
     queued = Counter(task.spec.trace_key for task in queue)
-    return max(ready, key=lambda task: queued[task.spec.trace_key])
+    return max(queue, key=lambda task: queued[task.spec.trace_key])
 
 
-def _run_supervised(tasks: List[_Task], backend: ExecutorBackend,
+def _run_supervised(tasks: List[_Task], backend: LocalPoolBackend,
                     policy: ResiliencePolicy, emit=None,
-                    events: Optional[Callable[[Dict], None]] = None,
                     notify: Optional[Callable[[_Task], None]] = None) -> None:
-    """Supervisor loop: trace-affine dispatch, deadlines and retries.
+    """Supervisor loop: trace-affine dispatch and deadlines.
 
-    Drives an :class:`~repro.experiments.backends.ExecutorBackend` one
-    cell per slot, giving each idle slot a task by :func:`_pick`.  A
-    slot's claims last as long as its token: a respawned slot starts
-    with an empty trace memo and no claims.  ``events``, when given,
-    receives free-form metric records (requeues) beyond the per-cell
-    ``emit``.
+    Drives a :class:`~repro.experiments.backends.LocalPoolBackend` one
+    cell per slot, giving each idle slot a task by :func:`_pick`.  Each
+    task is dispatched once and settles once, with its result or with a
+    failure charged to it (raised under fail-fast).  A slot's claims
+    last as long as its token: a respawned slot starts with an empty
+    trace memo and no claims.  Once no live slot is left and nothing
+    runs, every queued task fails ``worker-lost``.
     """
-    breakages = 0  # total capacity losses
-    degraded = False
     queue: List[_Task] = list(tasks)
     running: Dict[object, _Task] = {}
     held: Dict[object, Set[Tuple]] = {}
 
-    def submit(task: _Task, slot: object) -> bool:
-        """Dispatch one task to idle ``slot``; False when the slot failed.
-
-        The slot is idle, so the deadline stamped here approximates
-        actual execution start — a queued cell never accrues timeout.
-        """
-        task.attempts += 1
-        task.started_at = time.monotonic()
-        task.deadline = (task.started_at + policy.cell_timeout
-                         if policy.cell_timeout is not None else None)
-        try:
-            handle = backend.submit(slot, compute_cell, task.spec)
-        except BackendBrokenError:
-            task.attempts -= 1
-            return False
-        task.slot, task.worker = slot, backend.describe(handle)
-        running[handle] = task
-        return True
-
-    def record_ok(task: _Task) -> None:
-        duration = time.monotonic() - task.started_at
-        if emit is not None:
-            emit(task.spec, task.key, "computed", task.attempts, duration,
-                 worker=task.worker)
-        if notify is not None:
-            notify(task)
-
     def settle(task: _Task, kind: FailureKind, message: str,
                error: Optional[BaseException]) -> None:
-        """Retry with backoff, or finalise the failure (raise/placeholder)."""
-        if task.attempts <= policy.retries:
-            task.ready_at = time.monotonic() + backoff_delay(
-                policy, task.backoff_key, task.attempts)
-            queue.append(task)
-            if events is not None:
-                events({"event": "requeue", "key": task.key,
-                        "kind": kind.value, "attempt": task.attempts})
-            return
+        """Finalise a failure: raise it, or merge a placeholder."""
         if emit is not None:
-            emit(task.spec, task.key, "computed", task.attempts,
+            emit(task.spec, task.key, "computed",
                  time.monotonic() - task.started_at, status="failed",
                  kind=kind.value, message=message, worker=task.worker)
         if policy.fail_fast:
@@ -637,71 +561,51 @@ def _run_supervised(tasks: List[_Task], backend: ExecutorBackend,
             if isinstance(error, WorkerLostError) \
                     and error.original is not None:
                 raise error.original  # the pool's BrokenProcessPool
-            if error is not None:
-                raise error
-            raise CellTimeoutError(message)  # unreachable; defensive
+            raise error
         task.failure = CellFailure(spec=task.spec, kind=kind,
-                                   attempts=task.attempts, message=message)
+                                   message=message)
         if notify is not None:
             notify(task)
 
     while queue or running:
-        if degraded:
-            # Degraded serial mode: drain everything inline, in
-            # positional order for determinism.
-            leftovers = sorted(queue, key=lambda t: t.position)
-            queue = []
-            for task in leftovers:
-                _run_inline(task, policy, emit, notify=notify)
-            continue
-
-        if backend.workers == 0 and not running:
-            # Total capacity loss: rebuild restores what it can;
-            # repeated losses degrade to inline serial execution.
-            breakages += 1
-            if breakages > policy.max_pool_rebuilds:
-                warnings.warn(
-                    f"worker pool failed {breakages} times; degrading "
-                    "to inline serial execution (timeouts no longer "
-                    "enforced)", RuntimeWarning, stacklevel=2)
-                degraded = True
-                backend.close()
-            else:
-                backend.rebuild()
-            continue
+        live = backend.slots()
+        if not live and not running:
+            # No slot could be respawned: nothing can run the rest.
+            message = "no live slot left to run the cell"
+            for task in queue:
+                task.started_at = time.monotonic()
+                settle(task, FailureKind.WORKER_LOST, message,
+                       WorkerLostError(message))
+            return
 
         # --- dispatch ---------------------------------------------
-        now = time.monotonic()
-        live = backend.slots()
         held = {slot: held.get(slot, set()) for slot in live}
         busy = {task.slot for task in running.values()}
-        ready = [t for t in queue if t.ready_at <= now]
         for slot in live:
             if slot in busy:
                 continue
-            task = _pick(slot, ready, queue, held)
+            task = _pick(slot, queue, held)
             if task is None:
                 break
-            ready.remove(task)
             queue.remove(task)
-            if submit(task, slot):
-                held[slot].add(task.spec.trace_key)
-            else:
+            # The slot is idle, so the deadline this stamp starts
+            # approximates execution start: a queued cell never accrues
+            # timeout.
+            task.started_at = time.monotonic()
+            handle = backend.submit(slot, compute_cell, task.spec)
+            if handle is None:  # the slot is dropped; the task waits
                 queue.insert(0, task)
+                continue
+            task.slot, task.worker = slot, backend.describe(handle)
+            running[handle] = task
+            held[slot].add(task.spec.trace_key)
 
         if not running:
-            if queue:
-                soonest = min(t.ready_at for t in queue)
-                time.sleep(
-                    min(max(soonest - time.monotonic(), 0.0), 1.0)
-                    + 0.001)
             continue
 
         # --- harvest ----------------------------------------------
         for handle in backend.wait(_TICK):
-            task = running.pop(handle, None)
-            if task is None:
-                continue  # forgotten (timed out) before settling
+            task = running.pop(handle)
             try:
                 task.result = backend.result(handle)
             except WorkerLostError as error:
@@ -710,14 +614,18 @@ def _run_supervised(tasks: List[_Task], backend: ExecutorBackend,
                 settle(task, FailureKind.ERROR,
                        f"{type(error).__name__}: {error}", error)
             else:
-                record_ok(task)
+                if emit is not None:
+                    emit(task.spec, task.key, "computed",
+                         time.monotonic() - task.started_at,
+                         worker=task.worker)
+                if notify is not None:
+                    notify(task)
 
         # --- deadlines --------------------------------------------
         if policy.cell_timeout is not None:
             now = time.monotonic()
             expired = [(handle, task) for handle, task in running.items()
-                       if task.deadline is not None
-                       and now >= task.deadline]
+                       if now >= task.started_at + policy.cell_timeout]
             for handle, task in expired:
                 # Abandoning the handle kills its slot's worker; the
                 # other slots' cells run on.

@@ -1,18 +1,14 @@
-"""Fault-tolerance policy for suite execution: timeouts, retries, faults.
+"""Fault-tolerance policy for suite execution: timeouts, failures, faults.
 
 The parallel engine (:mod:`repro.experiments.parallel`) runs large
 ``(benchmark, predictor, config)`` grids; a single hung cell, OOM-killed
 worker or poisoned input must not abort hours of finished work.  This
 module holds the *policy* half of that contract:
 
-* :class:`ResiliencePolicy` — per-cell wall-clock timeout, bounded retries
-  with exponential backoff, and the knobs governing pool recovery.
-* **Deterministic jitter** — backoff delays are spread by a jitter factor
-  derived from the cell's content-address key (:func:`deterministic_jitter`),
-  never from ``random`` or the clock, so a retry schedule is reproducible
-  and lint-clean (see the det-* rules in :mod:`repro.lint.determinism`).
+* :class:`ResiliencePolicy` — per-cell wall-clock timeout, and whether
+  the first failed cell aborts the run or becomes a placeholder.
 * :class:`CellFailure` — the positional placeholder merged into a grid for
-  a cell that exhausted its retries, so callers can render partial grids.
+  a failed cell, so callers can render partial grids.
 * **Fault injection** — :func:`maybe_inject_fault` lets tests (and the CI
   fault-injection job) inject worker errors, SIGKILL crashes and hangs into
   real worker processes via the ``REPRO_FAULT_INJECT`` environment variable,
@@ -20,11 +16,13 @@ module holds the *policy* half of that contract:
 
 Failure model
 -------------
-Failures are classified into three kinds:
+Each cell is dispatched once.  A failure is charged to the cell that
+ran, never retried within the run: a failed cell is not cached, so
+rerunning the command on the same cache computes exactly the failed
+cells.  Failures are classified into three kinds:
 
 ``error``
-    The cell raised an exception.  Retried up to ``retries`` times with
-    backoff; attributable to the cell with certainty.
+    The cell raised an exception.
 ``timeout``
     The cell exceeded ``cell_timeout`` seconds of wall-clock time.  Its
     worker is killed (a hung worker cannot be cancelled) and its slot
@@ -32,21 +30,19 @@ Failures are classified into three kinds:
 ``worker-lost``
     A worker process died (``BrokenProcessPool``).  A slot runs one cell
     at a time, so the cell it was running is the culprit with certainty:
-    that cell alone is charged, and the slot is respawned.  Only losing
-    every slot counts toward ``max_pool_rebuilds``; past that, the run
-    degrades to inline serial execution with a warning.
+    that cell alone is charged, and the slot is respawned.  A slot that
+    cannot be respawned is dropped; once no live slot remains, every
+    queued cell fails ``worker-lost`` too.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 import signal
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 from typing import List, Optional
 
 __all__ = [
@@ -57,10 +53,8 @@ __all__ = [
     "FailureKind",
     "FaultClause",
     "ResiliencePolicy",
-    "backoff_delay",
     "cell_label",
     "classify_failure",
-    "deterministic_jitter",
     "inline_execution",
     "maybe_inject_fault",
     "parse_fault_spec",
@@ -96,7 +90,7 @@ class CellTimeoutError(CellExecutionError):
 
 @dataclass(frozen=True)
 class CellFailure:
-    """Positional placeholder for a cell that exhausted its retries.
+    """Positional placeholder for a failed cell.
 
     Grids keep their shape: :func:`~repro.experiments.parallel.execute_cells`
     returns one of these at the failed cell's position so ``suite.py``,
@@ -107,13 +101,10 @@ class CellFailure:
     #: import cycle with :mod:`repro.experiments.parallel`).
     spec: object
     kind: FailureKind
-    #: Dispatch attempts consumed, including the final failing one.
-    attempts: int
     message: str = ""
 
     def describe(self) -> str:
-        return (f"{cell_label(self.spec)}: {self.kind.value} after "
-                f"{self.attempts} attempt(s): {self.message}")
+        return f"{cell_label(self.spec)}: {self.kind.value}: {self.message}"
 
 
 def cell_label(spec) -> str:
@@ -123,61 +114,27 @@ def cell_label(spec) -> str:
 
 @dataclass(frozen=True)
 class ResiliencePolicy:
-    """Retry/timeout policy for one ``execute_cells`` run.
+    """Timeout and failure policy for one ``execute_cells`` run.
 
     The default policy reproduces the historical engine behaviour exactly:
-    no timeout, no retries, first failure aborts the run (fail fast).
+    no timeout, first failure aborts the run (fail fast).
     """
 
     #: Per-cell wall-clock timeout in seconds; None disables.  Enforced
     #: via future deadlines, so it requires (and forces) the pool path.
     cell_timeout: Optional[float] = None
-    #: Extra dispatch attempts after the first (0 = no retries).
-    retries: int = 0
-    #: First backoff delay in seconds; doubles per attempt by default.
-    backoff_base: float = 0.5
-    backoff_factor: float = 2.0
-    backoff_max: float = 30.0
-    #: Fraction of the delay added as key-derived jitter (0..jitter).
-    jitter: float = 0.25
-    #: True: first exhausted cell raises.  False (--keep-going): failed
+    #: True: first failed cell raises.  False (--keep-going): failed
     #: cells become CellFailure placeholders and the run completes.
     fail_fast: bool = True
-    #: Total capacity losses (no live slot) tolerated before degrading
-    #: to inline serial execution; a single worker's death or timeout
-    #: does not count.
-    max_pool_rebuilds: int = 2
 
     def __post_init__(self) -> None:
-        if self.retries < 0:
-            raise ValueError("retries must be >= 0")
         if self.cell_timeout is not None and self.cell_timeout <= 0:
             raise ValueError("cell_timeout must be positive")
-        if self.max_pool_rebuilds < 0:
-            raise ValueError("max_pool_rebuilds must be >= 0")
 
 
 #: The compatibility default: serial semantics identical to the pre-
-#: resilience engine (exceptions propagate, nothing is retried).
+#: resilience engine (exceptions propagate).
 DEFAULT_POLICY = ResiliencePolicy()
-
-
-def deterministic_jitter(key: str, attempt: int) -> float:
-    """Jitter in ``[0, 1)`` derived from the cell key and attempt number.
-
-    Stable across processes and hosts (SHA-256, not ``hash()``), so retry
-    schedules are reproducible and distinct cells de-synchronise their
-    retries without consulting ``random`` or the clock.
-    """
-    digest = hashlib.sha256(f"{key}:{attempt}".encode("utf-8")).hexdigest()
-    return int(digest[:13], 16) / float(16 ** 13)
-
-
-def backoff_delay(policy: ResiliencePolicy, key: str, attempt: int) -> float:
-    """Delay in seconds before retry number ``attempt`` (1-based)."""
-    raw = policy.backoff_base * (policy.backoff_factor ** max(attempt - 1, 0))
-    raw = min(raw, policy.backoff_max)
-    return raw * (1.0 + policy.jitter * deterministic_jitter(key, attempt))
 
 
 def classify_failure(error: BaseException) -> FailureKind:
@@ -193,8 +150,8 @@ def classify_failure(error: BaseException) -> FailureKind:
 
 # ------------------------------------------------------------ fault injection
 
-#: True while cells run inline in the supervising process (jobs == 1 or
-#: degraded serial mode).  Destructive injected faults (crash, hang) are
+#: True while cells run inline in the supervising process (jobs == 1).
+#: Destructive injected faults (crash, hang) are
 #: downgraded to plain errors there so they cannot kill or stall the
 #: supervisor itself.
 _INLINE = False
@@ -219,8 +176,7 @@ class FaultClause:
     kind: str          # "error" | "crash" | "hang"
     benchmark: str
     predictor: str
-    once: bool         # fire only while the latch file is absent
-    arg: Optional[str]  # latch path (once-variants) or seconds (hang)
+    arg: Optional[str]  # seconds (hang)
 
 
 #: Fault kinds, fired by :func:`maybe_inject_fault` inside whichever
@@ -232,10 +188,8 @@ def parse_fault_spec(text: str) -> List[FaultClause]:
     """Parse the fault-injection spec grammar.
 
     ``;``-separated clauses of the form ``kind=benchmark/predictor[@arg]``
-    where ``kind`` is ``error``, ``crash`` or ``hang``, optionally
-    suffixed ``-once`` (fire once, latched via the file named by ``arg``).
-    For plain ``hang``, ``arg`` is an optional sleep duration in
-    seconds.  ``""``, ``"0"`` and ``"1"`` mean "no clauses" so the variable
+    where ``kind`` is ``error``, ``crash`` or ``hang``.  For ``hang``,
+    ``arg`` is an optional sleep duration in seconds.  ``""``, ``"0"`` and ``"1"`` mean "no clauses" so the variable
     doubles as a plain on/off switch for CI jobs.
     """
     clauses: List[FaultClause] = []
@@ -248,9 +202,6 @@ def parse_fault_spec(text: str) -> List[FaultClause]:
         kind, _, target = chunk.partition("=")
         if not target:
             raise ValueError(f"bad fault clause {chunk!r}: missing '='")
-        once = kind.endswith("-once")
-        if once:
-            kind = kind[: -len("-once")]
         if kind not in _FAULT_KINDS:
             raise ValueError(f"unknown fault kind {kind!r} in {chunk!r}")
         target, _, arg = target.partition("@")
@@ -258,12 +209,8 @@ def parse_fault_spec(text: str) -> List[FaultClause]:
         if not benchmark or not predictor:
             raise ValueError(
                 f"bad fault target {target!r}: want benchmark/predictor")
-        if once and not arg:
-            raise ValueError(
-                f"{chunk!r}: -once faults need a latch path after '@'")
         clauses.append(FaultClause(kind=kind, benchmark=benchmark,
-                                   predictor=predictor, once=once,
-                                   arg=arg or None))
+                                   predictor=predictor, arg=arg or None))
     return clauses
 
 
@@ -283,12 +230,6 @@ def maybe_inject_fault(spec) -> None:
         if (clause.benchmark != spec.benchmark
                 or clause.predictor != spec.predictor):
             continue
-        if clause.once:
-            latch = Path(clause.arg)
-            if latch.exists():
-                continue
-            latch.parent.mkdir(parents=True, exist_ok=True)
-            latch.write_text("fired")
         _fire(clause)
 
 
@@ -305,7 +246,4 @@ def _fire(clause: FaultClause) -> None:
         if _INLINE:
             raise RuntimeError(
                 f"injected fault: hang in {label} (downgraded inline)")
-        seconds = _HANG_SECONDS
-        if not clause.once and clause.arg:
-            seconds = float(clause.arg)
-        time.sleep(seconds)
+        time.sleep(float(clause.arg) if clause.arg else _HANG_SECONDS)

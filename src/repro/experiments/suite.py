@@ -84,7 +84,7 @@ def make_predictor(name: str) -> MDPredictor:
 class IpcSuiteResult:
     """IPC grid with normalisation helpers.
 
-    Under ``--keep-going`` a cell that exhausted its retries is absent from
+    Under ``--keep-going`` a cell that failed is absent from
     ``ipc``/``stats`` and recorded in ``failures`` instead; the helpers
     operate on the benchmarks both sides of a comparison actually have, so
     a partial grid still summarises (the geomean of an empty intersection

@@ -16,10 +16,9 @@ entropy sources:
   throughput bench and the lint CLI alone
   (:data:`MONOTONIC_CLOCK_MODULES`) may read *monotonic* clocks and the
   process's CPU time: the supervisor needs them for timeout deadlines
-  and backoff scheduling, the others for timing, and they never flow
-  into results.  Backoff *jitter* must still derive from cell keys —
-  ``random``/wall-clock jitter anywhere (including
-  ``repro.experiments.resilience``) stays flagged.
+  and cell durations, the others for timing, and they never flow into
+  results.  A ``random`` draw or wall-clock read anywhere else
+  (including ``repro.experiments.resilience``) stays flagged.
 * ``det-entropy``       — OS entropy (``os.urandom``, ``secrets``,
   ``uuid.uuid1``/``uuid4``, ``random.SystemRandom``).
 * ``det-id``            — ``id()`` values, which vary per process.
@@ -73,7 +72,7 @@ SANCTIONED_ENV_MODULES = frozenset({
 })
 
 #: Modules allowed to read monotonic (never wall-clock) clocks and CPU
-#: time: the supervisor loop (deadlines and backoff scheduling), the
+#: time: the supervisor loop (deadlines and cell durations), the
 #: throughput bench harness (``process_time`` deltas are its entire
 #: product) and the lint CLI (its ``--metrics`` record carries the run's
 #: wall seconds).

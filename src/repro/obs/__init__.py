@@ -19,7 +19,7 @@ the aggregates are computed from attributable:
   attaching it is the only cost.
 * :mod:`repro.obs.metrics` — :class:`MetricsWriter`, the append-only JSONL
   sink the parallel suite engine emits per-cell execution metrics to
-  (wall time, cache hit/miss, attempts).
+  (wall time, cache hit/miss, failures).
 * :mod:`repro.obs.profile` — ``repro profile``'s driver: one (benchmark,
   predictor) cell rendered as a cycle-stack breakdown plus a table-usage
   report.  Imported lazily by the CLI (it pulls in the experiments

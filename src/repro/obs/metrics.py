@@ -1,7 +1,8 @@
 """Append-only JSONL sink for suite execution metrics.
 
-The parallel supervisor computes per-cell wall time, attempts and cache
-provenance — this writer gives those numbers a machine-readable home.  One JSON object per line, keys sorted, written
+The parallel supervisor computes per-cell wall time, outcome and cache
+provenance — this writer gives those numbers a machine-readable home.
+One JSON object per line, keys sorted, written
 with line-granularity appends so a crashed sweep leaves a readable
 prefix.
 
@@ -68,21 +69,18 @@ def summarize_metrics(path: Union[str, Path]) -> Dict[str, object]:
     """Aggregate a metrics JSONL file into one dict of counts.
 
     Tolerates a torn final line (a sweep killed mid-append) and skips
-    unknown events.  Sums per-cell
-    records (by source and status), ``requeue`` events by failure kind,
-    and the result-cache counters carried by ``sweep`` records.
+    unknown events.  Sums per-cell records (by source and status) and
+    the result-cache counters carried by ``sweep`` records.
     """
     summary: Dict[str, object] = {
         "cells": 0, "computed": 0, "cache_hits": 0,
         "failed": 0, "sweeps": 0,
-        "requeues": {},
         "cache": {name: 0 for name in _CACHE_COUNTERS},
     }
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError:
         return summary
-    requeues: Dict[str, int] = summary["requeues"]
     for line in text.splitlines():
         try:
             record = json.loads(line)
@@ -100,9 +98,6 @@ def summarize_metrics(path: Union[str, Path]) -> Dict[str, object]:
                 summary["computed"] += 1
             if record.get("status") == "failed":
                 summary["failed"] += 1
-        elif event == "requeue":
-            kind = str(record.get("kind"))
-            requeues[kind] = requeues.get(kind, 0) + 1
         elif event == "sweep":
             summary["sweeps"] += 1
             cache = record.get("cache")
@@ -122,13 +117,6 @@ def render_metrics_summary(summary: Dict[str, object]) -> str:
         f" ({summary['computed']} computed, {summary['cache_hits']} cached,"
         f" {summary['failed']} failed)",
     ]
-    requeues = summary.get("requeues") or {}
-    if requeues:
-        detail = ", ".join(f"{kind}: {count}"
-                           for kind, count in sorted(requeues.items()))
-        parts.append(f"requeued {sum(requeues.values())} ({detail})")
-    else:
-        parts.append("requeued 0")
     cache = summary.get("cache") or {}
     if any(cache.values()):
         store = (f"cache {cache.get('hits', 0)} hits"

@@ -1,11 +1,11 @@
 """Tests for the local executor backend and crash recovery over it.
 
 ``LocalPoolBackend`` runs each cell on one of ``jobs`` single-process
-slots.  The golden tests kill a slot's worker process mid-grid, and
-separately SIGKILL the whole coordinator (its workers included) mid-grid
-and rerun the grid on the cache it left: both must produce results
-bit-identical to an uninterrupted serial run.  A coordinator killed
-alone must not leave its slot workers running.
+slots.  The golden tests kill a slot's worker process mid-grid under
+``--keep-going``, and separately SIGKILL the whole coordinator (its
+workers included) mid-grid; rerunning the grid on the cache either run
+left must produce results bit-identical to an uninterrupted serial run.
+A coordinator killed alone must not leave its slot workers running.
 """
 
 import json
@@ -23,7 +23,11 @@ import pytest
 import repro
 from repro.experiments.backends import LocalPoolBackend
 from repro.experiments.parallel import CellSpec, execute_cells
-from repro.experiments.resilience import ResiliencePolicy
+from repro.experiments.resilience import (
+    CellFailure,
+    FailureKind,
+    ResiliencePolicy,
+)
 from repro.experiments.result_cache import encode_result
 from repro.experiments.runner import default_cache
 
@@ -43,22 +47,22 @@ def _encoded(results):
     return [encode_result(r) for r in results]
 
 
-def _policy(**kwargs):
-    kwargs.setdefault("retries", 2)
-    kwargs.setdefault("backoff_base", 0.01)
-    kwargs.setdefault("jitter", 0.0)
-    return ResiliencePolicy(**kwargs)
+def _sources(metrics):
+    """Each cell record's source (``cache`` or ``computed``) in a
+    ``--metrics`` file."""
+    return [record["source"] for record in
+            map(json.loads, metrics.read_text().splitlines())
+            if record["event"] == "cell"]
 
 
 class TestLocalPoolBackend:
     def test_flags(self):
         backend = LocalPoolBackend(1)
         try:
-            assert backend.workers == 1
             assert [slot.label for slot in backend.slots()] == ["local:0"]
         finally:
             backend.close()
-        assert backend.workers == 0
+        assert backend.slots() == []
 
 
 def _gone(pid):
@@ -134,7 +138,11 @@ def serial_golden():
 
 
 class TestGoldenCrashRecovery:
-    def test_worker_sigkill_mid_grid_bit_identical(self, serial_golden):
+    def test_worker_sigkill_mid_grid_bit_identical(self, serial_golden,
+                                                   tmp_path):
+        """A slot worker SIGKILLed mid-grid under --keep-going fails at
+        most the cell it ran; a rerun on the cache computes exactly the
+        failed cells, and the grid is bit-identical to a serial run."""
         killed = []
         done = threading.Event()
 
@@ -152,16 +160,27 @@ class TestGoldenCrashRecovery:
         # Slot workers fork from this process: clear the trace memo so
         # they generate their traces and a cell outlasts the kill delay.
         default_cache().clear()
+        cache_dir = tmp_path / "cache"
         killer = threading.Thread(target=kill_one_slot)
         killer.start()
         try:
-            results = execute_cells(GOLDEN_GRID, jobs=2,
-                                    policy=_policy(retries=3))
+            results = execute_cells(GOLDEN_GRID, jobs=2, cache=cache_dir,
+                                    policy=ResiliencePolicy(fail_fast=False))
         finally:
             done.set()
             killer.join()
         assert killed, "no slot worker was alive to kill"
-        assert _encoded(results) == _encoded(serial_golden)
+        failed = [i for i, r in enumerate(results)
+                  if isinstance(r, CellFailure)]
+        assert len(failed) <= 1  # an idle slot's death fails no cell
+        assert all(results[i].kind is FailureKind.WORKER_LOST
+                   for i in failed)
+
+        metrics = tmp_path / "rerun.jsonl"
+        rerun = execute_cells(GOLDEN_GRID, jobs=2, cache=cache_dir,
+                              metrics=metrics)
+        assert _sources(metrics).count("computed") == len(failed)
+        assert _encoded(rerun) == _encoded(serial_golden)
 
     def test_coordinator_sigkill_then_rerun_bit_identical(
             self, serial_golden, tmp_path):
@@ -178,8 +197,7 @@ grid = [CellSpec(mode="accuracy", benchmark=b, num_uops={GOLDEN_N},
     ("exchange2", "mascot"), ("lbm", "mascot"), ("lbm", "phast"),
     ("perlbench1", "mascot"), ("mcf", "mascot"), ("xalancbmk", "mascot")]]
 execute_cells(grid, jobs=2, cache={str(cache_dir)!r},
-              policy=ResiliencePolicy(retries=2, backoff_base=0.01,
-                                      jitter=0.0))
+              policy=ResiliencePolicy(fail_fast=False))
 """)
         # Its own session, so the kill takes the slot workers down with
         # the coordinator, as a lost host would.
@@ -214,11 +232,9 @@ execute_cells(grid, jobs=2, cache={str(cache_dir)!r},
         # merge is bit-identical.
         metrics = tmp_path / "rerun.jsonl"
         rerun = execute_cells(GOLDEN_GRID, jobs=2, cache=cache_dir,
-                              policy=_policy(), metrics=metrics)
+                              metrics=metrics)
         assert _encoded(rerun) == _encoded(serial_golden)
-        sources = [record["source"] for record in
-                   map(json.loads, metrics.read_text().splitlines())
-                   if record["event"] == "cell"]
+        sources = _sources(metrics)
         assert sources.count("cache") == settled
         assert sources.count("computed") == len(GOLDEN_GRID) - settled
 

@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.config import LION_COVE
 from repro.experiments import parallel, runner
-from repro.experiments.backends import ExecutorBackend, WorkerLostError
+from repro.experiments.backends import WorkerLostError
 from repro.experiments.parallel import (
     CellSpec,
     Execution,
@@ -209,40 +209,53 @@ class _Token:
         self.label = label
 
 
-class _FakeSlots(ExecutorBackend):
-    """Local-style slots whose cells finish when the script says so.
+class _FakeSlots:
+    """Duck-typed ``LocalPoolBackend`` whose cells settle when told to.
 
-    ``script`` holds ``("finish" | "lose" | "respawn", label)`` steps;
-    each ``wait`` runs one (an empty script finishes the oldest cell).
-    ``log`` records ``(slot label, benchmark, predictor)`` per submit.
+    Each ``wait`` takes one action from ``next_action(self)``:
+    ``("finish" | "error" | "lose", label)`` settles the cell running on
+    the slot labelled ``label`` (``lose`` kills its worker), and
+    ``("tick", seconds)`` advances ``clock.now`` and settles nothing.  A
+    lost or forgotten slot is respawned at once as a fresh token with
+    the same label while ``respawns`` holds, else dropped.  ``log``
+    records ``(token, spec)`` per submit.
     """
 
-    def __init__(self, labels, script):
-        self.live = [_Token(label) for label in labels]
-        self.script = list(script)
+    def __init__(self, labels, next_action, clock=None):
+        #: Slot tokens by index; None marks a dropped slot.
+        self.tokens = [_Token(label) for label in labels]
+        self.next_action = next_action
+        self.clock = clock
+        self.respawns = True
         self.log = []
         self.inflight = {}
 
     def slots(self):
-        return list(self.live)
+        return [token for token in self.tokens if token is not None]
 
     def submit(self, slot, fn, spec):
-        self.log.append((slot.label, spec.benchmark, spec.predictor))
+        self.log.append((slot, spec))
         handle = _Handle(slot.label, spec)
         self.inflight[handle] = slot
         return handle
 
+    def _lose(self, slot):
+        index = self.tokens.index(slot)
+        self.tokens[index] = _Token(slot.label) if self.respawns else None
+
     def wait(self, timeout):
-        action, label = (self.script.pop(0) if self.script
-                         else ("finish", next(iter(self.inflight)).label))
-        if action == "respawn":
-            self.live.append(_Token(label))
+        action, arg = self.next_action(self)
+        if action == "tick":
+            self.clock.now += arg
             return set()
-        handle = next(h for h in self.inflight if h.label == label)
+        handle = next(h for h, slot in self.inflight.items()
+                      if slot.label == arg)
         slot = self.inflight.pop(handle)
         if action == "lose":
-            self.live.remove(slot)
-            handle.error = WorkerLostError(f"lost {label}")
+            self._lose(slot)
+            handle.error = WorkerLostError(f"lost {arg}")
+        elif action == "error":
+            handle.error = RuntimeError(f"failed on {arg}")
         return {handle}
 
     def result(self, handle):
@@ -251,10 +264,9 @@ class _FakeSlots(ExecutorBackend):
         return handle.spec
 
     def forget(self, handle):
-        self.inflight.pop(handle, None)
-
-    def rebuild(self):
-        pass
+        slot = self.inflight.pop(handle, None)
+        if slot is not None:
+            self._lose(slot)
 
     def close(self):
         pass
@@ -263,23 +275,33 @@ class _FakeSlots(ExecutorBackend):
         return handle.label
 
 
+def _scripted(script):
+    """``next_action`` playing ``script``, then finishing the oldest
+    in-flight cell."""
+    script = list(script)
+
+    def next_action(backend):
+        if script:
+            return script.pop(0)
+        return ("finish", next(iter(backend.inflight)).label)
+    return next_action
+
+
 def _affine_run(backend_cls, labels, script, traces):
     """Supervise ``traces`` (one cell per letter, benchmark per letter)
-    on a scripted backend; returns its dispatch log."""
+    on scripted slots under --keep-going; returns the dispatch log."""
     names = {"a": "lbm", "b": "mcf", "c": "exchange2"}
     tasks = [parallel._Task(position=i, key=None, spec=CellSpec(
                  mode="accuracy", benchmark=names[letter], num_uops=N,
                  predictor=f"p{i}"))
              for i, letter in enumerate(traces)]
-    backend = backend_cls(labels, script)
-    try:
-        parallel._run_supervised(
-            tasks, backend, ResiliencePolicy(retries=1, backoff_base=0.0),
-            None)
-    finally:
-        backend.close()
-    assert all(task.result is not None for task in tasks)
-    return [(slot, f"{bench}/{pred}") for slot, bench, pred in backend.log]
+    backend = backend_cls(labels, _scripted(script))
+    parallel._run_supervised(tasks, backend,
+                             ResiliencePolicy(fail_fast=False), None)
+    assert all(task.result is not None or task.failure is not None
+               for task in tasks)
+    return [(slot.label, f"{spec.benchmark}/{spec.predictor}")
+            for slot, spec in backend.log]
 
 
 @pytest.mark.parametrize("backend_cls", [_FakeSlots])
@@ -301,14 +323,15 @@ class TestPickRule:
                            ("C", "lbm/p3")]  # not mcf/p2, queued first
 
     def test_lost_slot_releases_its_claims(self, backend_cls):
-        """A's worker dies running lbm/p0; its respawn holds nothing, and
-        lbm is nobody's now, so the new slot claims lbm/p2 (the first
-        unheld cell) rather than exchange2/p3."""
-        log = _affine_run(backend_cls, ["A", "B"],
-                          [("lose", "A"), ("respawn", "A")], "abac")
+        """A's worker dies running lbm/p0 and A respawns holding
+        nothing; lbm is nobody's now, so the new slot claims lbm/p2 (the
+        first unheld cell) rather than exchange2/p3.  The lost cell
+        fails and is never dispatched again."""
+        log = _affine_run(backend_cls, ["A", "B"], [("lose", "A")],
+                          "abac")
         assert log[:3] == [("A", "lbm/p0"), ("B", "mcf/p1"),
                            ("A", "lbm/p2")]
-        assert ("A", "lbm/p0") in log[3:] or ("B", "lbm/p0") in log[3:]
+        assert [cell for _, cell in log].count("lbm/p0") == 1
 
 
 class TestResolveCache:

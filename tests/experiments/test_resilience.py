@@ -4,6 +4,7 @@ Faults are injected through the ``REPRO_FAULT_INJECT`` environment
 variable (inherited by worker processes, where monkeypatching cannot
 reach): worker exceptions, SIGKILL crashes (→ ``BrokenProcessPool``,
 charged to the crashing slot's cell) and hangs (→ timeout enforcement).
+Each cell is dispatched once; rerunning on the same cache is the retry.
 The golden test at the end is the acceptance scenario: crash + timeout +
 corrupted cache entry in one run, then a rerun on the same cache that
 recomputes exactly the failed cells and serves the rest bit-identically.
@@ -11,7 +12,6 @@ recomputes exactly the failed cells and serves the rest bit-identically.
 
 import dataclasses
 import json
-import warnings
 
 import pytest
 
@@ -22,9 +22,7 @@ from repro.experiments.resilience import (
     CellTimeoutError,
     FailureKind,
     ResiliencePolicy,
-    backoff_delay,
     classify_failure,
-    deterministic_jitter,
     parse_fault_spec,
 )
 from repro.experiments.result_cache import ResultCache, cell_key
@@ -45,40 +43,19 @@ GRID = [_cell("exchange2"), _cell("lbm"), _cell("lbm", "phast"),
 
 class TestPolicy:
     def test_default_is_fail_fast_no_retries(self):
+        """Two knobs and no retry: a failed cell is rerun by rerunning
+        the command on its cache."""
         policy = ResiliencePolicy()
-        assert policy.fail_fast and policy.retries == 0
-        assert policy.cell_timeout is None
+        assert [f.name for f in dataclasses.fields(policy)] == [
+            "cell_timeout", "fail_fast"]
+        assert policy.fail_fast and policy.cell_timeout is None
 
     @pytest.mark.parametrize("bad", [
-        {"retries": -1}, {"cell_timeout": 0}, {"cell_timeout": -1.0},
-        {"max_pool_rebuilds": -1},
+        {"cell_timeout": 0}, {"cell_timeout": -1.0},
     ])
     def test_validation(self, bad):
         with pytest.raises(ValueError):
             ResiliencePolicy(**bad)
-
-    def test_jitter_is_deterministic_and_bounded(self):
-        for attempt in (1, 2, 5):
-            a = deterministic_jitter("somekey", attempt)
-            assert a == deterministic_jitter("somekey", attempt)
-            assert 0.0 <= a < 1.0
-        assert (deterministic_jitter("key-a", 1)
-                != deterministic_jitter("key-b", 1))
-        assert (deterministic_jitter("key-a", 1)
-                != deterministic_jitter("key-a", 2))
-
-    def test_backoff_grows_and_caps(self):
-        policy = ResiliencePolicy(retries=10, backoff_base=1.0,
-                                  backoff_factor=2.0, backoff_max=4.0,
-                                  jitter=0.0)
-        delays = [backoff_delay(policy, "k", a) for a in (1, 2, 3, 4, 5)]
-        assert delays == [1.0, 2.0, 4.0, 4.0, 4.0]
-
-    def test_backoff_jitter_within_fraction(self):
-        policy = ResiliencePolicy(retries=1, backoff_base=2.0, jitter=0.5)
-        delay = backoff_delay(policy, "k", 1)
-        assert 2.0 <= delay <= 3.0
-        assert delay == backoff_delay(policy, "k", 1)  # reproducible
 
 
 class TestFaultSpecParsing:
@@ -93,19 +70,14 @@ class TestFaultSpecParsing:
         assert [c.kind for c in clauses] == ["error", "hang"]
         assert clauses[0].benchmark == "lbm"
         assert clauses[0].predictor == "phast"
-        assert not clauses[0].once
         assert clauses[1].arg == "2.5"
-
-    def test_once_requires_latch(self, tmp_path):
-        clause, = parse_fault_spec(f"crash-once=lbm/phast@{tmp_path}/latch")
-        assert clause.once and clause.kind == "crash"
-        with pytest.raises(ValueError):
-            parse_fault_spec("crash-once=lbm/phast")
 
     @pytest.mark.parametrize("bad", [
         "explode=lbm/phast", "error=lbm", "error", "error=/phast",
         # The worker-protocol kinds went with the worker protocol.
         "stall=lbm/phast", "torn=lbm/phast", "corrupt-once=lbm/phast@x",
+        # Fire-once faults went with in-run retries.
+        "crash-once=lbm/phast@latch",
     ])
     def test_rejects_bad_clauses(self, bad):
         with pytest.raises(ValueError):
@@ -138,20 +110,8 @@ class TestInjectedError:
                          "CellFailure", "PredictionRunResult"]
         failure = results[2]
         assert failure.kind is FailureKind.ERROR
-        assert failure.attempts == 1
         assert "injected fault" in failure.message
-
-    def test_retry_recovers_from_transient_error(self, monkeypatch,
-                                                 tmp_path):
-        latch = tmp_path / "latch"
-        monkeypatch.setenv("REPRO_FAULT_INJECT",
-                           f"error-once=lbm/phast@{latch}")
-        policy = ResiliencePolicy(retries=1, backoff_base=0.01)
-        results = execute_cells(GRID, policy=policy)
-        assert all(not isinstance(r, CellFailure) for r in results)
-        assert latch.exists()
-        clean = execute_cells([GRID[2]])
-        assert results[2].to_dict() == clean[0].to_dict()
+        assert failure.describe().startswith("accuracy:lbm/phast: error: ")
 
 
 def _records(path):
@@ -166,41 +126,17 @@ def _records(path):
 
 class TestWorkerCrash:
     """A slot runs one cell, so a dead worker names its cell: that cell
-    is charged an attempt, its slot is respawned, and the other slots'
-    cells never notice."""
-
-    def test_crash_once_recovers_without_losing_innocents(self,
-                                                          monkeypatch,
-                                                          tmp_path):
-        """The crash costs the culprit one attempt; the retry succeeds
-        and every other cell ran exactly once."""
-        latch = tmp_path / "latch"
-        monkeypatch.setenv("REPRO_FAULT_INJECT",
-                           f"crash-once=lbm/phast@{latch}")
-        metrics = tmp_path / "m.jsonl"
-        policy = ResiliencePolicy(retries=1, backoff_base=0.01,
-                                  fail_fast=False)
-        results = execute_cells(GRID, jobs=2, policy=policy,
-                                metrics=metrics)
-        assert all(not isinstance(r, CellFailure) for r in results)
-        assert latch.exists()
-        clean = [execute_cells([cell])[0] for cell in GRID]
-        for got, want in zip(results, clean):
-            assert got.to_dict() == want.to_dict()
-        records = _records(metrics)
-        assert [records[(cell.benchmark, cell.predictor)]["attempts"]
-                for cell in GRID] == [1, 1, 2, 1]
+    fails, its slot is respawned, and the other slots' cells never
+    notice."""
 
     def test_persistent_crash_is_attributed_to_the_culprit(self,
                                                            monkeypatch):
-        """crash-every-time: the culprit is charged its one attempt and
-        the innocents all complete."""
+        """The culprit fails once and the innocents all complete."""
         monkeypatch.setenv("REPRO_FAULT_INJECT", "crash=lbm/phast")
         results = execute_cells(GRID, jobs=2,
                                 policy=ResiliencePolicy(fail_fast=False))
         assert isinstance(results[2], CellFailure)
         assert results[2].kind is FailureKind.WORKER_LOST
-        assert results[2].attempts == 1
         for i in (0, 1, 3):
             assert not isinstance(results[i], CellFailure)
 
@@ -224,7 +160,7 @@ class TestWorkerCrash:
         assert results[1].kind is FailureKind.WORKER_LOST
         assert results[0].to_dict() == clean.to_dict()
         records = _records(metrics)
-        assert records[("exchange2", "mascot")]["attempts"] == 1
+        assert records[("exchange2", "mascot")]["status"] == "ok"
         assert {r["worker"] for r in records.values()} <= {"local:0",
                                                            "local:1"}
 
@@ -244,16 +180,6 @@ class TestTimeout:
         policy = ResiliencePolicy(cell_timeout=1.0)
         with pytest.raises(CellTimeoutError):
             execute_cells([GRID[2]], policy=policy)
-
-    def test_transient_hang_recovers_with_retry(self, monkeypatch,
-                                                tmp_path):
-        latch = tmp_path / "latch"
-        monkeypatch.setenv("REPRO_FAULT_INJECT",
-                           f"hang-once=lbm/phast@{latch}")
-        policy = ResiliencePolicy(cell_timeout=2.0, retries=1,
-                                  backoff_base=0.01, fail_fast=False)
-        results = execute_cells(GRID, jobs=2, policy=policy)
-        assert all(not isinstance(r, CellFailure) for r in results)
 
     def test_queued_cells_do_not_accrue_timeout(self, monkeypatch):
         """A cell's timeout clock must not run while it waits for a free
@@ -285,45 +211,40 @@ class TestTimeout:
         assert results[1].kind is FailureKind.TIMEOUT
         assert results[2].to_dict() == clean.to_dict()
         records = _records(metrics)
-        assert records[("exchange2", "phast")]["attempts"] == 1
+        assert records[("exchange2", "phast")]["status"] == "ok"
         assert (records[("exchange2", "phast")]["worker"]
                 == records[("exchange2", "mascot")]["worker"])
 
 
 class TestDegradedSerial:
     def test_slot_losses_are_charged_without_degrading(self, monkeypatch):
-        """Two persistent crashers, zero tolerated rebuilds: each crash
-        is charged to its own cell and its slot respawned, which is not a
-        capacity loss, so the run never degrades."""
+        """Two persistent crashers: each crash is charged to its own cell
+        and its slot respawned, and the innocents compute on the pool."""
         monkeypatch.setenv("REPRO_FAULT_INJECT",
                            "crash=lbm/phast;crash=lbm/mascot")
-        policy = ResiliencePolicy(fail_fast=False, max_pool_rebuilds=0)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            results = execute_cells(GRID, jobs=2, policy=policy)
-        assert not [w for w in caught if "degrading" in str(w.message)]
+        results = execute_cells(GRID, jobs=2,
+                                policy=ResiliencePolicy(fail_fast=False))
         for i in (1, 2):
             assert results[i].kind is FailureKind.WORKER_LOST
-            assert results[i].attempts == 1
         for i in (0, 3):
             assert (results[i].to_dict()
                     == execute_cells([GRID[i]])[0].to_dict())
 
-    def test_repeated_pool_loss_degrades_with_warning(self, monkeypatch,
-                                                      tmp_path):
-        """Both slots' workers die and neither can be respawned: every
-        rebuild finds no capacity, so the run degrades to inline
-        execution and finishes the remaining cells there."""
-        from repro.experiments.backends import (
-            BackendBrokenError,
-            LocalPoolBackend,
-        )
+    def test_no_respawn_fails_the_queue_until_rerun(
+            self, monkeypatch, tmp_path):
+        """Both slots' workers die and neither can be respawned: the
+        queued cell fails ``worker-lost`` with no slot to run it, no
+        cell runs inline, and a rerun on the cache computes exactly the
+        three failed cells and serves the cached one."""
+        from repro.experiments.backends import LocalPoolBackend
+        cache = tmp_path / "cache"
+        execute_cells([GRID[3]], cache=cache)  # perlbench1/mascot settled
         real = LocalPoolBackend._spawn
         spawned = []
 
         def spawn_twice(self, index):
             if len(spawned) == 2:
-                raise BackendBrokenError("injected: cannot respawn")
+                return None  # this slot cannot start
             spawned.append(index)
             return real(self, index)
 
@@ -331,17 +252,25 @@ class TestDegradedSerial:
         monkeypatch.setenv("REPRO_FAULT_INJECT",
                            "crash=exchange2/mascot;crash=lbm/mascot")
         metrics = tmp_path / "m.jsonl"
-        with pytest.warns(RuntimeWarning, match="degrading to"):
-            results = execute_cells(GRID, jobs=2, metrics=metrics,
-                                    policy=ResiliencePolicy(fail_fast=False))
-        for i in (0, 1):
+        results = execute_cells(GRID, jobs=2, cache=cache, metrics=metrics,
+                                policy=ResiliencePolicy(fail_fast=False))
+        for i in (0, 1, 2):
             assert results[i].kind is FailureKind.WORKER_LOST
-        for i in (2, 3):
-            assert (results[i].to_dict()
-                    == execute_cells([GRID[i]])[0].to_dict())
+        assert "no live slot" in results[2].message
         records = _records(metrics)
-        assert records[("lbm", "phast")]["worker"] == "inline"
-        assert records[("perlbench1", "mascot")]["worker"] == "inline"
+        assert records[("lbm", "phast")]["worker"] is None
+        assert records[("perlbench1", "mascot")]["source"] == "cache"
+
+        monkeypatch.delenv("REPRO_FAULT_INJECT")
+        recomputed = []
+        compute = parallel.compute_cell
+        monkeypatch.setattr(parallel, "compute_cell",
+                            lambda spec: recomputed.append(spec)
+                            or compute(spec))
+        rerun = execute_cells(GRID, cache=cache)
+        assert recomputed == GRID[:3]
+        for got, cell in zip(rerun, GRID):
+            assert got.to_dict() == execute_cells([cell])[0].to_dict()
 
 
 class TestInlineDowngrade:

@@ -275,7 +275,7 @@ class TestResilienceSurface:
     clocks — they schedule work, never enter results.  The result-cache
     and resilience modules are the only sanctioned env surfaces (cache
     dir override, fault-injection switch), and resilience gets no clock
-    or RNG exemption: backoff jitter must derive from cell keys.
+    or RNG exemption: nothing in it may draw from the global RNG.
     """
 
     def test_monotonic_allowed_in_supervisor(self, box):
@@ -315,7 +315,7 @@ class TestResilienceSurface:
         assert box.active_rules() == ["det-time"]
 
     def test_random_jitter_flagged_in_resilience(self, box):
-        # Backoff jitter must come from the cell key, not the global RNG.
+        # A jitter drawn from the global RNG in the policy module.
         box.write("repro/__init__.py", "")
         box.write("repro/experiments/__init__.py", "")
         box.write("repro/experiments/resilience.py", """

@@ -133,10 +133,10 @@ class TestProtocolBoundary:
         # protocol: cells run on local slots, so a connection creeping
         # back into the backend must fail lint.
         mutate(tree, "experiments/backends.py",
-               "class ExecutorBackend:",
+               "class LocalPoolBackend:",
                "import socket\n\n\ndef _dial(host, port):\n"
                "    return socket.create_connection((host, port))\n\n\n"
-               "class ExecutorBackend:")
+               "class LocalPoolBackend:")
         result = lint_paths([tree], select=INTERPROCEDURAL)
         assert result.exit_code != 0
         sockets = [f for f in result.active if f.rule == "conc-socket"]

@@ -3,7 +3,12 @@
 import json
 
 from repro.experiments.parallel import CellSpec, execute_cells
-from repro.obs.metrics import MetricsWriter
+from repro.experiments.result_cache import cell_key
+from repro.obs.metrics import (
+    MetricsWriter,
+    render_metrics_summary,
+    summarize_metrics,
+)
 
 
 def read_records(path):
@@ -88,3 +93,24 @@ class TestSuiteMetrics:
         events = [r["event"] for r in read_records(path)]
         assert events.count("cell") == 1
         assert events[-1] == "caller"
+
+    def test_uncached_records_carry_the_cell_key(self, tmp_path):
+        """A --no-cache --metrics run still keys its records, so records
+        of any run can be joined on the cell key."""
+        cell = self._cells()[0]
+        metrics = tmp_path / "metrics.jsonl"
+        execute_cells([cell], metrics=metrics)
+        (record,) = [r for r in read_records(metrics)
+                     if r["event"] == "cell"]
+        assert record["key"] == cell_key(cell)
+        assert "attempts" not in record
+
+    def test_summary_line(self, tmp_path):
+        metrics = tmp_path / "metrics.jsonl"
+        execute_cells(self._cells(), cache=tmp_path / "cache",
+                      metrics=metrics)
+        execute_cells(self._cells(), cache=tmp_path / "cache",
+                      metrics=metrics)
+        assert render_metrics_summary(summarize_metrics(metrics)) == (
+            "4 cells (2 computed, 2 cached, 0 failed); "
+            "cache 2 hits/2 misses/2 stores")
