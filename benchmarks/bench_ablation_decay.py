@@ -8,13 +8,14 @@ that claim holds in the reproduction.
 
 from repro.experiments import run_ipc_suite
 
-from conftest import bench_suite, bench_uops, run_once
+from conftest import bench_execution, bench_suite, bench_uops, run_once
 
 
 def test_periodic_decay_changes_little(benchmark):
     def run():
         return run_ipc_suite(["mascot", "mascot-decay"],
-                             bench_suite(), bench_uops())
+                             bench_suite(), bench_uops(),
+                             execution=bench_execution())
 
     suite = run_once(benchmark, run)
     base = suite.geomean("mascot")

@@ -8,13 +8,14 @@ vs default, on the benchmarks with the largest Offset shares.
 
 from repro.experiments import run_ipc_suite
 
-from conftest import bench_suite, bench_uops, run_once
+from conftest import bench_execution, bench_suite, bench_uops, run_once
 
 
 def test_offset_bypass_extension(benchmark):
     def run():
         return run_ipc_suite(["mascot", "mascot-offset"],
-                             bench_suite(), bench_uops())
+                             bench_suite(), bench_uops(),
+                             execution=bench_execution())
 
     suite = run_once(benchmark, run)
     base = suite.geomean("mascot")

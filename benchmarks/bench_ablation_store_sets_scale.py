@@ -2,31 +2,27 @@
 
 Documents how the calibrated SSIT-pressure emulation affects Store Sets:
 with a literal 8K SSIT our few-hundred-instruction synthetic programs never
-alias, which would hide the paper's Fig. 9 result entirely.
+alias, which would hide the paper's Fig. 9 result entirely.  Each scale is
+its own predictor spec, so each is its own cached cell.
 """
 
-from repro.experiments import run_ipc_suite
-from repro.experiments.suite import PREDICTOR_FACTORIES
-from repro.predictors import StoreSets
+from repro.experiments import PREDICTORS, run_ipc_suite
 
-from conftest import bench_suite, bench_uops, run_once
+from conftest import bench_execution, bench_suite, bench_uops, run_once
+
+SCALES = (1, 64, 192)
 
 
 def test_footprint_scale_sensitivity(benchmark):
+    specs = {scale: PREDICTORS["store-sets"].with_(
+                 name=f"store-sets/scale{scale}", footprint_scale=scale)
+             for scale in SCALES}
+
     def run():
-        results = {}
-        original = PREDICTOR_FACTORIES["store-sets"]
-        try:
-            for scale in (1, 64, 192):
-                PREDICTOR_FACTORIES["store-sets"] = (
-                    lambda s=scale: StoreSets(footprint_scale=s)
-                )
-                suite = run_ipc_suite(["store-sets"], bench_suite(),
-                                      bench_uops())
-                results[scale] = suite.geomean("store-sets")
-        finally:
-            PREDICTOR_FACTORIES["store-sets"] = original
-        return results
+        suite = run_ipc_suite(list(specs.values()), bench_suite(),
+                              bench_uops(), execution=bench_execution())
+        return {scale: suite.geomean(spec.name)
+                for scale, spec in specs.items()}
 
     results = run_once(benchmark, run)
     print()

@@ -46,7 +46,6 @@ from .predictors import (
     Prediction,
     PredictionKind,
     StoreSets,
-    make_tage_no_nd,
     mascot_opt_reduced_tags,
 )
 from .trace import (
@@ -91,7 +90,6 @@ __all__ = [
     "Prediction",
     "PredictionKind",
     "StoreSets",
-    "make_tage_no_nd",
     "mascot_opt_reduced_tags",
     "SPEC_SUITE",
     "BypassClass",

@@ -25,8 +25,9 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 
 from ..predictors.configs import MASCOT_DEFAULT, MascotConfig
 from ..predictors.mascot import Mascot
+from ..predictors.registry import PredictorSpec
 from ..trace.profiles import suite_names
-from ..experiments.runner import default_cache, run_prediction_only
+from ..experiments.parallel import CellSpec, execute_cells
 
 __all__ = ["ParameterGrid", "GridPointResult", "StudyResults",
            "SensitivityStudy"]
@@ -128,35 +129,28 @@ class SensitivityStudy:
 
     def run(self, num_uops: int = 30_000,
             warmup: Optional[int] = None) -> StudyResults:
-        """Prediction-only evaluation of every grid point."""
+        """One accuracy cell per (point, benchmark), serial and uncached."""
         if warmup is None:
             warmup = num_uops // 4
-        cache = default_cache()
+        points = [(p, self.base_config.with_(name=self._point_name(p),
+                                             **self._clamped(p)))
+                  for p in self.grid.points()]
+        cells = iter(execute_cells([
+            CellSpec(mode="accuracy", benchmark=benchmark,
+                     num_uops=num_uops, warmup=warmup,
+                     predictor=PredictorSpec(config.name, Mascot,
+                                             config=config))
+            for _, config in points for benchmark in self.benchmarks
+        ]))
         results = StudyResults()
-        for parameters in self.grid.points():
-            config = self.base_config.with_(
-                name=self._point_name(parameters),
-                **self._clamped(parameters),
-            )
-            mispredictions = 0
-            false_deps = 0
-            spec_errors = 0
-            loads = 0
-            for benchmark in self.benchmarks:
-                trace = cache.get(benchmark, num_uops)
-                run = run_prediction_only(trace, Mascot(config),
-                                          warmup=warmup)
-                mispredictions += run.accuracy.mispredictions
-                false_deps += run.accuracy.false_dependencies
-                spec_errors += run.accuracy.speculative_errors
-                loads += run.accuracy.loads
+        for parameters, config in points:
+            runs = [next(cells).accuracy for _ in self.benchmarks]
             results.points.append(GridPointResult(
-                parameters=parameters,
-                config=config,
-                mispredictions=mispredictions,
-                false_dependencies=false_deps,
-                speculative_errors=spec_errors,
-                loads=loads,
+                parameters=parameters, config=config,
+                mispredictions=sum(r.mispredictions for r in runs),
+                false_dependencies=sum(r.false_dependencies for r in runs),
+                speculative_errors=sum(r.speculative_errors for r in runs),
+                loads=sum(r.loads for r in runs),
                 storage_kib=config.storage_kib,
             ))
         return results

@@ -66,7 +66,7 @@ from .experiments.parallel import Execution
 from .experiments.resilience import CellFailure
 from .experiments.runner import TIMING_ENGINES, default_cache, run_timing
 from .experiments.suite import (
-    PREDICTOR_FACTORIES,
+    PREDICTORS,
     make_predictor,
     run_accuracy_suite,
     run_ipc_suite,
@@ -244,7 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     simulate = sub.add_parser("simulate", help="one benchmark, one predictor")
     simulate.add_argument("benchmark", choices=suite_names())
-    simulate.add_argument("predictor", choices=sorted(PREDICTOR_FACTORIES))
+    simulate.add_argument("predictor", choices=sorted(PREDICTORS))
     simulate.add_argument("--uops", type=int, default=60_000)
     simulate.add_argument("--core", choices=sorted(_CORES),
                           default="golden-cove")
@@ -256,7 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     compare = sub.add_parser("compare", help="normalised-IPC sweep")
     compare.add_argument(
-        "predictors", nargs="+", choices=sorted(PREDICTOR_FACTORIES),
+        "predictors", nargs="+", choices=sorted(PREDICTORS),
     )
     _add_common(compare)
     compare.add_argument("--core", choices=sorted(_CORES),
@@ -269,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     accuracy = sub.add_parser("accuracy", help="prediction-only error sweep")
     accuracy.add_argument(
-        "predictors", nargs="+", choices=sorted(PREDICTOR_FACTORIES),
+        "predictors", nargs="+", choices=sorted(PREDICTORS),
     )
     _add_common(accuracy)
     _add_sampling_args(accuracy)
@@ -300,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     profile.add_argument("benchmark", nargs="?", choices=suite_names())
     profile.add_argument("predictor", nargs="?",
-                         choices=sorted(PREDICTOR_FACTORIES))
+                         choices=sorted(PREDICTORS))
     profile.add_argument(
         "--metrics-file", default=None, metavar="FILE",
         help="also summarise a sweep's --metrics JSONL (cells, "
@@ -375,7 +375,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="trace length per cell (default: %(default)s)",
     )
     budget.add_argument("--predictor", default="mascot",
-                        choices=sorted(PREDICTOR_FACTORIES))
+                        choices=sorted(PREDICTORS))
     budget.add_argument("--engine", choices=TIMING_ENGINES,
                         default="batched",
                         help="timing engine for both sides "

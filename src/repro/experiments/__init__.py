@@ -41,7 +41,7 @@ from .runner import (
 )
 from .sweeps import CoreSweepPoint, CoreSweepResult, sweep_core_parameter
 from .suite import (
-    PREDICTOR_FACTORIES,
+    PREDICTORS,
     IpcSuiteResult,
     make_predictor,
     run_accuracy_suite,
@@ -89,7 +89,7 @@ __all__ = [
     "CoreSweepPoint",
     "CoreSweepResult",
     "sweep_core_parameter",
-    "PREDICTOR_FACTORIES",
+    "PREDICTORS",
     "IpcSuiteResult",
     "make_predictor",
     "run_accuracy_suite",

@@ -81,14 +81,15 @@ class _Slot:
         return f"local:{self.index}"
 
     def kill(self) -> None:
-        """Tear the pool down without waiting on a hung or dead worker."""
+        """Kill the worker, then wait for the pool's manager thread: a
+        slot forked while a dead pool's thread still runs can stall."""
         processes = getattr(self.pool, "_processes", None) or {}
         for process in list(processes.values()):
             try:
                 process.kill()
             except Exception:  # noqa: BLE001 — already-dead worker
                 pass
-        self.pool.shutdown(wait=False, cancel_futures=True)
+        self.pool.shutdown(wait=True, cancel_futures=True)
 
 
 class LocalPoolBackend:

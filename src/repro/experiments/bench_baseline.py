@@ -41,6 +41,7 @@ from typing import Dict, List, Optional, Sequence
 from ..core.batched import BatchedPipeline
 from ..core.config import GOLDEN_COVE, LION_COVE, CoreConfig
 from ..core.pipeline import Pipeline
+from ..predictors.registry import make_predictor
 from ..trace.generator import generate_trace
 
 __all__ = [
@@ -153,8 +154,6 @@ DEFAULT_SAMPLED_CELLS = (
 
 def _run_once(engine_cls, cell: BenchCell, trace) -> float:
     """One cold construction + run; returns CPU seconds."""
-    from .suite import make_predictor
-
     pipeline = engine_cls(make_predictor(cell.predictor),
                           _CORES[cell.core])
     start = time.process_time()
@@ -213,7 +212,6 @@ def measure_sampled_cell(cell: SampledBenchCell) -> Dict[str, object]:
     from ..sampling.reconstruct import run_sampled_timing
     from ..sampling.select import select_regions
     from .runner import run_timing
-    from .suite import make_predictor
 
     config = _CORES[cell.core]
     policy = cell.policy

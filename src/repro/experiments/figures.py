@@ -20,7 +20,7 @@ from ..analysis.accuracy import AccuracyStats
 from ..analysis.f1 import RankedF1Profile, merge_profiles
 from ..common.statistics import Histogram
 from ..core.config import GOLDEN_COVE, LION_COVE, CoreConfig
-from ..predictors.configs import MASCOT_DEFAULT, MASCOT_OPT, mascot_opt_reduced_tags
+from ..predictors.registry import PREDICTORS, make_predictor
 from ..predictors.sizing import PredictorSizing, table2_rows
 from ..sampling.policy import SamplingPolicy
 from ..trace.profiles import suite_names
@@ -632,7 +632,8 @@ def fig14_f1_ranking(
     benchmarks = list(benchmarks) if benchmarks is not None else suite_names()
     cells = [
         CellSpec(mode="accuracy", benchmark=bench, num_uops=num_uops,
-                 predictor="mascot", f1_period=period_loads, track_f1=True)
+                 predictor=PREDICTORS["mascot"].with_(track_f1=True),
+                 f1_period=period_loads)
         for bench in benchmarks
     ]
     profiles: List[RankedF1Profile] = []
@@ -678,14 +679,8 @@ def fig15_mascot_opt(
                   "mascot-opt-tag4", "mascot-opt-tag6"]
     suite = run_ipc_suite(predictors, benchmarks, num_uops,
                           baseline="mascot", execution=execution)
-    sizes = {
-        "mascot": MASCOT_DEFAULT.storage_kib,
-        "mascot-opt": MASCOT_OPT.storage_kib,
-        "mascot-opt-tag2": mascot_opt_reduced_tags(2).storage_kib,
-        "mascot-opt-tag4": mascot_opt_reduced_tags(4).storage_kib,
-        "mascot-opt-tag6": mascot_opt_reduced_tags(6).storage_kib,
-    }
     points = {
-        name: (suite.geomean(name), sizes[name]) for name in predictors
+        name: (suite.geomean(name), make_predictor(name).storage_kib)
+        for name in predictors
     }
     return Fig15Result(points=points, failures=_suite_failures(suite))

@@ -57,7 +57,7 @@ from typing import (Callable, Dict, List, Optional, Sequence, Set, Tuple,
 
 from ..core.config import CoreConfig
 from ..obs.metrics import MetricsWriter
-from ..predictors.configs import MASCOT_DEFAULT
+from ..predictors.registry import PredictorSpec, predictor_spec
 from ..sampling.policy import SamplingPolicy
 from .backends import LocalPoolBackend, WorkerLostError
 from .resilience import (
@@ -106,8 +106,8 @@ class CellSpec:
     mode: str
     benchmark: str
     num_uops: int
-    #: Canonical predictor name from the suite registry.
-    predictor: str
+    #: A registered name or a spec; stored as the spec.
+    predictor: Union[str, PredictorSpec]
     #: Core to simulate; required for timing cells, unused for accuracy.
     config: Optional[CoreConfig] = None
     program_seed: int = 0
@@ -118,8 +118,6 @@ class CellSpec:
     warmup: int = 0
     #: Accuracy mode only: F1-recording period in loads (Fig. 14).
     f1_period: Optional[int] = None
-    #: Build the predictor with per-entry F1 tracking (MASCOT only).
-    track_f1: bool = False
     #: Accuracy mode only: attach a TableTelemetry sink and return its
     #: counters in the result (Fig. 13, ``repro profile``).
     telemetry: bool = False
@@ -132,12 +130,11 @@ class CellSpec:
     sampling: Optional[SamplingPolicy] = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "predictor", predictor_spec(self.predictor))
         if self.mode not in ("timing", "accuracy"):
             raise ValueError(f"unknown cell mode {self.mode!r}")
         if self.mode == "timing" and self.config is None:
             raise ValueError("timing cells need a core config")
-        if self.track_f1 and self.predictor != "mascot":
-            raise ValueError("track_f1 is only supported for 'mascot'")
         if self.telemetry and self.mode != "accuracy":
             raise ValueError("telemetry cells must be accuracy mode")
         if self.engine not in ("scalar", "batched"):
@@ -153,7 +150,7 @@ class CellSpec:
                     "sampled warmup is governed by the policy's "
                     "warmup_intervals"
                 )
-            if self.telemetry or self.track_f1:
+            if self.telemetry:
                 raise ValueError(
                     "sampling cells cannot record telemetry or F1 "
                     "profiles: those describe one contiguous run"
@@ -173,16 +170,6 @@ class CellSpec:
                          self.instr_window)
 
 
-def _build_predictor(spec: CellSpec):
-    if spec.track_f1:
-        # The registry builds plain predictors; F1 tracking is a
-        # construction-time option of the default MASCOT (Fig. 14).
-        from ..predictors.mascot import Mascot
-        return Mascot(MASCOT_DEFAULT, track_f1=True)
-    from .suite import make_predictor  # local import: suite imports us
-    return make_predictor(spec.predictor)
-
-
 def compute_cell(spec: CellSpec):
     """Run one cell to completion; the pure function the pool maps.
 
@@ -195,9 +182,7 @@ def compute_cell(spec: CellSpec):
     cache = default_cache()
     trace = cache.get(*spec.trace_key)
     if spec.sampling is not None:
-        def factory():
-            return _build_predictor(spec)
-
+        factory = spec.predictor.build
         selection = cache.selection(spec.trace_key, spec.sampling)
         if spec.mode == "timing":
             return run_timing(trace, None, config=spec.config,
@@ -206,7 +191,7 @@ def compute_cell(spec: CellSpec):
         return run_prediction_only(trace, None, sampling=spec.sampling,
                                    predictor_factory=factory,
                                    selection=selection)
-    predictor = _build_predictor(spec)
+    predictor = spec.predictor.build()
     if spec.mode == "timing":
         return run_timing(trace, predictor, config=spec.config,
                           engine=spec.engine)
@@ -252,7 +237,7 @@ def _cell_record(spec: CellSpec, key: Optional[str], source: str,
         "event": "cell",
         "mode": spec.mode,
         "benchmark": spec.benchmark,
-        "predictor": spec.predictor,
+        "predictor": spec.predictor.name,
         "num_uops": spec.num_uops,
         "core": spec.config.name if spec.config is not None else None,
         "key": key,

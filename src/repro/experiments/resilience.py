@@ -109,7 +109,7 @@ class CellFailure:
 
 def cell_label(spec) -> str:
     """Short human-readable identity of a cell for messages and logs."""
-    return f"{spec.mode}:{spec.benchmark}/{spec.predictor}"
+    return f"{spec.mode}:{spec.benchmark}/{spec.predictor.name}"
 
 
 @dataclass(frozen=True)
@@ -228,7 +228,7 @@ def maybe_inject_fault(spec) -> None:
         return
     for clause in parse_fault_spec(text):
         if (clause.benchmark != spec.benchmark
-                or clause.predictor != spec.predictor):
+                or clause.predictor != spec.predictor.name):
             continue
         _fire(clause)
 

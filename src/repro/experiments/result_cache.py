@@ -12,17 +12,17 @@ Each cell's key is :func:`repro.common.hashing.stable_digest` over:
 
 * every trace-generation parameter (benchmark, length, seeds, windows),
 * the run parameters (mode, warmup, F1 period, engine, sampling policy),
-* a **predictor fingerprint** — the registry name, the class the registry
-  constructs and a dump of its config dataclass when it has one (a factory
-  swapped into the registry at runtime can change the class or config
-  without changing any source file),
+* the **predictor spec** — name, class and construction keywords
+  (:meth:`~repro.predictors.registry.PredictorSpec.to_dict`; a
+  ``MascotConfig`` by its fields); the salt covers every default a spec
+  leaves unsaid, so a variant derived with ``with_`` is its own cell,
 * the core configuration (timing mode), and
 * a **code-version salt** — one SHA-256 over every ``*.py`` file under the
   package root, by sorted relative path plus file bytes
   (:func:`shared_code_salt`, computed once per process).
 
 The salt covers the whole package, so no module that shapes a result —
-the predictor registry in ``suite.py``, the cell runner in
+the predictor registry in ``predictors/registry.py``, the cell runner in
 ``parallel.py``, a predictor, the trace generator — can be left out of
 it.  The price is paid on purpose: an edit to *any* package source file,
 including ones no cell reads (``figures.py``, ``cli.py``, ``lint/``),
@@ -56,7 +56,7 @@ import json
 import os
 import threading
 import time
-from dataclasses import asdict, is_dataclass
+from dataclasses import asdict
 from functools import lru_cache
 from pathlib import Path
 from typing import Dict, List, Optional, Union
@@ -73,7 +73,6 @@ __all__ = [
     "decode_result",
     "default_cache_dir",
     "encode_result",
-    "predictor_fingerprint",
     "shared_code_salt",
 ]
 
@@ -109,26 +108,6 @@ def shared_code_salt() -> str:
         digest.update(f"{rel}\0{len(data)}\0".encode())
         digest.update(data)
     return digest.hexdigest()
-
-
-@lru_cache(maxsize=None)
-def predictor_fingerprint(name: str) -> Dict[str, object]:
-    """Identity of a registered predictor for cache keying.
-
-    Builds the predictor once (cheap — table allocation only) to observe
-    the class the registry actually constructs and the config it was
-    given.  Its code is covered by :func:`shared_code_salt`.
-    """
-    from .suite import make_predictor  # local import: suite imports us
-
-    predictor = make_predictor(name)
-    cls = type(predictor)
-    config = getattr(predictor, "config", None)
-    return {
-        "name": name,
-        "class": f"{cls.__module__}.{cls.__qualname__}",
-        "config": asdict(config) if is_dataclass(config) else None,
-    }
 
 
 def encode_result(result: Union[PipelineStats, PredictionRunResult]) -> Dict:
@@ -343,7 +322,7 @@ def cell_key(spec) -> str:
     """Content-address of one :class:`~repro.experiments.parallel.CellSpec`.
 
     Any single-field change — trace seed, window, warmup, predictor
-    config, core config, any package source file — yields a different
+    keyword, core config, any package source file — yields a different
     key.
     """
     core = spec.config
@@ -361,9 +340,8 @@ def cell_key(spec) -> str:
         "run": {
             "warmup": spec.warmup,
             "f1_period": spec.f1_period,
-            "track_f1": spec.track_f1,
             "telemetry": spec.telemetry,
-            "engine": getattr(spec, "engine", "scalar"),
+            "engine": spec.engine,
             # Sampled cells are keyed by the full policy: any knob change
             # (interval length, k bound, warmup, seed, CI parameters)
             # selects different regions or reconstructs differently, so it
@@ -371,10 +349,9 @@ def cell_key(spec) -> str:
             # selection lives in the result's sampling metadata — the
             # coordinator keying a cell may not have generated the trace.
             "sampling": (spec.sampling.to_dict()
-                         if getattr(spec, "sampling", None) is not None
-                         else None),
+                         if spec.sampling is not None else None),
         },
-        "predictor": predictor_fingerprint(spec.predictor),
+        "predictor": spec.predictor.to_dict(),
         "core": asdict(core) if core is not None else None,
         "code": shared_code_salt(),
     })

@@ -3,29 +3,24 @@
 The paper's evaluation grid is a set of predictors run over the SPEC
 CPU2017 stand-in suite, with IPC normalised per benchmark to a perfect-MDP
 run of the *same* trace on the *same* core.  :func:`run_ipc_suite` and
-:func:`run_accuracy_suite` produce those grids; predictor construction goes
-through a registry of named factories so figures and benches can request
-"mascot" / "phast" / ... uniformly.
+:func:`run_accuracy_suite` produce those grids from registered names or
+:class:`~repro.predictors.registry.PredictorSpec` values, keyed by name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
 from ..common.statistics import geometric_mean, normalise
 from ..core.config import GOLDEN_COVE, CoreConfig
 from ..core.stats import PipelineStats
-from ..predictors.base import MDPredictor
-from ..predictors.configs import MASCOT_DEFAULT, MASCOT_OPT, mascot_opt_reduced_tags
-from ..predictors.mascot import Mascot
-from ..predictors.idist import IDistStoreSets
-from ..predictors.nosq import NoSQ
-from ..predictors.tage_mdp import TageMdp
-from ..predictors.perfect import PerfectMDP, PerfectMDPSMB
-from ..predictors.phast import Phast
-from ..predictors.store_sets import StoreSets
-from ..predictors.tage_nond import TAGE_NO_ND_CONFIG
+from ..predictors.registry import (
+    PREDICTORS,
+    PredictorSpec,
+    make_predictor,
+    predictor_spec,
+)
 from ..sampling.policy import SamplingPolicy
 from ..trace.profiles import suite_names
 from .parallel import CellSpec, Execution
@@ -33,51 +28,21 @@ from .resilience import CellFailure
 from .runner import DEFAULT_TRACE_LENGTH, PredictionRunResult
 
 __all__ = [
-    "PREDICTOR_FACTORIES",
+    "PREDICTORS",
     "make_predictor",
     "IpcSuiteResult",
     "run_ipc_suite",
     "run_accuracy_suite",
 ]
 
-#: Registry of predictor factories by canonical name.
-PREDICTOR_FACTORIES: Dict[str, Callable[[], MDPredictor]] = {
-    "perfect-mdp": PerfectMDP,
-    "perfect-mdp-smb": PerfectMDPSMB,
-    "mascot": lambda: Mascot(MASCOT_DEFAULT),
-    "mascot-mdp": lambda: Mascot(
-        MASCOT_DEFAULT.with_(name="mascot-mdp", smb_enabled=False)
-    ),
-    "mascot-opt": lambda: Mascot(MASCOT_OPT),
-    "mascot-opt-tag2": lambda: Mascot(mascot_opt_reduced_tags(2)),
-    "mascot-opt-tag4": lambda: Mascot(mascot_opt_reduced_tags(4)),
-    "mascot-opt-tag6": lambda: Mascot(mascot_opt_reduced_tags(6)),
-    "mascot-offset": lambda: Mascot(
-        MASCOT_DEFAULT.with_(name="mascot-offset", offset_bypass=True)
-    ),
-    "mascot-decay": lambda: Mascot(
-        MASCOT_DEFAULT.with_(name="mascot-decay", decay_period=50_000)
-    ),
-    "tage-no-nd": lambda: Mascot(TAGE_NO_ND_CONFIG),
-    "tage-no-nd-mdp": lambda: Mascot(
-        TAGE_NO_ND_CONFIG.with_(name="tage-no-nd-mdp", smb_enabled=False)
-    ),
-    "phast": Phast,
-    "tage-mdp": TageMdp,
-    "idist+store-sets": IDistStoreSets,
-    "nosq": NoSQ,
-    "store-sets": StoreSets,
-}
 
-
-def make_predictor(name: str) -> MDPredictor:
-    """Build a fresh predictor by canonical name."""
-    try:
-        factory = PREDICTOR_FACTORIES[name]
-    except KeyError:
-        known = ", ".join(sorted(PREDICTOR_FACTORIES))
-        raise KeyError(f"unknown predictor {name!r}; known: {known}") from None
-    return factory()
+def _specs(predictors: Sequence[Union[str, PredictorSpec]]
+           ) -> List[PredictorSpec]:
+    """Resolve names to specs; grids are keyed by name, so names differ."""
+    specs = [predictor_spec(p) for p in predictors]
+    if len({spec.name for spec in specs}) != len(specs):
+        raise ValueError("predictor names must be distinct")
+    return specs
 
 
 @dataclass
@@ -131,7 +96,7 @@ class IpcSuiteResult:
 
 
 def run_ipc_suite(
-    predictors: Sequence[str],
+    predictors: Sequence[Union[str, PredictorSpec]],
     benchmarks: Optional[Sequence[str]] = None,
     num_uops: int = DEFAULT_TRACE_LENGTH,
     config: CoreConfig = GOLDEN_COVE,
@@ -157,43 +122,40 @@ def run_ipc_suite(
     suite is no longer bit-identical to the full-trace sweep, which is
     the point.
     """
-    names = list(predictors)
-    if baseline not in names:
-        names.insert(0, baseline)
+    specs = _specs(predictors)
+    if baseline not in [spec.name for spec in specs]:
+        specs.insert(0, predictor_spec(baseline))
     benchmarks = list(benchmarks) if benchmarks is not None else suite_names()
 
     cells = [
         CellSpec(mode="timing", benchmark=bench, num_uops=num_uops,
-                 predictor=name, config=config,
+                 predictor=spec, config=config,
                  store_window=config.sb_size, instr_window=config.rob_size,
                  engine=engine, sampling=sampling)
-        for bench in benchmarks for name in names
+        for bench in benchmarks for spec in specs
     ]
-    cell_results = execution.run(cells)
 
-    ipc: Dict[str, Dict[str, float]] = {n: {} for n in names}
-    stats: Dict[str, Dict[str, PipelineStats]] = {n: {} for n in names}
+    ipc: Dict[str, Dict[str, float]] = {s.name: {} for s in specs}
+    stats: Dict[str, Dict[str, PipelineStats]] = {s.name: {} for s in specs}
     failures: Dict[str, Dict[str, CellFailure]] = {}
-    grid = iter(cell_results)
-    for bench in benchmarks:
-        for name in names:
-            result = next(grid)
-            if isinstance(result, CellFailure):
-                failures.setdefault(name, {})[bench] = result
-                if verbose:
-                    print(f"  {bench:12s} {name:16s} FAILED "
-                          f"({result.kind.value})")
-                continue
-            ipc[name][bench] = result.ipc
-            stats[name][bench] = result
+    for cell, result in zip(cells, execution.run(cells)):
+        bench, name = cell.benchmark, cell.predictor.name
+        if isinstance(result, CellFailure):
+            failures.setdefault(name, {})[bench] = result
             if verbose:
-                print(f"  {bench:12s} {name:16s} IPC={result.ipc:.3f}")
+                print(f"  {bench:12s} {name:16s} FAILED "
+                      f"({result.kind.value})")
+            continue
+        ipc[name][bench] = result.ipc
+        stats[name][bench] = result
+        if verbose:
+            print(f"  {bench:12s} {name:16s} IPC={result.ipc:.3f}")
     return IpcSuiteResult(ipc=ipc, stats=stats, baseline=baseline,
                           failures=failures, benchmarks=benchmarks)
 
 
 def run_accuracy_suite(
-    predictors: Sequence[str],
+    predictors: Sequence[Union[str, PredictorSpec]],
     benchmarks: Optional[Sequence[str]] = None,
     num_uops: int = DEFAULT_TRACE_LENGTH,
     verbose: bool = False,
@@ -219,36 +181,29 @@ def run_accuracy_suite(
     policy's ``warmup_intervals``).
     """
     if sampling is not None:
-        if telemetry:
-            raise ValueError("sampling is incompatible with telemetry")
-        warmup = 0
+        warmup = 0  # telemetry is refused by the sampled cells
     elif warmup is None:
         warmup = num_uops // 4
     benchmarks = list(benchmarks) if benchmarks is not None else suite_names()
 
-    names = list(predictors)
+    specs = _specs(predictors)
     cells = [
         CellSpec(mode="accuracy", benchmark=bench, num_uops=num_uops,
-                 predictor=name, warmup=warmup, telemetry=telemetry,
+                 predictor=spec, warmup=warmup, telemetry=telemetry,
                  sampling=sampling)
-        for bench in benchmarks for name in names
+        for bench in benchmarks for spec in specs
     ]
-    cell_results = execution.run(cells)
 
     results: Dict[str, Dict[str, PredictionRunResult]] = {
-        n: {} for n in names
-    }
-    grid = iter(cell_results)
-    for bench in benchmarks:
-        for name in names:
-            result = next(grid)
-            results[name][bench] = result
-            if verbose:
-                if isinstance(result, CellFailure):
-                    print(f"  {bench:12s} {name:16s} FAILED "
-                          f"({result.kind.value})")
-                    continue
-                acc = result.accuracy
-                print(f"  {bench:12s} {name:16s} "
-                      f"mispred={acc.mispredictions}")
+        s.name: {} for s in specs}
+    for cell, result in zip(cells, execution.run(cells)):
+        bench, name = cell.benchmark, cell.predictor.name
+        results[name][bench] = result
+        if verbose:
+            if isinstance(result, CellFailure):
+                print(f"  {bench:12s} {name:16s} FAILED "
+                      f"({result.kind.value})")
+                continue
+            print(f"  {bench:12s} {name:16s} "
+                  f"mispred={result.accuracy.mispredictions}")
     return results

@@ -9,7 +9,8 @@ calling a classmethod) reaches *all* of its methods and its in-package
 ancestors, because instance method calls through arbitrary variables
 cannot be resolved statically.  When a module is first reached, its
 top-level non-import statements are scanned too, so registry tables
-(``PREDICTOR_FACTORIES = {"x": Xpred}``) reach the classes they name.
+(``PREDICTORS = {"x": PredictorSpec("x", Xpred)}``) reach the classes
+they name.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ from .base import ActualOutcome, MDPredictor, Prediction, PredictionKind
 from .configs import (
     MASCOT_DEFAULT,
     MASCOT_OPT,
+    TAGE_NO_ND_CONFIG,
     MascotConfig,
     mascot_opt_reduced_tags,
 )
@@ -11,6 +12,7 @@ from .mascot import Mascot, MascotEntry
 from .nosq import NoSQ, NoSQEntry
 from .perfect import PerfectMDP, PerfectMDPSMB
 from .phast import PHAST_HISTORY_LENGTHS, Phast, PhastEntry
+from .registry import PREDICTORS, PredictorSpec
 from .sizing import (
     PredictorSizing,
     mascot_sizing,
@@ -23,7 +25,6 @@ from .idist import IDIST_HISTORY_LENGTHS, IDistEntry, IDistStoreSets
 from .store_sets import StoreSets
 from .tage_mdp import TageMdp, TageMdpEntry
 from .tables import TableBank, TableKey, TaggedTable
-from .tage_nond import TAGE_NO_ND_CONFIG, make_tage_no_nd
 
 __all__ = [
     "ActualOutcome",
@@ -43,6 +44,8 @@ __all__ = [
     "PHAST_HISTORY_LENGTHS",
     "Phast",
     "PhastEntry",
+    "PREDICTORS",
+    "PredictorSpec",
     "PredictorSizing",
     "mascot_sizing",
     "nosq_sizing",
@@ -59,5 +62,4 @@ __all__ = [
     "TableKey",
     "TaggedTable",
     "TAGE_NO_ND_CONFIG",
-    "make_tage_no_nd",
 ]

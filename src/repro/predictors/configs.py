@@ -10,6 +10,14 @@ Sec. VI-D derives MASCOT-OPT from the F1 tuning study: table sizes
 [15, 16, 16, 16, 17, 17, 17, 18] (widened tags keep the per-table collision
 likelihood constant as sets shrink), a 16 % size reduction; reducing all
 tags by a further 4 bits costs 0.13 % IPC and reaches 10.1 KiB.
+
+Sec. VI-B's ablation, :data:`TAGE_NO_ND_CONFIG`, is MASCOT without
+non-dependence allocation: "on a false dependency, it will simply decrement
+the confidence of the predicting entry, similar to previous MDP and SMB
+implementations using TAGE" (Fig. 11).  It accumulates more than 12× as
+many false dependencies, which die only by slow counter decay, taking SMB
+confidence with them.  As a config of the same class, the comparison
+isolates exactly the allocation-policy difference.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ __all__ = [
     "MASCOT_DEFAULT",
     "MASCOT_OPT",
     "mascot_opt_reduced_tags",
+    "TAGE_NO_ND_CONFIG",
 ]
 
 
@@ -135,3 +144,8 @@ def mascot_opt_reduced_tags(reduction: int) -> MascotConfig:
     return MASCOT_OPT.with_(
         name=f"mascot-opt-tag{reduction}", tag_bits=tags
     )
+
+
+#: MASCOT without non-dependence allocation (Sec. VI-B, Fig. 11).
+TAGE_NO_ND_CONFIG = MASCOT_DEFAULT.with_(name="tage-no-nd",
+                                         allocate_nondependencies=False)

@@ -93,3 +93,42 @@ class TestSensitivityStudy:
                    for p in results.points}
         assert (by_bits[3].misprediction_rate
                 <= by_bits[1].misprediction_rate * 1.2)
+
+    def test_points_are_cells_with_unchanged_results(self, monkeypatch):
+        """Each (point, benchmark) is one accuracy cell through the cell
+        engine, and the study sums exactly what a direct prediction-only
+        replay of each point's Mascot gives."""
+        from repro.experiments import parallel
+        from repro.experiments.runner import (default_cache,
+                                              run_prediction_only)
+        from repro.predictors.mascot import Mascot
+
+        computed = []
+        real = parallel.compute_cell
+
+        def spy(spec):
+            computed.append(spec)
+            return real(spec)
+
+        monkeypatch.setattr(parallel, "compute_cell", spy)
+        grid = ParameterGrid({"bypass_bits": [1, 3]})
+        benchmarks = ["exchange2", "lbm"]
+        results = SensitivityStudy(grid, benchmarks).run(num_uops=4_000)
+        assert len(computed) == len(grid) * len(benchmarks)
+        assert len(set(computed)) == len(computed)
+
+        for point in results.points:
+            runs = [run_prediction_only(default_cache().get(bench, 4_000),
+                                        Mascot(point.config), warmup=1_000)
+                    for bench in benchmarks]
+            expected = GridPointResult(
+                parameters=point.parameters, config=point.config,
+                mispredictions=sum(r.accuracy.mispredictions for r in runs),
+                false_dependencies=sum(r.accuracy.false_dependencies
+                                       for r in runs),
+                speculative_errors=sum(r.accuracy.speculative_errors
+                                       for r in runs),
+                loads=sum(r.accuracy.loads for r in runs),
+                storage_kib=point.config.storage_kib,
+            )
+            assert point == expected

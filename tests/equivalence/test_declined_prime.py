@@ -24,7 +24,7 @@ import pytest
 
 from repro.common.foldplan import FoldPlan
 from repro.experiments.runner import run_prediction_only
-from repro.experiments.suite import PREDICTOR_FACTORIES, make_predictor
+from repro.experiments.suite import PREDICTORS, make_predictor
 from repro.trace.fixture_cache import cached_trace
 from repro.trace.uop import OpClass
 
@@ -38,19 +38,19 @@ def declined_plans():
         yield
 
 
-@pytest.mark.parametrize("name", sorted(PREDICTOR_FACTORIES))
+@pytest.mark.parametrize("name", sorted(PREDICTORS))
 def test_prediction_only_equals_unprimed(name):
     trace = cached_trace("perlbench1", TRACE_LEN)
     _assert_same(trace, lambda: make_predictor(name), warmup=1_000,
                  telemetry=True)
 
 
-@pytest.mark.parametrize("name", sorted(PREDICTOR_FACTORIES))
+@pytest.mark.parametrize("name", sorted(PREDICTORS))
 def test_batched_equals_scalar(name):
     assert_cell_identical("perlbench1", name)
 
 
-@pytest.mark.parametrize("name", sorted(PREDICTOR_FACTORIES))
+@pytest.mark.parametrize("name", sorted(PREDICTORS))
 def test_history_hooks_see_every_branch(name):
     trace = cached_trace("perlbench1", TRACE_LEN)
     predictor = make_predictor(name)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import GOLDEN_COVE, LION_COVE, BatchedPipeline, Pipeline
-from repro.experiments.suite import PREDICTOR_FACTORIES, make_predictor
+from repro.experiments.suite import PREDICTORS, make_predictor
 from repro.obs.telemetry import TableTelemetry
 from repro.trace.fixture_cache import cached_trace
 from repro.trace.profiles import suite_names
@@ -125,5 +125,5 @@ class TestFullGrid:
 
     @pytest.mark.parametrize("bench", suite_names())
     def test_profile_against_full_zoo(self, bench):
-        for predictor in sorted(PREDICTOR_FACTORIES):
+        for predictor in sorted(PREDICTORS):
             assert_cell_identical(bench, predictor)

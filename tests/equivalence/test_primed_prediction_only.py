@@ -24,7 +24,7 @@ import pytest
 from repro.analysis.accuracy import OUTCOME_BY_CODE, AccuracyStats
 from repro.analysis.f1 import F1Recorder
 from repro.experiments.runner import PredictionRunResult, run_prediction_only
-from repro.experiments.suite import PREDICTOR_FACTORIES, make_predictor
+from repro.experiments.suite import PREDICTORS, make_predictor
 from repro.obs.telemetry import TableTelemetry
 from repro.predictors import MASCOT_DEFAULT, Mascot
 from repro.predictors.base import PRED_KIND_BY_CODE
@@ -112,7 +112,7 @@ def _replace(trace, ops, by=OpClass.ALU):
             if uop.op in ops else uop for uop in trace]
 
 
-@pytest.mark.parametrize("name", sorted(PREDICTOR_FACTORIES))
+@pytest.mark.parametrize("name", sorted(PREDICTORS))
 @pytest.mark.parametrize("warmup", [0, TRACE_LEN // 4, TRACE_LEN + 1])
 def test_primed_replay_equals_unprimed(name, warmup):
     trace = cached_trace("perlbench1", TRACE_LEN)
@@ -126,7 +126,7 @@ def test_f1_recording_unchanged_by_priming():
                  f1_period=200, warmup=500)
 
 
-@pytest.mark.parametrize("name", sorted(PREDICTOR_FACTORIES))
+@pytest.mark.parametrize("name", sorted(PREDICTORS))
 @pytest.mark.parametrize("removed", [
     (OpClass.BRANCH_COND, OpClass.BRANCH_INDIRECT),
     (OpClass.LOAD,),
@@ -138,7 +138,7 @@ def test_degenerate_traces(name, removed):
                  telemetry=True)
 
 
-@pytest.mark.parametrize("name", sorted(PREDICTOR_FACTORIES))
+@pytest.mark.parametrize("name", sorted(PREDICTORS))
 def test_warmed_interval_piece(name):
     trace = cached_trace("perlbench1", TRACE_LEN)
     policy = SamplingPolicy(interval_length=1_000, warmup_intervals=2)

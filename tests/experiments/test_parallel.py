@@ -25,6 +25,7 @@ from repro.experiments.parallel import (
 from repro.experiments.resilience import ResiliencePolicy
 from repro.experiments.result_cache import ResultCache
 from repro.experiments.suite import run_accuracy_suite, run_ipc_suite
+from repro.predictors import PerfectMDP, PredictorSpec
 
 #: ≥3 predictors × ≥3 benchmarks, as the determinism contract demands
 #: (the perfect-mdp baseline joins automatically, making it 4 predictors).
@@ -140,9 +141,6 @@ class TestExecuteCells:
         with pytest.raises(ValueError):
             CellSpec(mode="timing", benchmark="lbm", num_uops=1,
                      predictor="mascot")  # no core config
-        with pytest.raises(ValueError):
-            CellSpec(mode="accuracy", benchmark="lbm", num_uops=1,
-                     predictor="phast", track_f1=True)
 
     def test_specs_are_picklable(self):
         import pickle
@@ -293,14 +291,14 @@ def _affine_run(backend_cls, labels, script, traces):
     names = {"a": "lbm", "b": "mcf", "c": "exchange2"}
     tasks = [parallel._Task(position=i, key=None, spec=CellSpec(
                  mode="accuracy", benchmark=names[letter], num_uops=N,
-                 predictor=f"p{i}"))
+                 predictor=PredictorSpec(f"p{i}", PerfectMDP)))
              for i, letter in enumerate(traces)]
     backend = backend_cls(labels, _scripted(script))
     parallel._run_supervised(tasks, backend,
                              ResiliencePolicy(fail_fast=False), None)
     assert all(task.result is not None or task.failure is not None
                for task in tasks)
-    return [(slot.label, f"{spec.benchmark}/{spec.predictor}")
+    return [(slot.label, f"{spec.benchmark}/{spec.predictor.name}")
             for slot, spec in backend.log]
 
 

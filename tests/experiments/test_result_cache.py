@@ -12,7 +12,6 @@ import multiprocessing
 import os
 import shutil
 import stat
-import subprocess
 import sys
 import threading
 
@@ -31,10 +30,10 @@ from repro.experiments.result_cache import (
     cell_key,
     default_cache_dir,
     encode_result,
-    predictor_fingerprint,
     shared_code_salt,
 )
 from repro.experiments.runner import PredictionRunResult
+from repro.predictors import PREDICTORS
 
 
 BASE = CellSpec(mode="accuracy", benchmark="lbm", num_uops=5_000,
@@ -81,16 +80,6 @@ class TestCellKey:
                                                       sb_size=115))
         assert cell_key(base) != cell_key(tweaked)
 
-    def test_predictor_config_is_keyed(self):
-        """mascot and mascot-opt share a class but not a key: the
-        fingerprint captures the config dataclass, not just the module."""
-        fp_default = predictor_fingerprint("mascot")
-        fp_opt = predictor_fingerprint("mascot-opt")
-        assert fp_default["class"] == fp_opt["class"]
-        assert fp_default["config"] != fp_opt["config"]
-        assert (cell_key(BASE)
-                != cell_key(_variant(predictor="mascot-opt")))
-
     def test_keys_are_filename_safe_hex(self):
         key = cell_key(BASE)
         assert len(key) == 64
@@ -136,8 +125,9 @@ class TestRoundTrip:
     def test_f1_profile_round_trips(self, tmp_path):
         cache = ResultCache(tmp_path)
         spec = CellSpec(mode="accuracy", benchmark="perlbench1",
-                        num_uops=6_000, predictor="mascot",
-                        f1_period=1_000, track_f1=True)
+                        num_uops=6_000,
+                        predictor=PREDICTORS["mascot"].with_(track_f1=True),
+                        f1_period=1_000)
         (direct,) = execute_cells([spec], cache=cache)
         (cached,) = execute_cells([spec], cache=cache)
         assert direct.f1_profile is not None
@@ -391,8 +381,8 @@ class TestPredictorSalt:
     def test_edit_outside_the_simulator_changes_salt(self, package_copy,
                                                      relative):
         # Modules outside the simulation packages shape results too: the
-        # cell runner builds the predictor (compute_cell,
-        # _build_predictor), and cycle accounting feeds the stats.
+        # cell runner builds the predictor (compute_cell), and cycle
+        # accounting feeds the stats.
         import repro.experiments.result_cache as rc
 
         before = rc.shared_code_salt()
@@ -411,44 +401,6 @@ class TestPredictorSalt:
         rc.shared_code_salt.cache_clear()
         monkeypatch.setattr(rc, "_PACKAGE_ROOT", REAL_PACKAGE_ROOT)
         assert rc.shared_code_salt() == moved
-
-
-#: A timing cell of the predictor whose registry entry the registry test
-#: below rewrites.
-_KEY_STORE_SETS_CELL = """
-from repro.core.config import GOLDEN_COVE
-from repro.experiments.parallel import CellSpec, cell_key
-print(cell_key(CellSpec(mode="timing", benchmark="lbm", num_uops=5000,
-                        predictor="store-sets", config=GOLDEN_COVE)))
-"""
-
-
-def _key_in_subprocess(package_parent):
-    env = dict(os.environ, PYTHONPATH=str(package_parent))
-    done = subprocess.run([sys.executable, "-c", _KEY_STORE_SETS_CELL],
-                          env=env, capture_output=True, text=True,
-                          check=True, timeout=120)
-    return done.stdout.strip()
-
-
-class TestRegistryEdit:
-    def test_store_sets_factory_edit_rekeys_cell(self, tmp_path):
-        # Store Sets has no config dataclass, so a constructor argument
-        # passed by its registry factory is invisible to the predictor
-        # fingerprint; only the salt over suite.py can see it.
-        copy = tmp_path / "repro"
-        shutil.copytree(REAL_PACKAGE_ROOT, copy,
-                        ignore=shutil.ignore_patterns("__pycache__"))
-        before = _key_in_subprocess(tmp_path)
-        suite = copy / "experiments" / "suite.py"
-        text = suite.read_text()
-        assert '"store-sets": StoreSets,' in text
-        suite.write_text(text.replace(
-            '"store-sets": StoreSets,',
-            '"store-sets": lambda: StoreSets(footprint_scale=1),'))
-        after = _key_in_subprocess(tmp_path)
-        assert len(before) == len(after) == 64
-        assert after != before
 
 
 class TestTempFileHygiene:

@@ -9,7 +9,7 @@ from repro.experiments.runner import (
     run_prediction_only,
     run_timing,
 )
-from repro.experiments.suite import PREDICTOR_FACTORIES, make_predictor
+from repro.experiments.suite import PREDICTORS, make_predictor
 from repro.core.config import GOLDEN_COVE
 from repro.predictors.mascot import Mascot
 from repro.predictors.perfect import PerfectMDP
@@ -225,7 +225,7 @@ class TestTiming:
         timing accuracy equals prediction-only accuracy field for field
         (instructions included)."""
         trace = small_trace("perlbench1", 3_000)
-        for name in sorted(PREDICTOR_FACTORIES):
+        for name in sorted(PREDICTORS):
             for warmup in (0, len(trace) // 4):
                 want = run_prediction_only(trace, make_predictor(name),
                                            warmup=warmup).accuracy

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.experiments.suite import (
-    PREDICTOR_FACTORIES,
+    PREDICTORS,
     make_predictor,
     run_accuracy_suite,
     run_ipc_suite,
@@ -17,7 +17,7 @@ N = 6_000
 
 class TestFactories:
     def test_all_factories_construct(self):
-        for name in PREDICTOR_FACTORIES:
+        for name in PREDICTORS:
             predictor = make_predictor(name)
             assert predictor is not None
 
@@ -79,3 +79,18 @@ class TestAccuracySuite:
         results = run_accuracy_suite(["mascot"], BENCHES, N)
         for run in results["mascot"].values():
             assert run.accuracy.loads > 0
+
+    def test_specs_keyed_by_name(self):
+        """A derived spec is a grid row of its own, under its own name."""
+        spec = PREDICTORS["mascot-mdp"].with_(name="mascot/no-smb")
+        results = run_accuracy_suite([spec, "mascot-mdp"], ["lbm"], N)
+        assert set(results) == {"mascot/no-smb", "mascot-mdp"}
+        assert (results["mascot/no-smb"]["lbm"].to_dict()
+                == results["mascot-mdp"]["lbm"].to_dict())
+
+    def test_one_name_for_two_specs_is_rejected(self):
+        variant = PREDICTORS["store-sets"].with_(footprint_scale=1)
+        with pytest.raises(ValueError, match="distinct"):
+            run_accuracy_suite(["store-sets", variant], ["lbm"], N)
+        with pytest.raises(ValueError, match="distinct"):
+            run_ipc_suite([variant, "store-sets"], ["lbm"], N)

@@ -40,6 +40,7 @@ from hypothesis.stateful import (
 from repro.experiments import parallel
 from repro.experiments.backends import WorkerLostError
 from repro.experiments.parallel import CellSpec
+from repro.predictors import PerfectMDP, PredictorSpec
 from repro.experiments.resilience import (
     CellTimeoutError,
     FailureKind,
@@ -157,7 +158,8 @@ class SupervisorMachine(RuleBasedStateMachine):
                 for p in range(predictors)]
         grid = data.draw(st.permutations(grid), label="grid")
         self.cells = [CellSpec(mode="accuracy", benchmark=b, num_uops=1000,
-                               predictor=f"p{p}") for b, p in grid]
+                               predictor=PredictorSpec(f"p{p}", PerfectMDP))
+                      for b, p in grid]
         self.fail_fast = fail_fast
         # Reference state.
         self.queued = list(range(len(self.cells)))

@@ -22,7 +22,7 @@ from repro.common.foldplan import (
     primed_rows,
 )
 from repro.common.history import GlobalHistory
-from repro.experiments.suite import PREDICTOR_FACTORIES, make_predictor
+from repro.experiments.suite import PREDICTORS, make_predictor
 from repro.trace.columns import BYPASS_CODES, OP_CODES
 from repro.trace.uop import BypassClass, OpClass
 
@@ -79,7 +79,7 @@ class TestPrimeInputs:
 
 class TestFoldWidth:
     def test_every_registered_fold_fits_int32(self):
-        for name in PREDICTOR_FACTORIES:
+        for name in PREDICTORS:
             predictor = make_predictor(name)
             for attr in ("bank", "_ghist"):
                 owner = getattr(predictor, attr, None)
