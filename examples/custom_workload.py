@@ -13,8 +13,8 @@ Run:  python examples/custom_workload.py [num_uops]
 
 import sys
 
-from repro import Mascot, PerfectMDP, Phast, Pipeline, WorkloadProfile
-from repro.experiments import render_table
+from repro import Mascot, PerfectMDP, Phast, WorkloadProfile
+from repro.experiments import render_table, run_timing
 from repro.trace import TraceGenerator, build_program
 from repro.trace.uop import BypassClass
 
@@ -51,9 +51,9 @@ def main() -> None:
         profile = interpreter_profile(conditional)
         program = build_program(profile, seed=0)
         trace = TraceGenerator(program, seed=1).generate(num_uops)
-        baseline = Pipeline(PerfectMDP()).run(trace)
-        mascot = Pipeline(Mascot()).run(trace)
-        phast = Pipeline(Phast()).run(trace)
+        baseline = run_timing(trace, PerfectMDP())
+        mascot = run_timing(trace, Mascot())
+        phast = run_timing(trace, Phast())
         rows.append([
             f"{conditional:.0%}",
             f"{100 * (mascot.ipc / baseline.ipc - 1):+.2f}%",

@@ -17,10 +17,10 @@ from repro import (
     GOLDEN_COVE,
     Mascot,
     PerfectMDP,
-    Pipeline,
     generate_trace,
     suite_names,
 )
+from repro.experiments import run_timing
 
 
 def main() -> None:
@@ -40,8 +40,8 @@ def main() -> None:
           f"store dependence\n")
 
     print(f"Simulating on {GOLDEN_COVE.name} (Table I configuration) ...")
-    baseline = Pipeline(PerfectMDP()).run(trace)
-    mascot_stats = Pipeline(Mascot()).run(trace)
+    baseline = run_timing(trace, PerfectMDP())
+    mascot_stats = run_timing(trace, Mascot())
 
     speedup = 100.0 * (mascot_stats.ipc / baseline.ipc - 1.0)
     acc = mascot_stats.accuracy

@@ -43,12 +43,11 @@ def main() -> None:
               f"weight {region.weight:.2f}  (stands for "
               f"{region.cluster_size} intervals)")
 
-    sampled = run_sampled_timing(trace, Mascot, policy, engine="batched",
-                                 selection=selection)
+    sampled = run_sampled_timing(trace, Mascot, policy, selection=selection)
     sampled_time = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    full = run_timing(trace, Mascot(), engine="batched").ipc
+    full = run_timing(trace, Mascot()).ipc
     full_time = time.perf_counter() - t0
 
     estimate = sampled.stats.ipc

@@ -11,10 +11,11 @@ out-of-order timing model.
 
 Quickstart::
 
-    from repro import Mascot, Pipeline, generate_trace
+    from repro import Mascot, generate_trace
+    from repro.experiments import run_timing
 
     trace = generate_trace("perlbench1", 50_000)
-    stats = Pipeline(Mascot()).run(trace)
+    stats = run_timing(trace, Mascot())
     print(f"IPC {stats.ipc:.3f}, "
           f"{stats.loads_bypassed} loads bypassed, "
           f"{stats.accuracy.mispredictions} dependence mispredictions")

@@ -25,9 +25,9 @@ can be reproduced without writing Python:
   write (or, with ``--check``, compare against) the committed
   ``benchmarks/BENCH_throughput.json`` (see docs/performance.md).
 
-``simulate`` and ``compare`` accept ``--engine {scalar,batched}``; the
-batched engine produces bit-identical statistics (pinned by the golden
-equivalence test tier) at several times the throughput.
+Every timing command runs the batched engine, which the golden
+equivalence test tier pins bit-identical to the scalar reference
+pipeline at several times its throughput.
 
 ``simulate``, ``compare``, ``accuracy``, ``profile`` and the figure
 commands ``fig7``/``fig8``/``fig9`` accept ``--sampling`` (with
@@ -64,7 +64,7 @@ from .experiments.bench_baseline import BASELINE_PATH
 from .experiments.reporting import render_table
 from .experiments.parallel import Execution
 from .experiments.resilience import CellFailure
-from .experiments.runner import TIMING_ENGINES, default_cache, run_timing
+from .experiments.runner import default_cache, run_timing
 from .experiments.suite import (
     PREDICTORS,
     make_predictor,
@@ -248,10 +248,6 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--uops", type=int, default=60_000)
     simulate.add_argument("--core", choices=sorted(_CORES),
                           default="golden-cove")
-    simulate.add_argument(
-        "--engine", choices=TIMING_ENGINES, default="scalar",
-        help="timing engine; 'batched' is bit-identical and faster",
-    )
     _add_sampling_args(simulate)
 
     compare = sub.add_parser("compare", help="normalised-IPC sweep")
@@ -261,10 +257,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(compare)
     compare.add_argument("--core", choices=sorted(_CORES),
                          default="golden-cove")
-    compare.add_argument(
-        "--engine", choices=TIMING_ENGINES, default="scalar",
-        help="timing engine; 'batched' is bit-identical and faster",
-    )
     _add_sampling_args(compare)
 
     accuracy = sub.add_parser("accuracy", help="prediction-only error sweep")
@@ -376,10 +368,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     budget.add_argument("--predictor", default="mascot",
                         choices=sorted(PREDICTORS))
-    budget.add_argument("--engine", choices=TIMING_ENGINES,
-                        default="batched",
-                        help="timing engine for both sides "
-                             "(default: %(default)s)")
     budget.add_argument(
         "--interval-length", type=_positive_int, default=None,
         help="override the sampling policy's region length",
@@ -413,13 +401,12 @@ def _cmd_simulate(args) -> int:
     policy = _sampling_arg(args)
     if policy is not None:
         stats = run_timing(
-            trace, None, config=_CORES[args.core], engine=args.engine,
-            sampling=policy,
+            trace, None, config=_CORES[args.core], sampling=policy,
             predictor_factory=lambda: make_predictor(args.predictor),
         )
     else:
         stats = run_timing(trace, make_predictor(args.predictor),
-                           config=_CORES[args.core], engine=args.engine)
+                           config=_CORES[args.core])
     rows = sorted(stats.as_dict().items())
     print(render_table(["metric", "value"], rows,
                        title=f"{args.benchmark} / {args.predictor} "
@@ -431,7 +418,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_compare(args) -> int:
     suite = run_ipc_suite(args.predictors, args.benchmarks, args.uops,
-                          config=_CORES[args.core], engine=args.engine,
+                          config=_CORES[args.core],
                           sampling=_sampling_arg(args),
                           execution=Execution.from_args(args))
     return _print_figure(figures.IpcFigureResult(
@@ -588,8 +575,7 @@ def _cmd_error_budget(args) -> int:
               f"({args.uops:,} uops per cell):", flush=True)
     report = run_error_budget(
         benchmarks=tuple(args.benchmarks), num_uops=args.uops,
-        predictor=args.predictor, policy=policy, engine=args.engine,
-        verbose=not args.json)
+        predictor=args.predictor, policy=policy, verbose=not args.json)
     if args.json:
         import json
         print(json.dumps(report, indent=2, sort_keys=True))

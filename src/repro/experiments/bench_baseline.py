@@ -126,10 +126,6 @@ class SampledBenchCell:
     interval_length: int = 10_000
     max_k: int = 6
     warmup_intervals: int = 4
-    #: Engine the sampled regions run on; the full reference run always
-    #: uses the scalar engine — the end-to-end speedup is the product of
-    #: the sampling and batching axes.
-    engine: str = "batched"
 
     @property
     def label(self) -> str:
@@ -211,7 +207,6 @@ def measure_sampled_cell(cell: SampledBenchCell) -> Dict[str, object]:
     """
     from ..sampling.reconstruct import run_sampled_timing
     from ..sampling.select import select_regions
-    from .runner import run_timing
 
     config = _CORES[cell.core]
     policy = cell.policy
@@ -225,12 +220,11 @@ def measure_sampled_cell(cell: SampledBenchCell) -> Dict[str, object]:
     start = time.process_time()
     sampled = run_sampled_timing(
         trace, lambda: make_predictor(cell.predictor), policy,
-        config=config, engine=cell.engine, selection=selection)
+        config=config, selection=selection)
     sampled_s = time.process_time() - start
 
     start = time.process_time()
-    full = run_timing(trace, make_predictor(cell.predictor),
-                      config=config, engine="scalar")
+    full = Pipeline(make_predictor(cell.predictor), config=config).run(trace)
     full_s = time.process_time() - start
 
     lo, hi = sampled.ipc_ci
@@ -239,7 +233,6 @@ def measure_sampled_cell(cell: SampledBenchCell) -> Dict[str, object]:
         "predictor": cell.predictor,
         "core": cell.core,
         "num_uops": cell.num_uops,
-        "engine": cell.engine,
         "policy": policy.to_dict(),
         "k": selection.k,
         "simulated_uops": sampled.simulated_uops,

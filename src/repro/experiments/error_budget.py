@@ -3,9 +3,9 @@
 Sampling (:mod:`repro.sampling`) buys throughput by simulating only
 representative regions; this module pins what that costs in fidelity.
 :func:`run_error_budget` runs a benchmark grid both ways — full timing
-simulation and sampled reconstruction, same trace, same predictor, same
-engine — and reports the per-cell IPC reconstruction error alongside the
-confidence interval the reconstruction *claimed*.  Two properties are
+simulation and sampled reconstruction, same trace, same predictor — and
+reports the per-cell IPC reconstruction error alongside the confidence
+interval the reconstruction *claimed*.  Two properties are
 enforced (:func:`check_error_budget`, ``repro error-budget``, and the CI
 ``sampling-error-budget`` job):
 
@@ -59,7 +59,6 @@ def run_error_budget(
     predictor: str = "mascot",
     policy: Optional[SamplingPolicy] = None,
     config: CoreConfig = GOLDEN_COVE,
-    engine: str = "batched",
     verbose: bool = False,
 ) -> Dict[str, object]:
     """Run the grid sampled and full; returns the budget report."""
@@ -72,10 +71,9 @@ def run_error_budget(
     rows: List[Dict[str, object]] = []
     for benchmark in benchmarks:
         trace = generate_trace(benchmark, num_uops)
-        full = run_timing(trace, make_predictor(predictor),
-                          config=config, engine=engine)
+        full = run_timing(trace, make_predictor(predictor), config=config)
         sampled = run_timing(
-            trace, None, config=config, engine=engine, sampling=policy,
+            trace, None, config=config, sampling=policy,
             predictor_factory=lambda: make_predictor(predictor))
         lo, hi = sampled.sampling["ci"]
         row = {
@@ -96,7 +94,6 @@ def run_error_budget(
     return {
         "num_uops": num_uops,
         "predictor": predictor,
-        "engine": engine,
         "policy": policy.to_dict(),
         "rows": rows,
         "geomean_abs_error": round(
@@ -127,8 +124,7 @@ def render_error_budget(report: Dict[str, object]) -> str:
     """Human-readable budget table (docs/sampling.md carries one)."""
     lines = [
         f"sampled reconstruction error budget "
-        f"({report['num_uops']:,} uops, {report['predictor']}, "
-        f"{report['engine']} engine)",
+        f"({report['num_uops']:,} uops, {report['predictor']})",
         f"{'benchmark':<12} {'full IPC':>9} {'sampled':>9} {'error':>8} "
         f"{'95% CI':>19} {'covers':>7} {'k':>3}",
     ]

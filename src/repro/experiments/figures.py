@@ -269,7 +269,6 @@ def fig7_ipc_full(
     benchmarks: Optional[Sequence[str]] = None,
     num_uops: int = DEFAULT_TRACE_LENGTH,
     execution: Execution = Execution(),
-    engine: str = "scalar",
     sampling: Optional[SamplingPolicy] = None,
 ) -> IpcFigureResult:
     """NoSQ vs PHAST vs MASCOT (MDP+SMB), normalised to perfect MDP.
@@ -280,8 +279,7 @@ def fig7_ipc_full(
     """
     predictors = ["nosq", "phast", "mascot"]
     suite = run_ipc_suite(predictors, benchmarks, num_uops,
-                          execution=execution, engine=engine,
-                          sampling=sampling)
+                          execution=execution, sampling=sampling)
     return IpcFigureResult(
         title="Fig. 7 — IPC normalised to perfect MDP (no SMB)",
         suite=suite, predictors=predictors,
@@ -292,14 +290,12 @@ def fig9_ipc_mdp_only(
     benchmarks: Optional[Sequence[str]] = None,
     num_uops: int = DEFAULT_TRACE_LENGTH,
     execution: Execution = Execution(),
-    engine: str = "scalar",
     sampling: Optional[SamplingPolicy] = None,
 ) -> IpcFigureResult:
     """Store Sets vs PHAST vs MDP-only MASCOT, normalised to perfect MDP."""
     predictors = ["store-sets", "phast", "mascot-mdp"]
     suite = run_ipc_suite(predictors, benchmarks, num_uops,
-                          execution=execution, engine=engine,
-                          sampling=sampling)
+                          execution=execution, sampling=sampling)
     return IpcFigureResult(
         title="Fig. 9 — MDP-only IPC normalised to perfect MDP",
         suite=suite, predictors=predictors,

@@ -50,7 +50,7 @@ from __future__ import annotations
 import time
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from pathlib import Path
 from typing import (Callable, Dict, List, Optional, Sequence, Set, Tuple,
                     Union)
@@ -101,7 +101,7 @@ class CellSpec:
     process boundary and be content-addressed for the on-disk cache.
     """
 
-    #: ``"timing"`` (full pipeline, returns PipelineStats) or
+    #: ``"timing"`` (full batched pipeline, returns PipelineStats) or
     #: ``"accuracy"`` (prediction-only replay, returns PredictionRunResult).
     mode: str
     benchmark: str
@@ -121,15 +121,17 @@ class CellSpec:
     #: Accuracy mode only: attach a TableTelemetry sink and return its
     #: counters in the result (Fig. 13, ``repro profile``).
     telemetry: bool = False
-    #: Timing mode only: which pipeline implementation runs the cell
-    #: (``"scalar"`` reference or bit-identical ``"batched"``).
-    engine: str = "scalar"
+    #: Not a field: every timing cell runs the batched engine.  Kept
+    #: only because ``bench/workload.py`` still passes ``"batched"`` for
+    #: timing cells and ``"scalar"`` for accuracy cells; never stored,
+    #: keyed or compared.  Drop it once that caller stops passing it.
+    engine: InitVar[Optional[str]] = None
     #: Sampled simulation: select representative regions under this
     #: policy, simulate only those, and reconstruct full-run metrics with
     #: confidence intervals (see :mod:`repro.sampling`).  None = full run.
     sampling: Optional[SamplingPolicy] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, engine: Optional[str]) -> None:
         object.__setattr__(self, "predictor", predictor_spec(self.predictor))
         if self.mode not in ("timing", "accuracy"):
             raise ValueError(f"unknown cell mode {self.mode!r}")
@@ -137,10 +139,12 @@ class CellSpec:
             raise ValueError("timing cells need a core config")
         if self.telemetry and self.mode != "accuracy":
             raise ValueError("telemetry cells must be accuracy mode")
-        if self.engine not in ("scalar", "batched"):
-            raise ValueError(f"unknown timing engine {self.engine!r}")
-        if self.engine != "scalar" and self.mode != "timing":
-            raise ValueError("engine selection applies to timing cells only")
+        if engine not in (None, "batched" if self.mode == "timing"
+                          else "scalar"):
+            raise ValueError(
+                f"{self.mode} cells do not take engine={engine!r}: timing "
+                "cells always run batched; construct the scalar Pipeline "
+                "oracle directly")
         if self.sampling is not None:
             if not isinstance(self.sampling, SamplingPolicy):
                 raise ValueError("sampling must be a SamplingPolicy")
@@ -186,15 +190,14 @@ def compute_cell(spec: CellSpec):
         selection = cache.selection(spec.trace_key, spec.sampling)
         if spec.mode == "timing":
             return run_timing(trace, None, config=spec.config,
-                              engine=spec.engine, sampling=spec.sampling,
+                              sampling=spec.sampling,
                               predictor_factory=factory, selection=selection)
         return run_prediction_only(trace, None, sampling=spec.sampling,
                                    predictor_factory=factory,
                                    selection=selection)
     predictor = spec.predictor.build()
     if spec.mode == "timing":
-        return run_timing(trace, predictor, config=spec.config,
-                          engine=spec.engine)
+        return run_timing(trace, predictor, config=spec.config)
     return run_prediction_only(trace, predictor,
                                f1_period=spec.f1_period, warmup=spec.warmup,
                                telemetry=spec.telemetry)
@@ -392,7 +395,10 @@ def execute_cells(
     def key_of(spec: CellSpec) -> Optional[str]:
         if not keyed:
             return None
-        return keys.setdefault(spec, cell_key(spec))
+        key = keys.get(spec)
+        if key is None:
+            key = keys[spec] = cell_key(spec)
+        return key
 
     results: List[Optional[object]] = [None] * len(cells)
     pending: List[int] = []

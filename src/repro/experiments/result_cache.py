@@ -11,7 +11,7 @@ Keying
 Each cell's key is :func:`repro.common.hashing.stable_digest` over:
 
 * every trace-generation parameter (benchmark, length, seeds, windows),
-* the run parameters (mode, warmup, F1 period, engine, sampling policy),
+* the run parameters (mode, warmup, F1 period, sampling policy),
 * the **predictor spec** — name, class and construction keywords
   (:meth:`~repro.predictors.registry.PredictorSpec.to_dict`; a
   ``MascotConfig`` by its fields); the salt covers every default a spec
@@ -341,7 +341,6 @@ def cell_key(spec) -> str:
             "warmup": spec.warmup,
             "f1_period": spec.f1_period,
             "telemetry": spec.telemetry,
-            "engine": spec.engine,
             # Sampled cells are keyed by the full policy: any knob change
             # (interval length, k bound, warmup, seed, CI parameters)
             # selects different regions or reconstructs differently, so it

@@ -9,8 +9,8 @@ Two evaluation modes (DESIGN.md §5):
   without Phase B: the same :class:`~repro.core.batched.PredictorReplay`
   loop over the trace's columns, primed from them as Phase A is, with no
   branch predictor and a store window spanning the trace.
-* :func:`run_timing` runs the full out-of-order pipeline for IPC
-  (figures 7, 9, 11, 12, 15).
+* :func:`run_timing` runs the full out-of-order pipeline, batched, for
+  IPC (figures 7, 9, 11, 12, 15).
 
 Traces are cached per (benchmark, length, seeds, windows) so a suite sweep
 over many predictors generates each trace once.
@@ -26,7 +26,6 @@ from ..analysis.f1 import F1Recorder, RankedF1Profile
 from ..common.foldplan import prime_inputs
 from ..core.batched import BatchedPipeline, PredictorReplay
 from ..core.config import GOLDEN_COVE, CoreConfig
-from ..core.pipeline import Pipeline
 from ..core.stats import PipelineStats
 from ..predictors.base import MDPredictor
 from ..predictors.mascot import Mascot
@@ -42,7 +41,6 @@ __all__ = [
     "run_prediction_only",
     "run_timing",
     "DEFAULT_TRACE_LENGTH",
-    "TIMING_ENGINES",
 ]
 
 #: Default dynamic trace length per benchmark.  Chosen so a full-suite,
@@ -251,32 +249,22 @@ def run_prediction_only(
     )
 
 
-#: Timing-engine registry: ``scalar`` is the reference event-at-a-time
-#: pipeline; ``batched`` the two-phase columnar engine proven bit-identical
-#: by the golden equivalence tier (tests/equivalence/).
-TIMING_ENGINES = ("scalar", "batched")
-
-
 def run_timing(
     trace: Sequence[MicroOp],
     predictor: Optional[MDPredictor],
     config: CoreConfig = GOLDEN_COVE,
-    engine: str = "scalar",
     measure_from: int = 0,
     sampling: Optional[SamplingPolicy] = None,
     predictor_factory: Optional[Callable[[], MDPredictor]] = None,
-    hierarchy=None,
     selection=None,
 ) -> PipelineStats:
     """Run the out-of-order timing model; returns its statistics.
 
-    ``engine`` selects the implementation: ``"scalar"`` (the reference
-    :class:`~repro.core.pipeline.Pipeline`) or ``"batched"`` (the
-    bit-identical :class:`~repro.core.batched.BatchedPipeline`).
-    ``measure_from`` designates a warmup prefix excluded from measurement.
-    ``hierarchy`` supplies a pre-built (possibly pre-warmed)
-    :class:`~repro.memory.hierarchy.MemoryHierarchy` instead of the cold
-    default — sampled runs use it for functional cache warmup.
+    Every run goes through :class:`~repro.core.batched.BatchedPipeline`;
+    the scalar :class:`~repro.core.pipeline.Pipeline` is the reference
+    the golden equivalence tiers prove it bit-identical to, and tests
+    construct it directly.  ``measure_from`` designates a warmup prefix
+    excluded from measurement.
 
     ``sampling`` switches to sampled simulation: only the policy's
     selected regions are simulated and the returned statistics are a
@@ -286,11 +274,6 @@ def run_timing(
     ``predictor`` ignored — pass None); ``selection`` reuses regions
     already selected for (trace, policy).
     """
-    if engine not in TIMING_ENGINES:
-        raise ValueError(
-            f"unknown timing engine {engine!r}; known: "
-            + ", ".join(TIMING_ENGINES)
-        )
     if sampling is not None:
         if predictor_factory is None:
             raise ValueError(
@@ -307,13 +290,9 @@ def run_timing(
 
         return run_sampled_timing(
             trace, predictor_factory, sampling,
-            config=config, engine=engine, selection=selection,
+            config=config, selection=selection,
         ).stats
     if predictor is None:
         raise ValueError("full-trace runs need a predictor instance")
-    if engine == "batched":
-        return BatchedPipeline(predictor, config=config,
-                               hierarchy=hierarchy).run(
-            trace, measure_from=measure_from)
-    return Pipeline(predictor, config=config, hierarchy=hierarchy).run(
+    return BatchedPipeline(predictor, config=config).run(
         trace, measure_from=measure_from)

@@ -103,7 +103,6 @@ def run_ipc_suite(
     baseline: str = "perfect-mdp",
     verbose: bool = False,
     execution: Execution = Execution(),
-    engine: str = "scalar",
     sampling: Optional[SamplingPolicy] = None,
 ) -> IpcSuiteResult:
     """Timing-mode sweep; the baseline is added automatically if missing.
@@ -111,9 +110,9 @@ def run_ipc_suite(
     ``execution`` says how the (benchmark × predictor) cells run —
     processes, result cache, fault tolerance and metrics (see
     :class:`~repro.experiments.parallel.Execution`).  The grid is
-    bit-identical for every ``jobs`` value and cache state — and, by the
-    golden equivalence tier, for either ``engine`` (``"scalar"`` reference
-    pipeline or the faster ``"batched"`` engine).
+    bit-identical for every ``jobs`` value and cache state.  Cells run
+    the batched engine, which the golden equivalence tier proves
+    bit-identical to the scalar reference pipeline.
 
     ``sampling`` runs every cell sampled under the given policy: only the
     selected regions are simulated and each cell's stats carry
@@ -131,7 +130,7 @@ def run_ipc_suite(
         CellSpec(mode="timing", benchmark=bench, num_uops=num_uops,
                  predictor=spec, config=config,
                  store_window=config.sb_size, instr_window=config.rob_size,
-                 engine=engine, sampling=sampling)
+                 sampling=sampling)
         for bench in benchmarks for spec in specs
     ]
 

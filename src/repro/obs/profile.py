@@ -1,6 +1,6 @@
 """``repro profile``: cycle-stack + table-usage report for one cell.
 
-Runs one (benchmark, predictor) cell through the full timing pipeline
+Runs one (benchmark, predictor) cell through the batched timing pipeline
 with cycle accounting enabled and a telemetry sink attached, validates
 the accounting invariant (per-category cycles sum exactly to the
 measured cycle count), and renders both breakdowns.  This is the
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from ..core.config import GOLDEN_COVE, CoreConfig
-from ..core.pipeline import Pipeline
+from ..core.batched import BatchedPipeline
 from ..core.stats import PipelineStats
 from .cycles import CYCLE_CATEGORIES, CycleStack
 from .telemetry import TableTelemetry
@@ -204,7 +204,7 @@ def profile_cell(
         measure_from = num_uops // 4
     predictor = make_predictor(predictor_name)
     sink = predictor.attach_telemetry(TableTelemetry())
-    pipeline = Pipeline(predictor, config=config, accounting=True)
+    pipeline = BatchedPipeline(predictor, config=config, accounting=True)
     stats = pipeline.run(trace, measure_from=measure_from)
     return ProfileReport(
         benchmark=benchmark,

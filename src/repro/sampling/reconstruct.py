@@ -50,6 +50,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..analysis.accuracy import AccuracyStats
+from ..core.batched import BatchedPipeline
 from ..core.config import GOLDEN_COVE, CoreConfig
 from ..core.stats import PipelineStats
 from ..predictors.base import MDPredictor
@@ -270,7 +271,6 @@ def run_sampled_timing(
     predictor_factory: Callable[[], MDPredictor],
     policy: SamplingPolicy,
     config: CoreConfig = GOLDEN_COVE,
-    engine: str = "scalar",
     selection: Optional[RegionSelection] = None,
     accounting: bool = False,
 ) -> SampledTiming:
@@ -283,8 +283,6 @@ def run_sampled_timing(
     additionally measures each region's cycle stack and reconstructs the
     full-run stack (``repro profile --sampling``).
     """
-    from ..experiments.runner import run_timing
-
     if selection is None:
         selection = select_regions(trace, policy)
     index = None
@@ -299,20 +297,11 @@ def run_sampled_timing(
         simulated += len(piece)
         warm_start = region.start - warmup
         hierarchy = _warm_hierarchy_at(config, index, warm_start)
+        pipe = BatchedPipeline(predictor_factory(), config=config,
+                               hierarchy=hierarchy, accounting=accounting)
+        region_stats.append(pipe.run(piece, measure_from=warmup))
         if accounting:
-            if engine == "batched":
-                from ..core.batched import BatchedPipeline as engine_cls
-            else:
-                from ..core.pipeline import Pipeline as engine_cls
-            pipe = engine_cls(predictor_factory(), config=config,
-                              hierarchy=hierarchy, accounting=True)
-            region_stats.append(pipe.run(piece, measure_from=warmup))
             region_stacks.append(pipe.cycle_stack)
-        else:
-            region_stats.append(run_timing(
-                piece, predictor_factory(), config=config, engine=engine,
-                measure_from=warmup, hierarchy=hierarchy,
-            ))
 
     instructions = len(trace)
     stats = PipelineStats()

@@ -2,9 +2,9 @@
 
 The batched engine (:class:`repro.core.batched.BatchedPipeline`) exists
 purely for speed; the scalar :class:`~repro.core.pipeline.Pipeline` is
-the reference.  These tests pin the contract that makes ``--engine
-batched`` safe everywhere: for any (benchmark, predictor, core) cell the
-two engines produce
+the reference.  These tests pin the contract that lets every timing run
+go through the batched engine: for any (benchmark, predictor, core) cell
+the two engines produce
 
 * bit-identical :class:`~repro.core.stats.PipelineStats` (every field,
   including the nested branch/accuracy breakdowns),

@@ -35,6 +35,20 @@ class TestSimulate:
             main(["simulate", "lbm", "oracle-of-delphi"])
 
 
+class TestEngineFlagRetired:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "lbm", "mascot", "--engine", "batched"],
+        ["compare", "mascot", "--engine", "scalar"],
+        ["error-budget", "--engine", "batched"],
+    ])
+    def test_engine_flag_is_unknown(self, argv, capsys):
+        """Every timing run is batched; there is no engine to choose."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --engine" in capsys.readouterr().err
+
+
 class TestCompare:
     def test_runs(self, capsys):
         assert main(["compare", "mascot", "phast",

@@ -27,7 +27,6 @@ def report(rows):
                            for r in rows) / len(rows))
     return {
         "num_uops": 2_000_000, "predictor": "mascot",
-        "engine": "batched",
         "policy": SamplingPolicy(interval_length=10_000).to_dict(),
         "rows": rows, "geomean_abs_error": round(geomean, 6),
     }

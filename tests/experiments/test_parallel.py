@@ -23,7 +23,7 @@ from repro.experiments.parallel import (
     resolve_cache,
 )
 from repro.experiments.resilience import ResiliencePolicy
-from repro.experiments.result_cache import ResultCache
+from repro.experiments.result_cache import ResultCache, cell_key
 from repro.experiments.suite import run_accuracy_suite, run_ipc_suite
 from repro.predictors import PerfectMDP, PredictorSpec
 
@@ -147,6 +147,39 @@ class TestExecuteCells:
         spec = CellSpec(mode="timing", benchmark="lbm", num_uops=100,
                         predictor="mascot", config=LION_COVE)
         assert pickle.loads(pickle.dumps(spec)) == spec
+
+    def test_engine_argument_is_accepted_but_never_stored(self):
+        """``engine=`` survives only for callers that still pass it: the
+        one value each mode always ran with, and it changes nothing."""
+        timing = dict(mode="timing", benchmark="lbm", num_uops=100,
+                      predictor="mascot", config=LION_COVE)
+        accuracy = dict(mode="accuracy", benchmark="lbm", num_uops=100,
+                        predictor="mascot")
+        for fields, engine in ((timing, "batched"), (accuracy, "scalar")):
+            plain = CellSpec(**fields)
+            passed = CellSpec(**fields, engine=engine)
+            assert passed == plain and hash(passed) == hash(plain)
+            assert cell_key(passed) == cell_key(plain)
+        with pytest.raises(ValueError, match="construct the scalar"):
+            CellSpec(**timing, engine="scalar")
+        for fields, engine in ((accuracy, "batched"), (timing, "fast")):
+            with pytest.raises(ValueError):
+                CellSpec(**fields, engine=engine)
+
+    @pytest.mark.parametrize("store", ["cache", "metrics"])
+    def test_each_pending_cell_is_keyed_once(self, store, tmp_path,
+                                             monkeypatch):
+        calls = []
+
+        def counting_key(spec):
+            calls.append(spec)
+            return cell_key(spec)
+
+        monkeypatch.setattr(parallel, "cell_key", counting_key)
+        cells = [CellSpec(mode="accuracy", benchmark="lbm", num_uops=1_000,
+                          predictor=name) for name in ("mascot", "nosq")]
+        execute_cells(cells, **{store: tmp_path / store})
+        assert calls == cells
 
 
 def _counting_generate_trace(log_path, real):

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.experiments.runner import (
-    TIMING_ENGINES,
     TraceCache,
     default_cache,
     run_prediction_only,
@@ -11,6 +10,7 @@ from repro.experiments.runner import (
 )
 from repro.experiments.suite import PREDICTORS, make_predictor
 from repro.core.config import GOLDEN_COVE
+from repro.core.pipeline import Pipeline
 from repro.predictors.mascot import Mascot
 from repro.predictors.perfect import PerfectMDP
 from repro.predictors.phast import Phast
@@ -114,17 +114,18 @@ class TestWarmup:
         result = run_prediction_only(trace, Mascot(), warmup=0)
         assert result.accuracy.instructions == len(trace)
 
-    @pytest.mark.parametrize("engine", TIMING_ENGINES)
-    def test_timing_warmup_covering_whole_trace(self, engine):
+    def test_timing_warmup_covering_whole_trace(self):
         """Regression: both timing engines reported a phantom measured
-        instruction (accuracy.instructions == 1) for an all-warmup run."""
+        instruction (accuracy.instructions == 1) for an all-warmup run.
+        Checks ``run_timing`` (batched) and the scalar oracle."""
         trace = small_trace("perlbench1", 2_000)
-        stats = run_timing(trace, Mascot(), engine=engine,
-                           measure_from=len(trace))
-        assert stats.instructions == 0
-        assert stats.accuracy.instructions == 0
-        assert stats.accuracy.loads == 0
-        assert stats.accuracy.mpki() == 0.0
+        for stats in (
+                run_timing(trace, Mascot(), measure_from=len(trace)),
+                Pipeline(Mascot()).run(trace, measure_from=len(trace))):
+            assert stats.instructions == 0
+            assert stats.accuracy.instructions == 0
+            assert stats.accuracy.loads == 0
+            assert stats.accuracy.mpki() == 0.0
 
     def test_mpki_still_rejects_inconsistent_zero(self):
         """A zero denominator with recorded mispredictions is an
@@ -221,9 +222,10 @@ class TestTiming:
 
     def test_accuracy_consistent_with_prediction_mode(self):
         """The two modes replay one event stream: for every registered
-        predictor, both engines and a cold and a warmed measurement,
-        timing accuracy equals prediction-only accuracy field for field
-        (instructions included)."""
+        predictor, ``run_timing`` (batched) and the scalar oracle, and a
+        cold and a warmed measurement, timing accuracy equals
+        prediction-only accuracy field for field (instructions
+        included)."""
         trace = small_trace("perlbench1", 3_000)
         for name in sorted(PREDICTORS):
             for warmup in (0, len(trace) // 4):
@@ -231,8 +233,9 @@ class TestTiming:
                                            warmup=warmup).accuracy
                 if name == "perfect-mdp":
                     assert want.loads and not want.mispredictions
-                for engine in TIMING_ENGINES:
-                    got = run_timing(trace, make_predictor(name),
-                                     engine=engine,
-                                     measure_from=warmup).accuracy
-                    assert got == want, (name, warmup, engine)
+                batched = run_timing(trace, make_predictor(name),
+                                     measure_from=warmup)
+                scalar = Pipeline(make_predictor(name)).run(
+                    trace, measure_from=warmup)
+                assert batched.accuracy == want, (name, warmup, "batched")
+                assert scalar.accuracy == want, (name, warmup, "scalar")

@@ -1,15 +1,19 @@
-"""Sampled timing reconstruction: fidelity, engine agreement, warmup."""
+"""Sampled timing reconstruction: fidelity, oracle agreement, warmup."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.config import GOLDEN_COVE
+from repro.core.pipeline import Pipeline
 from repro.experiments.runner import run_timing
 from repro.experiments.suite import make_predictor
+from repro.memory.warmup import WarmupIndex
 from repro.predictors import PerfectMDP
 from repro.sampling import SamplingPolicy, select_regions
 from repro.sampling.reconstruct import (
     Interval,
+    _warm_hierarchy_at,
     rebase_interval,
     run_sampled_prediction,
     run_sampled_timing,
@@ -32,12 +36,26 @@ def mascot():
     return make_predictor("mascot")
 
 
+def scalar_regions(trace, sampled, sampling_policy):
+    """Replay each selected region on the scalar oracle: the same warmed
+    piece, from the same functionally warmed hierarchy, measured from the
+    same micro-op.  Yields ``(stats, cycle_stack)`` per region."""
+    index = (WarmupIndex.from_trace(trace, GOLDEN_COVE.memory.line_size)
+             if sampling_policy.functional_warmup else None)
+    for region in sampled.selection.regions:
+        piece, warmup = warmed_interval(trace, region, sampling_policy)
+        hierarchy = _warm_hierarchy_at(GOLDEN_COVE, index,
+                                       region.start - warmup)
+        pipe = Pipeline(mascot(), GOLDEN_COVE, hierarchy=hierarchy,
+                        accounting=True)
+        yield pipe.run(piece, measure_from=warmup), pipe.cycle_stack
+
+
 class TestReconstructionFidelity:
     def test_tracks_full_run_within_ci(self):
         trace = small_trace("mcf", 120_000)
-        sampled = run_sampled_timing(trace, mascot, policy(),
-                                     engine="batched")
-        full = run_timing(trace, mascot(), engine="batched")
+        sampled = run_sampled_timing(trace, mascot, policy())
+        full = run_timing(trace, mascot())
         error = abs(sampled.stats.ipc - full.ipc) / full.ipc
         assert error < 0.05
         lo, hi = sampled.ipc_ci
@@ -46,8 +64,7 @@ class TestReconstructionFidelity:
 
     def test_counters_scale_to_full_trace(self):
         trace = small_trace("xz", 60_000)
-        sampled = run_sampled_timing(trace, mascot, policy(),
-                                     engine="batched")
+        sampled = run_sampled_timing(trace, mascot, policy())
         stats = sampled.stats
         assert stats.instructions == len(trace)
         assert stats.accuracy.instructions == len(trace)
@@ -61,22 +78,20 @@ class TestReconstructionFidelity:
         assert sampled.simulated_uops < len(trace)
 
     def test_engines_reconstruct_identically(self):
+        """Every region the batched reconstruction measured equals the
+        scalar oracle's replay of it, so the reconstruction built from
+        them is the oracle's too."""
         trace = small_trace("perlbench1", 60_000)
-        scalar = run_sampled_timing(trace, mascot, policy(), engine="scalar")
-        batched = run_sampled_timing(trace, mascot, policy(),
-                                     engine="batched")
-        assert scalar.stats.cycles == batched.stats.cycles
-        assert scalar.stats.sampling == batched.stats.sampling
-        assert scalar.ipc_ci == batched.ipc_ci
-        for a, b in zip(scalar.region_stats, batched.region_stats):
-            assert a.cycles == b.cycles
-            assert a.instructions == b.instructions
+        sampled = run_sampled_timing(trace, mascot, policy())
+        replays = list(scalar_regions(trace, sampled, policy()))
+        assert len(replays) == sampled.selection.k
+        for i, (stats, _) in enumerate(replays):
+            assert stats == sampled.region_stats[i], i
 
     def test_functional_warmup_off_still_reconstructs(self):
         trace = small_trace("lbm", 60_000)
         cold = run_sampled_timing(
-            trace, mascot, policy(functional_warmup=False),
-            engine="batched")
+            trace, mascot, policy(functional_warmup=False))
         assert cold.stats.instructions == len(trace)
         assert cold.stats.sampling["policy"]["functional_warmup"] is False
 
@@ -107,21 +122,20 @@ class TestReconstructionFidelity:
 class TestAccountingReconstruction:
     def test_stack_sums_to_cycles_and_engines_agree(self):
         trace = small_trace("mcf", 60_000)
-        scalar = run_sampled_timing(trace, mascot, policy(),
-                                    engine="scalar", accounting=True)
-        batched = run_sampled_timing(trace, mascot, policy(),
-                                     engine="batched", accounting=True)
-        for sampled in (scalar, batched):
-            assert sampled.stack is not None
-            assert sum(sampled.stack.cycles.values()) == sampled.stats.cycles
-            assert all(c >= 0 for c in sampled.stack.cycles.values())
-            assert len(sampled.region_stacks) == sampled.selection.k
-        assert scalar.stack.cycles == batched.stack.cycles
+        sampled = run_sampled_timing(trace, mascot, policy(),
+                                     accounting=True)
+        assert sampled.stack is not None
+        assert sum(sampled.stack.cycles.values()) == sampled.stats.cycles
+        assert all(c >= 0 for c in sampled.stack.cycles.values())
+        assert len(sampled.region_stacks) == sampled.selection.k
+        for i, (stats, stack) in enumerate(
+                scalar_regions(trace, sampled, policy())):
+            assert stats == sampled.region_stats[i], i
+            assert stack.cycles == sampled.region_stacks[i].cycles, i
 
     def test_accounting_off_leaves_stack_unset(self):
         trace = small_trace("mcf", 40_000)
-        sampled = run_sampled_timing(trace, mascot, policy(),
-                                     engine="batched")
+        sampled = run_sampled_timing(trace, mascot, policy())
         assert sampled.stack is None
         assert sampled.region_stacks is None
 
@@ -292,7 +306,7 @@ class TestColumnRebase:
         piece = rebase_interval(small_trace("perlbench1", 4_000),
                                 Interval(0, 1_000, 2_000), offset=5)
         with pytest.raises(ValueError, match="offset slice"):
-            run_timing(piece, mascot(), engine="batched")
+            run_timing(piece, mascot())
 
 
 class TestSampledPrediction:
@@ -321,8 +335,8 @@ class TestRunTimingSampledApi:
 
     def test_returns_reconstruction_with_metadata(self):
         trace = small_trace("mcf", 40_000)
-        stats = run_timing(trace, None, engine="batched",
-                           sampling=policy(), predictor_factory=mascot)
+        stats = run_timing(trace, None, sampling=policy(),
+                           predictor_factory=mascot)
         assert stats.instructions == len(trace)
         assert stats.sampling is not None
         assert stats.sampling["metric"] == "ipc"

@@ -182,7 +182,7 @@ class TestNeverMaterialised:
         policy = SamplingPolicy(interval_length=1_000, max_k=3,
                                 warmup_intervals=1)
         for name in ("mascot", "nosq"):
-            run_timing(trace, None, engine="batched", sampling=policy,
+            run_timing(trace, None, sampling=policy,
                        predictor_factory=lambda: make_predictor(name))
         assert not trace.materialized
 
@@ -194,14 +194,21 @@ class TestNeverMaterialised:
                             predictor_factory=lambda: make_predictor("phast"))
         assert not trace.materialized
 
-    # Fig. 2's check is in test_fig2_equals_object_walk.
-    @pytest.mark.parametrize("figure", [
-        lambda b, n: figures.fig8_mispredictions(b, n),
-        lambda b, n: figures.fig10_prediction_mix(b, n),
-        lambda b, n: figures.fig13_table_usage(b, n),
-        lambda b, n: figures.fig14_f1_ranking(b, n, period_loads=200),
-    ], ids=["fig8", "fig10", "fig13", "fig14"])
-    def test_prediction_only_figure(self, figure, monkeypatch):
+    # Fig. 2's check is in test_fig2_equals_object_walk.  ``traces`` is
+    # one per benchmark and core geometry (Fig. 12 sweeps two cores).
+    @pytest.mark.parametrize("figure, traces", [
+        (lambda b, n: figures.fig7_ipc_full(b, n), 2),
+        (lambda b, n: figures.fig8_mispredictions(b, n), 2),
+        (lambda b, n: figures.fig9_ipc_mdp_only(b, n), 2),
+        (lambda b, n: figures.fig10_prediction_mix(b, n), 2),
+        (lambda b, n: figures.fig11_ablation(b, n), 2),
+        (lambda b, n: figures.fig12_future_architectures(b, n), 4),
+        (lambda b, n: figures.fig13_table_usage(b, n), 2),
+        (lambda b, n: figures.fig14_f1_ranking(b, n, period_loads=200), 2),
+        (lambda b, n: figures.fig15_mascot_opt(b, n), 2),
+    ], ids=["fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
+            "fig14", "fig15"])
+    def test_figure(self, figure, traces, monkeypatch):
         generated = []
 
         def recording_generate(*args, **kwargs):
@@ -214,7 +221,7 @@ class TestNeverMaterialised:
             figure(["lbm", "perlbench1"], 1_500)
         finally:
             default_cache().clear()
-        assert len(generated) == 2
+        assert len(generated) == traces
         assert not any(trace.materialized for trace in generated)
 
 
