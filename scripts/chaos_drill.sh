@@ -6,11 +6,13 @@
 # slot workers is SIGKILLed mid-grid and respawned; half A runs with
 # --keep-going, so the cell that worker ran (if any) fails once, and
 # rerunning half A on its cache must compute exactly the cells it named
-# FAILED and serve every other cell from the cache.  Half B's coordinator
-# alone is SIGKILLed once at least one of its cells has settled into the
-# cache; its slot workers must then exit by themselves within 10 s, and
-# rerunning half B on the same cache directory must serve every settled
-# cell from the cache.  The two cache directories are then copied
+# FAILED and serve every other cell from the cache.  Half B's first run
+# hangs its gcc1/phast cell (REPRO_FAULT_INJECT, 30 s), so that cell
+# cannot settle before the kill: half B's coordinator alone is SIGKILLed
+# once at least one of its cells has settled into the cache; its slot
+# workers, one of them mid-cell, must then exit by themselves within 10 s,
+# and rerunning half B on the same cache directory must serve every
+# settled cell from the cache.  The two cache directories are then copied
 # together, and rerunning the full grid on the merged copy must compute
 # nothing and print exactly what a clean serial run prints.
 #
@@ -60,7 +62,8 @@ running() { # $1: pid; true while it runs (a zombie awaiting reaping is gone)
 "${RUN[@]}" --benchmarks "${HALF_A[@]}" "${HALF_FLAGS[@]}" --keep-going \
     --cache-dir "$WORKDIR/a" >"$WORKDIR/a.out" 2>"$WORKDIR/a.err" &
 A_PID=$!
-"${RUN[@]}" --benchmarks "${HALF_B[@]}" "${HALF_FLAGS[@]}" \
+REPRO_FAULT_INJECT='hang=gcc1/phast' \
+    "${RUN[@]}" --benchmarks "${HALF_B[@]}" "${HALF_FLAGS[@]}" \
     --cache-dir "$WORKDIR/b" >"$WORKDIR/b.out" 2>"$WORKDIR/b.err" &
 B_PID=$!
 

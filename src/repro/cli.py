@@ -72,7 +72,7 @@ from .experiments.suite import (
     run_ipc_suite,
 )
 from .trace import generate_trace, suite_names
-from .trace.stream import read_trace, write_trace
+from .trace.stream import TraceFormatError, read_trace, write_trace
 from .trace.validate import validate_trace
 
 __all__ = ["main"]
@@ -400,10 +400,11 @@ def _cmd_simulate(args) -> int:
     trace = default_cache().get(args.benchmark, args.uops)
     policy = _sampling_arg(args)
     if policy is not None:
-        stats = run_timing(
-            trace, None, config=_CORES[args.core], sampling=policy,
-            predictor_factory=lambda: make_predictor(args.predictor),
-        )
+        from .sampling import run_sampled_timing
+
+        stats = run_sampled_timing(
+            trace, lambda: make_predictor(args.predictor), policy,
+            config=_CORES[args.core]).stats
     else:
         stats = run_timing(trace, make_predictor(args.predictor),
                            config=_CORES[args.core])
@@ -597,7 +598,11 @@ def _cmd_gen_trace(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    trace = read_trace(args.trace_file)
+    try:
+        trace = read_trace(args.trace_file)
+    except TraceFormatError as error:
+        print(f"{args.trace_file}: ERROR {error}")
+        return 1
     report = validate_trace(
         trace, store_window=args.store_window,
         instr_window=args.instr_window, strict=False,

@@ -59,7 +59,8 @@ from ..common.foldplan import prime_inputs
 from ..memory.hierarchy import MemoryHierarchy
 from ..obs.cycles import CycleStack
 from ..predictors.base import PRED_KIND_BY_CODE, MDPredictor
-from ..trace.columns import OP_BY_CODE, OP_CODES, SRC_SLOTS, TraceColumns
+from ..trace.columns import (OP_BY_CODE, OP_CODES, SRC_SLOTS, Trace,
+                             TraceColumns)
 from ..trace.uop import MicroOp, OpClass
 from .config import GOLDEN_COVE, CoreConfig
 from .pipeline import _CONSUMER_OPS, _WINDOW_CATEGORIES
@@ -337,9 +338,9 @@ class BatchedPipeline(PredictorReplay):
 
     # ------------------------------------------------------------------ run
 
-    def run(self, trace: Sequence[MicroOp],
-            measure_from: int = 0) -> PipelineStats:
-        """Simulate the trace; returns (and stores) the statistics."""
+    def run(self, trace: Trace, measure_from: int = 0) -> PipelineStats:
+        """Simulate the trace from its columns; returns (and stores) the
+        statistics."""
         if self._commit_times:
             raise RuntimeError(
                 "Pipeline instances are single-use: construct a new "
@@ -350,7 +351,7 @@ class BatchedPipeline(PredictorReplay):
             raise ValueError(
                 f"measure_from {measure_from} outside trace of {len(trace)}"
             )
-        cols = TraceColumns.ensure(trace)
+        cols = trace.columns
         phase_a = self._phase_a(cols, measure_from)
         self._phase_b(cols, measure_from, phase_a)
         return self.stats

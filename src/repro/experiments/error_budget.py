@@ -26,7 +26,7 @@ import math
 from typing import Dict, List, Optional, Sequence
 
 from ..core.config import GOLDEN_COVE, CoreConfig
-from ..sampling import SamplingPolicy
+from ..sampling import SamplingPolicy, run_sampled_timing
 
 __all__ = [
     "ERROR_BUDGET_BENCHMARKS",
@@ -72,9 +72,9 @@ def run_error_budget(
     for benchmark in benchmarks:
         trace = generate_trace(benchmark, num_uops)
         full = run_timing(trace, make_predictor(predictor), config=config)
-        sampled = run_timing(
-            trace, None, config=config, sampling=policy,
-            predictor_factory=lambda: make_predictor(predictor))
+        sampled = run_sampled_timing(
+            trace, lambda: make_predictor(predictor), policy,
+            config=config).stats
         lo, hi = sampled.sampling["ci"]
         row = {
             "benchmark": benchmark,

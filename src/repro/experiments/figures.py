@@ -24,7 +24,7 @@ from ..predictors.registry import PREDICTORS, make_predictor
 from ..predictors.sizing import PredictorSizing, table2_rows
 from ..sampling.policy import SamplingPolicy
 from ..trace.profiles import suite_names
-from ..trace.columns import BYPASS_CODES, OP_CODES, TraceColumns
+from ..trace.columns import BYPASS_CODES, OP_CODES
 from ..trace.uop import BypassClass, OpClass
 from .parallel import CellSpec, Execution
 from .reporting import format_percent, render_table
@@ -133,7 +133,7 @@ def fig2_smb_opportunities(
     cache = default_cache()
     percentages: Dict[str, Dict[str, float]] = {}
     for bench in benchmarks:
-        cols = TraceColumns.ensure(cache.get(bench, num_uops))
+        cols = cache.get(bench, num_uops).columns
         bypass = cols.bypass[cols.op == OP_CODES[OpClass.LOAD]]
         counts = np.bincount(bypass, minlength=len(BYPASS_CODES))
         histogram = Histogram(_SMB_BUCKETS)

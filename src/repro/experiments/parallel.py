@@ -186,15 +186,16 @@ def compute_cell(spec: CellSpec):
     cache = default_cache()
     trace = cache.get(*spec.trace_key)
     if spec.sampling is not None:
-        factory = spec.predictor.build
+        # Looked up at call time, so a wrapped runner sees every cell.
+        from ..sampling import reconstruct
+
         selection = cache.selection(spec.trace_key, spec.sampling)
         if spec.mode == "timing":
-            return run_timing(trace, None, config=spec.config,
-                              sampling=spec.sampling,
-                              predictor_factory=factory, selection=selection)
-        return run_prediction_only(trace, None, sampling=spec.sampling,
-                                   predictor_factory=factory,
-                                   selection=selection)
+            return reconstruct.run_sampled_timing(
+                trace, spec.predictor.build, spec.sampling,
+                config=spec.config, selection=selection).stats
+        return reconstruct.run_sampled_prediction(
+            trace, spec.predictor.build, spec.sampling, selection=selection)
     predictor = spec.predictor.build()
     if spec.mode == "timing":
         return run_timing(trace, predictor, config=spec.config)

@@ -19,7 +19,7 @@ over many predictors generates each trace once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..analysis.accuracy import AccuracyStats
 from ..analysis.f1 import F1Recorder, RankedF1Profile
@@ -30,9 +30,8 @@ from ..core.stats import PipelineStats
 from ..predictors.base import MDPredictor
 from ..predictors.mascot import Mascot
 from ..sampling.policy import SamplingPolicy
-from ..trace.columns import Trace, TraceColumns
+from ..trace.columns import Trace
 from ..trace.generator import generate_trace
-from ..trace.uop import MicroOp
 
 __all__ = [
     "TraceCache",
@@ -169,16 +168,14 @@ class PredictionRunResult:
 
 
 def run_prediction_only(
-    trace: Sequence[MicroOp],
-    predictor: Optional[MDPredictor],
+    trace: Trace,
+    predictor: MDPredictor,
     f1_period: Optional[int] = None,
     warmup: int = 0,
     telemetry: bool = False,
-    sampling: Optional[SamplingPolicy] = None,
-    predictor_factory: Optional[Callable[[], MDPredictor]] = None,
-    selection=None,
 ) -> PredictionRunResult:
-    """Replay ``trace`` through ``predictor`` and classify every load.
+    """Replay ``trace``'s columns through ``predictor`` and classify every
+    load.
 
     ``warmup`` micro-ops at the head of the trace train the predictor but
     are excluded from the accuracy statistics — the paper measures warmed
@@ -189,31 +186,9 @@ def run_prediction_only(
     sink to the predictor for the duration of the run; the counters are
     returned in :attr:`PredictionRunResult.telemetry`.
 
-    ``sampling`` switches to sampled replay of the policy's selected
-    regions with full-run reconstruction (see
-    :func:`repro.sampling.reconstruct.run_sampled_prediction`); it
-    requires ``predictor_factory`` (fresh predictor per region, with
-    ``predictor`` passed as None) and is incompatible with ``warmup`` /
-    ``f1_period`` / ``telemetry``, which describe one contiguous run.
-    ``selection`` reuses regions already selected for (trace, policy).
+    Sampled replay of selected regions is
+    :func:`repro.sampling.reconstruct.run_sampled_prediction`.
     """
-    if sampling is not None:
-        if predictor_factory is None:
-            raise ValueError(
-                "sampled prediction runs need predictor_factory: each "
-                "region is measured with a fresh predictor"
-            )
-        if warmup or f1_period is not None or telemetry:
-            raise ValueError(
-                "sampling is incompatible with warmup, f1_period and "
-                "telemetry: those describe one contiguous replay"
-            )
-        from ..sampling.reconstruct import run_sampled_prediction
-
-        return run_sampled_prediction(trace, predictor_factory, sampling,
-                                      selection=selection)
-    if predictor is None:
-        raise ValueError("full-trace runs need a predictor instance")
     recorder: Optional[F1Recorder] = None
     if f1_period is not None:
         if not isinstance(predictor, Mascot):
@@ -225,7 +200,7 @@ def run_prediction_only(
 
         sink = predictor.attach_telemetry(TableTelemetry())
 
-    cols = TraceColumns.ensure(trace)
+    cols = trace.columns
     # Predictors keeping the base no-op prime (Store Sets, the oracles)
     # get no prime inputs: nothing is built for them.
     inputs = (None if type(predictor).prime is MDPredictor.prime
@@ -250,13 +225,10 @@ def run_prediction_only(
 
 
 def run_timing(
-    trace: Sequence[MicroOp],
-    predictor: Optional[MDPredictor],
+    trace: Trace,
+    predictor: MDPredictor,
     config: CoreConfig = GOLDEN_COVE,
     measure_from: int = 0,
-    sampling: Optional[SamplingPolicy] = None,
-    predictor_factory: Optional[Callable[[], MDPredictor]] = None,
-    selection=None,
 ) -> PipelineStats:
     """Run the out-of-order timing model; returns its statistics.
 
@@ -264,35 +236,8 @@ def run_timing(
     the scalar :class:`~repro.core.pipeline.Pipeline` is the reference
     the golden equivalence tiers prove it bit-identical to, and tests
     construct it directly.  ``measure_from`` designates a warmup prefix
-    excluded from measurement.
-
-    ``sampling`` switches to sampled simulation: only the policy's
-    selected regions are simulated and the returned statistics are a
-    full-run reconstruction carrying ``stats.sampling`` metadata (see
-    :mod:`repro.sampling.reconstruct`).  Sampled runs need a fresh
-    predictor per region, so ``predictor_factory`` is required (and
-    ``predictor`` ignored — pass None); ``selection`` reuses regions
-    already selected for (trace, policy).
+    excluded from measurement.  Sampled simulation of selected regions
+    is :func:`repro.sampling.reconstruct.run_sampled_timing`.
     """
-    if sampling is not None:
-        if predictor_factory is None:
-            raise ValueError(
-                "sampled timing runs need predictor_factory: each region "
-                "is measured with a fresh predictor"
-            )
-        if measure_from:
-            raise ValueError(
-                "measure_from and sampling are mutually exclusive: warmup "
-                "of sampled runs is governed by the policy's "
-                "warmup_intervals"
-            )
-        from ..sampling.reconstruct import run_sampled_timing
-
-        return run_sampled_timing(
-            trace, predictor_factory, sampling,
-            config=config, selection=selection,
-        ).stats
-    if predictor is None:
-        raise ValueError("full-trace runs need a predictor instance")
     return BatchedPipeline(predictor, config=config).run(
         trace, measure_from=measure_from)

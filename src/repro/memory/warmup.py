@@ -22,12 +22,12 @@ transient and not reconstructed.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from ..trace.columns import OP_CODES, TraceColumns
-from ..trace.uop import MicroOp, OpClass
+from ..trace.columns import OP_CODES, Trace
+from ..trace.uop import OpClass
 from .cache import Cache
 from .hierarchy import MemoryHierarchy
 
@@ -39,10 +39,9 @@ __all__ = [
 ]
 
 
-def memory_access_stream(
-    trace: Sequence[MicroOp],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """(positions, addresses) of the trace's memory accesses, in order.
+def memory_access_stream(trace: Trace) -> Tuple[np.ndarray, np.ndarray]:
+    """(positions, addresses) of the trace's memory accesses, in order,
+    read from its columns.
 
     Loads and stores both probe the hierarchy
     (:meth:`~repro.memory.hierarchy.MemoryHierarchy.store_probe` models
@@ -50,7 +49,7 @@ def memory_access_stream(
     sequence numbers — callers cut the stream at a region boundary with
     ``np.searchsorted(positions, start)``.
     """
-    cols = TraceColumns.ensure(trace)
+    cols = trace.columns
     mask = (cols.op == OP_CODES[OpClass.LOAD]) | (
         cols.op == OP_CODES[OpClass.STORE])
     return np.flatnonzero(mask), cols.address[mask]
@@ -86,8 +85,8 @@ class WarmupIndex:
         self._access_index = order
 
     @classmethod
-    def from_trace(cls, trace: Sequence[MicroOp],
-                   line_size: int) -> "WarmupIndex":
+    def from_trace(cls, trace: Trace, line_size: int) -> "WarmupIndex":
+        """The index over ``trace``'s :func:`memory_access_stream`."""
         positions, addresses = memory_access_stream(trace)
         return cls(positions, addresses, line_size)
 

@@ -18,12 +18,10 @@ count is one flat ``bincount`` over ``region_index * n_buckets + bucket``.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from ..trace.columns import BYPASS_CODES, OP_CODES, TraceColumns
-from ..trace.uop import MicroOp, OpClass
+from ..trace.columns import BYPASS_CODES, OP_CODES, Trace, TraceColumns
+from ..trace.uop import OpClass
 
 __all__ = [
     "MAV_STRIDE_BUCKETS",
@@ -194,15 +192,15 @@ def memory_access_vectors(cols: TraceColumns,
     ])
 
 
-def region_signatures(trace: Sequence[MicroOp],
-                      interval_length: int) -> np.ndarray:
-    """Concatenated BBV + MAV signature matrix, one row per region.
+def region_signatures(trace: Trace, interval_length: int) -> np.ndarray:
+    """Concatenated BBV + MAV signature matrix of ``trace``'s columns,
+    one row per region.
 
     Both blocks are row-normalised to comparable [0, 1] scales, so the
     euclidean metric the clustering uses weighs code identity and memory
     behaviour on equal footing.
     """
-    cols = TraceColumns.ensure(trace)
+    cols = trace.columns
     bbv = pc_frequency_vectors(cols, interval_length)
     mav = memory_access_vectors(cols, interval_length)
     return np.hstack([bbv, mav])

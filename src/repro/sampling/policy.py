@@ -71,7 +71,7 @@ class SamplingPolicy:
     # -- serialisation (cache keys, sampled-result metadata) -------------------
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-serialisable form; inverse of :meth:`from_dict`."""
+        """JSON-serialisable form, for cell keys and result metadata."""
         return {
             "interval_length": self.interval_length,
             "max_k": self.max_k,
@@ -82,16 +82,3 @@ class SamplingPolicy:
             "confidence": self.confidence,
             "min_ci_relative": self.min_ci_relative,
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "SamplingPolicy":
-        return cls(
-            interval_length=int(data["interval_length"]),
-            max_k=int(data["max_k"]),
-            warmup_intervals=int(data["warmup_intervals"]),
-            projection_dims=int(data["projection_dims"]),
-            seed=int(data["seed"]),
-            functional_warmup=bool(data.get("functional_warmup", True)),
-            confidence=float(data["confidence"]),
-            min_ci_relative=float(data["min_ci_relative"]),
-        )

@@ -60,7 +60,7 @@ from ..trace.columns import (
     TraceColumns,
     left_align_srcs,
 )
-from ..trace.uop import BypassClass, MicroOp
+from ..trace.uop import BypassClass
 from .policy import SamplingPolicy
 from .select import Region, RegionSelection, select_regions
 
@@ -139,8 +139,7 @@ def _ci_half_width(values: Sequence[float], selection: RegionSelection,
     return max(half, policy.min_ci_relative * abs(estimate))
 
 
-def rebase_interval(trace: Sequence[MicroOp],
-                    interval: Interval,
+def rebase_interval(trace: Trace, interval: Interval,
                     offset: int = 0) -> Trace:
     """Extract an interval as a standalone trace.
 
@@ -160,7 +159,7 @@ def rebase_interval(trace: Sequence[MicroOp],
     """
     if offset < 0:
         raise ValueError("offset must be non-negative")
-    cols = TraceColumns.ensure(trace)
+    cols = trace.columns
     start, end = interval.start, interval.end
     delta = offset - start
 
@@ -186,7 +185,7 @@ def rebase_interval(trace: Sequence[MicroOp],
     ))
 
 
-def warmed_interval(trace: Sequence[MicroOp], region: Region,
+def warmed_interval(trace: Trace, region: Region,
                     policy: SamplingPolicy) -> Tuple[Trace, int]:
     """One contiguous slice: the region plus its preceding warmup.
 
@@ -267,14 +266,15 @@ def _sampling_metadata(selection: RegionSelection, simulated: int,
 
 
 def run_sampled_timing(
-    trace: Sequence[MicroOp],
+    trace: Trace,
     predictor_factory: Callable[[], MDPredictor],
     policy: SamplingPolicy,
     config: CoreConfig = GOLDEN_COVE,
     selection: Optional[RegionSelection] = None,
     accounting: bool = False,
 ) -> SampledTiming:
-    """Timing-simulate only the selected regions; reconstruct full stats.
+    """Timing-simulate only the selected regions of ``trace``'s columns;
+    reconstruct full stats.
 
     ``predictor_factory`` builds one fresh predictor per region — regions
     are measured independently, and predictor state carried from one
@@ -372,7 +372,7 @@ def _reconstruct_stack(region_stacks, region_stats, selection,
 
 
 def run_sampled_prediction(
-    trace: Sequence[MicroOp],
+    trace: Trace,
     predictor_factory: Callable[[], MDPredictor],
     policy: SamplingPolicy,
     selection: Optional[RegionSelection] = None,

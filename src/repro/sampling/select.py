@@ -23,7 +23,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from ..common.hashing import stable_digest
-from ..trace.uop import MicroOp
+from ..trace.columns import Trace
 from .features import num_intervals, region_signatures
 from .policy import SamplingPolicy
 
@@ -205,9 +205,10 @@ def _selection_digest(policy: SamplingPolicy, n_intervals: int,
     })
 
 
-def select_regions(trace: Sequence[MicroOp],
+def select_regions(trace: Trace,
                    policy: SamplingPolicy) -> RegionSelection:
-    """Choose representative regions of ``trace`` under ``policy``."""
+    """Choose representative regions of ``trace`` under ``policy``, from
+    its columns."""
     n_regions = num_intervals(len(trace), policy.interval_length)
     if n_regions == 0:
         raise ValueError(

@@ -25,11 +25,10 @@ source count, so any ``MicroOp.srcs`` round-trips.  The batched engine
 reads the padded columns unrolled; :meth:`TraceColumns.src_tuples`
 decodes the rows back to tuples for the object view.
 
-:meth:`TraceColumns.ensure` returns a :class:`Trace`'s own columns without
-a copy.  A hand-built list of micro-ops is columnised on demand and
-memoised by *identity* in a small bounded cache; identity keying is safe
-because traces are treated as immutable once built, so a changed list
-must be a new list object.
+A hand-built list of micro-ops enters as a :class:`Trace` once, through
+:meth:`Trace.from_uops`, which columnises it and keeps the given objects as
+its view; every non-scalar path takes a :class:`Trace` and reads its
+:attr:`~Trace.columns`.
 """
 
 from __future__ import annotations
@@ -81,13 +80,6 @@ MAX_UOPS = 2**31 - 1
 
 #: Micro-ops per invariant-check chunk.
 _CHECK_CHUNK = 1 << 13
-
-#: Bounded identity-keyed memo: list of (trace, columns) pairs, newest last.
-#: Safe across pool workers: a columnisation is a pure function of the
-#: trace it is keyed on, so per-worker copies can only agree.
-_MEMO_CAPACITY = 4
-# repro-lint: allow(conc-mutable-global) -- identity-keyed memo of pure columnisations
-_MEMO: List[Tuple[Sequence[MicroOp], "TraceColumns"]] = []
 
 
 def _seq_or_sentinel(seq):
@@ -186,11 +178,6 @@ class TraceColumns:
     # -- construction ----------------------------------------------------------
 
     @classmethod
-    def from_trace(cls, trace: Sequence[MicroOp]) -> "TraceColumns":
-        """Columnise micro-op objects without touching the memo."""
-        return cls(trace)
-
-    @classmethod
     def from_arrays(cls, srcs: np.ndarray, first_seq: int = 0,
                     **columns) -> "TraceColumns":
         """Wrap columns built directly: the padded source matrix and one
@@ -201,29 +188,11 @@ class TraceColumns:
         return self
 
     @classmethod
-    def ensure(cls, trace: Sequence[MicroOp]) -> "TraceColumns":
-        """The columns of ``trace``: a :class:`Trace`'s own, without a
-        copy; for any other sequence the memoised columnisation.
-
-        The memo is identity-keyed and holds at most ``_MEMO_CAPACITY``
-        hand-built traces; the eldest entry is dropped on overflow.
-        """
-        if isinstance(trace, Trace):
-            return trace.columns
-        for i, (cached_trace, cols) in enumerate(_MEMO):
-            if cached_trace is trace:
-                if i != len(_MEMO) - 1:  # keep MRU at the tail
-                    _MEMO.append(_MEMO.pop(i))
-                return cols
-        cols = cls(trace)
-        _MEMO.append((trace, cols))
-        if len(_MEMO) > _MEMO_CAPACITY:
-            _MEMO.pop(0)
-        return cols
-
-    @classmethod
     def clear_memo(cls) -> None:
-        _MEMO.clear()
+        """No-op, kept only because ``bench/workload.py`` calls it before
+        every pass; delete it with that call.  Nothing is memoised: a
+        hand-built list becomes a :class:`Trace` once, through
+        :meth:`Trace.from_uops`."""
 
     def equals(self, other: "TraceColumns") -> bool:
         """Whether both column sets describe the same micro-ops."""
@@ -360,7 +329,8 @@ class Trace(SequenceABC):
     :class:`~repro.trace.uop.MicroOp` list once (validated object by
     object, like any other micro-op) and keeps it; :attr:`materialized`
     says whether that has happened.  Consumers that only need columns
-    call :meth:`TraceColumns.ensure` and never pay for objects.
+    read :attr:`columns` and never pay for objects.  A hand-built list
+    of micro-ops becomes a trace through :meth:`from_uops`.
     """
 
     __slots__ = ("columns", "_uops")
@@ -368,6 +338,16 @@ class Trace(SequenceABC):
     def __init__(self, columns: TraceColumns) -> None:
         self.columns = columns
         self._uops: Optional[List[MicroOp]] = None
+
+    @classmethod
+    def from_uops(cls, uops: Sequence[MicroOp]) -> "Trace":
+        """A trace of hand-built micro-ops: columnised once and checked,
+        with the given objects kept as its (already materialised) view."""
+        columns = TraceColumns(uops)
+        columns.check_invariants()
+        self = cls(columns)
+        self._uops = list(uops)
+        return self
 
     @property
     def materialized(self) -> bool:

@@ -22,6 +22,7 @@ import io
 from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Sequence, TextIO, Union
 
+from .columns import Trace
 from .uop import BypassClass, MicroOp, OpClass
 
 __all__ = ["write_trace", "read_trace", "TraceFormatError", "FORMAT_VERSION"]
@@ -105,12 +106,14 @@ def write_trace(
             stream.close()
 
 
-def read_trace(source: Union[str, Path, TextIO]) -> List[MicroOp]:
+def read_trace(source: Union[str, Path, TextIO]) -> Trace:
     """Load a trace previously written by :func:`write_trace`.
 
     Validates the header, the per-line field count and the sequential
     numbering, so a truncated or corrupted file fails loudly rather than
-    silently producing a shorter experiment.
+    silently producing a shorter experiment.  The micro-ops are returned
+    as a :class:`~repro.trace.columns.Trace` (:meth:`Trace.from_uops
+    <repro.trace.columns.Trace.from_uops>`), ready for every engine.
     """
     own = isinstance(source, (str, Path))
     stream: TextIO = open(source, "r") if own else source
@@ -141,7 +144,12 @@ def read_trace(source: Union[str, Path, TextIO]) -> List[MicroOp]:
                 f"header declares {expected} micro-ops, file holds "
                 f"{len(trace)}"
             )
-        return trace
+        try:
+            return Trace.from_uops(trace)
+        except (ValueError, OverflowError) as exc:
+            # A value the columns cannot hold (a negative source, a
+            # field past its column's width).
+            raise TraceFormatError(str(exc)) from exc
     finally:
         if own:
             stream.close()

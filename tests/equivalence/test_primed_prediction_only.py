@@ -31,7 +31,7 @@ from repro.predictors.base import PRED_KIND_BY_CODE
 from repro.sampling.policy import SamplingPolicy
 from repro.sampling.reconstruct import warmed_interval
 from repro.sampling.select import Region
-from repro.trace.columns import BYPASS_CODES
+from repro.trace.columns import BYPASS_CODES, Trace
 from repro.trace.fixture_cache import cached_trace
 from repro.trace.uop import MicroOp, OpClass
 
@@ -108,8 +108,8 @@ def _assert_same(trace, make, **kwargs):
 
 def _replace(trace, ops, by=OpClass.ALU):
     """``trace`` with every micro-op of class ``ops`` turned into ``by``."""
-    return [MicroOp(uop.seq, uop.pc, by, srcs=uop.srcs)
-            if uop.op in ops else uop for uop in trace]
+    return Trace.from_uops([MicroOp(uop.seq, uop.pc, by, srcs=uop.srcs)
+                            if uop.op in ops else uop for uop in trace])
 
 
 @pytest.mark.parametrize("name", sorted(PREDICTORS))

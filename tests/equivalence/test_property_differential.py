@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import GOLDEN_COVE, BatchedPipeline, Pipeline
 from repro.experiments.suite import make_predictor
-from repro.trace.columns import TraceColumns
+from repro.trace.columns import Trace, TraceColumns
 from repro.trace.fixture_cache import cached_trace
 from repro.trace.generator import generate_trace
 from repro.trace.profiles import suite_names
@@ -44,7 +44,7 @@ class TestTraceColumns:
         # sentinels for None, enum codes for the enums.  uop_fields() is
         # the decode direction; it must reproduce each MicroOp exactly.
         trace = cached_trace(bench, num_uops)
-        cols = TraceColumns.from_trace(trace)
+        cols = TraceColumns(trace)
         assert cols.n == len(trace)
         for uop in trace:
             decoded = cols.uop_fields(uop.seq)
@@ -54,7 +54,7 @@ class TestTraceColumns:
                 )
 
     def test_column_dtypes(self):
-        cols = TraceColumns.from_trace(cached_trace("perlbench1", 64))
+        cols = TraceColumns(cached_trace("perlbench1", 64))
         dtypes = {name: getattr(cols, name).dtype.name for name in (
             "op", "pc", "address", "size", "taken", "target", "addr_src",
             "dep_store_seq", "store_distance", "bypass", "srcs")}
@@ -66,13 +66,6 @@ class TestTraceColumns:
             "srcs": "int32",
         }
         assert cols.srcs.shape == (64, 3)
-
-    def test_ensure_memoises_by_identity(self):
-        trace = cached_trace("perlbench1", 64)
-        assert TraceColumns.ensure(trace) is TraceColumns.ensure(trace)
-        # A rebuilt (equal but distinct) trace gets fresh columns.
-        rebuilt = list(trace)
-        assert TraceColumns.ensure(rebuilt) is not TraceColumns.ensure(trace)
 
 
 class TestRandomTraceEquivalence:
@@ -134,7 +127,7 @@ class TestStoreWindowBoundary:
                 store_distance=distance, dep_store_seq=producer,
                 bypass=BypassClass.DIRECT)
             add(OpClass.ALU, 0x100C, srcs=(len(uops) - 1,))
-        return uops
+        return Trace.from_uops(uops)
 
     @pytest.mark.parametrize("predictor",
                              ("perfect-mdp-smb", "store-sets", "phast"))

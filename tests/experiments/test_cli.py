@@ -242,3 +242,14 @@ class TestValidate:
         capsys.readouterr()
         assert main(["validate", str(path)]) == 1
         assert "ERROR" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("body", [
+        "not a trace\n",
+        "#repro-trace v1 x 2\n0 alu 400000 - - 0 0 0 0 0 - none\n"
+        "1 alu 400004 -5 - 0 0 0 0 0 - none\n",
+    ], ids=["bad-header", "negative-source"])
+    def test_unreadable_trace_fails(self, tmp_path, capsys, body):
+        path = tmp_path / "t.trace"
+        path.write_text(body)
+        assert main(["validate", str(path)]) == 1
+        assert "ERROR" in capsys.readouterr().out

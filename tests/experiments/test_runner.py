@@ -14,6 +14,7 @@ from repro.core.pipeline import Pipeline
 from repro.predictors.mascot import Mascot
 from repro.predictors.perfect import PerfectMDP
 from repro.predictors.phast import Phast
+from repro.trace.columns import Trace
 from repro.trace.uop import BypassClass, MicroOp, OpClass
 
 from tests.conftest import small_trace
@@ -176,7 +177,7 @@ class TestPruneHorizon:
             store_distance=filler_stores + 1, dep_store_seq=0,
             bypass=BypassClass.DIRECT,
         ))
-        return uops
+        return Trace.from_uops(uops)
 
     def test_pruned_store_does_not_break_classification(self):
         """Ground truth is read from the load's annotations, never the

@@ -78,13 +78,13 @@ class TestMemoryAccessVectors:
     @pytest.mark.parametrize("bench", ["mcf", "perlbench1", "lbm"])
     def test_matches_scalar_oracle_exactly(self, bench):
         trace = small_trace(bench, 12_000)
-        cols = TraceColumns.ensure(trace)
+        cols = trace.columns
         vectorised = memory_access_vectors(cols, 3000)
         oracle = scalar_mav(trace, 3000)
         np.testing.assert_array_equal(vectorised, oracle)
 
     def test_every_feature_in_unit_interval(self):
-        cols = TraceColumns.ensure(small_trace("xz", 12_000))
+        cols = small_trace("xz", 12_000).columns
         mav = memory_access_vectors(cols, 2000)
         assert mav.shape == (6, mav_dim())
         assert (mav >= 0.0).all() and (mav <= 1.0).all()
@@ -108,11 +108,11 @@ class TestPcFrequencyVectors:
         trace = [MicroOp(seq, base + 4 * (seq % 50), OpClass.ALU)
                  for seq, base in enumerate([0x400000] * 1000
                                             + [0x500000] * 1000)]
-        vectors = pc_frequency_vectors(TraceColumns.ensure(trace), 1000)
+        vectors = pc_frequency_vectors(TraceColumns(trace), 1000)
         assert float((vectors[0] * vectors[1]).sum()) == 0.0
 
     def test_rows_are_distributions(self):
-        cols = TraceColumns.ensure(small_trace("mcf", 12_000))
+        cols = small_trace("mcf", 12_000).columns
         bbv = pc_frequency_vectors(cols, 3000)
         np.testing.assert_allclose(bbv.sum(axis=1), 1.0)
 
@@ -121,19 +121,19 @@ class TestPcFrequencyVectors:
         trace = [MicroOp(seq, base + 4 * (seq % 50), OpClass.ALU)
                  for seq, base in enumerate([0x400000] * 500
                                             + [0x500000] * 500)]
-        vectors = pc_frequency_vectors(TraceColumns.ensure(trace), 250)
+        vectors = pc_frequency_vectors(TraceColumns(trace), 250)
         assert vectors.shape[0] == num_intervals(len(trace), 250) == 4
         for row in vectors:
             assert abs(row.sum() - 1.0) < 1e-9
 
     def test_empty_trace_raises(self):
         with pytest.raises(ValueError):
-            pc_frequency_vectors(TraceColumns.ensure([]), 250)
+            pc_frequency_vectors(TraceColumns([]), 250)
 
     def test_counts_match_scalar_oracle(self):
         trace = small_trace("perlbench1", 8_000)
         interval = 2000
-        cols = TraceColumns.ensure(trace)
+        cols = trace.columns
         bbv = pc_frequency_vectors(cols, interval)
         pcs = sorted({u.pc for u in trace})
         column = {pc: i for i, pc in enumerate(pcs)}

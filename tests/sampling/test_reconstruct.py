@@ -19,7 +19,7 @@ from repro.sampling.reconstruct import (
     run_sampled_timing,
     warmed_interval,
 )
-from repro.trace.columns import TraceColumns
+from repro.trace.columns import Trace, TraceColumns
 from repro.trace.uop import BypassClass, MicroOp, OpClass
 
 from tests.conftest import small_trace
@@ -280,7 +280,7 @@ class TestColumnRebase:
     def test_hand_built_list_input(self):
         objects = list(small_trace("perlbench1", 4_000))
         interval = Interval(0, 1_500, 3_000)
-        assert rebase_interval(objects, interval) \
+        assert rebase_interval(Trace.from_uops(objects), interval) \
             == _object_rebase(objects, interval)
 
     @given(rows=st.lists(st.lists(st.integers(0, 2**20), max_size=5),
@@ -297,7 +297,8 @@ class TestColumnRebase:
                    for seq, row in enumerate(rows)]
         start = min(bounds[0], len(objects) - 1)
         interval = Interval(0, start, min(start + bounds[1], len(objects)))
-        piece = rebase_interval(objects, interval, offset=offset)
+        piece = rebase_interval(Trace.from_uops(objects), interval,
+                                offset=offset)
         oracle = _object_rebase(objects, interval, offset)
         assert np.array_equal(piece.columns.srcs, TraceColumns(oracle).srcs)
         assert piece == oracle
@@ -322,21 +323,9 @@ class TestSampledPrediction:
 
 
 class TestRunTimingSampledApi:
-    def test_sampling_requires_factory(self):
-        trace = small_trace("mcf", 40_000)
-        with pytest.raises(ValueError, match="predictor_factory"):
-            run_timing(trace, None, sampling=policy())
-
-    def test_sampling_excludes_measure_from(self):
-        trace = small_trace("mcf", 40_000)
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            run_timing(trace, None, sampling=policy(),
-                       predictor_factory=mascot, measure_from=5_000)
-
     def test_returns_reconstruction_with_metadata(self):
         trace = small_trace("mcf", 40_000)
-        stats = run_timing(trace, None, sampling=policy(),
-                           predictor_factory=mascot)
+        stats = run_sampled_timing(trace, mascot, policy()).stats
         assert stats.instructions == len(trace)
         assert stats.sampling is not None
         assert stats.sampling["metric"] == "ipc"

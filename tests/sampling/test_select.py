@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sampling import SamplingPolicy, kmeans_labels, select_regions
 from repro.sampling.features import pc_frequency_vectors
-from repro.trace.columns import TraceColumns
+from repro.trace.columns import Trace, TraceColumns
 from repro.trace.uop import MicroOp, OpClass
 
 from tests.conftest import small_trace
@@ -28,7 +28,7 @@ def phase_trace(n_per_phase=2000, phases=(0x400000, 0x500000), repeats=2):
             for i in range(n_per_phase):
                 trace.append(MicroOp(seq, base + 4 * (i % 50), OpClass.ALU))
                 seq += 1
-    return trace
+    return Trace.from_uops(trace)
 
 
 class TestSelectionInvariants:
@@ -135,7 +135,7 @@ class TestKmeansEmptyClusters:
                         MicroOp(seq, base + 4 * (i % 25), OpClass.ALU)
                     )
                     seq += 1
-        vectors = pc_frequency_vectors(TraceColumns.ensure(trace), 500)
+        vectors = pc_frequency_vectors(TraceColumns(trace), 500)
         labels = kmeans_labels(vectors, 3, seed=0)
         assert set(np.unique(labels)) == {0, 1, 2}
         # One cluster per phase: the labels partition the 16 regions

@@ -14,6 +14,8 @@ view.  The tests here pin three properties:
 * the batched engine, the prediction-only replay, sampled timing and
   every prediction-only figure never materialise a generated trace's
   objects;
+* a hand-built list becomes a trace once, through ``Trace.from_uops``,
+  and no non-scalar path accepts a plain list or columnises again;
 * the storage is compact: a generated trace holds at most 60 bytes per
   micro-op and generating it peaks at no more than 1.25x that;
 * the padded source matrix round-trips any number of sources a
@@ -40,7 +42,11 @@ from repro.experiments.runner import (
     run_timing,
 )
 from repro.experiments.suite import make_predictor
-from repro.sampling import SamplingPolicy
+from repro.sampling import (
+    SamplingPolicy,
+    run_sampled_prediction,
+    run_sampled_timing,
+)
 from repro.trace import columns as columns_module
 from repro.trace import suite_names
 from repro.trace.columns import (
@@ -67,16 +73,10 @@ def test_generated_columns_equal_object_columnisation(name, trace_seed,
     assert isinstance(trace, Trace) and not trace.materialized
     objects = list(trace)
     assert [uop.seq for uop in objects] == list(range(N))
-    assert trace.columns.equals(TraceColumns.from_trace(objects))
+    assert trace.columns.equals(TraceColumns(objects))
 
 
 class TestTraceView:
-    def test_ensure_returns_own_columns(self):
-        trace = generate_trace("lbm", 500)
-        assert TraceColumns.ensure(trace) is trace.columns
-        TraceColumns.clear_memo()
-        assert TraceColumns.ensure(trace) is trace.columns
-
     def test_objects_built_once(self):
         trace = generate_trace("lbm", 500)
         first = trace[10]
@@ -91,6 +91,47 @@ class TestTraceView:
         assert a == b and not a.materialized
         assert a == list(b)
         assert a != generate_trace("gcc1", 800, trace_seed=2)
+
+    def test_from_uops_keeps_the_given_objects(self):
+        generated = generate_trace("lbm", 500)
+        objects = list(generated)
+        trace = Trace.from_uops(objects)
+        assert trace.materialized
+        assert all(a is b for a, b in zip(trace, objects))
+        assert trace.columns.equals(generated.columns)
+
+    def test_from_uops_checks_invariants(self):
+        objects = list(generate_trace("lbm", 500))
+        load = next(uop for uop in objects if uop.is_load)
+        load.size = 0
+        with pytest.raises(ValueError, match="needs a positive size"):
+            Trace.from_uops(objects)
+
+
+class TestOneTraceType:
+    """Non-scalar paths take a :class:`Trace`; a hand-built list enters
+    once, through :meth:`Trace.from_uops`, and is never columnised again."""
+
+    def test_plain_list_is_rejected(self):
+        objects = list(generate_trace("lbm", 500))
+        with pytest.raises(AttributeError, match="columns"):
+            run_timing(objects, make_predictor("nosq"))
+
+    def test_sampled_run_columnises_once(self, monkeypatch):
+        objects = list(generate_trace("perlbench1", 8_000))
+        calls = []
+        init = TraceColumns.__init__
+
+        def counting_init(self, trace):
+            calls.append(len(trace))
+            init(self, trace)
+
+        monkeypatch.setattr(TraceColumns, "__init__", counting_init)
+        policy = SamplingPolicy(interval_length=1_000, max_k=3,
+                                warmup_intervals=1)
+        run_sampled_timing(Trace.from_uops(objects),
+                           lambda: make_predictor("mascot"), policy)
+        assert calls == [len(objects)]
 
 
 def _loads_and_stores(trace: Trace):
@@ -182,16 +223,15 @@ class TestNeverMaterialised:
         policy = SamplingPolicy(interval_length=1_000, max_k=3,
                                 warmup_intervals=1)
         for name in ("mascot", "nosq"):
-            run_timing(trace, None, sampling=policy,
-                       predictor_factory=lambda: make_predictor(name))
+            run_sampled_timing(trace, lambda: make_predictor(name), policy)
         assert not trace.materialized
 
     def test_sampled_prediction_run(self):
         trace = generate_trace("perlbench1", 8_000)
         policy = SamplingPolicy(interval_length=1_000, max_k=3,
                                 warmup_intervals=1)
-        run_prediction_only(trace, None, sampling=policy,
-                            predictor_factory=lambda: make_predictor("phast"))
+        run_sampled_prediction(trace, lambda: make_predictor("phast"),
+                               policy)
         assert not trace.materialized
 
     # Fig. 2's check is in test_fig2_equals_object_walk.  ``traces`` is
@@ -327,7 +367,7 @@ class TestSourceLayout:
     @given(rows=_SOURCE_ROWS, load_every=st.integers(2, 5))
     @settings(max_examples=25, deadline=None, derandomize=True)
     def test_batched_reads_wide_rows_like_scalar(self, rows, load_every):
-        trace = _hand_built(rows, load_every)
+        trace = Trace.from_uops(_hand_built(rows, load_every))
         results = [engine(make_predictor("nosq")).run(trace)
                    for engine in (Pipeline, BatchedPipeline)]
         assert vars(results[0]) == vars(results[1])

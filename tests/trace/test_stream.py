@@ -4,6 +4,7 @@ import io
 
 import pytest
 
+from repro.trace.columns import Trace
 from repro.trace.stream import TraceFormatError, read_trace, write_trace
 from repro.trace.uop import BypassClass, MicroOp, OpClass
 
@@ -42,6 +43,12 @@ class TestRoundtrip:
         write_trace(trace, path, benchmark="exchange2")
         loaded = read_trace(path)
         assert len(loaded) == 2_000
+
+    def test_reads_a_trace_with_the_written_columns(self):
+        trace = small_trace("mcf", 3_000)
+        loaded = roundtrip(trace)
+        assert isinstance(loaded, Trace) and loaded.materialized
+        assert loaded.columns.equals(trace.columns)
 
     def test_replay_equivalence(self):
         """A reloaded trace must drive a predictor identically."""
@@ -92,6 +99,17 @@ class TestValidation:
             read_trace(io.StringIO(
                 "#repro-trace v1 x 1\n"
                 "0 alu zz - - 0 0 0 0 0 - none\n"
+            ))
+
+    @pytest.mark.parametrize("line", [
+        "1 alu 400004 -5 - 0 0 0 0 0 - none",   # negative source
+        "1 alu 400004 - - 0 0 fffffffffffffffff 0 0 - none",  # > int64
+    ], ids=["negative-source", "wide-address"])
+    def test_value_the_columns_cannot_hold(self, line):
+        with pytest.raises(TraceFormatError):
+            read_trace(io.StringIO(
+                "#repro-trace v1 x 2\n"
+                "0 alu 400000 - - 0 0 0 0 0 - none\n" + line + "\n"
             ))
 
 
