@@ -7,8 +7,8 @@ enabled, but only -1.9% for lbm — perlbench is peculiarly sensitive to
 load values arriving early.
 """
 
-from repro.core import Pipeline
-from repro.experiments import default_cache, make_predictor, render_table
+from repro.experiments import (default_cache, make_predictor, render_table,
+                               run_timing)
 
 from conftest import bench_uops, run_once
 
@@ -19,8 +19,8 @@ def test_consumer_wait_reduction(benchmark):
         rows = {}
         for bench in ("perlbench2", "lbm"):
             trace = cache.get(bench, bench_uops())
-            no_smb = Pipeline(make_predictor("mascot-mdp")).run(trace)
-            smb = Pipeline(make_predictor("mascot")).run(trace)
+            no_smb = run_timing(trace, make_predictor("mascot-mdp"))
+            smb = run_timing(trace, make_predictor("mascot"))
             rows[bench] = (no_smb.mean_consumer_wait, smb.mean_consumer_wait)
         return rows
 

@@ -14,8 +14,8 @@ Run:  python examples/predictor_shootout.py [num_uops]
 
 import sys
 
-from repro import GOLDEN_COVE, Pipeline, generate_trace
-from repro.experiments import make_predictor, render_table
+from repro import GOLDEN_COVE, generate_trace
+from repro.experiments import make_predictor, render_table, run_timing
 
 PREDICTORS = [
     "perfect-mdp",
@@ -41,9 +41,8 @@ def main() -> None:
         trace = generate_trace(benchmark, num_uops)
         baseline_ipc = None
         for name in PREDICTORS:
-            stats = Pipeline(make_predictor(name), config=GOLDEN_COVE).run(
-                trace
-            )
+            stats = run_timing(trace, make_predictor(name),
+                               config=GOLDEN_COVE)
             if name == "perfect-mdp":
                 baseline_ipc = stats.ipc
             rows.append([

@@ -12,7 +12,8 @@ Run:  python examples/timeline_debug.py [benchmark] [num_uops]
 
 import sys
 
-from repro import MASCOT_DEFAULT, Mascot, Pipeline, generate_trace
+from repro import MASCOT_DEFAULT, Mascot, generate_trace
+from repro.core import BatchedPipeline
 
 
 def main() -> None:
@@ -22,9 +23,9 @@ def main() -> None:
     print(f"Simulating {benchmark} twice ({num_uops:,} uops) ...")
     trace = generate_trace(benchmark, num_uops)
 
-    smb_pipeline = Pipeline(Mascot(), record_timeline=True)
+    smb_pipeline = BatchedPipeline(Mascot(), record_timeline=True)
     smb_stats = smb_pipeline.run(trace)
-    mdp_pipeline = Pipeline(
+    mdp_pipeline = BatchedPipeline(
         Mascot(MASCOT_DEFAULT.with_(name="mdp", smb_enabled=False)),
         record_timeline=True,
     )

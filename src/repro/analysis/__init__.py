@@ -8,7 +8,7 @@ from .accuracy import (
     classify,
 )
 from .f1 import F1Recorder, RankedF1Profile, merge_profiles, suggest_table_sizes
-from .markov import drain_step_table, expected_drain_from_max, expected_drain_steps
+from .markov import expected_drain_from_max, expected_drain_steps
 from .sensitivity import (
     GridPointResult,
     ParameterGrid,
@@ -26,7 +26,6 @@ __all__ = [
     "RankedF1Profile",
     "merge_profiles",
     "suggest_table_sizes",
-    "drain_step_table",
     "GridPointResult",
     "ParameterGrid",
     "SensitivityStudy",

@@ -11,8 +11,8 @@ still score high deserve growth; tables whose tails are ~0 can shrink.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Sequence
 
 from ..common.statistics import f1_score
 from ..predictors.mascot import Mascot

@@ -18,7 +18,6 @@ from typing import List
 __all__ = [
     "expected_drain_steps",
     "expected_drain_from_max",
-    "drain_step_table",
 ]
 
 
@@ -78,9 +77,3 @@ def expected_drain_from_max(bits: int, p_increment: float) -> float:
     """Footnote 1's quantity: drain time starting from the saturated state."""
     return expected_drain_steps(bits, p_increment, (1 << bits) - 1)
 
-
-def drain_step_table(bits: int, p_increment: float) -> List[float]:
-    """Expected drain time from every starting state (0..max)."""
-    maximum = (1 << bits) - 1
-    return [expected_drain_steps(bits, p_increment, s)
-            for s in range(maximum + 1)]

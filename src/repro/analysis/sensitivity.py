@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence
 
 from ..predictors.configs import MASCOT_DEFAULT, MascotConfig
 from ..predictors.mascot import Mascot

@@ -62,12 +62,10 @@ from .experiments import figures
 from .lint import cli as lint_cli
 from .experiments.bench_baseline import BASELINE_PATH
 from .experiments.reporting import render_table
-from .experiments.parallel import Execution
+from .experiments.parallel import CellSpec, Execution
 from .experiments.resilience import CellFailure
-from .experiments.runner import default_cache, run_timing
 from .experiments.suite import (
     PREDICTORS,
-    make_predictor,
     run_accuracy_suite,
     run_ipc_suite,
 )
@@ -397,17 +395,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
-    trace = default_cache().get(args.benchmark, args.uops)
-    policy = _sampling_arg(args)
-    if policy is not None:
-        from .sampling import run_sampled_timing
-
-        stats = run_sampled_timing(
-            trace, lambda: make_predictor(args.predictor), policy,
-            config=_CORES[args.core]).stats
-    else:
-        stats = run_timing(trace, make_predictor(args.predictor),
-                           config=_CORES[args.core])
+    # One timing cell, cut for its own core exactly as the suite cuts it.
+    config = _CORES[args.core]
+    stats = Execution().run([CellSpec(
+        mode="timing", benchmark=args.benchmark, num_uops=args.uops,
+        predictor=args.predictor, config=config,
+        store_window=config.sb_size, instr_window=config.rob_size,
+        sampling=_sampling_arg(args))])[0]
     rows = sorted(stats.as_dict().items())
     print(render_table(["metric", "value"], rows,
                        title=f"{args.benchmark} / {args.predictor} "

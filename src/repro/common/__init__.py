@@ -1,7 +1,6 @@
-"""Shared low-level infrastructure: bit ops, counters, history, statistics."""
+"""Shared low-level infrastructure: bit ops, hashing, history, statistics."""
 
-from .bitops import bits_required, extract_bits, fold_bits, mask, parity, rotate_left
-from .counters import SaturatingCounter
+from .bitops import fold_bits, mask
 from .hashing import mix64, table_index, table_tag
 from .history import (
     INDIRECT_TARGET_BITS,
@@ -15,17 +14,11 @@ from .statistics import (
     f1_score,
     geometric_mean,
     normalise,
-    percent_change,
 )
 
 __all__ = [
-    "bits_required",
-    "extract_bits",
     "fold_bits",
     "mask",
-    "parity",
-    "rotate_left",
-    "SaturatingCounter",
     "mix64",
     "table_index",
     "table_tag",
@@ -38,5 +31,4 @@ __all__ = [
     "f1_score",
     "geometric_mean",
     "normalise",
-    "percent_change",
 ]

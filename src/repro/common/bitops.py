@@ -9,14 +9,7 @@ code in :mod:`repro.predictors.sizing` can reason about field widths.
 
 from __future__ import annotations
 
-__all__ = [
-    "mask",
-    "bits_required",
-    "fold_bits",
-    "extract_bits",
-    "rotate_left",
-    "parity",
-]
+__all__ = ["mask", "fold_bits"]
 
 
 def mask(width: int) -> int:
@@ -27,13 +20,6 @@ def mask(width: int) -> int:
     if width < 0:
         raise ValueError(f"mask width must be >= 0, got {width}")
     return (1 << width) - 1
-
-
-def bits_required(value: int) -> int:
-    """Number of bits needed to represent ``value`` (``0`` needs 1 bit)."""
-    if value < 0:
-        raise ValueError(f"bits_required is defined for non-negative values, got {value}")
-    return max(1, value.bit_length())
 
 
 def fold_bits(value: int, in_width: int, out_width: int) -> int:
@@ -52,27 +38,3 @@ def fold_bits(value: int, in_width: int, out_width: int) -> int:
         value >>= out_width
     return folded
 
-
-def extract_bits(value: int, low: int, width: int) -> int:
-    """Return ``width`` bits of ``value`` starting at bit ``low``."""
-    return (value >> low) & mask(width)
-
-
-def rotate_left(value: int, amount: int, width: int) -> int:
-    """Rotate the low ``width`` bits of ``value`` left by ``amount``."""
-    if width <= 0:
-        return 0
-    amount %= width
-    value &= mask(width)
-    return ((value << amount) | (value >> (width - amount))) & mask(width)
-
-
-def parity(value: int) -> int:
-    """Return the XOR of all bits of ``value`` (0 or 1)."""
-    if value < 0:
-        raise ValueError("parity is defined for non-negative values")
-    result = 0
-    while value:
-        result ^= value & 1
-        value >>= 1
-    return result

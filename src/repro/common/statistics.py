@@ -8,13 +8,12 @@ These helpers keep that arithmetic in one audited place.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence
 
 __all__ = [
     "geometric_mean",
     "arithmetic_mean",
     "normalise",
-    "percent_change",
     "Histogram",
     "f1_score",
 ]
@@ -57,13 +56,6 @@ def normalise(values: Mapping[str, float], baseline: Mapping[str, float]) -> Dic
             raise ValueError(f"non-positive baseline value for {key!r}: {base}")
         out[key] = value / base
     return out
-
-
-def percent_change(new: float, old: float) -> float:
-    """``(new - old) / old`` in percent."""
-    if old == 0:
-        raise ValueError("percent change relative to zero")
-    return 100.0 * (new - old) / old
 
 
 def f1_score(true_positives: int, false_positives: int, false_negatives: int) -> float:

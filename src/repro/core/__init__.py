@@ -5,7 +5,6 @@ from .config import GOLDEN_COVE, LION_COVE, CoreConfig
 from .lsu import StoreTiming, StoreWindow
 from .pipeline import Pipeline
 from .ports import PortPool, PortSet
-from .scoreboard import RingWindow, StoreScoreboard
 from .stats import PipelineStats
 from .timeline import Timeline, UopTiming
 
@@ -19,8 +18,6 @@ __all__ = [
     "Pipeline",
     "PortPool",
     "PortSet",
-    "RingWindow",
-    "StoreScoreboard",
     "PipelineStats",
     "Timeline",
     "UopTiming",

@@ -15,8 +15,7 @@ So the run splits into **Phase A** — replay the predictor-visible stream
 through the predictors' own hooks, collecting per-load decisions as plain
 ints — and **Phase B** — a monolithic timing loop over precomputed
 :class:`~repro.trace.columns.TraceColumns`, with the scalar code's
-dict/deque scoreboards replaced by :class:`~repro.core.scoreboard.RingWindow`
-and :class:`~repro.core.scoreboard.StoreScoreboard`.
+dict/deque scoreboards replaced by plain per-seq and per-kind lists.
 
 Phase A calls the same predictor code as the scalar engine: each load goes
 through :meth:`~repro.predictors.base.MDPredictor.predict_train`, which
@@ -64,7 +63,6 @@ from ..trace.columns import (OP_BY_CODE, OP_CODES, SRC_SLOTS, Trace,
 from ..trace.uop import MicroOp, OpClass
 from .config import GOLDEN_COVE, CoreConfig
 from .pipeline import _CONSUMER_OPS, _WINDOW_CATEGORIES
-from .scoreboard import StoreScoreboard
 from .stats import PipelineStats
 
 __all__ = ["BatchedPipeline", "PredictorReplay"]
@@ -300,7 +298,7 @@ class PredictorReplay:
         branch.finish()
         return oc_counts, kc_counts, warm, (
             ld_kind, ld_target, ld_conservative, ld_smb_ok, present.tolist(),
-            st_ordering, br_correct, branches_upto)
+            st_ordering, br_correct)
 
 
 class BatchedPipeline(PredictorReplay):
@@ -334,7 +332,7 @@ class BatchedPipeline(PredictorReplay):
         self._fetch_times: List[int] = []
         self._dispatch_times: List[int] = []
         self._complete_times: List[int] = []
-        self._stores: Optional[StoreScoreboard] = None
+        self._value_ready: List[int] = []
 
     # ------------------------------------------------------------------ run
 
@@ -395,7 +393,7 @@ class BatchedPipeline(PredictorReplay):
                  phase_a) -> None:
         """Monolithic timing loop — the scalar constraint chain, inlined."""
         (ld_kind, ld_target, ld_conservative, ld_smb_ok, ld_present,
-         st_ordering, br_correct, branches_upto) = phase_a
+         st_ordering, br_correct) = phase_a
         cfg = self.config
         n = cols.n
         lists = cols.lists(("op", "pc", "address", "addr_src",
@@ -461,12 +459,10 @@ class BatchedPipeline(PredictorReplay):
             dispatch_times = [0] * n
             complete_times = [0] * n
 
-        # Store-timing columns as plain lists during the loop (native-int
-        # reads); exported as a numpy StoreScoreboard at end of run.  The
-        # LQ/SB window-release reads ("when did the load/store `capacity`
-        # slots ago commit/drain?") index the per-kind event lists directly
-        # — the RingWindow form of the same read stays property-tested in
-        # tests/core.
+        # Store-timing columns as plain per-seq lists (native-int reads).
+        # The LQ/SB window-release reads ("when did the load/store
+        # `capacity` slots ago commit/drain?") index the per-kind event
+        # lists directly.
         lq_size = cfg.lq_size
         sb_size = cfg.sb_size
         st_addr = [-1] * n
@@ -820,18 +816,13 @@ class BatchedPipeline(PredictorReplay):
             if tail > 0:
                 acct.add("commit", tail)
 
-        sb = StoreScoreboard(n)
-        sb.addr_resolve[:] = st_addr
-        sb.data_ready[:] = st_data
-        sb.drain[:] = st_drain
-        sb.branch_count[:] = np.where(cols.op == _OP_STORE, branches_upto, -1)
         self._issue_times = issue_times
         self._commit_times = commit_times
-        self._stores = sb
         if recording:
             self._fetch_times = fetch_times
             self._dispatch_times = dispatch_times
             self._complete_times = complete_times
+            self._value_ready = value_ready
 
     # ------------------------------------------------------------ interface
 

@@ -24,14 +24,14 @@ between predictor schemes on the same trace is the quantity of interest.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from ..analysis.accuracy import DEFAULT_BYPASSABLE, Outcome, OutcomeKind, classify
+from ..analysis.accuracy import OutcomeKind, classify
 from ..branch.base import BranchPredictor
 from ..branch.tage import TAGEBranchPredictor
 from ..memory.hierarchy import MemoryHierarchy
 from ..obs.cycles import CycleStack
-from ..predictors.base import ActualOutcome, MDPredictor, Prediction, PredictionKind
+from ..predictors.base import ActualOutcome, MDPredictor, PredictionKind
 from ..trace.uop import MicroOp, OpClass
 from .config import GOLDEN_COVE, CoreConfig
 from .lsu import StoreTiming, StoreWindow

@@ -14,7 +14,6 @@ from .figures import (
     table1_configuration,
     table2_sizes,
 )
-from .export import export_csv, to_csv_rows
 from .parallel import (
     CellSpec,
     Execution,
@@ -22,7 +21,7 @@ from .parallel import (
     execute_cells,
     resolve_cache,
 )
-from .reporting import csv_lines, format_percent, render_series, render_table
+from .reporting import format_percent, render_table
 from .resilience import (
     CellExecutionError,
     CellFailure,
@@ -61,9 +60,6 @@ __all__ = [
     "fig15_mascot_opt",
     "table1_configuration",
     "table2_sizes",
-    "csv_lines",
-    "export_csv",
-    "to_csv_rows",
     "CellSpec",
     "Execution",
     "compute_cell",
@@ -78,7 +74,6 @@ __all__ = [
     "cell_key",
     "default_cache_dir",
     "format_percent",
-    "render_series",
     "render_table",
     "DEFAULT_TRACE_LENGTH",
     "PredictionRunResult",

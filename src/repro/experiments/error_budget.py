@@ -70,7 +70,9 @@ def run_error_budget(
         policy = SamplingPolicy(interval_length=10_000)
     rows: List[Dict[str, object]] = []
     for benchmark in benchmarks:
-        trace = generate_trace(benchmark, num_uops)
+        trace = generate_trace(benchmark, num_uops,
+                               store_window=config.sb_size,
+                               instr_window=config.rob_size)
         full = run_timing(trace, make_predictor(predictor), config=config)
         sampled = run_sampled_timing(
             trace, lambda: make_predictor(predictor), policy,

@@ -8,9 +8,9 @@ easy to diff across runs (EXPERIMENTS.md is produced from them).
 from __future__ import annotations
 
 import io
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
-__all__ = ["render_table", "render_series", "format_percent", "csv_lines"]
+__all__ = ["render_table", "format_percent"]
 
 
 def format_percent(value: float, digits: int = 2) -> str:
@@ -52,24 +52,3 @@ def render_table(
         out.write(line.rstrip() + "\n")
     return out.getvalue()
 
-
-def render_series(
-    name: str,
-    values: Mapping[str, float],
-    float_digits: int = 3,
-) -> str:
-    """One labelled series, key=value per line (figure data dumps)."""
-    out = io.StringIO()
-    out.write(f"{name}:\n")
-    for key, value in values.items():
-        out.write(f"  {key} = {value:.{float_digits}f}\n")
-    return out.getvalue()
-
-
-def csv_lines(headers: Sequence[str],
-              rows: Iterable[Sequence[object]]) -> List[str]:
-    """CSV rendering (no quoting needed for our identifiers/numbers)."""
-    lines = [",".join(headers)]
-    for row in rows:
-        lines.append(",".join(str(v) for v in row))
-    return lines

@@ -54,7 +54,6 @@ __all__ = [
     "FaultClause",
     "ResiliencePolicy",
     "cell_label",
-    "classify_failure",
     "inline_execution",
     "maybe_inject_fault",
     "parse_fault_spec",
@@ -135,17 +134,6 @@ class ResiliencePolicy:
 #: The compatibility default: serial semantics identical to the pre-
 #: resilience engine (exceptions propagate).
 DEFAULT_POLICY = ResiliencePolicy()
-
-
-def classify_failure(error: BaseException) -> FailureKind:
-    """Map an exception observed by the supervisor to a FailureKind."""
-    from concurrent.futures.process import BrokenProcessPool
-
-    if isinstance(error, CellTimeoutError):
-        return FailureKind.TIMEOUT
-    if isinstance(error, BrokenProcessPool):
-        return FailureKind.WORKER_LOST
-    return FailureKind.ERROR
 
 
 # ------------------------------------------------------------ fault injection

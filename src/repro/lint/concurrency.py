@@ -44,7 +44,7 @@ point is in the linted tree; the boundary rules (``conc-socket``,
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from .callgraph import CallGraph
 from .findings import Finding

@@ -34,8 +34,8 @@ entropy sources:
 * ``det-write``         — file writes (``open`` in a ``w``/``a``/``x``/``+``
   mode, ``Path.write_text``/``write_bytes``, ``Path.open("w")``) outside
   the sanctioned output surface (:data:`SANCTIONED_WRITE_MODULES`: trace
-  serialisation, metrics/telemetry emission, the cache, export and
-  lint-baseline writers).  A stray write from simulation code can
+  serialisation, metrics/telemetry emission, the cache, perf-baseline
+  and lint-baseline writers).  A stray write from simulation code can
   race across workers and silently change what a cached cell means.
 """
 
@@ -93,8 +93,6 @@ SANCTIONED_WRITE_MODULES = frozenset({
     "repro.trace.stream",
     "repro.obs.metrics",
     "repro.lint.baseline",
-    "repro.experiments.resilience",
-    "repro.experiments.export",
     "repro.experiments.result_cache",
     # The perf-baseline writer: BENCH_throughput.json is a committed
     # artifact, produced on explicit request, never from a suite cell.
@@ -425,7 +423,7 @@ class _DetVisitor(ast.NodeVisitor):
             f"{description} writes a file outside the sanctioned output "
             "surface (see repro.lint.determinism.SANCTIONED_WRITE_MODULES); "
             "simulation cells must be pure — emit artifacts through "
-            "repro.obs.metrics or the cache/export writers",
+            "repro.obs.metrics or the cache writer",
         )
 
     def _check_env(self, node: ast.AST) -> None:

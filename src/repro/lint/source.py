@@ -23,7 +23,7 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 __all__ = ["SourceModule", "load_module", "module_name_for"]
 

@@ -9,7 +9,7 @@ latency; Table I's machine drains stores post-commit).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .cache import Cache

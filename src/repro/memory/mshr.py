@@ -9,7 +9,7 @@ it (secondary misses) and complete with the original fill.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 __all__ = ["MSHRFile"]
 

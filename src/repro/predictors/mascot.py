@@ -46,9 +46,8 @@ class MascotEntry:
 
     ``distance == 0`` encodes a non-dependence.  Counters are stored as
     plain ints (bounds enforced by the owning predictor's config) — entries
-    are created and updated millions of times per run, so this is the one
-    place where we trade the :class:`SaturatingCounter` convenience for
-    speed; the bounds logic lives in :meth:`Mascot._bump`.
+    are created and updated millions of times per run; the saturating
+    bounds logic lives in :meth:`Mascot._bump`.
     """
 
     tag: int

@@ -18,9 +18,8 @@ reader round-trips exactly.
 
 from __future__ import annotations
 
-import io
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Sequence, TextIO, Union
+from typing import List, Sequence, TextIO, Union
 
 from .columns import Trace
 from .uop import BypassClass, MicroOp, OpClass

@@ -21,7 +21,7 @@ instead, checking:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from .dependence import classify_overlap
 from .uop import MicroOp, OpClass

@@ -5,11 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.markov import (
-    drain_step_table,
-    expected_drain_from_max,
-    expected_drain_steps,
-)
+from repro.analysis.markov import expected_drain_from_max, expected_drain_steps
 
 
 class TestPaperFootnote:
@@ -38,7 +34,7 @@ class TestClosedFormCases:
             )
 
     def test_monotone_in_start_state(self):
-        table = drain_step_table(3, 0.6)
+        table = [expected_drain_steps(3, 0.6, s) for s in range(8)]
         assert all(a < b for a, b in zip(table, table[1:]))
 
     def test_monotone_in_probability(self):
@@ -89,3 +85,25 @@ def test_property_matches_simulation(bits, p):
     simulated = total / trials
     exact = expected_drain_from_max(bits, p)
     assert simulated == pytest.approx(exact, rel=0.15)
+
+
+class TestDrainFromMax:
+    @pytest.mark.parametrize("bits", [1, 2, 3, 4])
+    def test_is_drain_from_the_saturated_state(self, bits):
+        assert expected_drain_from_max(bits, 0.6) == expected_drain_steps(
+            bits, 0.6, (1 << bits) - 1)
+
+    @pytest.mark.parametrize("bits", [1, 2, 3, 4])
+    def test_pure_decrement_takes_one_step_per_state(self, bits):
+        assert expected_drain_from_max(bits, 0.0) == pytest.approx(
+            (1 << bits) - 1)
+
+    @given(st.floats(min_value=0.0, max_value=0.95))
+    def test_one_bit_counter_is_geometric(self, p):
+        assert expected_drain_from_max(1, p) == pytest.approx(1 / (1 - p))
+
+    @given(st.integers(min_value=1, max_value=4),
+           st.floats(min_value=0.0, max_value=0.9))
+    def test_never_faster_than_one_state_per_step(self, bits, p):
+        for start in range(1 << bits):
+            assert expected_drain_steps(bits, p, start) >= start - 1e-9

@@ -3,14 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.common.bitops import (
-    bits_required,
-    extract_bits,
-    fold_bits,
-    mask,
-    parity,
-    rotate_left,
-)
+from repro.common.bitops import fold_bits, mask
 
 
 class TestMask:
@@ -29,21 +22,6 @@ class TestMask:
     @given(st.integers(min_value=0, max_value=256))
     def test_popcount(self, width):
         assert bin(mask(width)).count("1") == width
-
-
-class TestBitsRequired:
-    def test_zero_needs_one_bit(self):
-        assert bits_required(0) == 1
-
-    def test_powers_of_two(self):
-        assert bits_required(1) == 1
-        assert bits_required(2) == 2
-        assert bits_required(255) == 8
-        assert bits_required(256) == 9
-
-    def test_negative_raises(self):
-        with pytest.raises(ValueError):
-            bits_required(-5)
 
 
 class TestFoldBits:
@@ -79,54 +57,52 @@ class TestFoldBits:
                 == fold_bits(a ^ b, 32, width))
 
 
-class TestExtractBits:
-    def test_low_bits(self):
-        assert extract_bits(0b101101, 0, 3) == 0b101
+def _fold_reference(value, in_width, out_width):
+    """Chunk the low ``in_width`` bits and XOR the chunks together."""
+    value &= (1 << in_width) - 1
+    chunks = [(value >> shift) & ((1 << out_width) - 1)
+              for shift in range(0, max(in_width, 1), out_width)]
+    folded = 0
+    for chunk in chunks:
+        folded ^= chunk
+    return folded
 
-    def test_middle_bits(self):
-        assert extract_bits(0b101101, 2, 3) == 0b011
 
-    def test_beyond_value(self):
-        assert extract_bits(0b1, 8, 4) == 0
+class TestMaskProperties:
+    @given(st.integers(min_value=0, max_value=256))
+    def test_equals_power_of_two_minus_one(self, width):
+        assert mask(width) == 2 ** width - 1
+
+    @given(st.integers(min_value=0, max_value=64),
+           st.integers(min_value=0, max_value=64))
+    def test_intersection_is_the_narrower_mask(self, a, b):
+        assert mask(a) & mask(b) == mask(min(a, b))
 
 
-class TestRotateLeft:
-    def test_simple(self):
-        assert rotate_left(0b0001, 1, 4) == 0b0010
+class TestFoldBitsProperties:
+    @given(st.integers(min_value=0, max_value=(1 << 64) - 1),
+           st.integers(min_value=1, max_value=64),
+           st.integers(min_value=1, max_value=16))
+    def test_matches_chunked_reference(self, value, in_width, out_width):
+        assert (fold_bits(value, in_width, out_width)
+                == _fold_reference(value, in_width, out_width))
 
-    def test_wraparound(self):
-        assert rotate_left(0b1000, 1, 4) == 0b0001
-
-    def test_full_rotation_is_identity(self):
-        assert rotate_left(0b1011, 4, 4) == 0b1011
-
-    def test_zero_width(self):
-        assert rotate_left(0b1011, 2, 0) == 0
+    @given(st.integers(min_value=0, max_value=(1 << 64) - 1),
+           st.integers(min_value=1, max_value=32),
+           st.integers(min_value=1, max_value=16))
+    def test_ignores_bits_above_input_width(self, value, in_width,
+                                            out_width):
+        high = value << in_width
+        assert (fold_bits(value | high, in_width, out_width)
+                == fold_bits(value, in_width, out_width))
 
     @given(st.integers(min_value=0, max_value=(1 << 16) - 1),
-           st.integers(min_value=0, max_value=64),
            st.integers(min_value=1, max_value=16))
-    def test_inverse(self, value, amount, width):
-        value &= mask(width)
-        rotated = rotate_left(value, amount, width)
-        back = rotate_left(rotated, width - (amount % width), width)
-        assert back == value
+    def test_narrow_input_is_masked_not_folded(self, value, width):
+        assert fold_bits(value, width, 16) == value & mask(width)
 
+    def test_zero_folds_to_zero(self):
+        assert fold_bits(0, 64, 7) == 0
 
-class TestParity:
-    def test_zero(self):
-        assert parity(0) == 0
-
-    def test_single_bit(self):
-        assert parity(0b1000) == 1
-
-    def test_two_bits(self):
-        assert parity(0b1010) == 0
-
-    def test_negative_raises(self):
-        with pytest.raises(ValueError):
-            parity(-1)
-
-    @given(st.integers(min_value=0, max_value=(1 << 40) - 1))
-    def test_matches_popcount(self, value):
-        assert parity(value) == bin(value).count("1") % 2
+    def test_negative_output_width_is_empty(self):
+        assert fold_bits(0xFF, 8, -3) == 0

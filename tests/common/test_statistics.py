@@ -11,7 +11,6 @@ from repro.common.statistics import (
     f1_score,
     geometric_mean,
     normalise,
-    percent_change,
 )
 
 
@@ -68,18 +67,6 @@ class TestNormalise:
     def test_zero_baseline_raises(self):
         with pytest.raises(ValueError):
             normalise({"a": 1.0}, {"a": 0.0})
-
-
-class TestPercentChange:
-    def test_increase(self):
-        assert percent_change(1.1, 1.0) == pytest.approx(10.0)
-
-    def test_decrease(self):
-        assert percent_change(0.9, 1.0) == pytest.approx(-10.0)
-
-    def test_zero_old_raises(self):
-        with pytest.raises(ValueError):
-            percent_change(1.0, 0.0)
 
 
 class TestF1Score:
@@ -170,3 +157,52 @@ class TestHistogram:
     def test_merge_mismatched_raises(self):
         with pytest.raises(ValueError):
             Histogram(["a"]).merge(Histogram(["b"]))
+
+
+class TestMeanInequality:
+    @given(st.lists(st.floats(min_value=0.01, max_value=100.0),
+                    min_size=1, max_size=20))
+    def test_geometric_never_exceeds_arithmetic(self, values):
+        assert geometric_mean(values) <= arithmetic_mean(values) * (1 + 1e-9)
+
+    @given(st.floats(min_value=0.01, max_value=100.0),
+           st.integers(min_value=1, max_value=10))
+    def test_constant_sequence(self, value, n):
+        assert geometric_mean([value] * n) == pytest.approx(value)
+        assert arithmetic_mean([value] * n) == pytest.approx(value)
+
+
+class TestNormaliseProperties:
+    def test_self_normalisation_is_one(self):
+        ipc = {"lbm": 1.7, "mcf": 0.4}
+        assert normalise(ipc, ipc) == {"lbm": 1.0, "mcf": 1.0}
+
+    def test_extra_baseline_keys_are_ignored(self):
+        assert normalise({"a": 2.0}, {"a": 4.0, "b": 1.0}) == {"a": 0.5}
+
+
+class TestHistogramProperties:
+    @given(st.lists(st.integers(min_value=0, max_value=1000),
+                    min_size=3, max_size=3))
+    def test_percentages_sum_to_one_hundred(self, counts):
+        h = Histogram(["a", "b", "c"])
+        for name, count in zip("abc", counts):
+            h.add(name, count)
+        total = sum(h.percentages().values())
+        assert total == pytest.approx(100.0 if sum(counts) else 0.0)
+
+    def test_merge_is_commutative(self):
+        left, right = Histogram(["x", "y"]), Histogram(["x", "y"])
+        left.add("x", 3)
+        right.add("y", 5)
+        a, b = Histogram(["x", "y"]), Histogram(["x", "y"])
+        a.merge(left)
+        a.merge(right)
+        b.merge(right)
+        b.merge(left)
+        assert a.counts() == b.counts() == {"x": 3, "y": 5}
+
+    def test_counts_is_a_copy(self):
+        h = Histogram(["x"])
+        h.counts()["x"] = 99
+        assert h.count("x") == 0

@@ -26,6 +26,39 @@ class TestSimulate:
                      "--core", "lion-cove"]) == 0
         assert "lion-cove" in capsys.readouterr().out
 
+    def test_lion_cove_replays_the_suite_cell(self, capsys):
+        # The trace is cut for the simulated core's store and instruction
+        # windows, as every suite cell's is, so `simulate` prints the
+        # cycles `compare` and Fig. 12 compute for the same cell.
+        from repro.core.config import LION_COVE
+        from repro.experiments.suite import run_ipc_suite
+
+        assert main(["simulate", "exchange2", "tage-no-nd", "--uops",
+                     "10000", "--core", "lion-cove"]) == 0
+        rows = dict(line.split() for line in capsys.readouterr().out
+                    .splitlines() if len(line.split()) == 2)
+        suite = run_ipc_suite(["tage-no-nd"], ["exchange2"], 10_000,
+                              config=LION_COVE)
+        assert int(rows["cycles"]) == (
+            suite.stats["tage-no-nd"]["exchange2"].cycles)
+
+    @pytest.mark.parametrize("core,predictor", [
+        ("golden-cove", "mascot"), ("golden-cove", "perfect-mdp-smb"),
+        ("lion-cove", "mascot"), ("lion-cove", "perfect-mdp-smb"),
+    ])
+    def test_simulate_matches_compare(self, capsys, core, predictor):
+        from repro.cli import _CORES
+        from repro.experiments.suite import run_ipc_suite
+
+        assert main(["simulate", "exchange2", predictor, "--uops", "6000",
+                     "--core", core]) == 0
+        rows = dict(line.split() for line in capsys.readouterr().out
+                    .splitlines() if len(line.split()) == 2)
+        suite = run_ipc_suite([predictor], ["exchange2"], 6_000,
+                              config=_CORES[core])
+        assert int(rows["cycles"]) == (
+            suite.stats[predictor]["exchange2"].cycles)
+
     def test_unknown_benchmark_rejected(self):
         with pytest.raises(SystemExit):
             main(["simulate", "nonexistent", "mascot"])

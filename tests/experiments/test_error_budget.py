@@ -68,3 +68,22 @@ class TestRunErrorBudget:
         assert result["geomean_abs_error"] \
             == pytest.approx(abs(cell["error"]), abs=1e-5)
         assert "geomean" in render_error_budget(result)
+
+
+class TestErrorBudgetCore:
+    def test_full_run_replays_the_cores_suite_cell(self):
+        # The trace is cut for the budgeted core's store and instruction
+        # windows, so the full-run IPC is the one Fig. 12 reports.
+        from repro.core.config import LION_COVE
+        from repro.experiments.suite import run_ipc_suite
+
+        result = run_error_budget(
+            benchmarks=("exchange2",), num_uops=20_000,
+            predictor="tage-no-nd", config=LION_COVE,
+            policy=SamplingPolicy(interval_length=5_000, max_k=2,
+                                  warmup_intervals=1))
+        (cell,) = result["rows"]
+        suite = run_ipc_suite(["tage-no-nd"], ["exchange2"], 20_000,
+                              config=LION_COVE)
+        assert cell["full_ipc"] == round(
+            suite.stats["tage-no-nd"]["exchange2"].ipc, 6)

@@ -1,11 +1,6 @@
 """Tests for the plain-text reporting helpers."""
 
-from repro.experiments.reporting import (
-    csv_lines,
-    format_percent,
-    render_series,
-    render_table,
-)
+from repro.experiments.reporting import format_percent, render_table
 
 
 class TestFormatPercent:
@@ -47,15 +42,29 @@ class TestRenderTable:
         assert "a" in text
 
 
-class TestRenderSeries:
-    def test_contains_all_keys(self):
-        text = render_series("ipc", {"gcc": 1.5, "mcf": 0.7})
-        assert "ipc:" in text
-        assert "gcc = 1.500" in text
-        assert "mcf = 0.700" in text
+class TestRenderTableLayout:
+    ROWS = [["mcf", 0.41234], ["exchange2", 2.5], ["x", 10]]
 
+    def test_columns_start_at_the_same_offset(self):
+        lines = render_table(["bench", "ipc"], self.ROWS).splitlines()
+        offsets = {line.index(cell) for line, cell in
+                   zip(lines[2:], ["0.412", "2.500", "10"])}
+        assert offsets == {lines[0].index("ipc")}
 
-class TestCsvLines:
-    def test_header_and_rows(self):
-        lines = csv_lines(["a", "b"], [[1, 2], [3, 4]])
-        assert lines == ["a,b", "1,2", "3,4"]
+    def test_rule_widths_match_columns(self):
+        lines = render_table(["bench", "ipc"], self.ROWS).splitlines()
+        assert [len(part) for part in lines[1].split("  ")] == [9, 5]
+
+    def test_no_trailing_whitespace(self):
+        text = render_table(["a", "b"], [["longer", ""], ["x", "y"]])
+        assert all(line == line.rstrip() for line in text.splitlines())
+
+    def test_rows_may_be_a_generator(self):
+        text = render_table(["n"], ([i] for i in range(3)))
+        assert text.splitlines()[2:] == ["0", "1", "2"]
+
+    def test_without_title_header_comes_first(self):
+        assert render_table(["a"], [[1]]).splitlines()[0] == "a"
+
+    def test_format_percent_halving(self):
+        assert format_percent(0.5, digits=0) == "-50%"

@@ -18,11 +18,13 @@ import pytest
 from repro.experiments import parallel
 from repro.experiments.parallel import CellSpec, execute_cells
 from repro.experiments.resilience import (
+    CellExecutionError,
     CellFailure,
     CellTimeoutError,
     FailureKind,
     ResiliencePolicy,
-    classify_failure,
+    cell_label,
+    inline_execution,
     parse_fault_spec,
 )
 from repro.experiments.result_cache import ResultCache, cell_key
@@ -82,16 +84,6 @@ class TestFaultSpecParsing:
     def test_rejects_bad_clauses(self, bad):
         with pytest.raises(ValueError):
             parse_fault_spec(bad)
-
-
-class TestClassify:
-    def test_kinds(self):
-        from concurrent.futures.process import BrokenProcessPool
-        assert classify_failure(RuntimeError("x")) is FailureKind.ERROR
-        assert (classify_failure(CellTimeoutError("x"))
-                is FailureKind.TIMEOUT)
-        assert (classify_failure(BrokenProcessPool("x"))
-                is FailureKind.WORKER_LOST)
 
 
 class TestInjectedError:
@@ -388,3 +380,25 @@ class TestGoldenAcceptance:
         clean = execute_cells(grid, jobs=1)
         for got, want in zip(rerun, clean):
             assert got.to_dict() == want.to_dict()
+
+
+class TestFailureRecords:
+    def test_cell_label_names_mode_benchmark_and_predictor(self):
+        assert cell_label(_cell("lbm", "phast")) == "accuracy:lbm/phast"
+
+    def test_describe_carries_kind_and_message(self):
+        failure = CellFailure(_cell("lbm"), FailureKind.TIMEOUT, "120 s")
+        assert failure.describe() == "accuracy:lbm/mascot: timeout: 120 s"
+
+    def test_timeout_is_a_cell_execution_error(self):
+        assert issubclass(CellTimeoutError, CellExecutionError)
+
+    def test_inline_execution_nests_and_restores(self):
+        from repro.experiments import resilience
+
+        assert not resilience._INLINE
+        with inline_execution():
+            with inline_execution():
+                assert resilience._INLINE
+            assert resilience._INLINE
+        assert not resilience._INLINE

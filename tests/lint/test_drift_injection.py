@@ -143,13 +143,13 @@ class TestProtocolBoundary:
         assert [f.module for f in sockets] == ["repro.experiments.backends"]
 
     def test_ad_hoc_file_lock_outside_cache_fails_lint(self, tree):
-        # An ad-hoc O_EXCL lock in the CSV exporter: a second writer
+        # An ad-hoc O_EXCL lock in the table renderer: a second writer
         # discipline nobody audits.
-        mutate(tree, "experiments/export.py",
-               "def export_csv(",
+        mutate(tree, "experiments/reporting.py",
+               "def render_table(",
                "import os\n\n\ndef _grab(path):\n"
                "    return os.open(path, os.O_CREAT | os.O_EXCL)\n\n\n"
-               "def export_csv(")
+               "def render_table(")
         result = lint_paths([tree], select=INTERPROCEDURAL)
         assert result.exit_code != 0
         assert any(f.rule == "conc-file-lock" for f in result.active)
@@ -174,6 +174,22 @@ class TestProtocolBoundary:
         result = lint_paths([tree], select=INTERPROCEDURAL)
         assert not any(f.rule in ("conc-socket", "conc-file-lock")
                        for f in result.active)
+
+
+class TestWriteSurface:
+    def test_file_write_in_resilience_fails_lint(self, tree):
+        # The resilience module is not a sanctioned writer: a status
+        # file planted there must fail det-write.
+        mutate(tree, "experiments/resilience.py",
+               "def parse_fault_spec(",
+               "from pathlib import Path\n\n\ndef _mark(path):\n"
+               "    Path(path).write_text(\"failed\\n\")\n\n\n"
+               "def parse_fault_spec(")
+        result = lint_paths([tree], select=["det"])
+        assert result.exit_code != 0
+        writes = [f for f in result.active if f.rule == "det-write"]
+        assert [f.module for f in writes] == [
+            "repro.experiments.resilience"]
 
 
 if __name__ == "__main__":

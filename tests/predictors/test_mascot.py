@@ -402,3 +402,60 @@ class TestEndToEnd:
                                         allocate_nondependencies=False))
         )
         assert ablation_fd > 3 * mascot_fd
+
+
+class TestCounterWidths:
+    """MASCOT keeps its counters as plain ints; the update rules saturate
+    them at their configured field widths (Sec. IV-B)."""
+
+    def _train(self, m, actual, times):
+        for _ in range(times):
+            uop = load_uop()
+            m.train(uop, m.predict(uop), actual)
+
+    def test_usefulness_saturates_at_field_maximum(self):
+        m = Mascot()
+        self._train(m, outcome_dep(), 20)
+        entry = next(iter(m.bank[0].entries()))[2]
+        assert entry.usefulness == (1 << MASCOT_DEFAULT.usefulness_bits) - 1
+
+    def test_bypass_saturates_at_field_maximum(self):
+        m = Mascot()
+        self._train(m, outcome_dep(), 20)
+        entry = next(iter(m.bank[0].entries()))[2]
+        assert entry.bypass == (1 << MASCOT_DEFAULT.bypass_bits) - 1
+
+    @pytest.mark.parametrize("usefulness_bits,bypass_bits", [(2, 1), (4, 3)])
+    def test_saturation_follows_configured_widths(self, usefulness_bits,
+                                                  bypass_bits):
+        config = MascotConfig(usefulness_bits=usefulness_bits,
+                              bypass_bits=bypass_bits,
+                              alloc_usefulness_dep=1)
+        m = Mascot(config)
+        self._train(m, outcome_dep(), 40)
+        entry = next(iter(m.bank[0].entries()))[2]
+        assert entry.usefulness == (1 << usefulness_bits) - 1
+        assert entry.bypass == (1 << bypass_bits) - 1
+
+    def test_counters_stay_in_range_under_mixed_outcomes(self):
+        import random
+
+        rng = random.Random(7)
+        m = Mascot()
+        outcomes = [outcome_dep(), outcome_nodep(),
+                    outcome_dep(distance=5, store_seq=80),
+                    outcome_dep(distance=200, store_seq=10),
+                    outcome_dep(bypass=BypassClass.MDP_ONLY)]
+        for seq in range(2000):
+            uop = load_uop(seq=seq, pc=0x400100 + 4 * rng.randrange(4))
+            m.train(uop, m.predict(uop), rng.choice(outcomes))
+        umax = (1 << MASCOT_DEFAULT.usefulness_bits) - 1
+        bmax = (1 << MASCOT_DEFAULT.bypass_bits) - 1
+        dmax = (1 << MASCOT_DEFAULT.distance_bits) - 1
+        entries = [e for t in range(MASCOT_DEFAULT.num_tables)
+                   for _, _, e in m.bank[t].entries()]
+        assert entries
+        for entry in entries:
+            assert 0 <= entry.usefulness <= umax
+            assert 0 <= entry.bypass <= bmax
+            assert 0 <= entry.distance <= dmax
