@@ -61,7 +61,7 @@ def main() -> None:
             trace = cache.get(benchmark, num_uops)
             run = run_prediction_only(trace, Mascot(config))
             total += run.accuracy.mispredictions
-        rows.append([label, f"{config.storage_kib:.2f}", total])
+        rows.append([label, f"{Mascot(config).storage_kib:.2f}", total])
     print(render_table(
         ["configuration", "KiB", "total mispredictions"],
         rows,

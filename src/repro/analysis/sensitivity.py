@@ -151,7 +151,7 @@ class SensitivityStudy:
                 false_dependencies=sum(r.false_dependencies for r in runs),
                 speculative_errors=sum(r.speculative_errors for r in runs),
                 loads=sum(r.loads for r in runs),
-                storage_kib=config.storage_kib,
+                storage_kib=Mascot(config).storage_kib,
             ))
         return results
 

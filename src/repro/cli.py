@@ -17,7 +17,7 @@ can be reproduced without writing Python:
   cell; exits non-zero if the stall breakdown does not sum exactly to
   the measured cycle count (see :mod:`repro.obs`).
 * ``lint``      — static simulator-correctness checks (oracle isolation,
-  determinism/cache safety, hardware realizability; see
+  determinism/cache safety, engine equivalence, worker safety; see
   :mod:`repro.lint`).
 * ``doctor``    — environment health checks (cache writability, worker
   spawn, lint baseline; see :mod:`repro.doctor`).
@@ -314,8 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint",
         help="static simulator-correctness checks (oracle isolation, "
-             "determinism, hardware realizability, engine equivalence, "
-             "worker safety)",
+             "determinism, engine equivalence, worker safety)",
     )
     lint_cli.add_arguments(lint)
 

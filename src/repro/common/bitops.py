@@ -3,8 +3,7 @@
 All predictor structures in this package (MASCOT, PHAST, NoSQ, the branch
 predictors) index their tables with *folded* combinations of program counters
 and history bits.  These helpers centralise the masking/folding arithmetic so
-that every structure computes indices the same way and the storage-accounting
-code in :mod:`repro.predictors.sizing` can reason about field widths.
+that every structure computes indices the same way.
 """
 
 from __future__ import annotations

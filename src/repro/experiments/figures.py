@@ -20,8 +20,8 @@ from ..analysis.accuracy import AccuracyStats
 from ..analysis.f1 import RankedF1Profile, merge_profiles
 from ..common.statistics import Histogram
 from ..core.config import GOLDEN_COVE, LION_COVE, CoreConfig
-from ..predictors.registry import PREDICTORS, make_predictor
-from ..predictors.sizing import PredictorSizing, table2_rows
+from ..predictors.base import PredictorSizing
+from ..predictors.registry import PREDICTORS, make_predictor, table2_rows
 from ..sampling.policy import SamplingPolicy
 from ..trace.profiles import suite_names
 from ..trace.columns import BYPASS_CODES, OP_CODES

@@ -12,14 +12,15 @@ system cannot see:
   bit-identically across runs and worker counts, or the PR-1 result cache
   and the ``jobs=N`` merge are unsound.  Unseeded RNGs, wall-clock reads,
   ``id()``/``hash()`` of objects and unsorted set iteration all break this.
-* **hardware realizability** — predictor configuration literals must
-  describe buildable hardware: power-of-two tables, counter widths within
-  their bit budgets, geometric TAGE history series, and declared KiB
-  budgets that match the :class:`~repro.predictors.sizing.PredictorSizing`
-  arithmetic.
+
+Buildable-hardware rules (power-of-two tables, counter widths, the Table II
+sizes) are not lint rules: they hold on live objects, in the predictor
+constructors and the tier-1 registry tests over
+:attr:`~repro.predictors.base.MDPredictor.storage`.
 
 :mod:`repro.lint` walks the package's ASTs (no imports are executed) and
-enforces all three families.  Run it as ``repro lint`` or
+enforces both families, plus the interprocedural engine-equivalence and
+worker-safety families (``eq-*``, ``conc-*``).  Run it as ``repro lint`` or
 ``python -m repro.lint``; see :mod:`repro.lint.engine` for the library
 entry point and ``docs/lint.md`` for the rule catalogue and the
 suppression/baseline workflow.

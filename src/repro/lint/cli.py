@@ -8,8 +8,7 @@ installed ``repro`` package, so ``python -m repro.lint`` works from any
 directory; CI pins the tree explicitly with ``repro lint src/repro``.
 
 ``--select`` / ``--ignore`` take comma-separated rule *families* (the
-prefix before the first dash: ``oracle``, ``det``, ``hw``, ``eq``,
-``conc``), letting CI run the cheap per-file rules and the
+prefix before the first dash: ``oracle``, ``det``, ``eq``, ``conc``), letting CI run the cheap per-file rules and the
 interprocedural pass as separate jobs.  ``--metrics FILE`` appends one
 JSONL record (files, rules run, findings per family, wall seconds) via
 :class:`repro.obs.MetricsWriter`, so lint cost lands in the same
@@ -157,9 +156,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro lint",
         description="AST-based simulator-correctness linter "
-                    "(oracle isolation, determinism, hardware "
-                    "realizability, engine equivalence, worker "
-                    "safety)",
+                    "(oracle isolation, determinism, engine "
+                    "equivalence, worker safety)",
     )
     add_arguments(parser)
     try:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
-from . import concurrency, determinism, equivalence, oracle, realizability
+from . import concurrency, determinism, equivalence, oracle
 from .baseline import apply_baseline, load_baseline
 from .findings import Finding
 from .index import PackageIndex
@@ -26,7 +26,7 @@ from .source import SourceModule, load_module
 __all__ = ["ALL_FAMILIES", "ALL_RULES", "CHECKERS", "LintResult",
            "collect_files", "lint_paths", "rule_family"]
 
-CHECKERS = (oracle, determinism, realizability, equivalence, concurrency)
+CHECKERS = (oracle, determinism, equivalence, concurrency)
 
 #: rule name -> one-line description (includes the engine's own rules).
 ALL_RULES: Dict[str, str] = {
@@ -114,7 +114,7 @@ def lint_paths(
     """Lint every ``.py`` file under ``paths``; see the module docstring.
 
     ``select`` / ``ignore`` restrict the run to (or away from) the named
-    rule *families* (``oracle``, ``det``, ``hw``, ``eq``, ``conc``);
+    rule *families* (``oracle``, ``det``, ``eq``, ``conc``);
     checkers with no selected rules are skipped entirely, so
     CI can split the cheap per-file rules and the interprocedural pass
     into separate jobs.  ``parse-error`` is always reported.  Unknown

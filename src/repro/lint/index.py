@@ -47,8 +47,6 @@ class ClassInfo:
     methods: Dict[str, FunctionInfo] = field(default_factory=dict)
     #: Class-scope simple assignments, e.g. ``is_oracle = True``.
     attrs: Dict[str, ast.expr] = field(default_factory=dict)
-    #: Dataclass-style annotated field defaults.
-    field_defaults: Dict[str, ast.expr] = field(default_factory=dict)
 
     @property
     def qualname(self) -> str:
@@ -144,7 +142,6 @@ class PackageIndex:
                         cls.attrs[target.id] = stmt.value
             elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
                 if isinstance(stmt.target, ast.Name):
-                    cls.field_defaults[stmt.target.id] = stmt.value
                     cls.attrs[stmt.target.id] = stmt.value
         self.classes[cls.qualname] = cls
 

@@ -1,6 +1,6 @@
 """Source loading: parse trees, module naming and in-code pragmas.
 
-repro-lint understands three comment pragmas:
+repro-lint understands two comment pragmas:
 
 ``# repro-lint: allow(rule[, rule...]) -- justification``
     Suppress the named rules on this line (trailing pragma) or on the next
@@ -10,11 +10,6 @@ repro-lint understands three comment pragmas:
 ``# repro-lint: allow-file(rule[, rule...]) -- justification``
     Suppress the named rules for the whole file.  Reserve this for files
     where a pattern is pervasive and uniformly safe (and say why).
-
-``# repro-lint: budget(<kib> KiB)``
-    Declare the storage budget of the predictor configuration constructed
-    on this line (or the next); the hardware-realizability checker
-    recomputes the budget from the literals and flags a mismatch.
 """
 
 from __future__ import annotations
@@ -30,9 +25,6 @@ __all__ = ["SourceModule", "load_module", "module_name_for"]
 _ALLOW_RE = re.compile(
     r"#\s*repro-lint:\s*allow(?P<scope>-file)?\(\s*(?P<rules>[^)]*)\)"
     r"(?:\s*--\s*(?P<why>.*))?"
-)
-_BUDGET_RE = re.compile(
-    r"#\s*repro-lint:\s*budget\(\s*(?P<kib>[0-9]+(?:\.[0-9]+)?)\s*KiB\s*\)"
 )
 
 
@@ -50,17 +42,12 @@ class SourceModule:
     allow_file: Set[str] = field(default_factory=set)
     #: line -> justification text (best effort, for reports).
     justifications: Dict[int, str] = field(default_factory=dict)
-    #: line -> declared storage budget in KiB.
-    budgets: Dict[int, float] = field(default_factory=dict)
 
     def is_suppressed(self, rule: str, line: int) -> bool:
         return rule in self.allow_file or rule in self.allow.get(line, ())
 
     def justification_for(self, line: int) -> str:
         return self.justifications.get(line, "")
-
-    def budget_for(self, line: int) -> Optional[float]:
-        return self.budgets.get(line)
 
 
 def _scan_pragmas(mod: SourceModule) -> None:
@@ -80,11 +67,6 @@ def _scan_pragmas(mod: SourceModule) -> None:
                     mod.allow.setdefault(covered, set()).update(rules)
                     if why:
                         mod.justifications.setdefault(covered, why)
-        match = _BUDGET_RE.search(line)
-        if match:
-            kib = float(match.group("kib"))
-            mod.budgets[lineno] = kib
-            mod.budgets.setdefault(lineno + 1, kib)
 
 
 def module_name_for(path: Path) -> str:

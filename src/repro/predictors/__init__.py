@@ -1,6 +1,7 @@
 """Memory-dependence / SMB predictors: MASCOT, baselines and oracles."""
 
-from .base import ActualOutcome, MDPredictor, Prediction, PredictionKind
+from .base import (ActualOutcome, MDPredictor, Prediction, PredictionKind,
+                   PredictorSizing)
 from .configs import (
     MASCOT_DEFAULT,
     MASCOT_OPT,
@@ -12,15 +13,7 @@ from .mascot import Mascot, MascotEntry
 from .nosq import NoSQ, NoSQEntry
 from .perfect import PerfectMDP, PerfectMDPSMB
 from .phast import PHAST_HISTORY_LENGTHS, Phast, PhastEntry
-from .registry import PREDICTORS, PredictorSpec
-from .sizing import (
-    PredictorSizing,
-    mascot_sizing,
-    nosq_sizing,
-    phast_sizing,
-    store_sets_sizing,
-    table2_rows,
-)
+from .registry import PREDICTORS, PredictorSpec, table2_rows
 from .idist import IDIST_HISTORY_LENGTHS, IDistEntry, IDistStoreSets
 from .store_sets import StoreSets
 from .tage_mdp import TageMdp, TageMdpEntry
@@ -47,10 +40,6 @@ __all__ = [
     "PREDICTORS",
     "PredictorSpec",
     "PredictorSizing",
-    "mascot_sizing",
-    "nosq_sizing",
-    "phast_sizing",
-    "store_sets_sizing",
     "table2_rows",
     "StoreSets",
     "IDIST_HISTORY_LENGTHS",

@@ -43,8 +43,8 @@ if TYPE_CHECKING:
     from ..common.foldplan import BranchStream
 
 __all__ = ["PredictionKind", "Prediction", "ActualOutcome", "MDPredictor",
-           "TelemetrySink", "KIND_NO_DEP", "KIND_MDP", "KIND_SMB",
-           "PRED_KIND_BY_CODE", "KIND_CODES", "NO_PREDICTION",
+           "PredictorSizing", "TelemetrySink", "KIND_NO_DEP", "KIND_MDP",
+           "KIND_SMB", "PRED_KIND_BY_CODE", "KIND_CODES", "NO_PREDICTION",
            "Truth"]
 
 
@@ -114,6 +114,34 @@ PredictTrain = Tuple[int, Optional[int], int, bool, int]
 
 #: The base prediction of a stateless lookup: no dependence, no keys.
 NO_PREDICTION: Lookup = (KIND_NO_DEP, 0, None, None, None, None)
+
+
+@dataclass(frozen=True)
+class PredictorSizing:
+    """One storage structure of a predictor: a Table II row.
+
+    Sizes count table payloads only ("discarding logic", Sec. IV-B).
+    ``extra_bits`` is state the per-entry fields do not show, e.g. the
+    exact remainder of per-table tag widths shown as their mean.
+    """
+
+    name: str
+    tables: str
+    total_entries: int
+    fields_per_entry: Dict[str, int]  # field name -> bits
+    extra_bits: int = 0
+
+    @property
+    def entry_bits(self) -> int:
+        return sum(self.fields_per_entry.values())
+
+    @property
+    def total_bits(self) -> int:
+        return self.total_entries * self.entry_bits + self.extra_bits
+
+    @property
+    def kib(self) -> float:
+        return self.total_bits / 8 / 1024
 
 
 @dataclass
@@ -391,9 +419,15 @@ class MDPredictor(abc.ABC):
     # -- introspection ---------------------------------------------------------
 
     @property
+    def storage(self) -> Tuple[PredictorSizing, ...]:
+        """This predictor's storage structures, built from the field widths
+        it uses (none for an oracle)."""
+        return ()
+
+    @property
     def storage_bits(self) -> int:
         """Total predictor state in bits (Table II accounting)."""
-        return 0
+        return sum(row.total_bits for row in self.storage)
 
     @property
     def storage_kib(self) -> float:

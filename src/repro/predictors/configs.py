@@ -78,6 +78,8 @@ class MascotConfig:
             raise ValueError("table entries must be positive multiples of ways")
         if any(t <= 0 for t in self.tag_bits):
             raise ValueError("tag widths must be positive")
+        if not (1 <= self.usefulness_bits <= 8 and 1 <= self.bypass_bits <= 8):
+            raise ValueError("counter widths must be 1-8 bits")
         max_useful = (1 << self.usefulness_bits) - 1
         if not (0 < self.alloc_usefulness_dep <= max_useful):
             raise ValueError("alloc_usefulness_dep out of counter range")
@@ -88,41 +90,16 @@ class MascotConfig:
     def num_tables(self) -> int:
         return len(self.history_lengths)
 
-    @property
-    def total_entries(self) -> int:
-        return sum(self.table_entries)
-
-    @property
-    def entry_bits(self) -> Tuple[int, ...]:
-        """Per-table entry width: tag + distance + usefulness + bypass."""
-        return tuple(
-            t + self.distance_bits + self.usefulness_bits + self.bypass_bits
-            for t in self.tag_bits
-        )
-
-    @property
-    def storage_bits(self) -> int:
-        return sum(
-            entries * bits
-            for entries, bits in zip(self.table_entries, self.entry_bits)
-        )
-
-    @property
-    def storage_kib(self) -> float:
-        return self.storage_bits / 8 / 1024
-
     def with_(self, **kwargs) -> "MascotConfig":
         """Derive a modified copy (dataclasses.replace wrapper)."""
         return replace(self, **kwargs)
 
 
 #: The paper's default MASCOT (Sec. IV-B): 14 KiB.
-# repro-lint: budget(14.0 KiB)
 MASCOT_DEFAULT = MascotConfig()
 
 #: MASCOT-OPT (Sec. VI-D): resized tables and compensating tag widths.
 #: (The paper rounds its 11.8125 KiB down to "11.75 KB" in Table II.)
-# repro-lint: budget(11.8125 KiB)
 MASCOT_OPT = MascotConfig(
     name="mascot-opt",
     table_entries=(1024, 512, 512, 512, 256, 256, 256, 128),
@@ -138,11 +115,9 @@ def mascot_opt_reduced_tags(reduction: int) -> MascotConfig:
     """
     if reduction < 0:
         raise ValueError("tag reduction must be non-negative")
-    tags = tuple(t - reduction for t in MASCOT_OPT.tag_bits)
-    if any(t <= 0 for t in tags):
-        raise ValueError(f"tag reduction {reduction} leaves a non-positive width")
     return MASCOT_OPT.with_(
-        name=f"mascot-opt-tag{reduction}", tag_bits=tags
+        name=f"mascot-opt-tag{reduction}",
+        tag_bits=tuple(t - reduction for t in MASCOT_OPT.tag_bits),
     )
 
 

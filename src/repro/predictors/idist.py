@@ -28,7 +28,8 @@ from typing import Optional, Sequence, Tuple
 
 from ..trace.columns import BYPASS_BY_CODE
 from ..trace.uop import SAME_ADDRESS_BYPASSABLE
-from .base import KIND_MDP, KIND_NO_DEP, KIND_SMB, Lookup, Truth
+from .base import (KIND_MDP, KIND_NO_DEP, KIND_SMB, Lookup,
+                   PredictorSizing, Truth)
 from .store_sets import StoreSets
 from .tables import TableBank, TableBankPredictor
 
@@ -66,7 +67,6 @@ class IDistStoreSets(TableBankPredictor):
         lfst_entries: int = 1024,
     ):
         self.history_lengths = tuple(history_lengths)
-        self.tag_bits = tag_bits
         self.bank = TableBank(
             history_lengths=self.history_lengths,
             table_entries=(entries_per_table,) * len(self.history_lengths),
@@ -170,11 +170,11 @@ class IDistStoreSets(TableBankPredictor):
     # --------------------------------------------------------------------- misc
 
     @property
-    def storage_bits(self) -> int:
-        entry_bits = (self.tag_bits + self.DISTANCE_BITS
-                      + self.CONFIDENCE_BITS + 1)
-        idist = entry_bits * sum(t.num_entries for t in self.bank.tables)
-        return idist + self.store_sets.storage_bits
+    def storage(self) -> Tuple[PredictorSizing, ...]:
+        return (self.bank.sizing("idist", distance=self.DISTANCE_BITS,
+                                 counter=self.CONFIDENCE_BITS,
+                                 bypassable=1),
+                *self.store_sets.storage)
 
     @property
     def supports_smb(self) -> bool:

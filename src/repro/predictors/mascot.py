@@ -29,11 +29,12 @@ evicted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from ..trace.columns import BYPASS_BY_CODE
 from ..trace.uop import OFFSET_BYPASSABLE, SAME_ADDRESS_BYPASSABLE, BypassClass
-from .base import KIND_MDP, KIND_NO_DEP, KIND_SMB, Lookup, Truth
+from .base import (KIND_MDP, KIND_NO_DEP, KIND_SMB, Lookup,
+                   PredictorSizing, Truth)
 from .configs import MASCOT_DEFAULT, MascotConfig
 from .tables import BankKeys, TableBank, TableBankPredictor
 
@@ -291,8 +292,12 @@ class Mascot(TableBankPredictor):
     # -------------------------------------------------------------------- misc
 
     @property
-    def storage_bits(self) -> int:
-        return self.config.storage_bits
+    def storage(self) -> Tuple[PredictorSizing, ...]:
+        config = self.config
+        return (self.bank.sizing(self.name,
+                                 counter=config.usefulness_bits,
+                                 distance=config.distance_bits,
+                                 bypass=config.bypass_bits),)
 
     @property
     def supports_smb(self) -> bool:

@@ -36,7 +36,8 @@ from ..common.foldplan import (
 from ..common.history import GlobalHistory
 from ..trace.columns import BYPASS_BY_CODE
 from ..trace.uop import OFFSET_BYPASSABLE
-from .base import KIND_MDP, KIND_NO_DEP, KIND_SMB, Lookup, MDPredictor, Truth
+from .base import (KIND_MDP, KIND_NO_DEP, KIND_SMB, Lookup, MDPredictor,
+                   PredictorSizing, Truth)
 
 __all__ = ["NoSQ", "NoSQEntry"]
 
@@ -273,10 +274,16 @@ class NoSQ(MDPredictor):
     # ---------------------------------------------------------------------- misc
 
     @property
-    def storage_bits(self) -> int:
-        entry_bits = (self.TAG_BITS + self.CONFIDENCE_BITS
-                      + self.DISTANCE_BITS + self.LRU_BITS)
-        return 2 * self.entries_per_table * entry_bits
+    def storage(self) -> Tuple[PredictorSizing, ...]:
+        return (PredictorSizing(
+            name=self.name,
+            tables=f"{len(self._tables)} ({self.ways} way)",
+            total_entries=len(self._tables) * self.entries_per_table,
+            fields_per_entry={"tag": self.TAG_BITS,
+                              "counter": self.CONFIDENCE_BITS,
+                              "distance": self.DISTANCE_BITS,
+                              "lru": self.LRU_BITS},
+        ),)
 
     @property
     def supports_smb(self) -> bool:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from .base import KIND_MDP, KIND_NO_DEP, Lookup, Truth
+from .base import KIND_MDP, KIND_NO_DEP, Lookup, PredictorSizing, Truth
 from .tables import BankKeys, TableBank, TableBankPredictor
 
 __all__ = ["Phast", "PhastEntry", "PHAST_HISTORY_LENGTHS"]
@@ -65,7 +65,6 @@ class Phast(TableBankPredictor):
             tag_bits=(tag_bits,) * len(self.history_lengths),
             ways=ways,
         )
-        self.tag_bits = tag_bits
         self.ways = ways
         self._useful_max = (1 << self.USEFULNESS_BITS) - 1
         self._lru_max = (1 << self.LRU_BITS) - 1
@@ -188,13 +187,10 @@ class Phast(TableBankPredictor):
     # --------------------------------------------------------------------- misc
 
     @property
-    def storage_bits(self) -> int:
-        entry_bits = (
-            self.tag_bits + self.USEFULNESS_BITS + self.DISTANCE_BITS
-            + self.LRU_BITS
-        )
-        total_entries = sum(t.num_entries for t in self.bank.tables)
-        return entry_bits * total_entries
+    def storage(self) -> Tuple[PredictorSizing, ...]:
+        return (self.bank.sizing(self.name, counter=self.USEFULNESS_BITS,
+                                 distance=self.DISTANCE_BITS,
+                                 lru=self.LRU_BITS),)
 
     def reset(self) -> None:
         self.bank.clear()

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, is_dataclass
 from types import MappingProxyType
-from typing import Dict, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
-from .base import MDPredictor
+from .base import MDPredictor, PredictorSizing
 from .configs import (MASCOT_DEFAULT, MASCOT_OPT, TAGE_NO_ND_CONFIG,
                       mascot_opt_reduced_tags)
 from .idist import IDistStoreSets
@@ -22,7 +22,8 @@ from .phast import Phast
 from .store_sets import StoreSets
 from .tage_mdp import TageMdp
 
-__all__ = ["PredictorSpec", "PREDICTORS", "make_predictor", "predictor_spec"]
+__all__ = ["PredictorSpec", "PREDICTORS", "make_predictor", "predictor_spec",
+           "table2_rows"]
 
 
 def _encode(value: object) -> object:
@@ -115,3 +116,16 @@ def predictor_spec(predictor: Union[str, PredictorSpec]) -> PredictorSpec:
 def make_predictor(name: str) -> MDPredictor:
     """Build a fresh predictor by canonical name."""
     return predictor_spec(name).build()
+
+
+def table2_rows() -> List[PredictorSizing]:
+    """Table II's rows plus Fig. 15's MASCOT-OPT variants, each read from
+    the predictor's own :attr:`~repro.predictors.base.MDPredictor.storage`.
+
+    The paper reports Store Sets 18.5 KB (8K-entry SSIT + 4K-entry LFST),
+    NoSQ 19 KB, PHAST 14.5 KB, MASCOT 14 KB, MASCOT-OPT 11.75 KiB and its
+    tags-4 variant 10.1 KiB (1 KB = 1024 B).
+    """
+    names = ("store-sets", "nosq", "phast", "mascot", "mascot-opt",
+             "mascot-opt-tag4")
+    return [row for name in names for row in PREDICTORS[name].build().storage]

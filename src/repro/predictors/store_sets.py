@@ -20,10 +20,11 @@ branch history.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..common.hashing import mix64
-from .base import KIND_MDP, KIND_NO_DEP, Lookup, MDPredictor, Truth
+from .base import (KIND_MDP, KIND_NO_DEP, Lookup, MDPredictor,
+                   PredictorSizing, Truth)
 
 __all__ = ["StoreSets"]
 
@@ -32,6 +33,9 @@ class StoreSets(MDPredictor):
     """Store Sets with the Table II configuration."""
 
     name = "store-sets"
+
+    #: LFST store-ID width: names an in-flight store (Table II).
+    STORE_ID_BITS = 10
 
     def __init__(
         self,
@@ -50,13 +54,13 @@ class StoreSets(MDPredictor):
         result) simply cannot arise at our static-code scale.  Dividing the
         *effective* index space by ``footprint_scale`` reproduces the same
         collision rate per static memory op; the hardware budget reported
-        by :attr:`storage_bits` is unchanged (Table II).  The default of
+        by :attr:`storage` is unchanged (Table II).  The default of
         192 is calibrated so the suite-level Store Sets IPC deficit matches
         the paper's Fig. 9 (~6 % behind MDP-only MASCOT); set it to 1 to
         model the SSIT literally.
         """
-        if ssit_entries <= 0 or lfst_entries <= 0:
-            raise ValueError("table sizes must be positive")
+        if any(n <= 0 or n & (n - 1) for n in (ssit_entries, lfst_entries)):
+            raise ValueError("SSIT and LFST sizes must be powers of two")
         if footprint_scale <= 0:
             raise ValueError("footprint_scale must be positive")
         self.ssit_entries = ssit_entries
@@ -202,11 +206,20 @@ class StoreSets(MDPredictor):
     # --------------------------------------------------------------------- misc
 
     @property
-    def storage_bits(self) -> int:
-        # Table II: SSIT = valid + 12-bit SSID; LFST = valid + 10-bit store ID.
-        ssit_bits = self.ssit_entries * (1 + self.ssid_bits)
-        lfst_bits = self.lfst_entries * (1 + 10)
-        return ssit_bits + lfst_bits
+    def storage(self) -> Tuple[PredictorSizing, ...]:
+        return (
+            PredictorSizing(
+                name=f"{self.name}/SSIT", tables="SSIT (direct mapped)",
+                total_entries=self.ssit_entries,
+                fields_per_entry={"valid": 1, "ssid": self.ssid_bits},
+            ),
+            PredictorSizing(
+                name=f"{self.name}/LFST", tables="LFST (direct mapped)",
+                total_entries=self.lfst_entries,
+                fields_per_entry={"valid": 1,
+                                  "store_id": self.STORE_ID_BITS},
+            ),
+        )
 
     def reset(self) -> None:
         self._ssit = [None] * self.ssit_entries

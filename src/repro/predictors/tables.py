@@ -42,7 +42,7 @@ from ..common.hashing import (
     table_tag_array,
 )
 from ..common.history import GlobalHistory, PathHistory
-from .base import MDPredictor
+from .base import MDPredictor, PredictorSizing
 
 __all__ = ["TableKey", "TaggedTable", "TableBank", "TableBankPredictor",
            "BankKeys"]
@@ -353,6 +353,24 @@ class TableBank:
             table.clear()
         self.ghist.reset()
         self.path.reset()
+
+    def sizing(self, name: str, **fields: int) -> PredictorSizing:
+        """The bank as one storage row: a ``tag`` field plus ``fields``.
+
+        Per-table tag widths show as their entry-weighted mean;
+        ``extra_bits`` keeps the total exact.
+        """
+        entries = sum(table.num_entries for table in self.tables)
+        tag_bits = sum(table.num_entries * table.tag_bits
+                       for table in self.tables)
+        tag = round(tag_bits / entries)
+        return PredictorSizing(
+            name=name,
+            tables=f"{self.num_tables} ({self.tables[0].ways} way)",
+            total_entries=entries,
+            fields_per_entry={"tag": tag, **fields},
+            extra_bits=tag_bits - entries * tag,
+        )
 
 
 class TableBankPredictor(MDPredictor):

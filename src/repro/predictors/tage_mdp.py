@@ -22,9 +22,9 @@ an additional historical baseline.  Differences from MASCOT:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
-from .base import KIND_MDP, KIND_NO_DEP, Lookup, Truth
+from .base import KIND_MDP, KIND_NO_DEP, Lookup, PredictorSizing, Truth
 from .tables import BankKeys, TableBank, TableBankPredictor
 
 __all__ = ["TageMdp", "TageMdpEntry"]
@@ -54,7 +54,6 @@ class TageMdp(TableBankPredictor):
         ways: int = 4,
     ):
         self.history_lengths = tuple(history_lengths)
-        self.tag_bits = tag_bits
         self.bank = TableBank(
             history_lengths=self.history_lengths,
             table_entries=(entries_per_table,) * len(self.history_lengths),
@@ -118,10 +117,9 @@ class TageMdp(TableBankPredictor):
     # --------------------------------------------------------------------- misc
 
     @property
-    def storage_bits(self) -> int:
-        entry_bits = self.tag_bits + self.DISTANCE_BITS + 1
-        total = sum(t.num_entries for t in self.bank.tables)
-        return entry_bits * total
+    def storage(self) -> Tuple[PredictorSizing, ...]:
+        return (self.bank.sizing(self.name, distance=self.DISTANCE_BITS,
+                                 useful=1),)
 
     def reset(self) -> None:
         self.bank.clear()

@@ -129,6 +129,6 @@ class TestSensitivityStudy:
                 speculative_errors=sum(r.accuracy.speculative_errors
                                        for r in runs),
                 loads=sum(r.accuracy.loads for r in runs),
-                storage_kib=point.config.storage_kib,
+                storage_kib=Mascot(point.config).storage_kib,
             )
             assert point == expected

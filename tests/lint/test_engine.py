@@ -18,8 +18,14 @@ class TestRuleRegistry:
     def test_all_families_plus_parse_error_registered(self):
         assert "parse-error" in ALL_RULES
         assert "oracle-leak" in ALL_RULES
-        for prefix in ("det-", "hw-", "eq-", "conc-"):
+        for prefix in ("det-", "eq-", "conc-"):
             assert any(rule.startswith(prefix) for rule in ALL_RULES), prefix
+
+    def test_hardware_family_retired(self):
+        # Buildable-hardware rules hold on live objects, in the predictor
+        # constructors and tests/predictors/test_storage.py.
+        assert not any(rule.startswith("hw-") for rule in ALL_RULES)
+        assert "hw" not in ALL_FAMILIES
 
     def test_family_registry_matches_rules(self):
         assert set(ALL_FAMILIES) == {rule_family(r) for r in ALL_RULES}

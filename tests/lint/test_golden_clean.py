@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 import repro
 from repro.lint import lint_paths
 from repro.lint.cli import main
@@ -79,8 +81,17 @@ class TestCliExitCodes:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule in ("oracle-leak", "det-unseeded-rng", "hw-pow2-table"):
+        for rule in ("oracle-leak", "det-unseeded-rng", "eq-config-read",
+                     "conc-socket"):
             assert rule in out
+        assert "hw-" not in out
+
+    @pytest.mark.parametrize("flag", ["--select", "--ignore"])
+    def test_retired_hw_family_is_a_usage_error(self, tmp_path, capsys,
+                                                flag):
+        (tmp_path / "mod.py").write_text("x = 1\n", encoding="utf-8")
+        assert main([str(tmp_path), flag, "hw"]) == 2
+        assert "unknown rule family 'hw'" in capsys.readouterr().err
 
     def test_update_baseline_then_clean(self, tmp_path, capsys, monkeypatch):
         (tmp_path / "mod.py").write_text(

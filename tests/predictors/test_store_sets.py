@@ -121,6 +121,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             StoreSets(lfst_entries=-1)
 
+    @pytest.mark.parametrize("sizes", [{"ssit_entries": 8000},
+                                       {"ssit_entries": 100},
+                                       {"lfst_entries": 1000}])
+    def test_power_of_two_sizes(self, sizes):
+        """The declared tables must be indexable by a bit-slice; the
+        calibrated ``footprint_scale`` index space is not checked."""
+        with pytest.raises(ValueError, match="powers of two"):
+            StoreSets(**sizes)
+        StoreSets(footprint_scale=3)
+
 
 class TestEndToEnd:
     def test_runs_on_trace(self, perlbench_trace):
