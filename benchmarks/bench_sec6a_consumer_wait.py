@@ -8,7 +8,7 @@ load values arriving early.
 """
 
 from repro.experiments import (default_cache, make_predictor, render_table,
-                               run_timing)
+                               run_timing, trace_key)
 
 from conftest import bench_uops, run_once
 
@@ -18,7 +18,7 @@ def test_consumer_wait_reduction(benchmark):
         cache = default_cache()
         rows = {}
         for bench in ("perlbench2", "lbm"):
-            trace = cache.get(bench, bench_uops())
+            trace = cache.get(trace_key(bench, bench_uops()))
             no_smb = run_timing(trace, make_predictor("mascot-mdp"))
             smb = run_timing(trace, make_predictor("mascot"))
             rows[bench] = (no_smb.mean_consumer_wait, smb.mean_consumer_wait)

@@ -19,6 +19,7 @@ from repro.experiments import (
     fig14_f1_ranking,
     render_table,
     run_prediction_only,
+    trace_key,
 )
 
 BENCHMARKS = ["perlbench1", "gcc1", "lbm", "mcf"]
@@ -58,7 +59,7 @@ def main() -> None:
     for label, config in configs:
         total = 0
         for benchmark in BENCHMARKS:
-            trace = cache.get(benchmark, num_uops)
+            trace = cache.get(trace_key(benchmark, num_uops))
             run = run_prediction_only(trace, Mascot(config))
             total += run.accuracy.mispredictions
         rows.append([label, f"{Mascot(config).storage_kib:.2f}", total])

@@ -220,9 +220,3 @@ class ITTAGE:
         if self.lookups == 0:
             return 0.0
         return self.mispredictions / self.lookups
-
-    @property
-    def storage_bits(self) -> int:
-        entry_bits = self.tag_bits + 32 + 2 + 2  # 32-bit folded target field
-        tagged = sum(len(t) for t in self._tables) * entry_bits
-        return tagged + 32 * len(self._base)

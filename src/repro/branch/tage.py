@@ -250,13 +250,3 @@ class TAGEBranchPredictor(BranchPredictor):
             self._ittage.finish()
         if rows is not None:
             check_consumed(type(self).__name__, rows, primed)
-
-    @property
-    def storage_bits(self) -> int:
-        """Approximate table storage in bits."""
-        entry_bits = self.tag_bits + 3 + 2 + 1
-        tagged = sum(len(t) for t in self._tables) * entry_bits
-        total = tagged + 2 * len(self._base)
-        if self._ittage is not None:
-            total += self._ittage.storage_bits
-        return total

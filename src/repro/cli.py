@@ -19,8 +19,9 @@ can be reproduced without writing Python:
 * ``lint``      — static simulator-correctness checks (oracle isolation,
   determinism/cache safety, engine equivalence, worker safety; see
   :mod:`repro.lint`).
-* ``doctor``    — environment health checks (cache writability, worker
-  spawn, lint baseline; see :mod:`repro.doctor`).
+* ``doctor``    — environment health checks (cache writability, orphaned
+  temp files, worker spawn, simulator smoke test; see
+  :mod:`repro.doctor`).
 * ``bench-baseline`` — measure scalar vs batched engine throughput and
   write (or, with ``--check``, compare against) the committed
   ``benchmarks/BENCH_throughput.json`` (see docs/performance.md).
@@ -280,8 +281,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("validate", help="validate a serialised trace")
     check.add_argument("trace_file")
-    check.add_argument("--store-window", type=int, default=114)
-    check.add_argument("--instr-window", type=int, default=512)
+    check.add_argument("--core", choices=sorted(_CORES),
+                       default="golden-cove",
+                       help="core whose store buffer and ROB bound the "
+                            "dependences (default: %(default)s)")
 
     profile = sub.add_parser(
         "profile",
@@ -385,7 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
     doctor = sub.add_parser(
         "doctor",
         help="check the environment (cache writability, worker spawn, "
-             "lint baseline)",
+             "simulator smoke test)",
     )
     doctor.add_argument("--cache-dir", type=_cache_directory, default=None,
                         metavar="DIR")
@@ -394,12 +397,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
-    # One timing cell, cut for its own core exactly as the suite cuts it.
-    config = _CORES[args.core]
+    # One timing cell; its trace is cut for --core, as every cell's is.
     stats = Execution().run([CellSpec(
         mode="timing", benchmark=args.benchmark, num_uops=args.uops,
-        predictor=args.predictor, config=config,
-        store_window=config.sb_size, instr_window=config.rob_size,
+        predictor=args.predictor, config=_CORES[args.core],
         sampling=_sampling_arg(args))])[0]
     rows = sorted(stats.as_dict().items())
     print(render_table(["metric", "value"], rows,
@@ -596,10 +597,8 @@ def _cmd_validate(args) -> int:
     except TraceFormatError as error:
         print(f"{args.trace_file}: ERROR {error}")
         return 1
-    report = validate_trace(
-        trace, store_window=args.store_window,
-        instr_window=args.instr_window, strict=False,
-    )
+    core = _CORES[args.core]
+    report = validate_trace(trace, core.sb_size, core.rob_size, strict=False)
     print(f"{args.trace_file}: {report.uops:,} micro-ops, "
           f"{report.loads:,} loads ({report.dependent_loads:,} dependent), "
           f"{report.stores:,} stores")

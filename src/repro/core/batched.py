@@ -421,7 +421,6 @@ class BatchedPipeline(PredictorReplay):
         br_lat = cfg.branch_latency
         agu_lat = cfg.agu_latency
         sb_drain = cfg.sb_drain_latency
-        enforce_drain = cfg.enforce_sb_drain
         fwd_lat = cfg.forward_latency
         squash_ovh = cfg.squash_overhead
 
@@ -632,7 +631,7 @@ class BatchedPipeline(PredictorReplay):
                         if fr > t:
                             t = fr
                         complete = t + fwd_lat
-                    elif enforce_drain and issue > st_drain[dep]:
+                    elif issue > st_drain[dep]:
                         complete = timed_load(
                             pc_l[seq], addr_l[seq], issue + agu_lat - 1
                         )

@@ -20,7 +20,13 @@ __all__ = ["CoreConfig", "GOLDEN_COVE", "LION_COVE"]
 
 @dataclass(frozen=True)
 class CoreConfig:
-    """All parameters of the trace-driven out-of-order timing model."""
+    """All parameters of the trace-driven out-of-order timing model.
+
+    A cell's core is also the core its trace is cut for: ``sb_size`` and
+    ``rob_size`` bound the trace's ground-truth dependences
+    (:func:`repro.experiments.runner.trace_key`); timing cells also
+    simulate it.
+    """
 
     name: str
 
@@ -52,12 +58,9 @@ class CoreConfig:
     agu_latency: int = 1
 
     #: Store-buffer drain: cycles after commit before an SB entry frees.
+    #: A load issuing after its conflicting store drained reads the cache;
+    #: there is nothing left to forward from.
     sb_drain_latency: int = 4
-    #: Enforce the SB-lifetime forwarding cutoff: a load issuing after the
-    #: conflicting store drained must read the cache instead of forwarding.
-    #: On by default; the pre-fix behaviour (forwarding from drained
-    #: stores) is kept reachable for A/B comparison of the figures.
-    enforce_sb_drain: bool = True
     #: Store-to-load forwarding latency — Sec. V: the SB "is searched
     #: associatively and in parallel with the L1D access, incurring the same
     #: latency as the L1D".

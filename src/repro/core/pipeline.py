@@ -496,7 +496,7 @@ class Pipeline:
                         actual_store.forward_ready)
                     + cfg.forward_latency
                 )
-            elif cfg.enforce_sb_drain and issue > actual_store.drain:
+            elif issue > actual_store.drain:
                 # The store left the SB before the load issued: nothing to
                 # forward from, so the value comes from the cache (the
                 # store's write has drained into it by then).

@@ -15,7 +15,6 @@ Checks:
 * no orphaned ``.tmp*`` files have accumulated in the cache directory
   (a crashed writer leaves at most a few; doctor sweeps ones older than
   an hour and reports what it removed),
-* the lint baseline, when present, parses,
 * the trace generator produces a benchmark trace (simulator smoke test).
 """
 
@@ -78,23 +77,6 @@ def _check_worker_spawn() -> Tuple[bool, str]:
     return True, "worker spawn ok"
 
 
-def _check_lint_baseline() -> Tuple[bool, str]:
-    from pathlib import Path
-
-    from .lint.baseline import load_baseline
-    from .lint.cli import DEFAULT_BASELINE
-
-    path = Path(DEFAULT_BASELINE)
-    if not path.exists():
-        return True, f"lint baseline absent ({path}): nothing to check"
-    try:
-        baseline = load_baseline(path)
-    except Exception as error:  # noqa: BLE001 — report any parse failure
-        return False, (f"lint baseline {path} unreadable: {error} — "
-                       "regenerate with 'repro lint --update-baseline'")
-    return True, f"lint baseline ok: {sum(baseline.values())} entries"
-
-
 def _check_simulator() -> Tuple[bool, str]:
     from .trace import generate_trace
 
@@ -112,7 +94,6 @@ def run_doctor(cache_dir: Optional[str] = None) -> int:
         ("cache", lambda: _check_cache_dir(cache_dir)),
         ("cache-tmp", lambda: _check_orphan_tmp(cache_dir)),
         ("workers", _check_worker_spawn),
-        ("lint", _check_lint_baseline),
         ("simulator", _check_simulator),
     ]
     failures = 0

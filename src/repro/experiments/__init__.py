@@ -37,6 +37,7 @@ from .runner import (
     default_cache,
     run_prediction_only,
     run_timing,
+    trace_key,
 )
 from .sweeps import CoreSweepPoint, CoreSweepResult, sweep_core_parameter
 from .suite import (
@@ -81,6 +82,7 @@ __all__ = [
     "default_cache",
     "run_prediction_only",
     "run_timing",
+    "trace_key",
     "CoreSweepPoint",
     "CoreSweepResult",
     "sweep_core_parameter",

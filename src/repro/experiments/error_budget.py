@@ -63,16 +63,15 @@ def run_error_budget(
 ) -> Dict[str, object]:
     """Run the grid sampled and full; returns the budget report."""
     from ..trace.generator import generate_trace
-    from .runner import run_timing
+    from .runner import run_timing, trace_key
     from .suite import make_predictor
 
     if policy is None:
         policy = SamplingPolicy(interval_length=10_000)
     rows: List[Dict[str, object]] = []
     for benchmark in benchmarks:
-        trace = generate_trace(benchmark, num_uops,
-                               store_window=config.sb_size,
-                               instr_window=config.rob_size)
+        trace = generate_trace(*trace_key(benchmark, num_uops,
+                                          config=config))
         full = run_timing(trace, make_predictor(predictor), config=config)
         sampled = run_sampled_timing(
             trace, lambda: make_predictor(predictor), policy,

@@ -29,7 +29,7 @@ from ..trace.uop import BypassClass, OpClass
 from .parallel import CellSpec, Execution
 from .reporting import format_percent, render_table
 from .resilience import CellFailure
-from .runner import DEFAULT_TRACE_LENGTH, default_cache
+from .runner import DEFAULT_TRACE_LENGTH, default_cache, trace_key
 from .suite import IpcSuiteResult, run_accuracy_suite, run_ipc_suite
 
 __all__ = [
@@ -133,7 +133,7 @@ def fig2_smb_opportunities(
     cache = default_cache()
     percentages: Dict[str, Dict[str, float]] = {}
     for bench in benchmarks:
-        cols = cache.get(bench, num_uops).columns
+        cols = cache.get(trace_key(bench, num_uops)).columns
         bypass = cols.bypass[cols.op == OP_CODES[OpClass.LOAD]]
         counts = np.bincount(bypass, minlength=len(BYPASS_CODES))
         histogram = Histogram(_SMB_BUCKETS)

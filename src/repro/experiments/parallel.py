@@ -55,7 +55,7 @@ from pathlib import Path
 from typing import (Callable, Dict, List, Optional, Sequence, Set, Tuple,
                     Union)
 
-from ..core.config import CoreConfig
+from ..core.config import GOLDEN_COVE, CoreConfig
 from ..obs.metrics import MetricsWriter
 from ..predictors.registry import PredictorSpec, predictor_spec
 from ..sampling.policy import SamplingPolicy
@@ -108,12 +108,13 @@ class CellSpec:
     num_uops: int
     #: A registered name or a spec; stored as the spec.
     predictor: Union[str, PredictorSpec]
-    #: Core to simulate; required for timing cells, unused for accuracy.
+    #: The core the trace is cut for (its store buffer and ROB bound the
+    #: ground-truth dependences); timing cells also simulate it.
+    #: Required for timing cells; an accuracy cell without one is cut
+    #: for Golden Cove.
     config: Optional[CoreConfig] = None
     program_seed: int = 0
     trace_seed: int = 1
-    store_window: int = 114
-    instr_window: int = 512
     #: Accuracy mode only: micro-ops that train but are not measured.
     warmup: int = 0
     #: Accuracy mode only: F1-recording period in loads (Fig. 14).
@@ -168,10 +169,20 @@ class CellSpec:
     @property
     def trace_key(self) -> Tuple:
         """The :class:`~repro.experiments.runner.TraceCache` key of the
-        trace this cell replays."""
+        trace this cell replays, cut for ``config`` (Golden Cove if None)."""
+        core = GOLDEN_COVE if self.config is None else self.config
         return trace_key(self.benchmark, self.num_uops, self.program_seed,
-                         self.trace_seed, self.store_window,
-                         self.instr_window)
+                         self.trace_seed, core)
+
+    # Read-only views of the trace key's windows, kept for
+    # ``bench/workload.py``, which reads them to count distinct traces.
+    @property
+    def store_window(self) -> int:
+        return self.trace_key[4]
+
+    @property
+    def instr_window(self) -> int:
+        return self.trace_key[5]
 
 
 def compute_cell(spec: CellSpec):
@@ -184,7 +195,7 @@ def compute_cell(spec: CellSpec):
     """
     maybe_inject_fault(spec)
     cache = default_cache()
-    trace = cache.get(*spec.trace_key)
+    trace = cache.get(spec.trace_key)
     if spec.sampling is not None:
         # Looked up at call time, so a wrapped runner sees every cell.
         from ..sampling import reconstruct

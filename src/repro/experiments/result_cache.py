@@ -321,9 +321,10 @@ class ResultCache:
 def cell_key(spec) -> str:
     """Content-address of one :class:`~repro.experiments.parallel.CellSpec`.
 
-    Any single-field change — trace seed, window, warmup, predictor
-    keyword, core config, any package source file — yields a different
-    key.
+    Any single-field change — trace seed, warmup, predictor keyword,
+    core config, any package source file — yields a different key.  The
+    trace's windows are not keyed apart: they derive from the keyed core,
+    or, with none, are constants of the keyed source.
     """
     core = spec.config
     return stable_digest({
@@ -334,8 +335,6 @@ def cell_key(spec) -> str:
             "num_uops": spec.num_uops,
             "program_seed": spec.program_seed,
             "trace_seed": spec.trace_seed,
-            "store_window": spec.store_window,
-            "instr_window": spec.instr_window,
         },
         "run": {
             "warmup": spec.warmup,

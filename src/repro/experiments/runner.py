@@ -13,7 +13,9 @@ Two evaluation modes (DESIGN.md §5):
   IPC (figures 7, 9, 11, 12, 15).
 
 Traces are cached per (benchmark, length, seeds, windows) so a suite sweep
-over many predictors generates each trace once.
+over many predictors generates each trace once.  The windows are a core's
+store buffer and ROB (:func:`trace_key`): a trace is cut for the core it
+runs on.
 """
 
 from __future__ import annotations
@@ -53,12 +55,12 @@ def trace_key(
     num_uops: int,
     program_seed: int = 0,
     trace_seed: int = 1,
-    store_window: int = 114,
-    instr_window: int = 512,
+    config: CoreConfig = GOLDEN_COVE,
 ) -> Tuple:
-    """Identity of one trace: :func:`generate_trace`'s arguments, in order."""
-    return (benchmark, num_uops, program_seed, trace_seed, store_window,
-            instr_window)
+    """Identity of one trace cut for ``config``'s store buffer and ROB:
+    :func:`generate_trace`'s arguments, in order."""
+    return (benchmark, num_uops, program_seed, trace_seed, config.sb_size,
+            config.rob_size)
 
 
 class TraceCache:
@@ -73,17 +75,8 @@ class TraceCache:
         self._traces: Dict[Tuple, Trace] = {}
         self._selections: Dict[Tuple, object] = {}
 
-    def get(
-        self,
-        benchmark: str,
-        num_uops: int,
-        program_seed: int = 0,
-        trace_seed: int = 1,
-        store_window: int = 114,
-        instr_window: int = 512,
-    ) -> Trace:
-        key = trace_key(benchmark, num_uops, program_seed, trace_seed,
-                        store_window, instr_window)
+    def get(self, key: Tuple) -> Trace:
+        """The trace of a :func:`trace_key`, generated once per cache."""
         if key not in self._traces:
             self._traces[key] = generate_trace(*key)
         return self._traces[key]
@@ -97,7 +90,7 @@ class TraceCache:
             # ``reconstruct.select_regions`` sees every selection.
             from ..sampling.reconstruct import select_regions
 
-            selection = select_regions(self.get(*key), policy)
+            selection = select_regions(self.get(key), policy)
             self._selections[(key, policy)] = selection
         return selection
 

@@ -128,9 +128,7 @@ def run_ipc_suite(
 
     cells = [
         CellSpec(mode="timing", benchmark=bench, num_uops=num_uops,
-                 predictor=spec, config=config,
-                 store_window=config.sb_size, instr_window=config.rob_size,
-                 sampling=sampling)
+                 predictor=spec, config=config, sampling=sampling)
         for bench in benchmarks for spec in specs
     ]
 

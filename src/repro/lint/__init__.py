@@ -23,7 +23,7 @@ enforces both families, plus the interprocedural engine-equivalence and
 worker-safety families (``eq-*``, ``conc-*``).  Run it as ``repro lint`` or
 ``python -m repro.lint``; see :mod:`repro.lint.engine` for the library
 entry point and ``docs/lint.md`` for the rule catalogue and the
-suppression/baseline workflow.
+suppression workflow.
 """
 
 from __future__ import annotations

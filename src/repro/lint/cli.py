@@ -1,11 +1,11 @@
 """Command-line front end: ``repro lint`` / ``python -m repro.lint``.
 
-Exit status: **0** when no active findings remain (suppressed and
-baselined findings do not count), **1** when active findings exist, **2**
-on usage errors — a path that does not exist, or an unknown rule family
-passed to ``--select`` / ``--ignore``.  The default target is the
-installed ``repro`` package, so ``python -m repro.lint`` works from any
-directory; CI pins the tree explicitly with ``repro lint src/repro``.
+Exit status: **0** when no active findings remain (suppressed findings
+do not count), **1** when active findings exist, **2** on usage errors —
+a path that does not exist, or an unknown rule family passed to
+``--select`` / ``--ignore``.  The default target is the installed
+``repro`` package, so ``python -m repro.lint`` works from any directory;
+CI pins the tree explicitly with ``repro lint src/repro``.
 
 ``--select`` / ``--ignore`` take comma-separated rule *families* (the
 prefix before the first dash: ``oracle``, ``det``, ``eq``, ``conc``), letting CI run the cheap per-file rules and the
@@ -23,33 +23,16 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
-from .baseline import write_baseline
 from .engine import ALL_RULES, lint_paths, rule_family
-from .report import render_json, render_text
+from .report import render_text
 
 __all__ = ["add_arguments", "run", "main"]
-
-#: Baseline picked up automatically when present in the working directory.
-DEFAULT_BASELINE = "lint-baseline.json"
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "paths", nargs="*", metavar="PATH",
         help="files or directories to lint (default: the repro package)",
-    )
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--baseline", metavar="FILE", default=None,
-        help=f"baseline file of accepted findings (default: "
-             f"./{DEFAULT_BASELINE} when it exists)",
-    )
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline from the current findings and exit 0",
     )
     parser.add_argument(
         "--show-suppressed", action="store_true",
@@ -106,7 +89,6 @@ def _emit_metrics(path: str, args: argparse.Namespace, result,
             "rules_run": rules_run,
             "active": len(result.active),
             "suppressed": sum(1 for f in result.findings if f.suppressed),
-            "baselined": sum(1 for f in result.findings if f.baselined),
             "findings_by_family": result.family_counts(),
             "wall_seconds": round(wall_seconds, 3),
         })
@@ -120,14 +102,9 @@ def run(args: argparse.Namespace) -> int:
         return 0
 
     paths = args.paths or _default_paths()
-    baseline = args.baseline
-    if baseline is None and Path(DEFAULT_BASELINE).exists():
-        baseline = DEFAULT_BASELINE
-
     start = time.perf_counter()
     try:
-        result = lint_paths(paths, baseline=baseline,
-                            select=_split_families(args.select),
+        result = lint_paths(paths, select=_split_families(args.select),
                             ignore=_split_families(args.ignore))
     except (FileNotFoundError, ValueError) as error:
         print(f"repro-lint: error: {error}", file=sys.stderr)
@@ -137,18 +114,8 @@ def run(args: argparse.Namespace) -> int:
     if args.metrics:
         _emit_metrics(args.metrics, args, result, wall_seconds)
 
-    if args.update_baseline:
-        target = args.baseline or DEFAULT_BASELINE
-        write_baseline(result.findings, target)
-        accepted = sum(1 for f in result.findings if not f.suppressed)
-        print(f"repro-lint: wrote {accepted} accepted findings to {target}")
-        return 0
-
-    if args.format == "json":
-        sys.stdout.write(render_json(result.findings, result.files))
-    else:
-        sys.stdout.write(render_text(result.findings, result.files,
-                                     show_suppressed=args.show_suppressed))
+    sys.stdout.write(render_text(result.findings, result.files,
+                                 show_suppressed=args.show_suppressed))
     return result.exit_code
 
 

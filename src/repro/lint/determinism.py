@@ -34,8 +34,8 @@ entropy sources:
 * ``det-write``         — file writes (``open`` in a ``w``/``a``/``x``/``+``
   mode, ``Path.write_text``/``write_bytes``, ``Path.open("w")``) outside
   the sanctioned output surface (:data:`SANCTIONED_WRITE_MODULES`: trace
-  serialisation, metrics/telemetry emission, the cache, perf-baseline
-  and lint-baseline writers).  A stray write from simulation code can
+  serialisation, metrics/telemetry emission, the cache and the
+  throughput-record writer).  A stray write from simulation code can
   race across workers and silently change what a cached cell means.
 """
 
@@ -92,9 +92,8 @@ MONOTONIC_CLOCK_MODULES = frozenset({
 SANCTIONED_WRITE_MODULES = frozenset({
     "repro.trace.stream",
     "repro.obs.metrics",
-    "repro.lint.baseline",
     "repro.experiments.result_cache",
-    # The perf-baseline writer: BENCH_throughput.json is a committed
+    # The throughput-record writer: BENCH_throughput.json is a committed
     # artifact, produced on explicit request, never from a suite cell.
     "repro.experiments.bench_baseline",
 })

@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
 from . import concurrency, determinism, equivalence, oracle
-from .baseline import apply_baseline, load_baseline
 from .findings import Finding
 from .index import PackageIndex
 from .source import SourceModule, load_module
@@ -107,7 +106,6 @@ def collect_files(paths: Sequence[Union[str, Path]]) -> List[Path]:
 
 def lint_paths(
     paths: Sequence[Union[str, Path]],
-    baseline: Optional[Union[str, Path]] = None,
     select: Optional[Sequence[str]] = None,
     ignore: Optional[Sequence[str]] = None,
 ) -> LintResult:
@@ -158,8 +156,4 @@ def lint_paths(
             finding.justification = mod.justification_for(finding.line)
 
     findings.sort(key=Finding.sort_key)
-
-    if baseline is not None:
-        apply_baseline(findings, load_baseline(baseline))
-
     return LintResult(findings=findings, files=len(files))

@@ -1,21 +1,12 @@
-"""Text and JSON reporters for lint results."""
+"""Text reporter for lint results."""
 
 from __future__ import annotations
 
-import json
-from typing import Dict, List
+from typing import List
 
 from .findings import Finding
 
-__all__ = ["render_text", "render_json"]
-
-
-def _family_counts(findings: List[Finding]) -> Dict[str, int]:
-    counts: Dict[str, int] = {}
-    for finding in findings:
-        if finding.active:
-            counts[finding.family] = counts.get(finding.family, 0) + 1
-    return counts
+__all__ = ["render_text"]
 
 
 def _status_suffix(finding: Finding) -> str:
@@ -24,22 +15,18 @@ def _status_suffix(finding: Finding) -> str:
         if finding.justification:
             note += f": {finding.justification}"
         return note + "]"
-    if finding.baselined:
-        return " [baselined]"
     return ""
 
 
 def render_text(findings: List[Finding], files: int,
                 show_suppressed: bool = False) -> str:
     lines = []
-    active = suppressed = baselined = 0
+    active = suppressed = 0
     for finding in findings:
         if finding.suppressed:
             suppressed += 1
             if not show_suppressed:
                 continue
-        elif finding.baselined:
-            baselined += 1
         else:
             active += 1
         lines.append(
@@ -50,27 +37,7 @@ def render_text(findings: List[Finding], files: int,
         f"repro-lint: {files} files checked, {active} finding"
         f"{'s' if active != 1 else ''}"
     )
-    extras = []
-    if baselined:
-        extras.append(f"{baselined} baselined")
     if suppressed:
-        extras.append(f"{suppressed} suppressed")
-    if extras:
-        summary += f" ({', '.join(extras)})"
+        summary += f" ({suppressed} suppressed)"
     lines.append(summary)
     return "\n".join(lines) + "\n"
-
-
-def render_json(findings: List[Finding], files: int) -> str:
-    payload = {
-        "version": 1,
-        "files": files,
-        "summary": {
-            "active": sum(1 for f in findings if f.active),
-            "suppressed": sum(1 for f in findings if f.suppressed),
-            "baselined": sum(1 for f in findings if f.baselined),
-            "active_by_family": _family_counts(findings),
-        },
-        "findings": [f.to_dict() for f in findings],
-    }
-    return json.dumps(payload, indent=2) + "\n"

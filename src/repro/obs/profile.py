@@ -165,13 +165,10 @@ def profile_cell(
     report has *not* been validated — callers decide whether an
     invariant violation is fatal (the CLI exits non-zero; tests assert).
     """
-    from ..experiments.runner import default_cache
+    from ..experiments.runner import default_cache, trace_key
     from ..experiments.suite import make_predictor
 
-    trace = default_cache().get(
-        benchmark, num_uops,
-        store_window=config.sb_size, instr_window=config.rob_size,
-    )
+    trace = default_cache().get(trace_key(benchmark, num_uops, config=config))
     if sampling is not None:
         from ..sampling.reconstruct import run_sampled_timing
 

@@ -8,7 +8,7 @@ from .columns import (
     Trace,
     TraceColumns,
 )
-from .dependence import classify_overlap, fill_dependences
+from .dependence import DEFAULT_WINDOWS, classify_overlap, fill_dependences
 from .generator import TraceGenerator, generate_trace
 from .profiles import SPEC_SUITE, WorkloadProfile, get_profile, suite_names
 from .stream import FORMAT_VERSION, TraceFormatError, read_trace, write_trace
@@ -42,6 +42,7 @@ __all__ = [
     "TraceFormatError",
     "read_trace",
     "write_trace",
+    "DEFAULT_WINDOWS",
     "classify_overlap",
     "fill_dependences",
     "TraceGenerator",

@@ -26,7 +26,13 @@ import numpy as np
 from .columns import BYPASS_CODES, OP_CODES
 from .uop import BypassClass, OpClass
 
-__all__ = ["classify_overlap", "fill_dependences"]
+__all__ = ["DEFAULT_WINDOWS", "classify_overlap", "fill_dependences"]
+
+#: ``(store_window, instr_window)`` a trace is cut for unless a core names
+#: its own: Golden Cove's 114-entry store buffer and 512-entry ROB
+#: (Table I).  The trace layer does not import the core model; a tier-1
+#: test pins this pair to ``GOLDEN_COVE``'s.
+DEFAULT_WINDOWS = (114, 512)
 
 
 def classify_overlap(
@@ -90,8 +96,9 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
 
 def fill_dependences(op: np.ndarray, address: np.ndarray, size: np.ndarray,
                      store_distance: np.ndarray, dep_store_seq: np.ndarray,
-                     bypass: np.ndarray, store_window: int = 114,
-                     instr_window: int = 512) -> None:
+                     bypass: np.ndarray,
+                     store_window: int = DEFAULT_WINDOWS[0],
+                     instr_window: int = DEFAULT_WINDOWS[1]) -> None:
     """Find every load's ground-truth dependence and write it in place.
 
     ``op`` / ``address`` / ``size`` are a whole trace's columns (micro-op

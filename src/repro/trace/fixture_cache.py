@@ -20,6 +20,7 @@ from collections import OrderedDict
 from typing import Tuple
 
 from .columns import Trace
+from .dependence import DEFAULT_WINDOWS
 from .generator import generate_trace
 
 __all__ = ["cached_trace", "cache_info", "clear"]
@@ -39,8 +40,8 @@ def cached_trace(
     num_uops: int = 20_000,
     program_seed: int = 0,
     trace_seed: int = 1,
-    store_window: int = 114,
-    instr_window: int = 512,
+    store_window: int = DEFAULT_WINDOWS[0],
+    instr_window: int = DEFAULT_WINDOWS[1],
 ) -> Trace:
     """Generate (and memoise, LRU-bounded) a trace for tests/benches.
 

@@ -47,7 +47,7 @@ from .columns import (
     Trace,
     TraceColumns,
 )
-from .dependence import fill_dependences
+from .dependence import DEFAULT_WINDOWS, fill_dependences
 from .profiles import get_profile
 from .program import Program, StaticInst, StaticKind, build_program
 from .uop import BypassClass
@@ -129,16 +129,16 @@ class TraceGenerator:
         program can produce independent trace samples.
     store_window / instr_window:
         In-flight bounds of the ground-truth dependences
-        (:func:`~repro.trace.dependence.fill_dependences`); defaults match
-        the Golden Cove store buffer (114) and ROB (512) of Table I.
+        (:func:`~repro.trace.dependence.fill_dependences`); default
+        :data:`~repro.trace.dependence.DEFAULT_WINDOWS`.
     """
 
     def __init__(
         self,
         program: Program,
         seed: int = 1,
-        store_window: int = 114,
-        instr_window: int = 512,
+        store_window: int = DEFAULT_WINDOWS[0],
+        instr_window: int = DEFAULT_WINDOWS[1],
     ):
         if store_window <= 0:
             raise ValueError("store window must be positive")
@@ -360,8 +360,8 @@ def generate_trace(
     num_uops: int,
     program_seed: int = 0,
     trace_seed: int = 1,
-    store_window: int = 114,
-    instr_window: int = 512,
+    store_window: int = DEFAULT_WINDOWS[0],
+    instr_window: int = DEFAULT_WINDOWS[1],
 ) -> Trace:
     """Convenience one-call trace generation for a named suite benchmark.
 

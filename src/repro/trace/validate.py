@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
-from .dependence import classify_overlap
+from .dependence import DEFAULT_WINDOWS, classify_overlap
 from .uop import MicroOp, OpClass
 
 __all__ = ["TraceValidationError", "ValidationReport", "validate_trace"]
@@ -65,8 +65,8 @@ class ValidationReport:
 
 def validate_trace(
     trace: Sequence[MicroOp],
-    store_window: int = 114,
-    instr_window: int = 512,
+    store_window: int = DEFAULT_WINDOWS[0],
+    instr_window: int = DEFAULT_WINDOWS[1],
     strict: bool = True,
     max_errors: int = 50,
 ) -> ValidationReport:

@@ -100,7 +100,7 @@ class TestSensitivityStudy:
         replay of each point's Mascot gives."""
         from repro.experiments import parallel
         from repro.experiments.runner import (default_cache,
-                                              run_prediction_only)
+                                              run_prediction_only, trace_key)
         from repro.predictors.mascot import Mascot
 
         computed = []
@@ -118,8 +118,9 @@ class TestSensitivityStudy:
         assert len(set(computed)) == len(computed)
 
         for point in results.points:
-            runs = [run_prediction_only(default_cache().get(bench, 4_000),
-                                        Mascot(point.config), warmup=1_000)
+            runs = [run_prediction_only(
+                        default_cache().get(trace_key(bench, 4_000)),
+                        Mascot(point.config), warmup=1_000)
                     for bench in benchmarks]
             expected = GridPointResult(
                 parameters=point.parameters, config=point.config,

@@ -15,9 +15,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ITTAGE(histories=())
 
-    def test_storage_positive(self):
-        assert ITTAGE().storage_bits > 0
-
 
 class TestLearning:
     def test_monomorphic_target(self):

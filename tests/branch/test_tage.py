@@ -20,19 +20,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             TAGEBranchPredictor(histories=(0, 4))
 
-    def test_storage_accounting(self):
-        pred = TAGEBranchPredictor(histories=(4, 8), index_bits=4,
-                                   tag_bits=7, base_index_bits=5,
-                                   use_ittage=False)
-        # 2 tables x 16 entries x (7 tag + 3 ctr + 2 useful + 1 valid)
-        # + 32 x 2-bit bimodal.
-        assert pred.storage_bits == 2 * 16 * 13 + 32 * 2
-
-    def test_storage_includes_ittage_when_enabled(self):
-        with_it = TAGEBranchPredictor()
-        without = TAGEBranchPredictor(use_ittage=False)
-        assert with_it.storage_bits > without.storage_bits
-
 
 class TestLearning:
     def test_monotone_branch(self):

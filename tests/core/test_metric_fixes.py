@@ -80,11 +80,6 @@ class TestSbDrainCutoff:
         stats = Pipeline(PerfectMDP()).run(self._trace())
         assert stats.loads_forwarded == 0
 
-    def test_pre_fix_behaviour_reachable_for_ab_comparison(self):
-        config = GOLDEN_COVE.with_(enforce_sb_drain=False)
-        stats = Pipeline(PerfectMDP(), config=config).run(self._trace())
-        assert stats.loads_forwarded == 1
-
     def test_timely_load_still_forwards(self):
         trace = [store(0, 0x2000),
                  load(1, 0x2000, dep_store_seq=0, distance=1)]

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.trace import generate_trace, write_trace
 
 
 @pytest.fixture(autouse=True)
@@ -275,6 +276,20 @@ class TestValidate:
         capsys.readouterr()
         assert main(["validate", str(path)]) == 1
         assert "ERROR" in capsys.readouterr().out
+
+    def test_core_names_the_windows(self, tmp_path, capsys):
+        # exchange2's first 2000 micro-ops hold one load whose store is in
+        # flight on Lion Cove (128-entry SB) but not on Golden Cove (114).
+        path = tmp_path / "t.trace"
+        write_trace(generate_trace("exchange2", 2000, store_window=128,
+                                   instr_window=576), path)
+        assert main(["validate", str(path), "--core", "lion-cove"]) == 0
+        assert main(["validate", str(path)]) == 1
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            main(["validate", str(path), "--store-window", "114"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("body", [
         "not a trace\n",

@@ -13,12 +13,13 @@ import os
 
 import pytest
 
-from repro.core.config import LION_COVE
+from repro.core.config import GOLDEN_COVE, LION_COVE
 from repro.experiments import parallel, runner
 from repro.experiments.backends import WorkerLostError
 from repro.experiments.parallel import (
     CellSpec,
     Execution,
+    compute_cell,
     execute_cells,
     resolve_cache,
 )
@@ -26,6 +27,7 @@ from repro.experiments.resilience import ResiliencePolicy
 from repro.experiments.result_cache import ResultCache, cell_key
 from repro.experiments.suite import run_accuracy_suite, run_ipc_suite
 from repro.predictors import PerfectMDP, PredictorSpec
+from repro.trace import DEFAULT_WINDOWS
 
 #: ≥3 predictors × ≥3 benchmarks, as the determinism contract demands
 #: (the perfect-mdp baseline joins automatically, making it 4 predictors).
@@ -180,6 +182,41 @@ class TestExecuteCells:
                           predictor=name) for name in ("mascot", "nosq")]
         execute_cells(cells, **{store: tmp_path / store})
         assert calls == cells
+
+
+class TestCoreWindows:
+    """A cell's trace is cut for its core's store buffer and ROB."""
+
+    @pytest.mark.parametrize("mode, config, windows", [
+        ("timing", LION_COVE, (128, 576)),
+        ("accuracy", LION_COVE, (128, 576)),
+        ("accuracy", None, DEFAULT_WINDOWS),
+    ], ids=["timing-lion-cove", "accuracy-lion-cove", "accuracy-no-core"])
+    def test_cell_replays_a_trace_cut_for_its_core(self, mode, config,
+                                                   windows, monkeypatch):
+        cut = []
+        real = runner.generate_trace
+
+        def recording(*args):
+            cut.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(runner, "generate_trace", recording)
+        monkeypatch.setattr(runner, "_GLOBAL_CACHE", runner.TraceCache())
+        spec = CellSpec(mode=mode, benchmark="exchange2", num_uops=2_000,
+                        predictor="mascot", config=config)
+        assert spec.trace_key == ("exchange2", 2_000, 0, 1, *windows)
+        assert (spec.store_window, spec.instr_window) == windows
+        compute_cell(spec)
+        assert cut == [spec.trace_key]
+
+    def test_trace_layer_default_is_golden_cove(self):
+        assert DEFAULT_WINDOWS == (GOLDEN_COVE.sb_size, GOLDEN_COVE.rob_size)
+
+    def test_windows_are_not_fields(self):
+        with pytest.raises(TypeError):
+            CellSpec(mode="accuracy", benchmark="lbm", num_uops=100,
+                     predictor="mascot", store_window=115)
 
 
 def _counting_generate_trace(log_path, real):

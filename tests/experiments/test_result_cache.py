@@ -54,8 +54,10 @@ class TestCellKey:
         {"num_uops": 5_001},
         {"program_seed": 7},
         {"trace_seed": 2},
-        {"store_window": 115},
-        {"instr_window": 256},
+        pytest.param({"config": GOLDEN_COVE.with_(sb_size=115)},
+                     id="store_window"),
+        pytest.param({"config": GOLDEN_COVE.with_(rob_size=256)},
+                     id="instr_window"),
         {"warmup": 100},
         {"f1_period": 500},
         {"predictor": "phast"},

@@ -7,6 +7,7 @@ from repro.experiments.runner import (
     default_cache,
     run_prediction_only,
     run_timing,
+    trace_key,
 )
 from repro.experiments.suite import PREDICTORS, make_predictor
 from repro.core.config import GOLDEN_COVE
@@ -23,21 +24,21 @@ from tests.conftest import small_trace
 class TestTraceCache:
     def test_same_key_same_object(self):
         cache = TraceCache()
-        t1 = cache.get("exchange2", 2000)
-        t2 = cache.get("exchange2", 2000)
+        t1 = cache.get(trace_key("exchange2", 2000))
+        t2 = cache.get(trace_key("exchange2", 2000))
         assert t1 is t2
 
     def test_different_key_different_trace(self):
         cache = TraceCache()
-        t1 = cache.get("exchange2", 2000)
-        t2 = cache.get("exchange2", 2000, trace_seed=9)
+        t1 = cache.get(trace_key("exchange2", 2000))
+        t2 = cache.get(trace_key("exchange2", 2000, trace_seed=9))
         assert t1 is not t2
 
     def test_clear(self):
         cache = TraceCache()
-        t1 = cache.get("exchange2", 2000)
+        t1 = cache.get(trace_key("exchange2", 2000))
         cache.clear()
-        assert cache.get("exchange2", 2000) is not t1
+        assert cache.get(trace_key("exchange2", 2000)) is not t1
 
     def test_default_cache_is_shared(self):
         assert default_cache() is default_cache()

@@ -24,11 +24,11 @@ class LintBox:
         path.write_text(textwrap.dedent(source), encoding="utf-8")
         return path
 
-    def lint(self, baseline=None) -> List[Finding]:
-        return lint_paths([self.root], baseline=baseline).findings
+    def lint(self) -> List[Finding]:
+        return lint_paths([self.root]).findings
 
-    def active_rules(self, baseline=None) -> List[str]:
-        return [f.rule for f in self.lint(baseline=baseline) if f.active]
+    def active_rules(self) -> List[str]:
+        return [f.rule for f in self.lint() if f.active]
 
 
 @pytest.fixture

@@ -42,7 +42,7 @@ def mutate(tree: Path, relative: str, old: str, new: str) -> None:
 class TestCleanCopyStaysClean:
     def test_zero_active_findings(self, tree):
         result = lint_paths([tree], select=INTERPROCEDURAL)
-        assert result.ok, [f.to_dict() for f in result.active]
+        assert result.ok, result.active
 
 
 class TestSeededEngineAsymmetry:

@@ -1,15 +1,13 @@
-"""Engine plumbing: pragmas, baselines, fingerprints, reporters, errors."""
+"""Engine plumbing: pragmas, reporters, family filters, errors."""
 
 from __future__ import annotations
 
 import json
-from collections import Counter
 
 from repro.lint import lint_paths
-from repro.lint.baseline import apply_baseline, load_baseline, write_baseline
 from repro.lint.engine import (ALL_FAMILIES, ALL_RULES, collect_files,
                                rule_family)
-from repro.lint.report import render_json, render_text
+from repro.lint.report import render_text
 
 import pytest
 
@@ -101,94 +99,6 @@ class TestSuppressions:
         assert all(f.suppressed for f in findings)
 
 
-class TestFingerprints:
-    def test_fingerprint_ignores_line_numbers(self, box):
-        source = """
-        def f(a):
-            return id(a)
-        """
-        box.write("mod.py", source)
-        before = box.lint()[0].fingerprint
-        box.write("mod.py", "\n\n\n" + source)  # shift every line down
-        after = box.lint()[0].fingerprint
-        assert before == after
-
-    def test_fingerprint_distinguishes_rules_and_symbols(self, box):
-        box.write("mod.py", """
-        def f(a):
-            return id(a)
-
-
-        def g(a):
-            return id(a)
-        """)
-        findings = box.lint()
-        assert len(findings) == 2
-        assert findings[0].fingerprint != findings[1].fingerprint
-
-
-class TestBaseline:
-    def test_round_trip_marks_findings_baselined(self, box, tmp_path):
-        box.write("mod.py", """
-        def f(a):
-            return id(a)
-        """)
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(box.lint(), baseline_path)
-
-        result = lint_paths([box.root], baseline=baseline_path)
-        assert result.findings[0].baselined
-        assert not result.findings[0].active
-        assert result.ok and result.exit_code == 0
-
-    def test_new_findings_stay_active_under_old_baseline(self, box, tmp_path):
-        box.write("mod.py", """
-        def f(a):
-            return id(a)
-        """)
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(box.lint(), baseline_path)
-
-        box.write("mod2.py", """
-        def g(a):
-            return hash(a)
-        """)
-        result = lint_paths([box.root], baseline=baseline_path)
-        assert [f.rule for f in result.active] == ["det-hash"]
-        assert result.exit_code == 1
-
-    def test_multiset_semantics(self, box):
-        # Two identical findings, one baseline entry: only one is covered.
-        box.write("mod.py", """
-        def f(a):
-            return id(a), id(a)
-        """)
-        findings = box.lint()
-        assert len(findings) == 2
-        apply_baseline(findings, Counter([findings[0].fingerprint]))
-        assert [f.baselined for f in findings] == [True, False]
-
-    def test_missing_baseline_file_is_empty(self, tmp_path):
-        assert load_baseline(tmp_path / "absent.json") == {}
-
-    def test_version_mismatch_rejected(self, tmp_path):
-        bad = tmp_path / "baseline.json"
-        bad.write_text(json.dumps({"version": 99, "findings": []}))
-        with pytest.raises(ValueError):
-            load_baseline(bad)
-
-    def test_suppressed_findings_are_not_written(self, box, tmp_path):
-        box.write("mod.py", """
-        def f(a):
-            # repro-lint: allow(det-id) -- suppressed, stays out of baseline
-            return id(a)
-        """)
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(box.lint(), baseline_path)
-        data = json.loads(baseline_path.read_text())
-        assert data == {"version": 1, "findings": []}
-
-
 class TestReporters:
     def _one_finding(self, box):
         box.write("mod.py", """
@@ -214,15 +124,6 @@ class TestReporters:
         assert "det-id" not in render_text(findings, files=1)
         shown = render_text(findings, files=1, show_suppressed=True)
         assert "det-id" in shown and "fine" in shown
-
-    def test_json_report_schema(self, box):
-        findings = self._one_finding(box)
-        payload = json.loads(render_json(findings, files=1))
-        assert payload["files"] == 1
-        assert payload["summary"]["active"] == 1
-        (entry,) = payload["findings"]
-        assert entry["rule"] == "det-id"
-        assert entry["fingerprint"] == findings[0].fingerprint
 
 
 class TestFamilyFilters:

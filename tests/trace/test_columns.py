@@ -40,6 +40,7 @@ from repro.experiments.runner import (
     default_cache,
     run_prediction_only,
     run_timing,
+    trace_key,
 )
 from repro.experiments.suite import make_predictor
 from repro.sampling import (
@@ -285,7 +286,8 @@ def test_fig2_equals_object_walk():
     try:
         result = figures.fig2_smb_opportunities(benchmarks, num_uops=2_000)
         for bench in benchmarks:
-            assert not default_cache().get(bench, 2_000).materialized
+            assert not default_cache().get(
+                trace_key(bench, 2_000)).materialized
     finally:
         default_cache().clear()
     for bench in benchmarks:
