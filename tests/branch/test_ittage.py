@@ -15,6 +15,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ITTAGE(histories=())
 
+    def test_storage_positive(self):
+        it = ITTAGE(histories=(2, 8, 32), index_bits=6, base_index_bits=7)
+        # One 64-entry tagged table per history + a 128-entry base table.
+        assert [len(table) for table in it._tables] == [64, 64, 64]
+        assert len(it._base) == 128
+
 
 class TestLearning:
     def test_monomorphic_target(self):

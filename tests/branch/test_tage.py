@@ -20,6 +20,27 @@ class TestConstruction:
         with pytest.raises(ValueError):
             TAGEBranchPredictor(histories=(0, 4))
 
+    def test_storage_accounting(self):
+        pred = TAGEBranchPredictor(histories=(4, 8), index_bits=4,
+                                   tag_bits=7, base_index_bits=5,
+                                   use_ittage=False)
+        # One 16-entry tagged table per history + a 32-entry bimodal.
+        assert [len(table) for table in pred._tables] == [16, 16]
+        assert len(pred._base) == 32
+        assert pred._ittage is None
+
+    def test_storage_includes_ittage_when_enabled(self):
+        from repro.branch.ittage import ITTAGE
+
+        with_it = TAGEBranchPredictor()
+        without = TAGEBranchPredictor(use_ittage=False)
+        # ITTAGE adds its own tables; the direction tables do not change.
+        assert isinstance(with_it._ittage, ITTAGE)
+        assert without._ittage is None
+        assert ([len(t) for t in with_it._tables]
+                == [len(t) for t in without._tables])
+        assert len(with_it._base) == len(without._base)
+
 
 class TestLearning:
     def test_monotone_branch(self):

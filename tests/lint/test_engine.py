@@ -1,7 +1,9 @@
-"""Engine plumbing: pragmas, reporters, family filters, errors."""
+"""Engine plumbing: pragmas (the one way to accept a finding), finding
+identity, reporters, family filters, errors."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 from repro.lint import lint_paths
@@ -99,6 +101,99 @@ class TestSuppressions:
         assert all(f.suppressed for f in findings)
 
 
+class TestFingerprints:
+    """A finding's rule, module and symbol identify it; its line locates it."""
+
+    def test_fingerprint_ignores_line_numbers(self, box):
+        source = """
+        def f(a):
+            return id(a)
+        """
+        box.write("mod.py", source)
+        (before,) = box.lint()
+        box.write("mod.py", "\n\n\n" + source)  # shift every line down
+        (after,) = box.lint()
+        assert after.line == before.line + 3
+        assert ((after.rule, after.module, after.symbol, after.message)
+                == (before.rule, before.module, before.symbol,
+                    before.message))
+
+    def test_fingerprint_distinguishes_rules_and_symbols(self, box):
+        box.write("mod.py", """
+        def f(a):
+            return id(a), hash(a)
+
+
+        def g(a):
+            return id(a)
+        """)
+        findings = sorted(box.lint(), key=lambda f: f.sort_key())
+        assert [(f.rule, f.symbol) for f in findings] == [
+            ("det-id", "mod:f"), ("det-hash", "mod:f"), ("det-id", "mod:g"),
+        ]
+        assert findings[0] != findings[1] != findings[2] != findings[0]
+
+
+class TestBaseline:
+    """A justified pragma is the one way to accept a finding: no baseline
+    file is read or written."""
+
+    DIRTY = """
+    def f(a):
+        return id(a)
+    """
+
+    def test_missing_baseline_file_is_empty(self):
+        from importlib.util import find_spec
+        from pathlib import Path
+
+        repo = Path(__file__).resolve().parents[2]
+        assert not (repo / "lint-baseline.json").exists()
+        assert find_spec("repro.lint.baseline") is None
+
+    def test_new_findings_stay_active_under_old_baseline(
+            self, box, tmp_path_factory, monkeypatch, capsys):
+        from repro.lint.cli import main
+
+        box.write("mod.py", self.DIRTY)
+        (finding,) = box.lint()
+        # A leftover baseline in the retired format, listing this very
+        # finding under the fingerprint that once accepted it.
+        basis = "\x1f".join(
+            [finding.rule, finding.module, finding.symbol, finding.message])
+        workdir = tmp_path_factory.mktemp("work")
+        (workdir / "lint-baseline.json").write_text(json.dumps({
+            "version": 1,
+            "findings": [{
+                "rule": finding.rule, "module": finding.module,
+                "symbol": finding.symbol, "message": finding.message,
+                "fingerprint":
+                    hashlib.sha256(basis.encode("utf-8")).hexdigest()[:16],
+            }],
+        }))
+        monkeypatch.chdir(workdir)
+        assert main([str(box.root)]) == 1
+        out = capsys.readouterr().out
+        assert "det-id" in out and "1 finding" in out
+
+    def test_suppressed_findings_are_not_written(
+            self, box, tmp_path_factory, monkeypatch, capsys):
+        from repro.lint.cli import main
+
+        box.write("mod.py", """
+        def f(a):
+            # repro-lint: allow(det-id) -- accepted by pragma
+            return id(a)
+        """)
+        workdir = tmp_path_factory.mktemp("work")
+        monkeypatch.chdir(workdir)
+        assert main([str(box.root)]) == 0
+        assert "det-id" not in capsys.readouterr().out
+        # The run wrote nothing: no baseline next to the code or the cwd.
+        assert list(workdir.iterdir()) == []
+        assert sorted(p.name for p in box.root.iterdir()) == ["mod.py"]
+
+
 class TestReporters:
     def _one_finding(self, box):
         box.write("mod.py", """
@@ -124,6 +219,26 @@ class TestReporters:
         assert "det-id" not in render_text(findings, files=1)
         shown = render_text(findings, files=1, show_suppressed=True)
         assert "det-id" in shown and "fine" in shown
+
+    def test_json_report_schema(self, box, tmp_path, capsys):
+        # The --metrics record is the lint's one JSON report.
+        from repro.lint.cli import main
+
+        box.write("mod.py", """
+        def f(a):
+            # repro-lint: allow(det-id) -- fine
+            return id(a), hash(a)
+        """)
+        metrics = tmp_path / "obs" / "lint.jsonl"
+        assert main([str(box.root), "--metrics", str(metrics)]) == 1
+        capsys.readouterr()
+        (record,) = [json.loads(line)
+                     for line in metrics.read_text().splitlines()]
+        assert set(record) == {"event", "files", "rules_run", "active",
+                               "suppressed", "findings_by_family",
+                               "wall_seconds"}
+        assert (record["active"], record["suppressed"]) == (1, 1)
+        assert record["findings_by_family"] == {"det": 1}
 
 
 class TestFamilyFilters:
